@@ -28,11 +28,22 @@ falsifiable: the caches are bypassed entirely with the server's
 ``enable_caches=False`` / the CLI's ``--no-cache``, and property tests
 assert cached and from-scratch cycle programs are byte-identical.
 
-The cache assumes the underlying collection is frozen between explicit
-mutations: ``BroadcastServer.add_document`` / ``remove_document`` call
-:meth:`CycleBuildCache.invalidate_collection`, which drops every layer
-(a removed document's per-document guide is no longer available for
-incremental unmerge, and any cached index may reference dead documents).
+Live collection mutations are followed by their delta, not by a flush.
+``BroadcastServer.add_document`` / ``remove_document`` make one call,
+:meth:`CycleBuildCache.invalidate_collection` with the mutated doc id,
+and each layer moves only if it depends on that document:
+
+* the **CI** depends on the per-document guides of its *requested set*
+  and on nothing else.  A document outside that set -- every brand-new
+  document, every removal of a document nobody is waiting for -- leaves
+  it untouched; a removed document inside it is unmerged from the cached
+  guide (the server calls before the store forgets the document, so its
+  per-document guide is still there);
+* the **PCI** depends on the CI's requested set plus the query-string
+  set; it is dropped exactly when the document is in its requested set;
+* the **DFAs** depend on query strings only and never move.
+
+Only the argument-less form drops every layer.
 """
 
 from __future__ import annotations
@@ -121,24 +132,44 @@ class CycleBuildCache:
     # Invalidation
     # ------------------------------------------------------------------
 
-    def invalidate_collection(self) -> None:
-        """Drop every layer after a live collection mutation.
+    def invalidate_collection(self, doc_id: Optional[int] = None) -> None:
+        """Follow a live collection mutation of document *doc_id*.
 
-        Adding a document can extend paths any cached index would miss;
-        removing one strands annotations *and* takes the per-document
-        guide needed for incremental unmerge out of the store.  The DFA
-        layer only depends on query strings, but its entries are dropped
-        too: they are cheap to rebuild and a stale collection's label
-        alphabet no longer drives their memoisation anyway.
+        Called by the server on every ``add_document`` (after the store
+        took the document in) and ``remove_document`` (*before* the store
+        forgets it: unmerging needs its per-document guide).  Layers that
+        do not depend on the document are kept -- the dependency rule is
+        in the module docstring.  Without *doc_id* every layer is dropped.
         """
+        obs.counter("server.cycle_cache_invalidations_total").inc()
+        if doc_id is None:
+            self._drop_ci()
+            self._drop_pci()
+            self._dfas.clear()
+            return
+        if self._pci_key is not None and doc_id in self._pci_key[0]:
+            self._drop_pci()
+        if self._ci_requested is not None and doc_id in self._ci_requested:
+            remaining = self._ci_requested - {doc_id}
+            guide = self.store.guides.get(doc_id)
+            if self._ci_guide is None or guide is None or not remaining:
+                self._drop_ci()
+            else:
+                self._ci_guide = remove_document_from_guide(
+                    self._ci_guide, self.store.by_id[doc_id], guide
+                )
+                self._ci_requested = remaining
+                self._ci_index = None
+
+    def _drop_ci(self) -> None:
         self._ci_requested = None
         self._ci_guide = None
         self._ci_index = None
+
+    def _drop_pci(self) -> None:
         self._pci_key = None
         self._pci = None
         self._pci_stats = None
-        self._dfas.clear()
-        obs.counter("server.cycle_cache_invalidations_total").inc()
 
     # ------------------------------------------------------------------
     # CI layer

@@ -19,6 +19,7 @@ the chance to download everything).
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -59,6 +60,12 @@ from repro.xpath.ast import XPathQuery
 
 if TYPE_CHECKING:  # pragma: no cover - layering guard (control -> broadcast)
     from repro.control.plan import CyclePlan
+
+
+#: LRU capacity of :class:`BroadcastServer`'s per-string resolution cache.
+#: Entries outlive collection mutations (they are delta-maintained), so
+#: without a cap the cache would hold every distinct string ever asked.
+RESOLUTION_CACHE_SIZE = 4096
 
 
 class DocumentStore:
@@ -336,7 +343,13 @@ class BroadcastServer:
         self.completed: List[PendingQuery] = []
         self.records: List[CycleRecord] = []
         self._next_query_id = 0
-        self._resolution_cache: Dict[str, FrozenSet[int]] = {}
+        #: query string -> (a query with that string, its result set over
+        #: the live collection); LRU, at most RESOLUTION_CACHE_SIZE entries.
+        #: The representative query is what lets ``add_document`` re-run
+        #: the cached strings over the new document alone.
+        self._resolution_cache: "OrderedDict[str, Tuple[XPathQuery, FrozenSet[int]]]" = (
+            OrderedDict()
+        )
         #: idempotent-uplink dedup: ``(client_key, query string)`` of
         #: every keyed admission ever made.  A retried submission with
         #: the same key returns the *existing* PendingQuery -- never a
@@ -346,6 +359,9 @@ class BroadcastServer:
         #: the CLI can read them without enabling a registry
         self.uplink_dedup_hits = 0
         self.degraded_cycles = 0
+        #: distinct query strings resolved by a full combined-guide walk
+        #: (mirror of ``server.resolved_query_strings_total``)
+        self.resolved_query_strings = 0
         #: doc id -> pending queries still missing it, mirrored across every
         #: remaining-set mutation so schedulers stop rebuilding it per cycle
         self.demand = DemandTable()
@@ -387,13 +403,15 @@ class BroadcastServer:
                     "(Section 4.1)"
                 )
         results: List[Optional[FrozenSet[int]]] = [None] * len(queries)
+        cache = self._resolution_cache
         misses: Dict[str, List[int]] = {}
         representative: Dict[str, XPathQuery] = {}
         for position, query in enumerate(queries):
             key = str(query)
-            cached = self._resolution_cache.get(key)
+            cached = cache.get(key)
             if cached is not None:
-                results[position] = cached
+                cache.move_to_end(key)
+                results[position] = cached[1]
             else:
                 misses.setdefault(key, []).append(position)
                 representative.setdefault(key, query)
@@ -404,51 +422,31 @@ class BroadcastServer:
                 for query_id, key in enumerate(keys):
                     nfa.add_query(query_id, representative[key])
                 nfa.freeze()
-                resolved = self._resolve_with_nfa(nfa, len(keys))
+                # One combined-guide walk: a matched node's containment
+                # set holds every document below it.
+                guide = self.store.full_guide
+                roots = (
+                    guide.root.children.values()
+                    if guide.virtual_root
+                    else (guide.root,)
+                )
+                resolved: List[Set[int]] = [set() for _ in keys]
+                for node, accepted in nfa.trie_matches(roots):
+                    docs = node.containing_docs()
+                    for query_id in accepted:
+                        resolved[query_id].update(docs)
+            self.resolved_query_strings += len(keys)
             obs.counter("server.resolved_query_strings_total").inc(len(keys))
             for query_id, key in enumerate(keys):
                 value = frozenset(resolved[query_id])
-                self._resolution_cache[key] = value
+                cache[key] = (representative[key], value)
                 for position in misses[key]:
                     results[position] = value
+            while len(cache) > RESOLUTION_CACHE_SIZE:
+                cache.popitem(last=False)
         # Every position is filled: it was either a cache hit or a miss
         # resolved just above.
         return [result for result in results if result is not None]
-
-    def _resolve_with_nfa(
-        self, nfa: SharedPathNFA, query_count: int
-    ) -> List[Set[int]]:
-        """One combined-guide walk collecting each query's containment union.
-
-        Descent stops early only when *every* registered query has matched
-        at a node (the subtree's containment is then already included for
-        all of them), which degenerates to the classic stop-at-accept walk
-        for a single query.
-        """
-        guide = self.store.full_guide
-        collected: List[Set[int]] = [set() for _ in range(query_count)]
-        initial = nfa.initial_states()
-        if guide.virtual_root:
-            stack = [
-                (child, nfa.move(initial, child.label))
-                for child in guide.root.children.values()
-            ]
-        else:
-            stack = [(guide.root, nfa.move(initial, guide.root.label))]
-        while stack:
-            node, configuration = stack.pop()
-            if not configuration:
-                continue
-            accepted = nfa.accepted_queries(configuration)
-            if accepted:
-                docs = node.containing_docs()
-                for query_id in accepted:
-                    collected[query_id].update(docs)
-                if len(accepted) == query_count:
-                    continue  # all queries matched: subtree adds nothing new
-            for child in node.children.values():
-                stack.append((child, nfa.move(configuration, child.label)))
-        return collected
 
     def submit(
         self,
@@ -843,15 +841,39 @@ class BroadcastServer:
     def add_document(self, document: XMLDocument) -> None:
         """Add a document to the broadcast collection between cycles.
 
-        Resolution caches are dropped (new structure can match old query
-        strings) and the cycle-build caches invalidated; already-admitted
+        Every derived structure follows by the delta.  The resolution
+        cache keeps its entries: ``resolve(q)`` is the set of documents
+        whose own DataGuide has a path *q* accepts, so one shared-NFA
+        walk of the cached strings over the *new document's* guide finds
+        exactly the entries the document joins.  The cycle-build caches
+        are told which document changed and keep every layer that does
+        not depend on it (a brand-new document is in no cached requested
+        set; see :mod:`repro.broadcast.cycle_cache`).  Already-admitted
         queries keep their admission-time result sets, exactly as a real
         server that resolved them on arrival would.
         """
         self.store.add_document(document)
-        self._resolution_cache.clear()
-        if self.cache is not None:
-            self.cache.invalidate_collection()
+        if self.cache is None:
+            # The from-scratch oracle re-resolves against the full guide.
+            self._resolution_cache.clear()
+            return
+        self.cache.invalidate_collection(document.doc_id)
+        cache = self._resolution_cache
+        if not cache:
+            return
+        keys = list(cache)
+        with obs.span("server.query_filtering"):
+            nfa = SharedPathNFA()
+            nfa.add_queries([cache[key][0] for key in keys])
+            nfa.freeze()
+            joined: Set[int] = set()
+            for _node, accepted in nfa.trie_matches(
+                (self.store.guides[document.doc_id].root,)
+            ):
+                joined |= accepted
+        for query_id in joined:
+            query, docs = cache[keys[query_id]]
+            cache[keys[query_id]] = (query, docs | {document.doc_id})
 
     def remove_document(self, doc_id: int) -> XMLDocument:
         """Remove a document; pending queries stop waiting for it.
@@ -864,11 +886,22 @@ class BroadcastServer:
         a query whose whole result set vanished before it was ever
         indexed was never broadcast-satisfied, so its ``cycles_listened``
         stays ``None`` instead of reporting a bogus pre-arrival cycle.
+
+        Cached resolutions survive: the document is subtracted from the
+        result sets that contain it.
         """
-        document = self.store.remove_document(doc_id)
-        self._resolution_cache.clear()
         if self.cache is not None:
-            self.cache.invalidate_collection()
+            # Before the store forgets the document: unmerging it from a
+            # cached CI guide needs its per-document guide.
+            self.cache.invalidate_collection(doc_id)
+        document = self.store.remove_document(doc_id)
+        if self.cache is None:
+            self._resolution_cache.clear()
+        else:
+            cache = self._resolution_cache
+            for key, (query, docs) in cache.items():
+                if doc_id in docs:
+                    cache[key] = (query, docs - {doc_id})
         self.demand.discard_doc(doc_id)
         for pending in self.pending:
             pending.remaining_doc_ids.discard(doc_id)
@@ -911,7 +944,13 @@ class BroadcastServer:
         if before_set and not pending.remaining_doc_ids:
             pending.satisfied_cycle = cycle.cycle_number
             pending.satisfied_time = cycle.end_time
-        self._reap_satisfied()
+            # Only this query can have become satisfied: move it alone
+            # instead of rescanning the queue on every acknowledgement.
+            for position, queued in enumerate(self.pending):
+                if queued is pending:
+                    del self.pending[position]
+                    self.completed.append(pending)
+                    break
 
     def _reap_satisfied(self) -> None:
         newly_done = [q for q in self.pending if q.is_satisfied]

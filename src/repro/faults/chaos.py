@@ -355,6 +355,7 @@ class ChaosSimulation(Simulation):
     def _inject_remove(self, cycle_number: int) -> None:
         """Remove one document no unsatisfied session still needs."""
         protected = set()
+        in_flight = []
         for session in self.sessions:
             if session.satisfied:
                 continue
@@ -365,11 +366,13 @@ class ChaosSimulation(Simulation):
                 protected |= session.pending.result_doc_ids
                 protected |= session.pending.remaining_doc_ids
             else:
-                # Uplink still in flight: the query will resolve against
-                # the post-removal collection, so protect what it would
-                # resolve to *now* -- removing any of it could otherwise
-                # empty the result set mid-dialogue.
-                protected |= self.server.resolve(session.plan.query)
+                in_flight.append(session.plan.query)
+        # Uplink still in flight: the query will resolve against the
+        # post-removal collection, so protect what it would resolve to
+        # *now* -- removing any of it could otherwise empty the result
+        # set mid-dialogue.
+        for result in self.server.resolve_batch(in_flight):
+            protected |= result
         candidates = sorted(set(self.store.by_id) - protected)
         if not candidates or len(self.store.documents) <= 1:
             return
@@ -389,13 +392,12 @@ class ChaosSimulation(Simulation):
     def _check_invariants(self) -> None:
         cycle = self._current_cycle
         assert cycle is not None
-        for session in self.sessions:
-            if session.satisfied:
-                # A drained session's locked set was valid when served;
-                # ungated removals afterwards cannot retroactively
-                # invalidate a completed delivery.
-                continue
-            truth = None
+        # A drained session's locked set was valid when served; ungated
+        # removals afterwards cannot retroactively invalidate a completed
+        # delivery.  The rest resolve through one shared pass.
+        unsatisfied = [s for s in self.sessions if not s.satisfied]
+        truths = self.server.resolve_batch([s.plan.query for s in unsatisfied])
+        for session, truth in zip(unsatisfied, truths):
             for client in session.clients:
                 expected = client.expected_doc_ids
                 if expected is None:
@@ -407,8 +409,6 @@ class ChaosSimulation(Simulation):
                             "index read"
                         )
                     continue
-                if truth is None:
-                    truth = self.server.resolve(session.plan.query)
                 if not expected <= truth:
                     raise ChaosInvariantError(
                         f"safety violated at cycle {cycle.cycle_number}: "

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.xpath.ast import Axis, Step, WILDCARD, XPathQuery
 
@@ -333,6 +333,32 @@ class SharedPathNFA:
             for position in range(accept_off[state_id], accept_off[state_id + 1]):
                 matched.add(accept_ids[position])
         return matched
+
+    def trie_matches(self, roots: Iterable[Any]) -> Iterator[Tuple[Any, Set[int]]]:
+        """Run the automaton over label tries; yield ``(node, accepted ids)``.
+
+        *roots* are trie nodes exposing ``label`` and a ``children``
+        mapping -- a per-document :class:`~repro.dataguide.dataguide.DataGuide`
+        root or the roots of a combined guide.  Every node at which some
+        query accepts is yielded once, in depth-first order.  Descent
+        stops early only below a node where *every* registered query
+        accepted (nothing deeper can add a query), which degenerates to
+        the classic stop-at-accept walk for a single query.
+        """
+        query_count = len(self._queries)
+        initial = self.initial_states()
+        stack = [(root, self.move(initial, root.label)) for root in roots]
+        while stack:
+            node, configuration = stack.pop()
+            if not configuration:
+                continue
+            accepted = self.accepted_queries(configuration)
+            if accepted:
+                yield node, accepted
+                if len(accepted) == query_count:
+                    continue
+            for child in node.children.values():
+                stack.append((child, self.move(configuration, child.label)))
 
     def is_accepting(self, states: Iterable[int]) -> bool:
         if not self._compiled:

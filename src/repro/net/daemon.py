@@ -686,10 +686,17 @@ class BroadcastDaemon:
         return f"ACK {pending.query_id} {pending.arrival_time}" + suffix
 
     def _arrival_now(self) -> int:
-        """Current channel byte-time: mid-cycle it is the on-air position."""
+        """Current channel byte-time: mid-cycle it is the on-air position.
+
+        Strictly after the on-air cycle's start even before its first
+        frame has left: that cycle was built before this admission, and
+        ``AccessProtocol.can_use`` admits a client to every cycle starting
+        at or after its arrival -- a stamp equal to the start would let
+        the client lock a result set from an index that predates its query.
+        """
         if self._on_air is not None:
             start, offset = self._on_air
-            return start + offset
+            return start + max(offset, 1)
         return self.server.clock
 
     def _tune_info(self) -> Dict:

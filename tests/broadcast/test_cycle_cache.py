@@ -7,6 +7,7 @@ import pytest
 from repro.broadcast.cycle_cache import CycleBuildCache, query_key_of
 from repro.broadcast.program import _index_tree_form
 from repro.broadcast.server import DocumentStore, build_ci_from_store
+from repro.xmlkit.model import XMLDocument, build_element
 from repro.xpath.parser import parse_query
 
 
@@ -156,7 +157,90 @@ class TestPCILayer:
         assert cache.stats["dfa_hits"] == 1
 
 
+def warm_cache(store, requested, texts=("/a/b",)):
+    """A cache holding a CI, a PCI and a DFA for *requested*."""
+    cache = CycleBuildCache(store)
+    queries = [parse_query(text) for text in texts]
+    ci = cache.ci_for(requested)
+    pci = cache.pci_for(ci, requested, queries)[0]
+    dfa = cache.dfa_for(query_key_of(queries), queries)
+    return cache, queries, ci, pci, dfa
+
+
 class TestInvalidation:
+    def test_added_document_outside_requested_set_keeps_every_layer(self):
+        store = paper_store()
+        requested = frozenset({0, 1, 2})
+        cache, queries, ci, pci, dfa = warm_cache(store, requested)
+        store.add_document(XMLDocument(10, build_element("a", build_element("b"))))
+        cache.invalidate_collection(10)
+        assert cache.ci_for(requested) is ci
+        assert cache.pci_for(ci, requested, queries)[0] is pci
+        assert cache.dfa_for(query_key_of(queries), queries) is dfa
+        assert cache.stats["ci_rebuilds"] == 1
+        # ... and the new document joins the next request set by a delta.
+        grown = cache.ci_for(requested | {10})
+        assert cache.stats["ci_incremental"] == 1
+        assert ci_form(grown) == ci_form(build_ci_from_store(store, requested | {10}))
+
+    def test_removed_document_outside_requested_set_keeps_every_layer(self):
+        store = paper_store()
+        requested = frozenset({0, 1, 2})
+        cache, queries, ci, pci, dfa = warm_cache(store, requested)
+        cache.invalidate_collection(4)
+        store.remove_document(4)
+        assert cache.ci_for(requested) is ci
+        assert cache.pci_for(ci, requested, queries)[0] is pci
+        assert cache.dfa_for(query_key_of(queries), queries) is dfa
+        assert cache.stats["ci_hits"] == 1 and cache.stats["ci_rebuilds"] == 1
+
+    def test_removed_document_inside_requested_set_is_unmerged(self):
+        store = paper_store()
+        requested = frozenset({0, 1, 2, 3})
+        cache, queries, ci, pci, dfa = warm_cache(store, requested)
+        cache.invalidate_collection(1)  # while the store still holds doc 1
+        store.remove_document(1)
+        remaining = requested - {1}
+        after = cache.ci_for(remaining)
+        assert after is not ci
+        assert ci_form(after) == ci_form(build_ci_from_store(store, remaining))
+        # Unmerged from the cached guide, not re-merged from scratch.
+        assert cache.stats["ci_rebuilds"] == 1
+        assert cache.stats["ci_incremental"] == 1
+        fresh_pci = cache.pci_for(after, remaining, queries)[0]
+        assert fresh_pci is not pci
+        assert cache.stale_pci(queries)[0] is fresh_pci
+        assert cache.dfa_for(query_key_of(queries), queries) is dfa
+
+    def test_removal_inside_requested_set_drops_the_stale_pci(self):
+        store = paper_store()
+        requested = frozenset({0, 1, 2, 3})
+        cache, queries, _ci, _pci, _dfa = warm_cache(store, requested)
+        cache.invalidate_collection(1)
+        assert cache.stale_pci(queries) is None
+
+    def test_doc_id_reuse_never_serves_the_old_content(self):
+        store = paper_store()
+        requested = frozenset({0, 1, 2, 3})
+        cache, queries, ci, pci, _dfa = warm_cache(store, requested)
+        cache.invalidate_collection(1)
+        store.remove_document(1)
+        store.add_document(XMLDocument(1, build_element("a", build_element("zz"))))
+        cache.invalidate_collection(1)
+        again = cache.ci_for(requested)
+        assert ci_form(again) == ci_form(build_ci_from_store(store, requested))
+        assert ci_form(again) != ci_form(ci)
+        assert cache.pci_for(again, requested, queries)[0] is not pci
+
+    def test_removing_the_whole_requested_set_drops_the_ci(self):
+        store = paper_store()
+        cache, _queries, ci, _pci, _dfa = warm_cache(store, frozenset({2}))
+        cache.invalidate_collection(2)
+        store.remove_document(2)
+        rebuilt = cache.ci_for(frozenset({0}))
+        assert cache.stats["ci_rebuilds"] == 2
+        assert ci_form(rebuilt) == ci_form(build_ci_from_store(store, {0}))
+
     def test_collection_invalidation_drops_all_layers(self):
         cache = CycleBuildCache(paper_store())
         requested = frozenset({0, 1, 2})

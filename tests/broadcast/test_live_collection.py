@@ -74,12 +74,34 @@ class TestServerMaintenance:
         assert 10 in cycle.doc_ids
 
     def test_resolution_cache_invalidated_on_add(self):
+        """Cached strings follow an add by its delta: the new document
+        joins exactly the result sets it matches, with no walk of the
+        full combined guide."""
         server = BroadcastServer(paper_store())
-        before = server.resolve(parse_query("/a/b"))
+        texts = ("/a/b", "/a//c", "/a/c/a")
+        before = {t: server.resolve(parse_query(t)) for t in texts}
+        walked = server.resolved_query_strings
         extra = XMLDocument(10, build_element("a", build_element("b")))
         server.add_document(extra)
-        after = server.resolve(parse_query("/a/b"))
-        assert 10 in after and 10 not in before
+        after = {t: server.resolve(parse_query(t)) for t in texts}
+        assert after["/a/b"] == before["/a/b"] | {10}
+        assert after["/a//c"] == before["/a//c"]
+        assert after["/a/c/a"] == before["/a/c/a"]
+        assert server.resolved_query_strings == walked
+        # A string first asked after the add sees the new document too.
+        assert 10 in server.resolve(parse_query("//b"))
+        assert server.resolved_query_strings == walked + 1
+
+    def test_uncached_server_re_resolves_after_mutation(self):
+        """``enable_caches=False`` stays the from-scratch oracle: every
+        mutation forgets the resolutions and the full guide is re-walked."""
+        server = BroadcastServer(paper_store(), enable_caches=False)
+        before = server.resolve(parse_query("/a/b"))
+        server.add_document(XMLDocument(10, build_element("a", build_element("b"))))
+        assert server.resolve(parse_query("/a/b")) == before | {10}
+        server.remove_document(10)
+        assert server.resolve(parse_query("/a/b")) == before
+        assert server.resolved_query_strings == 3
 
     def test_removed_document_dropped_from_pending(self):
         server = BroadcastServer(paper_store(), cycle_data_capacity=128)
@@ -134,12 +156,59 @@ class TestServerMaintenance:
         assert pending.cycles_listened == 1
 
     def test_resolution_cache_invalidated_on_remove(self):
+        """A removed document is subtracted from the cached result sets
+        that contain it; nothing is re-walked."""
         server = BroadcastServer(paper_store())
-        before = server.resolve(parse_query("/a/b"))
-        victim = next(iter(before))
+        texts = ("/a/b", "/a//c", "/a/c/a")
+        before = {t: server.resolve(parse_query(t)) for t in texts}
+        walked = server.resolved_query_strings
+        victim = next(iter(before["/a/b"]))
         server.remove_document(victim)
-        after = server.resolve(parse_query("/a/b"))
-        assert victim in before and victim not in after
+        for text in texts:
+            assert server.resolve(parse_query(text)) == before[text] - {victim}
+        assert server.resolved_query_strings == walked
+
+    def test_doc_id_reuse_resolves_by_new_content(self):
+        """Remove id n, add different content under id n: cached strings
+        reflect the new content, not the old."""
+        server = BroadcastServer(paper_store())
+        old = server.resolve(parse_query("/a/b"))
+        victim = next(iter(old))
+        other = server.resolve(parse_query("/a/zz"))
+        assert victim not in other
+        server.remove_document(victim)
+        server.add_document(XMLDocument(victim, build_element("a", build_element("zz"))))
+        assert server.resolve(parse_query("/a/b")) == old - {victim}
+        assert server.resolve(parse_query("/a/zz")) == other | {victim}
+
+    def test_resolution_cache_is_bounded(self, monkeypatch):
+        """ROADMAP 4c: 10x the cap of distinct strings leaves the cache
+        flat, and an evicted string re-resolves to the identical set."""
+        import repro.broadcast.server as server_module
+
+        monkeypatch.setattr(server_module, "RESOLUTION_CACHE_SIZE", 8)
+        server = BroadcastServer(paper_store())
+        first = server.resolve(parse_query("/a/b"))
+        labels = [f"t{n}" for n in range(80)]
+        for label in labels:
+            server.resolve(parse_query(f"/a/{label}"))
+            assert len(server._resolution_cache) <= 8
+        assert len(server._resolution_cache) == 8
+        assert "/a/b" not in server._resolution_cache  # evicted long ago
+        assert server.resolve(parse_query("/a/b")) == first
+
+    def test_recently_used_string_survives_eviction(self, monkeypatch):
+        import repro.broadcast.server as server_module
+
+        monkeypatch.setattr(server_module, "RESOLUTION_CACHE_SIZE", 4)
+        server = BroadcastServer(paper_store())
+        server.resolve(parse_query("/a/b"))
+        for n in range(20):
+            server.resolve(parse_query(f"/a/t{n}"))
+            server.resolve(parse_query("/a/b"))  # keeps it most recent
+        walked = server.resolved_query_strings
+        server.resolve(parse_query("/a/b"))
+        assert server.resolved_query_strings == walked
 
     def test_confirm_delivery_does_not_resurrect_removed_doc(self):
         """Regression: acknowledged delivery resets the remaining set from
@@ -156,3 +225,36 @@ class TestServerMaintenance:
         assert pending.remaining_doc_ids == {0}  # doc 1 stays gone
         server.confirm_delivery(pending, received_doc_ids={0}, cycle=cycle)
         assert pending.is_satisfied
+
+    def test_confirm_delivery_moves_only_the_acknowledged_query(self):
+        """An acknowledgement touches its own query alone: a still
+        unsatisfied one stays queued, a satisfied one moves to
+        ``completed`` in acknowledgement order, and the rest of the
+        pending queue keeps its order."""
+        server = BroadcastServer(
+            paper_store(), cycle_data_capacity=10**6, acknowledged_delivery=True
+        )
+        texts = ("/a/b/a", "/a//c", "/a/b", "/a/c/a")
+        first, second, third, fourth = (
+            server.submit(parse_query(text), 0) for text in texts
+        )
+        cycle = server.build_cycle()
+        assert server.pending == [first, second, third, fourth]
+
+        # Partial receipt: still unsatisfied, nothing moves.
+        partial = set(list(second.result_doc_ids)[:1])
+        server.confirm_delivery(second, partial, cycle)
+        assert not second.is_satisfied
+        assert server.pending == [first, second, third, fourth]
+        assert server.completed == []
+        assert second.remaining_doc_ids == set(second.result_doc_ids) - partial
+
+        # Out-of-queue-order acknowledgements complete in ack order.
+        server.confirm_delivery(third, set(third.result_doc_ids), cycle)
+        server.confirm_delivery(first, set(first.result_doc_ids), cycle)
+        assert server.completed == [third, first]
+        assert server.pending == [second, fourth]
+        assert third.satisfied_cycle == cycle.cycle_number
+        # The untouched queries' bookkeeping did not move.
+        assert fourth.remaining_doc_ids == set(fourth.result_doc_ids)
+        assert fourth.satisfied_time is None

@@ -18,6 +18,8 @@ from repro.net import (
 from repro.net.client import Backpressure
 from repro.net.framing import FrameKind, encode_text, read_frame
 from repro.sim.config import small_setup
+from repro.xpath.evaluator import matching_documents
+from repro.xpath.parser import parse_query
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +236,73 @@ class TestLifecycle:
         admitted, completed = _run(_with_daemon(store, config, net, body))
         assert admitted >= 1
         assert completed == admitted
+
+
+class _ParkFirstSleep(ManualClock):
+    """Parks the first paced sleep until released.
+
+    The token bucket starts empty, so the first sleep is the debt of a
+    cycle's first frame: while it is parked the cycle is on air at
+    offset 0.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.parked = asyncio.Event()
+        self.release = asyncio.Event()
+
+    async def sleep(self, seconds: float) -> None:
+        if not self.parked.is_set():
+            self.parked.set()
+            await self.release.wait()
+        await super().sleep(seconds)
+
+
+class TestArrivalStamp:
+    def test_mid_cycle_admission_at_offset_zero_skips_that_cycle(
+        self, store, config, nitf_queries
+    ):
+        """Regression: a query admitted while a cycle is on air at offset
+        0 was stamped with that cycle's own start time, so its client read
+        an index built before the query existed and reported ``satisfied``
+        with a truncated result set."""
+        sizes = {
+            str(q): len(matching_documents(q, store.documents))
+            for q in nitf_queries
+        }
+        narrow = min((t for t in sizes if sizes[t]), key=sizes.__getitem__)
+        broad = "//nitf"
+        truth = len(matching_documents(parse_query(broad), store.documents))
+        assert sizes[narrow] < truth  # the first cycle's index cannot cover it
+
+        async def body():
+            clock = _ParkFirstSleep()
+            net = DaemonConfig(autostart=False, bandwidth=1_000_000.0, clock=clock)
+            daemon = BroadcastDaemon(store, config, net)
+            await daemon.start()
+            first = AsyncTwoTierClient(narrow, port=daemon.port, arrival_time=0)
+            late = AsyncTwoTierClient(broad, port=daemon.port)
+            for client in (first, late):
+                await client.connect()
+                await client.tune()
+            await first.submit()
+            daemon.start_broadcast()
+            await clock.parked.wait()
+            # Cycle 0 (built for *first* alone) is on air, nothing sent yet.
+            await late.submit()
+            clock.release.set()
+            reports = await asyncio.gather(first.run_session(), late.run_session())
+            for client in (first, late):
+                await client.close()
+            daemon.request_stop()
+            await daemon.wait_done()
+            return late.arrival_time, reports
+
+        arrival, (first_report, late_report) = _run(body())
+        assert arrival > 0  # strictly after cycle 0's start
+        assert first_report.satisfied and late_report.satisfied
+        assert first_report.metrics.result_doc_count == sizes[narrow]
+        assert late_report.metrics.result_doc_count == truth
 
 
 class TestPacing:
