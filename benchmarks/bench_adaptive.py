@@ -82,7 +82,7 @@ def _run(documents, scenario, **overrides):
     sim = Simulation(config, documents=documents)
     result = sim.run()
     assert result.completed, f"run truncated: {scenario} {overrides}"
-    return sim, result.mean_access_bytes("two-tier-multi")
+    return sim, result.mean_access_bytes("two-tier")
 
 
 def _scenario_matrix():

@@ -77,8 +77,8 @@ def test_multichannel_speedup(benchmark):
     )
     assert result_k1.completed and result_k4.completed
 
-    access_k1 = result_k1.mean_access_bytes("two-tier-multi")
-    access_k4 = result_k4.mean_access_bytes("two-tier-multi")
+    access_k1 = result_k1.mean_access_bytes("two-tier")
+    access_k4 = result_k4.mean_access_bytes("two-tier")
     ratio = access_k4 / access_k1
 
     counters = snapshot["counters"]
@@ -92,9 +92,7 @@ def test_multichannel_speedup(benchmark):
     }
     idle = counters[metric_key("server.channel_idle_bytes_total", {})]
     conflicts = counters.get(
-        metric_key(
-            "client.channel_conflicts_total", {"protocol": "two-tier-multi"}
-        ),
+        metric_key("client.channel_conflicts_total", {"protocol": "two-tier"}),
         0,
     )
 

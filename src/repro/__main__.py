@@ -751,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="per-packet erasure probability (error-prone channel); the "
-        "report then covers the lossy client's recovery accounting",
+        "report then covers the client's loss-recovery accounting",
     )
     _add_fault_args(stats)
     _add_channel_args(stats)

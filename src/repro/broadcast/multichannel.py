@@ -23,9 +23,8 @@ Timing model: all channels advance byte-time in lockstep; the cycle ends
 when the **longest** data channel finishes (``data_start + max(span)``).
 A document's ``doc_offsets`` entry remains its cycle-relative start
 byte-time; offsets of documents on different channels may overlap -- that
-is precisely the cross-channel *conflict* the
-:class:`~repro.client.multichannel.MultiChannelTwoTierClient` plans
-around.
+is precisely the cross-channel *conflict* the single-tuner
+:class:`~repro.client.twotier.TwoTierClient` plans around.
 
 At ``K=1`` everything collapses to the single-channel program: one data
 channel, the channel field elided from the second tier, byte-identical

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import FrozenSet
 
 from repro import obs
-from repro.broadcast.program import BroadcastCycle, IndexScheme
+from repro.broadcast.program import BroadcastCycle
 from repro.client.protocol import AccessProtocol
 from repro.xpath.ast import XPathQuery
 
@@ -24,7 +24,6 @@ from repro.xpath.ast import XPathQuery
 class NaiveClient(AccessProtocol):
     """Exhaustive listener used as the no-index baseline."""
 
-    scheme = IndexScheme.TWO_TIER  # irrelevant; it ignores the index
     protocol_name = "naive"
 
     def __init__(

@@ -59,6 +59,8 @@ def default_lookup(cycle: BroadcastCycle, query: XPathQuery) -> LookupResult:
 class AccessProtocol(abc.ABC):
     """Base class: arrival bookkeeping, probe charging, completion."""
 
+    #: the index scheme whose packing the protocol reads (the naive
+    #: client reads none and leaves it unset)
     scheme: IndexScheme
     #: reporting label; doubles as the ``protocol`` label on byte counters
     protocol_name: str = "unknown"
@@ -104,10 +106,7 @@ class AccessProtocol(abc.ABC):
             with registry.span("client.probe"):
                 probe = cycle.layout.packet_bytes
                 self._probed = True
-        if (
-            getattr(cycle, "degraded", None) == "pci-stale"
-            and self.expected_doc_ids is None
-        ):
+        if cycle.degraded == "pci-stale" and self.expected_doc_ids is None:
             # An overloaded server aired last cycle's PCI.  A stale pruning
             # may omit documents admitted after it, so locking the expected
             # set here could under-count the true result set; defer the
@@ -169,21 +168,24 @@ class AccessProtocol(abc.ABC):
         the expected set is fully received.
         """
         doc_bytes = 0
-        last_end = None
+        last_end = 0
         for doc_id in cycle.doc_ids:
             if doc_id in wanted and doc_id not in self.received_doc_ids:
                 air = cycle.doc_air_bytes[doc_id]
                 doc_bytes += air
                 self.received_doc_ids.add(doc_id)
                 last_end = cycle.doc_offsets[doc_id] + air
-        if (
-            self.expected_doc_ids is not None
-            and self.received_doc_ids >= self.expected_doc_ids
-            and self.metrics.completion_time is None
-        ):
-            # Completed mid-cycle: access time ends when the last needed
-            # document finishes, not at the cycle boundary.
-            end = cycle.start_time + (last_end if last_end is not None else 0)
-            self.metrics.completion_time = end
-            self.metrics.result_doc_count = len(self.expected_doc_ids)
+        self._record_completion(cycle, last_end)
         return doc_bytes
+
+    def _record_completion(self, cycle: BroadcastCycle, last_end: int) -> None:
+        """Stamp the session complete once the expected set has arrived.
+
+        *last_end* is the cycle-relative end of the last document just
+        received: access time ends when it finishes, not at the cycle
+        boundary.
+        """
+        if self.satisfied and self.metrics.completion_time is None:
+            assert self.expected_doc_ids is not None
+            self.metrics.completion_time = cycle.start_time + last_end
+            self.metrics.result_doc_count = len(self.expected_doc_ids)

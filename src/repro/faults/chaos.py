@@ -10,7 +10,7 @@ re-routes the three places faults enter the pipeline:
   server deduplicates by ``(client_key, query)``; the client starts
   listening only once its admission is acknowledged.
 * **downlink** -- every client is a
-  :class:`~repro.client.lossy.LossyTwoTierClient` on the plan's
+  :class:`~repro.client.twotier.TwoTierClient` on the plan's
   erasure+corruption channel; with ``FaultPlan.checksum`` the size model
   reserves a checksum byte per packet (charged to index/data overhead),
   which is what lets the client *detect* corruption at all.
@@ -52,9 +52,8 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro import obs
 from repro.broadcast.server import BuildBudget
 from repro.obs.telemetry import EventLog, FlightRecorder, NullEventLog
-from repro.client.lossy import LossyTwoTierClient
-from repro.client.multichannel import MultiChannelTwoTierClient
 from repro.client.protocol import FirstTierRead
+from repro.client.twotier import TwoTierClient
 from repro.faults.plan import FaultPlan, UplinkOutcome
 from repro.sim.config import SimulationConfig
 from repro.sim.simulation import Simulation, _Session
@@ -221,23 +220,15 @@ class ChaosSimulation(Simulation):
         # The client exists from the start but can only listen once its
         # admission is acknowledged -- before the ACK it does not know the
         # server heard it, so it keeps retrying instead of tuning in.
-        # Adaptive chaos runs use the loss-aware single-tuner multichannel
-        # client: the controller may re-plan K mid-run and the monitors
-        # must hold across the transition (conflict deferrals included);
-        # at K=1 it behaves exactly like the lossy two-tier client.
-        client_cls = (
-            MultiChannelTwoTierClient if self.config.adaptive else LossyTwoTierClient
-        )
-        client = client_cls(
+        client = TwoTierClient(
             plan.query,
             outcome.ack_time,
-            client_key=client_key,
-            loss_model=self._loss_model,
             lookup_fn=self._cached_lookup,
+            first_tier_read=self.first_tier_read,
+            loss_model=self._loss_model,
+            client_key=client_key,
         )
-        session = _Session(
-            plan=plan, clients=[client], pending=None, ack_client=client
-        )
+        session = _Session(plan=plan, clients=[client], two_tier=client)
         self.sessions.append(session)
         obs.counter("sim.arrivals_total").inc()
         for delivery_time in outcome.deliveries:

@@ -1,10 +1,10 @@
 """The async two-tier client: selective tuning over a socket.
 
 :class:`AsyncTwoTierClient` is a thin transport shell around the
-*unchanged* access protocols of :mod:`repro.client` -- the same
-:class:`~repro.client.twotier.TwoTierClient` (or, against a K-channel
-daemon, :class:`~repro.client.multichannel.MultiChannelTwoTierClient`)
-that the simulator drives.  The shell submits the query on the uplink,
+*unchanged* access protocol of :mod:`repro.client` -- the same
+:class:`~repro.client.twotier.TwoTierClient` the simulator drives, a
+single tuner over however many data channels the daemon airs.  The
+shell submits the query on the uplink,
 tunes into the downlink, reconstructs each streamed cycle with
 :class:`~repro.net.wire.CycleDecoder` (verifying the program signature
 embedded in the cycle header), and feeds the reconstructed cycle to the
@@ -26,7 +26,6 @@ from repro.broadcast.program import BroadcastCycle
 from repro.client.metrics import ClientMetrics
 from repro.client.protocol import AccessProtocol, FirstTierRead
 from repro.client.twotier import TwoTierClient
-from repro.client.multichannel import MultiChannelTwoTierClient
 from repro.net.clock import ClockAdapter, MonotonicClock
 from repro.net.framing import (
     FrameError,
@@ -118,9 +117,8 @@ class AsyncTwoTierClient:
 
     Staged API for scripted tests (``connect`` / ``tune`` / ``submit`` /
     ``run_session``) plus a one-call :meth:`run` for normal use.  The
-    access protocol object is built lazily from the daemon's TUNED
-    banner: a :class:`MultiChannelTwoTierClient` when the daemon runs
-    K >= 2 data channels, a plain :class:`TwoTierClient` otherwise.
+    access protocol object is built lazily, once the arrival time is
+    known.
     """
 
     def __init__(
@@ -466,18 +464,9 @@ class AsyncTwoTierClient:
         if self.protocol is not None:
             return self.protocol
         assert self.arrival_time is not None
-        if self.num_channels > 1 or self.adaptive:
-            self.protocol = MultiChannelTwoTierClient(
-                self.query,
-                self.arrival_time,
-                client_key=self.client_key or 0,
-            )
-        else:
-            self.protocol = TwoTierClient(
-                self.query,
-                self.arrival_time,
-                first_tier_read=self.first_tier_read,
-            )
+        self.protocol = TwoTierClient(
+            self.query, self.arrival_time, first_tier_read=self.first_tier_read
+        )
         return self.protocol
 
     async def _follow_moved(self, rest: str) -> None:

@@ -56,20 +56,14 @@ class SimulationConfig:
     packing: PackingStrategy = PackingStrategy.GREEDY_DFS
     size_model: SizeModel = PAPER_SIZE_MODEL
 
-    #: Dual-channel extension: additionally track a two-tier client on a
-    #: separate repeating index channel (mid-cycle admission).  Its records
-    #: appear under protocol name "two-tier-dual".
-    dual_channel: bool = False
-
     #: Multi-channel extension: ``None`` keeps the paper's single-channel
     #: program.  An integer K routes cycle assembly through
-    #: :mod:`repro.broadcast.multichannel` with K parallel data channels
-    #: and additionally tracks a single-tuner
-    #: :class:`~repro.client.multichannel.MultiChannelTwoTierClient`
-    #: (protocol name "two-tier-multi").  K=1 is byte-identical to
-    #: ``None`` (differentially tested); K>=2 switches the server to
-    #: acknowledged delivery so conflict-deferred documents stay
-    #: scheduled until actually received.
+    #: :mod:`repro.broadcast.multichannel` with K parallel data channels;
+    #: the two-tier client is a single tuner, so documents airing at the
+    #: same time on different channels conflict and the loser is deferred.
+    #: K=1 is byte-identical to ``None`` (differentially tested); K>=2
+    #: switches the server to acknowledged delivery so conflict-deferred
+    #: documents stay scheduled until actually received.
     num_data_channels: Optional[int] = None
 
     #: How the schedule splits across data channels: "round-robin",
@@ -105,11 +99,11 @@ class SimulationConfig:
 
     #: Per-packet erasure probability of the error-prone-channel
     #: extension; 0.0 is the paper's reliable channel.  Positive values
-    #: switch the simulation to acknowledged delivery with a single
-    #: loss-aware client per query (protocol comparison needs a shared
-    #: reliable schedule, loss degradation does not): the lossy two-tier
-    #: client, or -- with ``num_data_channels`` >= 2 -- the loss-aware
-    #: multi-channel client.
+    #: hand the two-tier client a seeded
+    #: :class:`~repro.broadcast.loss.PacketLossModel`, switch the server
+    #: to acknowledged delivery and drop the one-tier/naive baselines from
+    #: the run (they are not loss-aware; protocol comparison needs a
+    #: shared reliable schedule, loss degradation does not).
     loss_prob: float = 0.0
 
     #: Fault-injection extension: a :class:`~repro.faults.plan.FaultPlan`
@@ -117,9 +111,10 @@ class SimulationConfig:
     #: (unreliable uplink with retry/backoff, checksummed packets with
     #: corruption/erasure, overload-degraded builds, mid-cycle collection
     #: mutations) with safety/liveness monitors checked every cycle.
-    #: ``None`` is the paper's fault-free system.  Mutually exclusive with
-    #: ``loss_prob`` (fold erasures into ``FaultPlan.erase_prob``),
-    #: ``dual_channel`` and ``num_data_channels``.
+    #: ``None`` is the paper's fault-free system.  Every session is one
+    #: two-tier client on the plan's erasure+corruption channel.  Mutually
+    #: exclusive with ``loss_prob`` (fold erasures into
+    #: ``FaultPlan.erase_prob``) and ``num_data_channels``.
     faults: Optional["FaultPlan"] = None
 
     #: Cluster sharding (the serving tier of :mod:`repro.net.cluster`):
@@ -175,12 +170,6 @@ class SimulationConfig:
                 raise ValueError(
                     "multi-channel broadcast requires the two-tier scheme"
                 )
-            if self.dual_channel:
-                raise ValueError(
-                    "dual_channel models a repeating index channel over the "
-                    "single-channel program; with num_data_channels > 1 the "
-                    "index already has a dedicated channel"
-                )
         if self.faults is not None:
             if self.scheme is not IndexScheme.TWO_TIER:
                 raise ValueError(
@@ -192,22 +181,16 @@ class SimulationConfig:
                     "faults and loss_prob both drive the downlink channel; "
                     "fold erasures into FaultPlan.erase_prob instead"
                 )
-            if self.num_data_channels is not None or self.dual_channel:
+            if self.num_data_channels is not None:
                 raise ValueError(
                     "fault injection runs on the single-channel program; "
-                    "combine with multi/dual channel in separate runs"
+                    "combine with multi-channel in separate runs"
                 )
         if self.adaptive:
             if self.scheme is not IndexScheme.TWO_TIER:
                 raise ValueError(
                     "the adaptive control plane requires the two-tier "
                     "scheme (it re-plans the multi-channel program)"
-                )
-            if self.dual_channel:
-                raise ValueError(
-                    "adaptive runs own the index channel already; "
-                    "dual_channel models a repeating index channel over "
-                    "the single-channel program"
                 )
             control = self.control or ControlConfig()
             if (self.num_data_channels or 1) > control.k_max:

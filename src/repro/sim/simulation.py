@@ -22,16 +22,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro import obs
+from repro.broadcast.loss import LOSSLESS, PacketLossModel
 from repro.broadcast.program import BroadcastCycle
 from repro.broadcast.scheduling import make_scheduler
 from repro.broadcast.server import BroadcastServer, DocumentStore
 from repro.broadcast.server import PendingQuery
-from repro.client.dualchannel import DualChannelTwoTierClient
-from repro.client.lossy import LossyTwoTierClient
-from repro.client.multichannel import MultiChannelTwoTierClient
 from repro.client.naive import NaiveClient
 from repro.client.onetier import OneTierClient
 from repro.client.protocol import AccessProtocol, FirstTierRead
@@ -125,11 +123,11 @@ class _Session:
 
     plan: ArrivalPlan
     clients: List[AccessProtocol]
+    #: the one of ``clients`` whose received set is acknowledged to the
+    #: server under acknowledged delivery, so erased frames and
+    #: conflict-deferred documents stay scheduled
+    two_tier: TwoTierClient
     pending: Optional["PendingQuery"] = None
-    #: the client whose received set drives acknowledged delivery (lossy
-    #: runs: the lossy client; multi-channel runs: the single-tuner
-    #: multi-channel client, so conflict-deferred docs stay scheduled)
-    ack_client: Optional[AccessProtocol] = None
 
     @property
     def satisfied(self) -> bool:
@@ -149,29 +147,24 @@ class Simulation:
         self.documents = list(documents) if documents else build_collection(config)
         self.store = DocumentStore(self.documents, size_model=config.size_model)
         self.lossy = config.loss_prob > 0.0
-        #: K >= 2 data channels: a single tuner can miss conflicting
-        #: documents, so the server must not assume broadcast == received.
-        #: Adaptive runs qualify whenever the control band can reach K=2:
-        #: a mid-run K growth must find the deferral machinery already on.
-        self.multichannel_deferral = (config.num_data_channels or 1) >= 2 or (
-            config.adaptive and config.control_config.k_max >= 2
-        )
         self.server = make_server(config, self.store)
         #: adaptive control plane; ``None`` for static runs
         self.controller = make_controller(config, self.store)
         #: arrivals deferred by the admission governor, by retry count
         self.shed_deferrals = 0
-        if self.lossy:
-            from repro.broadcast.loss import PacketLossModel
-
-            self._loss_model = PacketLossModel(
+        self._loss_model = (
+            PacketLossModel(
                 loss_prob=config.loss_prob, seed=config.query_seed ^ 0xBADF
             )
+            if self.lossy
+            else LOSSLESS
+        )
         self.workload = WorkloadBuilder(self.documents, config)
         self.first_tier_read = first_tier_read
         self.sessions: List[_Session] = []
         self._queue = EventQueue()
-        self._lookup_cache: Dict[Tuple[int, str], LookupResult] = {}
+        #: the on-air cycle's index walks, by query string
+        self._lookup_cache: Dict[str, LookupResult] = {}
         self._current_cycle: Optional[BroadcastCycle] = None
 
     # ------------------------------------------------------------------
@@ -180,7 +173,7 @@ class Simulation:
 
     def _cached_lookup(self, cycle: BroadcastCycle, query: XPathQuery) -> LookupResult:
         """Per-cycle lookup cache: same query string, one index walk."""
-        key = (cycle.cycle_number, str(query))
+        key = str(query)
         result = self._lookup_cache.get(key)
         if result is None:
             result = cycle.lookup(query)
@@ -189,76 +182,30 @@ class Simulation:
 
     def _admit(self, plan: ArrivalPlan) -> None:
         pending = self.server.submit(plan.query, plan.arrival_time)
-        clients: List[AccessProtocol]
-        ack_client: Optional[AccessProtocol] = None
-        if self.lossy and self.multichannel_deferral:
-            # Lossy multi-channel run: the single-tuner client applies the
-            # loss ladder itself, so it both defers conflicts and retries
-            # erased reads; its acks drive rebroadcast for either cause.
-            clients = [
-                MultiChannelTwoTierClient(
-                    plan.query,
-                    plan.arrival_time,
-                    lookup_fn=self._cached_lookup,
-                    loss_model=self._loss_model,
-                    client_key=pending.query_id,
-                )
-            ]
-            ack_client = clients[0]
-        elif self.lossy:
-            # Loss degradation study: one lossy two-tier client per query,
-            # driving acknowledged delivery (see SimulationConfig.loss_prob).
-            clients = [
-                LossyTwoTierClient(
-                    plan.query,
-                    plan.arrival_time,
-                    client_key=pending.query_id,
-                    loss_model=self._loss_model,
-                    lookup_fn=self._cached_lookup,
-                )
-            ]
-            ack_client = clients[0]
-        else:
+        two_tier = TwoTierClient(
+            plan.query,
+            plan.arrival_time,
+            lookup_fn=self._cached_lookup,
+            first_tier_read=self.first_tier_read,
+            loss_model=self._loss_model,
+            client_key=pending.query_id,
+        )
+        clients: List[AccessProtocol] = [two_tier]
+        if not self.lossy:
+            # The baselines are not loss-aware: they ride along only on a
+            # reliable channel (see SimulationConfig.loss_prob).
             clients = [
                 OneTierClient(
                     plan.query, plan.arrival_time, lookup_fn=self._cached_lookup
                 ),
-                TwoTierClient(
-                    plan.query,
-                    plan.arrival_time,
-                    lookup_fn=self._cached_lookup,
-                    first_tier_read=self.first_tier_read,
-                ),
+                two_tier,
             ]
             if self.config.track_naive_baseline:
                 clients.append(
                     NaiveClient(plan.query, plan.arrival_time, pending.result_doc_ids)
                 )
-            if self.config.dual_channel:
-                dual = DualChannelTwoTierClient(
-                    plan.query, plan.arrival_time, lookup_fn=self._cached_lookup
-                )
-                clients.append(dual)
-                # The index channel lets a mid-cycle arrival start on the
-                # cycle currently on air.
-                if (
-                    self._current_cycle is not None
-                    and self._current_cycle.end_time > plan.arrival_time
-                ):
-                    dual.on_cycle(self._current_cycle)
-            if self.config.num_data_channels is not None or self.config.adaptive:
-                multi = MultiChannelTwoTierClient(
-                    plan.query, plan.arrival_time, lookup_fn=self._cached_lookup
-                )
-                clients.append(multi)
-                if self.multichannel_deferral:
-                    # The single tuner decides what was actually received;
-                    # its acknowledgements keep deferred docs scheduled.
-                    ack_client = multi
         self.sessions.append(
-            _Session(
-                plan=plan, clients=clients, pending=pending, ack_client=ack_client
-            )
+            _Session(plan=plan, clients=clients, two_tier=two_tier, pending=pending)
         )
         obs.counter("sim.arrivals_total").inc()
 
@@ -345,13 +292,7 @@ class Simulation:
             validate_cycle(cycle, self.store)
         self._record_cycle(cycle)
         self._current_cycle = cycle
-        # Keep only the on-air cycle's lookups: mid-cycle arrivals (dual
-        # channel) may still need them; older cycles' are dead weight.
-        self._lookup_cache = {
-            key: value
-            for key, value in self._lookup_cache.items()
-            if key[0] == cycle.cycle_number
-        }
+        self._lookup_cache.clear()
         self._deliver(cycle)
         self._schedule_arrivals(
             self.workload.arrivals_during(cycle.start_time, cycle.end_time)
@@ -384,16 +325,14 @@ class Simulation:
             # arrived, so erased frames (lossy runs) or conflict-deferred
             # documents (multi-channel runs) get rebroadcast.
             for session in self.sessions:
-                ack = session.ack_client
                 if (
-                    ack is not None
-                    and session.pending is not None
+                    session.pending is not None
                     and not session.pending.is_satisfied
-                    and ack.can_use(cycle)
+                    and session.two_tier.can_use(cycle)
                 ):
                     self.server.confirm_delivery(
                         session.pending,
-                        ack.received_doc_ids,
+                        session.two_tier.received_doc_ids,
                         cycle,
                     )
 

@@ -34,7 +34,7 @@ from repro.broadcast.multichannel import (
 from repro.broadcast.packets import PacketKind
 from repro.broadcast.server import BroadcastServer, DocumentStore
 from repro.broadcast.validate import validate_cycle
-from repro.client.multichannel import MultiChannelTwoTierClient
+from repro.client.twotier import TwoTierClient
 from tests.strategies import document_collections, queries
 
 
@@ -141,7 +141,7 @@ class TestClientProperties:
                 pending = server.submit(query, 0)
             except ValueError:
                 continue
-            clients.append((pending, MultiChannelTwoTierClient(query, 0)))
+            clients.append((pending, TwoTierClient(query, 0)))
         if not clients:
             return
         cycles = 0
@@ -180,7 +180,7 @@ class TestClientProperties:
                 pending = server.submit(query, 0)
             except ValueError:
                 continue
-            clients.append((pending, MultiChannelTwoTierClient(query, 0)))
+            clients.append((pending, TwoTierClient(query, 0)))
         if not clients:
             return
         guard = 0

@@ -1,4 +1,4 @@
-"""Unit tests for the lossy two-tier client's failure behaviours."""
+"""Unit tests for the two-tier client's failure behaviours on a lossy channel."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 
 from repro.broadcast.loss import LOSSLESS, PacketLossModel
 from repro.broadcast.server import BroadcastServer, DocumentStore
-from repro.client.lossy import LossyTwoTierClient
+from repro.client.protocol import FirstTierRead
 from repro.client.twotier import TwoTierClient
 from repro.index.sizes import PAPER_SIZE_MODEL
 from repro.xpath.parser import parse_query
@@ -88,7 +88,7 @@ class TestIndexLoss:
         pending = server.submit(query, 0)
         first = server.build_cycle()
 
-        client = LossyTwoTierClient(query, 0, client_key=1, loss_model=_AlwaysLose(lose_index=True))
+        client = TwoTierClient(query, 0, client_key=1, loss_model=_AlwaysLose(lose_index=True))
         client.on_cycle(first)
         assert client.expected_doc_ids is None  # read failed
         assert client.index_retries == 1
@@ -109,7 +109,7 @@ class TestOffsetLoss:
         query = parse_query("/a//c")
         server.submit(query, 0)
         cycle = server.build_cycle()
-        client = LossyTwoTierClient(
+        client = TwoTierClient(
             query, 0, client_key=1, loss_model=_AlwaysLose(lose_offsets=True)
         )
         client.on_cycle(cycle)
@@ -125,7 +125,7 @@ class TestDocumentLoss:
         query = parse_query("/a//c")
         server.submit(query, 0)
         cycle = server.build_cycle()
-        client = LossyTwoTierClient(
+        client = TwoTierClient(
             query, 0, client_key=1, loss_model=_AlwaysLose(lose_docs=True)
         )
         client.on_cycle(cycle)
@@ -140,24 +140,25 @@ class TestDocumentLoss:
         server.submit(query, 0)
         cycle = server.build_cycle()
         model = _CountingLoss()
-        client = LossyTwoTierClient(query, 0, client_key=1, loss_model=model)
+        client = TwoTierClient(query, 0, client_key=1, loss_model=model)
         client.on_cycle(cycle)
         assert client.received_doc_ids == client.expected_doc_ids
         assert len(model.span_calls) == len(client.expected_doc_ids)
         assert len(set(model.span_calls)) == len(model.span_calls)
 
     def test_lossless_model_equals_reliable_client(self):
+        """The sampled path with nothing lost charges exactly what the
+        lossless path (which skips sampling) charges."""
         server = drained_server()
         query = parse_query("/a//c")
         server.submit(query, 0)
         cycle = server.build_cycle()
-        lossy = LossyTwoTierClient(query, 0, client_key=1, loss_model=LOSSLESS)
+        sampled = TwoTierClient(query, 0, client_key=1, loss_model=_CountingLoss())
         reliable = TwoTierClient(query, 0)
-        lossy.on_cycle(cycle)
+        sampled.on_cycle(cycle)
         reliable.on_cycle(cycle)
-        assert lossy.received_doc_ids == reliable.received_doc_ids
-        assert lossy.metrics.doc_bytes == reliable.metrics.doc_bytes
-        assert lossy.metrics.offset_bytes == reliable.metrics.offset_bytes
+        assert sampled.received_doc_ids == reliable.received_doc_ids
+        assert sampled.metrics == reliable.metrics
 
 
 class TestMultiPacketStructures:
@@ -172,7 +173,7 @@ class TestMultiPacketStructures:
 
         # Lose only the *last* offset packet; the first arrives fine.
         last = 1_000_000 + cycle.offset_list.packet_count - 1
-        client = LossyTwoTierClient(
+        client = TwoTierClient(
             query, 0, client_key=1, loss_model=_LoseOnly({last})
         )
         client.on_cycle(cycle)
@@ -195,12 +196,12 @@ class TestMultiPacketStructures:
 
         # Discover which first-tier packets the selective read touches.
         spy = _LoseOnly()
-        probe_client = LossyTwoTierClient(query, 0, client_key=1, loss_model=spy)
+        probe_client = TwoTierClient(query, 0, client_key=1, loss_model=spy)
         probe_client.on_cycle(cycle)
         needed = {p for p in spy.packet_queries if p < 1_000_000}
         assert len(needed) > 1  # the read really spans several packets
 
-        client = LossyTwoTierClient(
+        client = TwoTierClient(
             query, 0, client_key=1, loss_model=_LoseOnly({max(needed)})
         )
         client.on_cycle(cycle)
@@ -215,3 +216,30 @@ class TestMultiPacketStructures:
         server.confirm_delivery(pending, client.received_doc_ids, cycle)
         client.on_cycle(server.build_cycle())
         assert client.received_doc_ids == client.expected_doc_ids
+
+    def test_full_first_tier_read_samples_every_packet(self):
+        """Loss is drawn over the packets the read mode listens to: a
+        FULL read is voided by a packet the selective walk never touches."""
+        server = drained_server(size_model=TINY_PACKETS)
+        query = parse_query("/a/b/a")
+        for text in ("/a/b/a", "/a//c", "/a/c/*"):  # a PCI wider than one walk
+            server.submit(parse_query(text), 0)
+        cycle = server.build_cycle()
+        packed = cycle.packed_first_tier
+
+        spy = _LoseOnly()
+        TwoTierClient(query, 0, loss_model=spy).on_cycle(cycle)
+        walked = {p for p in spy.packet_queries if p < 1_000_000}
+        unwalked = set(range(packed.packet_count)) - walked
+        assert unwalked  # the selective read really skips packets
+
+        model = _LoseOnly({min(unwalked)})
+        selective = TwoTierClient(query, 0, loss_model=model)
+        full = TwoTierClient(
+            query, 0, loss_model=model, first_tier_read=FirstTierRead.FULL
+        )
+        selective.on_cycle(cycle)
+        full.on_cycle(cycle)
+        assert selective.index_retries == 0
+        assert full.index_retries == 1 and full.expected_doc_ids is None
+        assert full.metrics.index_bytes == cycle.first_tier_bytes

@@ -1,4 +1,4 @@
-"""Loss-aware multi-channel client: recovery ladder over K channels."""
+"""The two-tier client's loss-recovery ladder over K >= 2 data channels."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.broadcast.loss import LOSSLESS
 from repro.broadcast.server import BroadcastServer, DocumentStore
-from repro.client.multichannel import MultiChannelTwoTierClient
+from repro.client.twotier import TwoTierClient
 from repro.sim.config import small_setup
 from repro.sim.simulation import run_simulation
 from repro.xpath.parser import parse_query
@@ -30,7 +30,7 @@ class TestRecoveryLadder:
         query = parse_query("/a//c")
         pending = server.submit(query, 0)
         first = server.build_cycle()
-        client = MultiChannelTwoTierClient(
+        client = TwoTierClient(
             query, 0, loss_model=_AlwaysLose(lose_index=True), client_key=1
         )
         client.on_cycle(first)
@@ -49,7 +49,7 @@ class TestRecoveryLadder:
         query = parse_query("/a//c")
         server.submit(query, 0)
         cycle = server.build_cycle()
-        client = MultiChannelTwoTierClient(
+        client = TwoTierClient(
             query, 0, loss_model=_AlwaysLose(lose_offsets=True), client_key=1
         )
         client.on_cycle(cycle)
@@ -63,7 +63,7 @@ class TestRecoveryLadder:
         query = parse_query("/a//c")
         pending = server.submit(query, 0)
         cycle = server.build_cycle()
-        client = MultiChannelTwoTierClient(
+        client = TwoTierClient(
             query, 0, loss_model=_AlwaysLose(lose_docs=True), client_key=1
         )
         client.on_cycle(cycle)
@@ -89,7 +89,7 @@ class TestRecoveryLadder:
         server = multichannel_server()
         query = parse_query("/a//c")
         pending = server.submit(query, 0)
-        client = MultiChannelTwoTierClient(query, 0, loss_model=LOSSLESS)
+        client = TwoTierClient(query, 0, loss_model=LOSSLESS)
         guard = 0
         while not client.satisfied:  # K=2 conflicts may defer documents
             cycle = server.build_cycle()
@@ -121,5 +121,6 @@ class TestLossyMultiChannelSimulation:
         )
         result = run_simulation(config, documents=nitf_docs)
         assert result.completed
-        records = [r for r in result.clients if r.protocol == "two-tier-multi"]
-        assert records  # the loss-aware multichannel client ran the show
+        assert [r.protocol for r in result.clients] == ["two-tier"] * len(
+            result.clients
+        )  # lossy runs carry the loss-aware client alone

@@ -77,3 +77,27 @@ class TestSelectiveOffsetClient:
             assert client.received_doc_ids == matching_documents(
                 query, nitf_store.documents
             )
+
+    @pytest.mark.parametrize("num_channels", (1, 2))
+    def test_selective_keeps_its_single_channel_meaning(
+        self, nitf_store, nitf_queries, num_channels
+    ):
+        """At K=1 the second tier is the plain <doc, offset> list; the
+        extended <doc, channel, offset> list of K >= 2 has no selective
+        packet model, so the read is rejected rather than under-charged."""
+        query = nitf_queries[0]
+        server = BroadcastServer(
+            nitf_store, cycle_data_capacity=30_000, num_data_channels=num_channels
+        )
+        server.submit(query, 0)
+        cycle = server.build_cycle()
+        client = TwoTierClient(query, 0, offset_read=OffsetRead.SELECTIVE)
+        if num_channels == 1:
+            client.on_cycle(cycle)
+            touched = cycle.offset_list.packets_for_docs(client.expected_doc_ids)
+            assert client.metrics.offset_bytes == (
+                len(touched) * cycle.layout.packet_bytes
+            )
+        else:
+            with pytest.raises(ValueError, match="single-channel"):
+                client.on_cycle(cycle)

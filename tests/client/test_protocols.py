@@ -68,6 +68,17 @@ class TestTwoTierClient:
             full.on_cycle(cycle)
         assert selective.metrics.index_bytes <= full.metrics.index_bytes
 
+    def test_tune_plan_boundary_byte_is_catchable(self):
+        """The tune plan takes a document iff ``offset >= free``: on one
+        channel every document starts exactly where the previous one
+        ends, so each sits on the boundary byte and all must be taken."""
+        _store, _p, cycles = build_cycles(["/a//c"], capacity=100_000)
+        client = TwoTierClient(parse_query("/a//c"), 0)
+        client.on_cycle(cycles[0])
+        assert len(client.expected_doc_ids) > 1
+        assert client.received_doc_ids == client.expected_doc_ids
+        assert client.channel_conflicts == 0
+
     def test_probe_charged_once(self):
         _store, _p, cycles = build_cycles(["/a//c"])
         client = TwoTierClient(parse_query("/a//c"), 0)

@@ -2,7 +2,7 @@
 
 The flattened automaton (`repro.filtering.nfa`) must be observationally
 identical to the reference implementation it replaced
-(`repro.filtering.nfa_reference`): same configurations (as sets), same
+(`tests/filtering/nfa_reference.py`): same configurations (as sets), same
 accepted queries, same acceptance verdicts, on any query set and any
 event stream.  Hypothesis drives both machines in lockstep.
 
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.filtering.nfa import SharedPathNFA
-from repro.filtering.nfa_reference import ReferenceSharedPathNFA
+from tests.filtering.nfa_reference import ReferenceSharedPathNFA
 from repro.xpath.parser import parse_query
 from tests.strategies import labels, queries
 

@@ -24,7 +24,7 @@ import pytest
 
 from repro.broadcast.program import program_signature
 from repro.broadcast.server import BroadcastServer, DocumentStore
-from repro.client.multichannel import MultiChannelTwoTierClient
+from repro.client.twotier import TwoTierClient
 from repro.control import ControlConfig, CyclePlan
 from repro.net import AsyncTwoTierClient, BroadcastDaemon, DaemonConfig
 from repro.sim.config import small_setup
@@ -81,10 +81,10 @@ class TestStaticByteIdentity:
         )
         adaptive_result = adaptive.run()
         assert adaptive.signatures == static.signatures
-        # Same programs, same multi-channel client behaviour.
+        # Same programs, same single-tuner client behaviour.
         assert adaptive_result.mean_access_bytes(
-            "two-tier-multi"
-        ) == static_result.mean_access_bytes("two-tier-multi")
+            "two-tier"
+        ) == static_result.mean_access_bytes("two-tier")
 
     def test_static_config_builds_no_controller(self, nitf_docs):
         sim = Simulation(small_setup(), documents=nitf_docs)
@@ -151,8 +151,8 @@ class TestAdaptiveEndToEnd:
         assert max(p.num_channels for p in sim.controller.plans) >= 2
         # Every admitted client drained: nobody was stranded by a plan
         # transition (completion_time is stamped only on satisfaction).
-        multi = result.records_for("two-tier-multi")
-        assert multi and all(r.access_bytes >= 0 for r in multi)
+        records = result.records_for("two-tier")
+        assert records and all(r.access_bytes >= 0 for r in records)
 
     def test_plan_decisions_land_in_control_metrics(self, nitf_docs):
         from repro import obs
@@ -196,7 +196,7 @@ class TestDeferralAcrossKChange:
         )
         query = parse_query("//nitf")
         pending = server.submit(query, 0)
-        client = MultiChannelTwoTierClient(query, 0)
+        client = TwoTierClient(query, 0)
         for cycle_index in range(20):
             cycle = server.build_cycle()
             if cycle is None:
@@ -215,7 +215,7 @@ class TestDeferralAcrossKChange:
             nitf_docs[:12],
             {0: CyclePlan(cycle_number=1, num_channels=3, allocation="balanced")},
         )
-        assert client.deferred_doc_ids  # the conflict actually happened
+        assert client.channel_conflicts  # the conflict actually happened
         assert client.satisfied
         assert server.num_data_channels == 3
         assert not server.pending
@@ -225,7 +225,7 @@ class TestDeferralAcrossKChange:
             nitf_docs[:12],
             {0: CyclePlan(cycle_number=1, num_channels=1, allocation="balanced")},
         )
-        assert client.deferred_doc_ids
+        assert client.channel_conflicts
         assert client.satisfied  # K=1 re-air has no conflicts left
         assert server.num_data_channels == 1
         assert not server.pending

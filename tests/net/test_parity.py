@@ -16,6 +16,7 @@ import pytest
 
 from repro.broadcast.program import program_signature
 from repro.broadcast.server import DocumentStore
+from repro.client.protocol import FirstTierRead
 from repro.net import AsyncTwoTierClient, BroadcastDaemon, DaemonConfig
 from repro.sim.config import small_setup
 from repro.sim.simulation import Simulation, build_collection
@@ -33,12 +34,14 @@ class RecordingSimulation(Simulation):
         return super()._record_cycle(cycle)
 
 
-def _simulate(config, documents, protocol_name):
+def _simulate(config, documents, protocol_name, first_tier_read):
     """Run the reference simulation; return (plans, per-session metrics,
     cycle signatures).  Plans are (arrival_time, query) in admission
     order -- the replay must submit in exactly this order so the daemon
     assigns the same query ids."""
-    sim = RecordingSimulation(config, documents=documents)
+    sim = RecordingSimulation(
+        config, documents=documents, first_tier_read=first_tier_read
+    )
     sim.run()
     plans = [(s.plan.arrival_time, str(s.plan.query)) for s in sim.sessions]
     expected = []
@@ -57,7 +60,7 @@ def _simulate(config, documents, protocol_name):
     return plans, expected, sim.signatures
 
 
-async def _replay(store, config, plans, net=None, trace=False):
+async def _replay(store, config, plans, first_tier_read, net=None, trace=False):
     """Drive a live daemon with scripted clients; returns their reports
     in admission order."""
     daemon = BroadcastDaemon(
@@ -66,7 +69,11 @@ async def _replay(store, config, plans, net=None, trace=False):
     await daemon.start()
     clients = [
         AsyncTwoTierClient(
-            query, port=daemon.port, arrival_time=arrival, trace=trace
+            query,
+            port=daemon.port,
+            arrival_time=arrival,
+            first_tier_read=first_tier_read,
+            trace=trace,
         )
         for arrival, query in plans
     ]
@@ -86,14 +93,22 @@ async def _replay(store, config, plans, net=None, trace=False):
     return reports, daemon
 
 
-def _check_parity(config, documents, protocol_name, net=None, trace=False):
+def _check_parity(
+    config,
+    documents,
+    protocol_name,
+    net=None,
+    trace=False,
+    first_tier_read=FirstTierRead.SELECTIVE,
+):
     store = DocumentStore(documents, config.size_model)
     plans, expected, sim_signatures = _simulate(
-        config, documents, protocol_name
+        config, documents, protocol_name, first_tier_read
     )
     reports, daemon = asyncio.run(
         asyncio.wait_for(
-            _replay(store, config, plans, net=net, trace=trace), timeout=300
+            _replay(store, config, plans, first_tier_read, net=net, trace=trace),
+            timeout=300,
         )
     )
     assert daemon.cycles_streamed == len(sim_signatures)
@@ -130,7 +145,27 @@ class TestDaemonSimulatorParity:
 
     def test_four_data_channels(self, parity_config, parity_docs):
         config = parity_config.with_(num_data_channels=4)
-        _check_parity(config, parity_docs, "two-tier-multi")
+        _check_parity(config, parity_docs, "two-tier")
+
+    def test_full_first_tier_read_reaches_both_sides_at_k4(
+        self, parity_config, parity_docs
+    ):
+        """Regression: against a K > 1 daemon the async client used to
+        drop ``first_tier_read`` (as the simulator did at K >= 2)."""
+        config = parity_config.with_(num_data_channels=4)
+        lookup_bytes = {
+            mode: sum(
+                index_lookup
+                for _access, _tuning, index_lookup, _cycles in _simulate(
+                    config, parity_docs, "two-tier", mode
+                )[1]
+            )
+            for mode in FirstTierRead
+        }
+        assert lookup_bytes[FirstTierRead.FULL] > lookup_bytes[FirstTierRead.SELECTIVE]
+        _check_parity(
+            config, parity_docs, "two-tier", first_tier_read=FirstTierRead.FULL
+        )
 
 
 class TestTelemetryParity:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.client.protocol import FirstTierRead
+from repro.faults import ChaosSimulation, FaultPlan
 from repro.sim.config import small_setup
 from repro.sim.simulation import Simulation, build_collection, run_simulation
 
@@ -104,3 +105,46 @@ class TestRun:
         for name in ("fcfs", "mrf", "rxw"):
             result = run_simulation(small_setup(scheduler=name))
             assert result.completed, name
+
+
+class TestFirstTierReadForwarded:
+    """Regression: ``FirstTierRead.FULL`` was honoured only by lossless
+    single-channel runs; lossy, K >= 2 and chaos runs silently fell back
+    to the selective read."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(loss_prob=0.01),
+            dict(num_data_channels=4),
+            dict(faults=FaultPlan(erase_prob=0.01)),
+        ],
+        ids=["lossy", "k4", "chaos"],
+    )
+    def test_full_read_charges_the_whole_first_tier(self, overrides):
+        config = small_setup(**overrides)
+        base = Simulation if config.faults is None else ChaosSimulation
+
+        class Logged(base):
+            cycles = []
+
+            def _record_cycle(self, cycle):
+                self.cycles.append(cycle)
+                super()._record_cycle(cycle)
+
+        sim = Logged(config, first_tier_read=FirstTierRead.FULL)
+        assert sim.run().completed
+        retries = 0
+        for session in sim.sessions:
+            client = session.two_tier
+            # One whole first tier per attempt: the successful read plus
+            # every read a lost packet voided.
+            reads = [c for c in sim.cycles if client.can_use(c)][
+                : client.index_retries + 1
+            ]
+            assert client.metrics.index_bytes == sum(
+                c.first_tier_bytes for c in reads
+            )
+            retries += client.index_retries
+        if config.num_data_channels is None:
+            assert retries > 0  # the lossy runs did void some reads

@@ -51,6 +51,33 @@ class TestExports:
 
         assert len(repro.__all__) == len(set(repro.__all__))
 
+    def test_client_surface_is_exactly_three_protocols(self):
+        """One class per protocol: channel count and channel quality are
+        inputs of ``TwoTierClient``, not further clients."""
+        import repro.client
+
+        assert set(repro.client.__all__) == {
+            "AccessProtocol",
+            "ClientMetrics",
+            "FirstTierRead",
+            "OffsetRead",
+            "OneTierClient",
+            "TwoTierClient",
+            "NaiveClient",
+        }
+
+    @pytest.mark.parametrize("variant", ["Lossy", "DualChannel", "MultiChannel"])
+    def test_merged_clients_are_gone(self, variant):
+        import repro
+        import repro.client
+
+        class_name = f"{variant}TwoTierClient"
+        module_name = variant.lower()
+        assert not hasattr(repro.client, class_name)
+        assert not hasattr(repro, class_name)
+        with pytest.raises(ImportError):
+            importlib.import_module(f"repro.client.{module_name}")
+
 
 class TestQuickstartSnippet:
     def test_readme_quickstart_runs(self):
