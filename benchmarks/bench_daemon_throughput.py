@@ -197,13 +197,13 @@ def _regime_stats(reports, daemon, elapsed):
     return {
         "clients": len(reports),
         "satisfied": sum(1 for r in reports if r.satisfied),
-        "cycles": daemon.cycles_streamed,
-        "frames": daemon.frames_sent,
+        "cycles": daemon.stats.cycles_streamed,
+        "frames": daemon.stats.frames_sent,
         "on_air_bytes": on_air,
-        "streamed_bytes": daemon.bytes_streamed,
+        "streamed_bytes": daemon.stats.bytes_streamed,
         "elapsed_sec": elapsed,
         "queries_per_sec": len(reports) / elapsed,
-        "cycles_per_sec": daemon.cycles_streamed / elapsed,
+        "cycles_per_sec": daemon.stats.cycles_streamed / elapsed,
         "on_air_bytes_per_sec": on_air / elapsed,
     }
 

@@ -69,22 +69,16 @@ from repro.tools.persist import (
 )
 from repro.tools.trace import export_trace, load_trace
 from repro.xmlkit.generator import (
+    BUILTIN_DTDS,
     GeneratorConfig,
-    dblp_like_dtd,
     generate_collection,
-    nasa_like_dtd,
-    nitf_like_dtd,
 )
 from repro.xmlkit.stats import collection_stats
 from repro.xpath.generator import generate_workload
 
 
-def _dtd(name: str):
-    return {"nitf": nitf_like_dtd, "nasa": nasa_like_dtd, "dblp": dblp_like_dtd}[name]()
-
-
 def _add_collection_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dtd", choices=("nitf", "nasa", "dblp"), default="nitf")
+    parser.add_argument("--dtd", choices=tuple(BUILTIN_DTDS), default="nitf")
     parser.add_argument("--count", type=int, default=100, help="documents")
     parser.add_argument("--seed", type=int, default=7)
 
@@ -95,11 +89,10 @@ def _add_channel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--channels",
         type=int,
-        default=None,
+        default=1,
         metavar="K",
         help="broadcast documents over K parallel data channels "
-        "(default: the paper's single channel; K=1 is byte-identical "
-        "to the default and exists for differential testing)",
+        "(default 1: the paper's single channel)",
     )
     parser.add_argument(
         "--allocation",
@@ -172,7 +165,7 @@ def _control_config(args):
 
 def cmd_generate(args) -> int:
     documents = generate_collection(
-        _dtd(args.dtd), args.count, config=GeneratorConfig(seed=args.seed)
+        BUILTIN_DTDS[args.dtd](), args.count, config=GeneratorConfig(seed=args.seed)
     )
     for doc in documents:
         doc.name = f"{args.dtd}-{doc.doc_id:05d}"
@@ -188,7 +181,7 @@ def _collection_for(args):
     if getattr(args, "collection", None):
         return load_collection(args.collection)
     return generate_collection(
-        _dtd(args.dtd), args.count, config=GeneratorConfig(seed=args.seed)
+        BUILTIN_DTDS[args.dtd](), args.count, config=GeneratorConfig(seed=args.seed)
     )
 
 
@@ -262,38 +255,49 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _simulation_config(args) -> SimulationConfig:
-    faults = None
-    if getattr(args, "faults", False):
-        from repro.faults.plan import default_fault_plan
-
-        faults = default_fault_plan(getattr(args, "fault_seed", 0))
+def _simulation_config(args, **overrides) -> SimulationConfig:
+    """The configuration the flags ``simulate``, ``stats`` and ``serve``
+    share describe; *overrides* carry each command's own fields."""
     return SimulationConfig(
         dtd=args.dtd,
         document_count=args.count,
         collection_seed=args.seed,
-        n_q=args.queries,
-        wildcard_prob=args.p,
-        max_query_depth=args.dq,
         cycle_data_capacity=args.capacity,
         scheduler=args.scheduler,
         scheme=IndexScheme(args.scheme),
-        loss_prob=getattr(args, "loss", 0.0),
+        num_data_channels=args.channels,
+        channel_allocation=args.allocation,
+        adaptive=args.adaptive,
+        control=_control_config(args),
+        **overrides,
+    )
+
+
+def _run_config(args) -> SimulationConfig:
+    """``simulate`` / ``stats``: the shared fields plus the workload,
+    loss, fault and scenario flags a daemon has no use for."""
+    faults = None
+    if args.faults:
+        from repro.faults.plan import default_fault_plan
+
+        faults = default_fault_plan(args.fault_seed)
+    return _simulation_config(
+        args,
+        n_q=args.queries,
+        wildcard_prob=args.p,
+        max_query_depth=args.dq,
+        loss_prob=args.loss,
         faults=faults,
         arrival_cycles=args.arrival_cycles,
-        server_caches=not getattr(args, "no_cache", False),
-        num_data_channels=getattr(args, "channels", None),
-        channel_allocation=getattr(args, "allocation", "balanced"),
-        adaptive=getattr(args, "adaptive", False),
-        control=_control_config(args),
-        scenario=getattr(args, "scenario", None),
-        scenario_intensity=getattr(args, "scenario_intensity", 3.0),
-        scenario_period=getattr(args, "scenario_period", 8),
+        server_caches=not args.no_cache,
+        scenario=args.scenario,
+        scenario_intensity=args.scenario_intensity,
+        scenario_period=args.scenario_period,
     )
 
 
 def cmd_simulate(args) -> int:
-    config = _simulation_config(args)
+    config = _run_config(args)
     documents = load_collection(args.collection) if args.collection else None
     chaos = None
     if config.faults is not None:
@@ -340,7 +344,7 @@ def cmd_stats(args) -> int:
     else:
         documents = load_collection(args.collection) if args.collection else None
         with obs.observed():
-            result = run_simulation(_simulation_config(args), documents=documents)
+            result = run_simulation(_run_config(args), documents=documents)
         if args.export_trace:
             export_trace(result, args.export_trace)
         report = report_from_result(result)
@@ -389,17 +393,8 @@ def cmd_serve(args) -> int:
 
     shard_index, num_shards = _parse_shard(args.shard)
     documents = _collection_for(args)
-    config = SimulationConfig(
-        dtd=args.dtd,
-        document_count=args.count,
-        collection_seed=args.seed,
-        cycle_data_capacity=args.capacity,
-        scheduler=args.scheduler,
-        scheme=IndexScheme(args.scheme),
-        num_data_channels=getattr(args, "channels", None),
-        channel_allocation=getattr(args, "allocation", "balanced"),
-        adaptive=getattr(args, "adaptive", False),
-        control=_control_config(args),
+    config = _simulation_config(
+        args,
         num_shards=num_shards,
         shard_index=shard_index,
         partition_seed=args.partition_seed,
@@ -461,7 +456,7 @@ def cmd_serve(args) -> int:
             port=daemon.port,
             docs=len(documents),
             scheme=config.scheme.value,
-            channels=config.num_data_channels or 1,
+            channels=config.num_data_channels,
             bandwidth=args.bandwidth or "unpaced",
             metrics_port=daemon.metrics_port,
             shard=args.shard or "none",
@@ -479,7 +474,7 @@ def cmd_serve(args) -> int:
             admitted=status["admitted"],
             completed=status["completed"],
             cycles=status["cycles"],
-            bytes_streamed=daemon.bytes_streamed,
+            bytes_streamed=daemon.stats.bytes_streamed,
         )
 
     asyncio.run(_serve())
@@ -503,6 +498,8 @@ def _serve_cluster(args) -> int:
         "--scheme", args.scheme,
         "--max-pending", str(args.max_pending),
         "--log-level", args.log_level,
+        "--channels", str(args.channels),
+        "--allocation", args.allocation,
     ]
     if args.collection:
         passthrough += ["--collection", args.collection]
@@ -510,11 +507,6 @@ def _serve_cluster(args) -> int:
         passthrough += ["--bandwidth", str(args.bandwidth)]
     if args.max_queries is not None:
         passthrough += ["--max-queries", str(args.max_queries)]
-    if getattr(args, "channels", None) is not None:
-        passthrough += [
-            "--channels", str(args.channels),
-            "--allocation", args.allocation,
-        ]
     if args.log_json:
         passthrough.append("--log-json")
 

@@ -11,10 +11,10 @@ requests [8], re-implemented here along with simpler baselines.
 * :mod:`repro.broadcast.scheduling` -- document schedulers (Lee-Lo-style,
   FCFS, most-requested-first, RxW);
 * :mod:`repro.broadcast.program` -- cycle assembly with byte-exact
-  offsets for one-tier and two-tier index schemes;
-* :mod:`repro.broadcast.multichannel` -- K-data-channel cycle programs
-  (channel allocation policies, extended ``<doc, channel, offset>``
-  second tier);
+  offsets for one-tier and two-tier index schemes, over K >= 1 parallel
+  data channels;
+* :mod:`repro.broadcast.multichannel` -- the channel allocation policies
+  that split a schedule across those K channels;
 * :mod:`repro.broadcast.server` -- the server loop: query admission,
   resolution, per-cycle PCI construction and program emission;
 * :mod:`repro.broadcast.partition` -- the hash-slot partition map that
@@ -31,13 +31,7 @@ from repro.broadcast.scheduling import (
     make_scheduler,
 )
 from repro.broadcast.program import BroadcastCycle, IndexScheme, build_cycle_program
-from repro.broadcast.multichannel import (
-    ALLOCATION_POLICIES,
-    ChannelOffsetList,
-    MultiChannelCycle,
-    allocate_channels,
-    build_multichannel_program,
-)
+from repro.broadcast.multichannel import ALLOCATION_POLICIES, allocate_channels
 from repro.broadcast.partition import PartitionMap, ShardIdentity
 from repro.broadcast.server import BroadcastServer, DocumentStore, PendingQuery
 from repro.broadcast.loss import LOSSLESS, PacketLossModel
@@ -56,10 +50,7 @@ __all__ = [
     "IndexScheme",
     "build_cycle_program",
     "ALLOCATION_POLICIES",
-    "ChannelOffsetList",
-    "MultiChannelCycle",
     "allocate_channels",
-    "build_multichannel_program",
     "BroadcastServer",
     "DocumentStore",
     "PartitionMap",

@@ -14,6 +14,22 @@ schedule** ("for a given scheduling algorithm, the broadcast of XML
 documents is independent of the index structure"), every cycle carries
 *both* packings of its PCI; the ``scheme`` chooses which one defines the
 actual air layout, while tuning-time accounting can interrogate either.
+
+**K data channels.**  The paper airs index and data on one downlink
+channel; the number of data channels is a field of the cycle
+(``num_data_channels``, 1 by default).  The index channel carries the
+first and second tier as above; the K data channels air the scheduled
+documents in parallel, each channel back-to-back from the shared
+``data_start`` boundary, so a single-tuner client can read the index
+and then retune without missing anything.  All channels advance
+byte-time in lockstep and the cycle ends when the **longest** data
+channel finishes; shorter channels idle-pad (``channel_spans``).  A
+document's ``doc_offsets`` entry is its cycle-relative start byte-time
+on its channel; offsets on different channels may overlap -- the
+cross-channel *conflict* :class:`~repro.client.twotier.TwoTierClient`
+plans around.  With K > 1 the second tier's pointers widen to
+``<doc, channel, offset>``; with K = 1 the one queue is the schedule and
+nothing on air differs from the paper's program.
 """
 
 from __future__ import annotations
@@ -21,14 +37,24 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro import obs
+from repro.broadcast.multichannel import allocate_channels
 from repro.broadcast.packets import CycleLayout, PacketKind, Segment
 from repro.index.ci import CompactIndex, LookupResult
 from repro.index.packing import PackedIndex, PackingStrategy, pack_index
 from repro.index.sizes import SizeModel
-from repro.index.twotier import OffsetList, split_two_tier
+from repro.index.twotier import OffsetList, offset_list_air_bytes, split_two_tier
 from repro.xpath.ast import XPathQuery
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,6 +83,24 @@ class BroadcastCycle:
     #: on-air bytes of each document (packet aligned, including header)
     doc_air_bytes: Dict[int, int]
     layout: CycleLayout
+    #: K, the number of parallel data channels the documents air on
+    num_data_channels: int
+    #: doc id -> data channel index
+    doc_channels: Dict[int, int]
+    #: per-channel document queues, in broadcast order
+    channel_queues: Tuple[Tuple[int, ...], ...]
+    #: per-channel used air bytes; the DATA segment of ``layout`` covers
+    #: the longest, shorter channels idle-pad to the cycle boundary
+    channel_spans: Tuple[int, ...]
+    #: allocation policy that produced the split (reporting only; not
+    #: part of the program signature -- the signature covers the physical
+    #: assignment itself)
+    allocation: str = "balanced"
+    #: scheduled documents pinned to the fast-repeat channel (adaptive
+    #: control plane); empty for static runs.  Reporting only -- the
+    #: physical placement itself is covered by ``doc_channels`` (and
+    #: therefore by the program signature).
+    hot_doc_ids: Tuple[int, ...] = ()
     #: channel byte-time at which the cycle starts (set by the server)
     start_time: int = 0
     #: ``None`` for a full-quality build; ``"pci-stale"`` or
@@ -91,8 +135,17 @@ class BroadcastCycle:
 
     @property
     def offset_list_air_bytes(self) -> int:
-        """L_O: on-air (packet aligned) bytes of the second tier."""
-        return self.offset_list.packet_count * self.offset_list.size_model.packet_bytes
+        """L_O: on-air (packet aligned) bytes of the second tier, whose
+        entries carry a channel field when K > 1."""
+        return offset_list_air_bytes(
+            self.offset_list.size_model, len(self.doc_ids), self.num_data_channels
+        )
+
+    @property
+    def idle_padding_bytes(self) -> int:
+        """Bytes shorter channels idle while the longest one finishes."""
+        longest = max(self.channel_spans)
+        return sum(longest - span for span in self.channel_spans)
 
     def packed(self, scheme: IndexScheme) -> PackedIndex:
         return (
@@ -117,8 +170,24 @@ def build_cycle_program(
     store: "DocumentStore",
     scheme: IndexScheme = IndexScheme.TWO_TIER,
     packing: PackingStrategy = PackingStrategy.GREEDY_DFS,
+    num_channels: int = 1,
+    allocation: str = "balanced",
+    demand_sets: Optional[Mapping[int, FrozenSet[int]]] = None,
+    hot_doc_ids: Sequence[int] = (),
 ) -> BroadcastCycle:
-    """Assemble a cycle from the PCI and the scheduler's document pick."""
+    """Assemble a cycle from the PCI and the scheduler's document pick.
+
+    The PCI (and both packings of it) is channel-independent; only
+    document placement depends on *num_channels*, *allocation* and the
+    demand/hot inputs of :func:`~repro.broadcast.multichannel.
+    allocate_channels`.
+    """
+    if scheme is not IndexScheme.TWO_TIER and num_channels > 1:
+        raise ValueError(
+            "multi-channel broadcast requires the two-tier scheme: the "
+            "one-tier index embeds per-cycle document pointers and has "
+            "no second tier to carry channel assignments"
+        )
     size_model: SizeModel = pci.size_model
     with obs.span("server.index_packing"):
         packed_one = pack_index(pci, one_tier=True, strategy=packing)
@@ -132,11 +201,18 @@ def build_cycle_program(
 
     with obs.span("server.two_tier_split"):
         two_tier = split_two_tier(pci)
-    # Provisional second tier sized on the doc count (its byte length does
-    # not depend on the offsets themselves).
+    queues = allocate_channels(
+        scheduled_doc_ids,
+        store,
+        num_channels,
+        policy=allocation,
+        demand_sets=demand_sets,
+        hot_doc_ids=hot_doc_ids,
+    )
+    # The second tier is sized up front: its byte length depends on the
+    # doc and channel counts, not on the offsets themselves.
     offset_air = (
-        size_model.packets_for(size_model.offset_list_bytes(len(scheduled_doc_ids)))
-        * size_model.packet_bytes
+        offset_list_air_bytes(size_model, len(scheduled_doc_ids), num_channels)
         if scheme is IndexScheme.TWO_TIER
         else 0
     )
@@ -144,12 +220,17 @@ def build_cycle_program(
     data_start = index_air + offset_air
     doc_offsets: Dict[int, int] = {}
     doc_air: Dict[int, int] = {}
-    position = data_start
-    for doc_id in scheduled_doc_ids:
-        doc_offsets[doc_id] = position
-        air = store.air_bytes(doc_id)
-        doc_air[doc_id] = air
-        position += air
+    doc_channels: Dict[int, int] = {}
+    spans: List[int] = []
+    for channel, queue in enumerate(queues):
+        position = data_start
+        for doc_id in queue:
+            doc_offsets[doc_id] = position
+            air = store.air_bytes(doc_id)
+            doc_air[doc_id] = air
+            doc_channels[doc_id] = channel
+            position += air
+        spans.append(position - data_start)
 
     offset_list = two_tier.make_offset_list(doc_offsets)
 
@@ -159,13 +240,15 @@ def build_cycle_program(
     else:
         segments.append(Segment(PacketKind.FIRST_TIER_INDEX, 0, index_air))
         segments.append(Segment(PacketKind.SECOND_TIER_INDEX, index_air, offset_air))
-    segments.append(Segment(PacketKind.DATA, data_start, position - data_start))
+    segments.append(Segment(PacketKind.DATA, data_start, max(spans)))
     layout = CycleLayout(
         tuple(segments),
         packet_bytes=size_model.packet_bytes,
         checksum_bytes=size_model.checksum_bytes,
     )
 
+    hot_set = set(hot_doc_ids)
+    hot_on_air = tuple(d for d in scheduled_doc_ids if d in hot_set) if hot_set else ()
     return BroadcastCycle(
         cycle_number=cycle_number,
         scheme=scheme,
@@ -177,6 +260,12 @@ def build_cycle_program(
         doc_offsets=doc_offsets,
         doc_air_bytes=doc_air,
         layout=layout,
+        num_data_channels=num_channels,
+        doc_channels=doc_channels,
+        channel_queues=tuple(tuple(queue) for queue in queues),
+        channel_spans=tuple(spans),
+        allocation=allocation,
+        hot_doc_ids=hot_on_air,
     )
 
 
@@ -213,17 +302,14 @@ def program_signature(cycle: BroadcastCycle) -> str:
 
     Covers the PCI tree (structure + annotations), both index packings,
     the offset list, the document schedule with its offsets/air sizes,
-    the segment layout and -- for multi-channel cycles -- the data
-    channel count and per-document channel assignment.  A plain
-    single-channel cycle signs as one data channel with every document
-    on channel 0, which is exactly what a K=1
-    :class:`~repro.broadcast.multichannel.MultiChannelCycle` carries:
-    the K=1 collapse is therefore signature-exact (differentially
-    tested).  Two cycles with equal signatures broadcast byte-identical
-    programs -- this is what the cache-equivalence tests and the CI
-    smoke job compare between cached and ``--no-cache`` runs.
+    the segment layout, the data channel count and the per-document
+    channel assignment (the paper's single-channel program signs as one
+    data channel with every document on channel 0).  Two cycles with
+    equal signatures broadcast byte-identical programs -- this is what
+    the cache-equivalence tests and the CI smoke job compare between
+    cached and ``--no-cache`` runs.
     """
-    doc_channels = getattr(cycle, "doc_channels", None) or {}
+    doc_channels = cycle.doc_channels
     form = (
         cycle.cycle_number,
         cycle.scheme.value,
@@ -243,10 +329,7 @@ def program_signature(cycle: BroadcastCycle) -> str:
         cycle.layout.packet_bytes,
         cycle.layout.checksum_bytes,
         cycle.total_bytes,
-        getattr(cycle, "num_data_channels", 1),
-        tuple(
-            (doc_id, doc_channels.get(doc_id, 0))
-            for doc_id in sorted(cycle.doc_ids)
-        ),
+        cycle.num_data_channels,
+        tuple((doc_id, doc_channels[doc_id]) for doc_id in sorted(cycle.doc_ids)),
     )
     return hashlib.sha256(repr(form).encode("utf-8")).hexdigest()

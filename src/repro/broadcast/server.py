@@ -37,11 +37,7 @@ from typing import (
 
 from repro import obs
 from repro.broadcast.cycle_cache import CycleBuildCache
-from repro.broadcast.multichannel import (
-    ALLOCATION_POLICIES,
-    MultiChannelCycle,
-    build_multichannel_program,
-)
+from repro.broadcast.multichannel import ALLOCATION_POLICIES
 from repro.broadcast.program import (
     BroadcastCycle,
     IndexScheme,
@@ -286,36 +282,33 @@ class BroadcastServer:
         packing: PackingStrategy = PackingStrategy.GREEDY_DFS,
         acknowledged_delivery: bool = False,
         enable_caches: bool = True,
-        num_data_channels: Optional[int] = None,
+        num_data_channels: int = 1,
         channel_allocation: str = "balanced",
         build_budget: Optional[BuildBudget] = None,
     ) -> None:
         if cycle_data_capacity <= 0:
             raise ValueError("cycle_data_capacity must be positive")
-        if num_data_channels is not None:
-            if num_data_channels < 1:
-                raise ValueError("num_data_channels must be at least 1")
-            if num_data_channels > 1 and scheme is not IndexScheme.TWO_TIER:
-                raise ValueError(
-                    "multi-channel broadcast requires the two-tier scheme"
-                )
-            if channel_allocation not in ALLOCATION_POLICIES:
-                raise ValueError(
-                    f"unknown channel allocation {channel_allocation!r}; "
-                    f"choose from {ALLOCATION_POLICIES}"
-                )
+        if num_data_channels < 1:
+            raise ValueError("num_data_channels must be at least 1")
+        if num_data_channels > 1 and scheme is not IndexScheme.TWO_TIER:
+            raise ValueError("multi-channel broadcast requires the two-tier scheme")
+        if channel_allocation not in ALLOCATION_POLICIES:
+            raise ValueError(
+                f"unknown channel allocation {channel_allocation!r}; "
+                f"choose from {ALLOCATION_POLICIES}"
+            )
         self.store = store
         self.scheduler = scheduler or LeeLoScheduler(store)
         self.scheme = scheme
         self.cycle_data_capacity = cycle_data_capacity
         self.packing = packing
-        #: ``None`` -> the single-channel program builder (the paper's
-        #: layout).  An integer K >= 1 routes cycle assembly through the
-        #: multi-channel builder with K data channels; K=1 is
-        #: byte-identical to ``None`` (differentially tested), so the
-        #: flag only changes *which* builder runs, never what goes on
-        #: air for a single channel.
+        #: K, the number of parallel data channels each cycle airs its
+        #: documents on; 1 is the paper's single-channel program.
+        #: :meth:`apply_plan` may change it between cycles.
         self.num_data_channels = num_data_channels
+        #: how the schedule splits across the K channels
+        #: (:data:`~repro.broadcast.multichannel.ALLOCATION_POLICIES`);
+        #: every policy is the identity at K = 1
         self.channel_allocation = channel_allocation
         #: Documents promoted onto the fast-repeat channel by the adaptive
         #: control plane (:meth:`apply_plan`).  Hot documents still
@@ -613,8 +606,7 @@ class BroadcastServer:
                 # Capacity is per data channel: K parallel channels carry K
                 # full data segments in the same wall-clock span, so the
                 # scheduler may fill K times the single-channel budget.
-                # (K=1 multiplies by one and stays byte-identical.)
-                capacity = self.cycle_data_capacity * (self.num_data_channels or 1)
+                capacity = self.cycle_data_capacity * self.num_data_channels
                 scheduled = self.scheduler.select(
                     active,
                     self.store,
@@ -629,34 +621,24 @@ class BroadcastServer:
                 else:
                     hot_scheduled = ()
             with registry.span("server.cycle_assembly") as assembly_span:
-                if self.num_data_channels is None:
-                    cycle: BroadcastCycle = build_cycle_program(
-                        cycle_number=self.cycle_number,
-                        pci=pci,
-                        scheduled_doc_ids=scheduled,
-                        store=self.store,
-                        scheme=self.scheme,
-                        packing=self.packing,
-                    )
-                else:
-                    demand_sets = None
-                    if self.channel_allocation == "demand":
-                        demand_sets = {
-                            doc_id: frozenset(q.query_id for q in queries_for)
-                            for doc_id, queries_for in self.demand.items_for(now)
-                        }
-                    cycle = build_multichannel_program(
-                        cycle_number=self.cycle_number,
-                        pci=pci,
-                        scheduled_doc_ids=scheduled,
-                        store=self.store,
-                        num_channels=self.num_data_channels,
-                        allocation=self.channel_allocation,
-                        scheme=self.scheme,
-                        packing=self.packing,
-                        demand_sets=demand_sets,
-                        hot_doc_ids=hot_scheduled,
-                    )
+                demand_sets = None
+                if self.channel_allocation == "demand":
+                    demand_sets = {
+                        doc_id: frozenset(q.query_id for q in queries_for)
+                        for doc_id, queries_for in self.demand.items_for(now)
+                    }
+                cycle = build_cycle_program(
+                    cycle_number=self.cycle_number,
+                    pci=pci,
+                    scheduled_doc_ids=scheduled,
+                    store=self.store,
+                    scheme=self.scheme,
+                    packing=self.packing,
+                    num_channels=self.num_data_channels,
+                    allocation=self.channel_allocation,
+                    demand_sets=demand_sets,
+                    hot_doc_ids=hot_scheduled,
+                )
         cycle.start_time = now
         cycle.degraded = degraded
 
@@ -681,7 +663,9 @@ class BroadcastServer:
             registry.histogram(
                 "server.cycle_assembly_seconds", scheduler=self.scheduler.name
             ).observe(assembly_span.elapsed)
-            if isinstance(cycle, MultiChannelCycle):
+            # Per-channel families describe a split data segment; a K = 1
+            # cycle's one channel is already data_bytes_total above.
+            if cycle.num_data_channels > 1:
                 for channel, span_bytes in enumerate(cycle.channel_spans):
                     registry.counter(
                         "server.channel_air_bytes_total", channel=str(channel)
@@ -745,7 +729,7 @@ class BroadcastServer:
         set changes nothing (no hot set, single channel, or every hot
         document already scheduled).
         """
-        if not self.hot_doc_ids or (self.num_data_channels or 1) < 2:
+        if not self.hot_doc_ids or self.num_data_channels < 2:
             return None
         hot_requested = [d for d in self.hot_doc_ids if d in requested]
         if not hot_requested:
@@ -767,24 +751,15 @@ class BroadcastServer:
                 del schedule[position]
             position -= 1
         obs.counter("server.hot_forced_docs_total").inc(len(missing))
-        return tuple(d for d in hot_requested if d in set(schedule)), schedule
+        on_air = set(schedule)
+        return tuple(d for d in hot_requested if d in on_air), schedule
 
     def apply_plan(self, plan: "CyclePlan") -> None:
         """Apply an adaptive control-plane plan to the next builds.
 
         Mutates the channel count, allocation policy and hot set between
-        cycles.  Only servers built on the multi-channel path (an
-        integer ``num_data_channels``, which K=1 joins byte-identically)
-        accept plans: flipping a single-channel server to the
-        multi-channel builder mid-run would change its program layout
-        contract under the clients already listening.
+        cycles.
         """
-        if self.num_data_channels is None:
-            raise RuntimeError(
-                "apply_plan requires the multi-channel builder; construct "
-                "the server with num_data_channels set (1 is byte-identical "
-                "to the single-channel program)"
-            )
         if plan.num_channels < 1:
             raise ValueError("plan.num_channels must be at least 1")
         if plan.num_channels > 1 and self.scheme is not IndexScheme.TWO_TIER:

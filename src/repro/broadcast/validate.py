@@ -10,13 +10,12 @@ Checked invariants:
 
 1. segment layout: packet-aligned, contiguous, in scheme order;
 2. document placement: offsets inside the data segment, back-to-back
-   **per data channel** (a single-channel cycle is the one-channel
-   special case), air sizes packet-aligned and consistent with the
-   store;
+   **per data channel**, air sizes packet-aligned and consistent with
+   the store;
 3. second tier: entries sorted, exactly the scheduled documents, offsets
-   equal to the placement; for multi-channel cycles the extended
-   ``<doc, channel, offset>`` triples must agree with the channel
-   assignment and every document must sit on exactly one channel;
+   equal to the placement; the channel assignment must cover exactly
+   the scheduled documents, agree with the channel queues, and put
+   every document on exactly one of the K channels;
 4. packing: both packings cover exactly the PCI's nodes; index segment
    length equals the on-air packing's footprint;
 5. index content: every scheduled document is locatable through the PCI
@@ -25,9 +24,8 @@ Checked invariants:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List
 
-from repro.broadcast.multichannel import MultiChannelCycle
 from repro.broadcast.packets import PacketKind
 from repro.broadcast.program import BroadcastCycle, IndexScheme
 
@@ -62,17 +60,15 @@ def validate_cycle(cycle: BroadcastCycle, store: "DocumentStore") -> None:
     if kinds != expected:
         problems.append(f"segment order {kinds} != {expected}")
 
-    # 2. Document placement: back-to-back per data channel.  A plain
-    #    single-channel cycle is the one-channel special case (its queue
-    #    is the schedule itself).
+    # 2. Document placement: back-to-back per data channel.
     data = cycle.layout.segment(PacketKind.DATA)
-    if isinstance(cycle, MultiChannelCycle):
-        queues: Sequence[Tuple[int, ...]] = cycle.channel_queues
-    else:
-        queues = (cycle.doc_ids,)
-    for channel, queue in enumerate(queues):
+    for channel, queue in enumerate(cycle.channel_queues):
         position = data.start if data else 0
         for doc_id in queue:
+            if cycle.doc_channels.get(doc_id) != channel:
+                problems.append(
+                    f"channel assignment disagrees on doc {doc_id}'s channel"
+                )
             offset = cycle.doc_offsets.get(doc_id)
             air = cycle.doc_air_bytes.get(doc_id)
             if offset is None or air is None:
@@ -103,40 +99,28 @@ def validate_cycle(cycle: BroadcastCycle, store: "DocumentStore") -> None:
     for doc_id, offset in entries.items():
         if cycle.doc_offsets.get(doc_id) != offset:
             problems.append(f"offset list disagrees on doc {doc_id}")
-    if isinstance(cycle, MultiChannelCycle):
-        placed = [doc_id for queue in cycle.channel_queues for doc_id in queue]
-        if sorted(placed) != sorted(cycle.doc_ids):
-            problems.append(
-                "channel queues do not partition the schedule (every doc "
-                "must air on exactly one channel exactly once)"
-            )
-        if cycle.channel_offset_list is None:
-            problems.append("multi-channel cycle without a channel offset list")
-        else:
-            triples = {
-                doc_id: (chan, offset)
-                for doc_id, chan, offset in cycle.channel_offset_list.entries
-            }
-            if set(triples) != set(cycle.doc_ids):
+    if len(cycle.channel_queues) != cycle.num_data_channels:
+        problems.append(
+            f"{len(cycle.channel_queues)} channel queues for "
+            f"{cycle.num_data_channels} data channel(s)"
+        )
+    placed = [doc_id for queue in cycle.channel_queues for doc_id in queue]
+    if sorted(placed) != sorted(cycle.doc_ids):
+        problems.append(
+            "channel queues do not partition the schedule (every doc "
+            "must air on exactly one channel exactly once)"
+        )
+    if set(cycle.doc_channels) != set(cycle.doc_ids):
+        problems.append(
+            "channel assignment does not cover exactly the scheduled docs"
+        )
+    if data is not None:
+        for channel, span in enumerate(cycle.channel_spans):
+            if span > data.length:
                 problems.append(
-                    "channel offset list does not cover exactly the scheduled docs"
+                    f"channel {channel} span {span} B exceeds the data "
+                    f"segment ({data.length} B)"
                 )
-            for doc_id, (chan, offset) in triples.items():
-                if cycle.doc_channels.get(doc_id) != chan:
-                    problems.append(
-                        f"channel offset list disagrees on doc {doc_id}'s channel"
-                    )
-                if cycle.doc_offsets.get(doc_id) != offset:
-                    problems.append(
-                        f"channel offset list disagrees on doc {doc_id}'s offset"
-                    )
-        if data is not None:
-            for channel, span in enumerate(cycle.channel_spans):
-                if span > data.length:
-                    problems.append(
-                        f"channel {channel} span {span} B exceeds the data "
-                        f"segment ({data.length} B)"
-                    )
 
     # 4. Packing coverage and index segment length.
     node_ids = {node.node_id for node in cycle.pci.nodes}

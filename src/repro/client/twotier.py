@@ -13,12 +13,12 @@ the number of cycles listened to.  The first-tier read is selective by
 default (packets the query's walk touches) or FULL (the literal L_I);
 the offset-list read is FULL by default (the literal L_O) or SELECTIVE.
 
-**One tuner, K >= 1 data channels.**  A cycle may air its documents on
-K parallel data channels (:class:`~repro.broadcast.multichannel.
-MultiChannelCycle`); the client listens to one channel at a time and
-retunes instantly.  The data phase is one greedy *tune plan*: walk the
-needed documents in air order and take every document that starts at or
-after the moment the tuner frees up (``offset >= free``).  A document
+**One tuner, K >= 1 data channels.**  A cycle airs its documents on
+``cycle.num_data_channels`` parallel data channels; the client listens
+to one channel at a time and retunes instantly.  The data phase is one
+greedy *tune plan*: walk the needed documents in air order and take
+every document that starts at or after the moment the tuner frees up
+(``offset >= free``).  A document
 airing *while* the tuner is busy on another channel is a **conflict**
 and waits for a later cycle -- the server's acknowledged delivery keeps
 it scheduled.  Deferral terminates because the earliest-starting needed
@@ -49,7 +49,6 @@ from typing import Collection, Optional
 
 from repro import obs
 from repro.broadcast.loss import LOSSLESS, PacketLossModel
-from repro.broadcast.multichannel import MultiChannelCycle
 from repro.broadcast.program import BroadcastCycle, IndexScheme
 from repro.client.protocol import (
     AccessProtocol,
@@ -119,9 +118,7 @@ class TwoTierClient(AccessProtocol):
             self.expected_doc_ids = frozenset(lookup.doc_ids)
         with obs.span("client.offset_read"):
             if self.offset_read is OffsetRead.SELECTIVE:
-                if isinstance(cycle, MultiChannelCycle) and (
-                    cycle.num_data_channels > 1
-                ):
+                if cycle.num_data_channels > 1:
                     raise ValueError(
                         "OffsetRead.SELECTIVE is defined on the single-channel "
                         "<doc, offset> list; this cycle airs the extended "
@@ -162,7 +159,7 @@ class TwoTierClient(AccessProtocol):
         received = self.received_doc_ids
         offsets = cycle.doc_offsets
         plan = [d for d in cycle.doc_ids if d in expected and d not in received]
-        if isinstance(cycle, MultiChannelCycle):
+        if cycle.num_data_channels > 1:
             # Parallel channels: schedule order is not air order.  Ties
             # (same start on different channels) break toward the lower
             # channel, then doc id, for determinism.

@@ -109,18 +109,17 @@ class Observation:
         }
         backlog = sum(server.store.air_bytes(doc_id) for doc_id in demand_sets)
         waits = [now - q.arrival_time for q in active]
-        spans = tuple(getattr(cycle, "channel_spans", ()) or (cycle.data_bytes,))
         return cls(
             cycle_number=cycle.cycle_number,
-            num_channels=getattr(cycle, "num_data_channels", 1),
-            allocation=getattr(cycle, "allocation", server.channel_allocation),
+            num_channels=cycle.num_data_channels,
+            allocation=cycle.allocation,
             now=now,
             queue_depth=len(active),
             backlog_bytes=backlog,
             mean_wait=sum(waits) / len(waits) if waits else 0.0,
             scheduled_doc_ids=tuple(cycle.doc_ids),
-            channel_spans=spans,
-            idle_padding_bytes=getattr(cycle, "idle_padding_bytes", 0),
+            channel_spans=cycle.channel_spans,
+            idle_padding_bytes=cycle.idle_padding_bytes,
             degraded=cycle.degraded is not None,
             demand_sets=demand_sets,
         )

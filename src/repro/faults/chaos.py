@@ -59,11 +59,9 @@ from repro.sim.config import SimulationConfig
 from repro.sim.simulation import Simulation, _Session
 from repro.sim.workload import ArrivalPlan
 from repro.xmlkit.generator import (
+    BUILTIN_DTDS,
     DocumentGenerator,
     GeneratorConfig,
-    dblp_like_dtd,
-    nasa_like_dtd,
-    nitf_like_dtd,
 )
 from repro.xmlkit.model import XMLDocument
 
@@ -118,13 +116,8 @@ class ChaosSimulation(Simulation):
                 max_requested_bytes=plan.build_budget_bytes,
                 force_overload=plan.overloaded,
             )
-        dtd = {
-            "nitf": nitf_like_dtd,
-            "nasa": nasa_like_dtd,
-            "dblp": dblp_like_dtd,
-        }[config.dtd]()
         self._doc_generator = DocumentGenerator(
-            dtd, GeneratorConfig(seed=plan.seed ^ 0xD0C)
+            BUILTIN_DTDS[config.dtd](), GeneratorConfig(seed=plan.seed ^ 0xD0C)
         )
         self._next_doc_id = max(self.store.by_id) + 1
         self._next_client_key = 0

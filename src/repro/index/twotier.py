@@ -15,6 +15,11 @@ not move between cycles); the second tier is rebuilt every cycle by the
 broadcast program builder.  This is exactly what enables the improved
 client protocol: read the first tier once, then only the small second
 tier of each following cycle (Equation 1: ``TT = L_I + n * L_O``).
+
+A cycle that airs its documents on K > 1 parallel data channels widens
+each on-air pointer to ``<doc, channel, offset>`` so a client knows
+*where* as well as *when* a document airs (:func:`offset_list_air_bytes`);
+with one data channel the field carries no information and is elided.
 """
 
 from __future__ import annotations
@@ -24,6 +29,26 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.index.ci import CompactIndex
 from repro.index.sizes import SizeModel, PAPER_SIZE_MODEL
+
+#: Byte width of the channel field in a K > 1 second-tier entry.  A
+#: single byte addresses 256 data channels, far beyond any deployment
+#: the multichannel literature considers.
+CHANNEL_ID_BYTES = 1
+
+
+def offset_list_air_bytes(
+    size_model: SizeModel, doc_count: int, num_channels: int = 1
+) -> int:
+    """L_O on air (packet aligned) for *doc_count* documents on K channels.
+
+    Depends only on the two counts, never on the offsets themselves, so
+    the program builder can size the second tier before placing a
+    single document.
+    """
+    entry = size_model.offset_entry_bytes + (
+        CHANNEL_ID_BYTES if num_channels > 1 else 0
+    )
+    return size_model.packet_aligned_bytes(size_model.count_bytes + doc_count * entry)
 
 
 @dataclass(frozen=True)

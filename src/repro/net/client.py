@@ -186,8 +186,7 @@ class AsyncTwoTierClient:
         self.ack_required = False
         #: the daemon advertised an adaptive control plane in its TUNED
         #: banner: channel count may change mid-session, so the session
-        #: always runs the multi-channel protocol and follows the
-        #: ``plan`` key of each CYCLE_BEGIN header
+        #: follows the ``plan`` key of each CYCLE_BEGIN header
         self.adaptive = False
         self.k_retunes = 0
         self._checksum = 0
@@ -326,7 +325,7 @@ class AsyncTwoTierClient:
             if plan is not None:
                 new_k = int(plan.get("k", self.num_channels))
                 if new_k != self.num_channels:
-                    # Mid-session K change: the multi-channel protocol
+                    # Mid-session K change: the two-tier protocol
                     # replans from each cycle's own layout, so following
                     # the plan is just bookkeeping -- no protocol reset.
                     self.k_retunes += 1

@@ -275,37 +275,11 @@ class BroadcastDaemon:
                 {
                     "documents": len(store),
                     "scheme": self.config.scheme.value,
-                    "num_channels": self.config.num_data_channels or 1,
+                    "num_channels": self.config.num_data_channels,
                     "bandwidth": self.net.bandwidth,
                     "max_pending": self.net.max_pending,
                 }
             )
-
-    # -- backward-compatible counter mirrors ---------------------------
-
-    @property
-    def connections_total(self) -> int:
-        return self.stats.connections_total
-
-    @property
-    def admitted_total(self) -> int:
-        return self.stats.admitted_total
-
-    @property
-    def rejected_total(self) -> int:
-        return self.stats.rejected_total
-
-    @property
-    def cycles_streamed(self) -> int:
-        return self.stats.cycles_streamed
-
-    @property
-    def frames_sent(self) -> int:
-        return self.stats.frames_sent
-
-    @property
-    def bytes_streamed(self) -> int:
-        return self.stats.bytes_streamed
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -701,7 +675,7 @@ class BroadcastDaemon:
 
     def _tune_info(self) -> Dict:
         info = {
-            "num_channels": self.config.num_data_channels or 1,
+            "num_channels": self.config.num_data_channels,
             "ack_required": self.server.acknowledged_delivery,
             "checksum_bytes": self._checksum,
             "scheme": self.config.scheme.value,
@@ -746,7 +720,7 @@ class BroadcastDaemon:
             "redelivered": self.stats.redelivered_total,
             "degraded_cycles": self.server.degraded_cycles,
             "draining": self._draining,
-            "num_channels": self.config.num_data_channels or 1,
+            "num_channels": self.config.num_data_channels,
             "bandwidth": self.net.bandwidth,
         }
         if self.controller is not None:
@@ -982,7 +956,7 @@ class BroadcastDaemon:
                 return False
             if (
                 self.net.max_queries is not None
-                and self.admitted_total >= self.net.max_queries
+                and self.stats.admitted_total >= self.net.max_queries
                 and not has_pending
             ):
                 return False

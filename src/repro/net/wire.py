@@ -4,15 +4,16 @@ One broadcast cycle streams as::
 
     CYCLE_BEGIN   JSON header: cycle number, start byte-time, scheme,
                   packing strategy, segment layout, document schedule,
-                  channel assignment (K > 1) and the cycle's
-                  program_signature
+                  data channel count K with its allocation policy, and
+                  the cycle's program_signature
     INDEX         label table + the on-air index encoding
                   (one-tier layout with embedded doc pointers, or the
                   first-tier layout under the two-tier scheme)
     OFFSETS       second-tier offset list (two-tier scheme only);
                   ``<doc, channel, offset>`` triples when K > 1
     DOC ...       one frame per scheduled document, in air order:
-                  JSON header line + the serialized XML document
+                  JSON header line (doc id, channel, offset, air bytes)
+                  + the serialized XML document
     CYCLE_END     JSON trailer (cycle number, total on-air bytes)
 
 Every frame carries pacing metadata (:class:`WireFrame`): its on-air
@@ -21,11 +22,11 @@ cycle-relative byte-time at which it ends, so the daemon's token bucket
 paces the stream on the *channel model's* clock, not on TCP bytes.
 
 :class:`CycleDecoder` reconstructs a full
-:class:`~repro.broadcast.program.BroadcastCycle` (or
-:class:`~repro.broadcast.multichannel.MultiChannelCycle`) from the
-frames: the index tree is decoded byte-exactly, both packings are
-re-derived with the server's packing strategy (packing is a pure
-function of the tree), and the rebuilt cycle's
+:class:`~repro.broadcast.program.BroadcastCycle` from the frames: the
+index tree is decoded byte-exactly, both packings are re-derived with
+the server's packing strategy (packing is a pure function of the tree),
+the per-channel queues and spans are rebuilt from the DOC frames'
+``channel``/``offset``/``air_bytes``, and the rebuilt cycle's
 :func:`~repro.broadcast.program.program_signature` is checked against
 the header's.  A client feeding the reconstructed cycle to the
 *unchanged* access protocols therefore counts access and tuning bytes
@@ -36,14 +37,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from repro.broadcast.multichannel import (
-    ChannelOffsetList,
-    MultiChannelCycle,
-)
 from repro.broadcast.packets import CycleLayout, PacketKind, Segment
 from repro.broadcast.program import (
     BroadcastCycle,
@@ -59,13 +57,11 @@ from repro.index.encoding import (
 )
 from repro.index.packing import PackingStrategy, pack_index
 from repro.index.sizes import SizeModel
-from repro.index.twotier import OffsetList
+from repro.index.twotier import CHANNEL_ID_BYTES, OffsetList
 from repro.net.framing import FrameKind
 from repro.xmlkit.serialize import serialize_document
 
-import struct
-
-WIRE_FORMAT_VERSION = 1
+WIRE_FORMAT_VERSION = 2
 
 
 class WireProtocolError(ConnectionError):
@@ -132,15 +128,9 @@ def cycle_header(
         "doc_ids": list(cycle.doc_ids),
         "signature": program_signature(cycle),
         "ack_required": ack_required,
+        "num_channels": cycle.num_data_channels,
+        "allocation": cycle.allocation,
     }
-    if isinstance(cycle, MultiChannelCycle):
-        header["multichannel"] = True
-        header["num_channels"] = cycle.num_data_channels
-        header["allocation"] = cycle.allocation
-        header["channel_queues"] = [list(queue) for queue in cycle.channel_queues]
-        header["channel_spans"] = list(cycle.channel_spans)
-    else:
-        header["multichannel"] = False
     if cluster is not None:
         header["cluster"] = cluster
     if plan is not None:
@@ -148,25 +138,47 @@ def cycle_header(
     return header
 
 
-def _encode_channel_offsets(channel_list: ChannelOffsetList) -> bytes:
-    parts = [struct.pack(">H", len(channel_list.entries))]
-    for doc_id, channel, offset in channel_list.entries:
-        parts.append(struct.pack(">HBI", doc_id, channel, offset))
-    return b"".join(parts)
+def _encode_offsets(cycle: BroadcastCycle) -> bytes:
+    """The OFFSETS payload: the second tier as it goes on air, with
+    ``<doc, channel, offset>`` entries when K > 1."""
+    if cycle.num_data_channels == 1:
+        return encode_offset_list(cycle.offset_list)
+    channels = cycle.doc_channels
+    entries = cycle.offset_list.entries
+    return struct.pack(">H", len(entries)) + b"".join(
+        struct.pack(">HBI", doc_id, channels[doc_id], offset)
+        for doc_id, offset in entries
+    )
 
 
-def _decode_channel_offsets(data: bytes) -> List[Tuple[int, int, int]]:
+def _decode_offsets(
+    data: bytes, num_channels: int, size_model: SizeModel
+) -> Tuple[OffsetList, Dict[int, int]]:
+    """Inverse of :func:`_encode_offsets`: the list and ``doc -> channel``.
+
+    The payload is outside input: a truncated, unsorted or repeating
+    list, or a channel no data channel answers to, is a
+    :class:`WireProtocolError`.
+    """
     try:
+        if num_channels == 1:
+            offset_list = decode_offset_list(data, size_model=size_model)
+            return offset_list, {doc_id: 0 for doc_id, _offset in offset_list.entries}
         (count,) = struct.unpack_from(">H", data, 0)
-        pos = 2
-        entries = []
-        for _ in range(count):
-            doc_id, channel, offset = struct.unpack_from(">HBI", data, pos)
-            entries.append((doc_id, channel, offset))
-            pos += 7
-    except struct.error as exc:
-        raise WireProtocolError("truncated channel offset list") from exc
-    return entries
+        triples = [struct.unpack_from(">HBI", data, 2 + 7 * i) for i in range(count)]
+        offset_list = OffsetList(
+            tuple((doc_id, offset) for doc_id, _channel, offset in triples),
+            size_model=size_model,
+        )
+    except (struct.error, ValueError) as exc:  # IndexEncodingError is a ValueError
+        raise WireProtocolError(f"malformed offset list: {exc}") from exc
+    for doc_id, channel, _offset in triples:
+        if channel >= num_channels:
+            raise WireProtocolError(
+                f"offset list puts doc {doc_id} on channel {channel}, but "
+                f"only {num_channels} data channels exist"
+            )
+    return offset_list, {doc_id: channel for doc_id, channel, _offset in triples}
 
 
 def encode_cycle(
@@ -207,25 +219,20 @@ def encode_cycle(
     if not one_tier:
         offsets_segment = cycle.layout.segment(PacketKind.SECOND_TIER_INDEX)
         assert offsets_segment is not None
-        channel_list = getattr(cycle, "channel_offset_list", None)
-        if channel_list is not None and channel_list.num_channels > 1:
-            payload = _encode_channel_offsets(channel_list)
-        else:
-            payload = encode_offset_list(cycle.offset_list)
         frames.append(
             WireFrame(
                 FrameKind.OFFSETS,
-                payload,
+                _encode_offsets(cycle),
                 air_bytes=offsets_segment.length,
                 end_offset=offsets_segment.end,
             )
         )
-    doc_channels = getattr(cycle, "doc_channels", None) or {}
+    doc_channels = cycle.doc_channels
     # Stores cache serialized documents; fall back for duck-typed stores.
     serialized = getattr(store, "serialized", None)
     for doc_id in sorted(
         cycle.doc_ids,
-        key=lambda d: (cycle.doc_offsets[d], doc_channels.get(d, 0), d),
+        key=lambda d: (cycle.doc_offsets[d], doc_channels[d], d),
     ):
         document = store.document(doc_id)
         air = cycle.doc_air_bytes[doc_id]
@@ -234,7 +241,7 @@ def encode_cycle(
             {
                 "doc_id": doc_id,
                 "name": document.name,
-                "channel": doc_channels.get(doc_id, 0),
+                "channel": doc_channels[doc_id],
                 "offset": offset,
                 "air_bytes": air,
             }
@@ -250,7 +257,7 @@ def encode_cycle(
                 doc_header + b"\n" + body,
                 air_bytes=air,
                 end_offset=offset + air,
-                channel=doc_channels.get(doc_id, 0),
+                channel=doc_channels[doc_id],
                 doc_id=doc_id,
             )
         )
@@ -292,9 +299,7 @@ class CycleDecoder:
     """
 
     #: ``(verify, digest) -> decoded cycle`` LRU shared by all decoders
-    _shared_cycles: "OrderedDict[Tuple[bool, bytes], Union[BroadcastCycle, MultiChannelCycle]]" = (
-        OrderedDict()
-    )
+    _shared_cycles: "OrderedDict[Tuple[bool, bytes], BroadcastCycle]" = OrderedDict()
     _SHARED_MAX = 8
 
     def __init__(
@@ -322,9 +327,7 @@ class CycleDecoder:
         self._doc_air: Dict[int, int] = {}
         self._doc_channels: Dict[int, int] = {}
 
-    def feed(
-        self, kind: FrameKind, payload: bytes
-    ) -> Optional[Union[BroadcastCycle, MultiChannelCycle]]:
+    def feed(self, kind: FrameKind, payload: bytes) -> Optional[BroadcastCycle]:
         # Length-delimited so frame boundaries cannot alias in the digest.
         self._digest.update(kind.name.encode("ascii"))
         self._digest.update(len(payload).to_bytes(4, "big"))
@@ -356,10 +359,16 @@ class CycleDecoder:
                 info = json.loads(head.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise WireProtocolError("malformed document header") from exc
-            doc_id = info["doc_id"]
-            self._doc_offsets[doc_id] = info["offset"]
-            self._doc_air[doc_id] = info["air_bytes"]
-            self._doc_channels[doc_id] = info.get("channel", 0)
+            try:
+                doc_id = info["doc_id"]
+                placement = info["offset"], info["air_bytes"], info["channel"]
+                if not all(isinstance(field, int) for field in placement):
+                    raise TypeError("document placement fields must be integers")
+                self._doc_offsets[doc_id] = placement[0]
+                self._doc_air[doc_id] = placement[1]
+                self._doc_channels[doc_id] = placement[2]
+            except (KeyError, TypeError) as exc:
+                raise WireProtocolError("malformed document header") from exc
             if self.keep_documents:
                 self.documents[doc_id] = body
             return None
@@ -393,7 +402,7 @@ class CycleDecoder:
         self._doc_air = {}
         self._doc_channels = {}
 
-    def _finish(self) -> Union[BroadcastCycle, MultiChannelCycle]:
+    def _finish(self) -> BroadcastCycle:
         header = self.header
         assert header is not None
         if self._index_payload is None:
@@ -430,7 +439,14 @@ class CycleDecoder:
         packed_one = pack_index(pci, one_tier=True, strategy=strategy)
         packed_first = pack_index(pci, one_tier=False, strategy=strategy)
 
-        num_channels = header.get("num_channels", 1)
+        num_channels = header["num_channels"]
+        # The second tier's channel field bounds K; a header asking for
+        # more is hostile (and would size the queue rebuild below).
+        if (
+            not isinstance(num_channels, int)
+            or not 1 <= num_channels <= 256**CHANNEL_ID_BYTES
+        ):
+            raise WireProtocolError(f"bad data channel count {num_channels!r}")
         if one_tier:
             # The one-tier encoding also carries pointer 0 for annotated
             # but unscheduled documents; the DOC frame headers hold the
@@ -444,24 +460,13 @@ class CycleDecoder:
                         "its document frame"
                     )
             offset_list = OffsetList.from_mapping(doc_offsets, size_model=model)
-            channel_list = None
+            doc_channels = dict.fromkeys(doc_offsets, 0)
         else:
             if self._offsets_payload is None:
                 raise WireProtocolError("two-tier cycle without an OFFSETS frame")
-            if header.get("multichannel") and num_channels > 1:
-                triples = _decode_channel_offsets(self._offsets_payload)
-                offset_list = OffsetList(
-                    tuple((doc, offset) for doc, _ch, offset in triples),
-                    size_model=model,
-                )
-                channel_list = ChannelOffsetList(
-                    entries=tuple(triples),
-                    num_channels=num_channels,
-                    size_model=model,
-                )
-            else:
-                offset_list = decode_offset_list(self._offsets_payload, size_model=model)
-                channel_list = None
+            offset_list, doc_channels = _decode_offsets(
+                self._offsets_payload, num_channels, model
+            )
             doc_offsets = dict(offset_list.entries)
 
         if set(doc_offsets) != set(header["doc_ids"]):
@@ -470,6 +475,10 @@ class CycleDecoder:
             raise WireProtocolError("document frames disagree with the offset list")
         if set(self._doc_air) != set(header["doc_ids"]):
             raise WireProtocolError("missing document frames")
+        if self._doc_channels != doc_channels:
+            raise WireProtocolError(
+                "document frames disagree with the offset list on a channel"
+            )
 
         segments = []
         for kind_value, start, length in header["segments"]:
@@ -486,7 +495,18 @@ class CycleDecoder:
             checksum_bytes=model.checksum_bytes,
         )
 
-        common = dict(
+        # Every channel airs its queue back-to-back from the data
+        # segment's start, so air order within a channel is offset order.
+        data = layout.segment(PacketKind.DATA)
+        data_start = data.start if data else layout.total_bytes
+        queues: List[List[int]] = [[] for _ in range(num_channels)]
+        spans = [0] * num_channels
+        for doc_id in sorted(doc_offsets, key=doc_offsets.__getitem__):
+            channel = doc_channels[doc_id]
+            queues[channel].append(doc_id)
+            spans[channel] = doc_offsets[doc_id] + self._doc_air[doc_id] - data_start
+
+        cycle = BroadcastCycle(
             cycle_number=header["cycle_number"],
             scheme=scheme,
             pci=pci,
@@ -497,33 +517,14 @@ class CycleDecoder:
             doc_offsets=doc_offsets,
             doc_air_bytes=dict(self._doc_air),
             layout=layout,
+            num_data_channels=num_channels,
+            doc_channels=doc_channels,
+            channel_queues=tuple(tuple(queue) for queue in queues),
+            channel_spans=tuple(spans),
+            allocation=header["allocation"],
             start_time=header["start_time"],
             degraded=header["degraded"],
         )
-        cycle: BroadcastCycle
-        if header.get("multichannel"):
-            if channel_list is None:
-                # K=1 multichannel: the channel field is elided on air.
-                channel_list = ChannelOffsetList(
-                    entries=tuple(
-                        (doc, 0, offset) for doc, offset in offset_list.entries
-                    ),
-                    num_channels=1,
-                    size_model=model,
-                )
-            cycle = MultiChannelCycle(
-                **common,
-                num_data_channels=num_channels,
-                allocation=header["allocation"],
-                doc_channels=dict(self._doc_channels),
-                channel_queues=tuple(
-                    tuple(queue) for queue in header["channel_queues"]
-                ),
-                channel_spans=tuple(header["channel_spans"]),
-                channel_offset_list=channel_list,
-            )
-        else:
-            cycle = BroadcastCycle(**common)
 
         if self.verify:
             rebuilt = program_signature(cycle)

@@ -22,6 +22,7 @@ from repro.broadcast.program import IndexScheme
 from repro.control.plan import ControlConfig
 from repro.index.packing import PackingStrategy
 from repro.index.sizes import SizeModel, PAPER_SIZE_MODEL
+from repro.xmlkit.generator import BUILTIN_DTDS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> sim)
     from repro.faults.plan import FaultPlan
@@ -56,15 +57,14 @@ class SimulationConfig:
     packing: PackingStrategy = PackingStrategy.GREEDY_DFS
     size_model: SizeModel = PAPER_SIZE_MODEL
 
-    #: Multi-channel extension: ``None`` keeps the paper's single-channel
-    #: program.  An integer K routes cycle assembly through
-    #: :mod:`repro.broadcast.multichannel` with K parallel data channels;
-    #: the two-tier client is a single tuner, so documents airing at the
-    #: same time on different channels conflict and the loser is deferred.
-    #: K=1 is byte-identical to ``None`` (differentially tested); K>=2
-    #: switches the server to acknowledged delivery so conflict-deferred
-    #: documents stay scheduled until actually received.
-    num_data_channels: Optional[int] = None
+    #: K, the number of parallel data channels each cycle airs its
+    #: documents on; 1 is the paper's single-channel program.  The
+    #: two-tier client is a single tuner, so documents airing at the
+    #: same time on different channels conflict and the loser is
+    #: deferred; K>=2 therefore switches the server to acknowledged
+    #: delivery so conflict-deferred documents stay scheduled until
+    #: actually received.
+    num_data_channels: int = 1
 
     #: How the schedule splits across data channels: "round-robin",
     #: "balanced" (greedy balanced-air-bytes) or "demand"
@@ -77,10 +77,10 @@ class SimulationConfig:
     #: policy by counterfactual regret, promote hot documents onto a
     #: fast-repeat channel and shed cold queries under overload.  Off by
     #: default; static runs build no controller and stay byte-identical
-    #: (differentially tested).  Adaptive runs route through the
-    #: multi-channel builder (starting at ``num_data_channels or 1``)
-    #: and use acknowledged delivery throughout: the controller may grow
-    #: K mid-run, and a grown K must never strand a conflict-deferred
+    #: (differentially tested).  Adaptive runs start at
+    #: ``num_data_channels`` and, when the control band can reach K=2,
+    #: use acknowledged delivery throughout: the controller may grow K
+    #: mid-run, and a grown K must never strand a conflict-deferred
     #: document behind a server that assumed broadcast == received.
     adaptive: bool = False
 
@@ -114,7 +114,7 @@ class SimulationConfig:
     #: ``None`` is the paper's fault-free system.  Every session is one
     #: two-tier client on the plan's erasure+corruption channel.  Mutually
     #: exclusive with ``loss_prob`` (fold erasures into
-    #: ``FaultPlan.erase_prob``) and ``num_data_channels``.
+    #: ``FaultPlan.erase_prob``) and ``num_data_channels > 1``.
     faults: Optional["FaultPlan"] = None
 
     #: Cluster sharding (the serving tier of :mod:`repro.net.cluster`):
@@ -145,8 +145,8 @@ class SimulationConfig:
     validate_cycles: bool = False
 
     def __post_init__(self) -> None:
-        if self.dtd not in ("nitf", "nasa", "dblp"):
-            raise ValueError("dtd must be 'nitf', 'nasa' or 'dblp'")
+        if self.dtd not in BUILTIN_DTDS:
+            raise ValueError(f"dtd must be one of {tuple(BUILTIN_DTDS)}")
         if self.document_count < 1:
             raise ValueError("document_count must be positive")
         if self.n_q < 1:
@@ -159,17 +159,14 @@ class SimulationConfig:
             raise ValueError("cycle_data_capacity must be positive")
         if not 0.0 <= self.loss_prob < 1.0:
             raise ValueError("loss_prob must be in [0, 1)")
-        if self.num_data_channels is not None and self.num_data_channels < 1:
+        if self.num_data_channels < 1:
             raise ValueError("num_data_channels must be at least 1")
         if self.channel_allocation not in ALLOCATION_POLICIES:
             raise ValueError(
                 f"channel_allocation must be one of {ALLOCATION_POLICIES}"
             )
-        if (self.num_data_channels or 1) > 1:
-            if self.scheme is not IndexScheme.TWO_TIER:
-                raise ValueError(
-                    "multi-channel broadcast requires the two-tier scheme"
-                )
+        if self.num_data_channels > 1 and self.scheme is not IndexScheme.TWO_TIER:
+            raise ValueError("multi-channel broadcast requires the two-tier scheme")
         if self.faults is not None:
             if self.scheme is not IndexScheme.TWO_TIER:
                 raise ValueError(
@@ -181,7 +178,7 @@ class SimulationConfig:
                     "faults and loss_prob both drive the downlink channel; "
                     "fold erasures into FaultPlan.erase_prob instead"
                 )
-            if self.num_data_channels is not None:
+            if self.num_data_channels > 1:
                 raise ValueError(
                     "fault injection runs on the single-channel program; "
                     "combine with multi-channel in separate runs"
@@ -193,7 +190,7 @@ class SimulationConfig:
                     "scheme (it re-plans the multi-channel program)"
                 )
             control = self.control or ControlConfig()
-            if (self.num_data_channels or 1) > control.k_max:
+            if self.num_data_channels > control.k_max:
                 raise ValueError(
                     f"num_data_channels {self.num_data_channels} exceeds "
                     f"the control band's k_max {control.k_max}"
@@ -244,7 +241,7 @@ class SimulationConfig:
         """
         return (
             self.loss_prob > 0.0
-            or (self.num_data_channels or 1) >= 2
+            or self.num_data_channels >= 2
             or (self.adaptive and self.control_config.k_max >= 2)
         )
 
@@ -252,18 +249,6 @@ class SimulationConfig:
     def control_config(self) -> ControlConfig:
         """The controller knobs (defaults when ``control`` is unset)."""
         return self.control or ControlConfig()
-
-    @property
-    def builder_channels(self) -> Optional[int]:
-        """``num_data_channels`` the server is constructed with.
-
-        Adaptive runs always take the multi-channel builder (K=1 joins
-        it byte-identically), so the controller can re-plan K without
-        switching program layouts mid-run.
-        """
-        if self.adaptive:
-            return self.num_data_channels or 1
-        return self.num_data_channels
 
     @property
     def partition_map(self) -> Optional[PartitionMap]:

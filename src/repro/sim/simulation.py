@@ -40,11 +40,9 @@ from repro.sim.engine import EventQueue
 from repro.sim.results import ClientRecord, CycleStats, SimulationResult
 from repro.sim.workload import ArrivalPlan, WorkloadBuilder
 from repro.xmlkit.generator import (
+    BUILTIN_DTDS,
     GeneratorConfig,
-    dblp_like_dtd,
     generate_collection,
-    nasa_like_dtd,
-    nitf_like_dtd,
 )
 from repro.xmlkit.model import XMLDocument
 from repro.xpath.ast import XPathQuery
@@ -62,13 +60,10 @@ def build_collection(config: SimulationConfig) -> List[XMLDocument]:
     (and every per-shard reference simulation) derives its sub-collection
     from the same deterministic whole.
     """
-    dtd = {
-        "nitf": nitf_like_dtd,
-        "nasa": nasa_like_dtd,
-        "dblp": dblp_like_dtd,
-    }[config.dtd]()
     documents = generate_collection(
-        dtd, config.document_count, config=GeneratorConfig(seed=config.collection_seed)
+        BUILTIN_DTDS[config.dtd](),
+        config.document_count,
+        config=GeneratorConfig(seed=config.collection_seed),
     )
     return config.shard_documents(documents)
 
@@ -89,7 +84,7 @@ def make_server(config: SimulationConfig, store: DocumentStore) -> BroadcastServ
         packing=config.packing,
         acknowledged_delivery=config.needs_acknowledged_delivery,
         enable_caches=config.server_caches,
-        num_data_channels=config.builder_channels,
+        num_data_channels=config.num_data_channels,
         channel_allocation=config.channel_allocation,
     )
 
@@ -112,7 +107,7 @@ def make_controller(
         config.control_config,
         store,
         cycle_data_capacity=config.cycle_data_capacity,
-        base_channels=config.num_data_channels or 1,
+        base_channels=config.num_data_channels,
         base_allocation=config.channel_allocation,
     )
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.xmlkit.dtd import DTD, ElementDecl, Particle, Repetition
 from repro.xmlkit.model import XMLDocument, XMLElement
@@ -441,3 +441,11 @@ def nasa_like_dtd() -> DTD:
         ElementDecl("date", has_text=True),
     ]
     return DTD(root="dataset", declarations=decls, name="nasa-like")
+
+
+#: The built-in DTDs by the name configurations and the CLI refer to them.
+BUILTIN_DTDS: Dict[str, Callable[[], DTD]] = {
+    "nitf": nitf_like_dtd,
+    "nasa": nasa_like_dtd,
+    "dblp": dblp_like_dtd,
+}

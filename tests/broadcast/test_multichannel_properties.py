@@ -1,6 +1,8 @@
-"""Property suite for the multichannel cycle builder and client.
+"""Property suite for K-data-channel cycle programs and their client.
 
-Hypothesis-driven invariants of ``repro.broadcast.multichannel``:
+Hypothesis-driven invariants of ``allocate_channels`` and the one
+program builder (``repro.broadcast.program.build_cycle_program``) over
+K >= 1 data channels:
 
 * **partition** -- every scheduled document airs on exactly one channel
   exactly once per cycle, for every allocation policy;
@@ -24,17 +26,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.broadcast.multichannel import (
-    ALLOCATION_POLICIES,
-    CHANNEL_ID_BYTES,
-    ChannelOffsetList,
-    allocate_channels,
-    build_multichannel_program,
-)
+from repro.broadcast.multichannel import ALLOCATION_POLICIES, allocate_channels
 from repro.broadcast.packets import PacketKind
 from repro.broadcast.server import BroadcastServer, DocumentStore
 from repro.broadcast.validate import validate_cycle
 from repro.client.twotier import TwoTierClient
+from repro.index.sizes import PAPER_SIZE_MODEL
+from repro.index.twotier import CHANNEL_ID_BYTES, offset_list_air_bytes
 from tests.strategies import document_collections, queries
 
 
@@ -111,10 +109,18 @@ class TestAllocationProperties:
         validate_cycle(cycle, server.store)
 
     def test_channel_field_elided_only_at_k1(self):
-        entries = ((1, 0, 100), (4, 0, 200))
-        single = ChannelOffsetList(entries=entries, num_channels=1)
-        multi = ChannelOffsetList(entries=entries, num_channels=2)
-        assert multi.entry_bytes == single.entry_bytes + CHANNEL_ID_BYTES
+        """The second tier pays one channel byte per entry exactly when
+        there is more than one data channel to point into."""
+        model = PAPER_SIZE_MODEL
+        docs = 2 * model.payload_bytes  # long enough that alignment shows
+        single = offset_list_air_bytes(model, docs, num_channels=1)
+        assert single == model.packet_aligned_bytes(model.offset_list_bytes(docs))
+        for k in (2, 5):
+            assert offset_list_air_bytes(
+                model, docs, num_channels=k
+            ) == model.packet_aligned_bytes(
+                model.offset_list_bytes(docs) + docs * CHANNEL_ID_BYTES
+            )
 
 
 class TestClientProperties:

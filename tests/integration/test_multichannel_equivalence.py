@@ -1,27 +1,39 @@
-"""Single-channel vs K=1 multichannel builds must be byte-identical.
+"""K is a field of the cycle, not a mode: one builder for every K.
 
-The multichannel cycle builder (``repro.broadcast.multichannel``) is a
-generalisation, not a fork: with one data channel it must emit exactly
-the single-channel program -- equal
-:func:`~repro.broadcast.program.program_signature` fingerprints (which
-cover the channel assignment), the channel field elided from the second
-tier, and every client protocol's end-to-end metrics unchanged.  The
-scripted suite pins this per allocation policy and across live
-collection mutation; the Hypothesis suite fuzzes workloads and
-mutations.
+Two contracts pin the default (K = 1) program:
+
+* **goldens** -- SHA-256 digests over the per-cycle
+  :func:`~repro.broadcast.program.program_signature`, segment layout and
+  on-air second-tier length of seeded default-K runs, captured at the
+  last commit that still had a separate single-channel builder
+  (two-tier and one-tier simulations, a server drained across
+  ``add_document``/``remove_document``, an adaptive run clamped to
+  ``k_max=1``).  Nothing the paper's single-channel program put on air
+  may move;
+* **policy identity** -- at K = 1 every allocation policy is the
+  identity (the one queue is the schedule), so a server configured with
+  any policy emits the default server's programs byte for byte, through
+  steady drains, live collection mutation and Hypothesis-fuzzed
+  workloads.
+
+At K >= 2 the signature must tell channel assignments apart.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.broadcast.multichannel import ALLOCATION_POLICIES, MultiChannelCycle
-from repro.broadcast.program import program_signature
+from repro.broadcast.multichannel import ALLOCATION_POLICIES
+from repro.broadcast.program import IndexScheme, program_signature
 from repro.broadcast.server import BroadcastServer, DocumentStore
+from repro.control import ControlConfig
 from repro.sim.config import small_setup
-from repro.sim.simulation import run_simulation
+from repro.sim.simulation import Simulation, run_simulation
+from repro.xmlkit.generator import generate_collection, nitf_like_dtd
 from repro.xmlkit.model import XMLDocument, build_element
 from repro.xpath.parser import parse_query
 from tests.strategies import document_collections, queries
@@ -29,16 +41,112 @@ from tests.strategies import document_collections, queries
 ALL_PROTOCOLS = ("one-tier", "two-tier")
 
 
-def make_pair(docs, allocation="balanced", **kwargs):
-    """A single-channel server and a K=1 multichannel server."""
-    single = BroadcastServer(DocumentStore(docs), **kwargs)
-    multi = BroadcastServer(
+class _ProgramDigest:
+    """Running SHA-256 over what each cycle puts on air."""
+
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+        self.cycles = 0
+
+    def add(self, cycle) -> None:
+        form = (
+            program_signature(cycle),
+            tuple((s.kind.value, s.start, s.length) for s in cycle.layout.segments),
+            cycle.offset_list_air_bytes,
+        )
+        self.sha.update(repr(form).encode("utf-8"))
+        self.cycles += 1
+
+    def result(self):
+        return self.cycles, self.sha.hexdigest()
+
+
+def _simulation_digest(config):
+    digest = _ProgramDigest()
+
+    class Signed(Simulation):
+        def _record_cycle(self, cycle):
+            digest.add(cycle)
+            super()._record_cycle(cycle)
+
+    assert Signed(config).run().completed
+    return digest.result()
+
+
+class TestDefaultKGoldens:
+    """Captured at commit 5ff7714 (``num_data_channels=None``, where
+    ``None`` and ``1`` were pinned identical); never re-capture to make
+    a refactor pass."""
+
+    def test_two_tier_simulation(self):
+        assert _simulation_digest(small_setup()) == (
+            19,
+            "da6d56f634fac2e7a96b1d9aa7bee7598ce1ac2b4aaa36c77dc829b7f27b5669",
+        )
+
+    def test_one_tier_simulation(self):
+        assert _simulation_digest(small_setup(scheme=IndexScheme.ONE_TIER)) == (
+            19,
+            "e427e770fa990e16db205a860eb5d5064b7d36bacefdc15eccda05893f61151d",
+        )
+
+    def test_adaptive_clamped_to_one_channel(self):
+        """The controller runs (governor, policy regret) but K cannot
+        leave 1, so every plan it applies must be layout-neutral."""
+        config = small_setup(
+            adaptive=True,
+            control=ControlConfig(k_min=1, k_max=1, hot_set_size=0),
+        )
+        assert _simulation_digest(config) == (
+            23,
+            "f4c89f5a51a2481bfc5d557da4aacda4453381856ab318df8f7b35b9be4ba3b6",
+        )
+
+    def test_drain_across_collection_mutation(self, nitf_docs, nitf_queries):
+        """add_document every 2nd cycle (with fresh arrivals),
+        remove_document every 3rd, until the server drains."""
+        spare = list(nitf_docs[50:]) + generate_collection(
+            nitf_like_dtd(), 66, seed=101
+        )[60:]
+        server = BroadcastServer(
+            DocumentStore(nitf_docs[:50]), cycle_data_capacity=6_000
+        )
+        for query in nitf_queries[:20]:
+            try:
+                server.submit(query, 0)
+            except ValueError:
+                pass
+        digest = _ProgramDigest()
+        step = 0
+        while server.pending:
+            digest.add(server.build_cycle())
+            step += 1
+            if step % 2 == 0 and spare:
+                server.add_document(spare.pop(0))
+                for query in nitf_queries[20 + step : 22 + step]:
+                    try:
+                        server.submit(query, server.clock)
+                    except ValueError:
+                        pass
+            if step % 3 == 0:
+                server.remove_document(min(server.store.by_id))
+            assert step < 500
+        assert digest.result() == (
+            47,
+            "e40a078e38859999b3227df194cb6bc152e5f784925469ed59e9e89be3e0f32f",
+        )
+
+
+def make_pair(docs, allocation, **kwargs):
+    """The default server and a K=1 server under *allocation*."""
+    default = BroadcastServer(DocumentStore(docs), **kwargs)
+    policy = BroadcastServer(
         DocumentStore(docs),
         num_data_channels=1,
         channel_allocation=allocation,
         **kwargs,
     )
-    return single, multi
+    return default, policy
 
 
 def submit_both(single, multi, query_list, arrival_time=0):
@@ -59,23 +167,24 @@ def assert_cycles_match(single, multi, now=None):
     if cycle_s is None or cycle_m is None:
         assert cycle_s is None and cycle_m is None
         return None
-    assert not isinstance(cycle_s, MultiChannelCycle)
-    assert isinstance(cycle_m, MultiChannelCycle)
+    assert cycle_s.num_data_channels == cycle_m.num_data_channels == 1
     assert program_signature(cycle_s) == program_signature(cycle_m)
     # Byte identity, not just fingerprint identity: same layout, same
-    # on-air second-tier length (channel field elided at K=1), same
-    # placement.
+    # on-air second-tier length (no channel field at K=1), same
+    # placement, one queue that is the schedule.
     assert cycle_m.layout.segments == cycle_s.layout.segments
     assert cycle_m.offset_list_air_bytes == cycle_s.offset_list_air_bytes
     assert cycle_m.doc_offsets == cycle_s.doc_offsets
     assert cycle_m.total_bytes == cycle_s.total_bytes
+    assert cycle_m.channel_queues == (cycle_m.doc_ids,)
+    assert cycle_m.channel_spans == (cycle_m.data_bytes,)
     return cycle_m
 
 
 class TestScriptedEquivalence:
     @pytest.mark.parametrize("allocation", ALLOCATION_POLICIES)
     def test_steady_drain_per_policy(self, nitf_docs, nitf_queries, allocation):
-        """Every allocation policy degenerates to the identity at K=1."""
+        """Every allocation policy is the identity at K=1."""
         single, multi = make_pair(
             nitf_docs, allocation=allocation, cycle_data_capacity=4_000
         )
@@ -94,7 +203,7 @@ class TestScriptedEquivalence:
             XMLDocument(1, build_element("a", build_element("b", build_element("c")))),
             XMLDocument(2, build_element("a", build_element("c", text="y" * 60))),
         ]
-        single, multi = make_pair(docs, cycle_data_capacity=64)
+        single, multi = make_pair(docs, "demand", cycle_data_capacity=64)
         for server in (single, multi):
             server.submit(parse_query("/a/b"), 0)
             server.submit(parse_query("/a//c"), 0)
@@ -138,8 +247,8 @@ class TestScriptedEquivalence:
 
     @pytest.mark.parametrize("allocation", ALLOCATION_POLICIES)
     def test_simulation_client_metrics_identical(self, allocation):
-        """End-to-end: a K=1 multichannel simulation reproduces every
-        protocol's client records."""
+        """End-to-end: the policy cannot move any protocol's client
+        records at K=1."""
         base = dict(document_count=40, n_q=12, cycle_data_capacity=10_000)
         res_single = run_simulation(small_setup(**base))
         res_multi = run_simulation(
@@ -185,8 +294,9 @@ class TestPropertyEquivalence:
     def test_equivalence_survives_live_mutation(
         self, docs, extra_docs, query_list, capacity
     ):
-        """Mid-drain add/remove mutations keep the K=1 build identical."""
-        single, multi = make_pair(docs, cycle_data_capacity=capacity)
+        """Mid-drain add/remove mutations keep the policies identical
+        (``demand`` is the one that reads the live demand table)."""
+        single, multi = make_pair(docs, "demand", cycle_data_capacity=capacity)
         if not submit_both(single, multi, query_list):
             return
         assert_cycles_match(single, multi)

@@ -196,7 +196,7 @@ class TestClusterParity:
         from the start of the run (clients tune before cycle 1)."""
         reports, daemons, _, _ = cluster_run
         for shard, (_, _, sim_signatures) in enumerate(references):
-            assert daemons[shard].cycles_streamed == len(sim_signatures)
+            assert daemons[shard].stats.cycles_streamed == len(sim_signatures)
             for report in reports[shard]:
                 assert report.signatures, f"shard {shard}: no cycles decoded"
                 assert (

@@ -190,7 +190,7 @@ class TestLifecycle:
         # The drain finishes the pending query before closing, so the
         # client is satisfied despite the interrupt.
         assert report.satisfied
-        assert daemon.cycles_streamed >= 1
+        assert daemon.stats.cycles_streamed >= 1
 
     def test_max_queries_closes_admission(self, store, config):
         """The quota rejects further SUBMITs even before any broadcast."""

@@ -111,7 +111,7 @@ def _check_parity(
             timeout=300,
         )
     )
-    assert daemon.cycles_streamed == len(sim_signatures)
+    assert daemon.stats.cycles_streamed == len(sim_signatures)
     for i, (report, want) in enumerate(zip(reports, expected)):
         assert report.protocol == protocol_name
         assert report.satisfied, f"client {i} not satisfied"

@@ -322,7 +322,7 @@ class TestEventsAndFlight:
             daemon.start_broadcast()
             await client.run_session()
             await client.close()
-            return daemon.cycles_streamed
+            return daemon.stats.cycles_streamed
 
         net = DaemonConfig(
             autostart=False, telemetry=TelemetryConfig(flight=flight)

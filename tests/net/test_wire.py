@@ -9,6 +9,9 @@ channel assignment.
 
 from __future__ import annotations
 
+import json
+import struct
+
 import pytest
 
 from repro.broadcast.program import IndexScheme, program_signature
@@ -125,8 +128,6 @@ class TestTamperDetection:
         cycle = _build_cycle(store, nitf_queries[:8])
         frames = encode_cycle(cycle, store)
         decoder = CycleDecoder()
-        import json
-
         for frame in frames:
             payload = frame.payload
             if frame.kind is FrameKind.CYCLE_BEGIN:
@@ -155,3 +156,235 @@ class TestTamperDetection:
         decoder = CycleDecoder()
         with pytest.raises(WireProtocolError, match="outside"):
             decoder.feed(FrameKind.INDEX, b"")
+
+
+def _feed_all(frames, **decoder_kwargs):
+    decoder = CycleDecoder(share=False, **decoder_kwargs)
+    result = None
+    for kind, payload in frames:
+        result = decoder.feed(kind, payload)
+    return result
+
+
+def _rewrite(cycle, store, kind, edit, which=0):
+    """The cycle's frames with the *which*-th *kind* payload edited."""
+    frames, seen = [], 0
+    for frame in encode_cycle(cycle, store):
+        payload = frame.payload
+        if frame.kind is kind:
+            if seen == which:
+                payload = edit(payload)
+            seen += 1
+        frames.append((frame.kind, payload))
+    return frames
+
+
+def _swap_entries(entry_bytes):
+    def edit(payload):
+        first = payload[2 : 2 + entry_bytes]
+        second = payload[2 + entry_bytes : 2 + 2 * entry_bytes]
+        return payload[:2] + second + first + payload[2 + 2 * entry_bytes :]
+
+    return edit
+
+
+def _doc_field(key, value):
+    """Overwrite one field of a DOC frame's JSON header line."""
+
+    def edit(payload):
+        head, _, body = payload.partition(b"\n")
+        info = json.loads(head)
+        info[key] = value(info[key]) if callable(value) else value
+        return json.dumps(info).encode("utf-8") + b"\n" + body
+
+    return edit
+
+
+def _doc_channel(channel):
+    return _doc_field(
+        "channel", channel if channel is not None else lambda current: 1 - current
+    )
+
+
+#: K=2 OFFSETS entries are <doc 2 | channel 1 | offset 4>
+_HOSTILE_OFFSETS = {
+    "swapped": _swap_entries(7),
+    "duplicated": lambda p: p[:9] + p[2:9] + p[16:],
+    "channel-out-of-range": lambda p: p[:4] + b"\x07" + p[5:],
+    "truncated": lambda p: p[:-3],
+}
+
+
+class TestWireShape:
+    """One CYCLE_BEGIN shape and one OFFSETS codec for every K."""
+
+    @pytest.mark.parametrize("allocation", ("round-robin", "balanced", "demand"))
+    @pytest.mark.parametrize("num_channels", (1, 2, 4))
+    def test_channel_layout_round_trips_from_doc_frames(
+        self, store, nitf_queries, num_channels, allocation
+    ):
+        """The header carries K and the policy only; queues, spans and the
+        channel map are rebuilt from the DOC frames and must come back
+        equal."""
+        cycle = _build_cycle(
+            store,
+            nitf_queries[:12],
+            num_data_channels=num_channels,
+            channel_allocation=allocation,
+        )
+        assert len(cycle.doc_ids) >= 2
+        rebuilt, decoder = _round_trip(cycle, store, verify=True, share=False)
+        header = decoder.last_header
+        assert header["num_channels"] == num_channels
+        assert header["allocation"] == allocation
+        assert not {"multichannel", "channel_queues", "channel_spans"} & set(header)
+        assert rebuilt.num_data_channels == num_channels
+        assert rebuilt.allocation == allocation
+        assert rebuilt.channel_queues == cycle.channel_queues
+        assert rebuilt.channel_spans == cycle.channel_spans
+        assert rebuilt.doc_channels == cycle.doc_channels
+        assert rebuilt.offset_list_air_bytes == cycle.offset_list_air_bytes
+        assert rebuilt.idle_padding_bytes == cycle.idle_padding_bytes
+        assert program_signature(rebuilt) == program_signature(cycle)
+
+
+class TestHostileOffsets:
+    """Corrupted second tiers and DOC channel fields are typed protocol
+    errors (the client's drop/resume path), never a bare ValueError."""
+
+    @pytest.mark.parametrize("corruption", sorted(_HOSTILE_OFFSETS))
+    def test_k2_offsets_corruption_is_a_wire_error(
+        self, store, nitf_queries, corruption
+    ):
+        cycle = _build_cycle(store, nitf_queries[:8], num_data_channels=2)
+        assert len(cycle.doc_ids) >= 2
+        frames = _rewrite(
+            cycle, store, FrameKind.OFFSETS, _HOSTILE_OFFSETS[corruption]
+        )
+        with pytest.raises(WireProtocolError):
+            _feed_all(frames)
+
+    def test_k1_unsorted_offsets_is_a_wire_error(self, store, nitf_queries):
+        cycle = _build_cycle(store, nitf_queries[:8])
+        assert len(cycle.doc_ids) >= 2
+        frames = _rewrite(cycle, store, FrameKind.OFFSETS, _swap_entries(6))
+        with pytest.raises(WireProtocolError, match="offset list"):
+            _feed_all(frames)
+
+    @pytest.mark.parametrize("channel", (None, 2, -1))
+    def test_doc_header_channel_must_agree(self, store, nitf_queries, channel):
+        """``None`` flips the document to the other (valid) channel."""
+        cycle = _build_cycle(store, nitf_queries[:8], num_data_channels=2)
+        frames = _rewrite(cycle, store, FrameKind.DOC, _doc_channel(channel))
+        with pytest.raises(WireProtocolError, match="channel"):
+            _feed_all(frames, verify=False)
+
+    @pytest.mark.parametrize("key", ("offset", "air_bytes", "channel"))
+    @pytest.mark.parametrize("value", ("12", None, 1.5), ids=repr)
+    def test_doc_header_placement_fields_must_be_ints(
+        self, store, nitf_queries, key, value
+    ):
+        """``air_bytes`` feeds the span rebuild's arithmetic: a string or
+        null there must not escape ``feed`` as a bare TypeError."""
+        cycle = _build_cycle(store, nitf_queries[:8], num_data_channels=2)
+        frames = _rewrite(cycle, store, FrameKind.DOC, _doc_field(key, value))
+        with pytest.raises(WireProtocolError, match="document header"):
+            _feed_all(frames, verify=False)
+
+    @pytest.mark.parametrize("num_channels", (0, 257, 10**9, "2", None))
+    def test_header_channel_count_is_bounded(self, store, nitf_queries, num_channels):
+        """The one-byte channel field caps K at 256; a header asking for
+        more must be refused before the decoder sizes anything by it."""
+        cycle = _build_cycle(store, nitf_queries[:8], num_data_channels=2)
+
+        def edit(payload):
+            header = json.loads(payload)
+            header["num_channels"] = num_channels
+            return json.dumps(header).encode("utf-8")
+
+        frames = _rewrite(cycle, store, FrameKind.CYCLE_BEGIN, edit)
+        with pytest.raises(WireProtocolError, match="channel count"):
+            _feed_all(frames, verify=False)
+
+    def test_single_channel_doc_header_must_say_channel_zero(
+        self, store, nitf_queries
+    ):
+        cycle = _build_cycle(store, nitf_queries[:8], scheme=IndexScheme.ONE_TIER)
+        frames = _rewrite(cycle, store, FrameKind.DOC, _doc_channel(1))
+        with pytest.raises(WireProtocolError, match="channel"):
+            _feed_all(frames, verify=False)
+
+    def test_resuming_client_reconnects_past_a_corrupted_k2_cycle(self, nitf_docs):
+        """A frame-rewriting proxy swaps two OFFSETS entries of the first
+        K=2 cycle it relays; a resume-mode client must drop that
+        connection, come back through the same door and finish."""
+        import asyncio
+
+        from repro.net import AsyncTwoTierClient, BroadcastDaemon, DaemonConfig
+        from repro.net.framing import encode_frame, read_frame
+
+        corrupted = []
+
+        async def pump_up(reader, writer):
+            try:
+                while data := await reader.read(65536):
+                    writer.write(data)
+                    await writer.drain()
+            except (ConnectionError, OSError):
+                pass
+            finally:
+                writer.close()
+
+        async def pump_down(reader, writer):
+            try:
+                while True:
+                    kind, payload = await read_frame(reader)
+                    if kind is FrameKind.OFFSETS and not corrupted:
+                        (count,) = struct.unpack_from(">H", payload, 0)
+                        if count >= 2:
+                            payload = _swap_entries(7)(payload)
+                            corrupted.append(count)
+                    writer.write(encode_frame(kind, payload))
+                    await writer.drain()
+            except (asyncio.IncompleteReadError, ConnectionError, OSError):
+                pass
+            finally:
+                writer.close()
+
+        async def body():
+            daemon = BroadcastDaemon(
+                DocumentStore(nitf_docs[:40]),
+                small_setup(num_data_channels=2, cycle_data_capacity=4_000),
+                DaemonConfig(),
+            )
+            await daemon.start()
+
+            async def relay(client_reader, client_writer):
+                up_reader, up_writer = await asyncio.open_connection(
+                    "127.0.0.1", daemon.port
+                )
+                await asyncio.gather(
+                    pump_up(client_reader, up_writer),
+                    pump_down(up_reader, client_writer),
+                )
+
+            proxy = await asyncio.start_server(relay, "127.0.0.1", 0)
+            try:
+                client = AsyncTwoTierClient(
+                    "//nitf",
+                    port=proxy.sockets[0].getsockname()[1],
+                    client_key=7,
+                    resume=True,
+                    resume_delay=0.01,
+                )
+                return await client.run()
+            finally:
+                proxy.close()
+                await proxy.wait_closed()
+                daemon.request_stop()
+                await daemon.wait_done()
+
+        report = asyncio.run(asyncio.wait_for(body(), timeout=60))
+        assert corrupted, "the proxy never saw a two-entry OFFSETS frame"
+        assert report.satisfied
+        assert report.resumes >= 1

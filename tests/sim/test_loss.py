@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.config import small_setup
-from repro.sim.loss import LOSSLESS, PacketLossModel
+from repro.broadcast.loss import LOSSLESS, PacketLossModel
 from repro.sim.simulation import run_simulation
 
 

@@ -78,6 +78,50 @@ class TestExports:
         with pytest.raises(ImportError):
             importlib.import_module(f"repro.client.{module_name}")
 
+    def test_broadcast_surface_is_exact(self):
+        """One cycle class, one program builder: the K-channel twins of
+        ``BroadcastCycle`` / ``build_cycle_program`` are gone."""
+        import repro.broadcast
+
+        assert set(repro.broadcast.__all__) == {
+            "PacketKind",
+            "CycleLayout",
+            "Scheduler",
+            "FCFSScheduler",
+            "LeeLoScheduler",
+            "MostRequestedFirstScheduler",
+            "RxWScheduler",
+            "make_scheduler",
+            "BroadcastCycle",
+            "IndexScheme",
+            "build_cycle_program",
+            "ALLOCATION_POLICIES",
+            "allocate_channels",
+            "BroadcastServer",
+            "DocumentStore",
+            "PartitionMap",
+            "PendingQuery",
+            "ShardIdentity",
+            "LOSSLESS",
+            "PacketLossModel",
+            "CycleValidationError",
+            "validate_cycle",
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        ["MultiChannelCycle", "ChannelOffsetList", "build_multichannel_program"],
+    )
+    def test_multichannel_fork_is_gone(self, name):
+        import repro
+        import repro.broadcast
+        import repro.broadcast.multichannel
+
+        for module in (repro, repro.broadcast, repro.broadcast.multichannel):
+            assert not hasattr(module, name)
+        with pytest.raises(ImportError):
+            exec(f"from repro.broadcast import {name}")
+
 
 class TestQuickstartSnippet:
     def test_readme_quickstart_runs(self):
