@@ -1,4 +1,4 @@
-"""Cycle-build cache benchmark: cached vs ``--no-cache`` servers.
+"""Cycle-build cache benchmark: cached vs ``enable_caches=False`` servers.
 
 Two scenarios drive identical submissions through a cached and an
 uncached :class:`~repro.broadcast.server.BroadcastServer`:
@@ -90,7 +90,7 @@ def test_cycle_cache_steady_state_speedup(context, record_figure):
     plain_sigs, plain, _ = _steady_state(context.documents, pool, False)
 
     # Failure condition: caching must not change a single broadcast byte.
-    assert cached_sigs == plain_sigs, "cached cycle programs diverge from --no-cache"
+    assert cached_sigs == plain_sigs, "cached cycle programs diverge from enable_caches=False"
     assert len(cached_sigs) >= 20
 
     rows = []
@@ -137,7 +137,7 @@ def test_cycle_cache_drain_equivalence(context, record_figure):
     cached_sigs, cached, server = _drain(context.documents, queries, True)
     plain_sigs, plain, _ = _drain(context.documents, queries, False)
 
-    assert cached_sigs == plain_sigs, "cached cycle programs diverge from --no-cache"
+    assert cached_sigs == plain_sigs, "cached cycle programs diverge from enable_caches=False"
     assert len(cached_sigs) >= 20
 
     rows = []

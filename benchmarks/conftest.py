@@ -12,7 +12,6 @@ run recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 
@@ -21,39 +20,10 @@ import pytest
 from repro.experiments.runner import ExperimentContext, FigureResult
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 
 def bench_scale() -> str:
     return os.environ.get("REPRO_BENCH_SCALE", "bench")
-
-
-def pytest_sessionfinish(session, exitstatus) -> None:
-    """Emit a ``BENCH_*.json`` perf snapshot after every benchmark run.
-
-    One small instrumented simulation (the ``repro stats --json``
-    machinery) records phase wall-clock timings and byte accounting, so
-    successive benchmark runs leave a diffable perf trajectory behind.
-    Disable with ``REPRO_BENCH_PERF=0``.
-    """
-    if os.environ.get("REPRO_BENCH_PERF", "1") != "1":
-        return
-    try:
-        from repro import obs
-        from repro.obs.report import report_from_result
-        from repro.sim.config import small_setup
-        from repro.sim.simulation import run_simulation
-
-        with obs.observed():
-            result = run_simulation(small_setup())
-        report = report_from_result(result)
-        path = REPO_ROOT / f"BENCH_perf_{bench_scale()}.json"
-        path.write_text(
-            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    except Exception as exc:  # never fail the bench session over telemetry
-        print(f"perf snapshot skipped: {exc}")
 
 
 @pytest.fixture(scope="session")

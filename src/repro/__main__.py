@@ -10,37 +10,23 @@ Subcommands:
   summary;
 * ``stats``     -- phase-timing + byte-accounting perf report, from a
   saved trace (``--trace``) or a fresh observed run; ``--json`` for the
-  machine-readable form the benchmark harness snapshots; v3 traces with
-  ``query_trace`` records also render per-query wire latency breakdowns;
-* ``serve``     -- run the live broadcast daemon: asyncio uplink for
-  XPath submissions, paced downlink streaming each built cycle as wire
-  frames (see ``repro.net``); SIGINT drains gracefully.  Progress goes
-  to **stderr** as structured events (``--log-level``/``--log-json``);
-  stdout stays clean for automation.  ``--metrics-port`` serves
-  OpenMetrics at ``/metrics`` (+ drain-aware ``/healthz``) and
-  ``--flight-dir`` arms the flight recorder.  ``--journal FILE`` arms
-  the write-ahead query journal: admitted-but-unsatisfied queries
-  survive a crash and are replayed on the next boot (``--epoch N``
-  advertises the restart generation to reconnecting clients).
-  ``--workers N`` runs the sharded cluster tier instead: N worker
-  subprocesses each serving its partition-map slice behind one
-  front-door router with per-shard health tracking (``--redirect``
-  keeps the router out of the data plane, ``--max-sessions`` bounds
-  cluster-wide admission, the metrics port aggregates every worker's
-  exposition relabelled per shard); the supervisor journals every
-  worker, watches for crashes and respawns dead workers with backoff
-  under a bumped epoch (``--no-failover`` disables the watch,
-  ``--heartbeat-interval`` adds hung-worker detection); ``--shard
-  i/N`` runs one worker of such a cluster directly;
-* ``client``    -- submit one query to a running daemon, tune in with
-  the two-tier protocol and print the access/tuning byte accounting;
-  ``--trace`` requests an end-to-end wire trace (``--trace-out`` saves
-  it as a v3 trace file for ``stats --trace``); ``--shard`` pins the
-  session to one cluster shard (``MOVED`` redirects are followed);
-* ``figures``   -- pointer to ``python -m repro.experiments``.
+  machine-readable form; v3 traces with ``query_trace`` records also
+  render per-query wire latency breakdowns;
+* ``serve``     -- run the live broadcast daemon: framed uplink for
+  XPath submissions (grammar: :mod:`repro.net.uplink`), paced downlink
+  streaming each built cycle as wire frames; SIGINT drains gracefully
+  and progress goes to **stderr** as structured events, so stdout stays
+  clean for automation.  ``--workers N`` runs the sharded, self-healing
+  cluster tier instead (N journaled worker subprocesses behind one
+  front-door router); ``--shard i/N`` runs one such worker directly;
+* ``client``    -- submit one query to a running daemon or front door,
+  tune in with the two-tier protocol and print the access/tuning byte
+  accounting (``--trace`` adds the end-to-end wire latency breakdown).
 
-Everything except ``serve``/``client`` (which talk TCP on localhost by
-default) is seeded and offline; see ``--help`` of each subcommand.
+The paper's tables and figures have their own entry point, ``python -m
+repro.experiments``.  Everything except ``serve``/``client`` (which talk
+TCP on localhost by default) is seeded and offline; every flag is
+documented under ``--help`` of its subcommand.
 """
 
 from __future__ import annotations
@@ -48,6 +34,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import pathlib
 import secrets
 import sys
 from typing import List, Optional
@@ -55,6 +42,7 @@ from typing import List, Optional
 from repro import obs
 from repro.broadcast.program import IndexScheme
 from repro.broadcast.server import DocumentStore, build_ci_from_store
+from repro.control.plan import ControlConfig
 from repro.experiments.report import print_table
 from repro.filtering.yfilter import YFilterEngine
 from repro.index.pruning import prune_to_pci
@@ -83,9 +71,21 @@ def _add_collection_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=7)
 
 
-def _add_channel_args(parser: argparse.ArgumentParser) -> None:
+def _add_program_args(parser: argparse.ArgumentParser) -> None:
+    """The flags :func:`_simulation_config` reads -- collection, cycle
+    program, channels, adaptive control plane -- shared by ``simulate``,
+    ``stats`` and ``serve``."""
     from repro.broadcast.multichannel import ALLOCATION_POLICIES
 
+    _add_collection_args(parser)
+    parser.add_argument("--collection", help="load a saved collection directory")
+    parser.add_argument("--capacity", type=int, default=200_000)
+    parser.add_argument(
+        "--scheduler", choices=("leelo", "fcfs", "mrf", "rxw"), default="leelo"
+    )
+    parser.add_argument(
+        "--scheme", choices=("one-tier", "two-tier"), default="two-tier"
+    )
     parser.add_argument(
         "--channels",
         type=int,
@@ -100,9 +100,6 @@ def _add_channel_args(parser: argparse.ArgumentParser) -> None:
         default="balanced",
         help="how the schedule splits across data channels",
     )
-
-
-def _add_adaptive_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--adaptive",
         action="store_true",
@@ -126,40 +123,6 @@ def _add_adaptive_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--control-seed", type=int, default=0,
         help="adaptive: controller tie-break seed",
-    )
-
-
-def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
-    from repro.sim.config import SCENARIOS
-
-    parser.add_argument(
-        "--scenario",
-        choices=SCENARIOS,
-        default=None,
-        help="shape the arrival stream: flash crowd, diurnal wave, or "
-        "popularity drift (default: the paper's constant-rate stream)",
-    )
-    parser.add_argument(
-        "--scenario-intensity", type=float, default=3.0,
-        help="peak load as a multiple of N_Q (flash/diurnal)",
-    )
-    parser.add_argument(
-        "--scenario-period", type=int, default=8,
-        help="cycles per diurnal wave / drift hot-slice rotation",
-    )
-
-
-def _control_config(args):
-    """The CLI's ControlConfig, or None when --adaptive is off."""
-    if not getattr(args, "adaptive", False):
-        return None
-    from repro.control import ControlConfig
-
-    return ControlConfig(
-        k_min=getattr(args, "k_min", 1),
-        k_max=getattr(args, "k_max", 4),
-        hot_set_size=getattr(args, "hot_set_size", 0),
-        seed=getattr(args, "control_seed", 0),
     )
 
 
@@ -239,7 +202,24 @@ def cmd_index(args) -> int:
     return 0
 
 
-def _add_fault_args(parser: argparse.ArgumentParser) -> None:
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    """Everything ``simulate`` and ``stats`` share: the program flags
+    plus the workload, loss, fault and scenario flags :func:`_run_config`
+    reads (a daemon has no use for those)."""
+    from repro.sim.config import SCENARIOS
+
+    _add_program_args(parser)
+    parser.add_argument("--queries", type=int, default=100, help="N_Q per cycle")
+    parser.add_argument("--p", type=float, default=0.1)
+    parser.add_argument("--dq", type=int, default=10)
+    parser.add_argument("--arrival-cycles", type=int, default=2)
+    parser.add_argument(
+        "--loss",
+        type=float,
+        default=0.0,
+        help="per-packet erasure probability (error-prone channel); the "
+        "report then covers the client's loss-recovery accounting",
+    )
     parser.add_argument(
         "--faults",
         action="store_true",
@@ -252,6 +232,21 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=0,
         help="seed of the fault plan (every injected fault is deterministic)",
+    )
+    parser.add_argument(
+        "--scenario",
+        choices=SCENARIOS,
+        default=None,
+        help="shape the arrival stream: flash crowd, diurnal wave, or "
+        "popularity drift (default: the paper's constant-rate stream)",
+    )
+    parser.add_argument(
+        "--scenario-intensity", type=float, default=3.0,
+        help="peak load as a multiple of N_Q (flash/diurnal)",
+    )
+    parser.add_argument(
+        "--scenario-period", type=int, default=8,
+        help="cycles per diurnal wave / drift hot-slice rotation",
     )
 
 
@@ -268,7 +263,14 @@ def _simulation_config(args, **overrides) -> SimulationConfig:
         num_data_channels=args.channels,
         channel_allocation=args.allocation,
         adaptive=args.adaptive,
-        control=_control_config(args),
+        control=ControlConfig(
+            k_min=args.k_min,
+            k_max=args.k_max,
+            hot_set_size=args.hot_set_size,
+            seed=args.control_seed,
+        )
+        if args.adaptive
+        else None,
         **overrides,
     )
 
@@ -289,7 +291,6 @@ def _run_config(args) -> SimulationConfig:
         loss_prob=args.loss,
         faults=faults,
         arrival_cycles=args.arrival_cycles,
-        server_caches=not args.no_cache,
         scenario=args.scenario,
         scenario_intensity=args.scenario_intensity,
         scenario_period=args.scenario_period,
@@ -353,8 +354,6 @@ def cmd_stats(args) -> int:
     else:
         print(report.render())
     if args.out:
-        import pathlib
-
         pathlib.Path(args.out).write_text(
             json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
@@ -377,10 +376,18 @@ def _parse_shard(spec: Optional[str]):
     return index, total
 
 
+def _write_port_files(args, port: int, metrics_port: Optional[int]) -> None:
+    """``--port-file`` / ``--metrics-port-file``: where scripted clients
+    and the cluster supervisor learn an ephemeral port."""
+    if args.port_file:
+        pathlib.Path(args.port_file).write_text(f"{port}\n")
+    if args.metrics_port_file and metrics_port is not None:
+        pathlib.Path(args.metrics_port_file).write_text(f"{metrics_port}\n")
+
+
 def cmd_serve(args) -> int:
     """Run the live broadcast daemon until SIGINT/SIGTERM drains it."""
     import asyncio
-    import pathlib
     import signal
 
     from repro.net import BroadcastDaemon, DaemonConfig, MonotonicClock
@@ -461,12 +468,7 @@ def cmd_serve(args) -> int:
             metrics_port=daemon.metrics_port,
             shard=args.shard or "none",
         )
-        if args.port_file:
-            pathlib.Path(args.port_file).write_text(f"{daemon.port}\n")
-        if args.metrics_port_file and daemon.metrics_port is not None:
-            pathlib.Path(args.metrics_port_file).write_text(
-                f"{daemon.metrics_port}\n"
-            )
+        _write_port_files(args, daemon.port, daemon.metrics_port)
         await daemon.wait_done()
         status = daemon.status()
         log.info(
@@ -481,41 +483,56 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _serve_cluster(args) -> int:
-    """``serve --workers N``: supervisor + front-door router."""
-    import asyncio
-    import pathlib
-    import signal
-
-    from repro.net.cluster import ClusterConfig, ClusterRouter, ClusterSupervisor
-
-    passthrough = [
+def _worker_argv(args) -> List[str]:
+    """The ``serve`` flags a front door hands each of its workers: all
+    that shapes the collection, the broadcast program or the daemon, so a
+    worker re-parses to the front door's own :func:`_simulation_config`
+    (a unit test holds the two equal).  The per-worker flags -- shard,
+    epoch, ports, journal, flight directory -- are the supervisor's."""
+    argv = [
         "--dtd", args.dtd,
         "--count", str(args.count),
         "--seed", str(args.seed),
         "--capacity", str(args.capacity),
         "--scheduler", args.scheduler,
         "--scheme", args.scheme,
-        "--max-pending", str(args.max_pending),
-        "--log-level", args.log_level,
         "--channels", str(args.channels),
         "--allocation", args.allocation,
+        "--k-min", str(args.k_min),
+        "--k-max", str(args.k_max),
+        "--hot-set-size", str(args.hot_set_size),
+        "--control-seed", str(args.control_seed),
+        "--max-pending", str(args.max_pending),
+        "--log-level", args.log_level,
     ]
-    if args.collection:
-        passthrough += ["--collection", args.collection]
-    if args.bandwidth is not None:
-        passthrough += ["--bandwidth", str(args.bandwidth)]
-    if args.max_queries is not None:
-        passthrough += ["--max-queries", str(args.max_queries)]
+    if args.adaptive:
+        argv.append("--adaptive")
     if args.log_json:
-        passthrough.append("--log-json")
+        argv.append("--log-json")
+    if args.collection is not None:
+        argv += ["--collection", args.collection]
+    if args.workload is not None:
+        argv += ["--workload", args.workload]
+    if args.bandwidth is not None:
+        argv += ["--bandwidth", str(args.bandwidth)]
+    if args.max_queries is not None:
+        argv += ["--max-queries", str(args.max_queries)]
+    return argv
+
+
+def _serve_cluster(args) -> int:
+    """``serve --workers N``: supervisor + front-door router."""
+    import asyncio
+    import signal
+
+    from repro.net.cluster import ClusterConfig, ClusterRouter, ClusterSupervisor
 
     supervisor = ClusterSupervisor(
         args.workers,
         partition_seed=args.partition_seed,
-        serve_args=passthrough,
+        serve_args=_worker_argv(args),
         metrics=args.metrics_port is not None,
-        journal=not args.no_failover,
+        journal=True,
         flight=bool(args.flight_dir),
         heartbeat_interval=args.heartbeat_interval,
     )
@@ -541,15 +558,13 @@ def _serve_cluster(args) -> int:
             ),
         )
         await router.start()
-        monitor_task = None
-        if not args.no_failover:
 
-            def _on_event(event) -> None:
-                print(f"cluster: {event}", file=sys.stderr)
+        def _on_event(event) -> None:
+            print(f"cluster: {event}", file=sys.stderr)
 
-            monitor_task = asyncio.create_task(
-                supervisor.monitor(router, on_event=_on_event)
-            )
+        monitor_task = asyncio.create_task(
+            supervisor.monitor(router, on_event=_on_event)
+        )
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         loop.add_signal_handler(signal.SIGINT, stop.set)
@@ -560,18 +575,12 @@ def _serve_cluster(args) -> int:
             f"metrics_port={router.metrics_port})",
             file=sys.stderr,
         )
-        if args.port_file:
-            pathlib.Path(args.port_file).write_text(f"{router.port}\n")
-        if args.metrics_port_file and router.metrics_port is not None:
-            pathlib.Path(args.metrics_port_file).write_text(
-                f"{router.metrics_port}\n"
-            )
+        _write_port_files(args, router.port, router.metrics_port)
         await stop.wait()
         print("cluster: draining workers", file=sys.stderr)
-        if monitor_task is not None:
-            monitor_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await monitor_task
+        monitor_task.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await monitor_task
         codes = await asyncio.to_thread(supervisor.stop)
         await router.stop()
         print(f"cluster: workers exited {codes}", file=sys.stderr)
@@ -673,50 +682,24 @@ def build_parser() -> argparse.ArgumentParser:
     generate.set_defaults(func=cmd_generate)
 
     workload = commands.add_parser("workload", help="print a query workload")
-    _add_collection_args(workload)
     workload.add_argument("--queries", type=int, default=20)
-    workload.add_argument("--query-seed", type=int, default=11)
-    workload.add_argument("--p", type=float, default=0.1)
-    workload.add_argument("--dq", type=int, default=10)
-    workload.add_argument("--collection", help="load a saved collection directory")
     workload.add_argument("--out", help="write the workload to a file")
     workload.set_defaults(func=cmd_workload)
 
     index = commands.add_parser("index", help="build CI/PCI/two-tier and size them")
-    _add_collection_args(index)
     index.add_argument("--queries", type=int, default=100)
-    index.add_argument("--query-seed", type=int, default=11)
-    index.add_argument("--p", type=float, default=0.1)
-    index.add_argument("--dq", type=int, default=10)
-    index.add_argument("--collection", help="load a saved collection directory")
     index.add_argument("--workload", help="load a saved workload file")
     index.set_defaults(func=cmd_index)
 
+    for offline in (workload, index):  # both draw a workload from a collection
+        _add_collection_args(offline)
+        offline.add_argument("--query-seed", type=int, default=11)
+        offline.add_argument("--p", type=float, default=0.1)
+        offline.add_argument("--dq", type=int, default=10)
+        offline.add_argument("--collection", help="load a saved collection directory")
+
     simulate = commands.add_parser("simulate", help="run one broadcast simulation")
-    _add_collection_args(simulate)
-    simulate.add_argument("--queries", type=int, default=100, help="N_Q per cycle")
-    simulate.add_argument("--p", type=float, default=0.1)
-    simulate.add_argument("--dq", type=int, default=10)
-    simulate.add_argument("--capacity", type=int, default=200_000)
-    simulate.add_argument("--arrival-cycles", type=int, default=2)
-    simulate.add_argument(
-        "--scheduler", choices=("leelo", "fcfs", "mrf", "rxw"), default="leelo"
-    )
-    simulate.add_argument(
-        "--scheme", choices=("one-tier", "two-tier"), default="two-tier"
-    )
-    simulate.add_argument("--loss", type=float, default=0.0)
-    _add_fault_args(simulate)
-    _add_channel_args(simulate)
-    _add_adaptive_args(simulate)
-    _add_scenario_args(simulate)
-    simulate.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the server's incremental cycle-build caches "
-        "(escape hatch; cycle programs are byte-identical either way)",
-    )
-    simulate.add_argument("--collection", help="load a saved collection directory")
+    _add_run_args(simulate)
     simulate.add_argument("--trace", help="export the run as a JSONL trace")
     simulate.set_defaults(func=cmd_simulate)
 
@@ -726,35 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Render a perf report from a saved trace (--trace) or "
         "from a fresh simulation run with observability enabled.",
     )
-    _add_collection_args(stats)
-    stats.add_argument("--queries", type=int, default=100, help="N_Q per cycle")
-    stats.add_argument("--p", type=float, default=0.1)
-    stats.add_argument("--dq", type=int, default=10)
-    stats.add_argument("--capacity", type=int, default=200_000)
-    stats.add_argument("--arrival-cycles", type=int, default=2)
-    stats.add_argument(
-        "--scheduler", choices=("leelo", "fcfs", "mrf", "rxw"), default="leelo"
-    )
-    stats.add_argument(
-        "--scheme", choices=("one-tier", "two-tier"), default="two-tier"
-    )
-    stats.add_argument(
-        "--loss",
-        type=float,
-        default=0.0,
-        help="per-packet erasure probability (error-prone channel); the "
-        "report then covers the client's loss-recovery accounting",
-    )
-    _add_fault_args(stats)
-    _add_channel_args(stats)
-    _add_adaptive_args(stats)
-    _add_scenario_args(stats)
-    stats.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the server's incremental cycle-build caches",
-    )
-    stats.add_argument("--collection", help="load a saved collection directory")
+    _add_run_args(stats)
     stats.add_argument("--trace", help="report from this JSONL trace instead of running")
     stats.add_argument(
         "--export-trace", help="also export the fresh run as a (v3) JSONL trace"
@@ -773,8 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
         "frames.  SIGINT/SIGTERM drain gracefully (pending queries are "
         "served, then subscribers get SERVER_BYE).",
     )
-    _add_collection_args(serve)
-    serve.add_argument("--collection", help="load a saved collection directory")
+    _add_program_args(serve)
     serve.add_argument("--workload", help="preload a saved workload at t=0")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0, help="0 = ephemeral")
@@ -787,13 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="BYTES_PER_SEC",
         help="pace the downlink at this on-air byte rate (default: unpaced)",
-    )
-    serve.add_argument("--capacity", type=int, default=200_000)
-    serve.add_argument(
-        "--scheduler", choices=("leelo", "fcfs", "mrf", "rxw"), default="leelo"
-    )
-    serve.add_argument(
-        "--scheme", choices=("one-tier", "two-tier"), default="two-tier"
     )
     serve.add_argument(
         "--max-pending",
@@ -889,13 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
         "detect the restart and discard stale per-cycle state",
     )
     serve.add_argument(
-        "--no-failover",
-        action="store_true",
-        help="with --workers: do not journal workers or restart crashed "
-        "ones (PR-8 behaviour; mainly for A/B benchmarking the failure "
-        "machinery's overhead)",
-    )
-    serve.add_argument(
         "--heartbeat-interval",
         type=float,
         default=0.0,
@@ -904,8 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
         "hung-worker detection; repeated misses escalate to SIGKILL and "
         "a supervised restart (default: exit-watch only)",
     )
-    _add_channel_args(serve)
-    _add_adaptive_args(serve)
     serve.set_defaults(func=cmd_serve)
 
     client = commands.add_parser(
@@ -954,14 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client.add_argument("--json", action="store_true")
     client.set_defaults(func=cmd_client)
-
-    figures = commands.add_parser(
-        "figures",
-        help="pointer to the experiments runner",
-        description="The paper's tables and figures live in their own "
-        "entry point with sweep caching: python -m repro.experiments",
-    )
-    figures.set_defaults(func=lambda args: (print("use: python -m repro.experiments"), 2)[1])
 
     return parser
 

@@ -25,8 +25,8 @@ compiling a fresh pruning DFA, and re-pruning an unchanged index.
 
 Every layer is observable (``server.*_cache_*`` counters plus spans) and
 falsifiable: the caches are bypassed entirely with the server's
-``enable_caches=False`` / the CLI's ``--no-cache``, and property tests
-assert cached and from-scratch cycle programs are byte-identical.
+``enable_caches=False`` (the tests' from-scratch oracle), and property
+tests assert cached and from-scratch cycle programs are byte-identical.
 
 Live collection mutations are followed by their delta, not by a flush.
 ``BroadcastServer.add_document`` / ``remove_document`` make one call,

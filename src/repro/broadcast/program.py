@@ -307,7 +307,7 @@ def program_signature(cycle: BroadcastCycle) -> str:
     data channel with every document on channel 0).  Two cycles with
     equal signatures broadcast byte-identical programs -- this is what
     the cache-equivalence tests and the CI smoke job compare between
-    cached and ``--no-cache`` runs.
+    cached and ``enable_caches=False`` servers.
     """
     doc_channels = cycle.doc_channels
     form = (

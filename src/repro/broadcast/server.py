@@ -317,8 +317,8 @@ class BroadcastServer:
         self.hot_doc_ids: Tuple[int, ...] = ()
         #: Incremental cycle-build caches (CI delta maintenance, pruning-DFA
         #: LRU, PCI reuse) plus demand-table reads by the scheduler.  With
-        #: ``enable_caches=False`` (the CLI's ``--no-cache``) every cycle is
-        #: built from scratch; cycle programs are byte-identical either way
+        #: ``enable_caches=False`` (the tests' oracle) every cycle is built
+        #: from scratch; cycle programs are byte-identical either way
         #: (property-tested).
         self.cache: Optional[CycleBuildCache] = (
             CycleBuildCache(store) if enable_caches else None

@@ -4,9 +4,10 @@ The simulator models the paper's on-demand system inside a
 discrete-event loop; this package makes it a *live* system.  A
 :class:`~repro.net.daemon.BroadcastDaemon` drives the existing
 :class:`~repro.broadcast.server.BroadcastServer` pipeline on a real
-cycle clock, accepts XPath queries over a framed TCP uplink and streams
-every built cycle as wire frames on the downlink, paced by a token
-bucket.  An :class:`~repro.net.client.AsyncTwoTierClient` runs the
+cycle clock, accepts XPath queries over a framed TCP uplink (one codec,
+:mod:`repro.net.uplink`) and streams every built cycle as wire frames on
+the downlink (:mod:`repro.net.wire`), paced by a token bucket.  An
+:class:`~repro.net.client.AsyncTwoTierClient` runs the
 *unchanged* client access protocols over that socket: each streamed
 cycle is decoded back into a :class:`~repro.broadcast.program.
 BroadcastCycle` whose :func:`~repro.broadcast.program.program_signature`

@@ -17,9 +17,9 @@ that parity is the differential test in ``tests/net/test_parity.py``.
 from __future__ import annotations
 
 import asyncio
-import json
+import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Type, TypeVar
 
 from repro.broadcast.partition import PartitionMap
 from repro.broadcast.program import BroadcastCycle
@@ -33,9 +33,14 @@ from repro.net.framing import (
     encode_text,
     read_frame_mixed,
 )
+from repro.net import uplink
+from repro.net.uplink import Command, Verb
 from repro.net.wire import CycleDecoder, WireProtocolError
-from repro.obs.telemetry.tracing import TRACE_TOKEN, QueryTrace
+from repro.obs.telemetry.tracing import QueryTrace
 from repro.xpath.parser import parse_query
+
+
+_R = TypeVar("_R", uplink.Ack, uplink.Tuned)
 
 
 class UplinkError(ConnectionError):
@@ -211,23 +216,13 @@ class AsyncTwoTierClient:
         """Join the downlink and learn the daemon's channel model.
 
         Against a cluster front door this is also the placement step: a
-        ``MOVED <shard> <host> <port>`` redirect is followed to the
-        owning worker, and ``RETRY_AFTER`` (cluster-wide admission)
-        surfaces as :class:`Backpressure` exactly like an overloaded
-        SUBMIT.
+        ``MOVED`` redirect is followed to the owning worker, and
+        ``RETRY_AFTER`` (cluster-wide admission) surfaces as
+        :class:`Backpressure` exactly like an overloaded SUBMIT.
         """
-        line = "TUNE" if self.shard is None else f"TUNE SHARD={self.shard}"
-        reply = await self._command(line)
-        word, _, rest = reply.partition(" ")
-        if word == "MOVED":
-            await self._follow_moved(rest)
-            await self.tune()
-            return
-        if word == "RETRY_AFTER":
-            raise Backpressure(int(rest.split()[0]) if rest.split() else 1)
-        if word != "TUNED":
-            raise UplinkError(f"unexpected TUNE reply: {reply!r}")
-        info = json.loads(rest)
+        info = (
+            await self._exchange(Command(Verb.TUNE, shard=self.shard), uplink.Tuned)
+        ).info
         self.num_channels = int(info.get("num_channels", 1))
         self.ack_required = bool(info.get("ack_required", False))
         self.adaptive = bool(info.get("adaptive", False))
@@ -238,43 +233,23 @@ class AsyncTwoTierClient:
 
     async def submit(self) -> int:
         """SUBMIT the query; returns the daemon-assigned query id."""
-        parts = ["SUBMIT"]
-        if self.arrival_time is not None:
-            parts.append(f"AT={self.arrival_time}")
-        if self.client_key is not None:
-            parts.append(f"KEY={self.client_key}")
-        if self.shard is not None:
-            parts.append(f"SHARD={self.shard}")
-        if self.trace:
-            # Empty value: the daemon mints the trace ID and echoes it.
-            parts.append(f"{TRACE_TOKEN}={self.trace_id or ''}")
-        parts.append(str(self.query))
-        reply = await self._command(" ".join(parts))
-        word, _, rest = reply.partition(" ")
-        if word == "MOVED":
-            await self._follow_moved(rest)
-            return await self.submit()
-        tokens, echo = self._split_trace_echo(rest)
-        if word == "RETRY_AFTER":
-            raise Backpressure(int(tokens[0] if tokens else "1"))
-        if word != "ACK":
-            raise UplinkError(f"submit rejected: {reply!r}")
-        if len(tokens) < 2:
-            raise UplinkError(f"malformed ACK: {reply!r}")
-        self.query_id = int(tokens[0])
-        self.arrival_time = int(tokens[1])
-        if echo is not None:
-            self.trace_id = echo
+        ack = await self._exchange(
+            Command(
+                Verb.SUBMIT,
+                at=self.arrival_time,
+                key=self.client_key,
+                shard=self.shard,
+                # Empty value: the daemon mints the trace ID and echoes it.
+                trace=(self.trace_id or "") if self.trace else None,
+                query=str(self.query),
+            ),
+            uplink.Ack,
+        )
+        self.query_id = ack.query_id
+        self.arrival_time = ack.arrival
+        if ack.trace is not None:
+            self.trace_id = ack.trace
         return self.query_id
-
-    @staticmethod
-    def _split_trace_echo(rest: str) -> Tuple[List[str], Optional[str]]:
-        """Separate a trailing ``TRACE=<id>`` echo from a reply tail."""
-        tokens = rest.split()
-        echo: Optional[str] = None
-        if tokens and tokens[-1].startswith(f"{TRACE_TOKEN}="):
-            echo = tokens.pop().partition("=")[2]
-        return tokens, echo
 
     async def run_session(self) -> ClientReport:
         """Consume the downlink until the query is satisfied.
@@ -351,10 +326,18 @@ class AsyncTwoTierClient:
                 and protocol.can_use(cycle)
                 and not was_satisfied
             ):
-                await self._send_recv(cycle, protocol)
+                await self._send(
+                    Command(
+                        Verb.RECV,
+                        query_id=self.query_id,
+                        cycle=cycle.cycle_number,
+                        docs=frozenset(protocol.received_doc_ids),
+                    )
+                )
             if protocol.satisfied:
                 satisfied = True
-                await self._bye()
+                with contextlib.suppress(ConnectionError, OSError):
+                    await self._send(Command(Verb.BYE))
                 break
         trace: Optional[QueryTrace] = None
         if satisfied and self._trace_entry is not None:
@@ -468,23 +451,30 @@ class AsyncTwoTierClient:
         )
         return self.protocol
 
-    async def _follow_moved(self, rest: str) -> None:
-        """Reconnect to the worker a ``MOVED <shard> <host> <port>``
-        redirect names (the front door's out-of-data-plane routing)."""
-        self._moved_hops += 1
-        if self._moved_hops > 4:
-            raise UplinkError("MOVED redirect loop")
-        parts = rest.split()
-        if len(parts) != 3:
-            raise UplinkError(f"malformed MOVED reply: {rest!r}")
-        shard, host, port = int(parts[0]), parts[1], int(parts[2])
-        if self.shard is not None and shard != self.shard:
-            raise UplinkError(
-                f"router moved shard-{self.shard} session to shard {shard}"
-            )
-        await self.close()
-        self.host, self.port = host, port
-        await self.connect()
+    async def _exchange(self, command: Command, expect: Type[_R]) -> _R:
+        """Send *command* and return its *expect*-ed reply, following a
+        front door's ``MOVED`` redirects to the owning worker (its
+        out-of-data-plane routing) and re-sending there."""
+        while True:
+            reply = await self._command(command)
+            if isinstance(reply, expect):
+                return reply
+            if isinstance(reply, uplink.RetryAfter):
+                raise Backpressure(reply.hint)
+            if not isinstance(reply, uplink.Moved):
+                raise UplinkError(
+                    f"{command.verb.value} rejected: {uplink.format_reply(reply)!r}"
+                )
+            self._moved_hops += 1
+            if self._moved_hops > 4:
+                raise UplinkError("MOVED redirect loop")
+            if self.shard is not None and reply.shard != self.shard:
+                raise UplinkError(
+                    f"router moved shard-{self.shard} session to shard {reply.shard}"
+                )
+            await self.close()
+            self.host, self.port = reply.host, reply.port
+            await self.connect()
 
     def _check_cluster(self, cluster: Dict) -> None:
         """Pin the daemon's placement contract against the pinned shard.
@@ -538,8 +528,13 @@ class AsyncTwoTierClient:
     #: reply delayed past this many is a wedged daemon, not a race
     _MAX_DEFERRED = 65_536
 
-    async def _command(self, line: str) -> str:
-        """Send one uplink command and read its TEXT reply.
+    async def _send(self, command: Command) -> None:
+        assert self._writer is not None
+        self._writer.write(encode_text(uplink.format_command(command)))
+        await self._writer.drain()
+
+    async def _command(self, command: Command) -> uplink.Reply:
+        """Send one uplink command and read its reply.
 
         On a tuned connection to a *live* daemon, downlink cycle frames
         can legitimately race the reply (the daemon streams cycles to
@@ -548,18 +543,22 @@ class AsyncTwoTierClient:
         deferred -- not dropped -- and :meth:`run_session` consumes them
         in arrival order before reading the socket again.
         """
-        assert self._reader is not None and self._writer is not None
-        self._writer.write(encode_text(line))
-        await self._writer.drain()
+        assert self._reader is not None
+        await self._send(command)
         while True:
             kind, payload = await read_frame_mixed(
                 self._reader, self._checksum
             )
             if kind is FrameKind.TEXT:
-                return payload.decode("utf-8")
+                try:
+                    return uplink.parse_reply(payload.decode("utf-8"))
+                except (UnicodeDecodeError, uplink.UplinkSyntaxError) as exc:
+                    raise UplinkError(
+                        f"unreadable {command.verb.value} reply: {exc}"
+                    ) from exc
             if len(self._deferred) >= self._MAX_DEFERRED:
                 raise UplinkError(
-                    f"no reply to {line.split()[0]} within "
+                    f"no reply to {command.verb.value} within "
                     f"{self._MAX_DEFERRED} downlink frames"
                 )
             self._deferred.append((kind, payload))
@@ -573,23 +572,3 @@ class AsyncTwoTierClient:
             return self._deferred.pop(0)
         assert self._reader is not None
         return await read_frame_mixed(self._reader, self._checksum)
-
-    async def _send_recv(
-        self, cycle: BroadcastCycle, protocol: AccessProtocol
-    ) -> None:
-        docs = sorted(protocol.received_doc_ids)
-        doc_text = ",".join(str(d) for d in docs) if docs else "-"
-        assert self._writer is not None
-        self._writer.write(
-            encode_text(f"RECV {self.query_id} {cycle.cycle_number} {doc_text}")
-        )
-        await self._writer.drain()
-
-    async def _bye(self) -> None:
-        if self._writer is None:
-            return
-        try:
-            self._writer.write(encode_text("BYE"))
-            await self._writer.drain()
-        except (ConnectionError, OSError):
-            pass

@@ -10,7 +10,9 @@ router steers every uplink session to the owning shard:
   ``i`` (clients pin their shard; the worker re-validates, so a
   misrouted session fails loudly);
 * a ``SUBMIT`` naming no shard is spread by a stable hash of its query
-  text (:meth:`~repro.broadcast.partition.PartitionMap.shard_for_query`);
+  text (:meth:`~repro.broadcast.partition.PartitionMap.shard_for_query`)
+  -- the text :func:`repro.net.uplink.parse_command` extracts, which is
+  the text the worker will parse;
 * ``STATUS`` at the front door aggregates every worker's status;
 * ``/metrics`` at the front door scrapes every worker's endpoint,
   relabels the samples ``shard="i"`` and merges them with the router's
@@ -22,10 +24,10 @@ Two routing modes:
   the first command and then splices raw bytes both ways -- clients
   need no cluster awareness at all;
 * **redirect** (``ClusterConfig.redirect=True``): the router answers
-  ``MOVED <shard> <host> <port>`` and the client reconnects straight to
-  the worker, keeping the router out of the data plane entirely (the
-  scale benchmark's mode -- downlink fan-out bytes never cross the
-  router twice).
+  ``MOVED`` and the client reconnects straight to the worker it names,
+  keeping the router out of the data plane entirely (the scale
+  benchmark's mode -- downlink fan-out bytes never cross the router
+  twice).
 
 Cluster-wide admission rides the existing wire vocabulary: when the sum
 of pending queries across all shards reaches ``max_sessions``, the
@@ -33,28 +35,18 @@ front door answers the routing command with ``RETRY_AFTER`` before any
 worker sees it.
 
 :class:`ClusterSupervisor` spawns the workers as ``python -m repro
-serve --shard i/N`` subprocesses, discovering each worker's ephemeral
-uplink/metrics ports through ``--port-file``-style OS assignment (no
-port is ever hardcoded, so parallel CI jobs cannot collide).
+serve --shard i/N`` subprocesses on ephemeral ports and, with
+:meth:`~ClusterSupervisor.monitor` running, heals them: crash respawn
+under a bumped epoch with journal replay, a crash-loop circuit breaker,
+heartbeat kills for hung workers (see its docstring).
 
-**Failure domains.** Each shard is an independent failure domain and
-both tiers track its health:
-
-* the router keeps a per-shard :class:`ShardHealth` (``UP`` /
-  ``DEGRADED`` / ``DOWN``): transient connect failures are retried with
-  backoff and mark the shard DEGRADED; enough consecutive failures mark
-  it DOWN, after which routed commands get ``RETRY_AFTER`` at the front
-  door (bounded by periodic re-probes) while every other shard keeps
-  streaming -- graceful degradation, not collapse;
-* :meth:`ClusterSupervisor.monitor` watches worker processes: a crashed
-  worker is respawned with exponential backoff and a bumped
-  ``ShardIdentity`` epoch (``--epoch``), its pending queries rehydrated
-  from its per-shard write-ahead journal (``--journal``); a crash loop
-  (too many restarts inside a sliding window) opens a circuit breaker
-  and pins the shard DOWN instead of burning CPU on doomed respawns.
-  Optional heartbeats (uplink ``STATUS`` round trips) escalate a hung
-  worker -- alive but unresponsive -- to a kill, which the exit-watch
-  then restarts.
+**Failure domains.** Each shard is an independent failure domain: the
+router keeps a per-shard :class:`ShardHealth` (``UP`` / ``DEGRADED`` /
+``DOWN``).  Transient connect failures are retried with backoff and mark
+the shard DEGRADED; enough consecutive failures mark it DOWN, after
+which routed commands get ``RETRY_AFTER`` at the front door (bounded by
+periodic re-probes) while every other shard keeps streaming -- graceful
+degradation, not collapse.
 """
 
 from __future__ import annotations
@@ -63,7 +55,6 @@ import asyncio
 import contextlib
 import enum
 import os
-import json
 import pathlib
 import signal
 import subprocess
@@ -73,15 +64,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.broadcast.partition import PartitionMap, ShardIdentity
+from repro.broadcast.partition import PartitionMap
 from repro.net.clock import ClockAdapter, MonotonicClock
-from repro.net.framing import FrameKind, encode_text, read_frame
+from repro.net.daemon import DaemonStats
+from repro.net.framing import encode_text
+from repro.net import uplink
+from repro.net.uplink import Command, Verb
 from repro.obs.telemetry.exporter import (
     Family,
     MetricsHTTPServer,
     merge_expositions,
     render_openmetrics,
     scrape,
+    stat,
+    stat_families,
+    stat_status,
+    status_total_keys,
 )
 
 __all__ = [
@@ -96,7 +94,19 @@ __all__ = [
 _SPLICE_CHUNK = 64 * 1024
 
 #: commands the router routes to a shard (everything else it answers)
-_ROUTED = ("SUBMIT", "TUNE", "RECV")
+_ROUTED = (Verb.SUBMIT, Verb.TUNE, Verb.RECV)
+
+#: base backoff between backend connect attempts, doubled per attempt
+_CONNECT_BACKOFF = 0.05
+#: the hint sent with a front-door ``RETRY_AFTER`` for an unavailable shard
+_RETRY_AFTER_HINT = 1
+#: how long :meth:`ClusterSupervisor.stop` waits for the graceful drain
+#: before escalating to SIGKILL
+_STOP_TIMEOUT = 60.0
+#: a heartbeat with no reply inside this many seconds is a miss, and
+#: this many consecutive misses get a hung worker killed
+_HEARTBEAT_TIMEOUT = 2.0
+_HEARTBEAT_MISSES = 2
 
 
 class ShardHealth(enum.Enum):
@@ -152,8 +162,6 @@ class ClusterConfig:
     #: mid-restart refuses connections for a few hundred ms; retrying
     #: here hides the blip from the client entirely)
     connect_retries: int = 2
-    #: base backoff between connect attempts, doubled per attempt
-    connect_backoff: float = 0.05
     #: consecutive failed connects (after retries) that flip a shard
     #: from DEGRADED to DOWN
     down_after: int = 3
@@ -165,28 +173,32 @@ class ClusterConfig:
     #: ``None`` disables the timer (an idle-but-healthy tuned session is
     #: legitimate; enable this for chaos runs and busy front doors)
     splice_idle_timeout: Optional[float] = None
-    #: hint value sent with front-door ``RETRY_AFTER`` for DOWN shards
-    retry_after_hint: int = 1
 
 
 @dataclass
 class RouterStats:
-    """Operational counters of the front door."""
+    """Operational counters of the front door, declared like
+    :class:`~repro.net.daemon.DaemonStats`: the ``router`` block of the
+    front door's ``STATUS`` and its ``/metrics`` families render from
+    these fields."""
 
-    connections_total: int = 0
-    routed_total: int = 0
-    proxied_total: int = 0
-    moved_total: int = 0
-    rejected_overload: int = 0
+    connections_total: int = stat("router.connections", status="connections")
+    #: exported per shard, from ``routed_by_shard``
+    routed_total: int = stat(status="routed")
+    proxied_total: int = stat("router.sessions_proxied", status="proxied")
+    moved_total: int = stat("router.sessions_moved", status="moved")
+    rejected_overload: int = stat("router.rejected_overload", status="rejected")
     #: routed commands answered RETRY_AFTER because their shard was
     #: DOWN or its backend connect failed after retries
-    rejected_unavailable: int = 0
+    rejected_unavailable: int = stat(
+        "router.rejected_unavailable", status="rejected_unavailable"
+    )
     #: backend connect attempts beyond the first (retry pressure)
-    connect_retries_total: int = 0
+    connect_retries_total: int = stat("router.connect_retries")
     #: spliced sessions closed by the idle timeout
-    splices_idle_closed: int = 0
-    errors_total: int = 0
-    status_requests: int = 0
+    splices_idle_closed: int = stat("router.splices_idle_closed")
+    errors_total: int = stat("router.errors")
+    status_requests: int = stat("router.status_requests")
     #: per-shard routed-session counts, indexed by shard
     routed_by_shard: List[int] = field(default_factory=list)
 
@@ -318,114 +330,65 @@ class ClusterRouter:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.stats.connections_total += 1
+
+        async def handle(command: Command) -> Optional[uplink.Reply]:
+            if command.verb is Verb.STATUS:
+                self.stats.status_requests += 1
+                return uplink.Status(await self.aggregate_status())
+            if command.verb in _ROUTED:
+                return await self._route(command, reader, writer)
+            return uplink.Bye()
+
         try:
-            while True:
-                try:
-                    kind, payload = await read_frame(reader)
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    return
-                if kind is not FrameKind.TEXT:
-                    await self._reply(writer, "ERR uplink frames must be TEXT")
-                    continue
-                try:
-                    line = payload.decode("utf-8").strip()
-                except UnicodeDecodeError:
-                    await self._reply(writer, "ERR command is not UTF-8")
-                    continue
-                command, _, rest = line.partition(" ")
-                command = command.upper()
-                if command == "STATUS":
-                    self.stats.status_requests += 1
-                    status = await self.aggregate_status()
-                    await self._reply(writer, "STATUS " + json.dumps(status))
-                    continue
-                if command == "BYE":
-                    await self._reply(writer, "BYE")
-                    return
-                if command in _ROUTED:
-                    routed = await self._route(
-                        command, rest, line, reader, writer
-                    )
-                    if routed:
-                        return  # the splice consumed the connection
-                    continue
-                self.stats.errors_total += 1
-                await self._reply(writer, f"ERR unknown command {command!r}")
+            await uplink.serve_connection(reader, writer, handle, self._on_err)
         finally:
             with contextlib.suppress(ConnectionError, OSError):
                 writer.close()
                 await writer.wait_closed()
 
-    async def _reply(self, writer: asyncio.StreamWriter, line: str) -> None:
-        try:
-            writer.write(encode_text(line))
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-
-    def _shard_for(self, command: str, rest: str) -> Tuple[Optional[int], str]:
-        """(shard, error): the shard a command routes to."""
-        for token in rest.split():
-            name, eq, value = token.partition("=")
-            if name == "SHARD" and eq:
-                try:
-                    shard = int(value)
-                except ValueError:
-                    return None, "ERR SHARD must be an integer"
-                if not 0 <= shard < self.partition.num_shards:
-                    return None, (
-                        f"ERR shard {shard} out of range "
-                        f"(cluster has {self.partition.num_shards})"
-                    )
-                return shard, ""
-        if command == "SUBMIT":
-            # No pin: spread by the query text.  Options precede the
-            # query, so strip leading NAME=value tokens first.
-            tokens = rest.split()
-            while tokens and "=" in tokens[0]:
-                tokens.pop(0)
-            return self.partition.shard_for_query(" ".join(tokens)), ""
-        return 0, ""
+    def _on_err(self, reply: uplink.Err) -> None:
+        self.stats.errors_total += 1
 
     async def _route(
         self,
-        command: str,
-        rest: str,
-        line: str,
+        command: Command,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-    ) -> bool:
-        """Steer one routed command; True = the connection is spliced."""
-        shard, error = self._shard_for(command, rest)
+    ) -> Optional[uplink.Reply]:
+        """Steer one routed command: the front door's own answer, or
+        ``None`` once the connection has been spliced to its worker (the
+        splice closes it when either side leaves)."""
+        shard = command.shard
         if shard is None:
-            self.stats.errors_total += 1
-            await self._reply(writer, error)
-            return False
+            # No pin: a SUBMIT spreads by its query text, the rest go to 0.
+            shard = (
+                self.partition.shard_for_query(command.query)
+                if command.verb is Verb.SUBMIT
+                else 0
+            )
+        elif not 0 <= shard < self.partition.num_shards:
+            return uplink.Err(
+                f"shard {shard} out of range "
+                f"(cluster has {self.partition.num_shards})"
+            )
         if self.config.max_sessions is not None:
             pending = await self._cluster_pending()
             if pending >= self.config.max_sessions:
                 self.stats.rejected_overload += 1
-                await self._reply(writer, f"RETRY_AFTER {pending}")
-                return False
+                return uplink.RetryAfter(pending)
         if not self._allow_attempt(shard):
             # Graceful degradation: a DOWN shard answers RETRY_AFTER at
             # the front door -- the client backs off and resubmits --
             # while sessions for every other shard route normally.
             self.stats.rejected_unavailable += 1
-            await self._reply(
-                writer, f"RETRY_AFTER {self.config.retry_after_hint}"
-            )
-            return False
+            return uplink.RetryAfter(_RETRY_AFTER_HINT)
         self.stats.routed_total += 1
         self.stats.routed_by_shard[shard] += 1
         worker = self.workers[shard]
         if self.config.redirect:
             self.stats.moved_total += 1
-            await self._reply(
-                writer, f"MOVED {shard} {worker.host} {worker.port}"
-            )
-            return False
-        return await self._splice(shard, line, reader, writer)
+            return uplink.Moved(shard, worker.host, worker.port)
+        return await self._splice(shard, command, reader, writer)
 
     async def _connect_worker(
         self, shard: int
@@ -437,7 +400,7 @@ class ClusterRouter:
         a client-visible error.  Success resets the shard to UP; final
         failure counts toward the DOWN threshold.
         """
-        delay = self.config.connect_backoff
+        delay = _CONNECT_BACKOFF
         for attempt in range(self.config.connect_retries + 1):
             if attempt:
                 self.stats.connect_retries_total += 1
@@ -448,10 +411,7 @@ class ClusterRouter:
                 pair = await asyncio.open_connection(worker.host, worker.port)
             except OSError:
                 continue
-            if self.health[shard] is not ShardHealth.UP:
-                self.set_health(shard, ShardHealth.UP)
-            else:
-                self._connect_failures[shard] = 0
+            self.set_health(shard, ShardHealth.UP)
             return pair
         self._record_connect_failure(shard)
         return None
@@ -459,10 +419,10 @@ class ClusterRouter:
     async def _splice(
         self,
         shard: int,
-        first_line: str,
+        command: Command,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-    ) -> bool:
+    ) -> Optional[uplink.Reply]:
         """Proxy mode: forward the routing command, then pump raw bytes
         both ways until either side closes (or goes idle too long)."""
         pair = await self._connect_worker(shard)
@@ -470,15 +430,12 @@ class ClusterRouter:
             # Same vocabulary as overload: the client's Backpressure
             # retry loop handles a crashed worker with no new code.
             self.stats.rejected_unavailable += 1
-            await self._reply(
-                writer, f"RETRY_AFTER {self.config.retry_after_hint}"
-            )
-            return False
+            return uplink.RetryAfter(_RETRY_AFTER_HINT)
         up_reader, up_writer = pair
         self.stats.proxied_total += 1
         self.active[shard] += 1
         try:
-            up_writer.write(encode_text(first_line))
+            up_writer.write(encode_text(uplink.format_command(command)))
             await up_writer.drain()
             await asyncio.gather(
                 self._pump(reader, up_writer), self._pump(up_reader, writer)
@@ -489,7 +446,7 @@ class ClusterRouter:
                 with contextlib.suppress(ConnectionError, OSError):
                     w.close()
                     await w.wait_closed()
-        return True
+        return None
 
     async def _pump(
         self, src: asyncio.StreamReader, dst: asyncio.StreamWriter
@@ -529,44 +486,6 @@ class ClusterRouter:
     # Cluster-wide admission + aggregation
     # ------------------------------------------------------------------
 
-    async def _worker_status(self, worker: WorkerAddress) -> Optional[Dict]:
-        """One worker's STATUS payload (``None`` if unreachable)."""
-        try:
-            reader, writer = await asyncio.open_connection(
-                worker.host, worker.port
-            )
-        except OSError:
-            return None
-        try:
-            writer.write(encode_text("STATUS"))
-            await writer.drain()
-            kind, payload = await read_frame(reader)
-            if kind is not FrameKind.TEXT:
-                return None
-            word, _, rest = payload.decode("utf-8").partition(" ")
-            if word != "STATUS":
-                return None
-            parsed = json.loads(rest)
-            return parsed if isinstance(parsed, dict) else None
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            OSError,
-            ValueError,
-        ):
-            return None
-        finally:
-            with contextlib.suppress(ConnectionError, OSError):
-                writer.close()
-                await writer.wait_closed()
-
-    async def _gather_status(self) -> List[Optional[Dict]]:
-        return list(
-            await asyncio.gather(
-                *(self._worker_status(w) for w in self.workers)
-            )
-        )
-
     async def _cluster_pending(self) -> int:
         """Total pending queries across all shards (cached briefly)."""
         now = self.clock.now()
@@ -574,32 +493,22 @@ class ClusterRouter:
             self._pending_cache is None
             or now - self._pending_at >= self.config.admission_refresh
         ):
-            statuses = await self._gather_status()
-            self._pending_cache = sum(
-                int(s.get("pending", 0)) for s in statuses if s is not None
-            )
+            status = await self.aggregate_status()
+            self._pending_cache = status["totals"].get("pending", 0)
             self._pending_at = now
         return self._pending_cache
 
     async def aggregate_status(self) -> Dict:
         """The front door's STATUS payload: per-shard + cluster totals."""
-        statuses = await self._gather_status()
+        statuses = await asyncio.gather(*(worker_status(w) for w in self.workers))
+        total_keys = status_total_keys(DaemonStats)
         totals: Dict[str, int] = {}
         shards: Dict[str, Dict] = {}
         for worker, status in zip(self.workers, statuses):
             if status is None:
                 continue
             shards[str(worker.shard)] = status
-            for key in (
-                "pending",
-                "completed",
-                "admitted",
-                "rejected",
-                "connections",
-                "cycles",
-                "dedup_hits",
-                "degraded_cycles",
-            ):
+            for key in total_keys:
                 totals[key] = totals.get(key, 0) + int(status.get(key, 0))
         return {
             "num_shards": self.partition.num_shards,
@@ -609,12 +518,7 @@ class ClusterRouter:
             "shards": shards,
             "health": [h.value for h in self.health],
             "router": {
-                "connections": self.stats.connections_total,
-                "routed": self.stats.routed_total,
-                "proxied": self.stats.proxied_total,
-                "moved": self.stats.moved_total,
-                "rejected": self.stats.rejected_overload,
-                "rejected_unavailable": self.stats.rejected_unavailable,
+                **stat_status(self.stats),
                 "active_sessions": self.active_sessions,
                 "mode": "redirect" if self.config.redirect else "proxy",
             },
@@ -625,14 +529,13 @@ class ClusterRouter:
     # ------------------------------------------------------------------
 
     def _router_families(self) -> List[Family]:
-        stats = self.stats
         routed = Family("router.sessions_routed", "counter")
         active = Family("router.active_sessions", "gauge")
         # Health as a one-hot state gauge (the OpenMetrics idiom for
         # enums): exactly one of the three series per shard is 1.
         health = Family("router.shard_health", "gauge")
         for shard in range(self.partition.num_shards):
-            routed.add(stats.routed_by_shard[shard], shard=str(shard))
+            routed.add(self.stats.routed_by_shard[shard], shard=str(shard))
             active.add(self.active[shard], shard=str(shard))
             for state in ShardHealth:
                 health.add(
@@ -642,32 +545,10 @@ class ClusterRouter:
                 )
         return [
             health,
-            Family("router.connections", "counter").add(
-                stats.connections_total
-            ),
             routed,
-            Family("router.sessions_proxied", "counter").add(
-                stats.proxied_total
-            ),
-            Family("router.sessions_moved", "counter").add(stats.moved_total),
-            Family("router.rejected_overload", "counter").add(
-                stats.rejected_overload
-            ),
-            Family("router.rejected_unavailable", "counter").add(
-                stats.rejected_unavailable
-            ),
-            Family("router.connect_retries", "counter").add(
-                stats.connect_retries_total
-            ),
-            Family("router.splices_idle_closed", "counter").add(
-                stats.splices_idle_closed
-            ),
-            Family("router.errors", "counter").add(stats.errors_total),
-            Family("router.status_requests", "counter").add(
-                stats.status_requests
-            ),
             active,
             Family("router.workers", "gauge").add(len(self.workers)),
+            *stat_families(self.stats),
         ]
 
     async def _metrics_text(self) -> str:
@@ -700,6 +581,19 @@ class ClusterRouter:
         }
 
 
+async def worker_status(worker: WorkerAddress) -> Optional[Dict]:
+    """One worker's ``STATUS`` payload; ``None`` if it is unreachable or
+    answers anything else."""
+    line = uplink.format_command(Command(Verb.STATUS))
+    try:
+        reply = uplink.parse_reply(
+            await uplink.round_trip(worker.host, worker.port, line)
+        )
+    except (asyncio.IncompleteReadError, OSError, ValueError):
+        return None
+    return reply.info if isinstance(reply, uplink.Status) else None
+
+
 # --------------------------------------------------------------------------
 # Worker supervisor
 
@@ -713,7 +607,7 @@ class ClusterSupervisor:
     a port file the supervisor polls -- the ``--port-file`` pattern the
     CLI tests established, so parallel CI jobs can never collide on a
     hardcoded port.  ``stop()`` sends SIGINT for the daemon's graceful
-    drain and escalates to SIGKILL only after ``stop_timeout``.
+    drain and escalates to SIGKILL only after a minute.
 
     **Failover**: run :meth:`monitor` as an asyncio task and a crashed
     worker is respawned with exponential backoff under a fresh
@@ -723,7 +617,7 @@ class ClusterSupervisor:
     **circuit breaker**: the shard is declared broken and pinned DOWN
     at the router instead of being respawned forever.  With
     ``heartbeat_interval > 0`` the monitor also round-trips ``STATUS``
-    on each worker's uplink; ``heartbeat_misses`` consecutive timeouts
+    on each worker's uplink; two consecutive timeouts
     escalate a hung-but-alive worker to ``SIGKILL``, which the
     exit-watch then handles like any other crash.
     """
@@ -738,7 +632,6 @@ class ClusterSupervisor:
         workdir: Optional[pathlib.Path] = None,
         python: str = sys.executable,
         startup_timeout: float = 60.0,
-        stop_timeout: float = 60.0,
         journal: bool = False,
         flight: bool = False,
         restart_backoff: float = 0.2,
@@ -746,8 +639,6 @@ class ClusterSupervisor:
         max_restarts: int = 5,
         crash_window: float = 30.0,
         heartbeat_interval: float = 0.0,
-        heartbeat_timeout: float = 2.0,
-        heartbeat_misses: int = 2,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be at least 1")
@@ -756,7 +647,6 @@ class ClusterSupervisor:
         self.metrics = metrics
         self.python = python
         self.startup_timeout = startup_timeout
-        self.stop_timeout = stop_timeout
         self.journal = journal
         self.flight = flight
         self.restart_backoff = restart_backoff
@@ -764,8 +654,6 @@ class ClusterSupervisor:
         self.max_restarts = max_restarts
         self.crash_window = crash_window
         self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.heartbeat_misses = heartbeat_misses
         self._own_workdir = workdir is None
         self.workdir = pathlib.Path(
             tempfile.mkdtemp(prefix="repro-cluster-")
@@ -787,9 +675,6 @@ class ClusterSupervisor:
         self._crash_times: List[List[float]] = [[] for _ in range(num_workers)]
         self._hb_misses: List[int] = [0] * num_workers
         self._stopping = False
-
-    def shard_identity(self, index: int) -> ShardIdentity:
-        return ShardIdentity(index, self.partition, epoch=self.epochs[index])
 
     def journal_path(self, index: int) -> pathlib.Path:
         """Where shard ``index``'s write-ahead journal lives."""
@@ -865,19 +750,10 @@ class ClusterSupervisor:
         start.
         """
         self.workdir.mkdir(parents=True, exist_ok=True)
-        n = self.partition.num_shards
-        files = [self._spawn(i) for i in range(n)]
+        files = [self._spawn(i) for i in range(self.partition.num_shards)]
         try:
-            for i, (port_file, metrics_file) in enumerate(files):
-                port = self._await_port(i, port_file)
-                metrics_port = (
-                    self._await_port(i, metrics_file)
-                    if metrics_file is not None
-                    else None
-                )
-                self.workers.append(
-                    WorkerAddress(i, "127.0.0.1", port, metrics_port)
-                )
+            for i, port_files in enumerate(files):
+                self.workers.append(self._await_address(i, *port_files))
             return self.workers
         except Exception:
             for proc in self.procs:
@@ -896,17 +772,19 @@ class ClusterSupervisor:
         time the port file appears its pending set is rehydrated.
         """
         self.epochs[index] += 1
-        port_file, metrics_file = self._spawn(index)
-        port = self._await_port(index, port_file)
-        metrics_port = (
-            self._await_port(index, metrics_file)
-            if metrics_file is not None
-            else None
-        )
-        worker = WorkerAddress(index, "127.0.0.1", port, metrics_port)
+        worker = self._await_address(index, *self._spawn(index))
         self.workers[index] = worker
         self.restarts[index] += 1
         return worker
+
+    def _await_address(
+        self, index: int, port_file: pathlib.Path, metrics_file: Optional[pathlib.Path]
+    ) -> WorkerAddress:
+        port = self._await_port(index, port_file)
+        metrics_port = (
+            self._await_port(index, metrics_file) if metrics_file is not None else None
+        )
+        return WorkerAddress(index, "127.0.0.1", port, metrics_port)
 
     def _log_tail(self, index: int, lines: int = 8) -> str:
         log_path = self.workdir / f"worker-{index}.log"
@@ -1055,7 +933,7 @@ class ClusterSupervisor:
                 self._hb_misses[index] = 0
                 continue
             self._hb_misses[index] += 1
-            if self._hb_misses[index] >= self.heartbeat_misses:
+            if self._hb_misses[index] >= _HEARTBEAT_MISSES:
                 # Alive but unresponsive (hung event loop, SIGSTOP):
                 # escalate to a kill; the exit-watch restarts it.
                 self._note(
@@ -1067,27 +945,16 @@ class ClusterSupervisor:
                 with contextlib.suppress(ProcessLookupError, OSError):
                     self.procs[index].kill()
 
-    async def _heartbeat(self, worker: WorkerAddress) -> bool:
+    @staticmethod
+    async def _heartbeat(worker: WorkerAddress) -> bool:
         """One STATUS round trip; False = no reply inside the timeout."""
         try:
-            return await asyncio.wait_for(
-                self._heartbeat_once(worker), self.heartbeat_timeout
+            status = await asyncio.wait_for(
+                worker_status(worker), _HEARTBEAT_TIMEOUT
             )
-        except (asyncio.TimeoutError, ConnectionError, OSError):
+        except asyncio.TimeoutError:
             return False
-
-    @staticmethod
-    async def _heartbeat_once(worker: WorkerAddress) -> bool:
-        reader, writer = await asyncio.open_connection(worker.host, worker.port)
-        try:
-            writer.write(encode_text("STATUS"))
-            await writer.drain()
-            kind, payload = await read_frame(reader)
-            return kind is FrameKind.TEXT and payload.startswith(b"STATUS")
-        finally:
-            with contextlib.suppress(ConnectionError, OSError):
-                writer.close()
-                await writer.wait_closed()
+        return status is not None
 
     # -- drain ---------------------------------------------------------
 
@@ -1099,7 +966,7 @@ class ClusterSupervisor:
                 with contextlib.suppress(ProcessLookupError, OSError):
                     proc.send_signal(signal.SIGINT)
         codes: List[int] = []
-        deadline = time.monotonic() + self.stop_timeout
+        deadline = time.monotonic() + _STOP_TIMEOUT
         for proc in self.procs:
             remaining = max(0.1, deadline - time.monotonic())
             try:
@@ -1108,10 +975,3 @@ class ClusterSupervisor:
                 proc.kill()
                 codes.append(proc.wait())
         return codes
-
-    def __enter__(self) -> "ClusterSupervisor":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -1,19 +1,10 @@
 """The live broadcast daemon: asyncio uplink + paced downlink.
 
 One asyncio TCP endpoint serves both directions of the paper's
-on-demand model.  Clients send framed TEXT commands on the **uplink**::
-
-    SUBMIT [AT=<t>] [KEY=<k>] <xpath>   -> ACK <query_id> <arrival>
-                                           | RETRY_AFTER <hint>
-                                           | ERR <message>
-    TUNE                                -> TUNED <json>   (join downlink)
-    RECV <query_id> <cycle> <d1,d2|->   (acknowledged delivery)
-    STATUS                              -> STATUS <json>
-    BYE                                 -> BYE            (server closes)
-
-``AT=<t>`` stamps a scripted arrival byte-time (replay/differential
-testing); without it the arrival is the current on-air byte-time.
-``KEY=<k>`` routes through the server's idempotent-uplink dedup.
+on-demand model.  Clients send framed TEXT commands on the **uplink**
+(``SUBMIT``, ``TUNE``, ``RECV``, ``STATUS``, ``BYE``); the grammar, the
+endpoint loop and the typed replies live in :mod:`repro.net.uplink`,
+and this module keeps only the admission *policy* behind them.
 
 The **downlink** streams every built cycle as the wire frames of
 :mod:`repro.net.wire` to all tuned connections, paced by one
@@ -42,15 +33,17 @@ every subscriber receives ``SERVER_BYE`` and the sockets close.
 on the :class:`DaemonConfig`: a ``/metrics`` + ``/healthz`` HTTP
 endpoint on the same event loop, a structured event log, a flight
 recorder, and per-query wire tracing (the ``TRACE=`` SUBMIT option).
-Operational counters live in one place -- :class:`DaemonStats` -- and
-both ``STATUS`` and ``/metrics`` render from it, so the two surfaces
-cannot disagree.  Without a telemetry config the daemon's wire
-behaviour is byte-identical (pinned by ``tests/net/test_parity.py``).
+Every operational number is declared once, as a :class:`DaemonStats`
+field carrying its own exposition, and ``STATUS``, ``/metrics`` and the
+router's cluster totals all render from that declaration.  Without a
+telemetry config the daemon's wire behaviour is byte-identical (pinned
+by ``tests/net/test_parity.py``).
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -60,14 +53,10 @@ from repro.broadcast.partition import ShardIdentity
 from repro.broadcast.program import BroadcastCycle, program_signature
 from repro.broadcast.server import DocumentStore, PendingQuery
 from repro.net.clock import ClockAdapter, MonotonicClock
-from repro.net.framing import (
-    FrameError,
-    FrameKind,
-    encode_frame,
-    encode_text,
-    read_frame,
-)
+from repro.net.framing import FrameKind, encode_frame
 from repro.net.pacing import TokenBucket
+from repro.net import uplink
+from repro.net.uplink import Command, Verb
 from repro.net.wire import encode_cycle
 from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.telemetry import (
@@ -79,12 +68,23 @@ from repro.obs.telemetry import (
     TelemetryConfig,
     render_openmetrics,
 )
-from repro.obs.telemetry.tracing import TRACE_TOKEN
+from repro.obs.telemetry.exporter import stat, stat_families, stat_status
 from repro.control import Observation
 from repro.sim.config import SimulationConfig
 from repro.sim.simulation import make_controller, make_server
 from repro.tools.persist import QueryJournal
 from repro.xpath.parser import parse_query
+
+
+#: per-connection write-buffer level above which a send awaits the
+#: transport's drain; below it writes are fire-and-forget, so one frame
+#: costs no per-subscriber await on the fan-out path
+DRAIN_HIGH_WATER = 64 * 1024
+#: per-connection write-buffer cap: a subscriber that falls further
+#: behind than this is evicted (a stalled reader must never pause the
+#: broadcast for everyone else -- broadcast semantics, exactly like
+#: drifting out of radio range)
+MAX_BUFFERED_BYTES = 4 * 1024 * 1024
 
 
 @dataclass
@@ -105,15 +105,6 @@ class DaemonConfig:
     #: stop admitting after this many successful SUBMITs and drain
     #: (benchmarks and smoke jobs); ``None`` = serve forever
     max_queries: Optional[int] = None
-    #: per-connection write-buffer level above which a send awaits the
-    #: transport's drain; below it writes are fire-and-forget, so one
-    #: frame costs no per-subscriber await on the fan-out path
-    drain_high_water: int = 64 * 1024
-    #: per-connection write-buffer cap: a subscriber that falls further
-    #: behind than this is evicted (a stalled reader must never pause
-    #: the broadcast for everyone else -- broadcast semantics, exactly
-    #: like drifting out of radio range)
-    max_buffered_bytes: int = 4 * 1024 * 1024
     #: injectable clock for pacing (wall-clock never enters directly);
     #: ``None`` -> :class:`~repro.net.clock.MonotonicClock`
     clock: Optional[ClockAdapter] = None
@@ -122,9 +113,9 @@ class DaemonConfig:
     telemetry: Optional[TelemetryConfig] = None
     #: cluster membership: this worker's slice of the partition map.
     #: When set, ``CYCLE_BEGIN`` headers and the ``TUNED`` banner carry
-    #: the placement contract (key ``"cluster"``), ``SHARD=`` options on
-    #: SUBMIT/TUNE are validated against it, and the stats families gain
-    #: a ``shard`` label.  ``None`` = the unchanged standalone daemon,
+    #: the placement contract (key ``"cluster"``), ``SHARD=`` options
+    #: are validated against it, and the stats families gain a ``shard``
+    #: label.  ``None`` = the unchanged standalone daemon,
     #: byte-identical to before the cluster tier existed.
     shard: Optional[ShardIdentity] = None
     #: write-ahead journal of admitted queries (crash-resume).  When
@@ -138,34 +129,57 @@ class DaemonConfig:
 
 @dataclass
 class DaemonStats:
-    """Single source of truth for the daemon's operational counters.
+    """The daemon's operational numbers, each declared exactly once.
 
-    ``STATUS`` replies and the ``/metrics`` endpoint both render from
-    this object (the registry only ever carries *additional* detail:
-    per-channel bytes, build spans), so the two surfaces cannot drift
-    apart.
+    A field carries its own exposition
+    (:func:`~repro.obs.telemetry.exporter.stat`): ``STATUS`` replies, the
+    ``/metrics`` families, the router's cluster totals and the table in
+    ``docs/OBSERVABILITY.md`` all render from these declarations, in this
+    order, so no surface can drift from another.  Fields mirroring live
+    server state (``pending`` ... ``draining``, less the counters between)
+    are sampled whenever a surface is read; the rest the daemon bumps.
     """
 
-    connections_total: int = 0
-    admitted_total: int = 0
-    rejected_overload: int = 0
-    rejected_closed: int = 0
+    pending: int = stat("net.pending_queries", "gauge", status="pending", total=True)
+    completed: int = stat(
+        "net.completed_queries", "gauge", status="completed", total=True
+    )
+    cycles: int = stat(status="cycles", total=True)
+    clock: int = stat("net.clock_bytes", "gauge", status="clock")
+    connections_open: int = stat(
+        "net.connections_open", "gauge", status="connections", total=True
+    )
+    admitted_total: int = stat("net.queries_admitted", status="admitted", total=True)
+    rejected_overload: int = stat(
+        "net.queries_rejected", status="rejected", total=True, reason="overload"
+    )
+    rejected_closed: int = stat(
+        "net.queries_rejected", status="rejected", total=True, reason="closed"
+    )
     #: cold queries deferred by the adaptive admission governor
-    rejected_shed: int = 0
-    cycles_streamed: int = 0
-    frames_sent: int = 0
-    #: frames serialised via :func:`~repro.net.framing.encode_frame`;
-    #: per cycle this is the frame count, *independent of how many
-    #: subscribers are tuned* (every connection gets the same buffers)
-    frames_encoded: int = 0
-    bytes_streamed: int = 0
-    #: subscribers dropped for exceeding ``max_buffered_bytes``
-    slow_consumers_evicted: int = 0
+    rejected_shed: int = stat(
+        "net.queries_rejected", status="rejected", total=True, reason="shed"
+    )
+    dedup_hits: int = stat(status="dedup_hits", total=True)
     #: keyed resubmits re-admitted fresh because their original
     #: admission had already completed -- the client reconnected after
     #: missing the broadcast, so the documents must air again
-    redelivered_total: int = 0
-    errors_total: int = 0
+    redelivered_total: int = stat(
+        "net.queries_redelivered", status="redelivered", total=True
+    )
+    degraded_cycles: int = stat(status="degraded_cycles", total=True)
+    draining: bool = stat("net.draining", "gauge", status="draining")
+    connections_total: int = stat("net.connections")
+    cycles_streamed: int = stat("net.cycles_streamed")
+    frames_sent: int = stat("net.frames_sent")
+    #: frames serialised via :func:`~repro.net.framing.encode_frame`;
+    #: per cycle this is the frame count, *independent of how many
+    #: subscribers are tuned* (every connection gets the same buffers)
+    frames_encoded: int = stat("net.frames_encoded")
+    bytes_streamed: int = stat("net.bytes_streamed")
+    #: subscribers dropped for exceeding ``MAX_BUFFERED_BYTES``
+    slow_consumers_evicted: int = stat("net.slow_consumers_evicted")
+    errors_total: int = stat("net.uplink_errors")
 
     @property
     def rejected_total(self) -> int:
@@ -266,7 +280,6 @@ class BroadcastDaemon:
         self.tracer = QueryTracer(self.clock)
         self.metrics_port: Optional[int] = None
         self._metrics_http: Optional[MetricsHTTPServer] = None
-        self._obs_was_enabled = False
         self._obs_previous: Optional[MetricsRegistry] = None
         self._obs_installed: Optional[MetricsRegistry] = None
         if self.flight is not None:
@@ -290,8 +303,7 @@ class BroadcastDaemon:
         if self.telemetry is not None and self.telemetry.wants_registry:
             # Install the telemetry registry as the process-wide obs
             # sink for the daemon's lifetime; restored at shutdown.
-            self._obs_was_enabled = obs.is_enabled()
-            self._obs_previous = obs.get_registry() if self._obs_was_enabled else None
+            self._obs_previous = obs.get_registry() if obs.is_enabled() else None
             self._obs_installed = self.telemetry.registry or MetricsRegistry()
             obs.enable(self._obs_installed)
         if self.journal is not None:
@@ -443,151 +455,90 @@ class BroadcastDaemon:
         # connection instead of draining -- so a drain can never block
         # on a subscriber the daemon would not already have dropped.
         writer.transport.set_write_buffer_limits(
-            high=self.net.max_buffered_bytes, low=self.net.max_buffered_bytes
+            high=MAX_BUFFERED_BYTES, low=MAX_BUFFERED_BYTES
         )
         self._connections.append(conn)
         self.stats.connections_total += 1
         self.events.debug("connection_open", open=len(self._connections))
         try:
-            while True:
-                try:
-                    kind, payload = await read_frame(reader)
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    break
-                if kind is not FrameKind.TEXT:
-                    await self._reply(conn, "ERR uplink frames must be TEXT")
-                    continue
-                try:
-                    line = payload.decode("utf-8").strip()
-                except UnicodeDecodeError:
-                    await self._reply(conn, "ERR command is not UTF-8")
-                    continue
-                if not await self._dispatch(conn, line):
-                    break
+            await uplink.serve_connection(
+                reader,
+                writer,
+                functools.partial(self._dispatch, conn),
+                self._on_uplink_err,
+            )
         finally:
             self._drop(conn)
 
-    async def _reply(self, conn: _Connection, line: str) -> None:
-        if line.startswith("ERR "):
-            self.stats.errors_total += 1
-            self.events.error("uplink_err", message=line[4:])
-            self.dump_flight("err")
-        try:
-            conn.writer.write(encode_text(line))
-            await conn.writer.drain()
-        except (ConnectionError, OSError):
-            self._drop(conn)
+    def _on_uplink_err(self, reply: uplink.Err) -> None:
+        self.stats.errors_total += 1
+        self.events.error("uplink_err", message=reply.message)
+        self.dump_flight("err")
 
-    async def _dispatch(self, conn: _Connection, line: str) -> bool:
-        """Handle one uplink command; returns False to close the session."""
-        command, _, rest = line.partition(" ")
-        command = command.upper()
-        if command == "SUBMIT":
-            await self._reply(conn, self._submit(conn, rest.strip()))
-            return True
-        if command == "TUNE":
-            error = self._check_shard_option(rest.strip())
-            if error is not None:
-                await self._reply(conn, error)
-                return True
+    async def _dispatch(
+        self, conn: _Connection, command: Command
+    ) -> Optional[uplink.Reply]:
+        """The daemon's answer to one parsed uplink command."""
+        # An unsharded daemon is its own one-shard cluster; a cluster
+        # worker accepts only its own index -- a misrouted command fails
+        # loudly instead of silently serving from the wrong slice.
+        expected = self.net.shard.index if self.net.shard is not None else 0
+        if command.shard is not None and command.shard != expected:
+            return uplink.Err(
+                f"wrong shard: this worker serves shard {expected}, "
+                f"not {command.shard}"
+            )
+        if command.verb is Verb.SUBMIT:
+            return self._submit(conn, command)
+        if command.verb is Verb.TUNE:
             conn.tuned = True
-            await self._reply(conn, "TUNED " + json.dumps(self._tune_info()))
-            return True
-        if command == "RECV":
-            self._record_ack(rest.strip())
-            return True
-        if command == "STATUS":
-            await self._reply(conn, "STATUS " + json.dumps(self.status()))
-            return True
-        if command == "BYE":
-            await self._reply(conn, "BYE")
-            return False
-        await self._reply(conn, f"ERR unknown command {command!r}")
-        return True
+            return uplink.Tuned(self._tune_info())
+        if command.verb is Verb.RECV:
+            # A stale or early ack is dropped: the barrier only covers
+            # the cycle on air.
+            if command.cycle == self._ack_cycle:
+                self._acks[command.query_id] = set(command.docs)
+                self._ack_event.set()
+            return None
+        if command.verb is Verb.STATUS:
+            return uplink.Status(self.status())
+        return uplink.Bye()
 
-    def _check_shard_option(self, rest: str) -> Optional[str]:
-        """Validate a ``SHARD=<i>`` uplink option; ``None`` = accepted.
-
-        An unsharded daemon accepts only ``SHARD=0`` (it is its own
-        one-shard cluster); a cluster worker accepts only its own index
-        -- a misrouted command fails loudly instead of silently serving
-        from the wrong slice of the collection.
-        """
-        for token in rest.split():
-            name, _, value = token.partition("=")
-            if name != "SHARD":
-                continue
-            try:
-                requested = int(value)
-            except ValueError:
-                return "ERR SHARD must be an integer"
-            expected = self.net.shard.index if self.net.shard is not None else 0
-            if requested != expected:
-                return (
-                    f"ERR wrong shard: this worker serves shard {expected}, "
-                    f"not {requested}"
-                )
-        return None
-
-    def _submit(self, conn: _Connection, rest: str) -> str:
-        arrival: Optional[int] = None
-        key: Optional[int] = None
-        shard: Optional[int] = None
-        trace_id: Optional[str] = None  # None = untraced; "" = mint one
-        tokens = rest.split()
-        while tokens and "=" in tokens[0]:
-            name, _, value = tokens[0].partition("=")
-            try:
-                if name == "AT":
-                    arrival = int(value)
-                elif name == "KEY":
-                    key = int(value)
-                elif name == "SHARD":
-                    shard = int(value)
-                elif name == TRACE_TOKEN:
-                    trace_id = value
-                else:
-                    return f"ERR unknown SUBMIT option {name!r}"
-            except ValueError:
-                return f"ERR {name} must be an integer"
-            tokens.pop(0)
-        if not tokens:
-            return "ERR SUBMIT needs an XPath query"
-        if shard is not None:
-            error = self._check_shard_option(f"SHARD={shard}")
-            if error is not None:
-                return error
-        if trace_id is not None:
-            trace_id = self.tracer.on_submit(trace_id)
+    def _submit(self, conn: _Connection, command: Command) -> uplink.Reply:
+        arrival, key = command.at, command.key
         # ``TRACE=`` is echoed only to clients that sent it: untraced
         # clients keep the exact reply shape they always had.
-        suffix = f" {TRACE_TOKEN}={trace_id}" if trace_id is not None else ""
+        trace_id = (
+            self.tracer.on_submit(command.trace)
+            if command.trace is not None
+            else None
+        )
 
-        def _reject(reply: str) -> str:
+        def _reject(reply: uplink.Reply) -> uplink.Reply:
             if trace_id is not None:
                 self.tracer.on_reject(trace_id)
                 self._trace_conns.pop(trace_id, None)
             return reply
 
         if self._draining:
-            return _reject("RETRY_AFTER 1" + suffix)
+            return _reject(uplink.RetryAfter(1, trace_id))
         if (
             self.net.max_queries is not None
             and self.stats.admitted_total >= self.net.max_queries
         ):
             self.stats.rejected_closed += 1
             self.events.info("reject", reason="closed")
-            return _reject("ERR admission closed")
+            return _reject(uplink.Err("admission closed"))
         if len(self.server.pending) >= self.net.max_pending:
             self.stats.rejected_overload += 1
             self.events.info(
                 "reject", reason="overload", pending=len(self.server.pending)
             )
-            return _reject(f"RETRY_AFTER {len(self.server.pending)}" + suffix)
+            return _reject(uplink.RetryAfter(len(self.server.pending), trace_id))
         try:
-            query = parse_query(" ".join(tokens))
+            query = parse_query(command.query)
         except ValueError as exc:
-            return _reject(f"ERR {exc}")
+            return _reject(uplink.Err(str(exc)))
         if (
             self.controller is not None
             and self.controller.shedding
@@ -600,14 +551,14 @@ class BroadcastDaemon:
             self.stats.rejected_shed += 1
             self.events.info("shed", query=str(query))
             hint = self.controller.control.retry_after_cycles
-            return _reject(f"RETRY_AFTER {hint}" + suffix)
+            return _reject(uplink.RetryAfter(hint, trace_id))
         if arrival is None:
             arrival = self._arrival_now()
         dedup_before = self.server.uplink_dedup_hits
         try:
             pending = self.server.submit(query, arrival, client_key=key)
         except ValueError as exc:
-            return _reject(f"ERR {exc}")
+            return _reject(uplink.Err(str(exc)))
         if (
             key is not None
             and self.server.uplink_dedup_hits > dedup_before
@@ -623,7 +574,7 @@ class BroadcastDaemon:
             try:
                 pending = self.server.submit(query, arrival, client_key=key)
             except ValueError as exc:
-                return _reject(f"ERR {exc}")
+                return _reject(uplink.Err(str(exc)))
             self.stats.redelivered_total += 1
             self.events.info(
                 "redeliver", query_id=pending.query_id, key=key
@@ -657,7 +608,7 @@ class BroadcastDaemon:
             pending=len(self.server.pending),
         )
         self._wake.set()
-        return f"ACK {pending.query_id} {pending.arrival_time}" + suffix
+        return uplink.Ack(pending.query_id, pending.arrival_time, trace_id)
 
     def _arrival_now(self) -> int:
         """Current channel byte-time: mid-cycle it is the on-air position.
@@ -687,42 +638,25 @@ class BroadcastDaemon:
             info["num_channels"] = self.controller.num_channels
         return info
 
-    def _record_ack(self, rest: str) -> None:
-        parts = rest.split()
-        if len(parts) != 3:
-            return
-        try:
-            query_id, cycle_number = int(parts[0]), int(parts[1])
-            docs = (
-                set()
-                if parts[2] == "-"
-                else {int(d) for d in parts[2].split(",")}
-            )
-        except ValueError:
-            return
-        if cycle_number != self._ack_cycle:
-            return  # stale or early ack: the barrier only covers the on-air cycle
-        self._acks[query_id] = docs
-        self._ack_event.set()
+    def _sampled_stats(self) -> DaemonStats:
+        """The one stats object, its live-state fields refreshed."""
+        stats, server = self.stats, self.server
+        stats.pending = len(server.pending)
+        stats.completed = len(server.completed)
+        stats.cycles = server.cycle_number
+        stats.clock = server.clock
+        stats.connections_open = len(self._connections)
+        stats.dedup_hits = server.uplink_dedup_hits
+        stats.degraded_cycles = server.degraded_cycles
+        stats.draining = self._draining
+        return stats
 
     def status(self) -> Dict:
-        """The ``STATUS`` wire payload; reads the same
-        :class:`DaemonStats` the ``/metrics`` endpoint renders."""
-        status: Dict = {
-            "pending": len(self.server.pending),
-            "completed": len(self.server.completed),
-            "cycles": self.server.cycle_number,
-            "clock": self.server.clock,
-            "connections": len(self._connections),
-            "admitted": self.stats.admitted_total,
-            "rejected": self.stats.rejected_total,
-            "dedup_hits": self.server.uplink_dedup_hits,
-            "redelivered": self.stats.redelivered_total,
-            "degraded_cycles": self.server.degraded_cycles,
-            "draining": self._draining,
-            "num_channels": self.config.num_data_channels,
-            "bandwidth": self.net.bandwidth,
-        }
+        """The ``STATUS`` wire payload: the declared :class:`DaemonStats`
+        keys, then what this daemon's configuration adds."""
+        status = stat_status(self._sampled_stats())
+        status["num_channels"] = self.config.num_data_channels
+        status["bandwidth"] = self.net.bandwidth
         if self.controller is not None:
             status["adaptive"] = True
             status["num_channels"] = self.controller.num_channels
@@ -743,13 +677,8 @@ class BroadcastDaemon:
     # ------------------------------------------------------------------
 
     def _stat_families(self) -> List[Family]:
-        """The plain-int operational state as OpenMetrics families.
-
-        These are the exact integers ``STATUS`` reports -- rendered
-        from :class:`DaemonStats` and the underlying server, never from
-        a second copy.
-        """
-        stats = self.stats
+        """The declared :class:`DaemonStats` series (plus the adaptive
+        controller's), as OpenMetrics families."""
         # Cluster workers label every stats sample with their shard so
         # the front door's merged exposition keeps series distinct even
         # before it injects its own relabelling.
@@ -758,71 +687,24 @@ class BroadcastDaemon:
             if self.net.shard is not None
             else {}
         )
-        rejected = Family("net.queries_rejected", "counter")
-        rejected.add(stats.rejected_overload, reason="overload", **labels)
-        rejected.add(stats.rejected_closed, reason="closed", **labels)
-        families = [
-            Family("net.connections", "counter").add(
-                stats.connections_total, **labels
-            ),
-            Family("net.queries_admitted", "counter").add(
-                stats.admitted_total, **labels
-            ),
-            rejected,
-            Family("net.cycles_streamed", "counter").add(
-                stats.cycles_streamed, **labels
-            ),
-            Family("net.frames_sent", "counter").add(stats.frames_sent, **labels),
-            Family("net.frames_encoded", "counter").add(
-                stats.frames_encoded, **labels
-            ),
-            Family("net.bytes_streamed", "counter").add(
-                stats.bytes_streamed, **labels
-            ),
-            Family("net.slow_consumers_evicted", "counter").add(
-                stats.slow_consumers_evicted, **labels
-            ),
-            Family("net.queries_redelivered", "counter").add(
-                stats.redelivered_total, **labels
-            ),
-            Family("net.uplink_errors", "counter").add(stats.errors_total, **labels),
-            Family("net.connections_open", "gauge").add(
-                len(self._connections), **labels
-            ),
-            Family("net.pending_queries", "gauge").add(
-                len(self.server.pending), **labels
-            ),
-            Family("net.completed_queries", "gauge").add(
-                len(self.server.completed), **labels
-            ),
-            Family("net.clock_bytes", "gauge").add(self.server.clock, **labels),
-            Family("net.draining", "gauge").add(int(self._draining), **labels),
-        ]
+        families = stat_families(self._sampled_stats(), **labels)
         if self.controller is not None:
-            # num_channels / hot_set_size / shedding are NOT mirrored
-            # here: the controller writes those gauges straight into the
-            # process-wide obs registry (which /metrics always installs),
-            # and OpenMetrics forbids declaring a family twice.
+            # num_channels / hot_set_size / shedding / shed_queries are
+            # NOT mirrored here: the controller writes those straight
+            # into the process-wide obs registry (which /metrics always
+            # installs), and OpenMetrics forbids declaring a family twice.
             ctl = self.controller
-            families.extend(
-                [
-                    Family("control.allocation", "gauge").add(
-                        1, policy=ctl.allocation, **labels
-                    ),
-                    Family("control.shed_queries", "counter").add(
-                        ctl.shed_queries, **labels
-                    ),
-                    Family("control.plan_changes", "counter").add(
-                        ctl.plan_changes, **labels
-                    ),
-                    Family("control.k_changes", "counter").add(
-                        ctl.k_changes, **labels
-                    ),
-                    Family("control.policy_switches", "counter").add(
-                        ctl.policy_switches, **labels
-                    ),
-                ]
+            families.append(
+                Family("control.allocation", "gauge").add(
+                    1, policy=ctl.allocation, **labels
+                )
             )
+            for name, value in (
+                ("control.plan_changes", ctl.plan_changes),
+                ("control.k_changes", ctl.k_changes),
+                ("control.policy_switches", ctl.policy_switches),
+            ):
+                families.append(Family(name, "counter").add(value, **labels))
         return families
 
     def _metrics_text(self) -> str:
@@ -1165,7 +1047,7 @@ class BroadcastDaemon:
         try:
             conn.writer.write(blob)
             buffered = conn.writer.transport.get_write_buffer_size()
-            if buffered > self.net.max_buffered_bytes:
+            if buffered > MAX_BUFFERED_BYTES:
                 # A broadcast never waits for one stalled subscriber: a
                 # reader that has fallen further behind than the cap is
                 # evicted (the medium's equivalent of drifting out of
@@ -1176,7 +1058,7 @@ class BroadcastDaemon:
                 )
                 self._drop(conn)
                 return
-            if buffered > self.net.drain_high_water:
+            if buffered > DRAIN_HIGH_WATER:
                 # Below the high-water mark writes are fire-and-forget;
                 # above it, yield to the transport.  The transport's
                 # pause threshold sits at the eviction cap, so this
@@ -1249,20 +1131,25 @@ class BroadcastDaemon:
         for conn in list(self._connections):
             if conn.tuned and not conn.closed:
                 await self._send(conn, bye)
+        for conn in list(self._connections):
+            self._drop(conn)
+        await self._release()
+
+    async def _release(self) -> None:
+        """What a drain and a crash both give back once the connections
+        are gone: the listening port, the metrics endpoint, the journal
+        handle and the process-wide obs registry."""
         if self._tcp is not None:
             self._tcp.close()
             await self._tcp.wait_closed()
-        for conn in list(self._connections):
-            self._drop(conn)
+            self._tcp = None
         if self._metrics_http is not None:
             await self._metrics_http.stop()
             self._metrics_http = None
         if self.journal is not None:
+            # The handle only: after a crash the journal *file* keeps
+            # its admitted-not-done records -- that is the contract.
             self.journal.close()
-        self._restore_obs()
-        self._done.set()
-
-    def _restore_obs(self) -> None:
         if self.telemetry is not None and self.telemetry.wants_registry:
             # Put the process-wide obs state back the way we found it --
             # but only if this daemon's registry is still the active one.
@@ -1270,11 +1157,12 @@ class BroadcastDaemon:
             # stop must not clobber a sibling's live registry, and a
             # stale "previous" must not be resurrected after it.
             if obs.is_enabled() and obs.get_registry() is self._obs_installed:
-                if self._obs_was_enabled and self._obs_previous is not None:
+                if self._obs_previous is not None:
                     obs.enable(self._obs_previous)
                 else:
                     obs.disable()
             self._obs_installed = None
+        self._done.set()
 
     async def abort(self) -> None:
         """Crash the daemon: the in-process analogue of ``SIGKILL``.
@@ -1295,10 +1183,6 @@ class BroadcastDaemon:
                 await self._loop_task
             except asyncio.CancelledError:
                 pass
-        if self._tcp is not None:
-            self._tcp.close()
-            await self._tcp.wait_closed()
-            self._tcp = None
         for conn in list(self._connections):
             conn.closed = True
             try:
@@ -1306,15 +1190,7 @@ class BroadcastDaemon:
             except Exception:  # pragma: no cover - best-effort teardown
                 pass
         self._connections.clear()
-        if self._metrics_http is not None:
-            await self._metrics_http.stop()
-            self._metrics_http = None
-        if self.journal is not None:
-            # Close the handle only: the journal *file* keeps its
-            # admitted-not-done records -- that is the crash contract.
-            self.journal.close()
-        self._restore_obs()
-        self._done.set()
+        await self._release()
 
     # ------------------------------------------------------------------
     # Boot helpers

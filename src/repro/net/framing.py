@@ -12,9 +12,9 @@ packet (the fault-injection extension): it carries the CRC-32 of
 readers verify it -- the same end-to-end integrity check the simulated
 checksummed packets model, applied at frame granularity on the stream.
 
-Uplink frames are :attr:`FrameKind.TEXT` carrying UTF-8 command lines
-(``SUBMIT``/``STATUS``/``TUNE``/``RECV``/``BYE``); downlink frames are
-the binary cycle stream (see :mod:`repro.net.wire`).
+Uplink frames are :attr:`FrameKind.TEXT` carrying UTF-8 command and
+reply lines (see :mod:`repro.net.uplink`); downlink frames are the
+binary cycle stream (see :mod:`repro.net.wire`).
 """
 
 from __future__ import annotations

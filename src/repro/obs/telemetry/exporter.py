@@ -1,6 +1,12 @@
 """Prometheus/OpenMetrics exposition for a registry snapshot.
 
-Three layers, each usable on its own:
+Four layers, each usable on its own:
+
+* :func:`stat` declares one operational number *once*, as a field of a
+  stats dataclass carrying its own exposition; :func:`stat_families`,
+  :func:`stat_status`, :func:`status_total_keys` and :func:`stat_table`
+  render ``/metrics`` families, the ``STATUS`` payload, the router's
+  cluster totals and the ``docs/OBSERVABILITY.md`` table from it;
 
 * :func:`render_openmetrics` turns a :meth:`MetricsRegistry.snapshot`
   dict into OpenMetrics text (counters, gauges, histograms, plus span
@@ -19,12 +25,12 @@ import asyncio
 import inspect
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
+    Any,
     Awaitable,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -42,6 +48,11 @@ __all__ = [
     "relabel_exposition",
     "render_openmetrics",
     "scrape",
+    "stat",
+    "stat_families",
+    "stat_status",
+    "stat_table",
+    "status_total_keys",
 ]
 
 #: Content type advertised by ``/metrics`` (OpenMetrics 1.0 text).
@@ -72,6 +83,89 @@ class Family:
     def add(self, value: float, **labels: str) -> "Family":
         self.samples.append((labels, value))
         return self
+
+
+@dataclass(frozen=True)
+class _StatSpec:
+    metric: Optional[str]
+    kind: str
+    status: Optional[str]
+    total: bool
+    labels: Dict[str, str]
+
+
+def stat(
+    metric: Optional[str] = None,
+    kind: str = "counter",
+    *,
+    status: Optional[str] = None,
+    total: bool = False,
+    **labels: str,
+) -> Any:
+    """Declare one operational stat as a dataclass field (default 0).
+
+    *metric*/*kind*/*labels* are its ``/metrics`` series (``None`` = not
+    exported), *status* its key in the ``STATUS`` payload (``None`` =
+    not reported; fields sharing a key are summed into it) and *total*
+    whether a front door adds that key up across its shards.
+    """
+    return field(
+        default=0, metadata={"stat": _StatSpec(metric, kind, status, total, labels)}
+    )
+
+
+def _stat_specs(stats: Any) -> List[Tuple[str, _StatSpec]]:
+    """``(field name, declaration)`` of a stats dataclass (or instance)."""
+    return [
+        (f.name, f.metadata["stat"]) for f in fields(stats) if "stat" in f.metadata
+    ]
+
+
+def stat_families(stats: Any, **labels: str) -> List[Family]:
+    """The declared ``/metrics`` families of a stats object, each sample
+    additionally carrying *labels*."""
+    families: Dict[str, Family] = {}
+    for name, spec in _stat_specs(stats):
+        if spec.metric is not None:
+            families.setdefault(spec.metric, Family(spec.metric, spec.kind)).add(
+                int(getattr(stats, name)), **spec.labels, **labels
+            )
+    return list(families.values())
+
+
+def stat_status(stats: Any) -> Dict[str, Any]:
+    """The declared ``STATUS`` entries of a stats object, in field order."""
+    status: Dict[str, Any] = {}
+    for name, spec in _stat_specs(stats):
+        if spec.status is not None:
+            value = getattr(stats, name)
+            status[spec.status] = (
+                status[spec.status] + value if spec.status in status else value
+            )
+    return status
+
+
+def status_total_keys(stats: Any) -> Tuple[str, ...]:
+    """The ``STATUS`` keys declared summable across shards."""
+    keys = [s.status for _, s in _stat_specs(stats) if s.total and s.status]
+    return tuple(dict.fromkeys(keys))
+
+
+def stat_table(*stat_classes: Any) -> str:
+    """The markdown table of every declared stat (the generated block of
+    ``docs/OBSERVABILITY.md``; a test keeps the two identical)."""
+    rows = ["| stat | `/metrics` series | `STATUS` key |", "|---|---|---|"]
+    for cls in stat_classes:
+        for name, spec in _stat_specs(cls):
+            series = "—"
+            if spec.metric is not None:
+                suffix = "_total" if spec.kind == "counter" else ""
+                series = f"`{_sanitize(spec.metric)}{suffix}{_label_text(spec.labels)}`"
+                series += f" ({spec.kind})"
+            key = f"`{spec.status}`" if spec.status else "—"
+            key += " (summed by the router)" if spec.total else ""
+            rows.append(f"| `{cls.__name__}.{name}` | {series} | {key} |")
+    return "\n".join(rows) + "\n"
 
 
 def _sanitize(name: str) -> str:

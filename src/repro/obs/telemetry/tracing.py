@@ -27,10 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
-__all__ = ["QueryTrace", "QueryTracer", "TRACE_TOKEN"]
-
-#: Uplink option token that requests tracing (``TRACE=`` or ``TRACE=<id>``).
-TRACE_TOKEN = "TRACE"
+__all__ = ["QueryTrace", "QueryTracer"]
 
 #: Timeline keys a complete daemon-side trace entry must carry.
 _ENTRY_STAMPS = (

@@ -129,12 +129,6 @@ class SimulationConfig:
     shard_index: Optional[int] = None
     partition_seed: int = 0
 
-    #: Incremental cycle-build caches in the server (CI delta maintenance,
-    #: pruning-DFA reuse, PCI reuse, demand-table scheduling).  ``False``
-    #: is the ``--no-cache`` escape hatch: every cycle is rebuilt from
-    #: scratch; cycle programs are byte-identical either way.
-    server_caches: bool = True
-
     # Run shape
     arrival_cycles: int = 3  #: how many cycles receive fresh arrivals
     max_cycles: int = 400  #: hard stop (drain guard)

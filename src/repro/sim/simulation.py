@@ -83,7 +83,6 @@ def make_server(config: SimulationConfig, store: DocumentStore) -> BroadcastServ
         cycle_data_capacity=config.cycle_data_capacity,
         packing=config.packing,
         acknowledged_delivery=config.needs_acknowledged_delivery,
-        enable_caches=config.server_caches,
         num_data_channels=config.num_data_channels,
         channel_allocation=config.channel_allocation,
     )

@@ -26,12 +26,6 @@ from repro.tools.trace import (
     load_trace,
     summarise_trace,
 )
-from repro.tools.compare import (
-    MetricDrift,
-    TraceComparison,
-    compare_summaries,
-    compare_traces,
-)
 
 __all__ = [
     "JournalEntry",
@@ -46,8 +40,4 @@ __all__ = [
     "export_trace",
     "load_trace",
     "summarise_trace",
-    "MetricDrift",
-    "TraceComparison",
-    "compare_summaries",
-    "compare_traces",
 ]

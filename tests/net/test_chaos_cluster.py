@@ -28,7 +28,7 @@ from repro.broadcast.server import DocumentStore
 from repro.net import AsyncTwoTierClient, ClusterConfig, ClusterRouter
 from repro.net.chaos import ChaosController, assert_recovery, build_chaos_schedule
 from repro.net.cluster import ClusterSupervisor
-from repro.net.framing import FrameKind, encode_text, read_frame
+from repro.net.uplink import round_trip
 from repro.net.loadgen import build_load_plan, run_load
 from repro.sim.config import small_setup
 from repro.sim.simulation import build_collection, make_server
@@ -56,18 +56,6 @@ def _serve_args(bandwidth=None):
     if bandwidth is not None:
         args += ["--bandwidth", str(bandwidth)]
     return args
-
-
-async def _raw_command(port: int, line: str) -> str:
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    try:
-        writer.write(encode_text(line))
-        await writer.drain()
-        kind, payload = await read_frame(reader)
-        assert kind is FrameKind.TEXT
-        return payload.decode("utf-8")
-    finally:
-        writer.close()
 
 
 async def _await_drained_journals(supervisor, num, timeout=60.0):
@@ -328,7 +316,7 @@ class TestCircuitBreaker:
                     await asyncio.sleep(0.05)
                 # give the monitor a beat to pin the router state
                 await asyncio.sleep(0.2)
-                reply = await _raw_command(router.port, "TUNE SHARD=0")
+                reply = await round_trip("127.0.0.1", router.port, "TUNE SHARD=0")
                 return reply
             finally:
                 monitor.cancel()

@@ -14,7 +14,6 @@ i/N`` worker subprocesses under a :class:`ClusterSupervisor`, and the
 from __future__ import annotations
 
 import asyncio
-import json
 import signal
 import subprocess
 import sys
@@ -31,9 +30,11 @@ from repro.net.cluster import (
     ClusterSupervisor,
     WorkerAddress,
 )
-from repro.net.framing import FrameKind, encode_text, read_frame
+from repro.net.daemon import DaemonStats
 from repro.net.loadgen import build_load_plan, run_load
+from repro.net.uplink import parse_reply, round_trip
 from repro.obs.telemetry import TelemetryConfig, lint_openmetrics, scrape
+from repro.obs.telemetry.exporter import status_total_keys
 from repro.sim.config import small_setup
 from repro.sim.simulation import build_collection
 from repro.xpath.generator import generate_workload
@@ -113,20 +114,6 @@ class _Cluster:
             await daemon.wait_done()
 
 
-async def _text_roundtrip(port: int, line: str) -> str:
-    """One TEXT command against the front door, first reply line back."""
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    try:
-        writer.write(encode_text(line))
-        await writer.drain()
-        kind, payload = await read_frame(reader)
-        assert kind is FrameKind.TEXT
-        return payload.decode("utf-8")
-    finally:
-        writer.close()
-        await writer.wait_closed()
-
-
 class TestProxyRouting:
     def test_pinned_session_end_to_end(self, full_docs):
         async def run():
@@ -148,14 +135,57 @@ class TestProxyRouting:
                 pm = cluster.router.partition
                 query = _shard_query(full_docs, 0)
                 want = pm.shard_for_query(query)
-                reply = await _text_roundtrip(
-                    cluster.router.port, f"SUBMIT {query}"
+                reply = await round_trip(
+                    "127.0.0.1", cluster.router.port, f"SUBMIT {query}"
                 )
                 assert cluster.router.stats.routed_by_shard[want] == 1
                 # the worker answered through the splice (ACK if the
                 # query matches that shard, ERR otherwise -- either way
                 # the reply came from the right worker)
                 assert reply.split()[0] in ("ACK", "ERR")
+
+        asyncio.run(asyncio.wait_for(run(), timeout=60))
+
+    def test_predicate_query_hashes_the_text_the_worker_parses(self, full_docs):
+        """Regression: the router dropped every leading token containing
+        ``=`` before hashing, so ``SUBMIT //nitf[@id="7"]`` was spread by
+        the hash of the *empty string* -- and then refused by the worker
+        as an unknown option.  Router and worker now read one grammar."""
+
+        async def run():
+            async with _Cluster(full_docs, ClusterConfig()) as cluster:
+                pm = cluster.router.partition
+                query = next(
+                    text
+                    for text in (f'//nitf[@id="{n}"]' for n in range(64))
+                    if pm.shard_for_query(text) != pm.shard_for_query("")
+                )
+                want = pm.shard_for_query(query)
+                reply = await round_trip(
+                    "127.0.0.1", cluster.router.port, f"SUBMIT AT=0 {query}"
+                )
+                assert cluster.router.stats.routed_by_shard[want] == 1
+                assert reply.startswith("ERR the air index is purely structural")
+
+        asyncio.run(asyncio.wait_for(run(), timeout=60))
+
+    def test_unknown_and_lower_case_options_rejected_at_router(self, full_docs):
+        """Regression: ``TUNE shard=1`` used to route (to shard 0) and
+        tune there; the front door now answers what a worker would."""
+
+        async def run():
+            async with _Cluster(full_docs, ClusterConfig()) as cluster:
+                replies = [
+                    await round_trip("127.0.0.1", cluster.router.port, line)
+                    for line in ("TUNE shard=1", "TUNE FOO=1", "SUBMIT at=5 //nitf")
+                ]
+                assert replies == [
+                    "ERR unknown TUNE option 'shard'",
+                    "ERR unknown TUNE option 'FOO'",
+                    "ERR unknown SUBMIT option 'at'",
+                ]
+                assert cluster.router.stats.routed_total == 0
+                assert cluster.router.stats.errors_total == 3
 
         asyncio.run(asyncio.wait_for(run(), timeout=60))
 
@@ -166,12 +196,12 @@ class TestProxyRouting:
         async def run():
             async with _Cluster(full_docs, ClusterConfig()) as cluster:
                 # direct to worker 0, claiming shard 1
-                reply = await _text_roundtrip(
-                    cluster.daemons[0].port, "TUNE SHARD=1"
+                reply = await round_trip(
+                    "127.0.0.1", cluster.daemons[0].port, "TUNE SHARD=1"
                 )
                 assert reply.startswith("ERR wrong shard")
-                reply = await _text_roundtrip(
-                    cluster.daemons[0].port,
+                reply = await round_trip(
+                    "127.0.0.1", cluster.daemons[0].port,
                     f"SUBMIT SHARD=1 {_shard_query(full_docs, 1)}",
                 )
                 assert reply.startswith("ERR wrong shard")
@@ -181,12 +211,12 @@ class TestProxyRouting:
     def test_out_of_range_shard_rejected_at_router(self, full_docs):
         async def run():
             async with _Cluster(full_docs, ClusterConfig()) as cluster:
-                reply = await _text_roundtrip(
-                    cluster.router.port, "TUNE SHARD=7"
+                reply = await round_trip(
+                    "127.0.0.1", cluster.router.port, "TUNE SHARD=7"
                 )
                 assert reply.startswith("ERR shard 7 out of range")
-                reply = await _text_roundtrip(
-                    cluster.router.port, "TUNE SHARD=x"
+                reply = await round_trip(
+                    "127.0.0.1", cluster.router.port, "TUNE SHARD=x"
                 )
                 assert reply.startswith("ERR SHARD must be an integer")
 
@@ -216,8 +246,8 @@ class TestRedirect:
         async def run():
             config = ClusterConfig(redirect=True)
             async with _Cluster(full_docs, config) as cluster:
-                reply = await _text_roundtrip(
-                    cluster.router.port, "TUNE SHARD=0"
+                reply = await round_trip(
+                    "127.0.0.1", cluster.router.port, "TUNE SHARD=0"
                 )
                 word, shard, host, port = reply.split()
                 assert word == "MOVED"
@@ -242,8 +272,8 @@ class TestAdmission:
                 full_docs, config, autostart=False
             ) as cluster:
                 for shard in (0, 1):
-                    reply = await _text_roundtrip(
-                        cluster.router.port,
+                    reply = await round_trip(
+                        "127.0.0.1", cluster.router.port,
                         f"SUBMIT SHARD={shard} "
                         f"{_shard_query(full_docs, shard)}",
                     )
@@ -274,10 +304,13 @@ class TestAggregation:
                         port=cluster.router.port,
                         shard=shard,
                     ).run()
-                reply = await _text_roundtrip(cluster.router.port, "STATUS")
-                word, _, rest = reply.partition(" ")
-                assert word == "STATUS"
-                status = json.loads(rest)
+                status = parse_reply(
+                    await round_trip("127.0.0.1", cluster.router.port, "STATUS")
+                ).info
+                # cluster totals are the daemon's declared summable keys
+                # (the hand-kept tuple this replaces had lost "redelivered")
+                assert tuple(status["totals"]) == status_total_keys(DaemonStats)
+                assert "redelivered" in status["totals"]
                 assert status["num_shards"] == NUM_SHARDS
                 assert status["workers_up"] == NUM_SHARDS
                 assert status["totals"]["completed"] == 2

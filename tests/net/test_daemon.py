@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import asyncio
-import json
 
 import pytest
 
@@ -16,7 +15,7 @@ from repro.net import (
     TokenBucket,
 )
 from repro.net.client import Backpressure
-from repro.net.framing import FrameKind, encode_text, read_frame
+from repro.net.uplink import parse_reply, round_trip
 from repro.sim.config import small_setup
 from repro.xpath.evaluator import matching_documents
 from repro.xpath.parser import parse_query
@@ -46,28 +45,15 @@ async def _with_daemon(store, config, net, body):
         await daemon.wait_done()
 
 
-async def _raw_command(port: int, line: str) -> str:
-    """One TEXT command on a fresh, untuned connection."""
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    try:
-        writer.write(encode_text(line))
-        await writer.drain()
-        kind, payload = await read_frame(reader)
-        assert kind is FrameKind.TEXT
-        return payload.decode("utf-8")
-    finally:
-        writer.close()
-
-
 class TestUplink:
     def test_submit_ack_and_status(self, store, config):
         async def body(daemon):
-            reply = await _raw_command(daemon.port, "SUBMIT AT=0 //nitf")
+            reply = await round_trip("127.0.0.1", daemon.port, "SUBMIT AT=0 //nitf")
             word, qid, arrival = reply.split()
             assert word == "ACK" and arrival == "0"
-            status = json.loads(
-                (await _raw_command(daemon.port, "STATUS")).split(" ", 1)[1]
-            )
+            status = parse_reply(
+                await round_trip("127.0.0.1", daemon.port, "STATUS")
+            ).info
             assert status["admitted"] == 1
             assert status["pending"] >= 1
             return int(qid)
@@ -78,9 +64,9 @@ class TestUplink:
 
     def test_bad_query_is_err_not_fatal(self, store, config):
         async def body(daemon):
-            bad = await _raw_command(daemon.port, "SUBMIT //no(t)valid")
-            empty = await _raw_command(daemon.port, "SUBMIT")
-            unknown = await _raw_command(daemon.port, "FROB 1")
+            bad = await round_trip("127.0.0.1", daemon.port, "SUBMIT //no(t)valid")
+            empty = await round_trip("127.0.0.1", daemon.port, "SUBMIT")
+            unknown = await round_trip("127.0.0.1", daemon.port, "FROB 1")
             return bad, empty, unknown
 
         bad, empty, unknown = _run(
@@ -90,10 +76,81 @@ class TestUplink:
         assert empty.startswith("ERR")
         assert unknown.startswith("ERR unknown command")
 
+    def test_predicate_query_reaches_the_xpath_parser(self, store, config):
+        """Regression: any leading token *containing* ``=`` used to be
+        taken for an option, so ``//nitf[@id=1]`` was answered ``ERR
+        unknown SUBMIT option '//nitf[@id'``.  A query must get the
+        XPath layer's own verdict, with or without real options."""
+
+        async def body(daemon):
+            return [
+                await round_trip("127.0.0.1", daemon.port, line)
+                for line in (
+                    "SUBMIT //nitf[@id=1]",
+                    'SUBMIT AT=5 //nitf[@a="x"]',
+                    "SUBMIT //nitf[head]",
+                )
+            ]
+
+        unquoted, attribute, child = _run(
+            _with_daemon(store, config, DaemonConfig(autostart=False), body)
+        )
+        with pytest.raises(ValueError) as parser_says:
+            parse_query("//nitf[@id=1]")
+        assert unquoted == f"ERR {parser_says.value}"
+        # parses fine; server.submit refuses predicates on the air index
+        assert attribute == child
+        assert attribute.startswith("ERR the air index is purely structural")
+
+    def test_unknown_and_lower_case_options_are_rejected(self, store, config):
+        """Regression: ``TUNE shard=1`` / ``TUNE FOO=1`` used to tune
+        silently (on an unsharded daemon: into shard 0) while the same
+        spelling on SUBMIT was an error."""
+
+        async def body(daemon):
+            return [
+                await round_trip("127.0.0.1", daemon.port, line)
+                for line in (
+                    "TUNE shard=1",
+                    "TUNE FOO=1",
+                    "SUBMIT at=5 //nitf",
+                    "TUNE SHARD=1",
+                    "TUNE SHARD=x",
+                    "TUNE SHARD=0",
+                )
+            ]
+
+        replies = _run(
+            _with_daemon(store, config, DaemonConfig(autostart=False), body)
+        )
+        assert replies[:5] == [
+            "ERR unknown TUNE option 'shard'",
+            "ERR unknown TUNE option 'FOO'",
+            "ERR unknown SUBMIT option 'at'",
+            "ERR wrong shard: this worker serves shard 0, not 1",
+            "ERR SHARD must be an integer",
+        ]
+        assert replies[5].startswith("TUNED ")
+
+    def test_status_keys_keep_their_wire_order(self, store, config):
+        """STATUS is rendered from the ``DaemonStats`` declaration; the
+        key order on the wire is the one clients have always seen."""
+
+        async def body(daemon):
+            return await round_trip("127.0.0.1", daemon.port, "STATUS")
+
+        reply = _run(_with_daemon(store, config, DaemonConfig(autostart=False), body))
+        assert reply == (
+            'STATUS {"pending": 0, "completed": 0, "cycles": 0, "clock": 0, '
+            '"connections": 1, "admitted": 0, "rejected": 0, "dedup_hits": 0, '
+            '"redelivered": 0, "degraded_cycles": 0, "draining": false, '
+            '"num_channels": 1, "bandwidth": null}'
+        )
+
     def test_backpressure_retry_after(self, store, config):
         async def body(daemon):
-            first = await _raw_command(daemon.port, "SUBMIT AT=0 //nitf")
-            second = await _raw_command(daemon.port, "SUBMIT AT=0 //body")
+            first = await round_trip("127.0.0.1", daemon.port, "SUBMIT AT=0 //nitf")
+            second = await round_trip("127.0.0.1", daemon.port, "SUBMIT AT=0 //body")
             return first, second
 
         net = DaemonConfig(autostart=False, max_pending=1)
@@ -103,7 +160,7 @@ class TestUplink:
 
     def test_backpressure_raises_in_client(self, store, config):
         async def body(daemon):
-            blocker = await _raw_command(daemon.port, "SUBMIT AT=0 //nitf")
+            blocker = await round_trip("127.0.0.1", daemon.port, "SUBMIT AT=0 //nitf")
             assert blocker.startswith("ACK")
             client = AsyncTwoTierClient("//body", port=daemon.port)
             await client.connect()
@@ -122,8 +179,8 @@ class TestUplink:
 
     def test_idempotent_uplink_key_dedups(self, store, config):
         async def body(daemon):
-            a = await _raw_command(daemon.port, "SUBMIT AT=0 KEY=42 //nitf")
-            b = await _raw_command(daemon.port, "SUBMIT AT=0 KEY=42 //nitf")
+            a = await round_trip("127.0.0.1", daemon.port, "SUBMIT AT=0 KEY=42 //nitf")
+            b = await round_trip("127.0.0.1", daemon.port, "SUBMIT AT=0 KEY=42 //nitf")
             return a, b, daemon.server.uplink_dedup_hits
 
         a, b, hits = _run(
@@ -196,8 +253,8 @@ class TestLifecycle:
         """The quota rejects further SUBMITs even before any broadcast."""
 
         async def body(daemon):
-            first = await _raw_command(daemon.port, "SUBMIT AT=0 //nitf")
-            second = await _raw_command(daemon.port, "SUBMIT AT=0 //body")
+            first = await round_trip("127.0.0.1", daemon.port, "SUBMIT AT=0 //nitf")
+            second = await round_trip("127.0.0.1", daemon.port, "SUBMIT AT=0 //body")
             return first, second
 
         net = DaemonConfig(autostart=False, max_queries=1)

@@ -4,7 +4,7 @@ Three properties of the rewritten streaming path are pinned here:
 
 * frame encoding happens once per cycle, independent of how many
   subscribers are tuned (the same bytes objects fan out to everyone);
-* a stalled or slow reader is evicted above ``max_buffered_bytes`` and
+* a stalled or slow reader is evicted above ``MAX_BUFFERED_BYTES`` and
   never blocks the fan-out to the other subscribers (the drain gate);
 * :class:`~repro.net.wire.CycleDecoder` instances in one process share
   decoded cycles keyed by the exact frame bytes, so N co-located
@@ -19,7 +19,7 @@ import pytest
 
 from repro.broadcast.server import DocumentStore
 from repro.net import AsyncTwoTierClient, BroadcastDaemon, DaemonConfig
-from repro.net.daemon import _Connection
+from repro.net.daemon import DRAIN_HIGH_WATER, MAX_BUFFERED_BYTES, _Connection
 from repro.net.framing import FrameKind, encode_text, read_frame
 from repro.net.wire import CycleDecoder, WireProtocolError, encode_cycle
 from repro.sim.config import small_setup
@@ -150,7 +150,7 @@ class TestSlowReader:
     def test_fire_and_forget_below_high_water(self, store, config):
         async def body():
             daemon = self._daemon(store, config)
-            writer = _ScriptWriter(buffered=daemon.net.drain_high_water - 1)
+            writer = _ScriptWriter(buffered=DRAIN_HIGH_WATER - 1)
             conn = _Connection(None, writer, tuned=True)
             await daemon._send(conn, b"frame")
             return writer, conn, daemon
@@ -164,7 +164,7 @@ class TestSlowReader:
     def test_drains_above_high_water(self, store, config):
         async def body():
             daemon = self._daemon(store, config)
-            writer = _ScriptWriter(buffered=daemon.net.drain_high_water + 1)
+            writer = _ScriptWriter(buffered=DRAIN_HIGH_WATER + 1)
             conn = _Connection(None, writer, tuned=True)
             await daemon._send(conn, b"frame")
             return writer, conn
@@ -179,7 +179,7 @@ class TestSlowReader:
             # Stalled: a drain here would never return -- eviction must
             # happen first, without ever touching drain.
             writer = _ScriptWriter(
-                buffered=daemon.net.max_buffered_bytes + 1, stall=True
+                buffered=MAX_BUFFERED_BYTES + 1, stall=True
             )
             conn = _Connection(None, writer, tuned=True)
             daemon._connections.append(conn)
@@ -201,7 +201,7 @@ class TestSlowReader:
             stalled = _Connection(
                 None,
                 _ScriptWriter(
-                    buffered=daemon.net.max_buffered_bytes + 1, stall=True
+                    buffered=MAX_BUFFERED_BYTES + 1, stall=True
                 ),
                 tuned=True,
             )

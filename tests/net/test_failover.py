@@ -30,6 +30,7 @@ from repro.net import (
     WorkerAddress,
 )
 from repro.net.framing import FrameKind, encode_frame, encode_text, read_frame
+from repro.net.uplink import round_trip
 from repro.sim.config import small_setup
 from repro.tools.persist import QueryJournal
 from repro.xpath.generator import generate_workload
@@ -68,18 +69,6 @@ async def _dead_port() -> int:
     return port
 
 
-async def _text_roundtrip(port: int, line: str) -> str:
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    try:
-        writer.write(encode_text(line))
-        await writer.drain()
-        kind, payload = await read_frame(reader)
-        assert kind is FrameKind.TEXT
-        return payload.decode("utf-8")
-    finally:
-        writer.close()
-
-
 class TestRouterHealth:
     def test_dead_shard_goes_down_and_answers_retry_after(self):
         """Consecutive connect failures walk UP -> DEGRADED -> DOWN;
@@ -98,14 +87,14 @@ class TestRouterHealth:
             )
             await router.start()
             try:
-                first = await _text_roundtrip(router.port, "TUNE SHARD=0")
+                first = await round_trip("127.0.0.1", router.port, "TUNE SHARD=0")
                 assert first.startswith("RETRY_AFTER")
                 assert router.health[0] is ShardHealth.DEGRADED
-                second = await _text_roundtrip(router.port, "TUNE SHARD=0")
+                second = await round_trip("127.0.0.1", router.port, "TUNE SHARD=0")
                 assert second.startswith("RETRY_AFTER")
                 assert router.health[0] is ShardHealth.DOWN
                 dialed = router.stats.rejected_unavailable
-                third = await _text_roundtrip(router.port, "TUNE SHARD=0")
+                third = await round_trip("127.0.0.1", router.port, "TUNE SHARD=0")
                 assert third.startswith("RETRY_AFTER")
                 # rejected at the door: no connect attempt, just a count
                 assert router.stats.rejected_unavailable == dialed + 1
@@ -138,7 +127,7 @@ class TestRouterHealth:
             )
             await router.start()
             try:
-                down = await _text_roundtrip(router.port, "TUNE SHARD=0")
+                down = await round_trip("127.0.0.1", router.port, "TUNE SHARD=0")
                 assert down.startswith("RETRY_AFTER")
                 assert router.health[0] is ShardHealth.DOWN
 

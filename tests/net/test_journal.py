@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import json
 
 import pytest
 
 from repro.broadcast.partition import PartitionMap, ShardIdentity
 from repro.broadcast.server import DocumentStore
 from repro.net import AsyncTwoTierClient, BroadcastDaemon, DaemonConfig
-from repro.net.framing import FrameKind, encode_text, read_frame
+from repro.net.uplink import parse_reply, round_trip
 from repro.sim.config import small_setup
 from repro.tools.persist import QueryJournal, load_journal
 
@@ -42,18 +41,6 @@ def _identity(epoch: int = 0) -> ShardIdentity:
     return ShardIdentity(0, PartitionMap(1, seed=0), epoch=epoch)
 
 
-async def _raw_command(port: int, line: str) -> str:
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    try:
-        writer.write(encode_text(line))
-        await writer.drain()
-        kind, payload = await read_frame(reader)
-        assert kind is FrameKind.TEXT
-        return payload.decode("utf-8")
-    finally:
-        writer.close()
-
-
 class TestCrashResume:
     def test_abort_preserves_admitted_queries(self, store, config, tmp_path):
         """Admits journaled pre-ACK survive an abort; dones do not."""
@@ -70,9 +57,11 @@ class TestCrashResume:
                 ),
             )
             await daemon.start()
-            ack1 = await _raw_command(daemon.port, "SUBMIT AT=0 KEY=5 //nitf")
-            ack2 = await _raw_command(
-                daemon.port, "SUBMIT AT=0 KEY=6 //nitf/head"
+            ack1 = await round_trip(
+                "127.0.0.1", daemon.port, "SUBMIT AT=0 KEY=5 //nitf"
+            )
+            ack2 = await round_trip(
+                "127.0.0.1", daemon.port, "SUBMIT AT=0 KEY=6 //nitf/head"
             )
             assert ack1.startswith("ACK") and ack2.startswith("ACK")
             await daemon.abort()
@@ -94,9 +83,9 @@ class TestCrashResume:
             )
             await daemon.start()
             try:
-                status = json.loads(
-                    (await _raw_command(daemon.port, "STATUS")).split(" ", 1)[1]
-                )
+                status = parse_reply(
+                    await round_trip("127.0.0.1", daemon.port, "STATUS")
+                ).info
                 return daemon.journal_replayed, status
             finally:
                 daemon.request_stop()
@@ -172,10 +161,10 @@ class TestCrashResume:
             )
             await daemon.start()
             try:
-                await _raw_command(daemon.port, "SUBMIT AT=0 //nitf")
-                return json.loads(
-                    (await _raw_command(daemon.port, "STATUS")).split(" ", 1)[1]
-                )
+                await round_trip("127.0.0.1", daemon.port, "SUBMIT AT=0 //nitf")
+                return parse_reply(
+                    await round_trip("127.0.0.1", daemon.port, "STATUS")
+                ).info
             finally:
                 daemon.request_stop()
                 await daemon.wait_done()
@@ -200,13 +189,13 @@ class TestRedelivery:
                     "//nitf", port=daemon.port, client_key=11
                 ).run()
                 assert report.satisfied
-                reply = await _raw_command(
-                    daemon.port, "SUBMIT AT=0 KEY=11 //nitf"
+                reply = await round_trip(
+                    "127.0.0.1", daemon.port, "SUBMIT AT=0 KEY=11 //nitf"
                 )
                 assert reply.startswith("ACK")
-                status = json.loads(
-                    (await _raw_command(daemon.port, "STATUS")).split(" ", 1)[1]
-                )
+                status = parse_reply(
+                    await round_trip("127.0.0.1", daemon.port, "STATUS")
+                ).info
                 return status
             finally:
                 daemon.request_stop()
@@ -226,15 +215,15 @@ class TestRedelivery:
             )
             await daemon.start()
             try:
-                first = await _raw_command(
-                    daemon.port, "SUBMIT AT=0 KEY=3 //nitf"
+                first = await round_trip(
+                    "127.0.0.1", daemon.port, "SUBMIT AT=0 KEY=3 //nitf"
                 )
-                second = await _raw_command(
-                    daemon.port, "SUBMIT AT=0 KEY=3 //nitf"
+                second = await round_trip(
+                    "127.0.0.1", daemon.port, "SUBMIT AT=0 KEY=3 //nitf"
                 )
-                status = json.loads(
-                    (await _raw_command(daemon.port, "STATUS")).split(" ", 1)[1]
-                )
+                status = parse_reply(
+                    await round_trip("127.0.0.1", daemon.port, "STATUS")
+                ).info
                 return first, second, status
             finally:
                 daemon.request_stop()

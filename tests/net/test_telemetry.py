@@ -11,14 +11,24 @@ the server and net metric families.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import io
 import json
+import pathlib
+import re
 
 import pytest
 
 from repro import obs
 from repro.broadcast.server import DocumentStore
-from repro.net import AsyncTwoTierClient, BroadcastDaemon, DaemonConfig
+from repro.net import (
+    AsyncTwoTierClient,
+    BroadcastDaemon,
+    DaemonConfig,
+    DaemonStats,
+    RouterStats,
+)
+from repro.net.uplink import round_trip
 from repro.obs.telemetry import (
     EventLog,
     FlightRecorder,
@@ -27,6 +37,7 @@ from repro.obs.telemetry import (
     load_flight_record,
     scrape,
 )
+from repro.obs.telemetry.exporter import stat_table
 from repro.sim.config import small_setup
 from repro.tools.trace import export_query_traces, load_trace
 
@@ -133,24 +144,15 @@ class TestMetricsEndpoint:
 
 class TestWireTracing:
     def test_trace_echo_only_when_requested(self, store, config):
-        from repro.net.framing import FrameKind, encode_text, read_frame
-
-        async def one(port, line):
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            try:
-                writer.write(encode_text(line))
-                await writer.drain()
-                kind, payload = await read_frame(reader)
-                assert kind is FrameKind.TEXT
-                return payload.decode("utf-8")
-            finally:
-                writer.close()
-
         async def body(daemon):
-            plain = await one(daemon.port, "SUBMIT AT=0 //nitf")
-            traced = await one(daemon.port, "SUBMIT AT=0 TRACE= //body")
-            named = await one(daemon.port, "SUBMIT AT=0 TRACE=abc //head")
-            return plain, traced, named
+            return [
+                await round_trip("127.0.0.1", daemon.port, line)
+                for line in (
+                    "SUBMIT AT=0 //nitf",
+                    "SUBMIT AT=0 TRACE= //body",
+                    "SUBMIT AT=0 TRACE=abc //head",
+                )
+            ]
 
         net = DaemonConfig(autostart=False)
         plain, traced, named = _run(_with_daemon(store, config, net, body))
@@ -280,18 +282,9 @@ class TestEventsAndFlight:
         flight = FlightRecorder()
 
         async def body(daemon):
-            from repro.net.framing import FrameKind, encode_text, read_frame
-
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", daemon.port
+            return await round_trip(
+                "127.0.0.1", daemon.port, "SUBMIT //no(t)valid"
             )
-            try:
-                writer.write(encode_text("SUBMIT //no(t)valid"))
-                await writer.drain()
-                kind, payload = await read_frame(reader)
-                return payload.decode("utf-8")
-            finally:
-                writer.close()
 
         net = DaemonConfig(
             autostart=False,
@@ -357,4 +350,78 @@ class TestEventsAndFlight:
         assert stats.bytes_streamed > 0
         assert stats.rejected_total == (
             stats.rejected_overload + stats.rejected_closed
+        )
+
+
+class TestStatDeclarations:
+    """Every stat is declared once; no surface may drift from another."""
+
+    def test_rejected_family_sums_to_status_rejected(self, store, config):
+        """Regression: ``rejected_shed`` counted toward STATUS
+        ``rejected`` but had no ``/metrics`` series, so the family the
+        docs call identical to STATUS undercounted under shedding."""
+
+        async def body(daemon):
+            port = daemon.port
+
+            async def submit(query):
+                return await round_trip("127.0.0.1", port, f"SUBMIT AT=0 {query}")
+
+            assert (await submit("//nitf")).startswith("ACK")
+            daemon.controller.shedding = True  # no hot set: every query is cold
+            shed = await submit("//body")
+            daemon.controller.shedding = False
+            assert (await submit("//body")).startswith("ACK")
+            overload = await submit("//head")  # pending 2 == max_pending
+            daemon.net.max_pending = 3
+            assert (await submit("//head")).startswith("ACK")
+            closed = await submit("//nitf")  # admitted 3 == max_queries
+            assert shed.startswith("RETRY_AFTER") and overload.startswith("RETRY_AFTER")
+            assert closed == "ERR admission closed"
+            _, text = await scrape("127.0.0.1", daemon.metrics_port)
+            return text, daemon.status()
+
+        net = DaemonConfig(
+            autostart=False,
+            max_pending=2,
+            max_queries=3,
+            telemetry=TelemetryConfig(metrics_port=0),
+        )
+        text, status = _run(
+            _with_daemon(store, config.with_(adaptive=True), net, body)
+        )
+        lint_openmetrics(text)
+        rejected = {
+            line.split()[0]: int(line.split()[1])
+            for line in text.splitlines()
+            if line.startswith("net_queries_rejected_total")
+        }
+        assert rejected == {
+            'net_queries_rejected_total{reason="overload"}': 1,
+            'net_queries_rejected_total{reason="closed"}': 1,
+            'net_queries_rejected_total{reason="shed"}': 1,
+        }
+        assert sum(rejected.values()) == status["rejected"] == 3
+
+    def test_documented_table_is_the_declaration(self):
+        """Both directions, as ``ledger/selfcheck.py`` does for ledger
+        names: every declared stat is in the ``docs/OBSERVABILITY.md``
+        table and every row of the table is a declared stat."""
+        doc = (
+            pathlib.Path(__file__).parents[2] / "docs" / "OBSERVABILITY.md"
+        ).read_text(encoding="utf-8")
+        block = doc.split("<!-- stats:begin -->\n")[1].split("<!-- stats:end -->")[0]
+        documented = set(re.findall(r"^\| `(\w+\.\w+)` \|", block, flags=re.M))
+        declared = {
+            f"{cls.__name__}.{field.name}"
+            for cls in (DaemonStats, RouterStats)
+            for field in dataclasses.fields(cls)
+            if "stat" in field.metadata
+        }
+        assert declared - documented == set(), "declared but not documented"
+        assert documented - declared == set(), "documented but not declared"
+        assert block == stat_table(DaemonStats, RouterStats), (
+            "regenerate the block: PYTHONPATH=src python -c \"from repro.net import "
+            "DaemonStats, RouterStats; from repro.obs.telemetry.exporter import "
+            "stat_table; print(stat_table(DaemonStats, RouterStats), end='')\""
         )

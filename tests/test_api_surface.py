@@ -29,6 +29,7 @@ PACKAGES = [
     "repro.obs",
     "repro.obs.telemetry",
     "repro.net",
+    "repro.net.uplink",
 ]
 
 
@@ -121,6 +122,71 @@ class TestExports:
             assert not hasattr(module, name)
         with pytest.raises(ImportError):
             exec(f"from repro.broadcast import {name}")
+
+
+class TestUplinkCodec:
+    """One module owns the uplink; the inline speakers and the knobs
+    nobody turned are gone (migration note: CHANGES.md, PR 17)."""
+
+    def test_uplink_surface_is_exact(self):
+        import repro.net.uplink
+
+        assert set(repro.net.uplink.__all__) == {
+            "Command", "Verb", "parse_command", "format_command",
+            "Ack", "RetryAfter", "Err", "Moved", "Tuned", "Status", "Bye", "Reply",
+            "parse_reply", "format_reply",
+            "UplinkSyntaxError", "MAX_LINE_CHARS",
+            "serve_connection", "round_trip",
+        }
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            ("repro.net.daemon:BroadcastDaemon", "_check_shard_option"),
+            ("repro.net.daemon:BroadcastDaemon", "_record_ack"),
+            ("repro.net.daemon:BroadcastDaemon", "_reply"),
+            ("repro.net.daemon:BroadcastDaemon", "_restore_obs"),
+            ("repro.net.cluster:ClusterRouter", "_shard_for"),
+            ("repro.net.cluster:ClusterRouter", "_worker_status"),
+            ("repro.net.cluster:ClusterRouter", "_reply"),
+            ("repro.net.cluster:ClusterSupervisor", "_heartbeat_once"),
+            ("repro.net.client:AsyncTwoTierClient", "_split_trace_echo"),
+            ("repro.net.client:AsyncTwoTierClient", "_follow_moved"),
+            ("repro.net.client:AsyncTwoTierClient", "_send_recv"),
+            ("repro.obs.telemetry.tracing", "TRACE_TOKEN"),
+            ("repro.tools", "compare_traces"),
+            ("repro.tools", "compare_summaries"),
+            ("repro.tools", "TraceComparison"),
+            ("repro.tools", "MetricDrift"),
+        ],
+    )
+    def test_inline_speakers_and_compare_tool_are_gone(self, owner, name):
+        module_name, _, attr = owner.partition(":")
+        target = importlib.import_module(module_name)
+        if attr:
+            target = getattr(target, attr)
+        assert not hasattr(target, name)
+
+    def test_compare_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.tools.compare")
+
+    def test_censused_knobs_are_constants_now(self):
+        import dataclasses
+        import inspect
+
+        from repro.net import ClusterConfig, ClusterSupervisor, DaemonConfig
+        from repro.sim.config import SimulationConfig
+
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        assert not {"drain_high_water", "max_buffered_bytes"} & names(DaemonConfig)
+        assert not {"connect_backoff", "retry_after_hint"} & names(ClusterConfig)
+        assert "server_caches" not in names(SimulationConfig)
+        assert not {"stop_timeout", "heartbeat_timeout", "heartbeat_misses"} & set(
+            inspect.signature(ClusterSupervisor).parameters
+        )
 
 
 class TestQuickstartSnippet:

@@ -8,8 +8,10 @@ import sys
 import time
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import _simulation_config, _worker_argv, build_parser, main
 
 
 class TestParser:
@@ -20,6 +22,95 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figures"],
+            ["simulate", "--no-cache"],
+            ["stats", "--no-cache"],
+            ["serve", "--workers", "2", "--no-failover"],
+        ],
+    )
+    def test_censused_options_are_gone(self, argv):
+        """Knobs nobody turned: the ``figures`` pointer, the ``--no-cache``
+        escape hatch (``BroadcastServer(enable_caches=False)`` stays as
+        the tests' oracle) and the ``--no-failover`` A/B switch."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+
+class TestWorkerArgv:
+    """``serve --workers N`` hands its flags to worker subprocesses; a
+    flag the hand-off forgets silently changes what the cluster serves."""
+
+    @given(
+        st.fixed_dictionaries(
+            {
+                "--dtd": st.sampled_from(["nitf", "nasa", "dblp"]),
+                "--count": st.integers(1, 10**4),
+                "--seed": st.integers(0, 10**6),
+                "--capacity": st.integers(1, 10**7),
+                "--scheduler": st.sampled_from(["leelo", "fcfs", "mrf", "rxw"]),
+                "--scheme": st.sampled_from(["one-tier", "two-tier"]),
+                "--channels": st.integers(1, 4),
+                "--allocation": st.sampled_from(["round-robin", "balanced", "demand"]),
+                "--k-min": st.integers(1, 4),
+                "--k-max": st.integers(4, 8),
+                "--hot-set-size": st.integers(0, 16),
+                "--control-seed": st.integers(0, 10**6),
+                "--max-pending": st.integers(1, 10**4),
+                "--log-level": st.sampled_from(["debug", "info", "warning", "error"]),
+            }
+        ),
+        st.booleans(),
+    )
+    def test_worker_reparses_to_the_front_doors_config(self, flags, adaptive):
+        """Regression: the hand-written list dropped ``--adaptive``,
+        ``--k-min/--k-max``, ``--hot-set-size`` and ``--control-seed``, so
+        ``serve --workers 2 --adaptive`` ran *static* workers."""
+        # one-tier is the paper's single static channel
+        assume(
+            flags["--scheme"] == "two-tier"
+            or (flags["--channels"] == 1 and not adaptive)
+        )
+        argv = ["serve", "--workers", "2"]
+        for flag, value in flags.items():
+            argv += [flag, str(value)]
+        if adaptive:
+            argv.append("--adaptive")
+        parser = build_parser()
+        front = parser.parse_args(argv)
+        worker = parser.parse_args(["serve", "--shard", "0/2", *_worker_argv(front)])
+        assert _simulation_config(worker) == _simulation_config(front)
+        assert _simulation_config(front).adaptive is adaptive
+        assert worker.max_pending == front.max_pending
+        assert worker.log_level == front.log_level
+
+    def test_optional_flags_travel_only_when_set(self):
+        parser = build_parser()
+        bare = _worker_argv(parser.parse_args(["serve", "--workers", "2"]))
+        for flag in (
+            "--workload", "--collection", "--bandwidth", "--max-queries",
+            "--log-json", "--adaptive",
+        ):
+            assert flag not in bare
+        full = _worker_argv(
+            parser.parse_args(
+                [
+                    "serve", "--workers", "2", "--workload", "w.txt",
+                    "--collection", "docs/", "--bandwidth", "30000.5",
+                    "--max-queries", "9", "--log-json",
+                ]
+            )
+        )
+        worker = parser.parse_args(["serve", "--shard", "1/2", *full])
+        assert worker.workload == "w.txt"  # regression: workers never preloaded
+        assert worker.collection == "docs/"
+        assert worker.bandwidth == 30000.5
+        assert worker.max_queries == 9
+        assert worker.log_json is True
 
 
 class TestGenerate(object):
