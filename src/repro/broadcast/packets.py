@@ -2,10 +2,8 @@
 
 Everything on the broadcast channel is framed into fixed-size packets
 (128 bytes in the paper).  The simulation accounts tuning time in bytes
-at packet granularity, so what it mostly needs from this module is the
-:class:`CycleLayout` arithmetic mapping cycle segments to byte ranges;
-:class:`Packet` objects themselves are materialised only by tests,
-examples and the program dumper.
+at packet granularity, so what it needs from this module is the
+:class:`CycleLayout` arithmetic mapping cycle segments to byte ranges.
 """
 
 from __future__ import annotations
@@ -22,19 +20,6 @@ class PacketKind(enum.Enum):
     SECOND_TIER_INDEX = "index-2"
     ONE_TIER_INDEX = "index"
     DATA = "data"
-
-
-@dataclass(frozen=True)
-class Packet:
-    """One fixed-size frame of the broadcast."""
-
-    kind: PacketKind
-    #: packet sequence number within the cycle
-    seq: int
-    #: byte offset of the packet start within the cycle
-    offset: int
-    #: payload description (node ids / doc id), for debugging and tests
-    payload: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -100,19 +85,6 @@ class CycleLayout:
     def payload_bytes(self) -> int:
         """Verifiable payload per packet (packet minus checksum trailer)."""
         return self.packet_bytes - self.checksum_bytes
-
-    def packet_index_at(self, offset: int) -> int:
-        """Cycle-wide packet sequence number carrying byte *offset*."""
-        if not 0 <= offset < max(self.total_bytes, 1):
-            raise ValueError(
-                f"offset {offset} outside cycle of {self.total_bytes} bytes"
-            )
-        return offset // self.packet_bytes
-
-    def segment_packets(self, kind: PacketKind) -> int:
-        """Number of packets a segment occupies (0 when absent)."""
-        segment = self.segment(kind)
-        return segment.length // self.packet_bytes if segment else 0
 
     def segment(self, kind: PacketKind) -> Optional[Segment]:
         for segment in self.segments:

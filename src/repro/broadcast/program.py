@@ -130,10 +130,6 @@ class BroadcastCycle:
         return self.packed_first_tier.total_bytes
 
     @property
-    def one_tier_index_bytes(self) -> int:
-        return self.packed_one_tier.total_bytes
-
-    @property
     def offset_list_air_bytes(self) -> int:
         """L_O: on-air (packet aligned) bytes of the second tier, whose
         entries carry a channel field when K > 1."""

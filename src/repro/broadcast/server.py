@@ -171,9 +171,6 @@ class DocumentStore:
         wanted = set(doc_ids)
         return [doc for doc in self.documents if doc.doc_id in wanted]
 
-    def guides_for(self, doc_ids: Iterable[int]) -> List[DataGuide]:
-        return [self.guides[doc_id] for doc_id in doc_ids]
-
 
 @dataclass
 class PendingQuery:

@@ -29,8 +29,8 @@ snapshot of the demand table and the cycle just aired -- and emits a
 
 The controller is deterministic given the observation stream: no
 wall-clock, no unseeded randomness (property-tested).  The simulator and
-the live daemon both build observations through
-:meth:`Observation.from_server`, so a daemon run and its reference
+the live daemon both close the loop through
+:meth:`AdaptiveController.step`, so a daemon run and its reference
 simulation drive identical controllers.
 """
 
@@ -175,6 +175,15 @@ class AdaptiveController:
             shed=self.shedding,
             reason=self.plans[-1].reason if self.plans else "initial",
         )
+
+    def step(self, server: "BroadcastServer", cycle: "BroadcastCycle") -> CyclePlan:
+        """One turn of the control loop, as the simulator and the live
+        daemon both run it after *cycle* aired and its acknowledgements
+        are in: observe *server*, decide, apply the plan to the next
+        build.  Returns the plan now in force."""
+        plan = self.observe(Observation.from_server(server, cycle))
+        server.apply_plan(plan)
+        return plan
 
     def observe(self, observation: Observation) -> CyclePlan:
         """Consume one cycle's observation; emit the next cycle's plan."""

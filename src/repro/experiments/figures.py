@@ -1,7 +1,8 @@
 """Reproduction of every table and figure in the paper's evaluation.
 
 Each function regenerates the data series behind one figure and returns a
-:class:`~repro.experiments.runner.FigureResult`; ``run_all`` prints them.
+:class:`~repro.experiments.runner.FigureResult`; ``python -m
+repro.experiments`` prints them.
 The shape expectations each figure must satisfy (checked by the benches):
 
 * **Fig 9(a)** -- CI constant in N_Q; PCI below CI and growing with N_Q;
@@ -302,9 +303,3 @@ ALL_FIGURES: Dict[str, Callable[[Optional[ExperimentContext]], FigureResult]] = 
 from repro.experiments.extensions import EXTENSION_FIGURES  # noqa: E402
 
 ALL_FIGURES.update(EXTENSION_FIGURES)
-
-
-def run_all(scale: str = "paper", dtd: str = "nitf") -> List[FigureResult]:
-    """Regenerate every figure at the given scale; returns the results."""
-    context = ExperimentContext(scale=scale, dtd=dtd)
-    return [make(context) for make in ALL_FIGURES.values()]

@@ -50,8 +50,10 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro import obs
+from repro.broadcast.program import program_signature
 from repro.broadcast.server import BuildBudget
 from repro.obs.telemetry import EventLog, FlightRecorder, NullEventLog
+from repro.obs.telemetry.flight import cycle_summary, recorded_events
 from repro.client.protocol import FirstTierRead
 from repro.client.twotier import TwoTierClient
 from repro.faults.plan import FaultPlan, UplinkOutcome
@@ -125,17 +127,12 @@ class ChaosSimulation(Simulation):
         # Telemetry (all optional, no-op by default).  The chaos path is
         # deterministic, so the event log gets NO clock: events carry
         # cycle numbers, never wall-clock timestamps.
-        if events is None:
-            events = (
-                EventLog(sink=None) if flight is not None else NullEventLog()
-            )
-        self.events = events
+        self.events = recorded_events(events, flight)
         self.flight = flight
         self.flight_dir = (
             pathlib.Path(flight_dir) if flight_dir is not None else None
         )
         if self.flight is not None:
-            self.events.add_listener(self.flight.record_event)
             self.flight.context.update(
                 {
                     "harness": "chaos",
@@ -278,15 +275,9 @@ class ChaosSimulation(Simulation):
             if self.flight is not None and self._current_cycle is not None:
                 cycle = self._current_cycle
                 self.flight.record_cycle(
-                    {
-                        "cycle": cycle.cycle_number,
-                        "start": cycle.start_time,
-                        "doc_ids": list(cycle.doc_ids),
-                        "total_bytes": cycle.total_bytes,
-                        "data_bytes": cycle.data_bytes,
-                        "degraded": cycle.degraded,
-                        "pending_after": len(self.server.pending),
-                    }
+                    cycle_summary(
+                        cycle, self.server, signature=program_signature(cycle)
+                    )
                 )
             try:
                 self._check_invariants()

@@ -118,47 +118,24 @@ class CompactIndex:
         cls,
         guide: CombinedDataGuide,
         size_model: SizeModel = PAPER_SIZE_MODEL,
-        doc_filter: Optional[FrozenSet[int]] = None,
     ) -> "CompactIndex":
-        """Materialise a combined guide as an index tree.
-
-        *doc_filter*, when given, restricts document annotations (and cuts
-        nodes whose whole subtree loses every annotation -- paths only
-        present in never-requested documents are not broadcast).
-        """
-        root = cls._convert(guide.root, doc_filter)
-        if root is None:
-            # Every annotation was filtered away; keep a bare root so the
-            # broadcast program still has an (empty) index to send.
-            root = IndexNode(0, guide.root.label)
+        """Materialise a combined guide as an index tree."""
         # Correct by construction: sorted unique child labels, sorted doc
         # ids, fresh parent links -- skip the validation walk.
         return cls(
-            root,
+            cls._convert(guide.root),
             size_model=size_model,
             virtual_root=guide.virtual_root,
             validate=False,
         )
 
     @staticmethod
-    def _convert(
-        guide_node: CombinedGuideNode, doc_filter: Optional[FrozenSet[int]]
-    ) -> Optional[IndexNode]:
-        docs = sorted(
-            guide_node.leaf_docs
-            if doc_filter is None
-            else guide_node.leaf_docs & doc_filter
+    def _convert(guide_node: CombinedGuideNode) -> IndexNode:
+        node = IndexNode(
+            0, guide_node.label, doc_ids=tuple(sorted(guide_node.leaf_docs))
         )
-        children: List[IndexNode] = []
         for label in sorted(guide_node.children):
-            converted = CompactIndex._convert(guide_node.children[label], doc_filter)
-            if converted is not None:
-                children.append(converted)
-        if not docs and not children:
-            return None
-        node = IndexNode(0, guide_node.label, doc_ids=tuple(docs))
-        for child in children:
-            node.add_child(child)
+            node.add_child(CompactIndex._convert(guide_node.children[label]))
         return node
 
     # ------------------------------------------------------------------

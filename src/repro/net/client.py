@@ -157,7 +157,7 @@ class AsyncTwoTierClient:
         self.trace = trace
         self._clock: ClockAdapter = clock or MonotonicClock()
         self.trace_id: Optional[str] = None
-        self._trace_entry: Optional[dict] = None
+        self._timeline: Optional[uplink.Timeline] = None
         #: pin the session to one cluster shard: TUNE/SUBMIT carry
         #: ``SHARD=<i>``, a router ``MOVED`` redirect is followed to the
         #: owning worker, and every decoded cycle's documents are
@@ -282,7 +282,14 @@ class AsyncTwoTierClient:
             if kind is FrameKind.SERVER_BYE:
                 break
             if kind is FrameKind.TEXT:
-                continue  # late uplink replies (e.g. a queued ACK echo)
+                # A late uplink reply (e.g. a queued ACK echo), or a
+                # pushed timeline: keep the latest one for this session's
+                # trace (acknowledged delivery can span several cycles).
+                with contextlib.suppress(UnicodeDecodeError, uplink.UplinkSyntaxError):
+                    line = uplink.parse_reply(payload.decode("utf-8"))
+                    if isinstance(line, uplink.Timeline) and line.trace == self.trace_id:
+                        self._timeline = line
+                continue
             try:
                 cycle = decoder.feed(kind, payload)
             except WireProtocolError as exc:
@@ -309,16 +316,6 @@ class AsyncTwoTierClient:
             if cluster is not None:
                 self._check_cluster(cluster)
                 self._verify_placement(cluster, cycle)
-            if self.trace_id is not None and decoder.last_trailer:
-                entry = decoder.last_trailer.get("traces", {}).get(
-                    self.trace_id
-                )
-                if entry is not None:
-                    # Keep the latest timeline: under acknowledged
-                    # delivery a query may span several cycles.  The
-                    # compact trailer carries the ID only as the dict
-                    # key; restore it for ``QueryTrace.from_entry``.
-                    self._trace_entry = {"trace_id": self.trace_id, **entry}
             was_satisfied = protocol.satisfied
             protocol.on_cycle(cycle)
             if (
@@ -340,11 +337,12 @@ class AsyncTwoTierClient:
                     await self._send(Command(Verb.BYE))
                 break
         trace: Optional[QueryTrace] = None
-        if satisfied and self._trace_entry is not None:
+        if satisfied and self._timeline is not None:
             # Close the chain: ``received`` is this client's stamp on
             # the shared system monotonic clock.
             trace = QueryTrace.from_entry(
-                self._trace_entry,
+                self._timeline.trace,
+                self._timeline.entry,
                 query=str(self.query),
                 received=self._clock.now(),
             )
@@ -537,11 +535,12 @@ class AsyncTwoTierClient:
         """Send one uplink command and read its reply.
 
         On a tuned connection to a *live* daemon, downlink cycle frames
-        can legitimately race the reply (the daemon streams cycles to
-        every subscriber whenever any query is pending).  Those frames
-        are part of the broadcast this client tuned into, so they are
-        deferred -- not dropped -- and :meth:`run_session` consumes them
-        in arrival order before reading the socket again.
+        (and a traced query's pushed timeline) can legitimately race the
+        reply: the daemon streams cycles to every subscriber whenever
+        any query is pending.  Those frames are part of the broadcast
+        this client tuned into, so they are deferred -- not dropped --
+        and :meth:`run_session` consumes them in arrival order before
+        reading the socket again.
         """
         assert self._reader is not None
         await self._send(command)
@@ -551,11 +550,15 @@ class AsyncTwoTierClient:
             )
             if kind is FrameKind.TEXT:
                 try:
-                    return uplink.parse_reply(payload.decode("utf-8"))
+                    reply = uplink.parse_reply(payload.decode("utf-8"))
                 except (UnicodeDecodeError, uplink.UplinkSyntaxError) as exc:
                     raise UplinkError(
                         f"unreadable {command.verb.value} reply: {exc}"
                     ) from exc
+                if not isinstance(reply, uplink.Timeline):
+                    return reply
+                # A pushed timeline answers no command: it waits its turn
+                # with the cycle frames it travels beside.
             if len(self._deferred) >= self._MAX_DEFERRED:
                 raise UplinkError(
                     f"no reply to {command.verb.value} within "

@@ -654,7 +654,6 @@ class ClusterSupervisor:
         self.max_restarts = max_restarts
         self.crash_window = crash_window
         self.heartbeat_interval = heartbeat_interval
-        self._own_workdir = workdir is None
         self.workdir = pathlib.Path(
             tempfile.mkdtemp(prefix="repro-cluster-")
             if workdir is None

@@ -27,12 +27,16 @@ applied in admission order, mirroring the simulator's delivery loop.
 
 SIGINT handling is graceful: :meth:`BroadcastDaemon.request_stop`
 drains -- in-flight and pending queries are served to completion, then
-every subscriber receives ``SERVER_BYE`` and the sockets close.
+every subscriber receives ``SERVER_BYE`` and the sockets close.  An
+exception in the broadcast loop is not a drain: the sockets close
+without ``SERVER_BYE``, the flight recorder dumps, the journal keeps
+what it owes, and :meth:`BroadcastDaemon.wait_done` re-raises.
 
 **Telemetry** is opt-in via :class:`~repro.obs.telemetry.TelemetryConfig`
 on the :class:`DaemonConfig`: a ``/metrics`` + ``/healthz`` HTTP
 endpoint on the same event loop, a structured event log, a flight
-recorder, and per-query wire tracing (the ``TRACE=`` SUBMIT option).
+recorder, and per-query wire tracing (the ``TRACE=`` SUBMIT option;
+finished timelines are pushed beside the cycle, never inside it).
 Every operational number is declared once, as a :class:`DaemonStats`
 field carrying its own exposition, and ``STATUS``, ``/metrics`` and the
 router's cluster totals all render from that declaration.  Without a
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -53,26 +56,25 @@ from repro.broadcast.partition import ShardIdentity
 from repro.broadcast.program import BroadcastCycle, program_signature
 from repro.broadcast.server import DocumentStore, PendingQuery
 from repro.net.clock import ClockAdapter, MonotonicClock
-from repro.net.framing import FrameKind, encode_frame
+from repro.net.framing import FrameKind, encode_frame, encode_text
 from repro.net.pacing import TokenBucket
 from repro.net import uplink
 from repro.net.uplink import Command, Verb
 from repro.net.wire import encode_cycle
 from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.telemetry import (
-    EventLog,
     Family,
     MetricsHTTPServer,
-    NullEventLog,
     QueryTracer,
     TelemetryConfig,
     render_openmetrics,
 )
 from repro.obs.telemetry.exporter import stat, stat_families, stat_status
-from repro.control import Observation
+from repro.obs.telemetry.flight import cycle_summary, recorded_events
 from repro.sim.config import SimulationConfig
 from repro.sim.simulation import make_controller, make_server
-from repro.tools.persist import QueryJournal
+from repro.tools.persist import JournalEntry, QueryJournal
+from repro.xpath.ast import XPathQuery
 from repro.xpath.parser import parse_query
 
 
@@ -173,8 +175,8 @@ class DaemonStats:
     cycles_streamed: int = stat("net.cycles_streamed")
     frames_sent: int = stat("net.frames_sent")
     #: frames serialised via :func:`~repro.net.framing.encode_frame`;
-    #: per cycle this is the frame count, *independent of how many
-    #: subscribers are tuned* (every connection gets the same buffers)
+    #: per cycle this is the cycle's frame count, whoever is tuned and
+    #: whoever is traced (every connection gets the same buffers)
     frames_encoded: int = stat("net.frames_encoded")
     bytes_streamed: int = stat("net.bytes_streamed")
     #: subscribers dropped for exceeding ``MAX_BUFFERED_BYTES``
@@ -227,7 +229,8 @@ class BroadcastDaemon:
         self._journal_done_idx = 0
         #: queries rehydrated from the journal at boot
         self.journal_replayed = 0
-        self._aborting = False
+        #: what killed the broadcast loop, if anything did
+        self._crash: Optional[Exception] = None
 
         self.port: Optional[int] = None
         self._tcp: Optional[asyncio.base_events.Server] = None
@@ -260,30 +263,20 @@ class BroadcastDaemon:
             else None
         )
 
-        #: trace_id -> the connection that submitted it: finished
-        #: timelines ride only that connection's CYCLE_END trailer, so
-        #: trace freight is O(1) per traced query instead of scaling
-        #: with the subscriber count
-        self._trace_conns: Dict[str, _Connection] = {}
-
         # -- telemetry plane (all no-op without a TelemetryConfig) -----
         self.telemetry = self.net.telemetry
-        self.events = (
-            self.telemetry.events if self.telemetry is not None
-            else NullEventLog()
-        )
         self.flight = self.telemetry.flight if self.telemetry else None
-        if self.flight is not None and isinstance(self.events, NullEventLog):
-            # The ring buffer observes via a listener, so the recorder
-            # needs a real (if sink-less) event stream behind it.
-            self.events = EventLog(sink=None, clock=self.clock)
+        self.events = recorded_events(
+            self.telemetry.events if self.telemetry else None,
+            self.flight,
+            self.clock,
+        )
         self.tracer = QueryTracer(self.clock)
         self.metrics_port: Optional[int] = None
         self._metrics_http: Optional[MetricsHTTPServer] = None
         self._obs_previous: Optional[MetricsRegistry] = None
         self._obs_installed: Optional[MetricsRegistry] = None
         if self.flight is not None:
-            self.events.add_listener(self.flight.record_event)
             self.flight.context.update(
                 {
                     "documents": len(store),
@@ -327,52 +320,56 @@ class BroadcastDaemon:
             )
         self._loop_task = asyncio.create_task(self._broadcast_loop())
 
-    def _resume_from_journal(self) -> int:
+    def _resume_from_journal(self) -> None:
         """Rehydrate pending queries from the write-ahead journal.
 
         Runs once at boot, before the socket binds: outstanding entries
-        (admitted, never marked done) are compacted out of the old
-        journal and re-admitted through the unchanged ``server.submit``
-        path -- same arrivals, same admission order, same client keys.
-        Because the keys go through the idempotent-uplink dedup, a
-        client that resubmits after reconnecting maps onto the replayed
-        query instead of being served twice.
+        (admitted, never marked done) are re-admitted through the one
+        admission path -- same arrivals, same admission order, same
+        client keys -- and only then is the journal compacted, in one
+        atomic replace, to a fresh epoch section holding the re-admitted
+        records under their new query ids.  A kill at any instant leaves
+        either the old journal or the complete new one, never a journal
+        missing an acknowledged query.  Because the keys go through the
+        idempotent-uplink dedup, a client that resubmits after
+        reconnecting maps onto the replayed query instead of being
+        served twice.
         """
         assert self.journal is not None
         if not self.journal.path.exists():
             self.journal.open()
-            return 0
+            return
         state = self.journal.load()
         if state.torn_tail:
             self.events.warning("journal_torn_tail", path=str(self.journal.path))
-        self.journal.compact(state.outstanding, epoch=self.epoch)
-        self.journal.open()
         replayed = 0
+        readmitted: Dict[int, JournalEntry] = {}
         for entry in state.outstanding:
             try:
-                query = parse_query(entry.query)
-            except ValueError:
-                continue
-            dedup_before = self.server.uplink_dedup_hits
-            try:
-                pending = self.server.submit(
-                    query, entry.arrival, client_key=entry.client_key
+                pending = self._admit(
+                    parse_query(entry.query),
+                    entry.arrival,
+                    entry.client_key,
+                    journaled=False,
                 )
             except ValueError:
                 continue  # e.g. empty result set after a collection change
-            if self.server.uplink_dedup_hits == dedup_before:
-                self.journal.record_admit(
+            replayed += 1
+            # A dedup hit lands on a query id already recorded.
+            readmitted.setdefault(
+                pending.query_id,
+                JournalEntry(
                     pending.query_id,
                     entry.query,
                     pending.arrival_time,
                     entry.client_key,
-                    epoch=self.epoch,
-                )
-            replayed += 1
-            self.stats.admitted_total += 1
+                    self.epoch,
+                ),
+            )
+        self.journal.compact(list(readmitted.values()), epoch=self.epoch)
+        self.journal.open()
         self.journal_replayed = replayed
         if replayed:
-            self._wake.set()
             self.events.warning(
                 "journal_replayed",
                 replayed=replayed,
@@ -383,7 +380,6 @@ class BroadcastDaemon:
                 self.flight.context["journal_replayed"] = replayed
                 self.flight.context["epoch"] = self.epoch
             self.dump_flight("crash_resume")
-        return replayed
 
     def _journal_mark_done(self) -> None:
         """Journal ``done`` for queries completed since the last cycle.
@@ -421,7 +417,7 @@ class BroadcastDaemon:
         """Dump the flight recorder (if armed); returns the artifact path.
 
         Wired to SIGTERM by ``repro serve``; also called internally on
-        ``ERR`` replies.
+        ``ERR`` replies, journal replays and a crashed broadcast loop.
         """
         if (
             self.flight is None
@@ -434,7 +430,11 @@ class BroadcastDaemon:
         return str(path)
 
     async def wait_done(self) -> None:
+        """Wait for the drain to finish; re-raises what crashed the
+        broadcast loop, so a dead pump never reads as a clean exit."""
         await self._done.wait()
+        if self._crash is not None:
+            raise self._crash
 
     async def stop(self) -> None:
         """Drain and wait for the shutdown to finish."""
@@ -517,7 +517,6 @@ class BroadcastDaemon:
         def _reject(reply: uplink.Reply) -> uplink.Reply:
             if trace_id is not None:
                 self.tracer.on_reject(trace_id)
-                self._trace_conns.pop(trace_id, None)
             return reply
 
         if self._draining:
@@ -554,52 +553,13 @@ class BroadcastDaemon:
             return _reject(uplink.RetryAfter(hint, trace_id))
         if arrival is None:
             arrival = self._arrival_now()
-        dedup_before = self.server.uplink_dedup_hits
         try:
-            pending = self.server.submit(query, arrival, client_key=key)
+            pending = self._admit(query, arrival, key)
         except ValueError as exc:
             return _reject(uplink.Err(str(exc)))
-        if (
-            key is not None
-            and self.server.uplink_dedup_hits > dedup_before
-            and pending.is_satisfied
-        ):
-            # Redelivery: the dedup hit points at an admission that
-            # already completed, so its documents aired while this
-            # client was disconnected and will never re-air on their
-            # own.  A resubmit after a reconnect means the client
-            # missed them -- forget the entry and admit fresh.
-            self.server.forget_uplink_key(key, str(query))
-            dedup_before = self.server.uplink_dedup_hits
-            try:
-                pending = self.server.submit(query, arrival, client_key=key)
-            except ValueError as exc:
-                return _reject(uplink.Err(str(exc)))
-            self.stats.redelivered_total += 1
-            self.events.info(
-                "redeliver", query_id=pending.query_id, key=key
-            )
         conn.query_ids.add(pending.query_id)
-        self.stats.admitted_total += 1
         if trace_id is not None:
-            self.tracer.on_admit(trace_id, pending)
-            self._trace_conns[trace_id] = conn
-        if self.server.uplink_dedup_hits > dedup_before:
-            self.events.info(
-                "dedup_hit", query_id=pending.query_id, key=key
-            )
-        elif self.journal is not None:
-            # Write-ahead: the admit record is flushed before the ACK
-            # leaves, so an acknowledged query can never be lost to a
-            # crash.  Dedup hits are not re-journaled -- the original
-            # admission already covers them.
-            self.journal.record_admit(
-                pending.query_id,
-                str(query),
-                pending.arrival_time,
-                key,
-                epoch=self.epoch,
-            )
+            self.tracer.on_admit(trace_id, pending, owner=conn)
         self.events.info(
             "admit",
             query_id=pending.query_id,
@@ -607,8 +567,57 @@ class BroadcastDaemon:
             query=str(query),
             pending=len(self.server.pending),
         )
-        self._wake.set()
         return uplink.Ack(pending.query_id, pending.arrival_time, trace_id)
+
+    def _admit(
+        self,
+        query: XPathQuery,
+        arrival: int,
+        key: Optional[int] = None,
+        *,
+        journaled: bool = True,
+    ) -> PendingQuery:
+        """The one admission path: uplink ``SUBMIT``, journal replay and
+        :meth:`preload` all land here, so dedup, redelivery, the
+        write-ahead record, ``admitted_total`` and the wake-up cannot
+        drift apart.  ``ValueError`` when the server refuses the query.
+
+        ``journaled=False`` is for admissions whose durability lives
+        elsewhere: a preloaded workload is its own file, and a replayed
+        entry stays in the old journal until the compaction that ends
+        the replay writes it to the new one.
+        """
+        dedup_before = self.server.uplink_dedup_hits
+        pending = self.server.submit(query, arrival, client_key=key)
+        deduped = self.server.uplink_dedup_hits > dedup_before
+        if key is not None and deduped and pending.is_satisfied:
+            # Redelivery: the dedup hit points at an admission that
+            # already completed, so its documents aired while this
+            # client was disconnected and will never re-air on their
+            # own.  A resubmit after a reconnect means the client
+            # missed them -- forget the entry and admit fresh.
+            self.server.forget_uplink_key(key, str(query))
+            pending = self.server.submit(query, arrival, client_key=key)
+            deduped = False
+            self.stats.redelivered_total += 1
+            self.events.info("redeliver", query_id=pending.query_id, key=key)
+        if deduped:
+            # Not re-journaled: the original admission already covers it.
+            self.events.info("dedup_hit", query_id=pending.query_id, key=key)
+        elif journaled and self.journal is not None:
+            # Write-ahead: the admit record is flushed before the ACK
+            # leaves, so an acknowledged query can never be lost to a
+            # crash.
+            self.journal.record_admit(
+                pending.query_id,
+                str(query),
+                pending.arrival_time,
+                key,
+                epoch=self.epoch,
+            )
+        self.stats.admitted_total += 1
+        self._wake.set()
+        return pending
 
     def _arrival_now(self) -> int:
         """Current channel byte-time: mid-cycle it is the on-air position.
@@ -746,19 +755,16 @@ class BroadcastDaemon:
         try:
             while await self._wait_for_work():
                 now = self._next_build_time()
-                tracing = self.tracer.active()
-                if tracing:
-                    # Snapshot owed documents *before* the build: non-ack
-                    # builds shrink remaining sets at build time.
-                    self.tracer.begin_build()
+                # Snapshot owed documents *before* the build: non-ack
+                # builds shrink remaining sets at build time.
+                self.tracer.begin_build()
                 with obs.span("net.cycle_build"):
                     build_started = self.clock.now()
                     cycle = self.server.build_cycle(now)
                     obs.histogram("net.cycle_build_seconds").observe(
                         self.clock.now() - build_started
                     )
-                if tracing:
-                    self.tracer.end_build()
+                self.tracer.end_build()
                 if cycle is None:  # pragma: no cover - wait_for_work guards
                     continue
                 self._record_cycle(cycle)
@@ -767,8 +773,27 @@ class BroadcastDaemon:
                     await self._collect_acks(cycle)
                 self._observe_cycle(cycle)
                 self._journal_mark_done()
-        finally:
-            await self._shutdown()
+            # Drain epilogue: SERVER_BYE to every subscriber.
+            self.events.info(
+                "server_bye",
+                completed=len(self.server.completed),
+                cycles=self.server.cycle_number,
+            )
+            bye = encode_frame(FrameKind.SERVER_BYE, b"", self._checksum)
+            for conn in list(self._connections):
+                if conn.tuned and not conn.closed:
+                    await self._send(conn, bye)
+        except Exception as exc:
+            # A crashed pump is not a drain: no ``SERVER_BYE`` (it would
+            # tell a resuming client not to come back for a query the
+            # journal is about to replay), the journal keeps its
+            # admitted-not-done records, and ``wait_done`` re-raises.
+            self._crash = exc
+            self.events.error("error", where="broadcast_loop", error=repr(exc))
+            self.dump_flight("crash")
+        for conn in list(self._connections):
+            self._drop(conn)
+        await self._release()
 
     def _record_cycle(self, cycle: BroadcastCycle) -> None:
         """Event + flight-recorder bookkeeping for a freshly built cycle."""
@@ -778,7 +803,6 @@ class BroadcastDaemon:
                 cycle=cycle.cycle_number,
                 start=cycle.start_time,
             )
-        record = self.server.records[-1] if self.server.records else None
         self.events.info(
             "cycle_built",
             cycle=cycle.cycle_number,
@@ -790,19 +814,9 @@ class BroadcastDaemon:
         )
         if self.flight is not None:
             self.flight.record_cycle(
-                {
-                    "cycle": cycle.cycle_number,
-                    "start": cycle.start_time,
-                    "doc_ids": list(cycle.doc_ids),
-                    "total_bytes": cycle.total_bytes,
-                    "data_bytes": cycle.data_bytes,
-                    "degraded": cycle.degraded,
-                    "signature": program_signature(cycle),
-                    "pending_after": len(self.server.pending),
-                    "phase_seconds": dict(record.phase_seconds)
-                    if record is not None
-                    else {},
-                }
+                cycle_summary(
+                    cycle, self.server, signature=program_signature(cycle)
+                )
             )
 
     def _observe_cycle(self, cycle: BroadcastCycle) -> None:
@@ -813,11 +827,9 @@ class BroadcastDaemon:
         v3 / the flight recorder)."""
         if self.controller is None:
             return
-        previous = self._active_plan
-        plan = self.controller.observe(Observation.from_server(self.server, cycle))
-        self.server.apply_plan(plan)
-        self._active_plan = plan
-        if previous is None or not plan.same_shape(previous):
+        changes = self.controller.plan_changes
+        plan = self._active_plan = self.controller.step(self.server, cycle)
+        if self.controller.plan_changes > changes:
             self.events.info(
                 "plan_change",
                 cycle=cycle.cycle_number,
@@ -852,6 +864,16 @@ class BroadcastDaemon:
         return max(self.server.clock, earliest)
 
     async def _stream_cycle(self, cycle: BroadcastCycle) -> None:
+        """The one downlink pump: encode once, then burst by burst.
+
+        Every frame is serialised exactly once per cycle and the *same*
+        ``bytes`` objects fan out to all subscribers -- encode work is
+        independent of the audience, and so are the bytes: traced or
+        not, everyone reads the one cycle.  Under the token bucket a
+        burst is one frame; with no bucket there is nothing to wait for
+        between frames, so the whole cycle leaves as a single pre-joined
+        write.
+        """
         ack_required = self.server.acknowledged_delivery
         if ack_required:
             # Open the barrier before the first frame leaves: a fast
@@ -870,24 +892,47 @@ class BroadcastDaemon:
                 else None
             ),
         )
-        # Share-once assembly: every frame is serialised exactly once
-        # per cycle, and the *same* bytes objects fan out to all
-        # subscribers -- encode work is independent of the audience.
         blobs = [
             encode_frame(frame.kind, frame.payload, self._checksum)
             for frame in frames
         ]
         self.stats.frames_encoded += len(blobs)
         subscribers = [c for c in self._connections if c.tuned and not c.closed]
+        registry = obs.get_registry()
+        # Resolve each channel's counter once per cycle, not once per
+        # frame (the registry lookup formats a label key).
+        air_counters: Dict[str, Counter] = {}
         self._on_air = (cycle.start_time, 0)
-        tracing = self.tracer.active()
-        if tracing:
-            self.tracer.begin_stream()
+        self.tracer.begin_stream()
+        step = 1 if self._bucket.rate is not None else len(frames)
         with obs.span("net.stream_cycle"):
-            if self._bucket.rate is None:
-                await self._stream_bulk(cycle, frames, blobs, subscribers, tracing)
-            else:
-                await self._stream_paced(cycle, frames, blobs, subscribers, tracing)
+            for at in range(0, len(frames), step):
+                burst = frames[at : at + step]
+                blob = blobs[at] if step == 1 else b"".join(blobs)
+                await self._bucket.acquire(sum(frame.air_bytes for frame in burst))
+                for frame in burst:
+                    if frame.doc_id is not None:
+                        self.tracer.on_doc_sent(frame.doc_id)
+                if burst[-1].kind is FrameKind.CYCLE_END:
+                    await self._push_timelines(cycle)
+                await asyncio.gather(
+                    *(self._send(conn, blob) for conn in subscribers)
+                )
+                self._on_air = (cycle.start_time, burst[-1].end_offset)
+                self.stats.frames_sent += len(burst)
+                self.stats.bytes_streamed += len(blob)
+                if not registry.enabled:
+                    continue
+                for frame in burst:
+                    if not frame.air_bytes:
+                        continue
+                    channel = "index" if frame.channel is None else str(frame.channel)
+                    counter = air_counters.get(channel)
+                    if counter is None:
+                        counter = air_counters[channel] = registry.counter(
+                            "net.on_air_bytes_total", channel=channel
+                        )
+                    counter.inc(frame.air_bytes)
         self._on_air = None
         self.stats.cycles_streamed += 1
         self.events.debug(
@@ -896,150 +941,23 @@ class BroadcastDaemon:
             subscribers=len(subscribers),
         )
 
-    async def _stream_bulk(
-        self,
-        cycle: BroadcastCycle,
-        frames: Sequence,
-        blobs: List[bytes],
-        subscribers: List[_Connection],
-        tracing: bool,
-    ) -> None:
-        """Unpaced fan-out: the whole cycle leaves as one buffer.
+    async def _push_timelines(self, cycle: BroadcastCycle) -> None:
+        """Push each trace this cycle completes to whoever submitted it.
 
-        With no token bucket there is nothing to wait on between frames,
-        so the per-frame awaits (bucket, gather, drain) collapse into a
-        single pre-joined write per connection; the joined buffer is
-        shared by every subscriber.
+        Called just ahead of the burst carrying ``CYCLE_END``: every DOC
+        stamp of the cycle is taken by then, and the client holds its
+        timeline before the frame that satisfies it.  The line travels
+        beside the cycle (0 air bytes -- signatures and pacing are
+        untouched), and a trace whose connection is gone (or never
+        tuned) simply drops its timeline: nobody is left to close it.
         """
-        personal: Dict[int, bytes] = {}
-        if tracing:
-            # The whole cycle goes out in one write, so every DOC stamp
-            # for the cycle is taken now, before the trailer is built --
-            # same stamp ordering as the paced path, collapsed in time.
-            for frame in frames:
-                if frame.doc_id is not None:
-                    self.tracer.on_doc_sent(frame.doc_id)
-            personal = self._personal_trailers(frames[-1].payload, cycle)
-        if personal:
-            shared = b"".join(blobs[:-1])
-            end_blob = blobs[-1]
-
-            async def deliver(conn: _Connection) -> None:
-                await self._send(conn, shared)
-                if not conn.closed:
-                    await self._send(conn, personal.get(id(conn), end_blob))
-
-            await asyncio.gather(*(deliver(conn) for conn in subscribers))
-            for extra in personal.values():
-                self.stats.bytes_streamed += len(extra) - len(end_blob)
-            payload_len = len(shared) + len(end_blob)
-        else:
-            payload = b"".join(blobs)
-            payload_len = len(payload)
-            await asyncio.gather(
-                *(self._send(conn, payload) for conn in subscribers)
-            )
-        self._on_air = (cycle.start_time, frames[-1].end_offset)
-        self.stats.frames_sent += len(frames)
-        self.stats.bytes_streamed += payload_len
-        registry = obs.get_registry()
-        if registry.enabled:
-            air_counters: Dict[str, Counter] = {}
-            for frame in frames:
-                if frame.air_bytes:
-                    self._count_air(registry, air_counters, frame)
-
-    async def _stream_paced(
-        self,
-        cycle: BroadcastCycle,
-        frames: Sequence,
-        blobs: List[bytes],
-        subscribers: List[_Connection],
-        tracing: bool,
-    ) -> None:
-        """Token-bucket pacing: frame-by-frame over the preassembled blobs."""
-        registry = obs.get_registry()
-        # Resolve each channel's counter once per cycle, not once per
-        # frame (the registry lookup formats a label key).
-        air_counters: Dict[str, Counter] = {}
-        for frame, blob in zip(frames, blobs):
-            await self._bucket.acquire(frame.air_bytes)
-            personal: Dict[int, bytes] = {}
-            if tracing and frame.kind is FrameKind.CYCLE_END:
-                # The trailer is the last frame out: by now every
-                # DOC stamp for this cycle has been taken, so the
-                # finished timelines can ride it (0 air bytes --
-                # signatures and pacing are untouched).  Each
-                # timeline rides only the trailer of the connection
-                # that submitted the trace: broadcasting every entry
-                # to every subscriber would scale the downlink with
-                # the traced-client count.
-                personal = self._personal_trailers(frame.payload, cycle)
-            await asyncio.gather(
-                *(
-                    self._send(conn, personal.get(id(conn), blob))
-                    for conn in subscribers
+        for trace_id, entry in self.tracer.cycle_entries(cycle.cycle_number).items():
+            conn = self.tracer.states[trace_id].owner
+            if conn is not None and conn.tuned:
+                await self._send(
+                    conn,
+                    encode_text(uplink.format_reply(uplink.Timeline(trace_id, entry))),
                 )
-            )
-            self._on_air = (cycle.start_time, frame.end_offset)
-            self.stats.frames_sent += 1
-            self.stats.bytes_streamed += len(blob)
-            for extra in personal.values():
-                self.stats.bytes_streamed += len(extra) - len(blob)
-            if tracing and frame.doc_id is not None:
-                self.tracer.on_doc_sent(frame.doc_id)
-            if registry.enabled and frame.air_bytes:
-                self._count_air(registry, air_counters, frame)
-
-    @staticmethod
-    def _count_air(
-        registry: MetricsRegistry, air_counters: Dict[str, Counter], frame
-    ) -> None:
-        channel = str(frame.channel) if frame.channel is not None else "index"
-        counter = air_counters.get(channel)
-        if counter is None:
-            counter = air_counters[channel] = registry.counter(
-                "net.on_air_bytes_total", channel=channel
-            )
-        counter.inc(frame.air_bytes)
-
-    def _personal_trailers(
-        self, payload: bytes, cycle: BroadcastCycle
-    ) -> Dict[int, bytes]:
-        """Per-connection CYCLE_END blobs carrying each peer's finished
-        trace timelines, keyed by ``id(connection)``.
-
-        A trace whose submitting connection is gone (or never tuned)
-        simply drops its timeline -- nobody is left to close it.
-        """
-        entries = self.tracer.cycle_entries(cycle.cycle_number)
-        live = self.tracer.states
-        if len(self._trace_conns) > len(live):
-            self._trace_conns = {
-                t: c for t, c in self._trace_conns.items() if t in live
-            }
-        if not entries:
-            return {}
-        per_conn: Dict[int, Dict[str, Dict]] = {}
-        for trace_id, entry in entries.items():
-            conn = self._trace_conns.get(trace_id)
-            if conn is None or conn.closed or not conn.tuned:
-                continue
-            per_conn.setdefault(id(conn), {})[trace_id] = entry
-        if not per_conn:
-            return {}
-        trailer = json.loads(payload.decode("utf-8"))
-        blobs: Dict[int, bytes] = {}
-        for key, traces in per_conn.items():
-            trailer["traces"] = traces
-            blobs[key] = encode_frame(
-                FrameKind.CYCLE_END,
-                json.dumps(
-                    trailer, separators=(",", ":"), sort_keys=True
-                ).encode("utf-8"),
-                self._checksum,
-            )
-        return blobs
 
     async def _send(self, conn: _Connection, blob: bytes) -> None:
         if conn.closed:
@@ -1118,23 +1036,6 @@ class BroadcastDaemon:
         self._ack_cycle = None
         self._acks = {}
 
-    async def _shutdown(self) -> None:
-        """Drain epilogue: SERVER_BYE to every subscriber, close sockets."""
-        if self._aborting:
-            return  # abort() already tore everything down, no goodbyes
-        self.events.info(
-            "server_bye",
-            completed=len(self.server.completed),
-            cycles=self.server.cycle_number,
-        )
-        bye = encode_frame(FrameKind.SERVER_BYE, b"", self._checksum)
-        for conn in list(self._connections):
-            if conn.tuned and not conn.closed:
-                await self._send(conn, bye)
-        for conn in list(self._connections):
-            self._drop(conn)
-        await self._release()
-
     async def _release(self) -> None:
         """What a drain and a crash both give back once the connections
         are gone: the listening port, the metrics endpoint, the journal
@@ -1176,7 +1077,6 @@ class BroadcastDaemon:
         """
         if self._done.is_set():
             return
-        self._aborting = True
         if self._loop_task is not None:
             self._loop_task.cancel()
             try:
@@ -1205,11 +1105,8 @@ class BroadcastDaemon:
         admitted = 0
         for query in queries:
             try:
-                self.server.submit(query, arrival_time)
+                self._admit(query, arrival_time, journaled=False)
             except ValueError:
                 continue
             admitted += 1
-            self.stats.admitted_total += 1
-        if admitted:
-            self._wake.set()
         return admitted

@@ -19,6 +19,8 @@ frame, tokens separated by whitespace, verb case-insensitive::
     BYE                   -> BYE                    (the server then closes)
     a redirecting front door answers SUBMIT/TUNE/RECV with
                           -> MOVED <shard> <host> <port>
+    pushed, unasked, to the connection whose SUBMIT carried TRACE=:
+                          TRACE <id> <json object>
 
 *Options* are the leading ``NAME=value`` tokens, recognised **by name**,
 upper-case only; a name the verb does not take (or takes twice) is an
@@ -37,6 +39,13 @@ and the worker re-validates it.  ``TRACE`` requests end-to-end tracing
 ``RETRY_AFTER`` only to clients that sent it.  ``TUNE`` joins the
 downlink (``TUNED`` carries the channel model); ``RECV`` reports what a
 client holds so far, for the ack barrier of the cycle on air.
+
+The ``TRACE`` line is the one line a server sends without being asked
+(:class:`Timeline`): the daemon-side stamps of a traced query, pushed
+just ahead of the ``CYCLE_END`` of each cycle that could have completed
+it.  It travels beside the cycle, never inside it, so every subscriber
+receives the same cycle bytes; it is never the answer to a command, and
+a client that does not know it skips it like any stray TEXT line.
 
 A line outside the grammar raises :class:`UplinkSyntaxError`, whose text
 is the ``ERR`` message; the parsers raise nothing else and look at no
@@ -64,6 +73,7 @@ __all__ = [
     "Reply",
     "RetryAfter",
     "Status",
+    "Timeline",
     "Tuned",
     "UplinkSyntaxError",
     "Verb",
@@ -157,7 +167,16 @@ class Bye:
     pass
 
 
-Reply = Union[Ack, RetryAfter, Err, Moved, Tuned, Status, Bye]
+@dataclass(frozen=True)
+class Timeline:
+    """A pushed trace timeline (never a command's reply)."""
+
+    trace: str
+    #: the daemon's stamps, as ``QueryTracer.cycle_entries`` shapes them
+    entry: Dict
+
+
+Reply = Union[Ack, RetryAfter, Err, Moved, Tuned, Status, Bye, Timeline]
 
 
 # --------------------------------------------------------------------------
@@ -224,13 +243,17 @@ def parse_reply(line: str) -> Reply:
     word, _, rest = line.partition(" ")
     if word == "ERR":
         return Err(rest)
-    if word in ("TUNED", "STATUS"):
+    if word in ("TUNED", "STATUS", "TRACE"):
+        if word == "TRACE":
+            trace_id, _, rest = rest.partition(" ")
         try:
             info = json.loads(rest)
         except (ValueError, RecursionError):
             info = None
         if not isinstance(info, dict):
             raise UplinkSyntaxError(f"{word} payload is not a JSON object")
+        if word == "TRACE":
+            return Timeline(trace_id, info)
         return Tuned(info) if word == "TUNED" else Status(info)
     tokens = rest.split()
     trace: Optional[str] = None
@@ -268,6 +291,8 @@ def format_reply(reply: Reply) -> str:
         return "TUNED " + json.dumps(reply.info)
     if isinstance(reply, Status):
         return "STATUS " + json.dumps(reply.info)
+    if isinstance(reply, Timeline):
+        return f"TRACE {reply.trace} " + json.dumps(reply.entry, separators=(",", ":"))
     return "BYE"
 
 

@@ -293,9 +293,11 @@ class CycleDecoder:
     (index tree, packings, signature check) and the rest reuse it.
     Consumers treat decoded cycles as read-only (the access protocols
     only ever read them -- the parity suite pins this), and any byte
-    difference -- including a tampered frame or a personalised trailer
-    -- changes the digest and misses the cache.  ``share=False`` opts a
-    decoder out entirely.
+    difference -- a tampered frame -- changes the digest and misses the
+    cache; the daemon sends every subscriber the same cycle bytes (trace
+    timelines travel beside the cycle, as uplink ``TRACE`` lines), so
+    co-located clients always hit.  ``share=False`` opts a decoder out
+    entirely.
     """
 
     #: ``(verify, digest) -> decoded cycle`` LRU shared by all decoders
@@ -316,10 +318,6 @@ class CycleDecoder:
         #: header of the most recently completed cycle (survives the
         #: per-cycle reset; callers read the signature from it)
         self.last_header: Optional[Dict] = None
-        #: CYCLE_END trailer of the most recently completed cycle; the
-        #: daemon's query tracer publishes per-trace timelines here
-        #: (key ``traces``), off-air so signatures are untouched
-        self.last_trailer: Optional[Dict] = None
         self.documents: Dict[int, bytes] = {}
         self._index_payload: Optional[bytes] = None
         self._offsets_payload: Optional[bytes] = None
@@ -385,10 +383,6 @@ class CycleDecoder:
                     while len(cache) > self._SHARED_MAX:
                         cache.popitem(last=False)
             self.last_header = self.header
-            try:
-                self.last_trailer = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                self.last_trailer = None
             self._reset()
             return cycle
         raise WireProtocolError(f"unexpected {kind.name} frame in cycle stream")

@@ -289,10 +289,6 @@ class MetricsRegistry:
         }
 
     @property
-    def active_span(self) -> Optional[Span]:
-        return self._span_stack[-1] if self._span_stack else None
-
-    @property
     def span_depth(self) -> int:
         return len(self._span_stack)
 
@@ -360,10 +356,6 @@ class NullRegistry:
 
     def span_totals(self, prefix: str = "") -> Dict[str, Tuple[int, float]]:
         return {}
-
-    @property
-    def active_span(self) -> None:
-        return None
 
     @property
     def span_depth(self) -> int:

@@ -37,7 +37,6 @@ from repro.obs.telemetry.exporter import (
     OpenMetricsError,
     lint_openmetrics,
     merge_expositions,
-    relabel_exposition,
     render_openmetrics,
     scrape,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "lint_openmetrics",
     "load_flight_record",
     "merge_expositions",
-    "relabel_exposition",
     "render_openmetrics",
     "scrape",
 ]

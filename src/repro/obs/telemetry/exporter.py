@@ -45,7 +45,6 @@ __all__ = [
     "OpenMetricsError",
     "lint_openmetrics",
     "merge_expositions",
-    "relabel_exposition",
     "render_openmetrics",
     "scrape",
     "stat",
@@ -404,11 +403,6 @@ def merge_expositions(
     return "\n".join(lines) + "\n"
 
 
-def relabel_exposition(text: str, **labels: str) -> str:
-    """Inject labels into every sample of one exposition document."""
-    return merge_expositions([(dict(labels), text)])
-
-
 # --------------------------------------------------------------------------
 # linter
 
@@ -576,7 +570,6 @@ class MetricsHTTPServer:
         self.health_fn = health_fn
         self.host = host
         self.port = port
-        self.scrapes = 0
         self._server: Optional[asyncio.AbstractServer] = None
 
     async def start(self) -> int:
@@ -628,7 +621,6 @@ class MetricsHTTPServer:
                 body = self.metrics_fn()
                 if inspect.isawaitable(body):
                     body = await body
-                self.scrapes += 1
                 self._respond(writer, 200, CONTENT_TYPE, body)
             elif path == "/healthz":
                 code, payload = self.health_fn()

@@ -17,7 +17,15 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-__all__ = ["FLIGHT_FORMAT", "FlightRecorder", "load_flight_record"]
+from repro.obs.telemetry.events import EventLog, NullEventLog
+
+__all__ = [
+    "FLIGHT_FORMAT",
+    "FlightRecorder",
+    "cycle_summary",
+    "load_flight_record",
+    "recorded_events",
+]
 
 #: Artifact schema version.
 FLIGHT_FORMAT = 1
@@ -112,6 +120,47 @@ class FlightRecorder:
         )
         self.dumps.append(target)
         return target
+
+
+def recorded_events(
+    events: Union[EventLog, NullEventLog, None],
+    flight: Optional[FlightRecorder],
+    clock: Any = None,
+) -> Union[EventLog, NullEventLog]:
+    """The event stream an owner narrates into: *events* (default: the
+    no-op log), observed by *flight* when a recorder is armed.
+
+    The ring buffer observes via a listener, so an armed recorder gets a
+    real (if sink-less) stream behind it; *clock* stamps that stream and
+    stays ``None`` on deterministic paths.
+    """
+    if events is None:
+        events = NullEventLog()
+    if flight is not None:
+        if isinstance(events, NullEventLog):
+            events = EventLog(sink=None, clock=clock)
+        events.add_listener(flight.record_event)
+    return events
+
+
+def cycle_summary(cycle: Any, server: Any, **extra: Any) -> Dict[str, Any]:
+    """The flight-recorder record of *cycle*, just built by *server*.
+
+    *extra* is what only the caller can say -- the ``signature``, which
+    each owner computes through its own ``program_signature`` binding.
+    """
+    record = server.records[-1] if server.records else None
+    return {
+        "cycle": cycle.cycle_number,
+        "start": cycle.start_time,
+        "doc_ids": list(cycle.doc_ids),
+        "total_bytes": cycle.total_bytes,
+        "data_bytes": cycle.data_bytes,
+        "degraded": cycle.degraded,
+        "pending_after": len(server.pending),
+        "phase_seconds": dict(record.phase_seconds) if record is not None else {},
+        **extra,
+    }
 
 
 def load_flight_record(path: Union[str, Path]) -> Dict[str, Any]:

@@ -10,13 +10,14 @@ and, from then on, stamps the trace at every hop with its own injected
 -> ``stream_start`` -> ``last_doc`` (final DOC frame carrying one of
 the query's result documents) .
 
-The completed daemon-side timeline rides the ``CYCLE_END`` trailer sent
-to the connection that submitted the trace (zero air-bytes: trailers
-are not part of the broadcast signature, and other subscribers' frames
-are untouched), and the client closes the chain by stamping
-``received`` when its query is satisfied.  Because Linux ``CLOCK_MONOTONIC`` is system-wide, daemon
-and client stamps share a timebase and every latency component is
-non-negative and additive:
+The completed daemon-side timeline is pushed as one uplink ``TRACE``
+line (:class:`repro.net.uplink.Timeline`) to the connection that
+submitted the trace, just ahead of the ``CYCLE_END`` of the cycle that
+completed it -- beside the cycle, not inside it, so the cycle's frames
+are the same bytes for every subscriber -- and the client closes the
+chain by stamping ``received`` when its query is satisfied.  Because
+Linux ``CLOCK_MONOTONIC`` is system-wide, daemon and client stamps share
+a timebase and every latency component is non-negative and additive:
 
 ``queue`` (submit->build_start) + ``build`` + ``on_air``
 (build_end->last_doc) + ``tune`` (last_doc->received) = ``total``.
@@ -49,6 +50,9 @@ class _TraceState:
     admit: Optional[float] = None
     query_id: Optional[int] = None
     pending: Optional[Any] = None  # broadcast.server.PendingQuery
+    #: whoever the timeline is owed to (the daemon passes the submitting
+    #: connection); opaque here, and forgotten with the state
+    owner: Optional[Any] = None
     #: result docs still owed when the current build began -- snapshotted
     #: *before* build_cycle because non-ack builds shrink remaining sets
     #: at build time, not at delivery time
@@ -63,9 +67,9 @@ class _TraceState:
 class QueryTracer:
     """Daemon-side trace registry; all stamps come from ``clock.now()``.
 
-    Zero-cost when no query asked for tracing: the daemon guards every
-    hook on :meth:`active`, and with no states registered none of the
-    per-frame work runs.
+    The daemon calls every hook unconditionally: with no query traced
+    each one loops over an empty dict (the per-frame hook is a single
+    failed lookup), so an untraced broadcast pays no guard and no work.
     """
 
     def __init__(self, clock: Any) -> None:
@@ -77,9 +81,6 @@ class QueryTracer:
         self._owed: Dict[int, List[_TraceState]] = {}
         #: owed doc ids that hit the wire in the current cycle
         self._aired: Set[int] = set()
-
-    def active(self) -> bool:
-        return bool(self.states)
 
     # -- admission ---------------------------------------------------------
 
@@ -93,13 +94,14 @@ class QueryTracer:
         )
         return trace_id
 
-    def on_admit(self, trace_id: str, pending: Any) -> None:
+    def on_admit(self, trace_id: str, pending: Any, owner: Any = None) -> None:
         state = self.states.get(trace_id)
         if state is None:
             return
         state.admit = self._now()
         state.query_id = getattr(pending, "query_id", None)
         state.pending = pending
+        state.owner = owner
 
     def on_reject(self, trace_id: str) -> None:
         """Query not admitted (overload / closed / parse error): the
@@ -116,8 +118,8 @@ class QueryTracer:
             t for t, s in self.states.items()
             if s.pending is not None and s.pending.is_satisfied
         ]:
-            # Satisfied queries were reported in an earlier trailer;
-            # their traces are complete and can be retired.
+            # Satisfied queries had their timeline pushed in an earlier
+            # cycle; their traces are complete and can be retired.
             del self.states[trace_id]
         self._owed = {}
         self._aired = set()
@@ -158,19 +160,18 @@ class QueryTracer:
             state.last_doc = now
             state.touched = True
 
-    # -- trailer -----------------------------------------------------------
+    # -- timelines ---------------------------------------------------------
 
     def cycle_entries(self, cycle_number: int) -> Dict[str, Dict[str, Any]]:
-        """Timeline entries for the cycle just streamed, keyed by trace
-        ID -- this dict rides the ``CYCLE_END`` trailer.
+        """Timeline entries for the cycle on air, keyed by trace ID
+        (call once its last DOC frame is stamped); each is pushed to its
+        state's ``owner``.
 
         Only traces this cycle *could have completed* -- every document
         still owed at build time went on air -- get an entry.  Partially
         served queries will emit on a later cycle; the satisfying cycle
-        always qualifies, so the client never misses its timeline.
-        Trailers are broadcast to every subscriber, so per-cycle entries
-        for every live trace would scale the downlink with the number of
-        traced clients.
+        always qualifies, so the client never misses its timeline, and
+        trace freight stays O(1) per traced query per cycle.
         """
         entries: Dict[str, Dict[str, Any]] = {}
         for trace_id, state in self.states.items():
@@ -178,10 +179,10 @@ class QueryTracer:
                 continue
             if not state.remaining_before.issubset(self._aired):
                 continue
-            # Compact wire shape: the dict key carries the trace ID (the
-            # client restores it) and stamps are rounded to the
+            # Compact wire shape: the trace ID travels beside the entry
+            # (the client restores it) and stamps are rounded to the
             # microsecond -- full ``perf_counter`` precision would double
-            # the trailer size for no measurable gain.
+            # the line for no measurable gain.
             entries[trace_id] = {
                 "query_id": state.query_id,
                 "cycle": cycle_number,
@@ -199,9 +200,9 @@ class QueryTracer:
 class QueryTrace:
     """A closed trace: daemon timeline + the client's receipt stamp.
 
-    Built client-side from the latest ``CYCLE_END`` trailer entry for
-    the client's trace ID, closed with ``received`` = the client
-    clock's stamp at query satisfaction.
+    Built client-side from the latest timeline pushed for the client's
+    trace ID, closed with ``received`` = the client clock's stamp at
+    query satisfaction.
     """
 
     trace_id: str
@@ -266,18 +267,19 @@ class QueryTrace:
     @classmethod
     def from_entry(
         cls,
+        trace_id: str,
         entry: Dict[str, Any],
         query: str,
         received: float,
     ) -> "QueryTrace":
-        """Close a daemon trailer entry with the client's receipt stamp."""
+        """Close a daemon timeline entry with the client's receipt stamp."""
         missing = [k for k in _ENTRY_STAMPS if entry.get(k) is None]
         if missing:
             raise ValueError(
                 f"incomplete trace entry (missing {missing}): {entry}"
             )
         return cls(
-            trace_id=str(entry["trace_id"]),
+            trace_id=trace_id,
             query=query,
             query_id=entry.get("query_id"),
             cycle=int(entry["cycle"]),

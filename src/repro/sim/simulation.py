@@ -144,8 +144,6 @@ class Simulation:
         self.server = make_server(config, self.store)
         #: adaptive control plane; ``None`` for static runs
         self.controller = make_controller(config, self.store)
-        #: arrivals deferred by the admission governor, by retry count
-        self.shed_deferrals = 0
         self._loss_model = (
             PacketLossModel(
                 loss_prob=config.loss_prob, seed=config.query_seed ^ 0xBADF
@@ -241,7 +239,6 @@ class Simulation:
             + span * controller.control.retry_after_cycles
         )
         controller.record_shed()
-        self.shed_deferrals += 1
         self._queue.schedule(
             retry_time,
             lambda p=plan, r=retries + 1: self._admit_batch([p], retries=r),
@@ -257,10 +254,8 @@ class Simulation:
         # are maximal; admission order within a batch is preserved.
         for _time, group in itertools.groupby(plans, key=lambda p: p.arrival_time):
             batch = list(group)
-            # priority 0: arrivals at time T are admitted before a cycle
-            # built at time T sees them? No -- the server filters on
-            # arrival_time <= now anyway; priority only keeps ordering
-            # deterministic.
+            # priority 0: arrivals at time T run before the cycle event at
+            # time T (priority 1), so a cycle built at T serves them.
             self._queue.schedule(
                 batch[0].arrival_time,
                 lambda b=batch: self._admit_batch(b),
@@ -292,16 +287,10 @@ class Simulation:
             self.workload.arrivals_during(cycle.start_time, cycle.end_time)
         )
         if self.controller is not None:
-            # Close the control loop: observe the cycle that just aired,
-            # apply the resulting plan before the next build.  Runs after
-            # delivery/acknowledgement so the observation sees the
-            # post-ACK demand table (what is genuinely still missing).
-            from repro.control import Observation
-
-            plan = self.controller.observe(
-                Observation.from_server(self.server, cycle)
-            )
-            self.server.apply_plan(plan)
+            # Close the control loop after delivery/acknowledgement, so
+            # the observation sees the post-ACK demand table (what is
+            # genuinely still missing).
+            self.controller.step(self.server, cycle)
         if self.server.cycle_number < self.config.max_cycles:
             self._queue.schedule(
                 cycle.end_time, self._cycle_event, priority=1, label="cycle"

@@ -27,8 +27,9 @@ recoverable as ``admits - dones``.  Records::
 
 A torn final line (the record being written when the process died) is
 tolerated and dropped; corruption anywhere else raises.  The journal is
-compacted on resume: outstanding entries are re-admitted by the daemon
-and re-journaled under fresh query ids in a fresh epoch section.
+compacted on resume: the daemon re-admits the outstanding entries, then
+one atomic rewrite leaves a fresh epoch section holding them under their
+new query ids.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import dataclasses
 import json
 import os
 import pathlib
-from typing import IO, Dict, List, Optional, Sequence, Tuple, Union
+from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.xmlkit.model import XMLDocument
 from repro.xmlkit.parser import parse_document
@@ -175,7 +176,6 @@ class QueryJournal:
         self.path = pathlib.Path(path)
         self.durable = durable
         self._file: Optional[IO[str]] = None
-        self.records_written = 0
 
     # -- lifecycle ---------------------------------------------------
 
@@ -219,9 +219,6 @@ class QueryJournal:
     def record_done(self, query_id: int) -> None:
         self._append({"kind": "done", "query_id": query_id})
 
-    def record_resume(self, epoch: int, replayed: int) -> None:
-        self._append({"kind": "resume", "epoch": epoch, "replayed": replayed})
-
     def _append(self, record: Dict) -> None:
         if self._file is None:
             raise RuntimeError("journal is not open")
@@ -229,7 +226,6 @@ class QueryJournal:
         self._file.flush()
         if self.durable:
             os.fsync(self._file.fileno())
-        self.records_written += 1
 
     # -- reads -------------------------------------------------------
 
@@ -237,29 +233,27 @@ class QueryJournal:
         return load_journal(self.path)
 
     def compact(self, outstanding: Sequence[JournalEntry], *, epoch: int) -> None:
-        """Rewrite the journal to just a header + resume marker.
+        """Rewrite the journal to header + resume marker + *outstanding*.
 
-        Called at the top of crash-resume, *before* the daemon re-admits
-        ``outstanding`` (each re-admission appends a fresh ``admit``
-        record with its new query id).  The rewrite goes through a temp
-        file + ``os.replace`` so a crash mid-compaction leaves either
-        the old journal or the new one, never a half-written file.
+        Called at the end of crash-resume, *after* the daemon re-admitted
+        the old journal's outstanding entries: *outstanding* is those
+        admissions under their new query ids.  The rewrite goes through
+        a temp file + ``os.replace``, so every instant has either the
+        old journal or the complete new one -- never a journal missing
+        an acknowledged query, never a half-written file.
         """
         if self._file is not None:
             raise RuntimeError("compact before open(), not after")
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        records: List[Dict] = [
+            {"kind": "journal", "format": JOURNAL_FORMAT},
+            {"kind": "resume", "epoch": epoch, "replayed": len(outstanding)},
+            *({"kind": "admit", **dataclasses.asdict(entry)} for entry in outstanding),
+        ]
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps({"kind": "journal", "format": JOURNAL_FORMAT}) + "\n"
-            )
-            handle.write(
-                json.dumps(
-                    {"kind": "resume", "epoch": epoch, "replayed": len(outstanding)},
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+            for record in records:
+                handle.write(json.dumps(record, separators=(",", ":")) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
@@ -270,8 +264,10 @@ def load_journal(path: PathLike) -> JournalState:
 
     A journal that does not exist yet decodes as empty.  The *final*
     line is allowed to be torn (truncated JSON from a mid-write kill)
-    and is dropped; a malformed line anywhere else is corruption and
-    raises ``ValueError``.
+    and is dropped; a malformed line anywhere else -- bad JSON, a record
+    that is not an object, a missing or wrong-typed field -- is
+    corruption and raises ``ValueError`` with ``path:line``, never
+    anything else.
     """
     journal_path = pathlib.Path(path)
     state = JournalState()
@@ -284,43 +280,48 @@ def load_journal(path: PathLike) -> JournalState:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             if number == len(lines):
                 state.torn_tail = True
                 break
             raise ValueError(f"{journal_path}:{number}: corrupt record") from exc
-        kind = record.get("kind")
-        if kind == "journal":
-            if record.get("format") != JOURNAL_FORMAT:
-                raise ValueError(
-                    f"unsupported journal format {record.get('format')!r}"
+        try:
+            kind = record["kind"]
+            if kind == "journal":
+                if record["format"] != JOURNAL_FORMAT:
+                    raise ValueError(f"unsupported format {record['format']!r}")
+            elif kind == "admit":
+                key = record.get("client_key")
+                entry = JournalEntry(
+                    query_id=_typed(record["query_id"], int),
+                    query=_typed(record["query"], str),
+                    arrival=_typed(record["arrival"], int),
+                    client_key=None if key is None else _typed(key, int),
+                    epoch=_typed(record.get("epoch", 0), int),
                 )
-        elif kind == "admit":
-            entry = JournalEntry(
-                query_id=int(record["query_id"]),
-                query=str(record["query"]),
-                arrival=int(record["arrival"]),
-                client_key=(
-                    None
-                    if record.get("client_key") is None
-                    else int(record["client_key"])
-                ),
-                epoch=int(record.get("epoch", 0)),
-            )
-            state.admits.append(entry)
-            open_admits[entry.query_id] = entry
-        elif kind == "done":
-            query_id = int(record["query_id"])
-            state.done_ids.append(query_id)
-            open_admits.pop(query_id, None)
-        elif kind == "resume":
-            state.resumes += 1
-            # a resume marker means everything before it was either
-            # replayed (and re-admitted after it) or already done
-            open_admits.clear()
-        else:
+                state.admits.append(entry)
+                open_admits[entry.query_id] = entry
+            elif kind == "done":
+                query_id = _typed(record["query_id"], int)
+                state.done_ids.append(query_id)
+                open_admits.pop(query_id, None)
+            elif kind == "resume":
+                state.resumes += 1
+                # a resume marker means everything before it was either
+                # replayed (and re-admitted after it) or already done
+                open_admits.clear()
+            else:
+                raise ValueError(f"unknown record kind {kind!r}")
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
-                f"{journal_path}:{number}: unknown record kind {kind!r}"
-            )
+                f"{journal_path}:{number}: malformed journal record ({exc!r})"
+            ) from exc
     state.outstanding = list(open_admits.values())
     return state
+
+
+def _typed(value: object, kind: type) -> Any:
+    """*value* if it is a *kind* (and no ``bool`` posing as an ``int``)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value

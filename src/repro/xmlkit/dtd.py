@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 
 class Repetition(enum.Enum):
@@ -164,7 +164,3 @@ class DTD:
             return found
 
         return any(visit(name) for name in self.declarations)
-
-    def max_label_path_alphabet(self) -> Sequence[str]:
-        """All tags that can appear in documents of this DTD."""
-        return sorted(self.reachable_elements())

@@ -19,7 +19,7 @@ from repro.net.chaos import (
     audit_journal,
     build_chaos_schedule,
 )
-from repro.tools.persist import QueryJournal
+from repro.tools.persist import JournalEntry, QueryJournal
 
 
 class TestSchedule:
@@ -160,11 +160,12 @@ class TestSafetyAudit:
         journal.record_admit(1, "//a", 0, client_key=5)
         journal.close()
         compacting = QueryJournal(journal.path)
+        assert len(journal.load().outstanding) == 1
+        # the replay re-admitted it as query 9; compaction records that
         compacting.compact(
-            journal.load().outstanding, epoch=1
+            [JournalEntry(9, "//a", 0, client_key=5, epoch=1)], epoch=1
         )
         compacting.open()
-        compacting.record_admit(9, "//a", 0, client_key=5, epoch=1)
         compacting.record_done(9)
         compacting.close()
         audit = audit_journal(journal.path)

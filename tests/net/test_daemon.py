@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import io
+import json
 
 import pytest
 
@@ -15,8 +17,16 @@ from repro.net import (
     TokenBucket,
 )
 from repro.net.client import Backpressure
+from repro.net.framing import FrameKind, encode_text, read_frame
 from repro.net.uplink import parse_reply, round_trip
+from repro.obs.telemetry import (
+    EventLog,
+    FlightRecorder,
+    TelemetryConfig,
+    load_flight_record,
+)
 from repro.sim.config import small_setup
+from repro.tools.persist import QueryJournal, load_journal
 from repro.xpath.evaluator import matching_documents
 from repro.xpath.parser import parse_query
 
@@ -293,6 +303,65 @@ class TestLifecycle:
         admitted, completed = _run(_with_daemon(store, config, net, body))
         assert admitted >= 1
         assert completed == admitted
+
+
+class TestCrashedPump:
+    def test_a_crashed_pump_is_not_a_clean_drain(self, store, config, tmp_path):
+        """Regression: an exception in the broadcast loop used to run the
+        drain epilogue -- ``server_bye`` in the log, ``SERVER_BYE`` to
+        every subscriber (telling a resuming client *not* to come back
+        for a query the journal would replay), ``wait_done()`` returning
+        normally, no error event and no flight dump."""
+        sink, flight = io.StringIO(), FlightRecorder()
+
+        async def body():
+            net = DaemonConfig(
+                autostart=False,
+                journal=QueryJournal(tmp_path / "shard.journal"),
+                telemetry=TelemetryConfig(
+                    events=EventLog(sink=sink),
+                    flight=flight,
+                    flight_dir=tmp_path / "flights",
+                ),
+            )
+            daemon = BroadcastDaemon(store, config, net)
+
+            def boom(now=None):
+                raise RuntimeError("boom in build_cycle")
+
+            daemon.server.build_cycle = boom
+            await daemon.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", daemon.port)
+            for line in ("TUNE", "SUBMIT AT=0 KEY=4 //nitf"):
+                writer.write(encode_text(line))
+                await writer.drain()
+                kind, _ = await read_frame(reader)
+                assert kind is FrameKind.TEXT
+            daemon.start_broadcast()
+            kinds = []
+            try:
+                while True:
+                    kinds.append((await read_frame(reader))[0])
+            except asyncio.IncompleteReadError as eof:
+                assert eof.partial == b"", "a clean EOF, not a torn frame"
+            assert FrameKind.SERVER_BYE not in kinds
+            writer.close()
+            with pytest.raises(RuntimeError, match="boom in build_cycle"):
+                await daemon.wait_done()
+
+        _run(body())
+        events = [json.loads(line) for line in sink.getvalue().splitlines()]
+        names = [event["event"] for event in events]
+        assert "server_bye" not in names
+        (error,) = [event for event in events if event["event"] == "error"]
+        assert error["level"] == "error" and "boom in build_cycle" in error["error"]
+        (dump,) = [p for p in flight.dumps if "crash" in p.name]
+        record = load_flight_record(dump)
+        assert record["reason"] == "crash"
+        assert any(e["event"] == "error" for e in record["events"])
+        # what was acknowledged is still owed: the next boot replays it
+        owed = load_journal(tmp_path / "shard.journal").outstanding
+        assert [(e.client_key, e.query) for e in owed] == [(4, "//nitf")]
 
 
 class _ParkFirstSleep(ManualClock):

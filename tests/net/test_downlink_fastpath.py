@@ -1,7 +1,11 @@
-"""Downlink hot path: share-once encoding, slow readers, decode reuse.
+"""Downlink hot path: one pump, share-once encoding, slow readers,
+decode reuse.
 
-Three properties of the rewritten streaming path are pinned here:
+Four properties of the streaming path are pinned here:
 
+* one stream loop serves the paced and the unpaced daemon, so both put
+  the same cycle bytes on every connection, traced or not, and a traced
+  query's timeline travels beside the cycle as a pushed ``TRACE`` line;
 * frame encoding happens once per cycle, independent of how many
   subscribers are tuned (the same bytes objects fan out to everyone);
 * a stalled or slow reader is evicted above ``MAX_BUFFERED_BYTES`` and
@@ -18,9 +22,10 @@ import asyncio
 import pytest
 
 from repro.broadcast.server import DocumentStore
-from repro.net import AsyncTwoTierClient, BroadcastDaemon, DaemonConfig
+from repro.net import AsyncTwoTierClient, BroadcastDaemon, DaemonConfig, ManualClock
 from repro.net.daemon import DRAIN_HIGH_WATER, MAX_BUFFERED_BYTES, _Connection
 from repro.net.framing import FrameKind, encode_text, read_frame
+from repro.net.uplink import Command, Status, Verb
 from repro.net.wire import CycleDecoder, WireProtocolError, encode_cycle
 from repro.sim.config import small_setup
 from repro.sim.simulation import make_server
@@ -48,6 +53,221 @@ async def _with_daemon(store, config, net, body):
     finally:
         daemon.request_stop()
         await daemon.wait_done()
+
+
+# ----------------------------------------------------------------------
+# The one pump
+# ----------------------------------------------------------------------
+
+
+class _Recording(AsyncTwoTierClient):
+    """A client that keeps every downlink frame it consumed, in order."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.frames = []
+
+    async def _read_downlink(self):
+        frame = await super()._read_downlink()
+        self.frames.append(frame)
+        return frame
+
+    @property
+    def cycle_bytes(self) -> bytes:
+        """The binary frames, concatenated: what the broadcast aired."""
+        return b"".join(
+            kind.name.encode() + len(payload).to_bytes(4, "big") + payload
+            for kind, payload in self.frames
+            if kind is not FrameKind.TEXT
+        )
+
+
+#: (bandwidth, K) of the three delivery modes the one loop serves
+UNPACED, PACED, PACED_ACKED = (None, 1), (40_000.0, 1), (40_000.0, 2)
+
+
+async def _session(store, config, mode, clients_of, before_run=None):
+    """Stage *clients_of(port)* against a scripted daemon, release the
+    broadcast, run every session; returns (clients, reports, daemon)."""
+    bandwidth, channels = mode
+    net = DaemonConfig(autostart=False, bandwidth=bandwidth, clock=ManualClock())
+    daemon = BroadcastDaemon(store, config.with_(num_data_channels=channels), net)
+    await daemon.start()
+    try:
+        clients = clients_of(daemon.port)
+        for client in clients:
+            await client.connect()
+            await client.tune()
+        for client in clients:
+            await client.submit()
+        daemon.start_broadcast()
+        if before_run is not None:
+            await before_run(daemon, clients)
+        reports = await asyncio.gather(*(c.run_session() for c in clients))
+        for client in clients:
+            await client.close()
+    finally:
+        daemon.request_stop()
+        await daemon.wait_done()
+    return clients, reports, daemon
+
+
+class TestOnePump:
+    QUERIES = ("//nitf", "//body", "//head", "//nitf")
+
+    def _mixed(self, port):
+        # every other client traced: tracing must not change anyone's bytes
+        return [
+            _Recording(q, port=port, arrival_time=0, trace=i % 2 == 0)
+            for i, q in enumerate(self.QUERIES)
+        ]
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_paced_and_unpaced_air_the_same_bytes(self, store, config, channels):
+        """The loop has no mode-specific bytes: the same scripted session
+        delivers byte-identical downlink streams with and without the
+        token bucket, to every subscriber."""
+        streams = {}
+        for bandwidth in (None, 40_000.0):
+            clients, reports, daemon = _run(
+                _session(store, config, (bandwidth, channels), self._mixed)
+            )
+            assert all(r.satisfied for r in reports)
+            assert all(r.trace is not None for r in reports[::2])
+            assert daemon.stats.frames_encoded == daemon.stats.frames_sent
+            streams[bandwidth] = [c.cycle_bytes for c in clients]
+        assert streams[None] == streams[40_000.0]
+        assert all(streams[None])
+
+    def test_every_subscriber_gets_the_same_cycle(self, store, config, monkeypatch):
+        """Traced or not, every connection reads the one cycle: encode
+        work does not grow with the traced audience, and co-located
+        clients decode each cycle once, not once per traced client."""
+        finishes = []
+        finish = CycleDecoder._finish
+        monkeypatch.setattr(
+            CycleDecoder,
+            "_finish",
+            lambda self: finishes.append(1) or finish(self),
+        )
+
+        def measure(traced, untraced):
+            CycleDecoder._shared_cycles.clear()
+            del finishes[:]
+            clients, reports, daemon = _run(
+                _session(
+                    store,
+                    config,
+                    UNPACED,
+                    # Same KEY: one pending query, so every run airs the
+                    # same cycles and only the audience varies.
+                    lambda port: [
+                        _Recording(
+                            "//nitf", port=port, arrival_time=0, client_key=7,
+                            trace=i < traced,
+                        )
+                        for i in range(traced + untraced)
+                    ],
+                )
+            )
+            assert all(r.satisfied for r in reports)
+            assert [r.trace is not None for r in reports] == (
+                [True] * traced + [False] * untraced
+            )
+            assert len({c.cycle_bytes for c in clients}) == 1
+            assert len(finishes) == daemon.stats.cycles_streamed
+            return daemon.stats.frames_encoded, daemon.stats.cycles_streamed
+
+        assert measure(traced=0, untraced=2) == measure(traced=3, untraced=2)
+
+    @pytest.mark.parametrize(
+        "mode", [UNPACED, PACED, PACED_ACKED], ids=["unpaced", "paced", "acked-k2"]
+    )
+    def test_timeline_is_pushed_before_the_cycle_end_it_completes(
+        self, store, config, mode
+    ):
+        clients, reports, _ = _run(
+            _session(
+                store,
+                config,
+                mode,
+                lambda port: [
+                    _Recording("//nitf", port=port, arrival_time=0, trace=True),
+                    _Recording("//body", port=port, arrival_time=0),
+                ],
+            )
+        )
+        traced, plain = clients
+        assert all(r.satisfied for r in reports) and reports[0].trace is not None
+        assert not any(kind is FrameKind.TEXT for kind, _ in plain.frames)
+        ends = [i for i, (k, _) in enumerate(traced.frames) if k is FrameKind.CYCLE_END]
+        pushed = [
+            i for i, (k, p) in enumerate(traced.frames)
+            if k is FrameKind.TEXT and p.startswith(b"TRACE ")
+        ]
+        # in hand before the frame that satisfies the query, and taken
+        # after every stamp of that cycle: never ahead of an earlier one
+        assert pushed and pushed[-1] < ends[-1]
+        assert all(end < pushed[-1] for end in ends[:-1])
+        if mode[0] is not None:
+            assert pushed[-1] == ends[-1] - 1
+
+    def test_pushed_line_is_never_a_commands_reply(self, store, config):
+        replies = []
+
+        async def status_mid_stream(daemon, clients):
+            while (
+                daemon.server.pending
+                or daemon.stats.cycles_streamed < daemon.server.cycle_number
+            ):
+                await asyncio.sleep(0)
+            # Every cycle, and the timeline ahead of the last one, is
+            # queued on the socket in front of this STATUS reply.
+            replies.append(await clients[0]._command(Command(Verb.STATUS)))
+            assert FrameKind.TEXT in [kind for kind, _ in clients[0]._deferred], (
+                "read past, and kept for the session"
+            )
+
+        _, reports, _ = _run(
+            _session(
+                store,
+                config,
+                UNPACED,
+                lambda port: [
+                    AsyncTwoTierClient("//nitf", port=port, arrival_time=0, trace=True)
+                ],
+                before_run=status_mid_stream,
+            )
+        )
+        assert isinstance(replies[0], Status)
+        assert reports[0].satisfied and reports[0].trace is not None
+
+    def test_trace_of_a_departed_connection_is_dropped(self, store, config):
+        async def body():
+            net = DaemonConfig(autostart=False, clock=ManualClock())
+            daemon = BroadcastDaemon(store, config, net)
+            await daemon.start()
+            gone = AsyncTwoTierClient("//nitf", port=daemon.port, arrival_time=0, trace=True)
+            stays = _Recording("//body", port=daemon.port, arrival_time=0)
+            for client in (gone, stays):
+                await client.connect()
+                await client.tune()
+                await client.submit()
+            await gone.close()
+            while len(daemon._connections) > 1:
+                await asyncio.sleep(0)
+            daemon.start_broadcast()
+            report = await stays.run_session()
+            await stays.close()
+            daemon.request_stop()
+            await daemon.wait_done()  # a crashed pump would re-raise here
+            return report, stays, daemon
+
+        report, stays, daemon = _run(body())
+        assert report.satisfied
+        assert not any(kind is FrameKind.TEXT for kind, _ in stays.frames)
+        assert daemon.stats.errors_total == 0
+        assert len(daemon.server.completed) == 2
 
 
 # ----------------------------------------------------------------------

@@ -174,6 +174,86 @@ class TestCrashResume:
         assert status["redelivered"] == 0
 
 
+class _Kill(BaseException):
+    """``SIGKILL`` in one process: no handler on the way up may eat it."""
+
+
+class TestReplayIsAtomic:
+    """Regression: crash-resume compacted the journal to header + marker
+    *before* re-admitting what it owed, so a second kill during the
+    replay lost acknowledged queries for good."""
+
+    OWED = [(5, "//nitf"), (6, "//nitf/head"), (7, "//body")]
+
+    def _boot(self, store, config, path, *, epoch, kill_at=None, monkeypatch=None):
+        """Boot on *path*; ``kill_at`` 1..3 kills inside that replayed
+        submit, 4 kills inside the compaction's ``os.replace``."""
+
+        async def body():
+            daemon = BroadcastDaemon(
+                store,
+                config,
+                DaemonConfig(
+                    autostart=False,
+                    shard=_identity(epoch=epoch),
+                    journal=QueryJournal(path),
+                ),
+            )
+            submit, calls = daemon.server.submit, []
+
+            def dying_submit(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == kill_at:
+                    raise _Kill
+                return submit(*args, **kwargs)
+
+            daemon.server.submit = dying_submit
+            if kill_at == 4:
+                def dying_replace(src, dst):
+                    raise _Kill
+
+                monkeypatch.setattr("repro.tools.persist.os.replace", dying_replace)
+            await daemon.start()
+            try:
+                return daemon.journal_replayed, daemon.stats.admitted_total
+            finally:
+                daemon.request_stop()
+                await daemon.wait_done()
+
+        return _run(body())
+
+    @pytest.mark.parametrize("kill_at", [1, 2, 3, 4])
+    def test_kill_during_replay_loses_nothing(
+        self, store, config, tmp_path, monkeypatch, kill_at
+    ):
+        path = tmp_path / "shard.journal"
+        crashed = QueryJournal(path)
+        crashed.open()
+        for query_id, (key, query) in enumerate(self.OWED):
+            crashed.record_admit(query_id, query, 0, key)
+        crashed.close()
+
+        def owed():
+            return [(e.client_key, e.query) for e in load_journal(path).outstanding]
+
+        with pytest.raises(_Kill):
+            self._boot(
+                store, config, path, epoch=1, kill_at=kill_at, monkeypatch=monkeypatch
+            )
+        monkeypatch.undo()
+        assert owed() == self.OWED, "every acknowledged query is still owed"
+
+        # The next boot admits each (client_key, query) once -- and so
+        # does the one after it, from the compacted journal.
+        for epoch in (2, 3):
+            assert self._boot(store, config, path, epoch=epoch) == (3, 3)
+            state = load_journal(path)
+            assert owed() == self.OWED
+            assert set(state.admit_counts().values()) == {1}
+            assert {e.epoch for e in state.admits} == {epoch}
+            assert state.resumes == 1
+
+
 class TestRedelivery:
     def test_resubmit_after_satisfaction_readmits(self, store, config):
         """A keyed resubmit of an already-satisfied query must not be

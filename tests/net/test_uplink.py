@@ -26,6 +26,7 @@ from repro.net.uplink import (
     Moved,
     RetryAfter,
     Status,
+    Timeline,
     Tuned,
     UplinkSyntaxError,
     Verb,
@@ -83,6 +84,7 @@ replies = st.one_of(
     st.builds(Moved, ints, tokens, ints),
     st.builds(Tuned, json_objects),
     st.builds(Status, json_objects),
+    st.builds(Timeline, tokens, json_objects),
     st.just(Bye()),
 )
 
@@ -153,6 +155,8 @@ class TestHostileLines:
             parse_command("RECV 1 2 " + "7," * MAX_LINE_CHARS)
         with pytest.raises(UplinkSyntaxError, match="too long"):
             parse_reply("ERR " + "x" * MAX_LINE_CHARS)
+        with pytest.raises(UplinkSyntaxError, match="too long"):
+            parse_reply('TRACE t1 {"pad": "' + "x" * MAX_LINE_CHARS + '"}')
 
     def test_huge_integers_are_refused_not_converted(self):
         started = time.perf_counter()
@@ -171,6 +175,12 @@ class TestHostileLines:
             "TUNED [1, 2]",
             "STATUS 7",
             "TUNED",
+            "TRACE t1 " + "[" * 100_000 + "]" * 100_000,
+            "TRACE t1 [1, 2]",
+            "TRACE t1 7",
+            "TRACE t1",
+            "TRACE",
+            'TRACE t1 {"cycle": 1} trailing',
             "ACK 1",
             "ACK 1 2 3",
             "ACK one 2",
@@ -252,6 +262,9 @@ class TestGrammar:
         assert format_reply(Moved(1, "127.0.0.1", 9)) == "MOVED 1 127.0.0.1 9"
         assert parse_reply("ERR two  spaces kept") == Err("two  spaces kept")
         assert parse_reply('TUNED {"num_channels": 2}') == Tuned({"num_channels": 2})
+        pushed = Timeline("t7", {"query_id": 3, "cycle": 2, "submit": 0.25})
+        assert format_reply(pushed) == 'TRACE t7 {"query_id":3,"cycle":2,"submit":0.25}'
+        assert parse_reply(format_reply(pushed)) == pushed
 
 
 # --------------------------------------------------------------------------

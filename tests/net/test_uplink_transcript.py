@@ -15,7 +15,9 @@ Normalised before hashing: the ephemeral port in ``MOVED``, and STATUS
 payloads (connection counts race) down to their nested key sets -- except
 the front door's ``totals`` block, kept by name only: which worker keys it
 sums is derived from the stats declaration since this change (it gained
-``redelivered``; ``test_cluster.py`` pins the new set).
+``redelivered``; ``test_cluster.py`` pins the new set).  Dropped before
+hashing: the pushed ``TRACE`` timelines (PR 18 moved them out of the
+``CYCLE_END`` trailer onto their own TEXT line).
 """
 
 from __future__ import annotations
@@ -101,9 +103,11 @@ class _Tap:
         try:
             while True:
                 kind, payload = await read_frame(src)
-                if kind is FrameKind.TEXT:
+                if kind is FrameKind.TEXT and not payload.startswith(b"TRACE "):
                     # Logged before it is forwarded, so a reply can never
                     # be recorded ahead of the command that caused it.
+                    # Pushed trace timelines are left out: they carry clock
+                    # stamps, and are the one line added since the capture.
                     log.append(f"{arrow} {_normalise(payload.decode('utf-8'))}")
                 dst.write(encode_frame(kind, payload))
                 await dst.drain()

@@ -134,6 +134,7 @@ class TestUplinkCodec:
         assert set(repro.net.uplink.__all__) == {
             "Command", "Verb", "parse_command", "format_command",
             "Ack", "RetryAfter", "Err", "Moved", "Tuned", "Status", "Bye", "Reply",
+            "Timeline",  # PR 18: the pushed trace line, the one addition
             "parse_reply", "format_reply",
             "UplinkSyntaxError", "MAX_LINE_CHARS",
             "serve_connection", "round_trip",
@@ -187,6 +188,81 @@ class TestUplinkCodec:
         assert not {"stop_timeout", "heartbeat_timeout", "heartbeat_misses"} & set(
             inspect.signature(ClusterSupervisor).parameters
         )
+
+
+class TestOnePump:
+    """One stream loop, trace timelines beside the cycle, and the census
+    of things nothing called (migration note: CHANGES.md, PR 18 --
+    ``decoder.last_trailer["traces"]`` became the client's pushed
+    ``uplink.Timeline``; ``relabel_exposition(text, **labels)`` is
+    ``merge_expositions([(labels, text)])``)."""
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            ("repro.net.daemon:BroadcastDaemon", "_stream_bulk"),
+            ("repro.net.daemon:BroadcastDaemon", "_stream_paced"),
+            ("repro.net.daemon:BroadcastDaemon", "_personal_trailers"),
+            ("repro.net.daemon:BroadcastDaemon", "_count_air"),
+            ("repro.net.daemon:BroadcastDaemon", "_shutdown"),
+            ("repro.obs.telemetry.tracing:QueryTracer", "active"),
+            ("repro.tools.persist:QueryJournal", "record_resume"),
+            ("repro.obs.telemetry", "relabel_exposition"),
+            ("repro.obs.telemetry.exporter", "relabel_exposition"),
+            ("repro.broadcast.packets:CycleLayout", "packet_index_at"),
+            ("repro.broadcast.packets:CycleLayout", "segment_packets"),
+            ("repro.xmlkit.dtd:DTD", "max_label_path_alphabet"),
+            ("repro.broadcast.program:BroadcastCycle", "one_tier_index_bytes"),
+            ("repro.broadcast.server:DocumentStore", "guides_for"),
+            # the same grep found these uncalled and untested too
+            ("repro.broadcast.packets", "Packet"),
+            ("repro.obs.registry:MetricsRegistry", "active_span"),
+            ("repro.obs.registry:NullRegistry", "active_span"),
+            ("repro.experiments.figures", "run_all"),
+        ],
+    )
+    def test_the_fork_and_the_uncalled_are_gone(self, owner, name):
+        module_name, _, attr = owner.partition(":")
+        target = importlib.import_module(module_name)
+        if attr:
+            target = getattr(target, attr)
+        assert not hasattr(target, name)
+
+    def test_removed_parameters_and_attributes(self):
+        import inspect
+
+        from repro.index.ci import CompactIndex
+        from repro.net.wire import CycleDecoder
+
+        assert "doc_filter" not in inspect.signature(CompactIndex.from_guide).parameters
+        assert not hasattr(CycleDecoder(), "last_trailer")
+
+    def test_no_option_was_added(self):
+        """The counts the issue fixed before the change."""
+        import dataclasses
+        import inspect
+
+        from repro.net import (
+            AsyncTwoTierClient, BroadcastDaemon, ClusterConfig, DaemonConfig,
+        )
+        from repro.net.framing import FrameKind
+        from repro.net.wire import WIRE_FORMAT_VERSION, CycleDecoder
+        from repro.obs.telemetry import QueryTracer, TelemetryConfig
+
+        def fields(cls):
+            return len(dataclasses.fields(cls))
+
+        def parameters(cls):
+            return len(inspect.signature(cls).parameters)
+
+        assert (fields(DaemonConfig), fields(TelemetryConfig), fields(ClusterConfig)) == (
+            10, 6, 12,
+        )
+        assert [
+            parameters(c)
+            for c in (BroadcastDaemon, AsyncTwoTierClient, CycleDecoder, QueryTracer)
+        ] == [3, 12, 3, 1]
+        assert len(FrameKind) == 7 and WIRE_FORMAT_VERSION == 2
 
 
 class TestQuickstartSnippet:

@@ -482,3 +482,24 @@ class TestServeClient:
             assert f"``{name}``" in cli.__doc__, (
                 f"subcommand {name!r} missing from the module docstring"
             )
+
+
+class TestServeCrash:
+    def test_a_crashed_broadcast_loop_is_not_exit_0(self, tmp_path, monkeypatch):
+        """Regression: ``repro serve`` logged ``drained`` and exited 0
+        after its broadcast loop died on an exception."""
+        from repro.broadcast.server import BroadcastServer
+
+        def boom(self, now=None):
+            raise RuntimeError("boom in build_cycle")
+
+        monkeypatch.setattr(BroadcastServer, "build_cycle", boom)
+        workload = tmp_path / "w.txt"
+        workload.write_text("//nitf\n")
+        with pytest.raises(RuntimeError, match="boom in build_cycle"):
+            main(
+                [
+                    "serve", "--count", "25", "--capacity", "20000", "--port", "0",
+                    "--workload", str(workload), "--log-level", "error",
+                ]
+            )

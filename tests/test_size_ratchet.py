@@ -1,0 +1,66 @@
+"""Size ratchet over the serving tier: ROADMAP item 3's class-size gate.
+
+"No class over ~400 lines in ``net/`` or ``broadcast/``" is where the
+round is heading; three classes are not there yet.  This AST sweep (in
+the style of ``test_typing_hygiene.py``) holds the line meanwhile: no
+*other* class under those packages may pass the bound, and each of the
+three is pinned at the size it has today -- a ceiling that may only ever
+be lowered, so a PR that shrinks one lowers its number here and a PR
+that grows one fails.
+
+It also prints the ``src/repro`` line total (``wc -l`` of every ``.py``),
+reported and not enforced -- a performance PR may add code -- so CI logs
+carry the figure the round's -15 % gate is read from.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+SWEPT = ("net", "broadcast")
+BOUND = 400
+
+#: the classes still over the bound, and the most lines each may have
+CEILINGS = {
+    "BroadcastDaemon": 910,  # 1,153 at PR 16, 1,015 at PR 17
+    "BroadcastServer": 662,
+    "AsyncTwoTierClient": 458,
+}
+
+
+def _class_sizes():
+    for package in SWEPT:
+        for path in sorted((SRC / package).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    yield path, node.name, node.end_lineno - node.lineno + 1
+
+
+def test_no_class_outgrows_its_ceiling():
+    offences = []
+    sizes = {}
+    for path, name, lines in _class_sizes():
+        sizes[name] = lines
+        ceiling = CEILINGS.get(name, BOUND)
+        if lines > ceiling:
+            offences.append(
+                f"{path.relative_to(SRC.parent.parent)}: class {name} is "
+                f"{lines} lines, ceiling {ceiling}"
+            )
+    assert not offences, "\n".join(offences)
+    # A ceiling is for a class that needs one: once a class fits the
+    # bound (or is gone), its entry must go too.
+    stale = [name for name in CEILINGS if sizes.get(name, 0) <= BOUND]
+    assert not stale, f"drop the ceilings of {stale}: they fit the bound now"
+
+
+def test_report_src_line_total():
+    total = sum(
+        len(path.read_text(encoding="utf-8").splitlines())
+        for path in SRC.rglob("*.py")
+    )
+    print(f"\nsrc/repro line total: {total}")
+    assert total > 0

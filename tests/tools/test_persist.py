@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.tools.persist import (
     JournalEntry,
@@ -214,14 +218,18 @@ class TestQueryJournal:
         journal.close()
         outstanding = load_journal(journal.path).outstanding
 
+        # The daemon re-admits first (new ids, new epoch) and compacts
+        # once, so no instant has a journal without the outstanding query.
         fresh = QueryJournal(journal.path)
-        fresh.compact(outstanding, epoch=1)
+        fresh.compact(
+            [
+                dataclasses.replace(entry, query_id=10 + i, epoch=1)
+                for i, entry in enumerate(outstanding)
+            ],
+            epoch=1,
+        )
+        assert [e.query_id for e in load_journal(journal.path).outstanding] == [10]
         fresh.open()
-        for i, entry in enumerate(outstanding):
-            fresh.record_admit(
-                10 + i, entry.query, entry.arrival,
-                client_key=entry.client_key, epoch=1,
-            )
         fresh.record_done(10)
         fresh.close()
         state = load_journal(journal.path)
@@ -255,3 +263,140 @@ class TestQueryJournal:
         entry = JournalEntry(1, "//a", 0)
         with pytest.raises(Exception):
             entry.query_id = 2  # type: ignore[misc]
+
+
+# --------------------------------------------------------------------------
+# hostile journal bytes (ROADMAP 4b): ValueError with path:line, or nothing
+
+
+def _line(**record) -> str:
+    return json.dumps(record, separators=(",", ":"))
+
+
+HEADER = _line(kind="journal", format=1)
+
+
+class TestHostileJournal:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"kind":"admit","query":"//a","arrival":0}',  # was a KeyError
+            "[1,2]",  # was an AttributeError
+            '{"kind":"admit","query_id":1,"query":"//a","arrival":null}',  # TypeError
+            '{"kind":"done","query_id":[1]}',  # TypeError
+            '{"kind":"admit","query_id":true,"query":"//a","arrival":0}',
+            '{"kind":"admit","query_id":1,"query":7,"arrival":0}',
+            '{"kind":"journal","format":99}',
+            '{"kind":"journal"}',
+            '{"kind":"bogus"}',
+            '"admit"',
+        ],
+    )
+    def test_malformed_middle_line_is_a_located_value_error(self, tmp_path, bad):
+        """Regression: these took the worker down at boot with a bare
+        KeyError / AttributeError / TypeError traceback."""
+        path = tmp_path / "shard.journal"
+        good = _line(kind="admit", query_id=1, query="//a", arrival=0, client_key=3)
+        path.write_text("\n".join([HEADER, good, bad, good]) + "\n")
+        with pytest.raises(ValueError, match=r"shard\.journal:3: "):
+            load_journal(path)
+
+
+_ints = st.integers(-5, 40)
+_records = st.one_of(
+    st.builds(
+        lambda q, text, at, key, epoch: dict(
+            kind="admit", query_id=q, query=text, arrival=at, client_key=key, epoch=epoch
+        ),
+        _ints,
+        st.sampled_from(["//a", "//a/b", "/c"]),
+        _ints,
+        st.none() | _ints,
+        st.integers(0, 3),  # cross-epoch admits included
+    ),
+    st.builds(lambda q: dict(kind="done", query_id=q), _ints),
+    st.builds(lambda e, n: dict(kind="resume", epoch=e, replayed=n), _ints, _ints),
+)
+_wrong = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+    st.lists(_ints, max_size=2), st.dictionaries(st.text(max_size=2), _ints, max_size=1),
+)
+
+
+@st.composite
+def _mutated_journals(draw):
+    """(lines, mutated): a valid journal, then maybe dropped, duplicated
+    or reordered lines, wrong-typed or missing fields, a non-record line."""
+    records = [dict(kind="journal", format=1)] + draw(st.lists(_records, max_size=12))
+    mutations = draw(st.integers(0, 3))
+    for _ in range(mutations):
+        at = draw(st.integers(0, len(records) - 1))
+        how = draw(st.integers(0, 5))
+        if how == 0 and len(records) > 1:
+            del records[at]
+        elif how == 1:
+            records.insert(draw(st.integers(0, len(records))), records[at])
+        elif how == 2:
+            records.insert(draw(st.integers(0, len(records) - 1)), records.pop(at))
+        elif how == 3 and isinstance(records[at], dict):
+            field = draw(st.sampled_from(sorted(records[at])))
+            records[at] = {**records[at], field: draw(_wrong)}
+        elif how == 4 and isinstance(records[at], dict):
+            gone = draw(st.sampled_from(sorted(records[at])))
+            records[at] = {k: v for k, v in records[at].items() if k != gone}
+        else:
+            records[at] = draw(st.sampled_from(["[1,2]", "7", '"x"', "null", "{", "\x00"]))
+    lines = [r if isinstance(r, str) else _line(**r) for r in records]
+    return lines, mutations > 0
+
+
+def _owed(state):
+    return [dataclasses.astuple(entry) for entry in state.outstanding]
+
+
+class TestJournalFuzz:
+    @given(_mutated_journals(), st.integers(0, 60))
+    def test_only_value_error_escapes_and_a_torn_tail_is_tolerated(
+        self, tmp_path_factory, journal, cut
+    ):
+        lines, mutated = journal
+        path = tmp_path_factory.mktemp("fuzz") / "shard.journal"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            whole = load_journal(path)
+        except ValueError as exc:
+            assert mutated, f"a valid journal was refused: {exc}"
+            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc))
+            return
+        # Killed mid-write: the last record is cut short.  The load must
+        # still succeed, and owes what the journal owed without that record.
+        last = lines[-1]
+        torn = last[: 1 + cut % (len(last) - 1)] if len(last) > 1 else last
+        path.write_text("\n".join(lines[:-1] + [torn]))
+        state = load_journal(path)
+        if torn != last:
+            assert state.torn_tail
+            path.write_text("\n".join(lines[:-1]) + "\n")
+            assert _owed(state) == _owed(load_journal(path))
+        else:
+            assert _owed(state) == _owed(whole)
+
+    @given(_mutated_journals())
+    def test_load_replay_compact_load_is_idempotent(self, tmp_path_factory, journal):
+        lines, _ = journal
+        path = tmp_path_factory.mktemp("fuzz") / "shard.journal"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            owed = load_journal(path).outstanding
+        except ValueError:
+            return
+        # the replay re-admits each owed entry under a fresh id and epoch
+        replayed = [
+            dataclasses.replace(entry, query_id=100 + i, epoch=9)
+            for i, entry in enumerate(owed)
+        ]
+        for _ in range(2):
+            QueryJournal(path).compact(replayed, epoch=9)
+            state = load_journal(path)
+            assert state.outstanding == replayed
+            assert state.resumes == 1 and not state.torn_tail
