@@ -100,10 +100,6 @@ class CycleBuildCache:
         self.rebuild_threshold = rebuild_threshold
         self.dfa_cache_size = dfa_cache_size
 
-        #: memoised ``str(query)`` -- XPathQuery is frozen/hashable and the
-        #: same instances recur every cycle via the pending queue, so key
-        #: computation must not re-render each string per cycle
-        self._query_strings: Dict[XPathQuery, str] = {}
         # CI layer
         self._ci_requested: Optional[FrozenSet[int]] = None
         self._ci_guide: Optional[CombinedDataGuide] = None
@@ -258,7 +254,7 @@ class CycleBuildCache:
     ) -> Tuple[CompactIndex, PruningStats]:
         """Prune *ci* against *queries*, reusing last cycle's PCI when both
         the requested set and the query-string set are unchanged."""
-        key = (requested, self._key_of(queries))
+        key = (requested, query_key_of(queries))
         if (
             self._pci is not None
             and self._pci_stats is not None
@@ -286,7 +282,7 @@ class CycleBuildCache:
             self._pci is None
             or self._pci_stats is None
             or self._pci_key is None
-            or self._pci_key[1] != self._key_of(queries)
+            or self._pci_key[1] != query_key_of(queries)
         ):
             return None
         self._count("pci_stale_served", "server.pci_cache_stale_served_total")
@@ -295,17 +291,6 @@ class CycleBuildCache:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-
-    def _key_of(self, queries: Sequence[XPathQuery]) -> QueryKey:
-        """:func:`query_key_of` with per-query-instance string memoisation."""
-        strings = self._query_strings
-        out = set()
-        for query in queries:
-            text = strings.get(query)
-            if text is None:
-                text = strings[query] = str(query)
-            out.add(text)
-        return frozenset(out)
 
     def _count(self, stat: str, metric: str) -> None:
         self.stats[stat] += 1

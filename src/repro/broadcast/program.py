@@ -46,11 +46,13 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro import obs
 from repro.broadcast.multichannel import allocate_channels
 from repro.broadcast.packets import CycleLayout, PacketKind, Segment
+from repro.filtering.dfa import LazyQueryDFA
 from repro.index.ci import CompactIndex, LookupResult
 from repro.index.packing import PackedIndex, PackingStrategy, pack_index
 from repro.index.sizes import SizeModel
@@ -150,13 +152,24 @@ class BroadcastCycle:
             else self.packed_first_tier
         )
 
-    def lookup(self, query: XPathQuery) -> LookupResult:
-        """Client-side index search on this cycle's PCI."""
+    def lookup(self, query: Union[XPathQuery, LazyQueryDFA]) -> LookupResult:
+        """Client-side index search on this cycle's PCI (a query, or the
+        compiled form a repeat searcher keeps -- see
+        :meth:`CompactIndex.lookup <repro.index.ci.CompactIndex.lookup>`)."""
         return self.pci.lookup(query)
+
+    def lookup_packets(
+        self, lookup: LookupResult, scheme: IndexScheme
+    ) -> FrozenSet[int]:
+        """Packets of *scheme*'s packing a *selective* index search reads
+        (worked out once per result: every client of a query string is
+        handed the same :class:`LookupResult`)."""
+        return lookup.packets_in(self.packed(scheme))
 
     def index_lookup_bytes(self, lookup: LookupResult, scheme: IndexScheme) -> int:
         """Tuning bytes for a *selective* index search under *scheme*."""
-        return self.packed(scheme).tuning_bytes_for_nodes(lookup.visited_node_ids)
+        packets = self.lookup_packets(lookup, scheme)
+        return len(packets) * self.packed(scheme).packet_bytes
 
 
 def build_cycle_program(

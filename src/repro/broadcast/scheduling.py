@@ -28,6 +28,7 @@ re-deriving the doc-to-queries map from scratch every cycle.
 from __future__ import annotations
 
 import abc
+import operator
 import warnings
 from typing import (
     TYPE_CHECKING,
@@ -252,6 +253,9 @@ class RxWScheduler(Scheduler):
         return sorted(table, key=lambda d: (-score(d), d))
 
 
+_QUERY_ID = operator.attrgetter("query_id")
+
+
 class LeeLoScheduler(Scheduler):
     """Completion-oriented allocation in the spirit of Lee & Lo [8].
 
@@ -287,9 +291,18 @@ class LeeLoScheduler(Scheduler):
         demand: Optional[DemandTable] = None,
     ) -> List[int]:
         table = _demand_view(pending, now, demand)
+        # One weight per pending query, not one division per (doc, query)
+        # edge.  The per-document sum() still adds the same floats in the
+        # same order, so scores are bit-identical to the per-edge form
+        # (3.12's compensated sum() included; a hand-written loop is not).
+        weight_of = {
+            q.query_id: 1.0 / len(q.remaining_doc_ids)
+            for q in pending
+            if q.remaining_doc_ids
+        }.__getitem__
         scores: Dict[int, float] = {}
         for doc_id, queries in table.items():
-            scores[doc_id] = sum(1.0 / len(q.remaining_doc_ids) for q in queries)
+            scores[doc_id] = sum(map(weight_of, map(_QUERY_ID, queries)))
 
         def key(doc_id: int) -> Tuple[float, int, int]:
             size = self._store.air_bytes(doc_id) if self._store is not None else 0

@@ -792,19 +792,7 @@ class BroadcastServer:
             stale = self.cache.stale_pci(queries)
             if stale is not None:
                 return stale[0], stale[1], "pci-stale"
-        doc_entries = sum(
-            len(node.doc_ids) for node in ci.root.iter_preorder()
-        )
-        size = ci.size_bytes(one_tier=True)
-        no_op = PruningStats(
-            nodes_before=ci.node_count,
-            nodes_after=ci.node_count,
-            doc_entries_before=doc_entries,
-            doc_entries_after=doc_entries,
-            bytes_before=size,
-            bytes_after=size,
-        )
-        return ci, no_op, "ci-unpruned"
+        return ci, PruningStats.between(ci, ci), "ci-unpruned"
 
     # ------------------------------------------------------------------
     # Live collection changes

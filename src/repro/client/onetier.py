@@ -30,9 +30,7 @@ class OneTierClient(AccessProtocol):
     def _consume(self, cycle: BroadcastCycle, probe_bytes: int) -> None:
         with obs.span("client.index_read"):
             lookup = self._lookup(cycle)
-            index_bytes = cycle.packed_one_tier.tuning_bytes_for_nodes(
-                lookup.visited_node_ids
-            )
+            index_bytes = cycle.index_lookup_bytes(lookup, self.scheme)
             if self.expected_doc_ids is None:
                 self.expected_doc_ids = frozenset(lookup.doc_ids)
         with obs.span("client.doc_download"):

@@ -16,11 +16,13 @@ from typing import Callable, FrozenSet, Optional, Set
 from repro import obs
 from repro.broadcast.program import BroadcastCycle, IndexScheme
 from repro.client.metrics import ClientMetrics
+from repro.filtering.dfa import LazyQueryDFA
 from repro.index.ci import LookupResult
 from repro.xpath.ast import XPathQuery
 
 #: A shared per-cycle lookup cache the simulation may inject so clients
-#: issuing the same query string reuse one index walk.
+#: issuing the same query string reuse one index walk (and one compiled
+#: query).  A client given none searches for itself.
 LookupFn = Callable[[BroadcastCycle, XPathQuery], LookupResult]
 
 
@@ -52,10 +54,6 @@ class FirstTierRead(enum.Enum):
     FULL = "full"
 
 
-def default_lookup(cycle: BroadcastCycle, query: XPathQuery) -> LookupResult:
-    return cycle.lookup(query)
-
-
 class AccessProtocol(abc.ABC):
     """Base class: arrival bookkeeping, probe charging, completion."""
 
@@ -69,11 +67,14 @@ class AccessProtocol(abc.ABC):
         self,
         query: XPathQuery,
         arrival_time: int,
-        lookup_fn: LookupFn = default_lookup,
+        lookup_fn: Optional[LookupFn] = None,
     ) -> None:
         self.query = query
         self.metrics = ClientMetrics(arrival_time=arrival_time)
         self._lookup_fn = lookup_fn
+        #: the query compiled at this client's first own search and kept
+        #: for its session (a one-tier client searches every cycle)
+        self._compiled: Optional[LazyQueryDFA] = None
         self._probed = False
         #: result ids learned from the index (or injected, for the naive
         #: client); ``None`` until the first index read.
@@ -159,7 +160,11 @@ class AccessProtocol(abc.ABC):
     # ------------------------------------------------------------------
 
     def _lookup(self, cycle: BroadcastCycle) -> LookupResult:
-        return self._lookup_fn(cycle, self.query)
+        if self._lookup_fn is not None:
+            return self._lookup_fn(cycle, self.query)
+        if self._compiled is None:
+            self._compiled = LazyQueryDFA.from_queries([self.query])
+        return cycle.lookup(self._compiled)
 
     def _download_documents(self, cycle: BroadcastCycle, wanted: Set[int]) -> int:
         """Download the wanted documents present in this cycle.

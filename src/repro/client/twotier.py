@@ -55,7 +55,6 @@ from repro.client.protocol import (
     FirstTierRead,
     LookupFn,
     OffsetRead,
-    default_lookup,
 )
 from repro.xpath.ast import XPathQuery
 
@@ -74,7 +73,7 @@ class TwoTierClient(AccessProtocol):
         self,
         query: XPathQuery,
         arrival_time: int,
-        lookup_fn: LookupFn = default_lookup,
+        lookup_fn: Optional[LookupFn] = None,
         first_tier_read: FirstTierRead = FirstTierRead.SELECTIVE,
         offset_read: OffsetRead = OffsetRead.FULL,
         loss_model: PacketLossModel = LOSSLESS,
@@ -106,7 +105,7 @@ class TwoTierClient(AccessProtocol):
                     packets = range(packed.packet_count)
                     index_bytes = cycle.first_tier_bytes
                 else:
-                    packets = packed.packets_for_nodes(lookup.visited_node_ids)
+                    packets = cycle.lookup_packets(lookup, self.scheme)
                     index_bytes = len(packets) * packed.packet_bytes
                 lost = loss is not None and loss.any_lost(
                     self.client_key, cycle.cycle_number, packets

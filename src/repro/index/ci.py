@@ -20,19 +20,33 @@ Two builders cover the paper's two uses:
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.dataguide.roxsum import (
     CombinedDataGuide,
     CombinedGuideNode,
     build_combined_guide,
 )
-from repro.filtering.nfa import SharedPathNFA
+from repro.filtering.dfa import LazyQueryDFA
 from repro.index.nodes import IndexNode, assign_preorder_ids, validate_tree
 from repro.index.sizes import SizeModel, PAPER_SIZE_MODEL
 from repro.xmlkit.model import LabelPath, XMLDocument
 from repro.xpath.ast import XPathQuery
+
+if TYPE_CHECKING:  # pragma: no cover - packing imports this module
+    from repro.index.packing import PackedIndex, PackingStrategy
 
 
 @dataclass(frozen=True)
@@ -49,10 +63,30 @@ class LookupResult:
     doc_ids: Tuple[int, ...]
     matched_node_ids: FrozenSet[int]
     visited_node_ids: FrozenSet[int]
+    #: :meth:`packets_in` memo; lives and dies with the result, outside
+    #: its value
+    _packets: Dict[Tuple["PackingStrategy", bool], FrozenSet[int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def is_empty(self) -> bool:
         return not self.doc_ids
+
+    def packets_in(self, packed: "PackedIndex") -> FrozenSet[int]:
+        """Distinct packets of *packed* the visited nodes touch.
+
+        *packed* must pack the index that was searched (node ids mean
+        nothing elsewhere), so strategy and layout identify it here.  One
+        search result is shared by every client asking the same string in
+        a cycle; the accounting runs once per packing, not per client.
+        """
+        key = (packed.strategy, packed.one_tier)
+        packets = self._packets.get(key)
+        if packets is None:
+            packets = packed.packets_for_nodes(self.visited_node_ids)
+            self._packets[key] = packets
+        return packets
 
 
 #: How document annotations are laid out in an index tree.
@@ -108,6 +142,7 @@ class CompactIndex:
         # the remaining whole-tree forms instead of re-walking per cycle.
         self._node_sizes: Dict[bool, array] = {}
         self._tree_form: Optional[Tuple] = None
+        self._subtree: Optional[Tuple[array, List[Tuple[int, ...]]]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -234,58 +269,87 @@ class CompactIndex:
     # Lookup (client-side index search)
     # ------------------------------------------------------------------
 
-    def lookup(self, query: XPathQuery) -> LookupResult:
-        """Simulate the client's index search for one query."""
-        nfa = SharedPathNFA()
-        nfa.add_query(0, query)
-        nfa.freeze()
-        return self.lookup_with_nfa(nfa)
+    def lookup(self, query: Union[XPathQuery, LazyQueryDFA]) -> LookupResult:
+        """Simulate the client's index search for one query.
 
-    def lookup_with_nfa(self, nfa: SharedPathNFA) -> LookupResult:
-        """Index search with a pre-built (single- or multi-query) NFA.
-
-        Matches are nodes whose configuration accepts *any* registered
-        query, so the server can also use this to locate the result set of
-        a whole workload in one pass.
+        A caller that searches more than once (every cycle, for a
+        one-tier client) compiles its query once
+        (:meth:`LazyQueryDFA.from_queries
+        <repro.filtering.dfa.LazyQueryDFA.from_queries>`) and passes the
+        compiled form: its memoised rows make a repeat search a walk of
+        dict reads.  A bare query is compiled into a throwaway here and
+        takes the same walk.  A DFA over several queries works too --
+        matches are then the nodes *any* of them accepts.
         """
+        dfa = (
+            query
+            if isinstance(query, LazyQueryDFA)
+            else LazyQueryDFA.from_queries([query])
+        )
+        step, row_of, accepting = dfa.step, dfa.row, dfa.is_accepting
+        # Maximal layout: a match's result documents sit anywhere in its
+        # subtree, which the client reads whole.  Containment layout: the
+        # matched node carries its full result set; nothing below it is
+        # read (or charged) unless the walk is still live there.
+        maximal = self.annotation != "containment"
+        ends, docs_at = self._subtree_form() if maximal else ((), ())
         visited: Set[int] = set()
         matched: Set[int] = set()
-        initial = nfa.initial_states()
-        # (node, configuration) walk; the virtual root does not consume a
-        # query step because it is not a document element.
-        if self.virtual_root:
-            visited.add(self.root.node_id)
-            stack = [
-                (child, nfa.move(initial, child.label)) for child in self.root.children
-            ]
-        else:
-            stack = [(self.root, nfa.move(initial, self.root.label))]
-        while stack:
-            node, configuration = stack.pop()
-            if not configuration:
-                continue  # dead branch: the client does not descend here
-            visited.add(node.node_id)
-            if nfa.is_accepting(configuration):
-                matched.add(node.node_id)
-            for child in node.children:
-                stack.append((child, nfa.move(configuration, child.label)))
-
         doc_ids: Set[int] = set()
-        if self.annotation == "containment":
-            # Containment layout: the matched nodes carry their full result
-            # sets; no subtree walk is needed (or charged).
-            for node_id in matched:
-                doc_ids.update(self.nodes[node_id].doc_ids)
+        # (node, state, inside a matched subtree) walk over live states
+        # only; the virtual root does not consume a query step because it
+        # is not a document element.
+        root = self.root
+        if self.virtual_root:
+            visited.add(root.node_id)
+            seeds = [(child, step(dfa.start, child.label)) for child in root.children]
         else:
-            for node_id in matched:
-                for sub in self.nodes[node_id].iter_preorder():
-                    visited.add(sub.node_id)
-                    doc_ids.update(sub.doc_ids)
+            seeds = [(root, step(dfa.start, root.label))]
+        stack = [(node, state, False) for node, state in seeds if state]
+        while stack:
+            node, state, inside = stack.pop()
+            node_id = node.node_id
+            if accepting(state):
+                matched.add(node_id)
+                if not maximal:
+                    doc_ids.update(node.doc_ids)
+                elif not inside:
+                    # node_id == preorder position: the subtree is one
+                    # contiguous id range.
+                    inside = True
+                    end = ends[node_id]
+                    visited.update(range(node_id, end))
+                    doc_ids.update(*docs_at[node_id:end])
+            if not inside:
+                visited.add(node_id)
+            row = row_of(state)
+            for child in node.children:
+                label = child.label
+                target = row.get(label)
+                if target is None:
+                    target = step(state, label)
+                if target:  # a dead branch: the client does not descend
+                    stack.append((child, target, inside))
         return LookupResult(
             doc_ids=tuple(sorted(doc_ids)),
             matched_node_ids=frozenset(matched),
             visited_node_ids=frozenset(visited),
         )
+
+    def _subtree_form(self) -> Tuple[array, List[Tuple[int, ...]]]:
+        """Per preorder position: the subtree's end position (exclusive)
+        and the node's doc ids (cached)."""
+        if self._subtree is None:
+            nodes = self.nodes
+            ends = array("i", [0]) * len(nodes)
+            for position in range(len(nodes) - 1, -1, -1):
+                children = nodes[position].children
+                # the last child's subtree closes its parent's
+                ends[position] = (
+                    ends[children[-1].node_id] if children else position + 1
+                )
+            self._subtree = (ends, [node.doc_ids for node in nodes])
+        return self._subtree
 
 
 def build_full_ci(

@@ -41,6 +41,19 @@ class PruningStats:
     bytes_before: int
     bytes_after: int
 
+    @classmethod
+    def between(cls, ci: CompactIndex, pci: CompactIndex) -> "PruningStats":
+        """The measures of airing *pci* in place of *ci* (the same index
+        twice when an over-budget build airs the CI unpruned)."""
+        return cls(
+            nodes_before=ci.node_count,
+            nodes_after=pci.node_count,
+            doc_entries_before=ci.total_doc_entries(),
+            doc_entries_after=pci.total_doc_entries(),
+            bytes_before=ci.size_bytes(one_tier=True),
+            bytes_after=pci.size_bytes(one_tier=True),
+        )
+
     @property
     def node_ratio(self) -> float:
         return self.nodes_after / self.nodes_before if self.nodes_before else 1.0
@@ -98,14 +111,7 @@ def prune_to_pci(
         virtual_root=ci.virtual_root,
         validate=False,  # pruning preserves the CI's invariants
     )
-    stats = PruningStats(
-        nodes_before=ci.node_count,
-        nodes_after=pci.node_count,
-        doc_entries_before=ci.total_doc_entries(),
-        doc_entries_after=pci.total_doc_entries(),
-        bytes_before=ci.size_bytes(one_tier=True),
-        bytes_after=pci.size_bytes(one_tier=True),
-    )
+    stats = PruningStats.between(ci, pci)
     obs.counter("pruning.dfa_transitions_materialised_total").inc(
         dfa.materialised_transitions - transitions_before
     )
@@ -220,14 +226,7 @@ def prune_to_pci_containment(
         annotation="containment",
         validate=False,  # pruning preserves the CI's invariants
     )
-    stats = PruningStats(
-        nodes_before=ci.node_count,
-        nodes_after=pci.node_count,
-        doc_entries_before=ci.total_doc_entries(),
-        doc_entries_after=pci.total_doc_entries(),
-        bytes_before=ci.size_bytes(one_tier=True),
-        bytes_after=pci.size_bytes(one_tier=True),
-    )
+    stats = PruningStats.between(ci, pci)
     return pci, stats
 
 

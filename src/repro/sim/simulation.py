@@ -34,6 +34,7 @@ from repro.client.naive import NaiveClient
 from repro.client.onetier import OneTierClient
 from repro.client.protocol import AccessProtocol, FirstTierRead
 from repro.client.twotier import TwoTierClient
+from repro.filtering.dfa import LazyQueryDFA
 from repro.index.ci import LookupResult
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import EventQueue
@@ -157,6 +158,10 @@ class Simulation:
         self._queue = EventQueue()
         #: the on-air cycle's index walks, by query string
         self._lookup_cache: Dict[str, LookupResult] = {}
+        #: every query string the run has searched for, compiled once: the
+        #: one-tier baseline repeats each search every cycle, and the
+        #: memoised rows outlive the cycle the walk first filled them on
+        self._compiled: Dict[str, LazyQueryDFA] = {}
         self._current_cycle: Optional[BroadcastCycle] = None
 
     # ------------------------------------------------------------------
@@ -168,8 +173,10 @@ class Simulation:
         key = str(query)
         result = self._lookup_cache.get(key)
         if result is None:
-            result = cycle.lookup(query)
-            self._lookup_cache[key] = result
+            compiled = self._compiled.get(key)
+            if compiled is None:
+                compiled = self._compiled[key] = LazyQueryDFA.from_queries([query])
+            result = self._lookup_cache[key] = cycle.lookup(compiled)
         return result
 
     def _admit(self, plan: ArrivalPlan) -> None:

@@ -148,7 +148,15 @@ class XPathQuery:
         return XPathQuery.from_steps(step.without_predicates() for step in self.steps)
 
     def __str__(self) -> str:
-        return "".join(str(step) for step in self.steps)
+        # The string is every cache's key for a query (resolution, DFA,
+        # PCI, per-cycle lookups), so it is rendered once per instance.
+        # Frozen dataclass: the memo goes in the instance dict, outside
+        # the fields that ==, hash and repr read.
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = "".join(str(step) for step in self.steps)
+            object.__setattr__(self, "_text", text)
+        return text
 
     # ------------------------------------------------------------------
     # Direct matching

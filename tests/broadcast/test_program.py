@@ -106,6 +106,45 @@ class TestCycleQueries:
         assert one > 0 and two > 0
         assert two <= one  # first-tier nodes are smaller, fewer packets
 
+    def test_lookup_accepts_a_compiled_query(self, setup):
+        from repro.filtering.dfa import LazyQueryDFA
+
+        store, pci = setup
+        cycle = build_cycle_program(0, pci, [0, 1], store)
+        query = parse_query("/a/b")
+        compiled = LazyQueryDFA.from_queries([query])
+        assert cycle.lookup(compiled) == cycle.lookup(query)
+
+    def test_lookup_packets_worked_out_once_per_packing(
+        self, nitf_store, nitf_queries
+    ):
+        from repro.index.packing import PackingStrategy
+
+        # a multi-packet index: the packings place nodes differently
+        ci = build_full_ci(nitf_store.documents)
+        pci, _ = prune_to_pci(ci, nitf_queries)
+        cycle = build_cycle_program(0, pci, [0], nitf_store)
+        bfs = build_cycle_program(
+            0, pci, [0], nitf_store, packing=PackingStrategy.BFS
+        )
+        lookup = cycle.lookup(nitf_queries[0])
+        seen = set()
+        for program in (cycle, bfs):
+            for scheme in IndexScheme:
+                packets = program.lookup_packets(lookup, scheme)
+                packed = program.packed(scheme)
+                assert packets == packed.packets_for_nodes(lookup.visited_node_ids)
+                assert program.lookup_packets(lookup, scheme) is packets
+                assert program.index_lookup_bytes(lookup, scheme) == (
+                    packed.tuning_bytes_for_nodes(lookup.visited_node_ids)
+                )
+                seen.add(packets)
+        assert len(seen) == 4  # no packing was served another's packets
+        # the memo is no part of the result's value
+        again = cycle.lookup(nitf_queries[0])
+        assert again == lookup and hash(again) == hash(lookup)
+        assert "packets" not in repr(lookup)
+
     def test_empty_cycle_allowed(self, setup):
         store, pci = setup
         cycle = build_cycle_program(0, pci, [], store)

@@ -81,3 +81,25 @@ class TestSchedulerContracts:
         scheduler = make_scheduler(name, store)
         again = make_scheduler(name, store)
         assert scheduler.rank(pending, now=200) == again.rank(pending, now=200)
+
+
+class TestLeeLoScores:
+    @given(data=st.data())
+    def test_rank_is_the_per_edge_reciprocal_sum_bit_for_bit(self, data):
+        """One weight per query must order exactly as one division per
+        (document, query) edge: same floats, same ``sum()`` order."""
+        store, pending = data.draw(pending_sets())
+        for query in pending:  # part-delivered: remaining < result set
+            query.remaining_doc_ids = data.draw(
+                st.sets(st.sampled_from(sorted(query.result_doc_ids)), min_size=1)
+            )
+        demand = {}
+        for query in pending:
+            for doc_id in query.remaining_doc_ids:
+                demand.setdefault(doc_id, []).append(query)
+        scores = {
+            doc_id: sum(1.0 / len(q.remaining_doc_ids) for q in queries)
+            for doc_id, queries in demand.items()
+        }
+        want = sorted(demand, key=lambda d: (-scores[d], store.air_bytes(d), d))
+        assert make_scheduler("leelo", store).rank(pending, now=200) == want

@@ -134,6 +134,26 @@ class TestOneTierClient:
         assert client.metrics.offset_bytes == 0
 
 
+    def test_compiles_its_query_once_for_the_session(self, compiles):
+        """A client handed no shared ``lookup_fn`` searches for itself:
+        one compile at its first search, reused every later cycle, and
+        the same bytes charged as a client searching through a hook."""
+        _store, _p, cycles = build_cycles(["/a//c"], capacity=128)
+        compiles.clear()  # the server's pruning DFA
+        query = parse_query("/a//c")
+        own = OneTierClient(query, 0)
+        hooked = OneTierClient(query, 0, lookup_fn=lambda c, q: c.lookup(q))
+        for cycle in cycles:
+            own.on_cycle(cycle)
+        assert own.metrics.cycles_listened > 1
+        assert compiles == [[query]]
+        for cycle in cycles:
+            hooked.on_cycle(cycle)
+        assert len(compiles) == 1 + hooked.metrics.cycles_listened
+        assert own.metrics == hooked.metrics
+        assert own.received_doc_ids == hooked.received_doc_ids
+
+
 def build_nitf_cycles(store, queries, capacity):
     """Drain a realistic NITF broadcast (multi-packet indexes)."""
     server = BroadcastServer(store, cycle_data_capacity=capacity)

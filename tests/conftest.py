@@ -67,3 +67,20 @@ def nitf_queries(nitf_docs):
     return QueryGenerator(
         nitf_docs, QueryWorkloadConfig(seed=303)
     ).generate_many(40)
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Every query list handed to ``LazyQueryDFA.from_queries`` while the
+    test runs, in call order (compiles are counted, never stubbed)."""
+    from repro.filtering.dfa import LazyQueryDFA
+
+    seen = []
+    real = LazyQueryDFA.from_queries.__func__
+
+    def counted(cls, queries):
+        seen.append(list(queries))
+        return real(cls, queries)
+
+    monkeypatch.setattr(LazyQueryDFA, "from_queries", classmethod(counted))
+    return seen

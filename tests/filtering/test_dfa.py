@@ -65,3 +65,59 @@ class TestLazyQueryDFA:
         live = dfa.is_live(dfa.run(path))
         viable = any(query.is_viable_prefix(path) for query in query_list)
         assert live == viable
+
+
+class TestMemo:
+    """Rows and accept flags are memoised per state for the DFA's life
+    (the index search reads them directly)."""
+
+    def test_row_holds_the_stepped_transitions_of_its_state(self):
+        dfa = LazyQueryDFA.from_queries([parse_query("/a/b"), parse_query("//b")])
+        after_a = dfa.step(dfa.start, "a")
+        after_b = dfa.step(dfa.start, "b")
+        assert after_a != after_b
+        assert dfa.row(dfa.start) == {"a": after_a, "b": after_b}
+        assert dfa.row(after_a) == {}  # nothing stepped from there yet
+        target = dfa.step(after_a, "b")
+        assert dfa.row(after_a) == {"b": target}
+        assert dfa.row(after_a) is dfa.row(after_a)
+        assert dfa.row(after_b) == {}
+        assert dfa.materialised_transitions == 3
+
+    def test_dead_transitions_are_memoised_too(self):
+        dfa = LazyQueryDFA.from_queries([parse_query("/a")])
+        assert dfa.step(dfa.start, "z") == ()
+        assert dfa.row(dfa.start) == {"z": ()}
+        dfa.step(dfa.start, "z")
+        assert dfa.materialised_transitions == 1
+
+    def test_accept_flag_asks_the_nfa_once_per_state(self, monkeypatch):
+        dfa = LazyQueryDFA.from_queries([parse_query("/a"), parse_query("/a/b")])
+        asked = []
+        real = dfa.nfa.is_accepting
+        monkeypatch.setattr(
+            dfa.nfa, "is_accepting", lambda s: asked.append(s) or real(s)
+        )
+        states = [dfa.start, dfa.run(("a",)), dfa.run(("a", "b")), dfa.run(("z",))]
+        for _ in range(3):
+            flags = [dfa.is_accepting(state) for state in states]
+        assert flags == [False, True, True, False]
+        assert sorted(asked) == sorted(set(states))
+
+    @given(
+        st.lists(queries(), min_size=1, max_size=3),
+        st.lists(label_paths, min_size=1, max_size=6),
+    )
+    def test_warm_memo_agrees_with_the_nfa(self, query_list, paths):
+        """After any warm-up, every memoised answer is the NFA's own."""
+        dfa = LazyQueryDFA.from_queries(query_list)
+        for path in paths:
+            dfa.run(path)
+        nfa = dfa.nfa
+        for path in paths:
+            state = dfa.start
+            for label in path:
+                assert dfa.is_accepting(state) == nfa.is_accepting(state)
+                assert dfa.step(state, label) == nfa.move(state, label)
+                state = dfa.step(state, label)
+            assert dfa.is_accepting(state) == nfa.is_accepting(state)

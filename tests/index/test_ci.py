@@ -155,26 +155,22 @@ class TestVirtualRoot:
 
 class TestMultiQueryLookup:
     def test_lookup_with_shared_nfa_unions_results(self, paper_ci):
-        """A multi-query NFA locates the union of every query's results
-        in one walk (the server's resolution fast path)."""
-        from repro.filtering.nfa import SharedPathNFA
+        """A multi-query DFA locates the union of every query's results
+        in one walk."""
+        from repro.filtering.dfa import LazyQueryDFA
 
         ci, _docs = paper_ci
-        nfa = SharedPathNFA()
-        nfa.add_queries([parse_query("/a/b/a"), parse_query("/a/c/a")])
-        nfa.freeze()
-        result = ci.lookup_with_nfa(nfa)
-        assert set(result.doc_ids) == {0, 1, 3, 4}
+        dfa = LazyQueryDFA.from_queries(
+            [parse_query("/a/b/a"), parse_query("/a/c/a")]
+        )
+        assert set(ci.lookup(dfa).doc_ids) == {0, 1, 3, 4}
 
     def test_shared_walk_visits_no_more_than_separate_walks(self, paper_ci):
-        from repro.filtering.nfa import SharedPathNFA
+        from repro.filtering.dfa import LazyQueryDFA
 
         ci, _docs = paper_ci
         queries_ = [parse_query("/a/b/a"), parse_query("/a/c/a")]
-        nfa = SharedPathNFA()
-        nfa.add_queries(queries_)
-        nfa.freeze()
-        shared = ci.lookup_with_nfa(nfa).visited_node_ids
+        shared = ci.lookup(LazyQueryDFA.from_queries(queries_)).visited_node_ids
         separate = frozenset().union(
             *(ci.lookup(q).visited_node_ids for q in queries_)
         )

@@ -265,6 +265,67 @@ class TestOnePump:
         assert len(FrameKind) == 7 and WIRE_FORMAT_VERSION == 2
 
 
+class TestOneSearch:
+    """One index search over one compiled form, and no knob for it
+    (migration note: CHANGES.md, PR 19 -- ``index.lookup_with_nfa(nfa)``
+    is ``index.lookup(LazyQueryDFA(nfa))``; a client built without a
+    ``lookup_fn`` now searches for itself instead of through
+    ``default_lookup``)."""
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            ("repro.index.ci:CompactIndex", "lookup_with_nfa"),
+            ("repro.client.protocol", "default_lookup"),
+            ("repro.broadcast.cycle_cache:CycleBuildCache", "_key_of"),
+        ],
+    )
+    def test_the_second_search_and_the_string_memo_are_gone(self, owner, name):
+        module_name, _, attr = owner.partition(":")
+        target = importlib.import_module(module_name)
+        if attr:
+            target = getattr(target, attr)
+        assert not hasattr(target, name)
+
+    def test_no_option_was_added(self):
+        import dataclasses
+        import inspect
+
+        from repro.broadcast.program import BroadcastCycle
+        from repro.client import OneTierClient, TwoTierClient
+        from repro.filtering.dfa import LazyQueryDFA
+        from repro.index.ci import CompactIndex
+        from repro.sim.config import SimulationConfig
+        from repro.sim.simulation import Simulation
+
+        def parameters(target):
+            return list(inspect.signature(target).parameters)
+
+        assert parameters(CompactIndex.lookup) == ["self", "query"]
+        assert parameters(BroadcastCycle.lookup) == ["self", "query"]
+        assert parameters(LazyQueryDFA) == ["nfa"]
+        assert [
+            len(parameters(c))
+            for c in (CompactIndex, Simulation, OneTierClient, TwoTierClient)
+        ] == [5, 3, 3, 7]
+        assert len(dataclasses.fields(SimulationConfig)) == 30
+
+    def test_a_bare_query_is_compiled_afresh_every_search(self, compiles):
+        """Compiled queries belong to whoever searches, never to a module
+        or class: nothing remembers a query the caller did not keep."""
+        from repro.filtering.dfa import LazyQueryDFA
+        from repro.index.ci import CompactIndex
+        from repro.index.nodes import IndexNode
+        from repro.xpath.parser import parse_query
+
+        index, query = CompactIndex(IndexNode(0, "a", doc_ids=(0,))), parse_query("/a")
+        assert index.lookup(query) == index.lookup(query)
+        assert len(compiles) == 2
+        compiled = LazyQueryDFA.from_queries([query])
+        assert index.lookup(compiled) == index.lookup(compiled) == index.lookup(query)
+        assert len(compiles) == 4
+
+
 class TestQuickstartSnippet:
     def test_readme_quickstart_runs(self):
         """The exact flow the README shows."""

@@ -25,7 +25,7 @@ BOUND = 400
 #: the classes still over the bound, and the most lines each may have
 CEILINGS = {
     "BroadcastDaemon": 910,  # 1,153 at PR 16, 1,015 at PR 17
-    "BroadcastServer": 662,
+    "BroadcastServer": 650,  # 662 at PR 18
     "AsyncTwoTierClient": 458,
 }
 

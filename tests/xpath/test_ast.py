@@ -55,6 +55,32 @@ class TestQueryBasics:
         assert len({parse_query("/a/b"), parse_query("/a/b")}) == 1
 
 
+class TestRenderingMemo:
+    """``str(query)`` is every cache's key, so it is rendered once per
+    instance -- without becoming part of the query's value."""
+
+    def test_rendered_once_and_equal_to_the_steps(self):
+        query = parse_query("/a//b/*")
+        text = str(query)
+        assert text == "/a//b/*" == "".join(str(step) for step in query.steps)
+        assert str(query) is text
+
+    def test_value_semantics_unchanged_by_rendering(self):
+        rendered, fresh = parse_query("/a//b"), parse_query("/a//b")
+        before = (hash(rendered), repr(rendered))
+        str(rendered)
+        assert (hash(rendered), repr(rendered)) == before
+        assert rendered == fresh and hash(rendered) == hash(fresh)
+        assert repr(rendered) == repr(fresh)
+        assert {rendered: 1}[fresh] == 1
+        assert rendered != parse_query("/a/b")
+
+    def test_relaxation_renders_its_own_string(self):
+        query = parse_query("/a[@k]/b")
+        assert str(query) == "/a[@k]/b"
+        assert str(query.structural_relaxation()) == "/a/b"
+
+
 class TestMatchesPath:
     """Semantics against the paper's running example (Figure 2)."""
 
