@@ -69,11 +69,15 @@ def main() -> None:
     cycle = server.build_cycle()
     pci = cycle.pci
 
-    print(f"PCI: {pci.node_count} nodes over labels "
-          f"{sorted({n.label for n in pci.nodes})}")
-    for node in pci.nodes:
-        print(f"  n{node.node_id} {'/'.join(node.path_from_root()):12s} "
-              f"kind={node.kind.value:8s} docs={list(node.doc_ids)}")
+    # The index in memory is the index on air: one row per node, in
+    # depth-first preorder; a row's subtree is the id range up to its end.
+    print(f"PCI: {pci.node_count} rows over labels {sorted(set(pci.labels))}")
+    print("  id  label  end  children  docs")
+    for node_id, (label, end, child_ids, doc_ids) in enumerate(
+        zip(pci.labels, pci.ends, pci.children, pci.doc_ids)
+    ):
+        print(f"  n{node_id}  {label:5s}  {end:3d}  {str(list(child_ids)):8s}  "
+              f"{list(doc_ids)}")
 
     table = LabelTable.from_index(pci)
     first_tier = encode_index(pci, table, one_tier=False)
@@ -88,7 +92,7 @@ def main() -> None:
 
     # A client decodes the broadcast bytes and answers a query locally.
     decoded, _ = decode_index(
-        first_tier, table, one_tier=False, root_label=pci.root.label
+        first_tier, table, one_tier=False, root_label=pci.labels[0]
     )
     offsets = decode_offset_list(second_tier)
     query = parse_query("/a//c")

@@ -278,15 +278,6 @@ def build_cycle_program(
     )
 
 
-def _index_tree_form(pci: CompactIndex) -> Tuple:
-    """Canonical (id, label, doc_ids) preorder of an index tree.
-
-    Delegates to the index's cached form: the cycle cache signs the same
-    PCI for many cycles, so the tuple is built once per tree.
-    """
-    return pci.tree_form()
-
-
 def _packed_form(packed: PackedIndex) -> Tuple:
     # PackedIndex is frozen and signed repeatedly (one signature per
     # cycle, same packing for many cycles under the PCI cache) -- memoise
@@ -324,7 +315,9 @@ def program_signature(cycle: BroadcastCycle) -> str:
         cycle.scheme.value,
         cycle.pci.virtual_root,
         cycle.pci.annotation,
-        _index_tree_form(cycle.pci),
+        # cached on the index: the cycle cache signs the same PCI for many
+        # cycles
+        cycle.pci.tree_form(),
         _packed_form(cycle.packed_one_tier),
         _packed_form(cycle.packed_first_tier),
         cycle.offset_list.entries,

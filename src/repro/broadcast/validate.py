@@ -123,7 +123,7 @@ def validate_cycle(cycle: BroadcastCycle, store: "DocumentStore") -> None:
                 )
 
     # 4. Packing coverage and index segment length.
-    node_ids = {node.node_id for node in cycle.pci.nodes}
+    node_ids = set(range(cycle.pci.node_count))
     for name, packed in (
         ("one-tier", cycle.packed_one_tier),
         ("first-tier", cycle.packed_first_tier),

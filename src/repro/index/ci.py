@@ -1,8 +1,14 @@
 """The Compact Index (CI) -- paper Section 3.1.
 
-A CI is the combined DataGuide of a document set materialised as an
-:class:`~repro.index.nodes.IndexNode` tree, with document annotations at
-maximal paths.  ``CompactIndex.lookup`` reproduces the client-side index
+A CI is the combined DataGuide of a document set materialised as one
+table of rows in depth-first preorder -- the form it has on air, so the
+row number is the node id is the on-air position -- with document
+annotations at maximal paths.  The table is the only form: the guide
+conversion, pruning and the decoder emit rows through
+:class:`~repro.index.nodes.RowBuilder`, and size accounting, packing,
+the encoder and the search read the columns.  There is no node object
+and no parent link; a subtree is an id range.
+``CompactIndex.lookup`` reproduces the client-side index
 search: descend from the root following viable entries, and at every node
 the query accepts, collect the document annotations of the whole subtree
 (the running example's q1 hits leaf n4 and reads d1, d2 directly).
@@ -23,6 +29,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Any,
     Dict,
     FrozenSet,
     Iterable,
@@ -40,7 +47,7 @@ from repro.dataguide.roxsum import (
     build_combined_guide,
 )
 from repro.filtering.dfa import LazyQueryDFA
-from repro.index.nodes import IndexNode, assign_preorder_ids, validate_tree
+from repro.index.nodes import RowBuilder
 from repro.index.sizes import SizeModel, PAPER_SIZE_MODEL
 from repro.xmlkit.model import LabelPath, XMLDocument
 from repro.xpath.ast import XPathQuery
@@ -99,13 +106,25 @@ class LookupResult:
 #:   by the alternative pruning mode for the annotation-scheme ablation.
 AnnotationScheme = str
 
+#: A hand-written tree for :meth:`CompactIndex.from_nested`:
+#: ``(label, doc_ids, [children])``, each child nested the same way.
+Nested = Tuple[str, Sequence[int], Sequence[Any]]
+
 
 class CompactIndex:
-    """A CI/PCI tree with size accounting and client-side lookup."""
+    """A CI/PCI as one preorder table, with size accounting and
+    client-side lookup.
+
+    Row ``i`` is node ``i`` is the ``i``-th node on air: ``labels[i]``,
+    ``doc_ids[i]`` (sorted), ``ends[i]`` (where its subtree stops, so a
+    subtree is the id range ``i .. ends[i]``) and ``children[i]`` (child
+    ids, derived from ``ends``).  Nothing writes to a table once it is
+    constructed.
+    """
 
     def __init__(
         self,
-        root: IndexNode,
+        rows: RowBuilder,
         size_model: SizeModel = PAPER_SIZE_MODEL,
         virtual_root: bool = False,
         annotation: AnnotationScheme = "maximal",
@@ -113,36 +132,66 @@ class CompactIndex:
     ) -> None:
         if annotation not in ("maximal", "containment"):
             raise ValueError("annotation must be 'maximal' or 'containment'")
-        self.root = root
         self.size_model = size_model
         self.virtual_root = virtual_root
         self.annotation = annotation
-        self.nodes: List[IndexNode] = assign_preorder_ids(root)
-        # Internal builders (guide conversion, pruning, the cycle cache)
-        # construct trees that are correct by construction and pass
-        # ``validate=False`` to skip the second full walk; anything built
-        # from external bytes keeps the default.
+        self.labels = rows.labels
+        self.doc_ids = rows.doc_ids
+        self.ends = ends = rows.ends
+        # Internal builders (guide conversion, pruning) emit rows that are
+        # correct by construction and pass ``validate=False`` to skip the
+        # checking walk; anything built from external bytes or by hand
+        # keeps the default.
         if validate:
-            validate_tree(root)
-        # Flat per-node count arrays in preorder (node_id == position):
-        # all byte accounting runs off these, never re-walking the tree.
-        child_counts = array("i", [0]) * len(self.nodes)
-        doc_counts = array("i", [0]) * len(self.nodes)
-        total_docs = 0
-        for position, node in enumerate(self.nodes):
-            child_counts[position] = len(node.children)
-            docs = len(node.doc_ids)
-            doc_counts[position] = docs
-            total_docs += docs
-        self._child_counts = child_counts
-        self._doc_counts = doc_counts
-        self._total_doc_entries = total_docs
-        # Index trees are immutable once constructed, and the cycle-build
-        # cache hands the same CI to every cycle's pruning stats -- memoise
-        # the remaining whole-tree forms instead of re-walking per cycle.
+            self._validate()
+        self.children: List[Tuple[int, ...]] = []
+        for node_id, end in enumerate(ends):
+            child_ids = []
+            child = node_id + 1
+            while child < end:  # hop from sibling to sibling
+                child_ids.append(child)
+                child = ends[child]
+            self.children.append(tuple(child_ids))
+        self._total_doc_entries = sum(map(len, self.doc_ids))
+        # The cycle-build cache hands the same CI to every cycle's pruning
+        # stats -- memoise the whole-table forms instead of re-deriving
+        # them per cycle.
         self._node_sizes: Dict[bool, array] = {}
         self._tree_form: Optional[Tuple] = None
-        self._subtree: Optional[Tuple[array, List[Tuple[int, ...]]]] = None
+
+    def _validate(self) -> None:
+        """Structural sanity checks on rows built outside this package.
+
+        * the rows are one tree: the root spans the table and every other
+          subtree ends inside its parent's,
+        * child labels are unique per node,
+        * doc id tuples are sorted and duplicate-free.
+        """
+        labels, ends = self.labels, self.ends
+        if not len(ends) == len(labels) == len(self.doc_ids):
+            raise ValueError("index columns differ in length")
+        if not ends or ends[0] != len(ends):
+            raise ValueError("the root row must span the whole table")
+        #: innermost last: (end, child labels seen) of each row still open,
+        #: below a frame standing for the table itself
+        open_rows: List[Tuple[int, Set[str]]] = [(len(ends), set())]
+        for node_id, (label, docs, end) in enumerate(zip(labels, self.doc_ids, ends)):
+            while open_rows[-1][0] <= node_id:
+                open_rows.pop()
+            parent_end, seen = open_rows[-1]
+            if not node_id < end <= parent_end:
+                raise ValueError(
+                    f"node {node_id} ({label!r}) ends at {end}, outside its "
+                    f"parent's subtree ({node_id}, {parent_end}]"
+                )
+            if label in seen:
+                raise ValueError(f"duplicate child label {label!r} at node {node_id}")
+            seen.add(label)
+            if list(docs) != sorted(set(docs)):
+                raise ValueError(
+                    f"node {label!r} has unsorted or duplicated doc ids: {docs}"
+                )
+            open_rows.append((end, set()))
 
     # ------------------------------------------------------------------
     # Construction
@@ -154,24 +203,56 @@ class CompactIndex:
         guide: CombinedDataGuide,
         size_model: SizeModel = PAPER_SIZE_MODEL,
     ) -> "CompactIndex":
-        """Materialise a combined guide as an index tree."""
+        """Materialise a combined guide as an index table."""
+        rows = RowBuilder()
+        # Guide nodes still to open, nearest last; an int is a row whose
+        # subtree is complete.
+        pending: List[Union[CombinedGuideNode, int]] = [guide.root]
+        while pending:
+            item = pending.pop()
+            if type(item) is int:
+                rows.close(item)
+                continue
+            pending.append(rows.open(item.label, tuple(sorted(item.leaf_docs))))
+            children = item.children
+            pending.extend(
+                [children[label] for label in sorted(children, reverse=True)]
+            )
         # Correct by construction: sorted unique child labels, sorted doc
-        # ids, fresh parent links -- skip the validation walk.
+        # ids, nested extents -- skip the validation walk.
         return cls(
-            cls._convert(guide.root),
+            rows,
             size_model=size_model,
             virtual_root=guide.virtual_root,
             validate=False,
         )
 
-    @staticmethod
-    def _convert(guide_node: CombinedGuideNode) -> IndexNode:
-        node = IndexNode(
-            0, guide_node.label, doc_ids=tuple(sorted(guide_node.leaf_docs))
+    @classmethod
+    def from_nested(
+        cls,
+        nested: Nested,
+        size_model: SizeModel = PAPER_SIZE_MODEL,
+        virtual_root: bool = False,
+        annotation: AnnotationScheme = "maximal",
+    ) -> "CompactIndex":
+        """Build (and validate) a hand-written ``(label, doc_ids,
+        [children])`` tree, children in the order given."""
+        rows = RowBuilder()
+        pending: List[Union[Nested, int]] = [nested]
+        while pending:
+            item = pending.pop()
+            if type(item) is int:
+                rows.close(item)
+                continue
+            label, doc_ids, children = item
+            pending.append(rows.open(label, tuple(doc_ids)))
+            pending.extend(reversed(children))
+        return cls(
+            rows,
+            size_model=size_model,
+            virtual_root=virtual_root,
+            annotation=annotation,
         )
-        for label in sorted(guide_node.children):
-            node.add_child(CompactIndex._convert(guide_node.children[label]))
-        return node
 
     # ------------------------------------------------------------------
     # Measures
@@ -179,7 +260,7 @@ class CompactIndex:
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.ends)
 
     def total_doc_entries(self) -> int:
         """Total ``<doc, pointer>`` entries across all nodes."""
@@ -187,22 +268,13 @@ class CompactIndex:
 
     def annotated_doc_ids(self) -> FrozenSet[int]:
         """All documents the index can locate."""
-        ids: Set[int] = set()
-        for node in self.nodes:
-            ids.update(node.doc_ids)
-        return frozenset(ids)
-
-    def node_bytes(self, node: IndexNode, one_tier: bool) -> int:
-        return self.size_model.node_bytes(
-            len(node.children), len(node.doc_ids), one_tier=one_tier
-        )
+        return frozenset().union(*self.doc_ids)
 
     def node_sizes(self, one_tier: bool) -> array:
         """Per-node serialized sizes, indexed by node id (cached).
 
-        Computed from the flat count arrays in one vectorised-style pass:
-        ``header + children*child_entry + docs*doc_entry`` per slot; the
-        packer and encoder iterate this instead of touching node objects.
+        ``header + children*child_entry + docs*doc_entry`` per row; the
+        packer and encoder iterate this.
         """
         cached = self._node_sizes.get(one_tier)
         if cached is None:
@@ -214,16 +286,12 @@ class CompactIndex:
                 if one_tier
                 else model.doc_entry_first_tier_bytes
             )
-            child_counts = self._child_counts
-            doc_counts = self._doc_counts
             cached = array(
                 "i",
-                (
-                    header
-                    + child_counts[position] * child_entry
-                    + doc_counts[position] * doc_entry
-                    for position in range(len(self.nodes))
-                ),
+                [
+                    header + len(child_ids) * child_entry + len(docs) * doc_entry
+                    for child_ids, docs in zip(self.children, self.doc_ids)
+                ],
             )
             self._node_sizes[one_tier] = cached
         return cached
@@ -231,39 +299,42 @@ class CompactIndex:
     def size_bytes(self, one_tier: bool = True) -> int:
         """Total serialized index size (one-tier or first-tier layout)."""
         return self.size_model.tree_bytes(
-            len(self.nodes), self._total_doc_entries, one_tier=one_tier
+            len(self.ends), self._total_doc_entries, one_tier=one_tier
         )
 
     def tree_form(self) -> Tuple:
         """Canonical ``(id, label, doc_ids, child_count)`` preorder (cached).
 
         This is the tree component of :func:`~repro.broadcast.program.
-        program_signature`; node ids equal preorder positions, so it reads
-        straight off the flat node list.
+        program_signature`.
         """
         if self._tree_form is None:
             self._tree_form = tuple(
-                (node.node_id, node.label, node.doc_ids, len(node.children))
-                for node in self.nodes
+                (node_id, label, docs, len(child_ids))
+                for node_id, (label, docs, child_ids) in enumerate(
+                    zip(self.labels, self.doc_ids, self.children)
+                )
             )
         return self._tree_form
 
-    def find_node(self, path: LabelPath) -> Optional[IndexNode]:
-        """The node at a document label path, if present."""
+    def find_node(self, path: LabelPath) -> Optional[int]:
+        """The id of the node at a document label path, if present."""
         if not path:
             return None
-        node = self.root
-        labels: Sequence[str] = path
+        labels = self.labels
+        node_id = 0
         if not self.virtual_root:
-            if path[0] != node.label:
+            if path[0] != labels[0]:
                 return None
-            labels = path[1:]
-        for label in labels:
-            nxt = node.child_by_label(label)
-            if nxt is None:
+            path = path[1:]
+        for label in path:
+            for child in self.children[node_id]:
+                if labels[child] == label:
+                    node_id = child
+                    break
+            else:
                 return None
-            node = nxt
-        return node
+        return node_id
 
     # ------------------------------------------------------------------
     # Lookup (client-side index search)
@@ -292,30 +363,28 @@ class CompactIndex:
         # matched node carries its full result set; nothing below it is
         # read (or charged) unless the walk is still live there.
         maximal = self.annotation != "containment"
-        ends, docs_at = self._subtree_form() if maximal else ((), ())
+        labels, children = self.labels, self.children
+        ends, docs_at = self.ends, self.doc_ids
         visited: Set[int] = set()
         matched: Set[int] = set()
         doc_ids: Set[int] = set()
-        # (node, state, inside a matched subtree) walk over live states
+        # (node id, state, inside a matched subtree) walk over live states
         # only; the virtual root does not consume a query step because it
         # is not a document element.
-        root = self.root
         if self.virtual_root:
-            visited.add(root.node_id)
-            seeds = [(child, step(dfa.start, child.label)) for child in root.children]
+            visited.add(0)
+            seeds = [(child, step(dfa.start, labels[child])) for child in children[0]]
         else:
-            seeds = [(root, step(dfa.start, root.label))]
-        stack = [(node, state, False) for node, state in seeds if state]
+            seeds = [(0, step(dfa.start, labels[0]))]
+        stack = [(node_id, state, False) for node_id, state in seeds if state]
         while stack:
-            node, state, inside = stack.pop()
-            node_id = node.node_id
+            node_id, state, inside = stack.pop()
             if accepting(state):
                 matched.add(node_id)
                 if not maximal:
-                    doc_ids.update(node.doc_ids)
+                    doc_ids.update(docs_at[node_id])
                 elif not inside:
-                    # node_id == preorder position: the subtree is one
-                    # contiguous id range.
+                    # the subtree is one contiguous id range
                     inside = True
                     end = ends[node_id]
                     visited.update(range(node_id, end))
@@ -323,8 +392,8 @@ class CompactIndex:
             if not inside:
                 visited.add(node_id)
             row = row_of(state)
-            for child in node.children:
-                label = child.label
+            for child in children[node_id]:
+                label = labels[child]
                 target = row.get(label)
                 if target is None:
                     target = step(state, label)
@@ -335,21 +404,6 @@ class CompactIndex:
             matched_node_ids=frozenset(matched),
             visited_node_ids=frozenset(visited),
         )
-
-    def _subtree_form(self) -> Tuple[array, List[Tuple[int, ...]]]:
-        """Per preorder position: the subtree's end position (exclusive)
-        and the node's doc ids (cached)."""
-        if self._subtree is None:
-            nodes = self.nodes
-            ends = array("i", [0]) * len(nodes)
-            for position in range(len(nodes) - 1, -1, -1):
-                children = nodes[position].children
-                # the last child's subtree closes its parent's
-                ends[position] = (
-                    ends[children[-1].node_id] if children else position + 1
-                )
-            self._subtree = (ends, [node.doc_ids for node in nodes])
-        return self._subtree
 
 
 def build_full_ci(

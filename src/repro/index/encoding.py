@@ -25,8 +25,8 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.index.ci import CompactIndex
-from repro.index.nodes import IndexNode
+from repro.index.ci import AnnotationScheme, CompactIndex
+from repro.index.nodes import RowBuilder, flag_value
 from repro.index.sizes import SizeModel, PAPER_SIZE_MODEL
 from repro.index.twotier import OffsetList
 
@@ -56,8 +56,7 @@ class LabelTable:
 
     @classmethod
     def from_index(cls, index: CompactIndex) -> "LabelTable":
-        seen = sorted({node.label for node in index.nodes})
-        return cls(tuple(seen))
+        return cls(tuple(sorted(set(index.labels))))
 
     def id_of(self, label: str) -> int:
         label_id = self._ids.get(label)  # type: ignore[attr-defined]
@@ -122,13 +121,13 @@ def _check_wire_model(model: SizeModel) -> None:
 
 def _check_ranges(index: CompactIndex) -> None:
     _check_wire_model(index.size_model)
-    for node in index.nodes:
-        for doc_id in node.doc_ids:
+    for child_ids, doc_ids in zip(index.children, index.doc_ids):
+        for doc_id in doc_ids:
             if not 0 <= doc_id <= 0xFFFF:
                 raise IndexEncodingError(
                     f"doc id {doc_id} does not fit the 2-byte field"
                 )
-        if len(node.children) > 0xFFFF or len(node.doc_ids) > 0xFFFF:
+        if len(child_ids) > 0xFFFF or len(doc_ids) > 0xFFFF:
             raise IndexEncodingError("node counts exceed 2-byte fields")
 
 
@@ -147,16 +146,26 @@ def encode_index(
     _check_ranges(index)
     if label_table is None:
         label_table = LabelTable.from_index(index)
-    sizes = index.node_sizes(one_tier)
-    offsets_of_nodes: Dict[int, int] = {}
+    node_offsets: List[int] = []
     position = 0
-    for node_id in range(len(index.nodes)):  # preorder: id == position
-        offsets_of_nodes[node_id] = position
-        position += sizes[node_id]
+    for node_size in index.node_sizes(one_tier):
+        node_offsets.append(position)
+        position += node_size
 
+    labels = index.labels
     out: List[bytes] = []
-    for node in index.nodes:
-        out.append(_encode_node(node, index, label_table, one_tier, offsets_of_nodes, doc_offsets))
+    for node_id, (child_ids, doc_ids) in enumerate(zip(index.children, index.doc_ids)):
+        flag = flag_value(node_id, len(child_ids))
+        out.append(struct.pack(">HHH", flag, len(child_ids), len(doc_ids)))
+        for child in child_ids:
+            label_id = label_table.id_of(labels[child])
+            out.append(struct.pack(">HI", label_id, node_offsets[child]))
+        for doc_id in doc_ids:
+            if one_tier:
+                offset = doc_offsets.get(doc_id, 0) if doc_offsets else 0
+                out.append(struct.pack(">HI", doc_id, offset))
+            else:
+                out.append(struct.pack(">H", doc_id))
     blob = b"".join(out)
     if len(blob) != position:
         raise IndexEncodingError(
@@ -165,44 +174,21 @@ def encode_index(
     return blob
 
 
-def _encode_node(
-    node: IndexNode,
-    index: CompactIndex,
-    label_table: LabelTable,
-    one_tier: bool,
-    node_offsets: Mapping[int, int],
-    doc_offsets: Optional[Mapping[int, int]],
-) -> bytes:
-    parts = [
-        struct.pack(
-            ">HHH", node.flag_value, len(node.children), len(node.doc_ids)
-        )
-    ]
-    for child in node.children:
-        parts.append(
-            struct.pack(">HI", label_table.id_of(child.label), node_offsets[child.node_id])
-        )
-    for doc_id in node.doc_ids:
-        if one_tier:
-            offset = doc_offsets.get(doc_id, 0) if doc_offsets else 0
-            parts.append(struct.pack(">HI", doc_id, offset))
-        else:
-            parts.append(struct.pack(">H", doc_id))
-    return b"".join(parts)
-
-
 def decode_index(
     data: bytes,
     label_table: LabelTable,
     one_tier: bool = True,
     size_model: SizeModel = PAPER_SIZE_MODEL,
     root_label: Optional[str] = None,
+    annotation: AnnotationScheme = "maximal",
 ) -> Tuple[CompactIndex, Dict[int, int]]:
     """Reconstruct an index tree (and one-tier doc offsets) from bytes.
 
     The root node starts at offset 0.  Returns the rebuilt index and the
     ``doc_id -> offset`` mapping recovered from one-tier doc pointers
-    (empty in the first-tier layout).
+    (empty in the first-tier layout).  The stream does not say how its
+    annotations are laid out; whoever carries it (the cycle header) passes
+    *annotation* along.
     """
     doc_offsets: Dict[int, int] = {}
     #: offsets of the nodes on the current root-to-node path; a child
@@ -219,8 +205,10 @@ def decode_index(
                 f"truncated index stream at offset {at}"
             ) from exc
 
-    def parse_node(at: int, depth: int) -> Tuple[IndexNode, List[Tuple[str, int]]]:
-        """Decode one node header; return it plus its child entries.
+    def parse_node(
+        at: int, depth: int
+    ) -> Tuple[Tuple[int, ...], List[Tuple[str, int]]]:
+        """Decode one node; return its doc ids and its child entries.
 
         Defends against malformed/hostile streams: pointer cycles and
         chains deeper than the decode limit are rejected (the limit kept
@@ -254,36 +242,41 @@ def decode_index(
             raise IndexEncodingError(f"duplicate doc ids in node at offset {at}")
         if flag == 1 and entries:
             raise IndexEncodingError("leaf flag on a node with children")
-        # The decoded node's own label is known only to its parent (labels
-        # live in the entry, not the node); fill a placeholder for the root.
-        return IndexNode(0, "?", doc_ids=tuple(sorted(docs))), entries
+        return tuple(sorted(docs)), entries
 
     if not data:
         raise IndexEncodingError("empty index stream")
-    root, root_entries = parse_node(0, 0)
+    rows = RowBuilder()
+    docs, root_entries = parse_node(0, 0)
     in_progress.add(0)
-    # frame: [offset, node, child entries, next entry index]
-    stack: List[List] = [[0, root, root_entries, 0]]
+    # A node's own label is known only to its parent (labels live in the
+    # entry, not the node); the root's comes from outside the stream.
+    if root_label is None:
+        root_label = "?"
+    # frame: [offset, row, child entries, next entry index]; following the
+    # pointers depth first visits the nodes in preorder, whatever order
+    # the stream stores them in
+    stack: List[List] = [[0, rows.open(root_label, docs), root_entries, 0]]
     while stack:
         frame = stack[-1]
         entries = frame[2]
         if frame[3] == len(entries):
             in_progress.discard(frame[0])
+            rows.close(frame[1])
             stack.pop()
             continue
         label, pointer = entries[frame[3]]
         frame[3] += 1
-        child, child_entries = parse_node(pointer, len(stack))
-        child.label = label
-        frame[1].add_child(child)
+        docs, child_entries = parse_node(pointer, len(stack))
         in_progress.add(pointer)
-        stack.append([pointer, child, child_entries, 0])
-    root.label = root_label if root_label is not None else "?"
+        stack.append([pointer, rows.open(label, docs), child_entries, 0])
     from repro.dataguide.roxsum import CombinedDataGuide
 
-    virtual = root.label == CombinedDataGuide.VIRTUAL_ROOT_LABEL
+    virtual = root_label == CombinedDataGuide.VIRTUAL_ROOT_LABEL
     try:
-        index = CompactIndex(root, size_model=size_model, virtual_root=virtual)
+        index = CompactIndex(
+            rows, size_model=size_model, virtual_root=virtual, annotation=annotation
+        )
     except ValueError as exc:
         raise IndexEncodingError(f"decoded tree is not a valid index: {exc}") from exc
     return index, doc_offsets

@@ -1,8 +1,13 @@
-"""Index node structure (paper Figure 3(b)/(c)).
+"""Index rows (paper Figure 3(b)/(c)): the builder and the flag convention.
 
-A Compact Index is a tree of :class:`IndexNode` objects.  Node ids are
-assigned in depth-first preorder -- the exact order the greedy packing
-algorithm (Section 3.1) consumes nodes, and the order nodes appear on air.
+A Compact Index is a table of rows in depth-first preorder -- the exact
+order the greedy packing algorithm (Section 3.1) consumes nodes, and the
+order nodes appear on air -- so a row's number is its node id.  Every
+producer (guide conversion, pruning, the decoder, hand-written trees)
+emits rows through :class:`RowBuilder`: :meth:`~RowBuilder.open` a row on
+the way down, :meth:`~RowBuilder.close` it on the way up once its whole
+subtree is emitted, or :meth:`~RowBuilder.drop` it instead when nothing
+below it survived.
 
 Per Figure 3(c), a node decomposes into three blocks: a *flag* (1 for a
 leaf node, 0 for an internal node, a magic "real index value" for the
@@ -14,135 +19,46 @@ internal path.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
-
-from repro.xmlkit.model import LabelPath
+from array import array
+from typing import List, Tuple
 
 #: The paper sets the root node's flag to "the real index value"; we use a
 #: fixed magic constant identifying the index format version.
 ROOT_FLAG_VALUE = 0x7C1
 
 
-class NodeKind(enum.Enum):
-    ROOT = "root"
-    INTERNAL = "internal"
-    LEAF = "leaf"
+def flag_value(node_id: int, child_count: int) -> int:
+    """The flag block's value per the paper's convention."""
+    if node_id == 0:
+        return ROOT_FLAG_VALUE
+    return 0 if child_count else 1
 
 
-@dataclass
-class IndexNode:
-    """One node of a Compact Index tree."""
+class RowBuilder:
+    """Index rows under construction, one column per field."""
 
-    node_id: int
-    label: str
-    #: child nodes in insertion (label-sorted at build time) order
-    children: List["IndexNode"] = field(default_factory=list)
-    #: annotated documents (sorted doc ids); in the one-tier layout each
-    #: entry is accompanied by a pointer on air
-    doc_ids: Tuple[int, ...] = ()
-    parent: Optional["IndexNode"] = field(default=None, repr=False, compare=False)
+    def __init__(self) -> None:
+        self.labels: List[str] = []
+        #: annotated documents per row (sorted doc ids); in the one-tier
+        #: layout each entry is accompanied by a pointer on air
+        self.doc_ids: List[Tuple[int, ...]] = []
+        #: exclusive end of each row's subtree; 0 while the row is open
+        self.ends = array("i")
 
-    def add_child(self, child: "IndexNode") -> "IndexNode":
-        child.parent = self
-        self.children.append(child)
-        return child
+    def open(self, label: str, doc_ids: Tuple[int, ...] = ()) -> int:
+        """Append a row below the innermost open one; returns its id."""
+        self.labels.append(label)
+        self.doc_ids.append(doc_ids)
+        self.ends.append(0)
+        return len(self.ends) - 1
 
-    def child_by_label(self, label: str) -> Optional["IndexNode"]:
-        for child in self.children:
-            if child.label == label:
-                return child
-        return None
+    def close(self, row: int) -> None:
+        """Every row emitted since *row* opened is its subtree."""
+        self.ends[row] = len(self.ends)
 
-    @property
-    def kind(self) -> NodeKind:
-        if self.parent is None:
-            return NodeKind.ROOT
-        return NodeKind.LEAF if not self.children else NodeKind.INTERNAL
-
-    @property
-    def flag_value(self) -> int:
-        """The flag block's value per the paper's convention."""
-        kind = self.kind
-        if kind is NodeKind.ROOT:
-            return ROOT_FLAG_VALUE
-        return 1 if kind is NodeKind.LEAF else 0
-
-    # ------------------------------------------------------------------
-    # Traversal
-    # ------------------------------------------------------------------
-
-    def iter_preorder(self) -> Iterator["IndexNode"]:
-        """Depth-first preorder over the subtree (the packing order)."""
-        stack: List[IndexNode] = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def iter_with_paths(
-        self, prefix: LabelPath = ()
-    ) -> Iterator[Tuple["IndexNode", LabelPath]]:
-        stack: List[Tuple[IndexNode, LabelPath]] = [(self, prefix + (self.label,))]
-        while stack:
-            node, path = stack.pop()
-            yield node, path
-            for child in reversed(node.children):
-                stack.append((child, path + (child.label,)))
-
-    def path_from_root(self) -> LabelPath:
-        parts: List[str] = []
-        node: Optional[IndexNode] = self
-        while node is not None:
-            parts.append(node.label)
-            node = node.parent
-        return tuple(reversed(parts))
-
-    def subtree_doc_ids(self) -> Tuple[int, ...]:
-        """Union of doc annotations over the subtree, sorted.
-
-        This is what a client collects when a query matches this node.
-        """
-        collected: set = set()
-        for node in self.iter_preorder():
-            collected.update(node.doc_ids)
-        return tuple(sorted(collected))
-
-    def subtree_node_count(self) -> int:
-        return sum(1 for _ in self.iter_preorder())
-
-
-def assign_preorder_ids(root: IndexNode) -> List[IndexNode]:
-    """Number nodes in depth-first preorder; return them in that order."""
-    ordered = list(root.iter_preorder())
-    for position, node in enumerate(ordered):
-        node.node_id = position
-    return ordered
-
-
-def validate_tree(root: IndexNode) -> None:
-    """Structural sanity checks used by tests and the builders.
-
-    * parent/child links are consistent,
-    * node ids are the preorder positions,
-    * child labels are unique per node,
-    * doc id tuples are sorted and duplicate-free.
-    """
-    for position, node in enumerate(root.iter_preorder()):
-        if node.node_id != position:
-            raise ValueError(
-                f"node {node.label!r} has id {node.node_id}, expected preorder {position}"
-            )
-        labels = [child.label for child in node.children]
-        if len(labels) != len(set(labels)):
-            raise ValueError(f"node {node.label!r} has duplicate child labels: {labels}")
-        for child in node.children:
-            if child.parent is not node:
-                raise ValueError(
-                    f"child {child.label!r} of {node.label!r} has a broken parent link"
-                )
-        if list(node.doc_ids) != sorted(set(node.doc_ids)):
-            raise ValueError(
-                f"node {node.label!r} has unsorted or duplicated doc ids: {node.doc_ids}"
-            )
+    def drop(self, row: int) -> None:
+        """Take back *row*, the last one standing (its own subtree was
+        dropped before it, or it never had one)."""
+        if row != len(self.ends) - 1:
+            raise ValueError(f"row {row} still has rows below it")
+        del self.labels[row], self.doc_ids[row], self.ends[row]

@@ -74,18 +74,18 @@ class PackedIndex:
 def _node_order(index: CompactIndex, strategy: PackingStrategy) -> Tuple[int, ...]:
     """Node *ids* in packing order.
 
-    Preorder ids equal positions in ``index.nodes``, so the DFS
-    strategies are a plain range -- no tree walk.
+    Node ids are preorder positions, so the DFS strategies are a plain
+    range -- no tree walk.
     """
     if strategy in (PackingStrategy.GREEDY_DFS, PackingStrategy.ONE_PER_PACKET):
-        return tuple(range(len(index.nodes)))
+        return tuple(range(index.node_count))
     # Breadth-first: level order from the root.
     order: List[int] = []
-    queue = deque([index.root])
+    queue = deque([0])
     while queue:
-        node = queue.popleft()
-        order.append(node.node_id)
-        queue.extend(node.children)
+        node_id = queue.popleft()
+        order.append(node_id)
+        queue.extend(index.children[node_id])
     return tuple(order)
 
 
@@ -96,8 +96,7 @@ def pack_index(
 ) -> PackedIndex:
     """Pack *index* into packets under the given layout and strategy.
 
-    Runs entirely over the index's flat per-node size array -- node
-    objects are never touched on this path.
+    Runs entirely over the index's per-node size array.
     """
     size_model: SizeModel = index.size_model
     packet_bytes = size_model.packet_bytes

@@ -21,12 +21,12 @@ PCI returns exactly the documents the CI lookup returns (property-tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 from repro import obs
-from repro.filtering.dfa import DFAState, LazyQueryDFA
-from repro.index.ci import CompactIndex
-from repro.index.nodes import IndexNode
+from repro.filtering.dfa import LazyQueryDFA
+from repro.index.ci import AnnotationScheme, CompactIndex
+from repro.index.nodes import RowBuilder
 from repro.xpath.ast import XPathQuery
 
 
@@ -64,16 +64,6 @@ class PruningStats:
         return self.bytes_after / self.bytes_before if self.bytes_before else 1.0
 
 
-@dataclass
-class _Reattached:
-    """Sentinel carrying doc ids of a pruned subtree up to the survivor."""
-
-    doc_ids: Tuple[int, ...]
-
-
-_PruneOutcome = Union[IndexNode, _Reattached, None]
-
-
 def prune_to_pci(
     ci: CompactIndex,
     queries: Sequence[XPathQuery],
@@ -90,109 +80,11 @@ def prune_to_pci(
         obs.counter("pruning.dfa_built_total").inc()
         dfa = LazyQueryDFA.from_queries(list(queries))
     transitions_before = dfa.materialised_transitions
-
-    outcome = _prune_node(
-        node=ci.root,
-        state=None if ci.virtual_root else dfa.step(dfa.start, ci.root.label),
-        dfa=dfa,
-        is_virtual_root=ci.virtual_root,
-        accepting_above=False,
-    )
-    if isinstance(outcome, IndexNode):
-        pruned_root = outcome
-    else:
-        # No pending query matches anything: broadcast a bare root so the
-        # program structure stays uniform and clients learn "no results".
-        pruned_root = IndexNode(0, ci.root.label)
-
-    pci = CompactIndex(
-        pruned_root,
-        size_model=ci.size_model,
-        virtual_root=ci.virtual_root,
-        validate=False,  # pruning preserves the CI's invariants
-    )
-    stats = PruningStats.between(ci, pci)
+    pci = _prune(ci, dfa, "maximal")
     obs.counter("pruning.dfa_transitions_materialised_total").inc(
         dfa.materialised_transitions - transitions_before
     )
-    return pci, stats
-
-
-def _prune_node(
-    node: IndexNode,
-    state: Optional[DFAState],
-    dfa: LazyQueryDFA,
-    is_virtual_root: bool,
-    accepting_above: bool,
-) -> _PruneOutcome:
-    """Recursively build the pruned copy of *node*.
-
-    Returns the surviving copy, a :class:`_Reattached` sentinel bubbling
-    requested annotations of a structurally dead subtree up to its nearest
-    surviving ancestor, or ``None`` for a fully dead, unrequested subtree.
-    """
-    if is_virtual_root:
-        accepting_here = False
-    else:
-        assert state is not None
-        if not dfa.is_live(state):
-            # Dead configuration: no pending query can match at or below
-            # this path, so the subtree carries no navigable structure.
-            # Its annotations are requested only via an accepting ancestor.
-            return _collect_for_reattachment(node, accepting_above)
-        accepting_here = dfa.is_accepting(state)
-
-    child_accepting_above = accepting_here or accepting_above
-    kept_children: List[IndexNode] = []
-    gathered: Set[int] = set()
-    for child in node.children:
-        child_state = (
-            dfa.step(dfa.start, child.label)
-            if is_virtual_root
-            else dfa.step(state, child.label)  # type: ignore[arg-type]
-        )
-        outcome = _prune_node(
-            node=child,
-            state=child_state,
-            dfa=dfa,
-            is_virtual_root=False,
-            accepting_above=child_accepting_above,
-        )
-        if outcome is None:
-            continue
-        if isinstance(outcome, _Reattached):
-            gathered.update(outcome.doc_ids)
-        else:
-            kept_children.append(outcome)
-
-    requested_here = accepting_here or accepting_above
-    own_docs = set(node.doc_ids) if requested_here else set()
-    subtree_has_accepting = accepting_here or bool(kept_children)
-
-    if not subtree_has_accepting:
-        docs = own_docs | gathered
-        if docs and accepting_above:
-            return _Reattached(tuple(sorted(docs)))
-        return None
-
-    new_node = IndexNode(0, node.label, doc_ids=tuple(sorted(own_docs | gathered)))
-    for child in kept_children:
-        new_node.add_child(child)
-    return new_node
-
-
-def _collect_for_reattachment(node: IndexNode, accepting_above: bool) -> _PruneOutcome:
-    if not accepting_above:
-        return None
-    docs: Set[int] = set()
-    for sub in node.iter_preorder():
-        docs.update(sub.doc_ids)
-    return _Reattached(tuple(sorted(docs))) if docs else None
-
-
-# ----------------------------------------------------------------------
-# Alternative: containment-annotated pruning (ablation)
-# ----------------------------------------------------------------------
+    return pci, PruningStats.between(ci, pci)
 
 
 def prune_to_pci_containment(
@@ -211,56 +103,77 @@ def prune_to_pci_containment(
     """
     if dfa is None:
         dfa = LazyQueryDFA.from_queries(list(queries))
-    pruned_root = _prune_containment(
-        node=ci.root,
-        state=None if ci.virtual_root else dfa.step(dfa.start, ci.root.label),
-        dfa=dfa,
-        is_virtual_root=ci.virtual_root,
-    )
-    if pruned_root is None:
-        pruned_root = IndexNode(0, ci.root.label)
-    pci = CompactIndex(
-        pruned_root,
+    pci = _prune(ci, dfa, "containment")
+    return pci, PruningStats.between(ci, pci)
+
+
+def _prune(
+    ci: CompactIndex, dfa: LazyQueryDFA, annotation: AnnotationScheme
+) -> CompactIndex:
+    """One walk of the CI under *dfa*, emitting the PCI's rows.
+
+    A row is opened on the way down for every node whose configuration is
+    live and, on the way up, kept when it accepts or kept a child and
+    dropped otherwise.  Under the maximal scheme a dropped row hands the
+    annotations it held for an accepting ancestor to the nearest row that
+    survives; a dead subtree (no pending query can match at or below it,
+    so it carries no navigable structure) is never opened and hands over
+    its whole id range at once.  Under the containment scheme nothing is
+    handed over: an accepting row takes its CI subtree's annotations
+    outright.
+    """
+    containment = annotation == "containment"
+    labels, children = ci.labels, ci.children
+    ends, docs_at = ci.ends, ci.doc_ids
+    step, accepting = dfa.step, dfa.is_accepting
+    rows = RowBuilder()
+    # The virtual root is not a document element: it consumes no query
+    # step and never accepts.
+    state = dfa.start if ci.virtual_root else step(dfa.start, labels[0])
+    # Live CI nodes still to open, nearest last, as (node id, state, frame
+    # of the row above); a frame -- [row, frame above, an ancestor-or-self
+    # accepts, keep, annotations] -- is a row whose subtree is complete.
+    # The root's frame sits below one that stands for no row.
+    top: list = [None, None, False, False, set()]
+    pending: list = [(0, state, top)] if state else []
+    while pending:
+        item = pending.pop()
+        if type(item) is list:
+            row, above, _requested, keep, docs = item
+            if keep:
+                rows.doc_ids[row] = tuple(sorted(docs))
+                rows.close(row)
+                above[3] = True
+            else:
+                rows.drop(row)
+                above[4].update(docs)
+            continue
+        node_id, state, above = item
+        accepts = accepting(state) and not (above is top and ci.virtual_root)
+        requested = accepts or above[2]
+        # Annotations with no accepting ancestor-or-self belong to
+        # documents no pending query requests: "if a document is never
+        # requested, it will not be broadcast".
+        if containment:
+            docs = set().union(*docs_at[node_id : ends[node_id]]) if accepts else set()
+        else:
+            docs = set(docs_at[node_id]) if requested else set()
+        frame = [rows.open(labels[node_id]), above, requested, accepts, docs]
+        pending.append(frame)
+        for child in reversed(children[node_id]):
+            target = step(state, labels[child])
+            if target:
+                pending.append((child, target, frame))
+            elif requested and not containment:
+                docs.update(*docs_at[child : ends[child]])
+    if not rows.ends:
+        # No pending query matches anything: broadcast a bare root so the
+        # program structure stays uniform and clients learn "no results".
+        rows.close(rows.open(labels[0]))
+    return CompactIndex(
+        rows,
         size_model=ci.size_model,
         virtual_root=ci.virtual_root,
-        annotation="containment",
+        annotation=annotation,
         validate=False,  # pruning preserves the CI's invariants
     )
-    stats = PruningStats.between(ci, pci)
-    return pci, stats
-
-
-def _prune_containment(
-    node: IndexNode,
-    state: Optional[DFAState],
-    dfa: LazyQueryDFA,
-    is_virtual_root: bool,
-) -> Optional[IndexNode]:
-    if is_virtual_root:
-        accepting_here = False
-    else:
-        assert state is not None
-        if not dfa.is_live(state):
-            return None
-        accepting_here = dfa.is_accepting(state)
-
-    kept_children: List[IndexNode] = []
-    for child in node.children:
-        child_state = (
-            dfa.step(dfa.start, child.label)
-            if is_virtual_root
-            else dfa.step(state, child.label)  # type: ignore[arg-type]
-        )
-        pruned_child = _prune_containment(
-            node=child, state=child_state, dfa=dfa, is_virtual_root=False
-        )
-        if pruned_child is not None:
-            kept_children.append(pruned_child)
-
-    if not accepting_here and not kept_children:
-        return None
-    docs = node.subtree_doc_ids() if accepting_here else ()
-    new_node = IndexNode(0, node.label, doc_ids=docs)
-    for child in kept_children:
-        new_node.add_child(child)
-    return new_node

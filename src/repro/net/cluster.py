@@ -62,7 +62,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.broadcast.partition import PartitionMap
 from repro.net.clock import ClockAdapter, MonotonicClock
@@ -243,6 +243,8 @@ class ClusterRouter:
         self.port: Optional[int] = None
         self.metrics_port: Optional[int] = None
         self._tcp: Optional[asyncio.base_events.Server] = None
+        #: one task per open front-door connection, spliced or not
+        self._handlers: Set["asyncio.Task[None]"] = set()
         self._metrics_http: Optional[MetricsHTTPServer] = None
         self._pending_cache: Optional[int] = None
         self._pending_at = 0.0
@@ -267,8 +269,19 @@ class ClusterRouter:
             self.metrics_port = await self._metrics_http.start()
 
     async def stop(self) -> None:
+        """Stop listening and end every open connection, splices
+        included: each leaves through its handler's ``finally``, so both
+        ends of a live session read EOF."""
         if self._tcp is not None:
             self._tcp.close()
+            # ``wait_closed`` alone ends no session: before Python 3.12 it
+            # returns with the handlers still running, from 3.12 on it
+            # waits for connections nobody is closing.
+            handlers = list(self._handlers)
+            for task in handlers:
+                task.cancel()
+            # (a handler's own failure is the stream protocol's to report)
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._tcp.wait_closed()
             self._tcp = None
         if self._metrics_http is not None:
@@ -339,9 +352,19 @@ class ClusterRouter:
                 return await self._route(command, reader, writer)
             return uplink.Bye()
 
+        task = asyncio.current_task()
+        assert task is not None
+        self._handlers.add(task)
         try:
             await uplink.serve_connection(reader, writer, handle, self._on_err)
+        except asyncio.CancelledError:
+            # :meth:`stop` ending the session.  Nobody awaits a stream
+            # handler but ``stop``, and asyncio's stream protocol logs one
+            # that *ends* cancelled as a crashed callback: close the
+            # connection below and finish normally instead.
+            pass
         finally:
+            self._handlers.discard(task)
             with contextlib.suppress(ConnectionError, OSError):
                 writer.close()
                 await writer.wait_closed()

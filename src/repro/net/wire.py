@@ -116,7 +116,7 @@ def cycle_header(
         "packing": cycle.packed_first_tier.strategy.value,
         "annotation": cycle.pci.annotation,
         "virtual_root": cycle.pci.virtual_root,
-        "root_label": cycle.pci.root.label,
+        "root_label": cycle.pci.labels[0],
         "degraded": cycle.degraded,
         "packet_bytes": model.packet_bytes,
         "checksum_bytes": model.checksum_bytes,
@@ -276,6 +276,114 @@ def encode_cycle(
 
 _SEGMENT_KINDS = {kind.value: kind for kind in PacketKind}
 
+#: CYCLE_BEGIN fields the decoder reads, each with its JSON type(s)
+_HEADER_FIELDS: Dict[str, Tuple[type, ...]] = {
+    "cycle_number": (int,),
+    "start_time": (int, float),
+    "scheme": (str,),
+    "packing": (str,),
+    "annotation": (str,),
+    "virtual_root": (bool,),
+    "root_label": (str,),
+    "degraded": (str, type(None)),
+    "packet_bytes": (int,),
+    "checksum_bytes": (int,),
+    "doc_header_bytes": (int,),
+    "segments": (list,),
+    "doc_ids": (list,),
+    "signature": (str,),
+    "allocation": (str,),
+}
+
+
+def _is_a(value: object, kinds: Tuple[type, ...]) -> bool:
+    """``isinstance`` under JSON typing, where ``true`` is no number."""
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+
+
+@dataclass(frozen=True)
+class _CycleHeader:
+    """A CYCLE_BEGIN header, checked once where it is parsed.
+
+    The header is outside input.  Everything the decoder goes on to read
+    from it is present, of the right JSON type, in range and a known
+    enum value, or :meth:`parse` raises :class:`WireProtocolError`; keys
+    the decoder does not read (``cluster``, ``plan``, ...) pass through
+    in ``fields`` untouched.
+    """
+
+    fields: Dict
+    model: SizeModel
+    scheme: IndexScheme
+    strategy: PackingStrategy
+    layout: CycleLayout
+
+    @classmethod
+    def parse(cls, payload: bytes) -> "_CycleHeader":
+        try:
+            fields = json.loads(payload.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise WireProtocolError("malformed cycle header") from exc
+        if not isinstance(fields, dict):
+            raise WireProtocolError("cycle header is not a JSON object")
+        if fields.get("format") != WIRE_FORMAT_VERSION:
+            raise WireProtocolError(
+                f"unsupported wire format {fields.get('format')!r}"
+            )
+        for name, kinds in _HEADER_FIELDS.items():
+            if not _is_a(fields.get(name, ...), kinds):  # ``...``: missing
+                raise WireProtocolError(
+                    f"cycle header field {name!r} must be "
+                    f"{'/'.join(kind.__name__ for kind in kinds)}, "
+                    f"not {fields.get(name, ...)!r}"
+                )
+        if fields["annotation"] not in ("maximal", "containment"):
+            raise WireProtocolError(f"unknown annotation {fields['annotation']!r}")
+        # The second tier's channel field bounds K; a header asking for
+        # more is hostile (and would size the decoder's queue rebuild).
+        num_channels = fields.get("num_channels")
+        if (
+            not _is_a(num_channels, (int,))
+            or not 1 <= num_channels <= 256**CHANNEL_ID_BYTES
+        ):
+            raise WireProtocolError(f"bad data channel count {num_channels!r}")
+        if not all(_is_a(doc_id, (int,)) for doc_id in fields["doc_ids"]):
+            raise WireProtocolError("cycle header schedules a non-integer doc id")
+        segments = []
+        for entry in fields["segments"]:
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 3
+                and isinstance(entry[0], str)
+                and entry[0] in _SEGMENT_KINDS
+                and _is_a(entry[1], (int,))
+                and _is_a(entry[2], (int,))
+                and entry[2] >= 0
+            ):
+                raise WireProtocolError(f"malformed segment {entry!r}")
+            segments.append(Segment(_SEGMENT_KINDS[entry[0]], entry[1], entry[2]))
+        if not segments:
+            raise WireProtocolError("cycle header lays out no index segment")
+        try:
+            model = SizeModel(
+                packet_bytes=fields["packet_bytes"],
+                checksum_bytes=fields["checksum_bytes"],
+                doc_header_bytes=fields["doc_header_bytes"],
+            )
+            return cls(
+                fields,
+                model,
+                IndexScheme(fields["scheme"]),
+                PackingStrategy(fields["packing"]),
+                CycleLayout(
+                    tuple(segments),
+                    packet_bytes=model.packet_bytes,
+                    checksum_bytes=model.checksum_bytes,
+                ),
+            )
+        except ValueError as exc:  # out of range, or no such enum value
+            raise WireProtocolError(f"bad cycle header: {exc}") from exc
+
 
 class CycleDecoder:
     """Reassemble streamed frames into a verified broadcast cycle.
@@ -314,7 +422,7 @@ class CycleDecoder:
         self.keep_documents = keep_documents
         self.share = share
         self._digest = hashlib.sha256()
-        self.header: Optional[Dict] = None
+        self.header: Optional[_CycleHeader] = None
         #: header of the most recently completed cycle (survives the
         #: per-cycle reset; callers read the signature from it)
         self.last_header: Optional[Dict] = None
@@ -333,15 +441,7 @@ class CycleDecoder:
         if kind is FrameKind.CYCLE_BEGIN:
             if self.header is not None:
                 raise WireProtocolError("CYCLE_BEGIN inside an open cycle")
-            try:
-                header = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise WireProtocolError("malformed cycle header") from exc
-            if header.get("format") != WIRE_FORMAT_VERSION:
-                raise WireProtocolError(
-                    f"unsupported wire format {header.get('format')!r}"
-                )
-            self.header = header
+            self.header = _CycleHeader.parse(payload)
             return None
         if self.header is None:
             raise WireProtocolError(f"{kind.name} frame outside a cycle")
@@ -382,7 +482,7 @@ class CycleDecoder:
                     cache[key] = cycle
                     while len(cache) > self._SHARED_MAX:
                         cache.popitem(last=False)
-            self.last_header = self.header
+            self.last_header = self.header.fields
             self._reset()
             return cycle
         raise WireProtocolError(f"unexpected {kind.name} frame in cycle stream")
@@ -397,17 +497,12 @@ class CycleDecoder:
         self._doc_channels = {}
 
     def _finish(self) -> BroadcastCycle:
-        header = self.header
-        assert header is not None
+        parsed = self.header
+        assert parsed is not None
+        header, model, layout = parsed.fields, parsed.model, parsed.layout
         if self._index_payload is None:
             raise WireProtocolError("cycle ended without an INDEX frame")
-        model = SizeModel(
-            packet_bytes=header["packet_bytes"],
-            checksum_bytes=header["checksum_bytes"],
-            doc_header_bytes=header["doc_header_bytes"],
-        )
-        scheme = IndexScheme(header["scheme"])
-        one_tier = scheme is IndexScheme.ONE_TIER
+        one_tier = parsed.scheme is IndexScheme.ONE_TIER
 
         try:
             (table_len,) = struct.unpack_from(">I", self._index_payload, 0)
@@ -422,25 +517,15 @@ class CycleDecoder:
             one_tier=one_tier,
             size_model=model,
             root_label=header["root_label"],
+            annotation=header["annotation"],
         )
         if pci.virtual_root != header["virtual_root"]:
             raise WireProtocolError("virtual-root flag disagrees with header")
-        if header["annotation"] not in ("maximal", "containment"):
-            raise WireProtocolError(f"unknown annotation {header['annotation']!r}")
-        pci.annotation = header["annotation"]
 
-        strategy = PackingStrategy(header["packing"])
-        packed_one = pack_index(pci, one_tier=True, strategy=strategy)
-        packed_first = pack_index(pci, one_tier=False, strategy=strategy)
+        packed_one = pack_index(pci, one_tier=True, strategy=parsed.strategy)
+        packed_first = pack_index(pci, one_tier=False, strategy=parsed.strategy)
 
         num_channels = header["num_channels"]
-        # The second tier's channel field bounds K; a header asking for
-        # more is hostile (and would size the queue rebuild below).
-        if (
-            not isinstance(num_channels, int)
-            or not 1 <= num_channels <= 256**CHANNEL_ID_BYTES
-        ):
-            raise WireProtocolError(f"bad data channel count {num_channels!r}")
         if one_tier:
             # The one-tier encoding also carries pointer 0 for annotated
             # but unscheduled documents; the DOC frame headers hold the
@@ -474,21 +559,6 @@ class CycleDecoder:
                 "document frames disagree with the offset list on a channel"
             )
 
-        segments = []
-        for kind_value, start, length in header["segments"]:
-            try:
-                segment_kind = _SEGMENT_KINDS[kind_value]
-            except KeyError as exc:
-                raise WireProtocolError(
-                    f"unknown segment kind {kind_value!r}"
-                ) from exc
-            segments.append(Segment(segment_kind, start, length))
-        layout = CycleLayout(
-            tuple(segments),
-            packet_bytes=model.packet_bytes,
-            checksum_bytes=model.checksum_bytes,
-        )
-
         # Every channel airs its queue back-to-back from the data
         # segment's start, so air order within a channel is offset order.
         data = layout.segment(PacketKind.DATA)
@@ -502,7 +572,7 @@ class CycleDecoder:
 
         cycle = BroadcastCycle(
             cycle_number=header["cycle_number"],
-            scheme=scheme,
+            scheme=parsed.scheme,
             pci=pci,
             packed_one_tier=packed_one,
             packed_first_tier=packed_first,

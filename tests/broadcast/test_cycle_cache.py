@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.broadcast.cycle_cache import CycleBuildCache, query_key_of
-from repro.broadcast.program import _index_tree_form
 from repro.broadcast.server import DocumentStore, build_ci_from_store
 from repro.xmlkit.model import XMLDocument, build_element
 from repro.xpath.parser import parse_query
@@ -18,7 +17,7 @@ def paper_store() -> DocumentStore:
 
 
 def ci_form(ci):
-    return (ci.virtual_root, _index_tree_form(ci))
+    return (ci.virtual_root, ci.tree_form())
 
 
 class TestConstruction:

@@ -1,0 +1,18 @@
+"""Reading an index table the way the tests talk about it: by label path."""
+
+from __future__ import annotations
+
+from typing import List
+
+from repro.index.ci import CompactIndex
+from repro.xmlkit.model import LabelPath
+
+
+def node_paths(index: CompactIndex) -> List[LabelPath]:
+    """The root-to-node label path of every node, by node id (a virtual
+    root's label included)."""
+    paths: List[LabelPath] = [(index.labels[0],)] * index.node_count
+    for node_id, child_ids in enumerate(index.children):  # parents come first
+        for child in child_ids:
+            paths[child] = paths[node_id] + (index.labels[child],)
+    return paths

@@ -28,25 +28,27 @@ class TestBuild:
 
     def test_nodes_in_preorder(self, paper_ci):
         ci, _docs = paper_ci
-        assert [node.node_id for node in ci.nodes] == list(range(ci.node_count))
         # Depth-first, children label-sorted: a, a/b, a/b/a, a/b/c, a/c, ...
-        assert [node.label for node in ci.nodes] == ["a", "b", "a", "c", "c", "a", "b"]
+        assert ci.labels == ["a", "b", "a", "c", "c", "a", "b"]
+        # Row number is node id: each subtree is the id range up to its end.
+        assert list(ci.ends) == [7, 4, 3, 4, 7, 6, 7]
+        assert ci.children == [(1, 4), (2, 3), (), (), (5, 6), (), ()]
 
     def test_annotations_at_maximal_paths(self, paper_ci):
         ci, _docs = paper_ci
-        assert ci.find_node(("a", "b", "a")).doc_ids == (0, 1)
-        assert ci.find_node(("a", "c")).doc_ids == (2,)
-        assert ci.find_node(("a",)).doc_ids == ()
+        assert ci.doc_ids[ci.find_node(("a", "b", "a"))] == (0, 1)
+        assert ci.doc_ids[ci.find_node(("a", "c"))] == (2,)
+        assert ci.doc_ids[ci.find_node(("a",))] == ()
 
     def test_d2_pointer_appears_three_times(self, paper_ci):
         """Section 3.3's motivating observation."""
         ci, _docs = paper_ci
-        occurrences = sum(1 for node in ci.nodes if 1 in node.doc_ids)
+        occurrences = sum(1 for docs in ci.doc_ids if 1 in docs)
         assert occurrences == 3
 
     def test_total_doc_entries(self, paper_ci):
         ci, _docs = paper_ci
-        assert ci.total_doc_entries() == sum(len(n.doc_ids) for n in ci.nodes)
+        assert ci.total_doc_entries() == sum(len(docs) for docs in ci.doc_ids)
 
     def test_annotated_doc_ids_cover_collection(self, paper_ci):
         ci, _docs = paper_ci
@@ -76,8 +78,8 @@ class TestBuild:
         ci, _docs = paper_ci
         model = ci.size_model
         expected = sum(
-            model.node_bytes(len(n.children), len(n.doc_ids), one_tier=True)
-            for n in ci.nodes
+            model.node_bytes(len(child_ids), len(docs), one_tier=True)
+            for child_ids, docs in zip(ci.children, ci.doc_ids)
         )
         assert ci.size_bytes(one_tier=True) == expected
 
@@ -88,8 +90,7 @@ class TestLookup:
         ci, _docs = paper_ci
         result = ci.lookup(parse_query("/a/b/a"))
         assert result.doc_ids == (0, 1)
-        matched = {ci.nodes[i].path_from_root() for i in result.matched_node_ids}
-        assert matched == {("a", "b", "a")}
+        assert result.matched_node_ids == {ci.find_node(("a", "b", "a"))}
 
     def test_paper_q3_descendant(self, paper_ci):
         ci, _docs = paper_ci
@@ -113,21 +114,20 @@ class TestLookup:
         assert result.is_empty
         assert result.matched_node_ids == frozenset()
         # The client still read the root before the branch died.
-        assert ci.root.node_id in result.visited_node_ids
+        assert result.visited_node_ids == {0}
 
     def test_visited_includes_walk_and_match_subtrees(self, paper_ci):
         ci, _docs = paper_ci
         result = ci.lookup(parse_query("/a/c"))
-        visited_paths = {ci.nodes[i].path_from_root() for i in result.visited_node_ids}
-        assert ("a",) in visited_paths  # walk
-        assert ("a", "c", "a") in visited_paths  # match subtree
-        assert ("a", "c", "b") in visited_paths
+        assert ci.find_node(("a",)) in result.visited_node_ids  # walk
+        assert ci.find_node(("a", "c", "a")) in result.visited_node_ids  # match subtree
+        assert ci.find_node(("a", "c", "b")) in result.visited_node_ids
 
     def test_dead_branches_not_visited(self, paper_ci):
         ci, _docs = paper_ci
         result = ci.lookup(parse_query("/a/c/a"))
-        visited_paths = {ci.nodes[i].path_from_root() for i in result.visited_node_ids}
-        assert ("a", "b", "a") not in visited_paths  # /a/b subtree dead early
+        # /a/b subtree dead early
+        assert ci.find_node(("a", "b", "a")) not in result.visited_node_ids
 
     @given(document_collections(), st.lists(queries(), min_size=1, max_size=3))
     def test_lookup_matches_evaluator(self, docs, query_list):

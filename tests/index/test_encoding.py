@@ -15,7 +15,6 @@ from repro.index.encoding import (
     encode_index,
     encode_offset_list,
 )
-from repro.index.nodes import IndexNode, assign_preorder_ids
 from repro.index.sizes import SizeModel
 from repro.index.twotier import OffsetList
 from tests.strategies import document_collections
@@ -28,9 +27,8 @@ def paper_index() -> CompactIndex:
 
 
 def tree_signature(index: CompactIndex):
-    return sorted(
-        (path, node.doc_ids) for node, path in index.root.iter_with_paths()
-    )
+    """Every column of the table (the decoder must restore each one)."""
+    return index.labels, index.doc_ids, index.ends, index.children
 
 
 class TestLabelTable:
@@ -73,7 +71,7 @@ class TestEncodeIndex:
         table = LabelTable.from_index(index)
         blob = encode_index(index, table, one_tier=True)
         decoded, offsets = decode_index(
-            blob, table, one_tier=True, root_label=index.root.label
+            blob, table, one_tier=True, root_label=index.labels[0]
         )
         assert tree_signature(decoded) == tree_signature(index)
         assert set(offsets) == set(index.annotated_doc_ids())
@@ -83,7 +81,7 @@ class TestEncodeIndex:
         table = LabelTable.from_index(index)
         blob = encode_index(index, table, one_tier=False)
         decoded, offsets = decode_index(
-            blob, table, one_tier=False, root_label=index.root.label
+            blob, table, one_tier=False, root_label=index.labels[0]
         )
         assert tree_signature(decoded) == tree_signature(index)
         assert offsets == {}
@@ -94,20 +92,18 @@ class TestEncodeIndex:
         wanted = {doc_id: 1000 + doc_id for doc_id in index.annotated_doc_ids()}
         blob = encode_index(index, table, one_tier=True, doc_offsets=wanted)
         _decoded, offsets = decode_index(
-            blob, table, one_tier=True, root_label=index.root.label
+            blob, table, one_tier=True, root_label=index.labels[0]
         )
         assert offsets == wanted
 
     def test_doc_id_overflow_rejected(self):
-        root = IndexNode(0, "a", doc_ids=(70_000,))
-        assign_preorder_ids(root)
         with pytest.raises(IndexEncodingError):
-            encode_index(CompactIndex(root))
+            encode_index(CompactIndex.from_nested(("a", (70_000,), [])))
 
     def test_custom_size_model_rejected(self):
-        root = IndexNode(0, "a")
-        assign_preorder_ids(root)
-        index = CompactIndex(root, size_model=SizeModel(doc_id_bytes=3))
+        index = CompactIndex.from_nested(
+            ("a", (), []), size_model=SizeModel(doc_id_bytes=3)
+        )
         with pytest.raises(IndexEncodingError):
             encode_index(index)
 
@@ -119,7 +115,7 @@ class TestEncodeIndex:
             blob = encode_index(index, table, one_tier=one_tier)
             assert len(blob) == index.size_bytes(one_tier=one_tier)
             decoded, _ = decode_index(
-                blob, table, one_tier=one_tier, root_label=index.root.label
+                blob, table, one_tier=one_tier, root_label=index.labels[0]
             )
             assert tree_signature(decoded) == tree_signature(index)
 

@@ -7,6 +7,8 @@ the compiled walk against three independent answers: a fresh compile per
 search, the pre-flattening pointer-chasing NFA kept in
 ``tests/filtering/nfa_reference.py`` driving the original
 (node, configuration) walk, and the naive ``xpath.evaluator``.
+``TestPipelineDifferential`` carries the same answers on through
+pruning, packing and the encode -> decode round trip.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from hypothesis import strategies as st
 
 from repro.filtering.dfa import LazyQueryDFA
 from repro.index.ci import CompactIndex, LookupResult, build_full_ci
-from repro.index.nodes import IndexNode
+from repro.index.encoding import LabelTable, decode_index, encode_index
+from repro.index.packing import PackingStrategy, pack_index
 from repro.index.pruning import prune_to_pci, prune_to_pci_containment
 from repro.xpath.evaluator import matching_documents
 from repro.xpath.parser import parse_query
 from tests.filtering.nfa_reference import ReferenceSharedPathNFA
+from tests.index.tables import node_paths
 from tests.strategies import LABELS, document_collections, queries
 
 
@@ -36,28 +40,33 @@ def reference_lookup(index: CompactIndex, query) -> LookupResult:
     visited: Set[int] = set()
     matched: Set[int] = set()
     initial = nfa.initial_states()
+    labels, children = index.labels, index.children
     if index.virtual_root:
-        visited.add(index.root.node_id)
-        stack = [(c, nfa.move(initial, c.label)) for c in index.root.children]
+        visited.add(0)
+        stack = [(c, nfa.move(initial, labels[c])) for c in children[0]]
     else:
-        stack = [(index.root, nfa.move(initial, index.root.label))]
+        stack = [(0, nfa.move(initial, labels[0]))]
     while stack:
-        node, configuration = stack.pop()
+        node_id, configuration = stack.pop()
         if not configuration:
             continue
-        visited.add(node.node_id)
+        visited.add(node_id)
         if nfa.is_accepting(configuration):
-            matched.add(node.node_id)
-        for child in node.children:
-            stack.append((child, nfa.move(configuration, child.label)))
+            matched.add(node_id)
+        for child in children[node_id]:
+            stack.append((child, nfa.move(configuration, labels[child])))
     doc_ids: Set[int] = set()
     for node_id in matched:
         if index.annotation == "containment":
-            doc_ids.update(index.nodes[node_id].doc_ids)
-        else:
-            for sub in index.nodes[node_id].iter_preorder():
-                visited.add(sub.node_id)
-                doc_ids.update(sub.doc_ids)
+            doc_ids.update(index.doc_ids[node_id])
+            continue
+        # Child by child, not as the id range the search under test takes.
+        sweep = [node_id]
+        while sweep:
+            sub = sweep.pop()
+            visited.add(sub)
+            doc_ids.update(index.doc_ids[sub])
+            sweep.extend(children[sub])
     return LookupResult(
         doc_ids=tuple(sorted(doc_ids)),
         matched_node_ids=frozenset(matched),
@@ -66,20 +75,20 @@ def reference_lookup(index: CompactIndex, query) -> LookupResult:
 
 
 @st.composite
-def index_nodes(draw, label: str = LABELS[0], max_depth: int = 4) -> IndexNode:
-    node = IndexNode(
-        0, label, doc_ids=tuple(sorted(draw(st.sets(st.integers(0, 7), max_size=3))))
-    )
+def index_nodes(draw, label: str = LABELS[0], max_depth: int = 4):
+    """A nested ``(label, doc_ids, [children])`` tree."""
+    doc_ids = sorted(draw(st.sets(st.integers(0, 7), max_size=3)))
+    children = []
     if max_depth > 1:
         for child_label in sorted(draw(st.sets(st.sampled_from(LABELS), max_size=3))):
-            node.add_child(draw(index_nodes(child_label, max_depth - 1)))
-    return node
+            children.append(draw(index_nodes(child_label, max_depth - 1)))
+    return label, doc_ids, children
 
 
 @st.composite
 def index_trees(draw) -> CompactIndex:
     """A random valid index tree: virtual root or not, either layout."""
-    return CompactIndex(
+    return CompactIndex.from_nested(
         draw(index_nodes(draw(st.sampled_from(LABELS)))),
         virtual_root=draw(st.booleans()),
         annotation=draw(st.sampled_from(["maximal", "containment"])),
@@ -136,11 +145,10 @@ class TestCompiledLookupDifferential:
     def test_nested_matches_are_all_reported(self):
         """``//a`` over a/a/a: every level matches; the outer match's
         subtree range must not swallow the inner matches."""
-        root = IndexNode(0, "a", doc_ids=(0,))
-        middle = root.add_child(IndexNode(0, "a", doc_ids=(1,)))
-        middle.add_child(IndexNode(0, "a", doc_ids=(2,)))
-        root.add_child(IndexNode(0, "b", doc_ids=(3,)))
-        result = CompactIndex(root).lookup(parse_query("//a"))
+        index = CompactIndex.from_nested(
+            ("a", (0,), [("a", (1,), [("a", (2,), [])]), ("b", (3,), [])])
+        )
+        result = index.lookup(parse_query("//a"))
         assert result.matched_node_ids == {0, 1, 2}
         assert result.visited_node_ids == {0, 1, 2, 3}
         assert result.doc_ids == (0, 1, 2, 3)
@@ -156,3 +164,84 @@ class TestCompiledLookupDifferential:
         again = build_full_ci(nitf_docs).lookup(compiled)
         assert compiled.materialised_transitions == materialised
         assert again == first
+
+
+class TestPipelineDifferential:
+    """The same three answers carried past the search: through pruning
+    under both annotation schemes, every packing, and the wire."""
+
+    @given(
+        document_collections(),
+        st.lists(queries(), min_size=1, max_size=4),
+        st.booleans(),
+    )
+    def test_prune_pack_encode_decode(self, docs, pending, one_root):
+        if one_root:
+            for doc in docs:
+                doc.root.tag = LABELS[0]
+        ci = build_full_ci(docs)
+        assert ci.virtual_root == (len({doc.root.tag for doc in docs}) > 1)
+        results = {
+            query: tuple(sorted(matching_documents(query, docs))) for query in pending
+        }
+        # The kept set, from the paths alone: a node survives exactly
+        # when some pending query matches a path at or below it.
+        paths = [path[1:] if ci.virtual_root else path for path in node_paths(ci)]
+        accepts = [any(query.matches_path(path) for query in pending) for path in paths]
+        kept = [
+            node_id
+            for node_id, end in enumerate(ci.ends)
+            if any(accepts[node_id:end])
+        ] or [0]  # nothing matches: the bare root
+        warm = LazyQueryDFA.from_queries(pending)
+        for prune in (prune_to_pci, prune_to_pci_containment):
+            pci = prune(ci, pending, dfa=warm)[0]
+            assert pci.tree_form() == prune(ci, pending)[0].tree_form()
+            assert pci.virtual_root == ci.virtual_root
+            assert pci.annotation == (
+                "maximal" if prune is prune_to_pci else "containment"
+            )
+            assert node_paths(pci) == [node_paths(ci)[node_id] for node_id in kept]
+            if not any(accepts):
+                assert pci.doc_ids == [()]
+            assert pci.annotated_doc_ids() == frozenset().union(*results.values())
+            for query, want in results.items():
+                got = pci.lookup(query)
+                assert got.doc_ids == want == ci.lookup(query).doc_ids, str(query)
+                assert_same_result(got, reference_lookup(pci, query), "reference NFA")
+            for index in (ci, pci):
+                self.check_packings_and_wire(index)
+
+    @staticmethod
+    def check_packings_and_wire(index: CompactIndex) -> None:
+        nodes = list(range(index.node_count))
+        depths = [len(path) for path in node_paths(index)]
+        for child_ids in index.children:
+            child_labels = [index.labels[child] for child in child_ids]
+            assert child_labels == sorted(set(child_labels))
+        table = LabelTable.from_index(index)
+        for one_tier in (True, False):
+            blob = encode_index(index, table, one_tier=one_tier)
+            assert len(blob) == index.size_bytes(one_tier=one_tier)
+            decoded, _offsets = decode_index(
+                blob,
+                table,
+                one_tier=one_tier,
+                root_label=index.labels[0],
+                annotation=index.annotation,
+            )
+            assert decoded.labels == index.labels
+            assert decoded.doc_ids == index.doc_ids
+            assert decoded.ends == index.ends
+            assert decoded.children == index.children
+            assert decoded.virtual_root == index.virtual_root
+            assert decoded.annotation == index.annotation
+            for strategy in PackingStrategy:
+                packed = pack_index(index, one_tier=one_tier, strategy=strategy)
+                # Level order is preorder, stably sorted by depth.
+                order = sorted(nodes, key=depths.__getitem__)
+                assert list(packed.node_order) == (
+                    order if strategy is PackingStrategy.BFS else nodes
+                )
+                assert sorted(packed.packet_of_node) == nodes
+                assert packed.used_bytes == len(blob)

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.index.ci import CompactIndex, build_full_ci
-from repro.index.nodes import IndexNode, assign_preorder_ids
 from repro.index.packing import PackingStrategy, pack_index
 from repro.index.sizes import SizeModel
+from tests.index.tables import node_paths
 from tests.strategies import document_collections
 
 
@@ -27,7 +27,7 @@ class TestGreedyDFS:
     def test_every_node_packed_exactly_once(self):
         index = paper_index()
         packed = pack_index(index, one_tier=True)
-        assert set(packed.packet_of_node) == {n.node_id for n in index.nodes}
+        assert set(packed.packet_of_node) == set(range(index.node_count))
 
     def test_adjacent_nodes_share_packets(self):
         """The point of greedy packing: small sibling nodes co-reside."""
@@ -59,26 +59,20 @@ class TestGreedyDFS:
 
 class TestOversizedNodes:
     def make_index_with_fat_node(self) -> CompactIndex:
-        root = IndexNode(0, "a")
-        fat = IndexNode(0, "b", doc_ids=tuple(range(200)))  # 6+200*6 bytes
-        root.add_child(fat)
-        assign_preorder_ids(root)
-        return CompactIndex(root)
+        fat = ("b", range(200), [])  # 6+200*6 bytes
+        return CompactIndex.from_nested(("a", (), [fat]))
 
     def test_fat_node_spans_packets(self):
         index = self.make_index_with_fat_node()
         packed = pack_index(index, one_tier=True)
-        fat_id = index.nodes[1].node_id
-        span = packed.packet_of_node[fat_id]
+        span = packed.packet_of_node[1]
         assert len(span) > 1
         assert list(span) == list(range(span[0], span[-1] + 1))  # contiguous
 
     def test_node_after_fat_node_starts_fresh(self):
-        root = IndexNode(0, "a")
-        root.add_child(IndexNode(0, "b", doc_ids=tuple(range(200))))
-        root.add_child(IndexNode(0, "c"))
-        assign_preorder_ids(root)
-        index = CompactIndex(root)
+        index = CompactIndex.from_nested(
+            ("a", (), [("b", range(200), []), ("c", (), [])])
+        )
         packed = pack_index(index, one_tier=True)
         fat_span = packed.packet_of_node[1]
         assert packed.packet_of_node[2][0] == fat_span[-1] + 1
@@ -93,12 +87,12 @@ class TestStrategies:
     def test_bfs_covers_all_nodes(self):
         index = paper_index()
         packed = pack_index(index, one_tier=True, strategy=PackingStrategy.BFS)
-        assert set(packed.packet_of_node) == {n.node_id for n in index.nodes}
+        assert set(packed.packet_of_node) == set(range(index.node_count))
 
     def test_bfs_order_is_level_order(self):
         index = paper_index()
         packed = pack_index(index, one_tier=True, strategy=PackingStrategy.BFS)
-        depths = {n.node_id: len(n.path_from_root()) for n in index.nodes}
+        depths = [len(path) for path in node_paths(index)]
         order_depths = [depths[node_id] for node_id in packed.node_order]
         assert order_depths == sorted(order_depths)
 
@@ -116,17 +110,20 @@ class TestPackingProperties:
         for one_tier in (True, False):
             packed = pack_index(index, one_tier=one_tier)
             # Every node exactly once, spans contiguous and in range.
-            assert set(packed.packet_of_node) == {n.node_id for n in index.nodes}
+            assert set(packed.packet_of_node) == set(range(index.node_count))
             for span in packed.packet_of_node.values():
                 assert list(span) == list(range(span[0], span[-1] + 1))
                 assert 0 <= span[0] and span[-1] < packed.packet_count
             # No packet over-filled: sum of single-packet nodes fits.
             fill = {}
-            for node in index.nodes:
-                span = packed.packet_of_node[node.node_id]
+            for node_id, span in packed.packet_of_node.items():
                 if len(span) == 1:
                     fill.setdefault(span[0], 0)
-                    fill[span[0]] += index.node_bytes(node, one_tier)
+                    fill[span[0]] += index.size_model.node_bytes(
+                        len(index.children[node_id]),
+                        len(index.doc_ids[node_id]),
+                        one_tier,
+                    )
             assert all(used <= packed.packet_bytes for used in fill.values())
 
     @given(document_collections())

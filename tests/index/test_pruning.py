@@ -11,6 +11,7 @@ from repro.index.ci import build_ci, build_full_ci
 from repro.index.pruning import prune_to_pci
 from repro.xpath.evaluator import matching_documents
 from repro.xpath.parser import parse_query
+from tests.index.tables import node_paths
 from tests.strategies import document_collections, queries
 
 
@@ -27,8 +28,7 @@ class TestPaperFigure6:
         ci = build_full_ci(paper_docs())
         queries_ = [parse_query("/a/b"), parse_query("/a/b/c")]
         pci, stats = prune_to_pci(ci, queries_)
-        kept_paths = {node.path_from_root() for node in pci.nodes}
-        assert kept_paths == {("a",), ("a", "b"), ("a", "b", "c")}
+        assert node_paths(pci) == [("a",), ("a", "b"), ("a", "b", "c")]
         assert stats.nodes_before == 7
         assert stats.nodes_after == 3
 
@@ -45,8 +45,7 @@ class TestPaperFigure6:
         re-attach at a/b or /a/b would lose a result document."""
         ci = build_full_ci(paper_docs())
         pci, _ = prune_to_pci(ci, [parse_query("/a/b"), parse_query("/a/b/c")])
-        node_b = pci.find_node(("a", "b"))
-        assert 0 in node_b.doc_ids  # d1
+        assert 0 in pci.doc_ids[pci.find_node(("a", "b"))]  # d1
 
     def test_unrequested_annotations_dropped(self):
         """d4 matches neither query; its annotations must vanish."""
@@ -65,7 +64,7 @@ class TestPruningBehaviour:
     def test_descendant_query_keeps_matching_spine(self):
         ci = build_full_ci(paper_docs())
         pci, _ = prune_to_pci(ci, [parse_query("/a//c")])
-        kept = {node.path_from_root() for node in pci.nodes}
+        kept = set(node_paths(pci))
         # All paths ending in c are accepting; their ancestors survive.
         assert ("a", "b", "c") in kept
         assert ("a", "c") in kept
@@ -77,9 +76,7 @@ class TestPruningBehaviour:
         dfa = LazyQueryDFA.from_queries(query_list)
         pci_a, _ = prune_to_pci(ci, query_list, dfa=dfa)
         pci_b, _ = prune_to_pci(ci, query_list)
-        assert {n.path_from_root() for n in pci_a.nodes} == {
-            n.path_from_root() for n in pci_b.nodes
-        }
+        assert pci_a.tree_form() == pci_b.tree_form()
 
     def test_stats_ratios(self):
         ci = build_full_ci(paper_docs())
@@ -150,20 +147,17 @@ class TestPruningProperties:
         if pci.node_count == 1 and pci.total_doc_entries() == 0:
             return  # bare-root fallback
 
-        def doc_path(node):
-            """Label path in document space (virtual root stripped)."""
-            raw = node.path_from_root()
-            return raw[1:] if pci.virtual_root else raw
-
-        for node in pci.nodes:
-            if pci.virtual_root and node is pci.root:
-                continue
-            subtree_paths = {doc_path(n) for n in node.iter_preorder()}
+        # Label paths in document space (virtual root stripped).
+        paths = [
+            path[1:] if pci.virtual_root else path for path in node_paths(pci)
+        ]
+        for node_id in range(1 if pci.virtual_root else 0, pci.node_count):
+            subtree_paths = set(paths[node_id : pci.ends[node_id]])
             assert any(
                 query.matches_path(path)
                 for query in query_list
                 for path in subtree_paths
-            ), f"dead node {node.path_from_root()}"
+            ), f"dead node {paths[node_id]}"
 
     def test_pruning_with_requested_subset_ci(self, nitf_docs, nitf_queries):
         """Realistic pipeline: CI over requested docs, then pruning."""

@@ -16,6 +16,7 @@ from repro.index.ci import build_ci, build_full_ci
 from repro.index.pruning import prune_to_pci, prune_to_pci_containment
 from repro.xpath.evaluator import matching_documents
 from repro.xpath.parser import parse_query
+from tests.index.tables import node_paths
 from tests.strategies import document_collections, queries
 
 
@@ -32,22 +33,17 @@ class TestFigure6Literal:
         pci, _ = prune_to_pci_containment(
             ci, [parse_query("/a/b"), parse_query("/a/b/c")]
         )
-        assert {n.path_from_root() for n in pci.nodes} == {
-            ("a",),
-            ("a", "b"),
-            ("a", "b", "c"),
-        }
+        assert node_paths(pci) == [("a",), ("a", "b"), ("a", "b", "c")]
 
     def test_accepting_nodes_carry_containment(self):
         ci = build_full_ci(paper_docs())
         pci, _ = prune_to_pci_containment(
             ci, [parse_query("/a/b"), parse_query("/a/b/c")]
         )
-        node_b = pci.find_node(("a", "b"))
         # containing(a/b) = d1, d2, d3, d5 -- the full result of /a/b.
-        assert node_b.doc_ids == (0, 1, 2, 4)
+        assert pci.doc_ids[pci.find_node(("a", "b"))] == (0, 1, 2, 4)
         # Pure ancestors carry nothing.
-        assert pci.find_node(("a",)).doc_ids == ()
+        assert pci.doc_ids[pci.find_node(("a",))] == ()
 
     def test_lookup_reads_matched_nodes_only(self):
         ci = build_full_ci(paper_docs())
@@ -55,9 +51,8 @@ class TestFigure6Literal:
         lookup = pci.lookup(parse_query("/a/b"))
         assert set(lookup.doc_ids) == {0, 1, 2, 4}
         # No subtree expansion: visited == live walk only.
-        visited_paths = {
-            pci.nodes[i].path_from_root() for i in lookup.visited_node_ids
-        }
+        paths = node_paths(pci)
+        visited_paths = {paths[i] for i in lookup.visited_node_ids}
         assert visited_paths <= {("a",), ("a", "b")}
 
     def test_duplication_across_nested_accepting_nodes(self):
@@ -67,7 +62,7 @@ class TestFigure6Literal:
         pci, _ = prune_to_pci_containment(
             ci, [parse_query("/a/b"), parse_query("/a/b/c")]
         )
-        occurrences = sum(1 for node in pci.nodes if 1 in node.doc_ids)  # d2
+        occurrences = sum(1 for docs in pci.doc_ids if 1 in docs)  # d2
         assert occurrences == 2  # at (a,b) and (a,b,c)
 
     def test_can_exceed_maximal_scheme(self, nitf_docs, nitf_queries):
@@ -99,9 +94,8 @@ class TestContainmentProperties:
         ci = build_full_ci(docs)
         pci_m, _ = prune_to_pci(ci, query_list)
         pci_c, _ = prune_to_pci_containment(ci, query_list)
-        assert {n.path_from_root() for n in pci_m.nodes} == {
-            n.path_from_root() for n in pci_c.nodes
-        }
+        assert pci_m.labels == pci_c.labels
+        assert pci_m.ends == pci_c.ends
 
     @given(document_collections(), st.lists(queries(), min_size=1, max_size=3))
     def test_lookup_never_visits_beyond_walk(self, docs, query_list):
@@ -112,7 +106,7 @@ class TestContainmentProperties:
             # Every visited node lies on a live root walk: its ancestors
             # are all visited too.
             for node_id in lookup.visited_node_ids:
-                node = pci.nodes[node_id]
-                while node.parent is not None:
-                    node = node.parent
-                    assert node.node_id in lookup.visited_node_ids
+                ancestors = [
+                    above for above in range(node_id) if pci.ends[above] > node_id
+                ]
+                assert lookup.visited_node_ids.issuperset(ancestors)

@@ -56,7 +56,7 @@ class TestOnAirEncodingPath:
         table = LabelTable.from_index(pci)
         blob = encode_index(pci, table, one_tier=False)
         decoded, _ = decode_index(
-            blob, table, one_tier=False, root_label=pci.root.label
+            blob, table, one_tier=False, root_label=pci.labels[0]
         )
         # A client decoding the broadcast bytes sees the same lookups.
         for query in nitf_queries[:8]:
@@ -74,7 +74,7 @@ class TestOnAirEncodingPath:
             cycle.pci, table, one_tier=True, doc_offsets=cycle.doc_offsets
         )
         _decoded, offsets = decode_index(
-            blob, table, one_tier=True, root_label=cycle.pci.root.label
+            blob, table, one_tier=True, root_label=cycle.pci.labels[0]
         )
         for doc_id in cycle.doc_ids:
             assert offsets[doc_id] == cycle.doc_offsets[doc_id]

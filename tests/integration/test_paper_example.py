@@ -19,6 +19,7 @@ from repro.index.packing import pack_index
 from repro.index.pruning import prune_to_pci
 from repro.index.twotier import split_two_tier
 from repro.xpath.parser import parse_query
+from tests.index.tables import node_paths
 
 QUERY_TEXTS = ["/a/b/a", "/a/c/a", "/a//c", "/a/b", "/a/c/*", "/a/c/a"]
 
@@ -59,16 +60,15 @@ class TestFigure3:
         # for its unrecoverable exact document set; all recoverable
         # annotations below agree).
         assert ci.node_count == 7
-        assert ci.find_node(("a", "b", "a")).doc_ids == (0, 1)
+        assert ci.doc_ids[ci.find_node(("a", "b", "a"))] == (0, 1)
 
     def test_q1_walkthrough(self, docs):
         """Section 3.1: q1 descends a -> b -> leaf (a,b,a), reads d1, d2."""
         ci = build_full_ci(docs)
         lookup = ci.lookup(parse_query("/a/b/a"))
         assert lookup.doc_ids == (0, 1)
-        walked = sorted(
-            ci.nodes[i].path_from_root() for i in lookup.visited_node_ids
-        )
+        paths = node_paths(ci)
+        walked = sorted(paths[i] for i in lookup.visited_node_ids)
         assert ("a",) in walked and ("a", "b") in walked and ("a", "b", "a") in walked
         # The /a/c branch dies immediately: never visited.
         assert ("a", "c") not in walked
@@ -76,7 +76,7 @@ class TestFigure3:
     def test_d2_annotated_three_times(self, docs):
         """Section 3.3: d2's pointer appears exactly three times in CI."""
         ci = build_full_ci(docs)
-        assert sum(1 for node in ci.nodes if 1 in node.doc_ids) == 3
+        assert sum(1 for docs in ci.doc_ids if 1 in docs) == 3
 
 
 class TestFigure5Packing:
@@ -102,11 +102,7 @@ class TestFigure6Pruning:
         pci, stats = prune_to_pci(
             ci, [parse_query("/a/b"), parse_query("/a/b/c")]
         )
-        assert {n.path_from_root() for n in pci.nodes} == {
-            ("a",),
-            ("a", "b"),
-            ("a", "b", "c"),
-        }
+        assert node_paths(pci) == [("a",), ("a", "b"), ("a", "b", "c")]
         assert stats.nodes_after == 3
 
 

@@ -31,6 +31,7 @@ from repro.net.cluster import (
     WorkerAddress,
 )
 from repro.net.daemon import DaemonStats
+from repro.net.framing import encode_text, read_frame
 from repro.net.loadgen import build_load_plan, run_load
 from repro.net.uplink import parse_reply, round_trip
 from repro.obs.telemetry import TelemetryConfig, lint_openmetrics, scrape
@@ -219,6 +220,64 @@ class TestProxyRouting:
                     "127.0.0.1", cluster.router.port, "TUNE SHARD=x"
                 )
                 assert reply.startswith("ERR SHARD must be an integer")
+
+        asyncio.run(asyncio.wait_for(run(), timeout=60))
+
+
+class TestRouterStop:
+    def test_stop_ends_a_live_splice(self, full_docs):
+        """Regression: ``stop()`` closed the listener and walked away from
+        its splice handlers.  Before Python 3.12 it returned with the
+        session still open (the handler died later, cancelled by the
+        loop's shutdown); from 3.12 on ``Server.wait_closed()`` waits for
+        every connection, so ``stop()`` never returned at all."""
+
+        async def run():
+            # workers held pre-broadcast: the tuned session stays silent
+            # and open, so only stop() can end it
+            cluster = _Cluster(full_docs, ClusterConfig(), autostart=False)
+            await cluster.__aenter__()
+            router = cluster.router
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", router.port
+                )
+                writer.write(encode_text("TUNE SHARD=1"))
+                await writer.drain()
+                _kind, payload = await read_frame(reader)
+                assert payload.decode().startswith("TUNED")
+                assert router.active == [0, 1]
+                before = asyncio.all_tasks()
+
+                await asyncio.wait_for(router.stop(), timeout=10)
+
+                assert router.active_sessions == 0
+                assert await asyncio.wait_for(reader.read(), timeout=10) == b""
+                writer.close()
+                # nothing of the router outlives stop(): every task alive
+                # now was alive before it and belongs to a worker daemon
+                # (its connection handler for the spliced session, at most)
+                assert asyncio.all_tasks() <= before
+                assert not router._handlers
+                assert not any(
+                    "ClusterRouter" in repr(task.get_coro())
+                    for task in asyncio.all_tasks()
+                )
+            finally:
+                await cluster.__aexit__(None, None, None)
+
+        asyncio.run(asyncio.wait_for(run(), timeout=60))
+
+    def test_stop_twice_and_before_start_are_harmless(self, full_docs):
+        async def run():
+            router = ClusterRouter(
+                PartitionMap(1, seed=PARTITION_SEED),
+                [WorkerAddress(0, "127.0.0.1", 1)],
+            )
+            await router.stop()
+            await router.start()
+            await router.stop()
+            await router.stop()
 
         asyncio.run(asyncio.wait_for(run(), timeout=60))
 

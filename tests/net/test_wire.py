@@ -13,6 +13,8 @@ import json
 import struct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.broadcast.program import IndexScheme, program_signature
 from repro.broadcast.server import DocumentStore
@@ -26,6 +28,13 @@ from repro.xmlkit import parse_document, serialize_document
 @pytest.fixture(scope="module")
 def store(nitf_docs):
     return DocumentStore(nitf_docs[:40])
+
+
+@pytest.fixture(scope="module")
+def hostile_frames(store, nitf_queries):
+    """One honest K=2 cycle's ``(kind, payload)`` stream, for rewriting."""
+    cycle = _build_cycle(store, nitf_queries[:8], num_data_channels=2)
+    return [(frame.kind, frame.payload) for frame in encode_cycle(cycle, store)]
 
 
 def _build_cycle(store, queries, **overrides):
@@ -215,6 +224,65 @@ _HOSTILE_OFFSETS = {
 }
 
 
+def _header_edit(edit):
+    """Rewrite the CYCLE_BEGIN JSON: *edit* takes the parsed header and
+    returns whatever should be serialised in its place."""
+
+    def rewrite(payload):
+        return json.dumps(edit(json.loads(payload))).encode("utf-8")
+
+    return rewrite
+
+
+def _without(key):
+    return _header_edit(lambda header: {k: v for k, v in header.items() if k != key})
+
+
+def _with(key, value):
+    return _header_edit(lambda header: {**header, key: value})
+
+
+#: rewritten headers, each with what ``CycleDecoder`` let out before it
+#: validated them
+_HOSTILE_HEADERS = {
+    "header is a list": _header_edit(lambda header: [header]),  # AttributeError
+    "header is a number": _header_edit(lambda header: 7),  # AttributeError
+    "no packet_bytes": _without("packet_bytes"),  # KeyError
+    "no virtual_root": _without("virtual_root"),  # KeyError
+    "no annotation": _without("annotation"),  # KeyError
+    "no signature": _without("signature"),  # KeyError (verifying, and in the client)
+    "packet_bytes is a string": _with("packet_bytes", "x"),  # TypeError
+    "packet_bytes is 0": _with("packet_bytes", 0),  # ValueError
+    "checksum_bytes is 200": _with("checksum_bytes", 200),  # ValueError
+    "unknown scheme": _with("scheme", "bogus"),  # ValueError
+    "unknown packing": _with("packing", "bogus"),  # ValueError
+    # found while validating the rest of what the decoder reads
+    "segments leave a gap": _with("segments", [["index", 128, 128]]),  # ValueError
+    "segment is a pair": _with("segments", [["index", 0]]),  # ValueError
+    "doc id is a list": _with("doc_ids", [[1]]),  # TypeError
+    "packet_bytes is true": _with("packet_bytes", True),  # ValueError
+    "no segments": _with("segments", []),  # a cycle with no index segment
+    "nesting": lambda payload: b"[" * 100_000,  # RecursionError
+}
+
+#: any JSON value, with the shapes and magnitudes a header field takes
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**40), 2**40)
+    | st.sampled_from([0, 1, 2, 7, 8, 128, 200, 256, 257, 2**32])
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8)
+    | st.sampled_from(
+        ["two-tier", "one-tier", "greedy-dfs", "bfs", "maximal", "containment",
+         "index", "data", "balanced", "#root"]
+    ),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
 class TestWireShape:
     """One CYCLE_BEGIN shape and one OFFSETS codec for every K."""
 
@@ -305,6 +373,56 @@ class TestHostileOffsets:
         frames = _rewrite(cycle, store, FrameKind.CYCLE_BEGIN, edit)
         with pytest.raises(WireProtocolError, match="channel count"):
             _feed_all(frames, verify=False)
+
+    @pytest.mark.parametrize("case", _HOSTILE_HEADERS)
+    def test_hostile_cycle_header_is_a_wire_error(self, store, nitf_queries, case):
+        """The header is checked once, where it is parsed: a rewritten
+        ``CYCLE_BEGIN`` never gets as far as the code that trusted it."""
+        cycle = _build_cycle(store, nitf_queries[:8], num_data_channels=2)
+        frames = _rewrite(cycle, store, FrameKind.CYCLE_BEGIN, _HOSTILE_HEADERS[case])
+        for verify in (True, False):
+            with pytest.raises(WireProtocolError):
+                _feed_all(frames, verify=verify)
+
+    @given(
+        st.dictionaries(
+            st.sampled_from(
+                ["format", "cycle_number", "start_time", "scheme", "packing",
+                 "annotation", "virtual_root", "root_label", "degraded",
+                 "packet_bytes", "checksum_bytes", "doc_header_bytes",
+                 "segments", "doc_ids", "signature", "num_channels",
+                 "allocation", "cluster", "plan"]
+            ),
+            st.none() | st.tuples(_json_values),
+            min_size=1,
+            max_size=4,
+        ),
+        st.booleans(),
+    )
+    def test_fuzzed_header_fields_decode_or_raise_typed(
+        self, hostile_frames, edits, verify
+    ):
+        """Any fields dropped (``None``) or overwritten with any JSON
+        value: the stream decodes to a cycle that can be signed, or it is
+        refused with ``WireProtocolError`` -- nothing else gets out."""
+
+        def edit(header):
+            for key, value in edits.items():
+                if value is None:
+                    header.pop(key, None)
+                else:
+                    header[key] = value[0]
+            return header
+
+        frames = [
+            (kind, _header_edit(edit)(payload) if kind is FrameKind.CYCLE_BEGIN else payload)
+            for kind, payload in hostile_frames
+        ]
+        try:
+            cycle = _feed_all(frames, verify=verify)
+        except WireProtocolError:
+            return
+        assert len(program_signature(cycle)) == 64
 
     def test_single_channel_doc_header_must_say_channel_zero(
         self, store, nitf_queries

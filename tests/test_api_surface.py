@@ -315,15 +315,99 @@ class TestOneSearch:
         or class: nothing remembers a query the caller did not keep."""
         from repro.filtering.dfa import LazyQueryDFA
         from repro.index.ci import CompactIndex
-        from repro.index.nodes import IndexNode
         from repro.xpath.parser import parse_query
 
-        index, query = CompactIndex(IndexNode(0, "a", doc_ids=(0,))), parse_query("/a")
+        index, query = CompactIndex.from_nested(("a", (0,), [])), parse_query("/a")
         assert index.lookup(query) == index.lookup(query)
         assert len(compiles) == 2
         compiled = LazyQueryDFA.from_queries([query])
         assert index.lookup(compiled) == index.lookup(compiled) == index.lookup(query)
         assert len(compiles) == 4
+
+
+class TestOneIndexForm:
+    """The index is one preorder table and nothing is kept beside it
+    (migration table: CHANGES.md, PR 21 -- ``index.root.label`` is
+    ``index.labels[0]``, ``index.nodes[i].doc_ids`` is
+    ``index.doc_ids[i]``, ``CompactIndex(IndexNode(...))`` is
+    ``CompactIndex.from_nested(...)``)."""
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            ("repro.index", "IndexNode"),
+            ("repro.index", "NodeKind"),
+            ("repro.index.nodes", "IndexNode"),
+            ("repro.index.nodes", "NodeKind"),
+            ("repro.index.nodes", "assign_preorder_ids"),
+            ("repro.index.nodes", "validate_tree"),
+            ("repro.index.ci:CompactIndex", "node_bytes"),
+            ("repro.index.ci:CompactIndex", "_convert"),
+            ("repro.index.ci:CompactIndex", "_subtree_form"),
+            ("repro.index.pruning", "_Reattached"),
+            ("repro.index.pruning", "_prune_node"),
+            ("repro.index.pruning", "_collect_for_reattachment"),
+            ("repro.index.pruning", "_prune_containment"),
+            ("repro.index.encoding", "_encode_node"),
+        ],
+    )
+    def test_the_tree_and_its_helpers_are_gone(self, owner, name):
+        module_name, _, attr = owner.partition(":")
+        target = importlib.import_module(module_name)
+        if attr:
+            target = getattr(target, attr)
+        assert not hasattr(target, name)
+
+    def test_a_table_has_columns_and_no_tree_beside_them(self):
+        from repro.index.ci import CompactIndex
+
+        index = CompactIndex.from_nested(("a", (0,), [("b", (1,), [])]))
+        for gone in ("root", "nodes", "_child_counts", "_doc_counts", "_subtree"):
+            assert not hasattr(index, gone)
+        assert (index.labels, index.doc_ids, list(index.ends), index.children) == (
+            ["a", "b"], [(0,), (1,)], [2, 2], [(1,), ()],
+        )
+
+    def test_nodes_module_is_the_builder_and_the_flag_convention(self):
+        import repro.index.nodes as nodes
+
+        public = {name for name in vars(nodes) if not name.startswith("_")}
+        assert public - {"annotations", "array", "List", "Tuple"} == {
+            "ROOT_FLAG_VALUE", "flag_value", "RowBuilder",
+        }
+
+    def test_no_option_was_added(self):
+        import inspect
+
+        from repro.index.ci import CompactIndex
+        from repro.index.encoding import decode_index
+        from repro.index.nodes import RowBuilder
+
+        def parameters(target):
+            return list(inspect.signature(target).parameters)
+
+        assert parameters(CompactIndex) == [
+            "rows", "size_model", "virtual_root", "annotation", "validate",
+        ]
+        assert parameters(decode_index) == [
+            "data", "label_table", "one_tier", "size_model", "root_label", "annotation",
+        ]
+        assert parameters(RowBuilder) == []
+
+    def test_nothing_writes_to_a_table_after_construction(self):
+        """``annotation`` was patched onto decoded indexes from outside;
+        now the only assignment in ``src`` is the constructor's."""
+        import pathlib
+
+        import repro
+
+        writes = [
+            f"{path.name}: {line.strip()}"
+            for path in pathlib.Path(repro.__file__).parent.rglob("*.py")
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if ".annotation = " in line
+        ]
+        assert writes == ["ci.py: self.annotation = annotation"]
 
 
 class TestQuickstartSnippet:
