@@ -14,9 +14,8 @@ queries*) floods a 1-worker and an ``N``-worker cluster, and the
 
 Both clusters run the real deployment shape: ``repro serve --shard i/N``
 subprocesses under a :class:`~repro.net.cluster.ClusterSupervisor`
-behind a redirect-mode :class:`~repro.net.cluster.ClusterRouter`
-(``MOVED`` keeps the router out of the data plane, so the measurement
-is worker throughput, not proxy throughput).  Every port -- front door,
+behind a :class:`~repro.net.cluster.ClusterRouter` that splices each
+pinned session to its worker.  Every port -- front door,
 workers, metrics -- is OS-assigned ephemeral; nothing here can collide
 with a parallel CI job.
 
@@ -81,9 +80,7 @@ async def _measure(num_workers: int, plan) -> dict:
     )
     try:
         workers = await asyncio.to_thread(supervisor.start)
-        router = ClusterRouter(
-            supervisor.partition, workers, ClusterConfig(redirect=True)
-        )
+        router = ClusterRouter(supervisor.partition, workers, ClusterConfig())
         await router.start()
         try:
             report = await run_load(
@@ -133,7 +130,7 @@ def test_cluster_scale(benchmark):
         ]
     rows.append((f"scale-out ratio (gate >= {GATE}x)", f"{ratio:.2f}x"))
     text = format_table(
-        "Cluster scale-out (redirect front door, subprocess workers)",
+        "Cluster scale-out (splicing front door, subprocess workers)",
         ("metric", "value"),
         rows,
         note=(

@@ -35,7 +35,6 @@ from repro.index.packing import pack_index
 from repro.index.pruning import prune_to_pci
 from repro.net.wire import encode_cycle
 from repro.sim.simulation import make_server
-from repro.xpath.generator import QueryGenerator, QueryWorkloadConfig
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "baselines" / "core_ops.json"
 #: A kernel may cost at most this multiple of its committed baseline
@@ -49,49 +48,39 @@ REPEATS = 5
 
 @pytest.fixture(scope="module")
 def workload(context):
-    documents = context.documents
-    queries = QueryGenerator(
-        documents, QueryWorkloadConfig(seed=11)
-    ).generate_many(context.scale.n_q_default)
-    engine = YFilterEngine.from_queries(queries)
-    requested = engine.filter_collection(documents).requested_doc_ids
-    ci = build_ci_from_store(context.store, requested)
-    pci, _ = prune_to_pci(ci, queries)
-    return documents, queries, engine, requested, ci, pci
+    return context.pending_index()
 
 
 def test_filter_collection(benchmark, context, workload):
-    documents, queries, _engine, _req, _ci, _pci = workload
+    queries = workload.queries
     benchmark(
-        lambda: YFilterEngine.from_queries(queries).filter_collection(documents)
+        lambda: YFilterEngine.from_queries(queries).filter_collection(
+            context.documents
+        )
     )
 
 
 def test_build_ci(benchmark, context, workload):
-    _docs, _queries, _engine, requested, _ci, _pci = workload
+    requested = workload.filtered.requested_doc_ids
     benchmark(lambda: build_ci_from_store(context.store, requested))
 
 
 def test_prune_to_pci(benchmark, workload):
-    _docs, queries, _engine, _req, ci, _pci = workload
-    benchmark(lambda: prune_to_pci(ci, queries))
+    benchmark(lambda: prune_to_pci(workload.ci, workload.queries))
 
 
 def test_pack_index(benchmark, workload):
-    *_rest, pci = workload
-    benchmark(lambda: pack_index(pci, one_tier=False))
+    benchmark(lambda: pack_index(workload.pci, one_tier=False))
 
 
 def test_encode_index(benchmark, workload):
-    *_rest, pci = workload
-    table = LabelTable.from_index(pci)
-    benchmark(lambda: encode_index(pci, table, one_tier=False))
+    table = LabelTable.from_index(workload.pci)
+    benchmark(lambda: encode_index(workload.pci, table, one_tier=False))
 
 
 def test_client_lookup(benchmark, workload):
-    _docs, queries, *_mid, pci = workload
-    query = queries[0]
-    benchmark(lambda: pci.lookup(query))
+    query = workload.queries[0]
+    benchmark(lambda: workload.pci.lookup(query))
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +110,9 @@ def _best_of(fn, repeats: int = REPEATS) -> float:
 
 def _hot_kernels(context, workload):
     """The three rewritten hot paths as closures over a shared workload."""
-    documents, queries, engine, requested, _ci, _pci = workload
+    documents, queries = context.documents, workload.queries
+    requested = workload.filtered.requested_doc_ids
+    engine = YFilterEngine.from_queries(queries)
     store = context.store
     server = make_server(context.base_config(), store)
     for query in queries[:8]:

@@ -1,0 +1,579 @@
+"""Every result table of the reproduction, one row each.
+
+A row names its file under ``benchmarks/results/``, the builder that
+regenerates the table as a :class:`~repro.experiments.runner.FigureResult`,
+and the shape check the table must pass (orderings, monotonicity,
+stability -- the claims drawn from it).  One parametrised test builds each
+row (timed once by pytest-benchmark), records it and runs its check::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_tables.py [-k fig9a]
+
+The paper's tables come from :mod:`repro.experiments.figures`, the swept
+extensions from :mod:`repro.experiments.extensions`; the ablations and
+baselines below exist only here.  Every table is seeded and byte-metric
+only -- except ``substrate_scaling``, which records seconds -- so a rerun
+must leave the committed copies untouched.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+from typing import Callable, Iterable, List
+
+import pytest
+
+from repro.analysis.model import validate_against_simulation
+from repro.baselines.signature import SignatureConfig, SignatureIndex
+from repro.broadcast.scheduling import scheduler_names
+from repro.broadcast.server import BroadcastServer, DocumentStore
+from repro.client.protocol import FirstTierRead, OffsetRead
+from repro.client.twotier import TwoTierClient
+from repro.experiments.figures import ALL_FIGURES
+from repro.experiments.runner import ExperimentContext, FigureResult, PendingIndex
+from repro.index.packing import PackingStrategy, pack_index
+from repro.index.pruning import prune_to_pci_containment
+from repro.index.sizes import SizeModel
+from repro.sim.simulation import Simulation, build_collection
+from repro.xpath.generator import QueryGenerator, QueryWorkloadConfig
+
+
+@dataclass(frozen=True)
+class Table:
+    """One results file: ``results/<name>.txt``, its builder, its check."""
+
+    name: str
+    build: Callable[[ExperimentContext], FigureResult]
+    check: Callable[[List[tuple], ExperimentContext], None]
+
+
+def _mean(values: Iterable[float]) -> float:
+    values = list(values)
+    return sum(values) / len(values)
+
+
+def _column(rows, index: int) -> list:
+    return [row[index] for row in rows]
+
+
+def _relative_spread(values) -> float:
+    """(max - min) / mean -- the figure-11 stability measure."""
+    mean = _mean(values)
+    return (max(values) - min(values)) / mean if mean else 0.0
+
+
+# ----------------------------------------------------------------------
+# The paper's tables: Table 2, Figures 9-11, the narrative numbers
+# ----------------------------------------------------------------------
+
+
+def check_table2(rows, context) -> None:
+    values = dict(rows)
+    # Paper constants survive verbatim.
+    assert values["doc id bytes"] == 2
+    assert values["pointer bytes"] == 4
+    assert values["packet bytes"] == 128
+    assert values["P (wildcard/descendant prob.)"] == 0.1
+    # Collection facts are plausible for the Table 2 profile.
+    assert values["documents"] == context.scale.document_count
+    assert values["mean document bytes"] > 500
+    assert values["distinct label paths"] > 100
+
+
+def check_fig9a(rows, context) -> None:
+    """Index size vs N_Q: CI constant; PCI below CI and growing with load."""
+    ci, pci = _column(rows, 1), _column(rows, 2)
+    assert len(set(ci)) == 1, "CI is query-count independent"
+    assert all(p < c for p, c in zip(pci, ci)), "pruning must reduce size"
+    assert pci[-1] > pci[0], "PCI grows as the pending load grows"
+    # The paper's ~90% at the default load; generous band for seed noise.
+    default_ratio = pci[len(pci) // 2] / ci[0]
+    assert 0.3 < default_ratio < 1.0
+
+
+def check_fig9b(rows, context) -> None:
+    """Index size vs P: CI constant; PCI grows with P (more ``*``/``//``
+    keeps more of the index alive)."""
+    ci, pci = _column(rows, 1), _column(rows, 2)
+    assert len(set(ci)) == 1, "CI is independent of P"
+    assert all(p <= c for p, c in zip(pci, ci))
+    assert pci[-1] > pci[0], "PCI proportional to P"
+    # Monotone non-decreasing apart from small seed noise.
+    for previous, current in zip(pci, pci[1:]):
+        assert current >= previous * 0.95
+
+
+def check_fig9c(rows, context) -> None:
+    """Index size vs D_Q: PCI stays below CI.  The paper also reports both
+    *shrinking* with D_Q; our requested-document coverage saturates, so
+    that trend is recorded, not asserted (see EXPERIMENTS.md)."""
+    ci, pci = _column(rows, 1), _column(rows, 2)
+    assert all(p <= c for p, c in zip(pci, ci))
+    # At least 3% savings at every point ("PCI can save at least 3% of
+    # CI's size, in most, if not all, the cases").
+    assert all(p <= 0.97 * c for p, c in zip(pci, ci))
+
+
+def check_fig10(rows, context) -> None:
+    """The two-tier representation (first tier + one cycle's offset list)
+    is significantly smaller than the one-tier index at every load."""
+    for n_q, one_tier, two_tier, l_i, l_o, saving in rows:
+        assert two_tier < one_tier, f"two-tier must win at N_Q={n_q}"
+        assert two_tier == l_i + l_o
+        # "Significantly reduces": at least a quarter off, every point.
+        assert saving > 0.25, f"saving {saving:.2f} too small at N_Q={n_q}"
+    # Both layouts grow with load, the gap persists at scale.
+    one_tiers, two_tiers = _column(rows, 1), _column(rows, 2)
+    assert one_tiers[-1] > one_tiers[0]
+    assert two_tiers[-1] > two_tiers[0]
+
+
+def _two_tier_cheaper(rows) -> tuple:
+    """Figure 11's first observation: "two-tier scheme outperforms one-tier
+    scheme significantly" -- strictly below one-tier at every point."""
+    one, two = _column(rows, 1), _column(rows, 2)
+    for two_tier, one_tier in zip(two, one):
+        assert two_tier < one_tier, f"two-tier {two_tier} not below one-tier {one_tier}"
+    return one, two
+
+
+def check_fig11a(rows, context) -> None:
+    one, two = _two_tier_cheaper(rows)
+    # One-tier pays the per-cycle search on a load-growing index.
+    assert one[-1] > one[0]
+    # Stability ("much more stable"): two-tier varies far less than one-tier.
+    assert _relative_spread(two) < _relative_spread(one)
+
+
+def check_fig11b(rows, context) -> None:
+    one, two = _two_tier_cheaper(rows)
+    assert one[-1] > one[0]  # wider queries -> bigger walks, every cycle
+    assert _relative_spread(two) < _relative_spread(one)
+
+
+def check_fig11c(rows, context) -> None:
+    one, two = _two_tier_cheaper(rows)
+    # D_Q moves both series little; two-tier must stay the stabler one
+    # (or both are already essentially flat).
+    assert _relative_spread(two) < max(_relative_spread(one), 0.15)
+
+
+def check_headline_ratios(rows, context) -> None:
+    """Paper: per-document embedded indexes ~10% of the data, the CI
+    ~1.5%, the final two-tier index 0.1%-0.5%.  Our synthetic collection
+    is structurally denser (more distinct paths per byte), so the shape
+    is the *ordering* and the order-of-magnitude gaps between schemes."""
+    ratios = {row[0]: row[2] for row in rows}
+    perdoc = ratios["per-document baseline"]
+    ci = ratios["CI (one-tier)"]
+    pci = ratios["PCI (one-tier)"]
+    two_tier = ratios["two-tier (L_I + L_O)"]
+    # Strict ordering of the schemes.
+    assert perdoc > ci > two_tier
+    assert pci <= ci
+    # Order-of-magnitude gaps: embedded indexes vs the compact index, and
+    # the one-tier CI vs the final two-tier structure.
+    assert perdoc / ci > 3
+    assert ci / two_tier > 2.5
+    # The final index stays a small fraction of the data.
+    assert two_tier < 2.0  # percent
+
+
+def check_cycles_per_query(rows, context) -> None:
+    """Section 4.2(3): "each client has to listen to 11.8 broadcast cycles
+    to complete one query".  The reproduced shape is the regime: on the
+    order of ten cycles, not one or two, not hundreds -- which is what
+    makes reading the index once matter."""
+    values = dict(rows)
+    mean_cycles = values["mean cycles listened"]
+    assert values["run drained completely"] == 1
+    assert 4 <= mean_cycles <= 40, mean_cycles
+    # Multi-cycle sessions are the paper's operating regime.
+    assert mean_cycles >= 2
+
+
+# ----------------------------------------------------------------------
+# Swept extensions (registered in repro.experiments.extensions)
+# ----------------------------------------------------------------------
+
+
+def check_ext_energy(rows, context) -> None:
+    totals = {row[0]: row[3] for row in rows}
+    actives = {row[0]: row[1] for row in rows}
+    # The motivating ordering: no index > one-tier > two-tier, on both the
+    # active term and the total.
+    assert actives["naive"] > actives["one-tier"] > actives["two-tier"]
+    assert totals["naive"] > totals["one-tier"] > totals["two-tier"]
+    # Document downloads dominate: the index can only shave the active
+    # term, never make it vanish.
+    assert actives["two-tier"] > 0.25 * actives["one-tier"]
+
+
+def check_loss(rows, context) -> None:
+    """Error-prone channel: a lost first-tier packet costs a retry cycle,
+    a lost offset list blinds one cycle, a lost document frame costs a
+    rebroadcast.  A document spans dozens of frames, so sub-percent
+    per-packet loss already dominates through document erasures."""
+    # Every rate in this regime drains.
+    assert all(row[1] == 1 for row in rows)
+    # Losses can only lengthen sessions and increase listening.
+    cycles, tuning = _column(rows, 2), _column(rows, 4)
+    assert cycles == sorted(cycles)
+    assert tuning[-1] > tuning[0]
+    # Graceful degradation: half a percent of packet loss costs well
+    # under a 10x blowup in cycles.
+    assert cycles[-1] < cycles[0] * 10
+
+
+def check_skew(rows, context) -> None:
+    """Zipf source-document popularity (the paper's future work)
+    concentrates requests on fewer documents and paths."""
+    uniform, heaviest = rows[0], rows[-1]
+    # Heavy skew must not inflate the index: fewer distinct requested
+    # paths can only shrink (or hold) the PCI.
+    assert heaviest[1] <= uniform[1] * 1.05
+    # And the broadcast should not get slower to drain.
+    assert heaviest[4] <= uniform[4] * 1.5
+
+
+# ----------------------------------------------------------------------
+# Ablations and baselines
+# ----------------------------------------------------------------------
+
+
+def ablation_annotation(context: ExperimentContext) -> FigureResult:
+    """Maximal annotations with re-attachment (our default) vs the literal
+    Figure 6 containment sets (DESIGN.md 7.1): both are query-transparent;
+    this measures what each costs on air and per lookup, at every load."""
+    rows = []
+    for n_q in context.scale.n_q_sweep:
+        pending = context.pending_index(n_q)
+        pci_c, stats_c = prune_to_pci_containment(pending.ci, pending.queries)
+
+        def mean_lookup_packets(pci):
+            packed = pack_index(pci, one_tier=False)
+            return _mean(
+                len(packed.packets_for_nodes(pci.lookup(q).visited_node_ids))
+                for q in pending.queries[:40]
+            )
+
+        # CI, maximal PCI and containment PCI bytes, then packets per lookup
+        stats = pending.stats
+        rows.append((n_q, stats.bytes_before, stats.bytes_after, stats_c.bytes_after,
+                     mean_lookup_packets(pending.pci), mean_lookup_packets(pci_c)))
+    return FigureResult(
+        "Ablation", "PCI annotation scheme", "N_Q",
+        ("N_Q", "CI bytes", "maximal PCI B", "containment PCI B",
+         "maximal pkts/lookup", "containment pkts/lookup"),
+        rows, "maximal = deduplicating default; containment = literal Figure 6.",
+    )
+
+
+def check_annotation(rows, context) -> None:
+    for n_q, ci, maximal, _containment, _mp, _cp in rows:
+        # The default never exceeds the CI -- the paper's headline --
+        # at ANY load.  (The containment layout has no such guarantee:
+        # at paper scale with N_Q >= 500 it overshoots the CI itself.)
+        assert maximal <= ci, f"maximal PCI above CI at N_Q={n_q}"
+    # The crossover: at light load the two layouts are comparable (the
+    # containment lists are short), at heavy load duplication makes the
+    # containment layout strictly worse.
+    lightest, heaviest = rows[0], rows[-1]
+    assert lightest[3] <= lightest[2] * 1.15
+    assert heaviest[3] > heaviest[2]
+    # The containment layout's duplication also grows faster with load.
+    maximal_growth = heaviest[2] / lightest[2]
+    containment_growth = heaviest[3] / lightest[3]
+    assert containment_growth > maximal_growth
+
+
+def ablation_packing(context: ExperimentContext) -> FigureResult:
+    """Section 3.1's greedy depth-first packing vs breadth-first and one
+    node per packet: total packets on air, packets touched per lookup."""
+    pending = context.pending_index()
+    lookups = [pending.pci.lookup(query) for query in pending.queries[:60]]
+    rows = []
+    for strategy in PackingStrategy:
+        packed = pack_index(pending.pci, one_tier=False, strategy=strategy)
+        touched = _mean(
+            len(packed.packets_for_nodes(x.visited_node_ids)) for x in lookups
+        )
+        rows.append((strategy.value, packed.packet_count, touched, packed.utilisation))
+    return FigureResult(
+        "Ablation", "packet packing strategies", "strategy",
+        ("strategy", "total packets", "mean packets/lookup", "utilisation"),
+        rows, "First-tier PCI at the default load; 60 sampled query lookups.",
+    )
+
+
+def check_packing(rows, context) -> None:
+    by_strategy = {row[0]: row[1:] for row in rows}
+    greedy = by_strategy[PackingStrategy.GREEDY_DFS.value]
+    bfs = by_strategy[PackingStrategy.BFS.value]
+    naive = by_strategy[PackingStrategy.ONE_PER_PACKET.value]
+    # Greedy DFS never uses more packets than one-per-packet and achieves
+    # the best (or tied) per-lookup cost of the dense layouts.
+    assert greedy[0] <= naive[0]
+    assert greedy[1] <= naive[1]
+    assert greedy[0] <= bfs[0] * 1.05
+    # Dense layouts beat the naive one on utilisation.
+    assert greedy[2] > naive[2]
+
+
+def ablation_packet_size(context: ExperimentContext) -> FigureResult:
+    """The paper fixes 128-byte packets; tuning is paid per packet, so the
+    frame size trades rounding waste against read granularity."""
+    rows = []
+    for packet_bytes in (64, 128, 256, 512):
+        config = context.base_config(size_model=SizeModel(packet_bytes=packet_bytes))
+        result = context.run_simulation(config)
+        lookup = result.mean_index_lookup_bytes
+        rows.append((packet_bytes, lookup("two-tier"), lookup("one-tier"),
+                     result.mean_cycles_listened("two-tier")))
+    return FigureResult(
+        "Ablation", "packet size", "packet bytes",
+        ("packet bytes", "two-tier lookup B", "one-tier lookup B", "mean cycles"),
+        rows, "The paper's setting is 128 bytes.",
+    )
+
+
+def check_packet_size(rows, context) -> None:
+    # Two-tier wins at every frame size -- the protocol advantage is not
+    # an artifact of the paper's 128-byte choice.
+    for packet_bytes, two, one, _cycles in rows:
+        assert two < one, f"two-tier lost at packet={packet_bytes}"
+    # Coarser frames cannot make lookups cheaper: reading granularity only
+    # grows with the frame.
+    lookups = _column(rows, 1)
+    assert lookups[-1] >= lookups[0]
+
+
+def ablation_first_tier_read(context: ExperimentContext) -> FigureResult:
+    """Equation 1 charges the whole first tier (L_I); Section 3.1's packing
+    enables a *selective* read of only the packets the query's walk needs."""
+    rows = []
+    for mode in (FirstTierRead.SELECTIVE, FirstTierRead.FULL):
+        lookup = Simulation(
+            context.base_config(), documents=context.documents, first_tier_read=mode
+        ).run().mean_index_lookup_bytes
+        rows.append((mode.value, lookup("two-tier"), lookup("one-tier")))
+    return FigureResult(
+        "Ablation", "first-tier read discipline", "mode",
+        ("mode", "two-tier lookup B", "one-tier lookup B"),
+        rows, "FULL is the literal Equation-1 L_I charge; SELECTIVE uses packing.",
+    )
+
+
+def check_first_tier_read(rows, context) -> None:
+    by_mode = {row[0]: row for row in rows}
+    selective, full = by_mode["selective"], by_mode["full"]
+    # Selective reading can only help, and two-tier wins either way.
+    assert selective[1] <= full[1]
+    assert selective[1] < selective[2]
+    assert full[1] < full[2]
+
+
+def ablation_offset_read(context: ExperimentContext) -> FigureResult:
+    """Equation 1 charges the whole L_O per cycle; the offset list is
+    sorted by document id, so a client can binary-search just the packets
+    holding its own entries.  Delivery must not change."""
+    queries = context.queries()
+
+    def run(offset_read):
+        server = BroadcastServer(
+            context.store, cycle_data_capacity=context.scale.cycle_data_capacity
+        )
+        clients = [TwoTierClient(q, 0, offset_read=offset_read) for q in queries[:40]]
+        for query in queries:
+            server.submit(query, 0)
+        for _ in range(200):
+            cycle = server.build_cycle()
+            if cycle is None:
+                break
+            for client in clients:
+                client.on_cycle(cycle)
+        assert all(client.satisfied for client in clients)
+        return (
+            _mean(c.metrics.offset_bytes for c in clients),
+            _mean(c.metrics.index_lookup_bytes for c in clients),
+            {frozenset(c.received_doc_ids) for c in clients},
+        )
+
+    full_offsets, full_lookup, full_docs = run(OffsetRead.FULL)
+    sel_offsets, sel_lookup, sel_docs = run(OffsetRead.SELECTIVE)
+    assert full_docs == sel_docs  # delivery is identical
+    return FigureResult(
+        "Ablation", "second-tier read discipline", "mode",
+        ("mode", "mean offset bytes", "mean index-lookup bytes"),
+        [("full (Eq. 1)", full_offsets, full_lookup),
+         ("selective", sel_offsets, sel_lookup)],
+        "Selective = binary-searched packets of the sorted offset list.",
+    )
+
+
+def check_offset_read(rows, context) -> None:
+    full, selective = rows
+    assert selective[1] <= full[1]
+    assert selective[2] <= full[2]
+
+
+def ablation_scheduler(context: ExperimentContext) -> FigureResult:
+    """The paper fixes the Lee-Lo scheduler [8]; this prices the choice
+    against FCFS, most-requested-first and RxW."""
+    rows = []
+    for name in scheduler_names():
+        result = context.run_simulation(context.base_config(scheduler=name))
+        rows.append((name, result.mean_cycles_listened("two-tier"),
+                     result.mean_access_bytes("two-tier"), len(result.cycles),
+                     int(result.completed)))
+    return FigureResult(
+        "Ablation", "document schedulers", "scheduler",
+        ("scheduler", "mean cycles/query", "mean access bytes", "cycles run",
+         "drained"),
+        rows, "Same workload and capacity; only the per-cycle document pick varies.",
+    )
+
+
+def check_scheduler(rows, context) -> None:
+    by_name = {row[0]: row for row in rows}
+    # Every scheduler must drain the workload.
+    assert all(row[4] == 1 for row in rows)
+    # The completion-oriented scheduler is competitive with the best
+    # baseline on cycles-per-query (within 25%).
+    best_cycles = min(_column(rows, 1))
+    assert by_name["leelo"][1] <= best_cycles * 1.25
+
+
+def baseline_signature(context: ExperimentContext) -> FigureResult:
+    """Section 3.1: "Unlike conventional signature indexes, DataGuides is
+    accurate."  Signature tables of several widths vs the two-tier PCI, on
+    size, candidate precision and the downloads false drops waste."""
+    pending = context.pending_index()
+    air = {doc.doc_id: context.store.air_bytes(doc.doc_id) for doc in context.documents}
+    sample = list(enumerate(pending.queries))[:80]
+    rows = []
+    for bits in (128, 256, 512, 1024):
+        index = SignatureIndex(context.documents, SignatureConfig(signature_bits=bits))
+        precisions, wasted, sound = [], 0, True
+        for query_id, query in sample:
+            truth = frozenset(pending.filtered.docs_per_query[query_id])
+            accuracy = index.accuracy(query, truth)
+            precisions.append(accuracy.precision)
+            sound = sound and accuracy.is_sound
+            wasted += sum(air[doc_id] for doc_id in index.candidates(query) - truth)
+        rows.append((f"signature-{bits}b", index.table_bytes, _mean(precisions),
+                     wasted / len(sample), int(sound)))
+    # DataGuides are accurate: no false drops, ever.
+    rows.append(("two-tier PCI", pending.pci.size_bytes(one_tier=False), 1.0, 0.0, 1))
+    return FigureResult(
+        "Baseline", "signature index vs two-tier DataGuide index", "scheme",
+        ("scheme", "index bytes", "mean precision", "wasted dl B/query", "sound"),
+        rows,
+        "Signatures are sound (no false negatives) but imprecise: false drops "
+        "cost wasted document downloads the accurate DataGuide index never pays.",
+    )
+
+
+def check_signature(rows, context) -> None:
+    by_scheme = {row[0]: row for row in rows}
+    two_tier = by_scheme["two-tier PCI"]
+    # Every scheme is sound; only the DataGuide index is exact.
+    assert all(row[4] == 1 for row in rows)
+    assert two_tier[2] == 1.0 and two_tier[3] == 0.0
+    # Precision improves with signature width...
+    precisions = _column(rows[:-1], 2)
+    assert precisions == sorted(precisions)
+    # ...but even the widest signature wastes downloads the PCI avoids,
+    # and matching PCI exactness would need ever-larger tables.
+    assert by_scheme["signature-1024b"][3] >= 0.0
+    assert by_scheme["signature-128b"][3] > 0.0
+
+
+def model_validation(context: ExperimentContext) -> FigureResult:
+    """Equation (1), ``TT = L_I + n * L_O + download``, and the
+    cycles-to-drain closed form against full simulations across N_Q."""
+    rows = []
+    for n_q in context.scale.n_q_sweep:
+        config = context.base_config(n_q=n_q)
+        check = validate_against_simulation(
+            context.run_simulation(config), config.cycle_data_capacity
+        )
+        rows.append((n_q, check.predicted.cycles, check.measured_cycles,
+                     check.predicted.two_tier_lookup, check.measured_two_tier,
+                     check.max_error))
+    return FigureResult(
+        "", "Analytical model vs simulation (Equation 1 at scale)", "N_Q",
+        ("N_Q", "pred cycles", "meas cycles", "pred 2-tier B", "meas 2-tier B",
+         "max rel err"),
+        rows, "Model: n = ceil(requested air bytes / capacity); TT per Eq. (1).",
+    )
+
+
+def check_model_validation(rows, context) -> None:
+    # The closed forms must track the simulator at every load level.
+    assert all(row[5] < 0.35 for row in rows), rows
+    # And the mean error should be distinctly tighter.
+    assert _mean(_column(rows, 5)) < 0.25
+
+
+def substrate_scaling(context: ExperimentContext) -> FigureResult:
+    """The server re-filters, re-indexes and re-prunes every cycle, so that
+    pipeline's growth bounds how large a collection one server can index.
+    Measured cold at 1x / 2x / 4x the collection; the only table that
+    records seconds."""
+    base = context.base_config()
+    rows = []
+    for factor in (1, 2, 4):
+        config = base.with_(document_count=base.document_count * factor)
+        documents = build_collection(config)
+        generator = QueryGenerator(documents, QueryWorkloadConfig())
+        queries = generator.generate_many(context.scale.n_q_default)
+        store = DocumentStore(documents)
+        started = time.perf_counter()
+        pack_index(PendingIndex.build(store, queries).pci, one_tier=False)
+        rows.append((factor, len(documents), round(time.perf_counter() - started, 3)))
+    return FigureResult(
+        "", "Per-cycle pipeline cost vs collection size", "scale factor",
+        ("scale factor", "documents", "filter+CI+PCI+pack seconds"),
+        rows, "One full server-side cycle preparation, cold caches.",
+    )
+
+
+def check_substrate_scaling(rows, context) -> None:
+    # Sub-quadratic: the structures are trie-shaped, so 4x the documents
+    # must cost well under 16x the time.
+    t1, t4 = rows[0][2], rows[2][2]
+    assert t4 < max(t1, 0.01) * 12, rows
+
+
+TABLES = [
+    Table("table2", ALL_FIGURES["table2"], check_table2),
+    Table("fig9a", ALL_FIGURES["fig9a"], check_fig9a),
+    Table("fig9b", ALL_FIGURES["fig9b"], check_fig9b),
+    Table("fig9c", ALL_FIGURES["fig9c"], check_fig9c),
+    Table("fig10", ALL_FIGURES["fig10"], check_fig10),
+    Table("fig11a", ALL_FIGURES["fig11a"], check_fig11a),
+    Table("fig11b", ALL_FIGURES["fig11b"], check_fig11b),
+    Table("fig11c", ALL_FIGURES["fig11c"], check_fig11c),
+    Table("headlineratios", ALL_FIGURES["headline_ratios"], check_headline_ratios),
+    Table("cyclesperquery", ALL_FIGURES["cycles_per_query"], check_cycles_per_query),
+    Table("extd", ALL_FIGURES["ext_energy"], check_ext_energy),
+    Table("ablation_loss", ALL_FIGURES["ext_loss"], check_loss),
+    Table("ablation_skew", ALL_FIGURES["ext_skew"], check_skew),
+    Table("ablation_annotation", ablation_annotation, check_annotation),
+    Table("ablation_packing", ablation_packing, check_packing),
+    Table("ablation_packet_size", ablation_packet_size, check_packet_size),
+    Table("ablation_first_tier_read", ablation_first_tier_read, check_first_tier_read),
+    Table("ablation_offset_read", ablation_offset_read, check_offset_read),
+    Table("ablation_scheduler", ablation_scheduler, check_scheduler),
+    Table("baseline_signature", baseline_signature, check_signature),
+    Table("model_validation", model_validation, check_model_validation),
+    Table("substrate_scaling", substrate_scaling, check_substrate_scaling),
+]
+
+
+@pytest.mark.parametrize("table", TABLES, ids=[table.name for table in TABLES])
+def test_table(table: Table, benchmark, context, record_figure):
+    figure = benchmark.pedantic(table.build, args=(context,), rounds=1, iterations=1)
+    record_figure(figure, table.name)
+    table.check(figure.rows, context)

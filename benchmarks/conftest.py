@@ -1,9 +1,10 @@
 """Shared fixtures for the benchmark harness.
 
-Each benchmark regenerates one paper table/figure (or an ablation),
-asserts the reproduced *shape* (orderings, monotonicity, stability) and
-records the rendered table under ``benchmarks/results/`` so a run leaves
-diffable artifacts behind.
+``bench_tables.py`` regenerates every paper table, extension and
+ablation, asserts its reproduced *shape* (orderings, monotonicity,
+stability) and records the rendered table under ``benchmarks/results/``
+so a run leaves diffable artifacts behind; the other ``bench_*.py``
+files hold gates.
 
 Scale: ``bench`` by default (2.5x below the paper's Table 2, finishes in
 seconds per figure).  Set ``REPRO_BENCH_SCALE=paper`` for the full-scale
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+from typing import Optional
 
 import pytest
 
@@ -34,12 +36,14 @@ def context() -> ExperimentContext:
 
 @pytest.fixture(scope="session")
 def record_figure():
-    """Write a reproduced figure's table to benchmarks/results/<id>.txt."""
+    """Write a reproduced figure's table to benchmarks/results/<name>.txt
+    (default name: the figure id, lower-cased, spaces and punctuation
+    dropped)."""
     RESULTS_DIR.mkdir(exist_ok=True)
 
-    def _record(figure: FigureResult) -> str:
+    def _record(figure: FigureResult, name: Optional[str] = None) -> str:
         text = figure.as_text()
-        slug = (
+        slug = name or (
             figure.figure_id.lower()
             .replace(" ", "")
             .replace("(", "")
@@ -52,15 +56,3 @@ def record_figure():
         return text
 
     return _record
-
-
-def assert_strictly_cheaper(two_tier_values, one_tier_values) -> None:
-    """Two-tier must beat one-tier at every sweep point."""
-    for two, one in zip(two_tier_values, one_tier_values):
-        assert two < one, f"two-tier {two} not below one-tier {one}"
-
-
-def relative_spread(values) -> float:
-    """(max - min) / mean -- the figure-11 stability measure."""
-    mean = sum(values) / len(values)
-    return (max(values) - min(values)) / mean if mean else 0.0

@@ -4,16 +4,15 @@ Thin wrapper over :mod:`repro.net.loadgen`: build a deterministic
 session plan from the same seeded collection the server runs, then
 drive ``host:port`` open-loop and print the latency/throughput report.
 
-Usage (against ``python -m repro serve --workers 4 --redirect ...``):
+Usage (against ``python -m repro serve --workers 4 ...``):
 
     python benchmarks/loadgen.py --port 40123 --sessions 200 \\
         --rate 50 --granularity 4 --num-workers 4
 
 ``--rate`` paces arrivals as a Poisson process (sessions/sec); omit it
 to flood every session at t=0 (the throughput mode the scale bench
-uses).  ``--num-workers`` pins each session's shard so a redirect-mode
-front door answers ``MOVED`` and the session reconnects straight to its
-worker; omit it against a single daemon or a proxying front door.
+uses).  ``--num-workers`` pins each session's shard, so the front door
+splices it to its planned worker; omit it against a single daemon.
 
 The file is named ``loadgen.py`` (not ``bench_*``/``test_*``) on
 purpose: it is an operator tool, not a collected benchmark.
@@ -55,8 +54,8 @@ def main(argv=None) -> int:
         "--num-workers",
         type=int,
         default=None,
-        help="pin sessions to their shard of an N-worker cluster "
-        "(redirect-mode front doors need this); default: unpinned",
+        help="pin sessions to their shard of an N-worker cluster; "
+        "default: unpinned",
     )
     parser.add_argument("--dtd", choices=("nitf", "nasa", "dblp"), default="nitf")
     parser.add_argument("--count", type=int, default=100, help="documents")

@@ -1,18 +1,17 @@
-"""Legacy setup shim.
+"""Setup shim for offline editable installs.
 
-This offline environment lacks the ``wheel`` package, so PEP 660 editable
-installs (``pip install -e .`` with build isolation) cannot build the
-editable wheel.  ``python setup.py develop`` (or ``pip install -e .
---no-build-isolation`` on newer setuptools) uses this shim instead.
-All real metadata lives in ``pyproject.toml``.
+Every piece of metadata is declared once, in ``pyproject.toml``, and
+setuptools reads it from there.  This file exists for environments
+without the ``wheel`` package, where ``pip install --no-index -e .
+--no-build-isolation`` cannot build the PEP 660 editable wheel and fails
+with ``invalid command 'bdist_wheel'`` (setuptools 65).  There the one
+editable install that works offline is::
+
+    python setup.py develop
+
+which needs this file.  Delete it once ``wheel`` can be assumed.
 """
 
-from setuptools import find_packages, setup
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.0.0",
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.10",
-)
+setup()

@@ -553,7 +553,6 @@ def _serve_cluster(args) -> int:
                 host=args.host,
                 port=args.port,
                 max_sessions=args.max_sessions,
-                redirect=args.redirect,
                 metrics_port=args.metrics_port,
             ),
         )
@@ -571,8 +570,7 @@ def _serve_cluster(args) -> int:
         loop.add_signal_handler(signal.SIGTERM, stop.set)
         print(
             f"cluster: front door on {args.host}:{router.port} "
-            f"({'redirect' if args.redirect else 'proxy'} mode, "
-            f"metrics_port={router.metrics_port})",
+            f"(metrics_port={router.metrics_port})",
             file=sys.stderr,
         )
         _write_port_files(args, router.port, router.metrics_port)
@@ -796,12 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sessions get RETRY_AFTER (needs --workers)",
     )
     serve.add_argument(
-        "--redirect",
-        action="store_true",
-        help="front door answers MOVED <shard> <host> <port> instead of "
-        "proxying, keeping it out of the data plane (needs --workers)",
-    )
-    serve.add_argument(
         "--log-level",
         choices=("debug", "info", "warning", "error"),
         default="info",
@@ -869,8 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard",
         type=int,
         default=None,
-        help="pin the session to this cluster shard (SHARD= on the wire; "
-        "a front-door MOVED redirect is followed to the owning worker)",
+        help="pin the session to this cluster shard (SHARD= on the wire)",
     )
     client.add_argument(
         "--resume",

@@ -2,10 +2,10 @@
 
 Two experiment primitives cover every figure:
 
-* :meth:`ExperimentContext.index_size_point` -- the *static* sizing
-  experiment behind Figures 9 and 10: draw N_Q queries, filter the
-  collection, build the CI over the requested documents, prune to the
-  PCI, and size one-tier / first-tier / second-tier layouts;
+* :meth:`ExperimentContext.pending_index` -- draw N_Q queries, filter
+  the collection, build the CI over the requested documents and prune
+  it to the PCI; the *static* sizing behind Figures 9 and 10
+  (:meth:`~ExperimentContext.index_size_point`) sizes its tiers;
 * :meth:`ExperimentContext.tuning_point` -- the *dynamic* experiment
   behind Figure 11 and the cycles-per-query statistic: a full broadcast
   simulation accounting both client protocols on the same schedule.
@@ -23,15 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.broadcast.server import DocumentStore
-from repro.filtering.yfilter import YFilterEngine
-from repro.index.ci import build_ci
-from repro.index.pruning import prune_to_pci
-from repro.index.sizes import SizeModel, PAPER_SIZE_MODEL
+from repro.broadcast.server import DocumentStore, build_ci_from_store
+from repro.filtering.yfilter import FilterResult, YFilterEngine
+from repro.index.ci import CompactIndex
+from repro.index.pruning import PruningStats, prune_to_pci
+from repro.index.sizes import PAPER_SIZE_MODEL
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
 from repro.sim.simulation import Simulation, build_collection
 from repro.xmlkit.model import XMLDocument
+from repro.xpath.ast import XPathQuery
 from repro.xpath.generator import QueryGenerator, QueryWorkloadConfig
 
 
@@ -72,6 +73,28 @@ BENCH_SCALE = Scale(
 )
 
 SCALES: Dict[str, Scale] = {scale.name: scale for scale in (PAPER_SCALE, BENCH_SCALE)}
+
+
+@dataclass(frozen=True)
+class PendingIndex:
+    """One pending load as the server indexes it: queries -> requested
+    documents -> CI -> PCI."""
+
+    queries: List[XPathQuery]
+    filtered: FilterResult
+    ci: CompactIndex
+    pci: CompactIndex
+    stats: PruningStats
+
+    @classmethod
+    def build(cls, store: DocumentStore, queries: List[XPathQuery]) -> "PendingIndex":
+        """Filter *store* through *queries*, index what they request, prune."""
+        filtered = YFilterEngine.from_queries(queries).filter_collection(
+            store.documents
+        )
+        ci = build_ci_from_store(store, filtered.requested_doc_ids)
+        pci, stats = prune_to_pci(ci, queries)
+        return cls(queries, filtered, ci, pci, stats)
 
 
 @dataclass(frozen=True)
@@ -134,7 +157,8 @@ class TuningPoint:
 
 @dataclass
 class FigureResult:
-    """One reproduced figure: id, axis, rows and the note to print."""
+    """One reproduced figure: id, axis, rows and the note to print (an
+    empty id prints the title alone)."""
 
     figure_id: str
     title: str
@@ -146,9 +170,8 @@ class FigureResult:
     def as_text(self) -> str:
         from repro.experiments.report import format_table
 
-        return format_table(
-            f"{self.figure_id}: {self.title}", self.headers, self.rows, self.note
-        )
+        heading = f"{self.figure_id}: {self.title}" if self.figure_id else self.title
+        return format_table(heading, self.headers, self.rows, self.note)
 
 
 class ExperimentContext:
@@ -198,44 +221,42 @@ class ExperimentContext:
     # Experiment primitives
     # ------------------------------------------------------------------
 
+    def queries(
+        self, n_q: Optional[int] = None, p: float = 0.1, d_q: int = 10
+    ) -> List[XPathQuery]:
+        """N_Q pending queries drawn from the collection (Table 2's P, D_Q)."""
+        n_q = n_q if n_q is not None else self.scale.n_q_default
+        return QueryGenerator(
+            self.documents,
+            QueryWorkloadConfig(wildcard_descendant_prob=p, max_depth=d_q),
+        ).generate_many(n_q)
+
+    def pending_index(
+        self, n_q: Optional[int] = None, p: float = 0.1, d_q: int = 10
+    ) -> PendingIndex:
+        """The server's index for :meth:`queries`."""
+        return PendingIndex.build(self.store, self.queries(n_q, p, d_q))
+
     def index_size_point(
-        self,
-        n_q: Optional[int] = None,
-        p: float = 0.1,
-        d_q: int = 10,
-        query_seed: int = 11,
+        self, n_q: Optional[int] = None, p: float = 0.1, d_q: int = 10
     ) -> IndexSizePoint:
         """Static sizing: N_Q pending queries -> CI -> PCI -> tiers."""
-        n_q = n_q if n_q is not None else self.scale.n_q_default
-        documents = self.documents
-        queries = QueryGenerator(
-            documents,
-            QueryWorkloadConfig(
-                seed=query_seed, wildcard_descendant_prob=p, max_depth=d_q
-            ),
-        ).generate_many(n_q)
-        engine = YFilterEngine.from_queries(queries)
-        filter_result = engine.filter_collection(documents)
-        requested = filter_result.requested_doc_ids
-        ci = build_ci(documents, requested)
-        pci, stats = prune_to_pci(ci, queries)
-
-        model: SizeModel = PAPER_SIZE_MODEL
-        docs_per_cycle = self._mean_docs_per_cycle()
+        pending = self.pending_index(n_q, p, d_q)
+        stats, per_query = pending.stats, pending.filtered.docs_per_query
         return IndexSizePoint(
-            n_q=n_q,
+            n_q=len(pending.queries),
             p=p,
             d_q=d_q,
-            requested_docs=len(requested),
-            mean_result_docs=(
-                sum(len(v) for v in filter_result.docs_per_query.values()) / n_q
-            ),
+            requested_docs=len(pending.filtered.requested_doc_ids),
+            mean_result_docs=sum(map(len, per_query.values())) / len(pending.queries),
             ci_nodes=stats.nodes_before,
             pci_nodes=stats.nodes_after,
             ci_bytes=stats.bytes_before,
             pci_bytes=stats.bytes_after,
-            pci_first_tier_bytes=pci.size_bytes(one_tier=False),
-            offset_list_bytes=model.offset_list_bytes(docs_per_cycle),
+            pci_first_tier_bytes=pending.pci.size_bytes(one_tier=False),
+            offset_list_bytes=PAPER_SIZE_MODEL.offset_list_bytes(
+                self._mean_docs_per_cycle()
+            ),
             collection_bytes=self.collection_bytes,
         )
 

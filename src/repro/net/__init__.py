@@ -30,9 +30,9 @@ The tier scales out horizontally via :mod:`repro.net.cluster`: a
 :class:`~repro.net.cluster.ClusterRouter` front door partitions the
 collection across N unchanged worker daemons by a deterministic
 :class:`~repro.broadcast.partition.PartitionMap` (advertised in every
-``CYCLE_BEGIN`` header so clients verify placement), steering sessions
-by proxy splice or ``MOVED`` redirect and applying cluster-wide
-admission through the existing ``RETRY_AFTER`` reply.
+``CYCLE_BEGIN`` header so clients verify placement), splicing each
+session to its owning worker and applying cluster-wide admission
+through the existing ``RETRY_AFTER`` reply.
 :mod:`repro.net.loadgen` drives any endpoint -- single daemon or
 cluster -- with a deterministic open-loop Poisson session schedule.
 

@@ -144,11 +144,6 @@ class AsyncTwoTierClient:
         self.query = parse_query(query)
         self.host = host
         self.port = port
-        #: where :meth:`run` starts every attempt (the front door) --
-        #: ``MOVED`` redirects mutate ``host``/``port``, and a restarted
-        #: worker may come back on a different port, so a resume must
-        #: re-enter through the original address
-        self._home = (host, port)
         #: scripted arrival byte-time (replay); ``None`` = daemon stamps it
         self.arrival_time = arrival_time
         self.first_tier_read = first_tier_read
@@ -159,8 +154,7 @@ class AsyncTwoTierClient:
         self.trace_id: Optional[str] = None
         self._timeline: Optional[uplink.Timeline] = None
         #: pin the session to one cluster shard: TUNE/SUBMIT carry
-        #: ``SHARD=<i>``, a router ``MOVED`` redirect is followed to the
-        #: owning worker, and every decoded cycle's documents are
+        #: ``SHARD=<i>``, and every decoded cycle's documents are
         #: verified against the shard's partition map.  ``None`` = the
         #: unchanged single-daemon client.
         self.shard = shard
@@ -169,7 +163,6 @@ class AsyncTwoTierClient:
         self.cluster: Optional[Dict] = None
         self._partition: Optional[PartitionMap] = None
         self._placed: Set[int] = set()
-        self._moved_hops = 0
         #: reconnect-and-resubmit on dropped downlinks.  Requires a
         #: ``client_key``: resume correctness rests on the daemon's
         #: ``(client_key, query)`` uplink dedup making the resubmit
@@ -215,10 +208,9 @@ class AsyncTwoTierClient:
     async def tune(self) -> None:
         """Join the downlink and learn the daemon's channel model.
 
-        Against a cluster front door this is also the placement step: a
-        ``MOVED`` redirect is followed to the owning worker, and
-        ``RETRY_AFTER`` (cluster-wide admission) surfaces as
-        :class:`Backpressure` exactly like an overloaded SUBMIT.
+        Against a cluster front door ``RETRY_AFTER`` (cluster-wide
+        admission) surfaces as :class:`Backpressure` exactly like an
+        overloaded SUBMIT.
         """
         info = (
             await self._exchange(Command(Verb.TUNE, shard=self.shard), uplink.Tuned)
@@ -387,10 +379,6 @@ class AsyncTwoTierClient:
                 self.resumes += 1
                 await asyncio.sleep(delay)
                 delay = min(delay * 2, 1.0)
-            # A restarted worker can come back on a new port; always
-            # re-enter through the front door.
-            self.host, self.port = self._home
-            self._moved_hops = 0
             try:
                 await self.connect()
             except (ConnectionError, OSError) as exc:
@@ -450,29 +438,15 @@ class AsyncTwoTierClient:
         return self.protocol
 
     async def _exchange(self, command: Command, expect: Type[_R]) -> _R:
-        """Send *command* and return its *expect*-ed reply, following a
-        front door's ``MOVED`` redirects to the owning worker (its
-        out-of-data-plane routing) and re-sending there."""
-        while True:
-            reply = await self._command(command)
-            if isinstance(reply, expect):
-                return reply
-            if isinstance(reply, uplink.RetryAfter):
-                raise Backpressure(reply.hint)
-            if not isinstance(reply, uplink.Moved):
-                raise UplinkError(
-                    f"{command.verb.value} rejected: {uplink.format_reply(reply)!r}"
-                )
-            self._moved_hops += 1
-            if self._moved_hops > 4:
-                raise UplinkError("MOVED redirect loop")
-            if self.shard is not None and reply.shard != self.shard:
-                raise UplinkError(
-                    f"router moved shard-{self.shard} session to shard {reply.shard}"
-                )
-            await self.close()
-            self.host, self.port = reply.host, reply.port
-            await self.connect()
+        """Send *command* and return its *expect*-ed reply."""
+        reply = await self._command(command)
+        if isinstance(reply, expect):
+            return reply
+        if isinstance(reply, uplink.RetryAfter):
+            raise Backpressure(reply.hint)
+        raise UplinkError(
+            f"{command.verb.value} rejected: {uplink.format_reply(reply)!r}"
+        )
 
     def _check_cluster(self, cluster: Dict) -> None:
         """Pin the daemon's placement contract against the pinned shard.

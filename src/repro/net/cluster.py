@@ -18,16 +18,9 @@ router steers every uplink session to the owning shard:
   relabels the samples ``shard="i"`` and merges them with the router's
   own counters into one lint-clean exposition.
 
-Two routing modes:
-
-* **proxy** (default): the router opens a backend connection, forwards
-  the first command and then splices raw bytes both ways -- clients
-  need no cluster awareness at all;
-* **redirect** (``ClusterConfig.redirect=True``): the router answers
-  ``MOVED`` and the client reconnects straight to the worker it names,
-  keeping the router out of the data plane entirely (the scale
-  benchmark's mode -- downlink fan-out bytes never cross the router
-  twice).
+A routed session is spliced: the router opens a backend connection,
+forwards the first command and then copies raw bytes both ways, so
+clients need no cluster awareness at all.
 
 Cluster-wide admission rides the existing wire vocabulary: when the sum
 of pending queries across all shards reaches ``max_sessions``, the
@@ -148,10 +141,6 @@ class ClusterConfig:
     #: how stale (seconds) the cached cluster pending total may be
     #: before the admission gate re-polls the workers; 0 = always fresh
     admission_refresh: float = 0.25
-    #: answer routed commands with ``MOVED`` instead of proxying --
-    #: clients reconnect straight to the owning worker and the router
-    #: stays out of the data plane
-    redirect: bool = False
     #: serve an aggregated /metrics (+ /healthz) at the front door;
     #: ``None`` = no endpoint, 0 = ephemeral
     metrics_port: Optional[int] = None
@@ -186,7 +175,6 @@ class RouterStats:
     #: exported per shard, from ``routed_by_shard``
     routed_total: int = stat(status="routed")
     proxied_total: int = stat("router.sessions_proxied", status="proxied")
-    moved_total: int = stat("router.sessions_moved", status="moved")
     rejected_overload: int = stat("router.rejected_overload", status="rejected")
     #: routed commands answered RETRY_AFTER because their shard was
     #: DOWN or its backend connect failed after retries
@@ -228,8 +216,7 @@ class ClusterRouter:
         self.config = config if config is not None else ClusterConfig()
         self.clock: ClockAdapter = self.config.clock or MonotonicClock()
         self.stats = RouterStats(routed_by_shard=[0] * partition.num_shards)
-        #: live proxied sessions per shard (redirect mode routes away,
-        #: so only spliced sessions are tracked here)
+        #: live spliced sessions per shard
         self.active: List[int] = [0] * partition.num_shards
         #: per-shard failure-domain state the routing decisions read
         self.health: List[ShardHealth] = (
@@ -407,10 +394,6 @@ class ClusterRouter:
             return uplink.RetryAfter(_RETRY_AFTER_HINT)
         self.stats.routed_total += 1
         self.stats.routed_by_shard[shard] += 1
-        worker = self.workers[shard]
-        if self.config.redirect:
-            self.stats.moved_total += 1
-            return uplink.Moved(shard, worker.host, worker.port)
         return await self._splice(shard, command, reader, writer)
 
     async def _connect_worker(
@@ -446,8 +429,8 @@ class ClusterRouter:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> Optional[uplink.Reply]:
-        """Proxy mode: forward the routing command, then pump raw bytes
-        both ways until either side closes (or goes idle too long)."""
+        """Forward the routing command, then pump raw bytes both ways
+        until either side closes (or goes idle too long)."""
         pair = await self._connect_worker(shard)
         if pair is None:
             # Same vocabulary as overload: the client's Backpressure
@@ -543,7 +526,6 @@ class ClusterRouter:
             "router": {
                 **stat_status(self.stats),
                 "active_sessions": self.active_sessions,
-                "mode": "redirect" if self.config.redirect else "proxy",
             },
         }
 

@@ -239,10 +239,10 @@ async def run_load(
     """Execute *plan* open-loop against ``host:port``.
 
     ``num_workers`` set -> sessions pin ``SHARD=`` (the plan shard
-    collapsed onto the cluster size), so a redirect-mode front door
-    answers ``MOVED`` and the session reconnects straight to its
-    worker.  ``None`` -> unpinned sessions for a single daemon or a
-    proxying front door.  ``RETRY_AFTER`` backpressure is retried up to
+    collapsed onto the cluster size), so the front door splices each
+    session to its planned worker.  ``None`` -> unpinned sessions for a
+    single daemon, or spread by query text at a front door.
+    ``RETRY_AFTER`` backpressure is retried up to
     ``max_retries`` times with a fixed ``retry_delay``.
 
     A connection torn down mid-dialogue (reset, broken pipe, EOF in

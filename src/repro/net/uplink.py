@@ -17,8 +17,6 @@ frame, tokens separated by whitespace, verb case-insensitive::
     RECV [SHARD=<int>] <query_id> <cycle> <d1,d2,...|->        (no reply)
     STATUS                -> STATUS <json object>
     BYE                   -> BYE                    (the server then closes)
-    a redirecting front door answers SUBMIT/TUNE/RECV with
-                          -> MOVED <shard> <host> <port>
     pushed, unasked, to the connection whose SUBMIT carried TRACE=:
                           TRACE <id> <json object>
 
@@ -69,7 +67,6 @@ __all__ = [
     "Command",
     "Err",
     "MAX_LINE_CHARS",
-    "Moved",
     "Reply",
     "RetryAfter",
     "Status",
@@ -146,13 +143,6 @@ class Err:
 
 
 @dataclass(frozen=True)
-class Moved:
-    shard: int
-    host: str
-    port: int
-
-
-@dataclass(frozen=True)
 class Tuned:
     info: Dict
 
@@ -176,7 +166,7 @@ class Timeline:
     entry: Dict
 
 
-Reply = Union[Ack, RetryAfter, Err, Moved, Tuned, Status, Bye, Timeline]
+Reply = Union[Ack, RetryAfter, Err, Tuned, Status, Bye, Timeline]
 
 
 # --------------------------------------------------------------------------
@@ -265,10 +255,6 @@ def parse_reply(line: str) -> Reply:
         )
     if word == "RETRY_AFTER" and len(tokens) == 1:
         return RetryAfter(_int("RETRY_AFTER hint", tokens[0]), trace)
-    if word == "MOVED" and len(tokens) == 3:
-        return Moved(
-            _int("MOVED shard", tokens[0]), tokens[1], _int("MOVED port", tokens[2])
-        )
     if word == "BYE" and not tokens:
         return Bye()
     raise UplinkSyntaxError(f"malformed reply {line[:80]!r}")
@@ -285,8 +271,6 @@ def format_reply(reply: Reply) -> str:
         return head if reply.trace is None else f"{head} TRACE={reply.trace}"
     if isinstance(reply, Err):
         return f"ERR {reply.message}"
-    if isinstance(reply, Moved):
-        return f"MOVED {reply.shard} {reply.host} {reply.port}"
     if isinstance(reply, Tuned):
         return "TUNED " + json.dumps(reply.info)
     if isinstance(reply, Status):

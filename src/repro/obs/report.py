@@ -4,10 +4,10 @@ One :class:`PerfReport` can be built from two sources:
 
 * a finished :class:`~repro.sim.results.SimulationResult` whose run was
   observed (``obs.observed()``), via :func:`report_from_result`;
-* a saved JSONL trace (v1-v3), via :func:`report_from_trace` -- v2+
-  traces carry the metrics snapshot, v1 traces yield byte accounting
-  only, and v3 traces may add per-query wire latency breakdowns
-  (``query_trace`` records from :mod:`repro.obs.telemetry`).
+* a saved JSONL trace, via :func:`report_from_trace` -- a trace of an
+  observed run carries the metrics snapshot, and wire traces add
+  per-query latency breakdowns (``query_trace`` records from
+  :mod:`repro.obs.telemetry`).
 
 The report renders as fixed-width tables (``render()``) for humans and as
 JSON (``to_json()``) for the benchmark harness, which persists it as a
@@ -17,7 +17,7 @@ JSON (``to_json()``) for the benchmark harness, which persists it as a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments.report import format_table
 from repro.sim.results import SimulationResult
@@ -81,7 +81,7 @@ class PerfReport:
         else:
             parts.append(
                 "Phase timings unavailable: run with observability enabled "
-                "(`repro stats` without --trace) or use a v2+ trace."
+                "(`repro stats` without --trace) or use an observed run's trace."
             )
         channel_rows = [
             ("broadcast total", self.bytes.get("broadcast_total", 0)),
@@ -207,48 +207,27 @@ def _wire_latency_rows(records: List[Dict]) -> List[Dict[str, object]]:
 
 
 def report_from_trace(records: List[Dict]) -> PerfReport:
-    """Build the report from loaded trace records (v1-v3).
+    """Build the report from loaded trace records.
 
-    v2+ traces embed the run's metrics snapshot, giving the full phase
-    table; v1 traces fall back to byte accounting only; v3
-    ``query_trace`` records add the wire latency breakdown.
+    An observed run's metrics snapshot gives the phase table (a trace
+    without one yields byte accounting only); ``query_trace`` records
+    add the wire latency breakdown.
     """
     cycles = [r for r in records if r["kind"] == "cycle"]
     clients = [r for r in records if r["kind"] == "client"]
-    snapshot: Optional[Dict] = next(
-        (r["snapshot"] for r in records if r["kind"] == "metrics"), None
+    snapshot: Dict = next(
+        (r["snapshot"] for r in records if r["kind"] == "metrics"), {}
     )
-    phases: Dict[str, PhaseStats] = dict((snapshot or {}).get("spans", {}))
-    if not phases:
-        # v2 cycle records still carry per-cycle phase seconds even when
-        # the snapshot record is absent; aggregate those.
-        totals: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
-        for cycle in cycles:
-            for name, seconds in cycle.get("phase_seconds", {}).items():
-                key = f"server.{name}"
-                totals[key] = totals.get(key, 0.0) + seconds
-                counts[key] = counts.get(key, 0) + 1
-        phases = {
-            name: {
-                "count": counts[name],
-                "total_seconds": seconds,
-                "self_seconds": seconds,
-                "min_seconds": 0.0,
-                "max_seconds": 0.0,
-            }
-            for name, seconds in totals.items()
-        }
     broadcast_total = sum(c["total_bytes"] for c in cycles)
     data_total = sum(c["data_bytes"] for c in cycles)
     meta = records[0]
     client_rows = [
         (
             r["protocol"],
-            r.get("probe_bytes", 0),
-            r.get("index_bytes", 0),
-            r.get("offset_bytes", 0),
-            r.get("doc_bytes", 0),
+            r["probe_bytes"],
+            r["index_bytes"],
+            r["offset_bytes"],
+            r["doc_bytes"],
             r["index_lookup_bytes"],
             r["tuning_bytes"],
         )
@@ -258,14 +237,14 @@ def report_from_trace(records: List[Dict]) -> PerfReport:
         source="trace",
         cycles=len(cycles),
         clients=len(clients),
-        phases=phases,
+        phases=dict(snapshot.get("spans", {})),
         bytes={
             "broadcast_total": broadcast_total,
             "data_total": data_total,
             "index_total": broadcast_total - data_total,
-            "collection_bytes": meta.get("collection_bytes", 0),
+            "collection_bytes": meta["collection_bytes"],
             "clients": _client_byte_totals(client_rows),
         },
-        counters=dict((snapshot or {}).get("counters", {})),
+        counters=dict(snapshot.get("counters", {})),
         wire_latencies=_wire_latency_rows(records),
     )

@@ -5,27 +5,22 @@ broadcast cycle and one ``client`` record per completed session.  Traces
 make runs diffable, graphable with external tooling, and comparable
 across code versions without re-running the simulator.
 
-Format v2 (current) extends v1 with observability data:
+Format 3, the only one read or written:
 
-* ``cycle`` records gain ``phase_seconds`` -- wall-clock seconds per
-  server phase of that cycle's construction (present only for observed
-  runs, see :mod:`repro.obs`);
-* ``client`` records gain the byte breakdown (``probe_bytes``,
+* ``client`` records carry the byte breakdown (``probe_bytes``,
   ``index_bytes``, ``offset_bytes``, ``doc_bytes``);
-* an optional ``metrics`` record carries the run's full metrics-registry
-  snapshot (counters, gauges, histograms, span aggregates).
-
-Format v3 (current) extends v2 with live-wire telemetry
-(:mod:`repro.obs.telemetry`):
-
+* observed runs (see :mod:`repro.obs`) add ``phase_seconds`` to each
+  ``cycle`` record -- wall-clock seconds per server phase of that
+  cycle's construction -- and one ``metrics`` record with the run's full
+  metrics-registry snapshot (counters, gauges, histograms, spans);
 * ``query_trace`` records: one per traced wire query -- the causally
   linked span tree (submit -> admit -> queue -> build -> on_air ->
   tune) plus its additive latency ``components``, produced by
   :meth:`repro.obs.telemetry.tracing.QueryTrace.to_record`;
 * ``event`` records: structured event-log lines captured during a run.
 
-v1 and v2 traces remain loadable; every record is validated against the
-required keys of its kind, with ``file:line`` context on failure.
+Every record is validated against the required keys of its kind, with
+``file:line`` context on failure.
 """
 
 from __future__ import annotations
@@ -40,7 +35,6 @@ from repro.sim.results import SimulationResult
 PathLike = Union[str, pathlib.Path]
 
 _FORMAT_VERSION = 3
-_SUPPORTED_FORMATS = (1, 2, 3)
 
 #: keys every record of a kind must carry (validated on load)
 _REQUIRED_KEYS: Dict[str, tuple] = {
@@ -52,12 +46,23 @@ _REQUIRED_KEYS: Dict[str, tuple] = {
     ),
     "client": (
         "query", "protocol", "arrival", "result_docs", "cycles",
+        "probe_bytes", "index_bytes", "offset_bytes", "doc_bytes",
         "index_lookup_bytes", "tuning_bytes", "access_bytes",
     ),
     "metrics": ("snapshot",),
     "query_trace": ("trace_id", "query", "spans", "components"),
     "event": ("event",),
 }
+
+
+def _write(file_path: PathLike, meta: Dict, records: List[Dict]) -> pathlib.Path:
+    """Write the ``meta`` record, stamped with the format, then *records*."""
+    path = pathlib.Path(file_path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as handle:
+        for record in [dict(meta, kind="meta", format=_FORMAT_VERSION), *records]:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    return path
 
 
 def export_query_traces(
@@ -67,7 +72,7 @@ def export_query_traces(
     document_count: int = 0,
     events: Sequence[Dict] = (),
 ) -> pathlib.Path:
-    """Write wire-query traces as a standalone v3 trace file.
+    """Write wire-query traces as a standalone trace file.
 
     ``traces`` are :class:`repro.obs.telemetry.tracing.QueryTrace`
     objects (or prebuilt ``query_trace`` record dicts); ``events`` are
@@ -75,41 +80,19 @@ def export_query_traces(
     result loads with :func:`load_trace` and renders with
     ``python -m repro stats --trace``.
     """
-    path = pathlib.Path(file_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    records: List[Dict] = [
-        {
-            "kind": "meta",
-            "format": _FORMAT_VERSION,
-            "collection_bytes": collection_bytes,
-            "document_count": document_count,
-            "completed": len(traces),
-        }
-    ]
-    for trace in traces:
-        record = trace if isinstance(trace, dict) else trace.to_record()
-        records.append(record)
-    for event in events:
-        records.append(dict(event, kind="event"))
-    with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-    return path
+    meta = {
+        "collection_bytes": collection_bytes,
+        "document_count": document_count,
+        "completed": len(traces),
+    }
+    records = [t if isinstance(t, dict) else t.to_record() for t in traces]
+    records += [dict(event, kind="event") for event in events]
+    return _write(file_path, meta, records)
 
 
 def export_trace(result: SimulationResult, file_path: PathLike) -> pathlib.Path:
-    """Write one finished run as a JSONL trace (format v3)."""
-    path = pathlib.Path(file_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    records: List[Dict] = [
-        {
-            "kind": "meta",
-            "format": _FORMAT_VERSION,
-            "collection_bytes": result.collection_bytes,
-            "document_count": result.document_count,
-            "completed": result.completed,
-        }
-    ]
+    """Write one finished run as a JSONL trace."""
+    records: List[Dict] = []
     for cycle in result.cycles:
         record = {
             "kind": "cycle",
@@ -147,10 +130,12 @@ def export_trace(result: SimulationResult, file_path: PathLike) -> pathlib.Path:
         )
     if result.metrics is not None:
         records.append({"kind": "metrics", "snapshot": result.metrics})
-    with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-    return path
+    meta = {
+        "collection_bytes": result.collection_bytes,
+        "document_count": result.document_count,
+        "completed": result.completed,
+    }
+    return _write(file_path, meta, records)
 
 
 def _validate_record(record: Dict, path: pathlib.Path, line_number: int) -> None:
@@ -170,12 +155,13 @@ def _validate_record(record: Dict, path: pathlib.Path, line_number: int) -> None
 
 
 def load_trace(file_path: PathLike) -> List[Dict]:
-    """Read a trace back as a list of validated records (v1, v2 or v3).
+    """Read a format-3 trace back as a list of validated records.
 
     Every record must name a known ``kind`` and carry that kind's
     required keys; violations raise :class:`ValueError` with
     ``file:line`` context instead of surfacing later as a bare
-    ``KeyError`` from the analysis helpers.
+    ``KeyError`` from the analysis helpers.  A trace of an older format
+    is refused the same way: re-export it.
     """
     path = pathlib.Path(file_path)
     numbered: List[tuple] = []
@@ -186,17 +172,20 @@ def load_trace(file_path: PathLike) -> List[Dict]:
             continue
         try:
             record = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}:{line_number}: bad JSON: {exc}") from exc
-        if not isinstance(record, dict) or "kind" not in record:
-            raise ValueError(f"{path}:{line_number}: record without 'kind'")
+        if not isinstance(record, dict) or not isinstance(record.get("kind"), str):
+            raise ValueError(f"{path}:{line_number}: record without a string 'kind'")
         numbered.append((line_number, record))
     if not numbered or numbered[0][1]["kind"] != "meta":
         raise ValueError(f"{path}: trace must start with a meta record")
-    if numbered[0][1].get("format") not in _SUPPORTED_FORMATS:
+    line_number, meta = numbered[0]
+    # An int, not merely equal to one (``True == 1`` and ``3.0 == 3``).
+    if type(meta.get("format")) is not int or meta["format"] != _FORMAT_VERSION:
         raise ValueError(
-            f"{path}: unsupported trace format {numbered[0][1].get('format')!r} "
-            f"(supported: {_SUPPORTED_FORMATS})"
+            f"{path}:{line_number}: unsupported trace format "
+            f"{meta.get('format')!r} (this version reads format "
+            f"{_FORMAT_VERSION}; re-export the trace)"
         )
     for line_number, record in numbered:
         _validate_record(record, path, line_number)
@@ -212,7 +201,7 @@ class TraceSummary:
     mean_pci_bytes: float
     clients: int
     protocols: Dict[str, Dict[str, float]]
-    #: summed per-cycle server phase seconds (v2 observed traces only)
+    #: summed per-cycle server phase seconds (observed runs only)
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: the embedded metrics snapshot, when the trace carries one
     metrics: Optional[Dict] = None

@@ -2,8 +2,8 @@
 
 In-process tests (tier-1) run real daemons and a real router inside one
 event loop: shard-pinned routing, the query-hash fallback, wrong-shard
-rejection at the worker, cluster-wide RETRY_AFTER admission, STATUS and
-``/metrics`` aggregation, and MOVED redirects end-to-end.
+rejection at the worker, cluster-wide RETRY_AFTER admission, and STATUS
+and ``/metrics`` aggregation.
 
 The ``cluster``-marked tests (excluded from tier-1; ``-m cluster``)
 additionally exercise the real deployment shape: ``repro serve --shard
@@ -282,43 +282,6 @@ class TestRouterStop:
         asyncio.run(asyncio.wait_for(run(), timeout=60))
 
 
-class TestRedirect:
-    def test_moved_is_followed_end_to_end(self, full_docs):
-        async def run():
-            config = ClusterConfig(redirect=True)
-            async with _Cluster(full_docs, config) as cluster:
-                client = AsyncTwoTierClient(
-                    _shard_query(full_docs, 1),
-                    port=cluster.router.port,
-                    shard=1,
-                )
-                report = await client.run()
-                assert report.satisfied
-                assert cluster.router.stats.moved_total == 1
-                assert cluster.router.stats.proxied_total == 0
-                # the client really reconnected to the worker
-                assert client.port == cluster.daemons[1].port
-
-        asyncio.run(asyncio.wait_for(run(), timeout=60))
-
-    def test_moved_reply_names_the_worker(self, full_docs):
-        async def run():
-            config = ClusterConfig(redirect=True)
-            async with _Cluster(full_docs, config) as cluster:
-                reply = await round_trip(
-                    "127.0.0.1", cluster.router.port, "TUNE SHARD=0"
-                )
-                word, shard, host, port = reply.split()
-                assert word == "MOVED"
-                assert int(shard) == 0
-                assert (host, int(port)) == (
-                    "127.0.0.1",
-                    cluster.daemons[0].port,
-                )
-
-        asyncio.run(asyncio.wait_for(run(), timeout=60))
-
-
 class TestAdmission:
     def test_cluster_wide_retry_after(self, full_docs):
         """With workers held pre-broadcast (autostart=False), pending
@@ -380,6 +343,8 @@ class TestAggregation:
                     NUM_SHARDS, seed=PARTITION_SEED
                 ).describe()
                 assert status["router"]["routed"] == 2
+                assert status["router"]["proxied"] == 2
+                assert not {"moved", "mode"} & set(status["router"])
 
         asyncio.run(asyncio.wait_for(run(), timeout=60))
 
@@ -425,9 +390,7 @@ class TestSupervisor:
         async def run():
             workers = await asyncio.to_thread(supervisor.start)
             assert [w.shard for w in workers] == [0, 1]
-            router = ClusterRouter(
-                supervisor.partition, workers, ClusterConfig(redirect=True)
-            )
+            router = ClusterRouter(supervisor.partition, workers, ClusterConfig())
             await router.start()
             try:
                 plan = build_load_plan(
@@ -437,18 +400,21 @@ class TestSupervisor:
                     granularity=2,
                     partition_seed=PARTITION_SEED,
                 )
-                return await run_load(
+                report = await run_load(
                     plan, "127.0.0.1", router.port, num_workers=2
                 )
             finally:
                 await router.stop()
+            return report, router.stats.proxied_total
 
         try:
-            report = asyncio.run(asyncio.wait_for(run(), timeout=120))
+            report, proxied = asyncio.run(asyncio.wait_for(run(), timeout=120))
         finally:
             codes = supervisor.stop()
         assert report.satisfied == 8
         assert report.failed == 0
+        # every session crossed the router's splice
+        assert proxied >= report.sessions
         assert codes == [0, 0]  # SIGINT drained both workers cleanly
 
 
@@ -466,7 +432,6 @@ class TestServeWorkersCLI:
                 "--count", str(BASE.document_count),
                 "--seed", str(BASE.collection_seed),
                 "--capacity", str(BASE.cycle_data_capacity),
-                "--redirect",
                 "--port", "0",
                 "--port-file", str(port_file),
                 "--log-level", "warning",

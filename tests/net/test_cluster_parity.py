@@ -222,6 +222,5 @@ class TestClusterParity:
         _, _, router, _ = cluster_run
         total = sum(len(plans) for plans, _, _ in references)
         assert router.stats.proxied_total == total
-        assert router.stats.moved_total == 0
         for shard, (plans, _, _) in enumerate(references):
             assert router.stats.routed_by_shard[shard] == len(plans)

@@ -23,7 +23,6 @@ from repro.net.uplink import (
     Bye,
     Command,
     Err,
-    Moved,
     RetryAfter,
     Status,
     Timeline,
@@ -81,7 +80,6 @@ replies = st.one_of(
     st.builds(Ack, ints, ints, trace_echo),
     st.builds(RetryAfter, ints, trace_echo),
     st.builds(Err, st.text(alphabet=st.characters(blacklist_categories=("C",)), max_size=40)),
-    st.builds(Moved, ints, tokens, ints),
     st.builds(Tuned, json_objects),
     st.builds(Status, json_objects),
     st.builds(Timeline, tokens, json_objects),
@@ -185,8 +183,10 @@ class TestHostileLines:
             "ACK 1 2 3",
             "ACK one 2",
             "RETRY_AFTER",
+            # the retired front-door redirect verb, well-formed or not
             "MOVED 0 host",
             "MOVED 0 host port",
+            "MOVED 0 127.0.0.1 9",
             "BYE now",
             "NOPE",
             "",
@@ -259,7 +259,6 @@ class TestGrammar:
         assert format_reply(Ack(3, 40)) == "ACK 3 40"
         assert format_reply(Ack(3, 40, "t1")) == "ACK 3 40 TRACE=t1"
         assert format_reply(RetryAfter(7, "")) == "RETRY_AFTER 7 TRACE="
-        assert format_reply(Moved(1, "127.0.0.1", 9)) == "MOVED 1 127.0.0.1 9"
         assert parse_reply("ERR two  spaces kept") == Err("two  spaces kept")
         assert parse_reply('TUNED {"num_channels": 2}') == Tuned({"num_channels": 2})
         pushed = Timeline("t7", {"query_id": 3, "cycle": 2, "submit": 0.25})

@@ -8,6 +8,7 @@ accurate, and that the README's quickstart snippet actually runs.
 from __future__ import annotations
 
 import importlib
+import pathlib
 
 import pytest
 
@@ -133,7 +134,7 @@ class TestUplinkCodec:
 
         assert set(repro.net.uplink.__all__) == {
             "Command", "Verb", "parse_command", "format_command",
-            "Ack", "RetryAfter", "Err", "Moved", "Tuned", "Status", "Bye", "Reply",
+            "Ack", "RetryAfter", "Err", "Tuned", "Status", "Bye", "Reply",
             "Timeline",  # PR 18: the pushed trace line, the one addition
             "parse_reply", "format_reply",
             "UplinkSyntaxError", "MAX_LINE_CHARS",
@@ -256,13 +257,82 @@ class TestOnePump:
             return len(inspect.signature(cls).parameters)
 
         assert (fields(DaemonConfig), fields(TelemetryConfig), fields(ClusterConfig)) == (
-            10, 6, 12,
+            10, 6, 11,
         )
         assert [
             parameters(c)
             for c in (BroadcastDaemon, AsyncTwoTierClient, CycleDecoder, QueryTracer)
         ] == [3, 12, 3, 1]
         assert len(FrameKind) == 7 and WIRE_FORMAT_VERSION == 2
+
+
+class TestOneRouterPath:
+    """The front door has one data path, the splice (migration table:
+    CHANGES.md -- omit ``--redirect`` / ``ClusterConfig(redirect=True)``;
+    ``uplink.Moved``, ``router_sessions_moved_total`` and the STATUS
+    ``router.moved`` / ``router.mode`` keys have no successor)."""
+
+    def test_the_redirect_reply_and_its_knobs_are_gone(self):
+        import dataclasses
+        import typing
+
+        from repro.net import uplink
+        from repro.net.client import AsyncTwoTierClient
+        from repro.net.cluster import ClusterConfig, RouterStats
+
+        assert not hasattr(uplink, "Moved")
+        assert len(typing.get_args(uplink.Reply)) == 7
+        assert "redirect" not in {f.name for f in dataclasses.fields(ClusterConfig)}
+        assert "moved_total" not in {f.name for f in dataclasses.fields(RouterStats)}
+        client = AsyncTwoTierClient("/a")
+        assert not hasattr(client, "_moved_hops") and not hasattr(client, "_home")
+
+    def test_serve_has_no_redirect_flag(self, capsys):
+        from repro.__main__ import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--workers", "2", "--redirect"])
+        assert "--redirect" in capsys.readouterr().err
+
+
+class TestOneTableHarness:
+    """Every result table is a row of ``benchmarks/bench_tables.py``
+    (migration table: CHANGES.md -- ``pytest benchmarks/bench_X.py`` is
+    ``pytest benchmarks/bench_tables.py -k X``); each swept extension is
+    implemented once, in :mod:`repro.experiments.extensions`."""
+
+    BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+
+    def test_the_per_table_scripts_are_gone(self):
+        scripts = {path.stem for path in self.BENCHMARKS.glob("bench_*.py")}
+        assert "bench_tables" in scripts
+        assert not {
+            name
+            for name in scripts
+            if name.startswith(("bench_fig", "bench_ablation_", "bench_table2"))
+        }
+        assert not {
+            "bench_cycles_per_query", "bench_ext_energy", "bench_headline_ratios",
+            "bench_model_validation", "bench_substrate_scaling",
+            "bench_baseline_signature",
+        } & scripts
+
+    def test_each_swept_extension_is_implemented_once(self, monkeypatch):
+        import importlib.util
+        import sys
+
+        from repro.experiments.extensions import ext_energy, ext_loss, ext_skew
+
+        path = self.BENCHMARKS / "bench_tables.py"
+        spec = importlib.util.spec_from_file_location("bench_tables", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # for @dataclass
+        spec.loader.exec_module(module)
+        builds = {table.name: table.build for table in module.TABLES}
+        assert len(builds) == len(module.TABLES), "one row per results file"
+        assert (builds["ablation_loss"], builds["ablation_skew"], builds["extd"]) == (
+            ext_loss, ext_skew, ext_energy,
+        )
 
 
 class TestOneSearch:

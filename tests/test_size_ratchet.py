@@ -29,7 +29,7 @@ BOUND = 400
 CEILINGS = {
     "BroadcastDaemon": 910,  # 1,153 at PR 16, 1,015 at PR 17
     "BroadcastServer": 650,  # 662 at PR 18
-    "AsyncTwoTierClient": 458,
+    "AsyncTwoTierClient": 432,  # 458 with the router's second data path
 }
 
 #: packages held at a line total (``wc -l`` over their ``.py`` files);

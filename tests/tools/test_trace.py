@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.config import small_setup
 from repro.sim.simulation import run_simulation
@@ -29,13 +31,13 @@ def observed_run_result():
         return run_simulation(small_setup())
 
 
-def _minimal_v1_lines():
-    """A hand-written v1 trace: no byte breakdown, no phase data."""
+def _minimal_lines():
+    """A hand-written format-3 trace of an unobserved run (no phase data)."""
     return [
         json.dumps(
             {
                 "kind": "meta",
-                "format": 1,
+                "format": 3,
                 "collection_bytes": 1000,
                 "document_count": 3,
                 "completed": True,
@@ -64,6 +66,10 @@ def _minimal_v1_lines():
                 "arrival": 0,
                 "result_docs": 1,
                 "cycles": 2,
+                "probe_bytes": 5,
+                "index_bytes": 15,
+                "offset_bytes": 5,
+                "doc_bytes": 100,
                 "index_lookup_bytes": 25,
                 "tuning_bytes": 125,
                 "access_bytes": 500,
@@ -89,7 +95,7 @@ class TestExportAndLoad:
 
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind": "meta", "format": 1}\nnot json\n')
+        path.write_text('{"kind": "meta", "format": 3}\nnot json\n')
         with pytest.raises(ValueError, match="bad JSON"):
             load_trace(path)
 
@@ -155,10 +161,35 @@ class TestFormatV2:
         )
 
 
-class TestV1Compatibility:
-    def test_v1_trace_still_loads_and_summarises(self, tmp_path):
-        path = tmp_path / "v1.jsonl"
-        path.write_text("\n".join(_minimal_v1_lines()) + "\n")
+class TestOldFormats:
+    """Formats 1 and 2 were last written before format 3 existed; a trace
+    of either is refused with its file and line (migration: re-export)."""
+
+    @staticmethod
+    def _with_format(tmp_path, version):
+        lines = _minimal_lines()
+        meta = json.loads(lines[0])
+        meta["format"] = version
+        lines[0] = json.dumps(meta)
+        path = tmp_path / f"v{version}.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_v1_trace_rejected_with_a_located_error(self, tmp_path):
+        path = self._with_format(tmp_path, 1)
+        message = r"v1\.jsonl:1: unsupported trace format 1 "
+        with pytest.raises(ValueError, match=message):
+            load_trace(path)
+
+    def test_v2_trace_rejected_with_a_located_error(self, tmp_path):
+        path = self._with_format(tmp_path, 2)
+        message = r"v2\.jsonl:1: unsupported trace format 2 "
+        with pytest.raises(ValueError, match=message):
+            load_trace(path)
+
+    def test_current_format_loads_and_summarises(self, tmp_path):
+        path = tmp_path / "v3.jsonl"
+        path.write_text("\n".join(_minimal_lines()) + "\n")
         summary = summarise_trace(load_trace(path))
         assert summary.cycles == 1
         assert summary.clients == 1
@@ -166,10 +197,28 @@ class TestV1Compatibility:
         assert summary.phase_seconds == {}
         assert summary.metrics is None
 
+    def test_bool_format_is_not_format_1(self, tmp_path):
+        """JSON ``true`` is a Python bool, and ``True == 1``: the meta
+        format must be an int, not merely equal to one."""
+        path = self._with_format(tmp_path, True)
+        message = r"vTrue\.jsonl:1: unsupported trace format True "
+        with pytest.raises(ValueError, match=message):
+            load_trace(path)
+
+    def test_client_byte_breakdown_is_required(self, tmp_path):
+        lines = _minimal_lines()
+        client = json.loads(lines[2])
+        del client["doc_bytes"]
+        lines[2] = json.dumps(client)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"bad\.jsonl:3.*doc_bytes"):
+            load_trace(path)
+
 
 class TestRecordValidation:
     def test_malformed_cycle_record_names_file_and_line(self, tmp_path):
-        lines = _minimal_v1_lines()
+        lines = _minimal_lines()
         lines[1] = json.dumps({"kind": "cycle", "cycle": 1})
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
@@ -177,7 +226,7 @@ class TestRecordValidation:
             load_trace(path)
 
     def test_malformed_client_record_names_file_and_line(self, tmp_path):
-        lines = _minimal_v1_lines()
+        lines = _minimal_lines()
         lines[2] = json.dumps({"kind": "client", "query": "/a"})
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
@@ -185,7 +234,7 @@ class TestRecordValidation:
             load_trace(path)
 
     def test_missing_keys_are_named(self, tmp_path):
-        lines = _minimal_v1_lines()
+        lines = _minimal_lines()
         lines[2] = json.dumps({"kind": "client", "query": "/a"})
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
@@ -193,18 +242,91 @@ class TestRecordValidation:
             load_trace(path)
 
     def test_unknown_kind_rejected(self, tmp_path):
-        lines = _minimal_v1_lines() + [json.dumps({"kind": "mystery"})]
+        lines = _minimal_lines() + [json.dumps({"kind": "mystery"})]
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"bad\.jsonl:4.*unknown record kind"):
             load_trace(path)
 
     def test_metrics_record_requires_snapshot(self, tmp_path):
-        lines = _minimal_v1_lines() + [json.dumps({"kind": "metrics"})]
+        lines = _minimal_lines() + [json.dumps({"kind": "metrics"})]
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="snapshot"):
             load_trace(path)
+
+    @pytest.mark.parametrize("kind", [["x"], {"k": 1}], ids=["list", "object"])
+    def test_non_string_kind_is_a_located_error(self, tmp_path, kind):
+        """An unhashable kind used to escape as ``TypeError`` (and crash
+        ``repro stats --trace``) instead of the promised ValueError."""
+        lines = _minimal_lines() + [json.dumps({"kind": kind})]
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"bad\.jsonl:4: record without a string"):
+            load_trace(path)
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-5, 5)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_KINDS = ("meta", "cycle", "client", "metrics", "query_trace", "event")
+#: record-shaped objects: a kind that is often real, plus a mix of the
+#: keys the validator looks for and arbitrary ones, with arbitrary values
+_records = st.fixed_dictionaries(
+    {"kind": st.sampled_from(_KINDS) | _json_values},
+    optional={
+        name: _json_values
+        for name in ("format", "snapshot", "total_bytes", "query", "trace_id", "x")
+    },
+)
+#: at most one line that is not a record: any other JSON, or not JSON
+_junk = st.none() | st.tuples(
+    st.integers(0, 4), _json_values.map(json.dumps) | st.text(max_size=12)
+)
+
+
+class TestLoaderFuzz:
+    # More examples than the profile's 50: the loader is cheap, and the
+    # two escapes above each need a well-formed meta line first.
+    @settings(max_examples=300)
+    @given(
+        meta_format=st.just(3) | _json_values,
+        records=st.lists(_records.map(json.dumps), max_size=4),
+        junk=_junk,
+    )
+    def test_any_lines_load_or_raise_value_error(
+        self, tmp_path_factory, meta_format, records, junk
+    ):
+        body = list(records)
+        if junk is not None:
+            body.insert(*junk)
+        meta = {
+            "kind": "meta",
+            "format": meta_format,
+            "collection_bytes": 0,
+            "document_count": 0,
+            "completed": 0,
+        }
+        path = tmp_path_factory.mktemp("fuzz") / "t.jsonl"
+        path.write_text("\n".join([json.dumps(meta), *body]) + "\n", encoding="utf-8")
+        try:
+            records = load_trace(path)
+        except ValueError as exc:
+            assert str(exc).startswith(str(path))
+        else:
+            assert records[0]["kind"] == "meta"
+            assert type(records[0]["format"]) is int and records[0]["format"] == 3
+            assert all(isinstance(r["kind"], str) for r in records)
 
 
 class TestSummarise:
@@ -271,16 +393,7 @@ class TestFormatV3:
         assert load_trace(path)[1]["query"] == "//nitf"
 
     def test_query_trace_record_requires_components(self, tmp_path):
-        lines = _minimal_v1_lines()
-        lines[0] = json.dumps(
-            {
-                "kind": "meta",
-                "format": 3,
-                "collection_bytes": 0,
-                "document_count": 0,
-                "completed": 1,
-            }
-        )
+        lines = _minimal_lines()
         lines.append(json.dumps({"kind": "query_trace", "trace_id": "t1"}))
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
@@ -288,25 +401,12 @@ class TestFormatV3:
             load_trace(path)
 
     def test_event_record_requires_event_key(self, tmp_path):
-        lines = _minimal_v1_lines()
+        lines = _minimal_lines()
         lines.append(json.dumps({"kind": "event", "level": "info"}))
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="event record"):
             load_trace(path)
-
-    def test_v2_traces_still_load(self, tmp_path, observed_run_result):
-        """export_trace writes format 3 now, but hand-pinned v2 input
-        (the previous exporter's output shape) keeps loading."""
-        lines = _minimal_v1_lines()
-        meta = json.loads(lines[0])
-        meta["format"] = 2
-        lines[0] = json.dumps(meta)
-        lines.append(json.dumps({"kind": "metrics", "snapshot": {}}))
-        path = tmp_path / "v2.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        records = load_trace(path)
-        assert records[0]["format"] == 2
 
     def test_stats_report_renders_wire_latency(self, tmp_path):
         from repro.obs.report import report_from_trace
