@@ -55,7 +55,7 @@ from repro.tools.persist import (
     save_collection,
     save_workload,
 )
-from repro.tools.trace import export_trace, load_trace
+from repro.tools.trace import export_trace, load_trace, trace_records
 from repro.xmlkit.generator import (
     BUILTIN_DTDS,
     GeneratorConfig,
@@ -119,10 +119,6 @@ def _add_program_args(parser: argparse.ArgumentParser) -> None:
         "--hot-set-size", type=int, default=0, metavar="N",
         help="adaptive: promote up to N hot documents onto a fast-repeat "
         "channel (0 = no hot channel)",
-    )
-    parser.add_argument(
-        "--control-seed", type=int, default=0,
-        help="adaptive: controller tie-break seed",
     )
 
 
@@ -267,7 +263,6 @@ def _simulation_config(args, **overrides) -> SimulationConfig:
             k_min=args.k_min,
             k_max=args.k_max,
             hot_set_size=args.hot_set_size,
-            seed=args.control_seed,
         )
         if args.adaptive
         else None,
@@ -338,7 +333,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_stats(args) -> int:
     """Phase-timing + byte-accounting report (the perf-report CLI)."""
-    from repro.obs.report import report_from_result, report_from_trace
+    from repro.obs.report import report_from_trace
 
     if args.trace:
         report = report_from_trace(load_trace(args.trace))
@@ -348,7 +343,7 @@ def cmd_stats(args) -> int:
             result = run_simulation(_run_config(args), documents=documents)
         if args.export_trace:
             export_trace(result, args.export_trace)
-        report = report_from_result(result)
+        report = report_from_trace(trace_records(result), source="run")
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
@@ -501,7 +496,6 @@ def _worker_argv(args) -> List[str]:
         "--k-min", str(args.k_min),
         "--k-max", str(args.k_max),
         "--hot-set-size", str(args.hot_set_size),
-        "--control-seed", str(args.control_seed),
         "--max-pending", str(args.max_pending),
         "--log-level", args.log_level,
     ]

@@ -205,13 +205,28 @@ class PendingQuery:
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """Server-side diagnostics for one emitted cycle."""
+    """One emitted cycle: the run's only per-cycle record.
+
+    The server appends one per build (:attr:`BroadcastServer.records`);
+    a simulation's result, the JSONL trace's ``cycle`` records and the
+    flight recorder's cycle entries are all this record.
+    """
 
     cycle_number: int
+    #: channel byte-time at which the cycle starts
+    start_time: int
+    total_bytes: int
+    data_bytes: int
     pending_count: int
     requested_docs: int
     scheduled_docs: int
     pci_nodes: int
+    #: the PCI's first-tier size (``pci.size_bytes(one_tier=False)``),
+    #: before packing into the packet-aligned L_I segment
+    pci_first_tier_bytes: int
+    #: the second tier's size-model bytes, before packet alignment
+    offset_list_bytes: int
+    #: CI (``bytes_before``) against the aired PCI (``bytes_after``)
     pruning: PruningStats
     #: wall-clock seconds per server phase of this cycle's construction;
     #: empty unless the run was observed (``obs.observed()``)
@@ -219,6 +234,33 @@ class CycleRecord:
     #: ``None`` for a full build; ``"pci-stale"`` / ``"ci-unpruned"``
     #: when the build budget was exceeded and the degradation ladder ran
     degraded: Optional[str] = None
+
+    @classmethod
+    def of(
+        cls,
+        cycle: BroadcastCycle,
+        pending_count: int,
+        requested_docs: int,
+        pruning: PruningStats,
+        phase_seconds: Mapping[str, float],
+    ) -> "CycleRecord":
+        """The record of *cycle*, just built from *pending_count* active
+        queries requesting *requested_docs* documents."""
+        return cls(
+            cycle_number=cycle.cycle_number,
+            start_time=cycle.start_time,
+            total_bytes=cycle.total_bytes,
+            data_bytes=cycle.data_bytes,
+            pending_count=pending_count,
+            requested_docs=requested_docs,
+            scheduled_docs=len(cycle.doc_ids),
+            pci_nodes=cycle.pci.node_count,
+            pci_first_tier_bytes=cycle.pci.size_bytes(one_tier=False),
+            offset_list_bytes=cycle.offset_list.size_bytes,
+            pruning=pruning,
+            phase_seconds=phase_seconds,
+            degraded=cycle.degraded,
+        )
 
 
 @dataclass
@@ -691,15 +733,8 @@ class BroadcastServer:
         self._reap_satisfied()
 
         self.records.append(
-            CycleRecord(
-                cycle_number=cycle.cycle_number,
-                pending_count=len(active),
-                requested_docs=len(requested),
-                scheduled_docs=len(scheduled),
-                pci_nodes=pci.node_count,
-                pruning=pruning_stats,
-                phase_seconds=phase_seconds,
-                degraded=degraded,
+            CycleRecord.of(
+                cycle, len(active), len(requested), pruning_stats, phase_seconds
             )
         )
         self.cycle_number += 1

@@ -36,7 +36,6 @@ simulation drive identical controllers.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
@@ -148,9 +147,6 @@ class AdaptiveController:
         self.allocation = base_allocation
         self.hot_doc_ids: Tuple[int, ...] = ()
         self.shedding = False
-        #: deterministic tie-break source; the steady laws draw nothing
-        #: from it, but it pins any rule that ever needs a coin flip
-        self._rng = random.Random(control.seed)
         self._last_k_change_cycle: Optional[int] = None
         self._policy_regret_streak = 0
         self._regret_candidate: Optional[str] = None

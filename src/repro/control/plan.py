@@ -60,9 +60,6 @@ class ControlConfig:
     shed_backlog_factor: float = 6.0
     #: how many cycles a shed query is asked to stay away (RETRY_AFTER)
     retry_after_cycles: int = 1
-    #: deterministic tie-break seed (the controller draws no randomness
-    #: in its steady laws; the seed only pins any future stochastic rule)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.k_min < 1:

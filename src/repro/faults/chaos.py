@@ -228,7 +228,6 @@ class ChaosSimulation(Simulation):
                     session, client_key, t
                 ),
                 priority=0,
-                label="uplink",
             )
 
     def _uplink_delivery(

@@ -187,7 +187,7 @@ class LoadReport:
     retries: int = 0
     #: wall seconds from first session launch to last completion
     elapsed: float = 0.0
-    #: per-satisfied-session latency (submit -> satisfied), seconds
+    #: per-satisfied-session latency (due time -> satisfied), seconds
     latencies: List[float] = field(default_factory=list)
     #: first few failure reasons, for post-mortem (capped at 16)
     errors: List[str] = field(default_factory=list)
@@ -271,7 +271,10 @@ async def run_load(
             if num_workers is not None
             else None
         )
-        started = wall.now()
+        # Latency runs from the session's due time, not from whenever the
+        # event loop got round to it: a late start is the load's lateness
+        # and belongs in the sample (no coordinated omission).
+        started = t0 + spec.start_s
         #: mid-dialogue teardown = the peer died or restarted; treat it
         #: exactly like backpressure (the retry, not the failure, is
         #: the correct account of a self-healing cluster)

@@ -1,13 +1,12 @@
 """Perf-report assembly: phase timings plus byte accounting.
 
-One :class:`PerfReport` can be built from two sources:
-
-* a finished :class:`~repro.sim.results.SimulationResult` whose run was
-  observed (``obs.observed()``), via :func:`report_from_result`;
-* a saved JSONL trace, via :func:`report_from_trace` -- a trace of an
-  observed run carries the metrics snapshot, and wire traces add
-  per-query latency breakdowns (``query_trace`` records from
-  :mod:`repro.obs.telemetry`).
+One function builds a :class:`PerfReport`: :func:`report_from_trace`,
+from trace records -- a saved JSONL trace (``repro stats --trace``) or
+the records a fresh observed run would export
+(:func:`~repro.tools.trace.trace_records`, ``repro stats``), so a run
+and its own trace report alike.  An observed run's metrics snapshot
+gives the phase table, and wire traces add per-query latency breakdowns
+(``query_trace`` records from :mod:`repro.obs.telemetry`).
 
 The report renders as fixed-width tables (``render()``) for humans and as
 JSON (``to_json()``) for the benchmark harness, which persists it as a
@@ -20,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.experiments.report import format_table
-from repro.sim.results import SimulationResult
 
 #: snapshot span keys are qualified (``server.ci_build``); the report
 #: keeps them as-is so server/client/sim phases sort into groups.
@@ -139,50 +137,30 @@ class PerfReport:
         return "\n\n".join(parts)
 
 
-def _client_byte_totals(rows) -> Dict[str, Dict[str, int]]:
-    """Per-protocol byte sums from (protocol, probe, index, offsets, docs,
-    index_lookup, tuning) tuples."""
+#: per-protocol client sums: report key -> ``client`` trace record key
+_CLIENT_SUMS = {
+    "probe": "probe_bytes",
+    "index": "index_bytes",
+    "offsets": "offset_bytes",
+    "docs": "doc_bytes",
+    "index_lookup": "index_lookup_bytes",
+    "tuning": "tuning_bytes",
+    "access": "access_bytes",
+    "cycles_listened": "cycles",
+}
+
+
+def _client_totals(clients: List[Dict]) -> Dict[str, Dict[str, int]]:
+    """Per-protocol sums of the ``client`` records, plus session counts."""
     totals: Dict[str, Dict[str, int]] = {}
-    for protocol, probe, index, offsets, docs, lookup, tuning in rows:
+    for record in clients:
         sums = totals.setdefault(
-            protocol,
-            {"probe": 0, "index": 0, "offsets": 0, "docs": 0,
-             "index_lookup": 0, "tuning": 0, "sessions": 0},
+            record["protocol"], dict.fromkeys([*_CLIENT_SUMS, "sessions"], 0)
         )
-        sums["probe"] += probe
-        sums["index"] += index
-        sums["offsets"] += offsets
-        sums["docs"] += docs
-        sums["index_lookup"] += lookup
-        sums["tuning"] += tuning
+        for name, key in _CLIENT_SUMS.items():
+            sums[name] += record[key]
         sums["sessions"] += 1
     return totals
-
-
-def report_from_result(result: SimulationResult) -> PerfReport:
-    """Build the report from a finished run (phases need an observed run)."""
-    snapshot = result.metrics or {}
-    broadcast_total = sum(c.total_bytes for c in result.cycles)
-    data_total = sum(c.data_bytes for c in result.cycles)
-    client_rows = [
-        (r.protocol, r.probe_bytes, r.index_bytes, r.offset_bytes,
-         r.doc_bytes, r.index_lookup_bytes, r.tuning_bytes)
-        for r in result.clients
-    ]
-    return PerfReport(
-        source="run",
-        cycles=len(result.cycles),
-        clients=len(result.clients),
-        phases=dict(snapshot.get("spans", {})),
-        bytes={
-            "broadcast_total": broadcast_total,
-            "data_total": data_total,
-            "index_total": broadcast_total - data_total,
-            "collection_bytes": result.collection_bytes,
-            "clients": _client_byte_totals(client_rows),
-        },
-        counters=dict(snapshot.get("counters", {})),
-    )
 
 
 def _wire_latency_rows(records: List[Dict]) -> List[Dict[str, object]]:
@@ -206,11 +184,11 @@ def _wire_latency_rows(records: List[Dict]) -> List[Dict[str, object]]:
     return rows
 
 
-def report_from_trace(records: List[Dict]) -> PerfReport:
-    """Build the report from loaded trace records.
+def report_from_trace(records: List[Dict], source: str = "trace") -> PerfReport:
+    """Build the report from trace records (``meta`` first).
 
-    An observed run's metrics snapshot gives the phase table (a trace
-    without one yields byte accounting only); ``query_trace`` records
+    An observed run's metrics snapshot gives the phase table (records
+    without one yield byte accounting only); ``query_trace`` records
     add the wire latency breakdown.
     """
     cycles = [r for r in records if r["kind"] == "cycle"]
@@ -220,21 +198,8 @@ def report_from_trace(records: List[Dict]) -> PerfReport:
     )
     broadcast_total = sum(c["total_bytes"] for c in cycles)
     data_total = sum(c["data_bytes"] for c in cycles)
-    meta = records[0]
-    client_rows = [
-        (
-            r["protocol"],
-            r["probe_bytes"],
-            r["index_bytes"],
-            r["offset_bytes"],
-            r["doc_bytes"],
-            r["index_lookup_bytes"],
-            r["tuning_bytes"],
-        )
-        for r in clients
-    ]
     return PerfReport(
-        source="trace",
+        source=source,
         cycles=len(cycles),
         clients=len(clients),
         phases=dict(snapshot.get("spans", {})),
@@ -242,8 +207,11 @@ def report_from_trace(records: List[Dict]) -> PerfReport:
             "broadcast_total": broadcast_total,
             "data_total": data_total,
             "index_total": broadcast_total - data_total,
-            "collection_bytes": meta["collection_bytes"],
-            "clients": _client_byte_totals(client_rows),
+            "collection_bytes": records[0]["collection_bytes"],
+            "pci_mean": (
+                sum(c["pci_bytes"] for c in cycles) / len(cycles) if cycles else 0.0
+            ),
+            "clients": _client_totals(clients),
         },
         counters=dict(snapshot.get("counters", {})),
         wire_latencies=_wire_latency_rows(records),

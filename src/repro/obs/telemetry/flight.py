@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.obs.telemetry.events import EventLog, NullEventLog
+from repro.tools.trace import CYCLE_KEYS, trace_form
 
 __all__ = [
     "FLIGHT_FORMAT",
@@ -146,19 +147,20 @@ def recorded_events(
 def cycle_summary(cycle: Any, server: Any, **extra: Any) -> Dict[str, Any]:
     """The flight-recorder record of *cycle*, just built by *server*.
 
-    *extra* is what only the caller can say -- the ``signature``, which
-    each owner computes through its own ``program_signature`` binding.
+    The server's :class:`~repro.broadcast.server.CycleRecord` in its
+    trace form (with ``phase_seconds`` even when empty), plus what the
+    record does not hold: the schedule, the degradation mode and the
+    queue left behind.  *extra* is what only the caller can say -- the
+    ``signature``, which each owner computes through its own
+    ``program_signature`` binding.
     """
-    record = server.records[-1] if server.records else None
+    record = server.records[-1]
     return {
-        "cycle": cycle.cycle_number,
-        "start": cycle.start_time,
+        **trace_form(record, CYCLE_KEYS),
+        "phase_seconds": dict(record.phase_seconds),
         "doc_ids": list(cycle.doc_ids),
-        "total_bytes": cycle.total_bytes,
-        "data_bytes": cycle.data_bytes,
         "degraded": cycle.degraded,
         "pending_after": len(server.pending),
-        "phase_seconds": dict(record.phase_seconds) if record is not None else {},
         **extra,
     }
 

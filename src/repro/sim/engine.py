@@ -3,8 +3,8 @@
 The broadcast simulation's clock is *channel byte-time*: one unit is one
 byte broadcast on the downlink (constant-bandwidth assumption, paper
 Section 4.1).  The engine is nevertheless generic: a priority queue of
-timestamped events with stable FIFO ordering among simultaneous events,
-cancellable handles, and a run loop with optional time/step limits.
+timestamped callbacks with stable FIFO ordering among simultaneous
+events, and a run loop that drains it.
 
 SimPy would normally fill this role; it is not installed in this offline
 environment, so the needed subset is implemented here.
@@ -14,146 +14,39 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 EventCallback = Callable[[], None]
-
-
-@dataclass(order=True)
-class _QueueEntry:
-    time: int
-    priority: int
-    sequence: int
-    event: "ScheduledEvent" = field(compare=False)
-
-
-class ScheduledEvent:
-    """Handle for a scheduled callback; supports cancellation."""
-
-    __slots__ = ("time", "priority", "callback", "cancelled", "label", "_on_cancel")
-
-    def __init__(
-        self, time: int, priority: int, callback: EventCallback, label: str = ""
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.callback = callback
-        self.cancelled = False
-        self.label = label
-        #: queue hook so cancellations are counted incrementally; detached
-        #: once the entry leaves the heap (cancelling a spent handle is a
-        #: no-op for the queue's accounting)
-        self._on_cancel: Optional[Callable[[], None]] = None
-
-    def cancel(self) -> None:
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._on_cancel is not None:
-            self._on_cancel()
-            self._on_cancel = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"ScheduledEvent(t={self.time}, {self.label or 'anon'}, {state})"
 
 
 class EventQueue:
     """Calendar queue with a monotonic clock.
 
-    Cancelled events stay in the heap (heap removal is O(n)) and are
-    dropped lazily when they surface at the top; an incremental counter
-    keeps :attr:`pending_count` and :meth:`next_event_time` from scanning
-    the whole heap.
+    The heap holds ``(time, priority, sequence, callback)``: the insertion
+    sequence breaks (time, priority) ties first-in first-out, so two
+    callbacks are never compared.
     """
 
     def __init__(self) -> None:
-        self._heap: List[_QueueEntry] = []
+        self._heap: List[Tuple[int, int, int, EventCallback]] = []
         self._sequence = itertools.count()
-        #: cancelled events still sitting in the heap
-        self._cancelled_in_heap = 0
         self.now = 0
-        self.processed = 0
 
-    def _note_cancellation(self) -> None:
-        self._cancelled_in_heap += 1
-
-    def _prune_cancelled_top(self) -> None:
-        """Pop cancelled entries sitting at the heap top."""
-        heap = self._heap
-        while heap and heap[0].event.cancelled:
-            heapq.heappop(heap)
-            self._cancelled_in_heap -= 1
-
-    def schedule(
-        self,
-        time: int,
-        callback: EventCallback,
-        priority: int = 0,
-        label: str = "",
-    ) -> ScheduledEvent:
+    def schedule(self, time: int, callback: EventCallback, priority: int = 0) -> None:
         """Schedule *callback* at *time*; earlier priority runs first among
         simultaneous events, FIFO within equal (time, priority)."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time}, clock is at {self.now}")
-        event = ScheduledEvent(time, priority, callback, label)
-        event._on_cancel = self._note_cancellation
-        heapq.heappush(
-            self._heap, _QueueEntry(time, priority, next(self._sequence), event)
-        )
-        return event
-
-    def schedule_in(
-        self, delay: int, callback: EventCallback, priority: int = 0, label: str = ""
-    ) -> ScheduledEvent:
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        return self.schedule(self.now + delay, callback, priority, label)
+        heapq.heappush(self._heap, (time, priority, next(self._sequence), callback))
 
     def next_event_time(self) -> Optional[int]:
         """Time of the earliest pending event, or ``None`` when empty."""
-        self._prune_cancelled_top()
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._heap) - self._cancelled_in_heap
-
-    def is_empty(self) -> bool:
-        return self.pending_count == 0
-
-    def step(self) -> Optional[ScheduledEvent]:
-        """Run the next non-cancelled event; return it, or ``None``."""
-        self._prune_cancelled_top()
-        if not self._heap:
-            return None
-        entry = heapq.heappop(self._heap)
-        entry.event._on_cancel = None  # spent: a late cancel changes nothing
-        self.now = entry.time
-        self.processed += 1
-        entry.event.callback()
-        return entry.event
-
-    def run(
-        self, until: Optional[int] = None, max_events: Optional[int] = None
-    ) -> int:
-        """Drain the queue; returns the number of events processed.
-
-        ``until`` stops before events later than the given time (the clock
-        is left at the last processed event); ``max_events`` bounds the
-        total work, protecting against runaway schedules.
-        """
-        processed = 0
-        while True:
-            self._prune_cancelled_top()
-            if not self._heap:
-                break
-            top = self._heap[0]
-            if until is not None and top.time > until:
-                break
-            if max_events is not None and processed >= max_events:
-                break
-            if self.step() is not None:
-                processed += 1
-        return processed
+    def run(self) -> None:
+        """Run events in order, advancing the clock, until none is left."""
+        heap = self._heap
+        while heap:
+            time, _priority, _sequence, callback = heapq.heappop(heap)
+            self.now = time
+            callback()

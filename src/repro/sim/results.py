@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
+from repro.broadcast.server import CycleRecord
 from repro.client.metrics import ClientMetrics
 
 
@@ -47,27 +48,6 @@ class ClientRecord:
         )
 
 
-@dataclass(frozen=True)
-class CycleStats:
-    """Per-cycle index and load measures."""
-
-    cycle_number: int
-    start_time: int
-    total_bytes: int
-    data_bytes: int
-    doc_count: int
-    pending_queries: int
-    ci_bytes_one_tier: int
-    pci_bytes_one_tier: int
-    pci_first_tier_bytes: int
-    offset_list_bytes: int
-    pci_nodes: int
-    ci_nodes: int
-    #: wall-clock seconds of each server phase while building this cycle;
-    #: populated only when the run was observed (``obs.observed()``)
-    phase_seconds: Mapping[str, float] = field(default_factory=dict)
-
-
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
@@ -77,7 +57,8 @@ class SimulationResult:
     """Everything a finished run produced."""
 
     clients: List[ClientRecord] = field(default_factory=list)
-    cycles: List[CycleStats] = field(default_factory=list)
+    #: the server's record of every cycle the run aired
+    cycles: List[CycleRecord] = field(default_factory=list)
     collection_bytes: int = 0
     document_count: int = 0
     completed: bool = True  #: False when max_cycles stopped the drain
@@ -113,10 +94,10 @@ class SimulationResult:
     # Index-size aggregates over cycles ---------------------------------
 
     def mean_ci_bytes(self) -> float:
-        return _mean([c.ci_bytes_one_tier for c in self.cycles])
+        return _mean([c.pruning.bytes_before for c in self.cycles])
 
     def mean_pci_bytes(self) -> float:
-        return _mean([c.pci_bytes_one_tier for c in self.cycles])
+        return _mean([c.pruning.bytes_after for c in self.cycles])
 
     def mean_first_tier_bytes(self) -> float:
         return _mean([c.pci_first_tier_bytes for c in self.cycles])

@@ -38,7 +38,7 @@ from repro.filtering.dfa import LazyQueryDFA
 from repro.index.ci import LookupResult
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import EventQueue
-from repro.sim.results import ClientRecord, CycleStats, SimulationResult
+from repro.sim.results import ClientRecord, SimulationResult
 from repro.sim.workload import ArrivalPlan, WorkloadBuilder
 from repro.xmlkit.generator import (
     BUILTIN_DTDS,
@@ -250,7 +250,6 @@ class Simulation:
             retry_time,
             lambda p=plan, r=retries + 1: self._admit_batch([p], retries=r),
             priority=0,
-            label="arrival",
         )
         return True
 
@@ -267,7 +266,6 @@ class Simulation:
                 batch[0].arrival_time,
                 lambda b=batch: self._admit_batch(b),
                 priority=0,
-                label="arrival",
             )
 
     def _cycle_event(self) -> None:
@@ -278,9 +276,7 @@ class Simulation:
             # scheduled, resume cycling right after the next one lands.
             next_time = self._queue.next_event_time()
             if next_time is not None:
-                self._queue.schedule(
-                    next_time, self._cycle_event, priority=1, label="cycle"
-                )
+                self._queue.schedule(next_time, self._cycle_event, priority=1)
             return
         if self.config.validate_cycles:
             from repro.broadcast.validate import validate_cycle
@@ -299,9 +295,7 @@ class Simulation:
             # genuinely still missing).
             self.controller.step(self.server, cycle)
         if self.server.cycle_number < self.config.max_cycles:
-            self._queue.schedule(
-                cycle.end_time, self._cycle_event, priority=1, label="cycle"
-            )
+            self._queue.schedule(cycle.end_time, self._cycle_event, priority=1)
         else:
             self._truncated = True
 
@@ -327,48 +321,31 @@ class Simulation:
                     )
 
     def _record_cycle(self, cycle: BroadcastCycle) -> None:
-        server_record = self.server.records[-1]
+        """Per-cycle hook, once per aired cycle before delivery; the
+        cycle's record is ``self.server.records[-1]``."""
         registry = obs.get_registry()
         if registry.enabled:
             registry.gauge("sim.pending_queries").set(len(self.server.pending))
             registry.gauge("sim.active_sessions").set(
                 sum(1 for s in self.sessions if not s.satisfied)
             )
-        self._cycle_stats.append(
-            CycleStats(
-                cycle_number=cycle.cycle_number,
-                start_time=cycle.start_time,
-                total_bytes=cycle.total_bytes,
-                data_bytes=cycle.data_bytes,
-                doc_count=len(cycle.doc_ids),
-                pending_queries=server_record.pending_count,
-                ci_bytes_one_tier=server_record.pruning.bytes_before,
-                pci_bytes_one_tier=server_record.pruning.bytes_after,
-                pci_first_tier_bytes=cycle.pci.size_bytes(one_tier=False),
-                offset_list_bytes=cycle.offset_list.size_bytes,
-                pci_nodes=cycle.pci.node_count,
-                ci_nodes=server_record.pruning.nodes_before,
-                phase_seconds=server_record.phase_seconds,
-            )
-        )
 
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        self._cycle_stats: List[CycleStats] = []
         self._truncated = False
         with obs.span("sim.run"):
             self._schedule_arrivals(self.workload.initial_batch())
             # Cycle events run after same-time arrivals (priority 1 > 0).
-            self._queue.schedule(0, self._cycle_event, priority=1, label="cycle")
+            self._queue.schedule(0, self._cycle_event, priority=1)
             self._queue.run()
 
         result = SimulationResult(
             collection_bytes=self.store.total_data_bytes(),
             document_count=len(self.documents),
-            cycles=self._cycle_stats,
+            cycles=list(self.server.records),
             completed=not self._truncated,
         )
         for session in self.sessions:

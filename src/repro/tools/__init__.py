@@ -6,8 +6,8 @@
   write-ahead :class:`~repro.tools.persist.QueryJournal` behind the
   daemon's crash-resume path;
 * :mod:`repro.tools.trace` -- export a broadcast run as a JSONL trace
-  (one record per cycle, plus client summaries) and compute summary
-  statistics from traces.
+  (one record per cycle, plus client summaries) and load it back for
+  ``repro stats --trace``.
 """
 
 from repro.tools.persist import (
@@ -20,12 +20,7 @@ from repro.tools.persist import (
     save_collection,
     save_workload,
 )
-from repro.tools.trace import (
-    TraceSummary,
-    export_trace,
-    load_trace,
-    summarise_trace,
-)
+from repro.tools.trace import export_trace, load_trace
 
 __all__ = [
     "JournalEntry",
@@ -36,8 +31,6 @@ __all__ = [
     "load_workload",
     "save_collection",
     "save_workload",
-    "TraceSummary",
     "export_trace",
     "load_trace",
-    "summarise_trace",
 ]

@@ -7,6 +7,11 @@ across code versions without re-running the simulator.
 
 Format 3, the only one read or written:
 
+* ``cycle`` and ``client`` records are the run's
+  :class:`~repro.broadcast.server.CycleRecord` and
+  :class:`~repro.sim.results.ClientRecord` read through one key table
+  each (:data:`CYCLE_KEYS`, :data:`CLIENT_KEYS`), which is also what
+  :func:`load_trace` requires of them;
 * ``client`` records carry the byte breakdown (``probe_bytes``,
   ``index_bytes``, ``offset_bytes``, ``doc_bytes``);
 * observed runs (see :mod:`repro.obs`) add ``phase_seconds`` to each
@@ -27,8 +32,8 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Dict, List, Mapping, Sequence, Union
 
 from repro.sim.results import SimulationResult
 
@@ -36,31 +41,87 @@ PathLike = Union[str, pathlib.Path]
 
 _FORMAT_VERSION = 3
 
+#: ``cycle`` record key -> the :class:`~repro.broadcast.server.CycleRecord`
+#: attribute it carries (dotted paths read through ``pruning``)
+CYCLE_KEYS: Dict[str, str] = {
+    "cycle": "cycle_number",
+    "start": "start_time",
+    "total_bytes": "total_bytes",
+    "data_bytes": "data_bytes",
+    "doc_count": "scheduled_docs",
+    "pending": "pending_count",
+    "ci_bytes": "pruning.bytes_before",
+    "pci_bytes": "pruning.bytes_after",
+    "first_tier_bytes": "pci_first_tier_bytes",
+    "offset_list_bytes": "offset_list_bytes",
+}
+
+#: ``client`` record key -> the :class:`~repro.sim.results.ClientRecord`
+#: field it carries
+CLIENT_KEYS: Dict[str, str] = {
+    "query": "query_text",
+    "protocol": "protocol",
+    "arrival": "arrival_time",
+    "result_docs": "result_doc_count",
+    "cycles": "cycles_listened",
+    "probe_bytes": "probe_bytes",
+    "index_bytes": "index_bytes",
+    "offset_bytes": "offset_bytes",
+    "doc_bytes": "doc_bytes",
+    "index_lookup_bytes": "index_lookup_bytes",
+    "tuning_bytes": "tuning_bytes",
+    "access_bytes": "access_bytes",
+}
+
 #: keys every record of a kind must carry (validated on load)
 _REQUIRED_KEYS: Dict[str, tuple] = {
     "meta": ("format", "collection_bytes", "document_count", "completed"),
-    "cycle": (
-        "cycle", "start", "total_bytes", "data_bytes", "doc_count",
-        "pending", "ci_bytes", "pci_bytes", "first_tier_bytes",
-        "offset_list_bytes",
-    ),
-    "client": (
-        "query", "protocol", "arrival", "result_docs", "cycles",
-        "probe_bytes", "index_bytes", "offset_bytes", "doc_bytes",
-        "index_lookup_bytes", "tuning_bytes", "access_bytes",
-    ),
+    "cycle": tuple(CYCLE_KEYS),
+    "client": tuple(CLIENT_KEYS),
     "metrics": ("snapshot",),
     "query_trace": ("trace_id", "query", "spans", "components"),
     "event": ("event",),
 }
 
 
-def _write(file_path: PathLike, meta: Dict, records: List[Dict]) -> pathlib.Path:
-    """Write the ``meta`` record, stamped with the format, then *records*."""
+def trace_form(record: object, keys: Mapping[str, str]) -> Dict[str, object]:
+    """*record* read through a key table: ``{key: record.<path>}``."""
+    return {key: attrgetter(path)(record) for key, path in keys.items()}
+
+
+def _meta(**fields: object) -> Dict[str, object]:
+    return dict(fields, kind="meta", format=_FORMAT_VERSION)
+
+
+def trace_records(result: SimulationResult) -> List[Dict]:
+    """The records a trace of *result* holds, ``meta`` first: what
+    :func:`export_trace` writes and what ``repro stats`` reports from."""
+    records: List[Dict] = [
+        _meta(
+            collection_bytes=result.collection_bytes,
+            document_count=result.document_count,
+            completed=result.completed,
+        )
+    ]
+    for cycle in result.cycles:
+        record = dict(trace_form(cycle, CYCLE_KEYS), kind="cycle")
+        if cycle.phase_seconds:
+            record["phase_seconds"] = dict(cycle.phase_seconds)
+        records.append(record)
+    records += [
+        dict(trace_form(client, CLIENT_KEYS), kind="client")
+        for client in result.clients
+    ]
+    if result.metrics is not None:
+        records.append({"kind": "metrics", "snapshot": result.metrics})
+    return records
+
+
+def _write(file_path: PathLike, records: List[Dict]) -> pathlib.Path:
     path = pathlib.Path(file_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
-        for record in [dict(meta, kind="meta", format=_FORMAT_VERSION), *records]:
+        for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
     return path
 
@@ -80,62 +141,21 @@ def export_query_traces(
     result loads with :func:`load_trace` and renders with
     ``python -m repro stats --trace``.
     """
-    meta = {
-        "collection_bytes": collection_bytes,
-        "document_count": document_count,
-        "completed": len(traces),
-    }
-    records = [t if isinstance(t, dict) else t.to_record() for t in traces]
+    records = [
+        _meta(
+            collection_bytes=collection_bytes,
+            document_count=document_count,
+            completed=len(traces),
+        )
+    ]
+    records += [t if isinstance(t, dict) else t.to_record() for t in traces]
     records += [dict(event, kind="event") for event in events]
-    return _write(file_path, meta, records)
+    return _write(file_path, records)
 
 
 def export_trace(result: SimulationResult, file_path: PathLike) -> pathlib.Path:
     """Write one finished run as a JSONL trace."""
-    records: List[Dict] = []
-    for cycle in result.cycles:
-        record = {
-            "kind": "cycle",
-            "cycle": cycle.cycle_number,
-            "start": cycle.start_time,
-            "total_bytes": cycle.total_bytes,
-            "data_bytes": cycle.data_bytes,
-            "doc_count": cycle.doc_count,
-            "pending": cycle.pending_queries,
-            "ci_bytes": cycle.ci_bytes_one_tier,
-            "pci_bytes": cycle.pci_bytes_one_tier,
-            "first_tier_bytes": cycle.pci_first_tier_bytes,
-            "offset_list_bytes": cycle.offset_list_bytes,
-        }
-        if cycle.phase_seconds:
-            record["phase_seconds"] = dict(cycle.phase_seconds)
-        records.append(record)
-    for client in result.clients:
-        records.append(
-            {
-                "kind": "client",
-                "query": client.query_text,
-                "protocol": client.protocol,
-                "arrival": client.arrival_time,
-                "result_docs": client.result_doc_count,
-                "cycles": client.cycles_listened,
-                "probe_bytes": client.probe_bytes,
-                "index_bytes": client.index_bytes,
-                "offset_bytes": client.offset_bytes,
-                "doc_bytes": client.doc_bytes,
-                "index_lookup_bytes": client.index_lookup_bytes,
-                "tuning_bytes": client.tuning_bytes,
-                "access_bytes": client.access_bytes,
-            }
-        )
-    if result.metrics is not None:
-        records.append({"kind": "metrics", "snapshot": result.metrics})
-    meta = {
-        "collection_bytes": result.collection_bytes,
-        "document_count": result.document_count,
-        "completed": result.completed,
-    }
-    return _write(file_path, meta, records)
+    return _write(file_path, trace_records(result))
 
 
 def _validate_record(record: Dict, path: pathlib.Path, line_number: int) -> None:
@@ -160,7 +180,7 @@ def load_trace(file_path: PathLike) -> List[Dict]:
     Every record must name a known ``kind`` and carry that kind's
     required keys; violations raise :class:`ValueError` with
     ``file:line`` context instead of surfacing later as a bare
-    ``KeyError`` from the analysis helpers.  A trace of an older format
+    ``KeyError`` from the report builder.  A trace of an older format
     is refused the same way: re-export it.
     """
     path = pathlib.Path(file_path)
@@ -190,62 +210,3 @@ def load_trace(file_path: PathLike) -> List[Dict]:
     for line_number, record in numbered:
         _validate_record(record, path, line_number)
     return [record for _, record in numbered]
-
-
-@dataclass(frozen=True)
-class TraceSummary:
-    """Aggregates recomputed from a trace (no simulator needed)."""
-
-    cycles: int
-    total_broadcast_bytes: int
-    mean_pci_bytes: float
-    clients: int
-    protocols: Dict[str, Dict[str, float]]
-    #: summed per-cycle server phase seconds (observed runs only)
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: the embedded metrics snapshot, when the trace carries one
-    metrics: Optional[Dict] = None
-
-    def lookup_mean(self, protocol: str) -> float:
-        return self.protocols.get(protocol, {}).get("index_lookup_bytes", 0.0)
-
-
-def summarise_trace(records: List[Dict]) -> TraceSummary:
-    """Summary statistics straight from trace records."""
-    cycles = [r for r in records if r["kind"] == "cycle"]
-    clients = [r for r in records if r["kind"] == "client"]
-    snapshot = next(
-        (r["snapshot"] for r in records if r["kind"] == "metrics"), None
-    )
-    by_protocol: Dict[str, List[Dict]] = {}
-    for client in clients:
-        by_protocol.setdefault(client["protocol"], []).append(client)
-
-    def mean(rows: List[Dict], key: str) -> float:
-        return sum(row[key] for row in rows) / len(rows) if rows else 0.0
-
-    protocols = {
-        name: {
-            "count": float(len(rows)),
-            "index_lookup_bytes": mean(rows, "index_lookup_bytes"),
-            "tuning_bytes": mean(rows, "tuning_bytes"),
-            "access_bytes": mean(rows, "access_bytes"),
-            "cycles": mean(rows, "cycles"),
-        }
-        for name, rows in by_protocol.items()
-    }
-    phase_totals: Dict[str, float] = {}
-    for cycle in cycles:
-        for name, seconds in cycle.get("phase_seconds", {}).items():
-            phase_totals[name] = phase_totals.get(name, 0.0) + seconds
-    return TraceSummary(
-        cycles=len(cycles),
-        total_broadcast_bytes=sum(c["total_bytes"] for c in cycles),
-        mean_pci_bytes=(
-            sum(c["pci_bytes"] for c in cycles) / len(cycles) if cycles else 0.0
-        ),
-        clients=len(clients),
-        protocols=protocols,
-        phase_seconds=phase_totals,
-        metrics=snapshot,
-    )

@@ -62,6 +62,22 @@ class TestChaosFlight:
         assert record["total_bytes"] > 0
         assert "pending_after" in record
 
+    def test_flight_entry_is_the_cycle_record_plus_context(self, chaos_config):
+        """A superset of the keys the entry always had (``FLIGHT_FORMAT``
+        stays 1): the cycle's trace record, plus what it does not hold."""
+        from repro.tools.trace import CYCLE_KEYS, trace_form
+
+        flight = FlightRecorder(cycle_capacity=4)
+        sim = ChaosSimulation(chaos_config, flight=flight)
+        sim.run()
+        record = flight.cycles[-1]
+        assert {
+            "cycle", "start", "doc_ids", "total_bytes", "data_bytes",
+            "degraded", "pending_after", "phase_seconds", "signature",
+        } <= set(record)
+        server_record = sim.server.records[record["cycle"]]
+        assert trace_form(server_record, CYCLE_KEYS).items() <= record.items()
+
     def test_invariant_violation_dumps_artifact(
         self, chaos_config, tmp_path, monkeypatch
     ):

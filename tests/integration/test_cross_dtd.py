@@ -32,12 +32,12 @@ class TestInvariantClaimsAcrossDTDs:
     def test_pruning_never_grows(self, run):
         dtd, result = run
         for cycle in result.cycles:
-            assert cycle.pci_bytes_one_tier <= cycle.ci_bytes_one_tier, dtd
+            assert cycle.pruning.bytes_after <= cycle.pruning.bytes_before, dtd
 
     def test_two_tier_layout_smaller(self, run):
         dtd, result = run
         for cycle in result.cycles:
-            assert cycle.pci_first_tier_bytes < cycle.pci_bytes_one_tier, dtd
+            assert cycle.pci_first_tier_bytes < cycle.pruning.bytes_after, dtd
 
     def test_two_tier_protocol_wins_lookup(self, run):
         dtd, result = run

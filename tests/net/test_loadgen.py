@@ -115,3 +115,50 @@ class TestShardPlacement:
             build_load_plan(
                 documents[:2], 4, granularity=GRANULARITY, seed=1
             )
+
+
+class _LateClock:
+    """Reads 0.0 once (the run's start), then ``reading``: a session due
+    at 0.0 that the event loop starts only once the clock reads 0.5."""
+
+    def __init__(self):
+        self.reads = 0
+        self.reading = 0.5
+
+    def now(self):
+        self.reads += 1
+        return 0.0 if self.reads == 1 else self.reading
+
+    async def sleep(self, seconds):  # pragma: no cover - never awaited
+        raise AssertionError("run_load paces with the event loop")
+
+
+class TestRunLoadTiming:
+    def test_a_late_start_counts_against_latency(self, monkeypatch):
+        """Coordinated omission: stamping a session's start after the
+        event loop got to it drops its lateness from ``latencies``."""
+        import asyncio
+
+        from repro.net import loadgen
+
+        clock = _LateClock()
+
+        class _Satisfied:
+            satisfied = True
+
+        class _InstantClient:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            async def run(self):
+                clock.reading = 1.0  # the session completes at t = 1.0
+                return _Satisfied()
+
+        monkeypatch.setattr(loadgen, "AsyncTwoTierClient", _InstantClient)
+        plan = loadgen.LoadPlan(
+            seed=1, rate=None, granularity=1, partition_seed=0,
+            sessions=(loadgen.SessionSpec(0, 0.0, "//nitf", 0, 7),),
+        )
+        report = asyncio.run(loadgen.run_load(plan, "localhost", 0, clock=clock))
+        assert report.satisfied == 1
+        assert report.latencies == [1.0]  # due at 0.0, not started at 0.5

@@ -9,13 +9,20 @@ observed one.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import obs
-from repro.obs.report import report_from_result, report_from_trace
+from repro.obs.report import report_from_trace
 from repro.sim.config import small_setup
 from repro.sim.simulation import run_simulation
-from repro.tools.trace import export_trace, load_trace
+from repro.tools.trace import export_trace, load_trace, trace_records
+
+
+def report_of(result):
+    """What ``repro stats`` reports for a fresh run."""
+    return report_from_trace(trace_records(result), source="run")
 
 
 @pytest.fixture(scope="module")
@@ -101,20 +108,20 @@ class TestObservabilityOffIdentity:
         plain = run_simulation(small_setup())
         assert plain.metrics is None
         assert plain.clients == observed.clients
-        # CycleStats differ only in phase_seconds (empty when disabled).
+        # Cycle records differ only in phase_seconds (empty when disabled).
         assert len(plain.cycles) == len(observed.cycles)
         for bare, seen in zip(plain.cycles, observed.cycles):
             assert bare.phase_seconds == {}
             assert bare.total_bytes == seen.total_bytes
             assert bare.data_bytes == seen.data_bytes
-            assert bare.doc_count == seen.doc_count
+            assert bare.scheduled_docs == seen.scheduled_docs
             assert bare.start_time == seen.start_time
 
 
 class TestPerfReport:
     def test_report_from_result(self, observed_result):
         result, _ = observed_result
-        report = report_from_result(result)
+        report = report_of(result)
         assert report.source == "run"
         assert report.cycles == len(result.cycles)
         assert report.clients == len(result.clients)
@@ -138,7 +145,7 @@ class TestPerfReport:
         import json
 
         result, _ = observed_result
-        report = report_from_result(result)
+        report = report_of(result)
         text = report.render()
         assert "Phase timings" in text
         assert "Channel bytes" in text
@@ -148,13 +155,29 @@ class TestPerfReport:
         assert len(payload["phases"]) >= 6
 
     def test_report_from_trace_matches_run(self, observed_result, tmp_path):
+        """One builder: a run's report and its exported trace's report
+        agree on every field but ``source``."""
         result, _ = observed_result
         path = tmp_path / "run.jsonl"
         export_trace(result, path)
         from_trace = report_from_trace(load_trace(path))
-        from_run = report_from_result(result)
-        assert from_trace.source == "trace"
-        assert from_trace.cycles == from_run.cycles
-        assert from_trace.bytes["broadcast_total"] == from_run.bytes["broadcast_total"]
-        assert from_trace.phases == from_run.phases
-        assert from_trace.bytes["clients"] == from_run.bytes["clients"]
+        from_run = report_of(result)
+        assert (from_run.source, from_trace.source) == ("run", "trace")
+        assert dataclasses.replace(from_run, source="trace") == from_trace
+
+    def test_report_answers_what_the_run_summary_does(self, observed_result):
+        result, _ = observed_result
+        report = report_of(result)
+        assert report.bytes["pci_mean"] == pytest.approx(result.mean_pci_bytes())
+        for protocol in ("one-tier", "two-tier"):
+            sums = report.bytes["clients"][protocol]
+            sessions = sums["sessions"]
+            assert sums["index_lookup"] / sessions == pytest.approx(
+                result.mean_index_lookup_bytes(protocol)
+            )
+            assert sums["access"] / sessions == pytest.approx(
+                result.mean_access_bytes(protocol)
+            )
+            assert sums["cycles_listened"] / sessions == pytest.approx(
+                result.mean_cycles_listened(protocol)
+            )

@@ -39,132 +39,22 @@ class TestScheduling:
         with pytest.raises(ValueError):
             queue.run()
 
-    def test_schedule_in(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(10, lambda: queue.schedule_in(5, lambda: fired.append(queue.now)))
-        queue.run()
-        assert fired == [15]
-
-    def test_negative_delay_rejected(self):
-        queue = EventQueue()
-        with pytest.raises(ValueError):
-            queue.schedule_in(-1, lambda: None)
-
-
-class TestCancellation:
-    def test_cancelled_event_skipped(self):
-        queue = EventQueue()
-        log = []
-        handle = queue.schedule(10, lambda: log.append("x"))
-        handle.cancel()
-        queue.schedule(20, lambda: log.append("y"))
-        assert queue.run() == 1
-        assert log == ["y"]
-
-    def test_pending_count_ignores_cancelled(self):
-        queue = EventQueue()
-        handle = queue.schedule(10, lambda: None)
-        queue.schedule(20, lambda: None)
-        handle.cancel()
-        assert queue.pending_count == 1
-
     def test_next_event_time(self):
         queue = EventQueue()
         assert queue.next_event_time() is None
-        first = queue.schedule(10, lambda: None)
         queue.schedule(20, lambda: None)
-        assert queue.next_event_time() == 10
-        first.cancel()
-        assert queue.next_event_time() == 20
-
-
-class TestLazyCancellationAccounting:
-    """Cancelled entries are dropped at the heap top, counted incrementally."""
-
-    def test_double_cancel_counts_once(self):
-        queue = EventQueue()
-        handle = queue.schedule(10, lambda: None)
-        queue.schedule(20, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert queue.pending_count == 1
-        assert queue._cancelled_in_heap == 1
-
-    def test_cancel_after_execution_is_a_no_op(self):
-        queue = EventQueue()
-        handle = queue.schedule(10, lambda: None)
-        queue.run()
-        handle.cancel()  # too late: already ran, heap untouched
-        assert handle.cancelled
-        assert queue._cancelled_in_heap == 0
-        assert queue.pending_count == 0
-
-    def test_counter_drops_as_top_is_pruned(self):
-        queue = EventQueue()
-        handles = [queue.schedule(t, lambda: None) for t in (10, 20, 30)]
-        handles[0].cancel()
-        handles[1].cancel()
-        assert queue._cancelled_in_heap == 2
-        assert queue.next_event_time() == 30  # prunes both cancelled tops
-        assert queue._cancelled_in_heap == 0
-        assert len(queue._heap) == 1
-
-    def test_cancelled_below_top_stays_in_heap(self):
-        queue = EventQueue()
         queue.schedule(10, lambda: None)
-        later = queue.schedule(20, lambda: None)
-        later.cancel()
-        assert queue.next_event_time() == 10  # top is live; no pruning
-        assert len(queue._heap) == 2
-        assert queue.pending_count == 1
-
-    def test_all_cancelled_queue_reports_empty(self):
-        queue = EventQueue()
-        handles = [queue.schedule(t, lambda: None) for t in (10, 20)]
-        for handle in handles:
-            handle.cancel()
-        assert queue.is_empty()
+        assert queue.next_event_time() == 10
+        queue.run()
         assert queue.next_event_time() is None
-        assert queue.run() == 0
-
-    def test_step_skips_cancelled_run_of_entries(self):
-        queue = EventQueue()
-        log = []
-        for t in (10, 20, 30):
-            handle = queue.schedule(t, lambda t=t: log.append(t))
-            if t < 30:
-                handle.cancel()
-        event = queue.step()
-        assert event is not None and event.time == 30
-        assert log == [30]
-        assert queue.pending_count == 0
 
 
 class TestRunLimits:
-    def test_until(self):
-        queue = EventQueue()
-        log = []
-        for t in (10, 20, 30):
-            queue.schedule(t, lambda t=t: log.append(t))
-        assert queue.run(until=20) == 2
-        assert log == [10, 20]
-        assert not queue.is_empty()
-
-    def test_max_events(self):
-        queue = EventQueue()
-        log = []
-        for t in (10, 20, 30):
-            queue.schedule(t, lambda t=t: log.append(t))
-        queue.run(max_events=1)
-        assert log == [10]
-
     def test_clock_advances(self):
         queue = EventQueue()
         queue.schedule(42, lambda: None)
         queue.run()
         assert queue.now == 42
-        assert queue.processed == 1
 
     def test_events_scheduling_events(self):
         queue = EventQueue()
@@ -173,7 +63,7 @@ class TestRunLimits:
         def tick():
             if len(counter) < 5:
                 counter.append(queue.now)
-                queue.schedule_in(10, tick)
+                queue.schedule(queue.now + 10, tick)
 
         queue.schedule(0, tick)
         queue.run()

@@ -30,29 +30,6 @@ def test_events_fire_in_time_then_priority_then_fifo_order(schedule):
     assert fired == expected
 
 
-@given(
-    st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 3)), max_size=40),
-    st.data(),
-)
-def test_cancellation_removes_exactly_the_cancelled(schedule, data):
-    queue = EventQueue()
-    fired = []
-    handles = []
-    for index, (time, priority) in enumerate(schedule):
-        handles.append(
-            queue.schedule(time, lambda i=index: fired.append(i), priority=priority)
-        )
-    cancelled = set()
-    if handles:
-        for index in data.draw(
-            st.lists(st.integers(0, len(handles) - 1), max_size=10)
-        ):
-            handles[index].cancel()
-            cancelled.add(index)
-    queue.run()
-    assert set(fired) == set(range(len(schedule))) - cancelled
-
-
 @given(st.lists(st.integers(0, 500), min_size=1, max_size=30))
 def test_clock_is_monotone(times):
     queue = EventQueue()
@@ -73,7 +50,7 @@ def test_self_rescheduling_chain_terminates(step, count):
     def tick():
         fired.append(queue.now)
         if len(fired) < count:
-            queue.schedule_in(step, tick)
+            queue.schedule(queue.now + step, tick)
 
     queue.schedule(0, tick)
     queue.run()

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.broadcast.server import CycleRecord
 from repro.client.metrics import ClientMetrics
-from repro.sim.results import ClientRecord, CycleStats, SimulationResult
+from repro.index.pruning import PruningStats
+from repro.sim.results import ClientRecord, SimulationResult
 
 
 def record(protocol: str, lookup: int = 100, cycles: int = 3) -> ClientRecord:
@@ -25,20 +27,26 @@ def record(protocol: str, lookup: int = 100, cycles: int = 3) -> ClientRecord:
     )
 
 
-def cycle_stats(n: int = 0) -> CycleStats:
-    return CycleStats(
+def cycle_record(n: int = 0) -> CycleRecord:
+    return CycleRecord(
         cycle_number=n,
         start_time=n * 1000,
         total_bytes=1000,
         data_bytes=800,
-        doc_count=3,
-        pending_queries=4,
-        ci_bytes_one_tier=600,
-        pci_bytes_one_tier=500,
+        pending_count=4,
+        requested_docs=5,
+        scheduled_docs=3,
+        pci_nodes=10,
         pci_first_tier_bytes=300,
         offset_list_bytes=20,
-        pci_nodes=10,
-        ci_nodes=12,
+        pruning=PruningStats(
+            nodes_before=12,
+            nodes_after=10,
+            doc_entries_before=9,
+            doc_entries_after=7,
+            bytes_before=600,
+            bytes_after=500,
+        ),
     )
 
 
@@ -72,7 +80,7 @@ class TestSimulationResult:
         assert result.mean_index_lookup_bytes("naive") == 0.0
 
     def test_cycle_aggregates(self):
-        result = SimulationResult(cycles=[cycle_stats(0), cycle_stats(1)])
+        result = SimulationResult(cycles=[cycle_record(0), cycle_record(1)])
         assert result.mean_ci_bytes() == 600
         assert result.mean_pci_bytes() == 500
         assert result.mean_two_tier_bytes() == 320
@@ -86,7 +94,7 @@ class TestSimulationResult:
     def test_summary_keys(self):
         result = SimulationResult(
             clients=[record("one-tier"), record("two-tier")],
-            cycles=[cycle_stats()],
+            cycles=[cycle_record()],
             collection_bytes=100,
         )
         summary = result.summary()

@@ -54,14 +54,23 @@ class TestRun:
         }
         assert one == two
 
+    def test_cycles_are_the_servers_records(self):
+        """One per-cycle record: the result holds what the server wrote."""
+        sim = Simulation(small_setup())
+        result = sim.run()
+        assert result.cycles == sim.server.records
+        assert [c.cycle_number for c in result.cycles] == list(
+            range(len(result.cycles))
+        )
+
     def test_cycle_stats_monotone_times(self, small_result):
         starts = [c.start_time for c in small_result.cycles]
         assert starts == sorted(starts)
 
     def test_pci_never_exceeds_ci(self, small_result):
         for cycle in small_result.cycles:
-            assert cycle.pci_bytes_one_tier <= cycle.ci_bytes_one_tier
-            assert cycle.pci_first_tier_bytes <= cycle.pci_bytes_one_tier
+            assert cycle.pruning.bytes_after <= cycle.pruning.bytes_before
+            assert cycle.pci_first_tier_bytes <= cycle.pruning.bytes_after
 
     def test_two_tier_lookup_wins_at_scale(self, small_result):
         assert small_result.mean_index_lookup_bytes(

@@ -177,12 +177,14 @@ class TestUplinkCodec:
         import dataclasses
         import inspect
 
+        from repro.control.plan import ControlConfig
         from repro.net import ClusterConfig, ClusterSupervisor, DaemonConfig
         from repro.sim.config import SimulationConfig
 
         def names(cls):
             return {f.name for f in dataclasses.fields(cls)}
 
+        assert "seed" not in names(ControlConfig)
         assert not {"drain_high_water", "max_buffered_bytes"} & names(DaemonConfig)
         assert not {"connect_backoff", "retry_after_hint"} & names(ClusterConfig)
         assert "server_caches" not in names(SimulationConfig)
@@ -220,6 +222,25 @@ class TestOnePump:
             ("repro.obs.registry:MetricsRegistry", "active_span"),
             ("repro.obs.registry:NullRegistry", "active_span"),
             ("repro.experiments.figures", "run_all"),
+            # one per-cycle record, one report builder (migration table:
+            # CHANGES.md -- CycleStats is the server's CycleRecord)
+            ("repro.sim", "CycleStats"),
+            ("repro.sim.results", "CycleStats"),
+            ("repro.tools", "TraceSummary"),
+            ("repro.tools", "summarise_trace"),
+            ("repro.tools.trace", "TraceSummary"),
+            ("repro.tools.trace", "summarise_trace"),
+            ("repro.obs.report", "report_from_result"),
+            # the engine keeps what the simulator calls
+            ("repro.sim", "ScheduledEvent"),
+            ("repro.sim.engine", "ScheduledEvent"),
+            ("repro.sim.engine:EventQueue", "schedule_in"),
+            ("repro.sim.engine:EventQueue", "step"),
+            ("repro.sim.engine:EventQueue", "pending_count"),
+            ("repro.sim.engine:EventQueue", "is_empty"),
+            ("repro.sim.engine:EventQueue", "_prune_cancelled_top"),
+            ("repro.sim.engine:EventQueue", "_note_cancellation"),
+            ("repro.control.controller", "random"),
         ],
     )
     def test_the_fork_and_the_uncalled_are_gone(self, owner, name):
@@ -234,9 +255,16 @@ class TestOnePump:
 
         from repro.index.ci import CompactIndex
         from repro.net.wire import CycleDecoder
+        from repro.sim.engine import EventQueue
 
         assert "doc_filter" not in inspect.signature(CompactIndex.from_guide).parameters
         assert not hasattr(CycleDecoder(), "last_trailer")
+        queue = EventQueue()
+        assert not {"processed", "_cancelled_in_heap"} & set(vars(queue))
+        assert list(inspect.signature(queue.run).parameters) == []
+        assert list(inspect.signature(queue.schedule).parameters) == [
+            "time", "callback", "priority",
+        ]
 
     def test_no_option_was_added(self):
         """The counts the issue fixed before the change."""

@@ -59,7 +59,6 @@ class TestWorkerArgv:
                 "--k-min": st.integers(1, 4),
                 "--k-max": st.integers(4, 8),
                 "--hot-set-size": st.integers(0, 16),
-                "--control-seed": st.integers(0, 10**6),
                 "--max-pending": st.integers(1, 10**4),
                 "--log-level": st.sampled_from(["debug", "info", "warning", "error"]),
             }
@@ -68,7 +67,7 @@ class TestWorkerArgv:
     )
     def test_worker_reparses_to_the_front_doors_config(self, flags, adaptive):
         """Regression: the hand-written list dropped ``--adaptive``,
-        ``--k-min/--k-max``, ``--hot-set-size`` and ``--control-seed``, so
+        ``--k-min/--k-max`` and ``--hot-set-size``, so
         ``serve --workers 2 --adaptive`` ran *static* workers."""
         # one-tier is the paper's single static channel
         assume(
@@ -200,10 +199,11 @@ class TestPipelineFlags:
             ]
         )
         assert code == 0
-        from repro.tools.trace import load_trace, summarise_trace
+        from repro.obs.report import report_from_trace
+        from repro.tools.trace import load_trace
 
-        summary = summarise_trace(load_trace(tmp_path / "t.jsonl"))
-        assert summary.clients > 0
+        report = report_from_trace(load_trace(tmp_path / "t.jsonl"))
+        assert report.clients > 0
 
 
 class TestSimulate:
@@ -299,16 +299,18 @@ class TestStats:
         assert not obs.is_enabled()
 
     def test_trace_mode(self, tmp_path, capsys):
-        trace = tmp_path / "t.jsonl"
-        code = main(STATS_ARGS + ["--export-trace", str(trace)])
-        assert code == 0
-        capsys.readouterr()
-        code = main(["stats", "--trace", str(trace), "--json"])
-        assert code == 0
+        """A run's report and its own trace's report are one report."""
         import json
 
+        trace = tmp_path / "t.jsonl"
+        code = main(STATS_ARGS + ["--json", "--export-trace", str(trace)])
+        assert code == 0
+        run = json.loads(capsys.readouterr().out)
+        code = main(["stats", "--trace", str(trace), "--json"])
+        assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["source"] == "trace"
+        assert (run.pop("source"), payload.pop("source")) == ("run", "trace")
+        assert payload == run
         assert len(payload["phases"]) >= 6
 
     def test_out_file(self, tmp_path, capsys):

@@ -28,7 +28,7 @@ BOUND = 400
 #: the classes still over the bound, and the most lines each may have
 CEILINGS = {
     "BroadcastDaemon": 910,  # 1,153 at PR 16, 1,015 at PR 17
-    "BroadcastServer": 650,  # 662 at PR 18
+    "BroadcastServer": 643,  # 662 when the ratchet began, then 650
     "AsyncTwoTierClient": 432,  # 458 with the router's second data path
 }
 
