@@ -154,7 +154,7 @@ class BroadcastCycle:
 
     def lookup(self, query: Union[XPathQuery, LazyQueryDFA]) -> LookupResult:
         """Client-side index search on this cycle's PCI (a query, or the
-        compiled form a repeat searcher keeps -- see
+        compiled query or query set a repeat searcher keeps -- see
         :meth:`CompactIndex.lookup <repro.index.ci.CompactIndex.lookup>`)."""
         return self.pci.lookup(query)
 
@@ -162,8 +162,9 @@ class BroadcastCycle:
         self, lookup: LookupResult, scheme: IndexScheme
     ) -> FrozenSet[int]:
         """Packets of *scheme*'s packing a *selective* index search reads
-        (worked out once per result: every client of a query string is
-        handed the same :class:`LookupResult`)."""
+        (worked out once per walk for all its queries, and kept on each
+        :class:`LookupResult` view, which every client of a query string
+        shares)."""
         return lookup.packets_in(self.packed(scheme))
 
     def index_lookup_bytes(self, lookup: LookupResult, scheme: IndexScheme) -> int:

@@ -899,6 +899,8 @@ class BroadcastServer:
                     cache[key] = (query, docs - {doc_id})
         self.demand.discard_doc(doc_id)
         for pending in self.pending:
+            if doc_id in pending.result_doc_ids:  # else keep the shared set
+                pending.result_doc_ids = pending.result_doc_ids - {doc_id}
             pending.remaining_doc_ids.discard(doc_id)
             if pending.is_satisfied and pending.satisfied_time is None:
                 pending.satisfied_time = self.clock
@@ -918,20 +920,16 @@ class BroadcastServer:
         Only meaningful with ``acknowledged_delivery=True``: the query's
         remaining set shrinks to the documents its client has actually
         received, so erased frames stay scheduled for rebroadcast.
-        Documents that left the collection since admission stay dropped
-        (resetting from ``result_doc_ids`` must not resurrect a document
-        ``remove_document`` already gave up on).
+        Documents that left the collection since admission stay dropped,
+        even if a later document reuses the id: ``remove_document`` took
+        them out of ``result_doc_ids``, which the reset starts from.
         """
         if not self.acknowledged_delivery:
             raise RuntimeError(
                 "confirm_delivery requires acknowledged_delivery=True"
             )
         before_set = set(pending.remaining_doc_ids)
-        pending.remaining_doc_ids = {
-            doc_id
-            for doc_id in pending.result_doc_ids
-            if doc_id not in received_doc_ids and doc_id in self.store.by_id
-        }
+        pending.remaining_doc_ids = set(pending.result_doc_ids) - received_doc_ids
         for doc_id in before_set - pending.remaining_doc_ids:
             self.demand.discard(doc_id, pending)
         for doc_id in pending.remaining_doc_ids - before_set:

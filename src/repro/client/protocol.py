@@ -20,9 +20,10 @@ from repro.filtering.dfa import LazyQueryDFA
 from repro.index.ci import LookupResult
 from repro.xpath.ast import XPathQuery
 
-#: A shared per-cycle lookup cache the simulation may inject so clients
-#: issuing the same query string reuse one index walk (and one compiled
-#: query).  A client given none searches for itself.
+#: A shared search the simulation may inject: one index walk per cycle
+#: for its whole audience (one compiled query set), of which each client
+#: is handed its own query's view.  A client given none searches for
+#: itself.
 LookupFn = Callable[[BroadcastCycle, XPathQuery], LookupResult]
 
 

@@ -159,6 +159,7 @@ class ChaosSimulation(Simulation):
     # ------------------------------------------------------------------
 
     def _admit(self, plan: ArrivalPlan) -> None:
+        self._ask(plan.query)
         client_key = self._next_client_key
         self._next_client_key += 1
         if self.plan.active(self.server.cycle_number):

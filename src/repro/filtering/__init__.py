@@ -13,7 +13,10 @@ al., TODS 2003]; this package rebuilds its core:
   its distinct label paths (equivalent, and differential-tested);
 * :mod:`repro.filtering.dfa` -- a lazily determinised DFA over the NFA,
   used by index pruning (paper Section 3.2 builds "a DFA ... based on the
-  set of queries Q").
+  set of queries Q") and by the client index search;
+* :mod:`repro.filtering.masks` -- what one index search records for a
+  whole query set (per-row query masks) and each query's view of it
+  (``LookupResult``, exported by :mod:`repro.index`).
 """
 
 from repro.filtering.events import Event, EventKind, document_events

@@ -5,22 +5,24 @@ queries Q pending at the server side" and then checks every Compact Index
 node against it.  Full subset construction is wasteful -- only the state
 sets actually reachable through the index's label paths matter -- so the
 DFA is determinised *lazily*: each (configuration, label) transition is
-computed once through the NFA and memoised, as is each configuration's
-accept flag.
+computed once through the NFA and memoised, as are each configuration's
+query masks.
 
-This is the one compiled form of a query.  The server compiles the
-pending set for pruning; a client compiles its single query for the
-index search (:meth:`CompactIndex.lookup
-<repro.index.ci.CompactIndex.lookup>`).  The memo lives and dies with
-the object, so whoever searches repeatedly -- every cycle, for the
-one-tier baseline -- keeps the object and pays for each transition once,
-however many index trees it walks.
+This is the one compiled form of a query (set).  The server compiles the
+pending set for pruning; a client compiles its single query, and the
+simulator its whole audience's strings, for the index search
+(:meth:`CompactIndex.lookup <repro.index.ci.CompactIndex.lookup>`).  The
+memo lives and dies with the object, so whoever searches repeatedly --
+every cycle, for the one-tier baseline -- keeps the object and pays for
+each transition once, however many index trees it walks.
 
 A DFA state is the canonical sorted tuple of NFA state ids (the flat
-automaton's native configuration form); two extra predicates are exposed:
+automaton's native configuration form); it answers:
 
-* ``is_accepting`` -- some pending query matches the path consumed so far
-  (the node is a *result node*);
+* ``masks`` -- which queries (bit ``q`` for query id ``q``) are still
+  live after the consumed path, and which match it exactly;
+* ``is_accepting`` -- some query matches the path consumed so far (the
+  node is a *result node*);
 * ``is_live`` -- the configuration is non-empty, i.e. the path consumed so
   far is still a viable prefix of some query match (the node may have
   result descendants).
@@ -45,7 +47,8 @@ class LazyQueryDFA:
         self._start = nfa.initial_states()
         #: state -> {label: successor}, filled one transition at a time
         self._rows: Dict[DFAState, Dict[str, DFAState]] = {}
-        self._accepting: Dict[DFAState, bool] = {}
+        #: state -> (live, accepting) query bitmasks, asked of the NFA once
+        self._masks: Dict[DFAState, Tuple[int, int]] = {}
         self._materialised = 0
 
     @classmethod
@@ -93,12 +96,19 @@ class LazyQueryDFA:
                 return state
         return state
 
+    def masks(self, state: DFAState) -> Tuple[int, int]:
+        """The (memoised) ``(live, accepting)`` query bitmasks of *state*:
+        bit ``q`` is query ``q`` (its id in the NFA), still able to match
+        below the consumed path / matching it exactly."""
+        masks = self._masks.get(state)
+        if masks is None:
+            masks = self._masks[state] = self.nfa.query_masks(state)
+        return masks
+
     def is_accepting(self, state: DFAState) -> bool:
         """Does some pending query match exactly the consumed path?"""
-        flag = self._accepting.get(state)
-        if flag is None:
-            flag = self._accepting[state] = self.nfa.is_accepting(state)
-        return flag
+        # the memo read inline: pruning asks this once per index row
+        return (self._masks.get(state) or self.masks(state))[1] != 0
 
     def accepted_queries(self, state: DFAState) -> Set[int]:
         return self.nfa.accepted_queries(state)

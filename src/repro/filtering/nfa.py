@@ -24,6 +24,9 @@ construction trie (cache-conscious, integer-indexed -- the layout of
 * per-state epsilon closures and accept lists in CSR form (one offsets
   array into one flat ids array), so closing a configuration never
   chases pointers;
+* per-state query bitmasks -- the queries accepting at the state, and
+  those accepting at or below it (still live there) -- so a
+  configuration answers "which queries" with a few integer ORs;
 * a reusable scratch *seen* array stamped with a generation counter, so
   :meth:`move` and :meth:`epsilon_closure` allocate no per-event set or
   frozenset -- the only allocation left is the small canonical result
@@ -37,6 +40,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.xpath.ast import Axis, Step, WILDCARD, XPathQuery
@@ -83,6 +88,10 @@ class SharedPathNFA:
         self._closure_ids = array("i")  #: per-state epsilon closures
         self._accept_off = array("i")  #: CSR offsets into _accept_ids
         self._accept_ids = array("i")  #: per-state accepted query ids
+        #: per state, bit ``q`` set for query ``q``: accepted here / here
+        #: or anywhere below in the trie (the query is still live here)
+        self._accept_masks: List[int] = []
+        self._live_masks: List[int] = []
         # -- reusable scratch (the no-allocation move path) ------------
         self._seen = array("i")  #: generation stamps, one slot per state
         self._gen = 0
@@ -204,9 +213,22 @@ class SharedPathNFA:
 
         accept_off = array("i", [0]) * (count + 1)
         accept_ids = array("i")
+        accept_masks = [0] * count
         for state in states:
             accept_ids.extend(state.accepts)
             accept_off[state.state_id + 1] = len(accept_ids)
+            for query_id in state.accepts:
+                accept_masks[state.state_id] |= 1 << query_id
+        # A state's live mask: the queries accepting at or below it in the
+        # trie.  Every successor is created after its parent, so one
+        # reverse sweep sees each child's mask before its parent's.
+        live_masks = list(accept_masks)
+        for state in reversed(states):
+            mask = live_masks[state.state_id]
+            for target in (state.wild, state.descendant, *state.children.values()):
+                if target is not None:
+                    mask |= live_masks[target]
+            live_masks[state.state_id] = mask
 
         self._label_ids = label_ids
         self._num_labels = num_labels
@@ -217,6 +239,8 @@ class SharedPathNFA:
         self._closure_ids = closure_ids
         self._accept_off = accept_off
         self._accept_ids = accept_ids
+        self._accept_masks = accept_masks
+        self._live_masks = live_masks
         self._seen = array("i", [0]) * count
         self._gen = 0
         self._buf = []
@@ -333,6 +357,22 @@ class SharedPathNFA:
             for position in range(accept_off[state_id], accept_off[state_id + 1]):
                 matched.add(accept_ids[position])
         return matched
+
+    def query_masks(self, states: Iterable[int]) -> Tuple[int, int]:
+        """``(live, accepting)`` bitmasks of a configuration over query ids.
+
+        Bit ``q`` of *live* is set when query ``q`` can still match an
+        extension of the consumed path (its accepting state lies at or
+        below one of *states*); bit ``q`` of *accepting* when it matches
+        the path itself.
+        """
+        if not self._compiled:
+            self._compile()
+        states = tuple(states)
+        return (
+            reduce(or_, map(self._live_masks.__getitem__, states), 0),
+            reduce(or_, map(self._accept_masks.__getitem__, states), 0),
+        )
 
     def trie_matches(self, roots: Iterable[Any]) -> Iterator[Tuple[Any, Set[int]]]:
         """Run the automaton over label tries; yield ``(node, accepted ids)``.

@@ -11,7 +11,9 @@ and no parent link; a subtree is an id range.
 ``CompactIndex.lookup`` reproduces the client-side index
 search: descend from the root following viable entries, and at every node
 the query accepts, collect the document annotations of the whole subtree
-(the running example's q1 hits leaf n4 and reads d1, d2 directly).
+(the running example's q1 hits leaf n4 and reads d1, d2 directly).  One
+walk serves a whole compiled query set, recording per row which queries
+read it (:mod:`repro.filtering.masks`).
 
 Two builders cover the paper's two uses:
 
@@ -26,9 +28,7 @@ Two builders cover the paper's two uses:
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     FrozenSet,
@@ -47,53 +47,11 @@ from repro.dataguide.roxsum import (
     build_combined_guide,
 )
 from repro.filtering.dfa import LazyQueryDFA
+from repro.filtering.masks import LookupResult, RowMasks
 from repro.index.nodes import RowBuilder
 from repro.index.sizes import SizeModel, PAPER_SIZE_MODEL
 from repro.xmlkit.model import LabelPath, XMLDocument
 from repro.xpath.ast import XPathQuery
-
-if TYPE_CHECKING:  # pragma: no cover - packing imports this module
-    from repro.index.packing import PackedIndex, PackingStrategy
-
-
-@dataclass(frozen=True)
-class LookupResult:
-    """Outcome of one index lookup.
-
-    ``visited_node_ids`` are the nodes a client actually reads: the
-    navigation walk (every node whose configuration is still live) plus
-    the full subtrees of matched nodes (document annotations may sit
-    anywhere below a match).  Tuning-time accounting maps these node ids
-    to packets.
-    """
-
-    doc_ids: Tuple[int, ...]
-    matched_node_ids: FrozenSet[int]
-    visited_node_ids: FrozenSet[int]
-    #: :meth:`packets_in` memo; lives and dies with the result, outside
-    #: its value
-    _packets: Dict[Tuple["PackingStrategy", bool], FrozenSet[int]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.doc_ids
-
-    def packets_in(self, packed: "PackedIndex") -> FrozenSet[int]:
-        """Distinct packets of *packed* the visited nodes touch.
-
-        *packed* must pack the index that was searched (node ids mean
-        nothing elsewhere), so strategy and layout identify it here.  One
-        search result is shared by every client asking the same string in
-        a cycle; the accounting runs once per packing, not per client.
-        """
-        key = (packed.strategy, packed.one_tier)
-        packets = self._packets.get(key)
-        if packets is None:
-            packets = packed.packets_for_nodes(self.visited_node_ids)
-            self._packets[key] = packets
-        return packets
 
 
 #: How document annotations are laid out in an index tree.
@@ -341,7 +299,7 @@ class CompactIndex:
     # ------------------------------------------------------------------
 
     def lookup(self, query: Union[XPathQuery, LazyQueryDFA]) -> LookupResult:
-        """Simulate the client's index search for one query.
+        """Simulate the client's index search, for one query or a set.
 
         A caller that searches more than once (every cycle, for a
         one-tier client) compiles its query once
@@ -349,48 +307,49 @@ class CompactIndex:
         <repro.filtering.dfa.LazyQueryDFA.from_queries>`) and passes the
         compiled form: its memoised rows make a repeat search a walk of
         dict reads.  A bare query is compiled into a throwaway here and
-        takes the same walk.  A DFA over several queries works too --
-        matches are then the nodes *any* of them accepts.
+        takes the same walk.  A DFA over several queries is walked once
+        for all of them: the result is their union (matches are the
+        nodes *any* of them accepts), and ``result.for_query(q)`` is
+        query ``q``'s own search.
         """
         dfa = (
             query
             if isinstance(query, LazyQueryDFA)
             else LazyQueryDFA.from_queries([query])
         )
-        step, row_of, accepting = dfa.step, dfa.row, dfa.is_accepting
+        step, row_of, masks_of = dfa.step, dfa.row, dfa.masks
         # Maximal layout: a match's result documents sit anywhere in its
         # subtree, which the client reads whole.  Containment layout: the
         # matched node carries its full result set; nothing below it is
         # read (or charged) unless the walk is still live there.
         maximal = self.annotation != "containment"
-        labels, children = self.labels, self.children
-        ends, docs_at = self.ends, self.doc_ids
-        visited: Set[int] = set()
-        matched: Set[int] = set()
-        doc_ids: Set[int] = set()
-        # (node id, state, inside a matched subtree) walk over live states
-        # only; the virtual root does not consume a query step because it
-        # is not a document element.
+        labels, children, ends = self.labels, self.children, self.ends
+        everyone = masks_of(dfa.start)[0]
+        # per row, the queries reading it (bit q = query q)
+        masks = [0] * len(ends)
+        matches: List[Tuple[int, int]] = []
+        # (node id, state, queries inside a subtree they matched above)
+        # walk over live states only; the virtual root does not consume a
+        # query step because it is not a document element, and every
+        # query reads it.
         if self.virtual_root:
-            visited.add(0)
+            masks[0] = everyone
             seeds = [(child, step(dfa.start, labels[child])) for child in children[0]]
         else:
             seeds = [(0, step(dfa.start, labels[0]))]
-        stack = [(node_id, state, False) for node_id, state in seeds if state]
+        stack = [(node_id, state, 0) for node_id, state in seeds if state]
         while stack:
             node_id, state, inside = stack.pop()
-            if accepting(state):
-                matched.add(node_id)
-                if not maximal:
-                    doc_ids.update(docs_at[node_id])
-                elif not inside:
+            live, accepting = masks_of(state)
+            masks[node_id] |= live
+            if accepting:
+                matches.append((node_id, accepting))
+                fresh = accepting & ~inside
+                if maximal and fresh:
                     # the subtree is one contiguous id range
-                    inside = True
-                    end = ends[node_id]
-                    visited.update(range(node_id, end))
-                    doc_ids.update(*docs_at[node_id:end])
-            if not inside:
-                visited.add(node_id)
+                    inside |= fresh
+                    for below in range(node_id + 1, ends[node_id]):
+                        masks[below] |= fresh
             row = row_of(state)
             for child in children[node_id]:
                 label = labels[child]
@@ -399,11 +358,8 @@ class CompactIndex:
                     target = step(state, label)
                 if target:  # a dead branch: the client does not descend
                     stack.append((child, target, inside))
-        return LookupResult(
-            doc_ids=tuple(sorted(doc_ids)),
-            matched_node_ids=frozenset(matched),
-            visited_node_ids=frozenset(visited),
-        )
+        walk = RowMasks(masks, matches, ends, self.doc_ids, not maximal, everyone)
+        return LookupResult(walk, everyone)
 
 
 def build_full_ci(

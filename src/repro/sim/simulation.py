@@ -156,30 +156,43 @@ class Simulation:
         self.first_tier_read = first_tier_read
         self.sessions: List[_Session] = []
         self._queue = EventQueue()
-        #: the on-air cycle's index walks, by query string
-        self._lookup_cache: Dict[str, LookupResult] = {}
-        #: every query string the run has searched for, compiled once: the
-        #: one-tier baseline repeats each search every cycle, and the
-        #: memoised rows outlive the cycle the walk first filled them on
-        self._compiled: Dict[str, LazyQueryDFA] = {}
+        #: one query per distinct string admitted so far, in admission
+        #: order, and each string's position: its query id in ``_audience``
+        self._queries: List[XPathQuery] = []
+        self._query_ids: Dict[str, int] = {}
+        #: the run's strings compiled as one query set, so one walk serves
+        #: every client; rebuilt only once an admission brings a new string
+        #: (the one-tier baseline repeats its search every cycle, and the
+        #: memoised rows outlive the cycle the walk first filled them on)
+        self._audience: Optional[LazyQueryDFA] = None
+        #: the on-air cycle's walk, made at its first search
+        self._on_air: Optional[LookupResult] = None
         self._current_cycle: Optional[BroadcastCycle] = None
 
     # ------------------------------------------------------------------
     # Event bodies
     # ------------------------------------------------------------------
 
-    def _cached_lookup(self, cycle: BroadcastCycle, query: XPathQuery) -> LookupResult:
-        """Per-cycle lookup cache: same query string, one index walk."""
+    def _ask(self, query: XPathQuery) -> None:
+        """Enter an admitted query's string into the compiled set."""
         key = str(query)
-        result = self._lookup_cache.get(key)
-        if result is None:
-            compiled = self._compiled.get(key)
-            if compiled is None:
-                compiled = self._compiled[key] = LazyQueryDFA.from_queries([query])
-            result = self._lookup_cache[key] = cycle.lookup(compiled)
-        return result
+        if key not in self._query_ids:
+            self._query_ids[key] = len(self._queries)
+            self._queries.append(query)
+            self._audience = None
+
+    def _cached_lookup(self, cycle: BroadcastCycle, query: XPathQuery) -> LookupResult:
+        """One walk of the cycle's index for the whole audience; each
+        client reads its own query's view of it."""
+        if self._audience is None:  # an admission brought a new string
+            self._audience = LazyQueryDFA.from_queries(self._queries)
+            self._on_air = None
+        if self._on_air is None:
+            self._on_air = cycle.lookup(self._audience)
+        return self._on_air.for_query(self._query_ids[str(query)])
 
     def _admit(self, plan: ArrivalPlan) -> None:
+        self._ask(plan.query)
         pending = self.server.submit(plan.query, plan.arrival_time)
         two_tier = TwoTierClient(
             plan.query,
@@ -284,7 +297,7 @@ class Simulation:
             validate_cycle(cycle, self.store)
         self._record_cycle(cycle)
         self._current_cycle = cycle
-        self._lookup_cache.clear()
+        self._on_air = None
         self._deliver(cycle)
         self._schedule_arrivals(
             self.workload.arrivals_during(cycle.start_time, cycle.end_time)

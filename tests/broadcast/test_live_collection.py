@@ -226,6 +226,38 @@ class TestServerMaintenance:
         server.confirm_delivery(pending, received_doc_ids={0}, cycle=cycle)
         assert pending.is_satisfied
 
+    def test_confirm_delivery_does_not_resurrect_a_reused_doc_id(self):
+        """Regression: the reset filtered ``result_doc_ids`` by "still in
+        the store", so a new document reusing a removed one's id was put
+        back into the remaining set of a query that never asked for it.
+        A re-tuned client (fewer documents received) still grows it back."""
+        from repro.xmlkit.generator import (
+            BUILTIN_DTDS,
+            DocumentGenerator,
+            GeneratorConfig,
+            generate_collection,
+        )
+
+        dtd = BUILTIN_DTDS["nitf"]()
+        server = BroadcastServer(
+            DocumentStore(generate_collection(dtd, 30, seed=3)),
+            acknowledged_delivery=True,
+        )
+        pending = server.submit(parse_query("/nitf"), 0)
+        reused = min(pending.result_doc_ids)
+        server.remove_document(reused)
+        newcomer = DocumentGenerator(dtd, GeneratorConfig(seed=4)).generate(reused)
+        server.add_document(newcomer)
+        assert reused in server.resolve(parse_query("/nitf"))  # a new match
+        cycle = server.build_cycle(0)
+        server.confirm_delivery(pending, set(), cycle)
+        assert reused not in pending.remaining_doc_ids
+        assert pending.remaining_doc_ids == set(pending.result_doc_ids)
+        assert len(pending.remaining_doc_ids) == 29
+        server.confirm_delivery(pending, set(cycle.doc_ids), cycle)
+        server.confirm_delivery(pending, set(), cycle)  # re-tuned
+        assert pending.remaining_doc_ids == set(pending.result_doc_ids)
+
     def test_confirm_delivery_moves_only_the_acknowledged_query(self):
         """An acknowledgement touches its own query alone: a still
         unsatisfied one stays queued, a satisfied one moves to

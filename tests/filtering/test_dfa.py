@@ -66,9 +66,21 @@ class TestLazyQueryDFA:
         viable = any(query.is_viable_prefix(path) for query in query_list)
         assert live == viable
 
+    @given(st.lists(queries(), min_size=1, max_size=4), label_paths)
+    def test_query_masks_are_each_querys_own_answers(self, query_list, path):
+        """Bit q of the live mask is query q's viable prefix, bit q of the
+        accepting mask its match -- the set's walk is every query's."""
+        dfa = LazyQueryDFA.from_queries(query_list)
+        live, accepting = dfa.masks(dfa.run(path))
+        for query_id, query in enumerate(query_list):
+            alone = LazyQueryDFA.from_queries([query])
+            assert bool(live >> query_id & 1) == alone.is_live(alone.run(path))
+            assert bool(accepting >> query_id & 1) == query.matches_path(path)
+        assert live >> len(query_list) == accepting >> len(query_list) == 0
+
 
 class TestMemo:
-    """Rows and accept flags are memoised per state for the DFA's life
+    """Rows and query masks are memoised per state for the DFA's life
     (the index search reads them directly)."""
 
     def test_row_holds_the_stepped_transitions_of_its_state(self):
@@ -92,16 +104,19 @@ class TestMemo:
         assert dfa.materialised_transitions == 1
 
     def test_accept_flag_asks_the_nfa_once_per_state(self, monkeypatch):
+        """One memo answers masks and accept flags alike."""
         dfa = LazyQueryDFA.from_queries([parse_query("/a"), parse_query("/a/b")])
         asked = []
-        real = dfa.nfa.is_accepting
+        real = dfa.nfa.query_masks
         monkeypatch.setattr(
-            dfa.nfa, "is_accepting", lambda s: asked.append(s) or real(s)
+            dfa.nfa, "query_masks", lambda s: asked.append(s) or real(s)
         )
         states = [dfa.start, dfa.run(("a",)), dfa.run(("a", "b")), dfa.run(("z",))]
         for _ in range(3):
             flags = [dfa.is_accepting(state) for state in states]
+            masks = [dfa.masks(state) for state in states]
         assert flags == [False, True, True, False]
+        assert masks == [(0b11, 0), (0b11, 0b01), (0b10, 0b10), (0, 0)]
         assert sorted(asked) == sorted(set(states))
 
     @given(

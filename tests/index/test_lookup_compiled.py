@@ -1,19 +1,21 @@
 """The index search over a compiled query (``CompactIndex.lookup``).
 
-One :class:`LazyQueryDFA` is compiled per query and reused across index
-trees; its memoised rows and accept flags must never leak one tree's (or
-one state's) answer into another search.  The differential below holds
-the compiled walk against three independent answers: a fresh compile per
-search, the pre-flattening pointer-chasing NFA kept in
-``tests/filtering/nfa_reference.py`` driving the original
+One :class:`LazyQueryDFA` is compiled per query (or query set) and reused
+across index trees; its memoised rows and query masks must never leak
+one tree's (or one state's) answer into another search.  The
+differential below holds the compiled walk against three independent
+answers: a fresh compile per search, the pre-flattening pointer-chasing
+NFA kept in ``tests/filtering/nfa_reference.py`` driving the original
 (node, configuration) walk, and the naive ``xpath.evaluator``.
 ``TestPipelineDifferential`` carries the same answers on through
-pruning, packing and the encode -> decode round trip.
+pruning, packing and the encode -> decode round trip, and
+``TestQuerySetWalk`` holds one walk for a whole query set to every
+query's own reference search, packets included.
 """
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import FrozenSet, List, NamedTuple, Set, Tuple, Union
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,14 +25,27 @@ from repro.index.ci import CompactIndex, LookupResult, build_full_ci
 from repro.index.encoding import LabelTable, decode_index, encode_index
 from repro.index.packing import PackingStrategy, pack_index
 from repro.index.pruning import prune_to_pci, prune_to_pci_containment
+from repro.index.sizes import PAPER_SIZE_MODEL, SizeModel
 from repro.xpath.evaluator import matching_documents
 from repro.xpath.parser import parse_query
 from tests.filtering.nfa_reference import ReferenceSharedPathNFA
 from tests.index.tables import node_paths
 from tests.strategies import LABELS, document_collections, queries
 
+#: 16-byte packets: a row with two children or a few documents spans
+#: several packets
+TINY_PACKETS = SizeModel(packet_bytes=16)
 
-def reference_lookup(index: CompactIndex, query) -> LookupResult:
+
+class Reference(NamedTuple):
+    """What a search must find, worked out without the search under test."""
+
+    doc_ids: Tuple[int, ...]
+    matched_node_ids: FrozenSet[int]
+    visited_node_ids: FrozenSet[int]
+
+
+def reference_lookup(index: CompactIndex, query) -> Reference:
     """The index search as it was before queries were compiled: a
     (node, configuration) walk stepping the reference NFA per child, then
     a subtree sweep per matched node."""
@@ -67,7 +82,7 @@ def reference_lookup(index: CompactIndex, query) -> LookupResult:
             visited.add(sub)
             doc_ids.update(index.doc_ids[sub])
             sweep.extend(children[sub])
-    return LookupResult(
+    return Reference(
         doc_ids=tuple(sorted(doc_ids)),
         matched_node_ids=frozenset(matched),
         visited_node_ids=frozenset(visited),
@@ -86,16 +101,19 @@ def index_nodes(draw, label: str = LABELS[0], max_depth: int = 4):
 
 
 @st.composite
-def index_trees(draw) -> CompactIndex:
+def index_trees(draw, size_models=(PAPER_SIZE_MODEL,)) -> CompactIndex:
     """A random valid index tree: virtual root or not, either layout."""
     return CompactIndex.from_nested(
         draw(index_nodes(draw(st.sampled_from(LABELS)))),
+        size_model=draw(st.sampled_from(size_models)),
         virtual_root=draw(st.booleans()),
         annotation=draw(st.sampled_from(["maximal", "containment"])),
     )
 
 
-def assert_same_result(got: LookupResult, want: LookupResult, what: str) -> None:
+def assert_same_result(
+    got: LookupResult, want: Union[LookupResult, Reference], what: str
+) -> None:
     assert got.doc_ids == want.doc_ids, what
     assert got.matched_node_ids == want.matched_node_ids, what
     assert got.visited_node_ids == want.visited_node_ids, what
@@ -245,3 +263,70 @@ class TestPipelineDifferential:
                 )
                 assert sorted(packed.packet_of_node) == nodes
                 assert packed.used_bytes == len(blob)
+
+
+class TestQuerySetWalk:
+    """One walk for a whole query set (the simulator's audience): every
+    query's view is that query's own reference search, the set's result
+    is their union, and the packets either charges are the ones its
+    visited rows occupy."""
+
+    @given(
+        st.lists(index_trees((PAPER_SIZE_MODEL, TINY_PACKETS)), min_size=2, max_size=4),
+        st.lists(queries(), min_size=1, max_size=5),
+    )
+    def test_every_view_is_its_querys_own_search(
+        self, trees: List[CompactIndex], query_list
+    ):
+        compiled = LazyQueryDFA.from_queries(query_list)
+        # Twice over the trees, as above: one compiled set, many tables.
+        for tree in trees + trees:
+            union = tree.lookup(compiled)
+            wants = [reference_lookup(tree, query) for query in query_list]
+            views = [union.for_query(query_id) for query_id in range(len(wants))]
+            for query_id, (view, want) in enumerate(zip(views, wants)):
+                assert_same_result(view, want, f"query {query_id}")
+                assert view is union.for_query(query_id)
+            assert union.doc_ids == tuple(
+                sorted(set().union(*(want.doc_ids for want in wants)))
+            )
+            for field in ("matched_node_ids", "visited_node_ids"):
+                assert getattr(union, field) == frozenset().union(
+                    *(getattr(want, field) for want in wants)
+                ), field
+            for one_tier in (True, False):
+                for strategy in PackingStrategy:
+                    packed = pack_index(tree, one_tier=one_tier, strategy=strategy)
+                    for got, want in [(union, union), *zip(views, wants)]:
+                        assert got.packets_in(packed) == packed.packets_for_nodes(
+                            want.visited_node_ids
+                        ), (one_tier, strategy)
+
+    def test_a_long_row_charges_every_packet_it_spans(self):
+        """Under 16-byte packets the root row (two children) takes two
+        packets; a query reading only the root pays for both."""
+        index = CompactIndex.from_nested(
+            ("a", (), [("b", (0,), []), ("c", (1,), [])]),
+            size_model=TINY_PACKETS,
+        )
+        packed = pack_index(index, one_tier=True)
+        assert len(packed.packet_of_node[0]) == 2
+        result = index.lookup(
+            LazyQueryDFA.from_queries([parse_query("/a/d"), parse_query("/a/c")])
+        )
+        assert result.for_query(0).visited_node_ids == {0}
+        assert result.for_query(0).packets_in(packed) == set(packed.packet_of_node[0])
+        assert result.for_query(1).visited_node_ids == {0, 2}
+        assert result.for_query(1).doc_ids == (1,)
+
+    def test_a_virtual_root_is_read_by_every_query(self):
+        index = CompactIndex.from_nested(
+            ("", (), [("a", (0,), []), ("b", (1,), [])]), virtual_root=True
+        )
+        result = index.lookup(
+            LazyQueryDFA.from_queries([parse_query("/z"), parse_query("/b")])
+        )
+        assert result.for_query(0).visited_node_ids == {0}
+        assert result.for_query(0).is_empty
+        assert result.for_query(1).visited_node_ids == {0, 2}
+        assert result.visited_node_ids == {0, 2}

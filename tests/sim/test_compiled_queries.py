@@ -1,5 +1,7 @@
-"""Who compiles what, and how often: the simulator owns one compiled
-query per distinct query string for the whole run."""
+"""Who compiles what, and how often: the simulator compiles the run's
+distinct query strings as one set -- anew only when an admission brings a
+string it has not compiled -- and walks each delivered cycle's index once
+for every client."""
 
 from __future__ import annotations
 
@@ -8,10 +10,21 @@ from typing import List
 import pytest
 
 import repro.sim.simulation as simulation_module
+from repro.broadcast.program import BroadcastCycle
 from repro.faults import ChaosSimulation, FaultPlan
 from repro.filtering.dfa import LazyQueryDFA
 from repro.sim.config import small_setup
 from repro.sim.simulation import Simulation
+
+CONFIGS = pytest.mark.parametrize(
+    "config",
+    [
+        small_setup(),
+        small_setup(num_data_channels=3),
+        small_setup(faults=FaultPlan(seed=1, doc_add_prob=0.4, checksum=False)),
+    ],
+    ids=["static", "k3", "chaos"],
+)
 
 
 class CountingDFA(LazyQueryDFA):
@@ -19,40 +32,70 @@ class CountingDFA(LazyQueryDFA):
     only the simulator's own compiles are counted (the server compiles its
     pruning DFAs through its own binding)."""
 
-    compiled: List[str] = []
+    #: the strings of every compile, in order, and what each compiled
+    compiled: List[List[str]] = []
+    made: List[LazyQueryDFA] = []
 
     @classmethod
     def from_queries(cls, queries):
-        cls.compiled.append("|".join(str(query) for query in queries))
-        return super().from_queries(queries)
+        cls.compiled.append([str(query) for query in queries])
+        dfa = super().from_queries(queries)
+        cls.made.append(dfa)
+        return dfa
 
 
 @pytest.fixture
 def counting(monkeypatch):
-    CountingDFA.compiled = []
+    CountingDFA.compiled, CountingDFA.made = [], []
     monkeypatch.setattr(simulation_module, "LazyQueryDFA", CountingDFA)
     return CountingDFA
 
 
+def simulation_for(config) -> Simulation:
+    return (Simulation if config.faults is None else ChaosSimulation)(config)
+
+
 class TestOneCompilePerQueryString:
-    @pytest.mark.parametrize(
-        "config",
-        [
-            small_setup(),
-            small_setup(num_data_channels=3),
-            small_setup(faults=FaultPlan(seed=1, doc_add_prob=0.4, checksum=False)),
-        ],
-        ids=["static", "k3", "chaos"],
-    )
-    def test_simulation_compiles_each_distinct_string_once(self, counting, config):
-        sim = (Simulation if config.faults is None else ChaosSimulation)(config)
+    @CONFIGS
+    def test_simulation_compiles_once_per_new_string_set(self, counting, config):
+        sim = simulation_for(config)
         assert sim.run().completed
         asked = {str(session.plan.query) for session in sim.sessions}
         assert len(sim.sessions) > len(asked) > 1  # strings do repeat
-        assert sorted(counting.compiled) == sorted(asked)
-        assert set(sim._compiled) == asked
+        compiled = counting.compiled
+        # Each compile is the one before plus the strings admitted since:
+        # ids stay put, and no set is compiled twice.
+        for before, after in zip(compiled, compiled[1:]):
+            assert after[: len(before)] == before
+            assert len(after) > len(before)
+        assert len(set(compiled[-1])) == len(compiled[-1])
+        assert set(compiled[-1]) >= asked
+        assert len(compiled) < len(sim.server.records)
 
-    def test_repeat_cycles_materialise_no_new_transitions(self):
+    @CONFIGS
+    def test_one_lookup_per_delivered_cycle(self, monkeypatch, config):
+        walked: List[int] = []
+        search = BroadcastCycle.lookup
+
+        def counted(cycle, query):
+            walked.append(cycle.cycle_number)
+            return search(cycle, query)
+
+        monkeypatch.setattr(BroadcastCycle, "lookup", counted)
+        sim = simulation_for(config)
+        assert sim.run().completed
+        delivered = [record.cycle_number for record in sim.server.records]
+        assert walked, "nobody searched"
+        assert len(walked) == len(set(walked)), "a cycle was walked twice"
+        assert set(walked) <= set(delivered)
+        if config.faults is None:
+            # A one-tier client searches every cycle until it is done; over
+            # K = 3 channels two-tier clients may outlast every one of them.
+            assert walked == delivered[: len(walked)]
+            if config.num_data_channels == 1:
+                assert walked == delivered
+
+    def test_repeat_cycles_materialise_no_new_transitions(self, counting):
         """Every query arrives before the first cycle, so each later
         cycle's PCI holds only label paths an earlier one aired: from the
         second cycle on the one-tier clients' per-cycle searches run
@@ -63,12 +106,13 @@ class TestOneCompilePerQueryString:
 
         def logged_build(now=None):
             materialised_before_build.append(
-                sum(d.materialised_transitions for d in sim._compiled.values())
+                sum(d.materialised_transitions for d in counting.made)
             )
             return build(now)
 
         sim.server.build_cycle = logged_build
         assert sim.run().completed
+        assert len(counting.compiled) == 1
         # entry k: what k delivered cycles had materialised
         assert len(materialised_before_build) > 3
         assert materialised_before_build[0] == 0

@@ -157,3 +157,24 @@ class TestFirstTierReadForwarded:
             retries += client.index_retries
         if "num_data_channels" not in overrides:
             assert retries > 0  # the lossy runs did void some reads
+
+
+class TestEveryClientRecordPinned:
+    """Every client record of a mid-scale run, one-tier included, pinned
+    by one digest (``tests/sim/digests.py``); the same value on Python
+    3.10, 3.11 and 3.12."""
+
+    def test_client_records_digest(self):
+        from repro.sim.config import SimulationConfig
+        from tests.sim.digests import client_records_digest
+
+        result = Simulation(
+            SimulationConfig(
+                document_count=120, n_q=40, arrival_cycles=3, cycle_data_capacity=40_000
+            )
+        ).run()
+        assert result.completed
+        assert len(result.clients) == 240
+        assert client_records_digest(result.clients) == (
+            "34ea24b0d7a2d6aef6e4f71da1c9176f1e271824d60f282f45d99fa132cd57c4"
+        )

@@ -28,14 +28,15 @@ BOUND = 400
 #: the classes still over the bound, and the most lines each may have
 CEILINGS = {
     "BroadcastDaemon": 910,  # 1,153 at PR 16, 1,015 at PR 17
-    "BroadcastServer": 643,  # 662 when the ratchet began, then 650
+    "BroadcastServer": 641,  # 662 when the ratchet began, then 650, 643
     "AsyncTwoTierClient": 432,  # 458 with the router's second data path
 }
 
 #: packages held at a line total (``wc -l`` over their ``.py`` files);
 #: lowered-only, like the class ceilings
 PACKAGE_CEILINGS = {
-    "index": 1_541,  # 1,665 while an IndexNode tree sat beside the flat forms
+    "index": 1_497,  # 1,665 with an IndexNode tree; 1,541 before LookupResult
+    # moved to filtering/masks.py
 }
 
 
