@@ -47,7 +47,6 @@ class SimulationConfig:
     wildcard_prob: float = 0.1  #: the paper's P
     max_query_depth: int = 10  #: the paper's D_Q
     query_seed: int = 11
-    query_depth_mode: str = "leafwalk"  #: see QueryWorkloadConfig.depth_mode
     zipf_theta: float = 0.0  #: query-pattern skew (the paper's future work)
 
     # Broadcast system

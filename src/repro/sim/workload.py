@@ -66,7 +66,6 @@ class WorkloadBuilder:
             wildcard_descendant_prob=config.wildcard_prob,
             max_depth=config.max_query_depth,
             zipf_theta=config.zipf_theta,
-            depth_mode=config.query_depth_mode,
         )
         self._generator = QueryGenerator(documents, generator_config)
         self._rng = random.Random(config.query_seed ^ 0x5EED)
@@ -89,7 +88,6 @@ class WorkloadBuilder:
                             wildcard_descendant_prob=config.wildcard_prob,
                             max_depth=config.max_query_depth,
                             zipf_theta=config.zipf_theta,
-                            depth_mode=config.query_depth_mode,
                         ),
                     )
                 )

@@ -73,29 +73,53 @@ def save_collection(documents: Sequence[XMLDocument], directory: PathLike) -> pa
 
 
 def load_collection(directory: PathLike) -> List[XMLDocument]:
-    """Load a collection saved by :func:`save_collection`."""
+    """Load a collection saved by :func:`save_collection`.
+
+    The manifest is outside input: anything but the layout above --
+    wrong types, a ``bool`` posing as an ``int``, a doc id outside the
+    air index's 2-byte field, a file outside *directory*, a document
+    that does not parse -- raises ``ValueError`` naming the manifest and
+    the entry, never anything else.
+    """
     path = pathlib.Path(directory)
     manifest_path = path / _MANIFEST
     if not manifest_path.exists():
         raise FileNotFoundError(f"no {_MANIFEST} in {path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("format") != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported collection format {manifest.get('format')!r}"
-        )
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{manifest_path}: not a JSON manifest ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: the manifest is not a JSON object")
+    version = manifest.get("format")
+    if type(version) is not int or version != _FORMAT_VERSION:
+        raise ValueError(f"{manifest_path}: unsupported collection format {version!r}")
+    entries = manifest.get("documents")
+    if not isinstance(entries, list) or not entries:
+        raise ValueError(f"{manifest_path}: 'documents' is not a non-empty list")
+    base = path.resolve()
     documents: List[XMLDocument] = []
     seen = set()
-    for entry in manifest["documents"]:
-        doc_id = entry["doc_id"]
+    for index, entry in enumerate(entries):
+        where = f"{manifest_path}: entry {index}"
+        try:
+            doc_id = _typed(entry["doc_id"], int)
+            name = _typed(entry.get("name", ""), str)
+            target = (path / _typed(entry["file"], str)).resolve()
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: malformed ({exc!r})") from exc
+        if not 0 <= doc_id <= 0xFFFF:  # the index's 2-byte doc-id field
+            raise ValueError(f"{where}: doc id {doc_id} does not fit 2 bytes")
         if doc_id in seen:
-            raise ValueError(f"manifest repeats doc id {doc_id}")
+            raise ValueError(f"{where}: manifest repeats doc id {doc_id}")
+        if base not in target.parents:
+            raise ValueError(f"{where}: file {entry['file']!r} is outside {path}")
         seen.add(doc_id)
-        text = (path / entry["file"]).read_text(encoding="utf-8")
-        documents.append(
-            parse_document(text, doc_id=doc_id, name=entry.get("name", ""))
-        )
-    if not documents:
-        raise ValueError(f"manifest in {path} lists no documents")
+        try:
+            text = target.read_text(encoding="utf-8")
+            documents.append(parse_document(text, doc_id=doc_id, name=name))
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{where}: {entry['file']}: {exc}") from exc
     return documents
 
 

@@ -7,8 +7,8 @@ package re-implements the whole pipeline from scratch:
 
 * :mod:`repro.xmlkit.model` -- a minimal, dependency-free element tree with
   label-path enumeration and byte-exact size accounting;
-* :mod:`repro.xmlkit.parser` -- a small recursive-descent XML parser that
-  round-trips the serializer output (used for persistence and tests);
+* :mod:`repro.xmlkit.parser` -- an XML parser over the standard library's
+  expat that round-trips the serializer output (persistence and tests);
 * :mod:`repro.xmlkit.dtd` -- a simplified DTD model (element declarations
   with child particles and repetition cardinalities);
 * :mod:`repro.xmlkit.generator` -- a DTD-driven random document generator

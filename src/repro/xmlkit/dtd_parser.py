@@ -2,16 +2,22 @@
 
 The built-in DTDs are hand-written; this module lets users load an
 actual ``.dtd`` file (e.g. the real NITF DTD) and drive the document
-generator with it.  Supported declarations:
+generator with it.  The standard library's expat reads the text as the
+external subset of a stub document, with parameter entities expanded,
+and reports each declaration:
 
 * ``<!ELEMENT name (content-model)>`` with sequences ``(a, b?)``,
   choices ``(a | b)+``, nesting, ``#PCDATA`` (mixed content), ``EMPTY``
   and ``ANY``;
 * ``<!ATTLIST name attr TYPE DEFAULT ...>`` (attribute names collected;
   types/defaults ignored -- generated values are synthetic anyway);
-* ``<!ENTITY % name "text">`` parameter entities, expanded textually
-  (the common DTD idiom for shared content fragments);
-* comments and processing instructions (skipped).
+* ``<!ENTITY % name "text">`` parameter entities; an external one
+  (``SYSTEM "file"``) is never fetched and expands to nothing.
+
+Group nesting is capped at :data:`~repro.xmlkit.parser.MAX_DEPTH` in a
+first pass over expat's token stream: expat hands a content model over
+as nested tuples built by a C recursion, which a million levels turn
+into a segfault, not an exception.
 
 The target model (:class:`~repro.xmlkit.dtd.DTD`) is a *sequence of
 choice-particles*; richer content models are flattened onto it with
@@ -31,193 +37,108 @@ every generated document uses declared elements under declared parents.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import pathlib
+from typing import Callable, Dict, List, Optional, Set, Tuple
+from xml.parsers import expat
+from xml.parsers.expat import model as cmodel
 
 from repro.xmlkit.dtd import DTD, ElementDecl, Particle, Repetition
+from repro.xmlkit.parser import MAX_DEPTH, run_expat
+
+#: expat's content model: (type, quantifier, name, child models)
+Model = Tuple[int, int, Optional[str], tuple]
+
+#: indexed by expat's quantifier: XML_CQUANT_NONE, _OPT, _REP, _PLUS = 0-3
+_REPETITION = (Repetition.ONE, Repetition.OPTIONAL, Repetition.STAR, Repetition.PLUS)
 
 
 class DTDParseError(ValueError):
-    """Raised for DTD text the parser cannot handle."""
+    """Raised for DTD text the parser cannot handle: ``position`` is
+    expat's byte offset for a syntax error, ``None`` for a check over the
+    declarations (duplicate, undeclared, too deep)."""
+
+    def __init__(self, message: str, position: Optional[int] = None) -> None:
+        where = "" if position is None else f" (at offset {position})"
+        super().__init__(message + where)
+        self.position = position
 
 
-_COMMENT = re.compile(r"<!--.*?-->", re.DOTALL)
-_PI = re.compile(r"<\?.*?\?>", re.DOTALL)
-_PARAM_ENTITY_DECL = re.compile(
-    r"<!ENTITY\s+%\s+([\w.-]+)\s+(\"[^\"]*\"|'[^']*')\s*>", re.DOTALL
-)
-_PARAM_ENTITY_REF = re.compile(r"%([\w.-]+);")
-_ELEMENT = re.compile(r"<!ELEMENT\s+([\w.-]+)\s+(.*?)>", re.DOTALL)
-_ATTLIST = re.compile(r"<!ATTLIST\s+([\w.-]+)\s+(.*?)>", re.DOTALL)
-_ATTR_NAME = re.compile(r"^\s*([\w.:-]+)\s+\S+\s+(?:#\w+|\"[^\"]*\"|'[^']*')(?:\s+(?:\"[^\"]*\"|'[^']*'))?", re.DOTALL)
+def _run_subset(text: str, **handlers: Callable) -> None:
+    """Parse *text* as the external subset of a stub document; the
+    *handlers* go on the stub, and expat's entity parsers inherit them."""
+    stub = expat.ParserCreate()
+    stub.SetParamEntityParsing(expat.XML_PARAM_ENTITY_PARSING_ALWAYS)
+    for name, handler in handlers.items():
+        setattr(stub, name, handler)
+    opened = 0
+
+    def external(context: Optional[str], *_ids: object) -> int:
+        # The first reference is the stub's own subset; every later one
+        # is an external parameter entity, read as empty (an unread one
+        # would make expat skip all later ATTLIST / ENTITY declarations).
+        nonlocal opened
+        opened += 1
+        parser = stub.ExternalEntityParserCreate(context)
+        run_expat(parser, text if opened == 1 else "", DTDParseError)
+        return 1
+
+    stub.ExternalEntityRefHandler = external
+    run_expat(stub, '<!DOCTYPE dtd SYSTEM "dtd"><dtd/>', DTDParseError)
 
 
-def _strip_noise(text: str) -> str:
-    text = _COMMENT.sub(" ", text)
-    text = _PI.sub(" ", text)
-    return text
+def _check_depth(text: str) -> None:
+    """Refuse group nesting past MAX_DEPTH before expat builds a model."""
+    depth = 0
+
+    def token(data: str) -> None:
+        nonlocal depth
+        depth += data[:1] == "("
+        depth -= data[:1] == ")"
+        if depth > MAX_DEPTH:
+            raise DTDParseError(f"groups nest deeper than {MAX_DEPTH}")
+
+    _run_subset(text, DefaultHandlerExpand=token)
 
 
-def _expand_parameter_entities(text: str) -> str:
-    """Expand ``%name;`` references (iteratively, with a depth cap)."""
-    entities: Dict[str, str] = {}
-    for match in _PARAM_ENTITY_DECL.finditer(text):
-        entities[match.group(1)] = match.group(2)[1:-1]
-    text = _PARAM_ENTITY_DECL.sub(" ", text)
-    for _round in range(16):
-        expanded = _PARAM_ENTITY_REF.sub(
-            lambda m: entities.get(m.group(1), ""), text
-        )
-        if expanded == text:
-            return expanded
-        text = expanded
-    raise DTDParseError("parameter entities nest too deeply (cycle?)")
-
-
-# ----------------------------------------------------------------------
-# Content-model expression parsing
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class _Group:
-    """A parsed content group: kind 'seq' or 'choice', items are names
-    (str) or nested groups, plus a repetition suffix."""
-
-    kind: str
-    items: List[object] = field(default_factory=list)
-    repetition: Repetition = Repetition.ONE
-    has_pcdata: bool = False
-
-
-def _tokenise(expression: str) -> List[str]:
-    tokens = re.findall(r"[\w.#-]+|[(),|?*+]", expression)
-    if not tokens:
-        raise DTDParseError(f"empty content model: {expression!r}")
-    return tokens
-
-
-def _parse_group(tokens: List[str], pos: int) -> Tuple[_Group, int]:
-    if tokens[pos] != "(":
-        raise DTDParseError(f"expected '(' at token {pos}")
-    pos += 1
-    group = _Group(kind="seq")
-    separators: Set[str] = set()
-    while True:
-        if pos >= len(tokens):
-            raise DTDParseError("unterminated group in content model")
-        token = tokens[pos]
-        if token == "(":
-            # The nested call consumes the child's trailing ?/*/+ itself.
-            child, pos = _parse_group(tokens, pos)
-            group.items.append(child)
-        elif token == "#PCDATA":
-            group.has_pcdata = True
-            pos += 1
-        elif re.fullmatch(r"[\w.-]+", token):
-            name = token
-            pos += 1
-            repetition = Repetition.ONE
-            if pos < len(tokens) and tokens[pos] in "?*+":
-                repetition = Repetition(tokens[pos])
-                pos += 1
-            group.items.append((name, repetition))
-        else:
-            raise DTDParseError(f"unexpected token {token!r} in content model")
-        if pos >= len(tokens):
-            raise DTDParseError("unterminated group in content model")
-        if tokens[pos] in ("|", ","):
-            separators.add(tokens[pos])
-            pos += 1
-            continue
-        if tokens[pos] == ")":
-            pos += 1
-            break
-        raise DTDParseError(f"unexpected token {tokens[pos]!r} in group")
-    if "|" in separators:
-        # Mixed ',' and '|' at one level is invalid XML anyway; be
-        # lenient and treat it as a choice (the widest approximation).
-        group.kind = "choice"
-    if pos < len(tokens) and tokens[pos] in "?*+":
-        group.repetition = Repetition(tokens[pos])
-        pos += 1
-    return group, pos
-
-
-def _group_names(group: _Group) -> List[str]:
-    """All element names inside a group, flattened."""
+def _names(model: Model) -> List[str]:
+    """Every element name inside *model*, in order, each once."""
     names: List[str] = []
-    for item in group.items:
-        if isinstance(item, _Group):
-            names.extend(_group_names(item))
-        else:
-            names.append(item[0])
-    # de-duplicate, preserve order
-    seen: Set[str] = set()
-    ordered = []
-    for name in names:
-        if name not in seen:
-            seen.add(name)
-            ordered.append(name)
-    return ordered
+    stack = [model]
+    while stack:
+        kind, _quant, name, children = stack.pop()
+        if kind == cmodel.XML_CTYPE_NAME:
+            names.append(name)
+        stack.extend(reversed(children))
+    return list(dict.fromkeys(names))
 
 
-def _group_to_particles(group: _Group) -> Tuple[List[Particle], bool]:
-    """Flatten a parsed group onto the sequence-of-choices model."""
-    has_text = group.has_pcdata
+def _particles(model: Model) -> List[Particle]:
+    """Flatten a sequence or choice group onto the sequence-of-choices
+    model (recursion is bounded by :func:`_check_depth`)."""
+    kind, quant, _name, children = model
+    repetition = _REPETITION[quant]
+    if kind == cmodel.XML_CTYPE_CHOICE:
+        return [Particle.choice(_names(model), repetition)]
     particles: List[Particle] = []
-    if group.kind == "choice":
-        names = _group_names(group)
-        if names:
-            repetition = group.repetition
-            if has_text and repetition is Repetition.ONE:
-                # Mixed content is (#PCDATA | a | ...)* by definition.
-                repetition = Repetition.STAR
-            particles.append(Particle.choice(names, repetition))
-        return particles, has_text
-    # Sequence: each item becomes one particle; nested groups collapse to
-    # a choice particle over their names.
-    for item in group.items:
-        if isinstance(item, _Group):
-            names = _group_names(item)
-            if not names:
-                has_text = has_text or item.has_pcdata
-                continue
-            repetition = item.repetition
-            if item.kind == "seq" and item.repetition is Repetition.ONE:
-                # An unrepeated nested sequence contributes its items
-                # directly (no approximation needed).
-                inner_particles, inner_text = _group_to_particles(item)
-                particles.extend(inner_particles)
-                has_text = has_text or inner_text
-                continue
-            particles.append(Particle.choice(names, repetition))
-            has_text = has_text or item.has_pcdata
+    for child in children:
+        child_kind, child_quant, child_name, _ = child
+        if child_kind == cmodel.XML_CTYPE_NAME:
+            particles.append(Particle((child_name,), _REPETITION[child_quant]))
+        elif child_kind == cmodel.XML_CTYPE_SEQ and child_quant == cmodel.XML_CQUANT_NONE:
+            # An unrepeated nested sequence contributes its items
+            # directly (no approximation needed).
+            particles.extend(_particles(child))
         else:
-            name, repetition = item
-            particles.append(Particle((name,), repetition))
-    if group.repetition in (Repetition.STAR, Repetition.PLUS) and particles:
-        # A repeated sequence: approximate by repeating each particle.
-        particles = [
-            Particle(p.alternatives, Repetition.STAR) for p in particles
-        ]
-    elif group.repetition is Repetition.OPTIONAL and particles:
-        particles = [
-            Particle(
-                p.alternatives,
-                Repetition.OPTIONAL
-                if p.repetition in (Repetition.ONE, Repetition.OPTIONAL)
-                else Repetition.STAR,
-            )
-            for p in particles
-        ]
-    return particles, has_text
-
-
-# ----------------------------------------------------------------------
-# Top level
-# ----------------------------------------------------------------------
+            particles.append(Particle.choice(_names(child), _REPETITION[child_quant]))
+    if repetition is Repetition.ONE:
+        return particles
+    # A repeated sequence: approximate by repeating each particle; an
+    # optional one makes each optional (a repeated particle stays starred).
+    widened = {
+        r: Repetition.STAR if repetition.is_unbounded or r.is_unbounded else Repetition.OPTIONAL
+        for r in Repetition
+    }
+    return [Particle(p.alternatives, widened[p.repetition]) for p in particles]
 
 
 def parse_dtd(text: str, root: Optional[str] = None, name: str = "") -> DTD:
@@ -227,76 +148,58 @@ def parse_dtd(text: str, root: Optional[str] = None, name: str = "") -> DTD:
     declared that no other element contains is used (the conventional
     root), falling back to the first declaration.
     """
-    text = _expand_parameter_entities(_strip_noise(text))
-
+    _check_depth(text)
     declarations: Dict[str, ElementDecl] = {}
-    order: List[str] = []
-    for match in _ELEMENT.finditer(text):
-        element_name, model = match.group(1), match.group(2).strip()
+    attributes: Dict[str, List[str]] = {}
+    any_content: List[str] = []
+
+    def element(element_name: str, model: Model) -> None:
         if element_name in declarations:
             raise DTDParseError(f"element {element_name!r} declared twice")
-        if model == "EMPTY":
+        kind = model[0]
+        if kind == cmodel.XML_CTYPE_EMPTY:
             decl = ElementDecl(element_name)
-        elif model == "ANY":
-            decl = ElementDecl(element_name, particles=[], has_text=True)
-            decl.attribute_names.append("__any__")  # placeholder, replaced below
+        elif kind == cmodel.XML_CTYPE_ANY:
+            decl = ElementDecl(element_name, has_text=True)
+            any_content.append(element_name)
+        elif kind == cmodel.XML_CTYPE_MIXED:
+            names = _names(model)
+            particles = [Particle.choice(names, Repetition.STAR)] if names else []
+            decl = ElementDecl(element_name, particles=particles, has_text=True)
         else:
-            tokens = _tokenise(model)
-            group, end = _parse_group(tokens, 0)
-            if end != len(tokens):
-                raise DTDParseError(
-                    f"trailing tokens in content model of {element_name!r}"
-                )
-            particles, has_text = _group_to_particles(group)
-            decl = ElementDecl(element_name, particles=particles, has_text=has_text)
+            decl = ElementDecl(element_name, particles=_particles(model))
         declarations[element_name] = decl
-        order.append(element_name)
 
+    def attlist(element_name: str, attr_name: str, *_rest: object) -> None:
+        attributes.setdefault(element_name, []).append(attr_name)
+
+    _run_subset(text, ElementDeclHandler=element, AttlistDeclHandler=attlist)
     if not declarations:
         raise DTDParseError("no <!ELEMENT> declarations found")
-
-    # ANY elements may contain every declared element.
-    for decl in declarations.values():
-        if "__any__" in decl.attribute_names:
-            decl.attribute_names.remove("__any__")
-            decl.particles.append(
-                Particle.choice(sorted(declarations), Repetition.STAR)
-            )
-
-    for match in _ATTLIST.finditer(text):
-        element_name, body = match.group(1), match.group(2)
-        decl = declarations.get(element_name)
-        if decl is None:
-            continue  # ATTLIST for an undeclared element: ignore
-        for attr_match in re.finditer(
-            r"([\w.:-]+)\s+(?:\([^)]*\)|[\w.]+)\s+(?:#\w+(?:\s+(?:\"[^\"]*\"|'[^']*'))?|\"[^\"]*\"|'[^']*')",
-            body,
-        ):
-            attr_name = attr_match.group(1)
-            if attr_name not in decl.attribute_names:
-                decl.attribute_names.append(attr_name)
-
-    chosen_root = root if root is not None else _infer_root(declarations, order)
-    if chosen_root not in declarations:
-        raise DTDParseError(f"root element {chosen_root!r} is not declared")
-    # Drop declarations unreachable from the root? Keep them: DTD.validate
-    # only requires referenced children to exist.
-    return DTD(root=chosen_root, declarations=declarations.values(), name=name)
+    for element_name in any_content:
+        declarations[element_name].particles.append(
+            Particle.choice(sorted(declarations), Repetition.STAR)
+        )
+    for element_name, names in attributes.items():
+        if element_name in declarations:  # ATTLIST of an undeclared element: ignore
+            declarations[element_name].attribute_names = list(dict.fromkeys(names))
+    chosen_root = root if root is not None else _infer_root(declarations)
+    try:
+        # DTD.validate checks the root and every referenced child.
+        return DTD(root=chosen_root, declarations=declarations.values(), name=name)
+    except ValueError as exc:
+        raise DTDParseError(str(exc)) from None
 
 
-def _infer_root(declarations: Dict[str, ElementDecl], order: Sequence[str]) -> str:
+def _infer_root(declarations: Dict[str, ElementDecl]) -> str:
     contained: Set[str] = set()
     for decl in declarations.values():
         contained.update(decl.child_names())
-    candidates = [name for name in order if name not in contained]
-    return candidates[0] if candidates else order[0]
+    candidates = [name for name in declarations if name not in contained]
+    return candidates[0] if candidates else next(iter(declarations))
 
 
 def load_dtd(path, root: Optional[str] = None) -> DTD:
     """Parse a DTD file from disk."""
-    import pathlib
-
     file_path = pathlib.Path(path)
-    return parse_dtd(
-        file_path.read_text(encoding="utf-8"), root=root, name=file_path.stem
-    )
+    return parse_dtd(file_path.read_text(encoding="utf-8"), root=root, name=file_path.stem)

@@ -1,18 +1,28 @@
-"""A small recursive-descent XML parser.
+"""XML parser over the standard library's expat.
 
-Parses the subset of XML the serializer emits (elements, attributes,
-character data, entity references, comments, processing instructions and
-the XML declaration).  It exists so that generated collections can be
-persisted to disk and reloaded, and so that the serializer can be
-round-trip tested.  It is *not* a general-purpose validating parser --
-DTDs, CDATA sections and namespaces are out of scope for the paper.
+It exists so that generated collections can be persisted to disk and
+reloaded, and so that the serializer can be round-trip tested.  Expat's
+events build the :mod:`repro.xmlkit.model` tree on an explicit stack.
+It is *not* a validating parser: a DOCTYPE is refused outright (so no
+entity is ever declared, let alone expanded), and namespaces are out of
+scope for the paper.
+
+Nesting is capped at :data:`MAX_DEPTH`.  Generated documents stop at
+``GeneratorConfig.max_depth`` (12 by default), while the serializer and
+the DataGuide builder recurse over the tree: without the cap a
+3,000-deep file would parse here and crash there.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Type
+from xml.parsers import expat
 
 from repro.xmlkit.model import XMLDocument, XMLElement
+
+#: deepest element nesting (and, in ``dtd_parser``, content-model group
+#: nesting) a parsed file may have
+MAX_DEPTH = 256
 
 
 class XMLParseError(ValueError):
@@ -23,195 +33,62 @@ class XMLParseError(ValueError):
         self.position = position
 
 
-_ENTITIES = {
-    "amp": "&",
-    "lt": "<",
-    "gt": ">",
-    "quot": '"',
-    "apos": "'",
-}
+def run_expat(parser: expat.XMLParserType, text: str, error: Type[ValueError]) -> None:
+    """Feed *text* to *parser*, turning every failure into *error*.
 
-
-class _Cursor:
-    """Mutable scan position over the input text."""
-
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self, n: int = 1) -> str:
-        return self.text[self.pos : self.pos + n]
-
-    def advance(self, n: int = 1) -> None:
-        self.pos += n
-
-    def skip_whitespace(self) -> None:
-        text, pos = self.text, self.pos
-        while pos < len(text) and text[pos] in " \t\r\n":
-            pos += 1
-        self.pos = pos
-
-    def expect(self, literal: str) -> None:
-        if not self.text.startswith(literal, self.pos):
-            raise XMLParseError(f"expected {literal!r}", self.pos)
-        self.pos += len(literal)
-
-    def read_until(self, literal: str) -> str:
-        end = self.text.find(literal, self.pos)
-        if end < 0:
-            raise XMLParseError(f"unterminated construct, expected {literal!r}", self.pos)
-        chunk = self.text[self.pos : end]
-        self.pos = end + len(literal)
-        return chunk
-
-
-def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() or ch in "_:"
-
-
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_:.-"
-
-
-def _read_name(cursor: _Cursor) -> str:
-    start = cursor.pos
-    text = cursor.text
-    if start >= len(text) or not _is_name_start(text[start]):
-        raise XMLParseError("expected an XML name", start)
-    pos = start + 1
-    while pos < len(text) and _is_name_char(text[pos]):
-        pos += 1
-    cursor.pos = pos
-    return text[start:pos]
-
-
-def _decode_entities(raw: str, position: int) -> str:
-    if "&" not in raw:
-        return raw
-    out: List[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        end = raw.find(";", i)
-        if end < 0:
-            raise XMLParseError("unterminated entity reference", position + i)
-        name = raw[i + 1 : end]
-        if name.startswith("#x") or name.startswith("#X"):
-            out.append(chr(int(name[2:], 16)))
-        elif name.startswith("#"):
-            out.append(chr(int(name[1:])))
-        elif name in _ENTITIES:
-            out.append(_ENTITIES[name])
-        else:
-            raise XMLParseError(f"unknown entity &{name};", position + i)
-        i = end + 1
-    return "".join(out)
-
-
-def _skip_misc(cursor: _Cursor) -> None:
-    """Skip whitespace, comments and processing instructions."""
-    while True:
-        cursor.skip_whitespace()
-        if cursor.peek(4) == "<!--":
-            cursor.advance(4)
-            cursor.read_until("-->")
-        elif cursor.peek(2) == "<?":
-            cursor.advance(2)
-            cursor.read_until("?>")
-        else:
-            return
-
-
-def _parse_attributes(cursor: _Cursor) -> Dict[str, str]:
-    attributes: Dict[str, str] = {}
-    while True:
-        cursor.skip_whitespace()
-        nxt = cursor.peek()
-        if nxt in (">", "/") or not nxt:
-            return attributes
-        name = _read_name(cursor)
-        cursor.skip_whitespace()
-        cursor.expect("=")
-        cursor.skip_whitespace()
-        quote = cursor.peek()
-        if quote not in ('"', "'"):
-            raise XMLParseError("attribute value must be quoted", cursor.pos)
-        cursor.advance(1)
-        start = cursor.pos
-        raw = cursor.read_until(quote)
-        if name in attributes:
-            raise XMLParseError(f"duplicate attribute {name!r}", start)
-        attributes[name] = _decode_entities(raw, start)
+    The position is expat's byte index into the UTF-8 encoding of
+    *text* (0 when expat has none, as for empty input).
+    """
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as exc:
+        raise error(str(exc), max(parser.ErrorByteIndex, 0)) from None
+    except UnicodeEncodeError as exc:
+        offset = len(text[: exc.start].encode("utf-8"))
+        raise error("text is not encodable as UTF-8", offset) from None
 
 
 def parse_element(text: str) -> XMLElement:
     """Parse *text* containing exactly one element (plus leading misc)."""
-    cursor = _Cursor(text)
-    _skip_misc(cursor)
-    element = _parse_element_at(cursor)
-    _skip_misc(cursor)
-    if not cursor.eof():
-        raise XMLParseError("trailing content after document element", cursor.pos)
-    return element
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    stack: List[XMLElement] = []
+    texts: List[List[str]] = []
+    roots: List[XMLElement] = []
 
-
-def _parse_element_at(cursor: _Cursor) -> XMLElement:
-    cursor.expect("<")
-    tag = _read_name(cursor)
-    attributes = _parse_attributes(cursor)
-    if cursor.peek(2) == "/>":
-        cursor.advance(2)
-        return XMLElement(tag, attributes=attributes)
-    cursor.expect(">")
-    element = XMLElement(tag, attributes=attributes)
-    text_parts: List[str] = []
-    while True:
-        if cursor.eof():
-            raise XMLParseError(f"unterminated element <{tag}>", cursor.pos)
-        if cursor.peek(2) == "</":
-            cursor.advance(2)
-            closing = _read_name(cursor)
-            if closing != tag:
-                raise XMLParseError(
-                    f"mismatched closing tag </{closing}> for <{tag}>", cursor.pos
-                )
-            cursor.skip_whitespace()
-            cursor.expect(">")
-            raw = "".join(text_parts)
-            # Whitespace-only character data around child elements is
-            # formatting noise (pretty printing), not content.  Compact
-            # serializer output never inserts such whitespace, so compact
-            # round-trips are exact.
-            element.text = "" if (element.children and not raw.strip()) else raw
-            return element
-        if cursor.peek(4) == "<!--":
-            cursor.advance(4)
-            cursor.read_until("-->")
-        elif cursor.peek(2) == "<?":
-            cursor.advance(2)
-            cursor.read_until("?>")
-        elif cursor.peek() == "<":
-            element.append(_parse_element_at(cursor))
+    def start(tag: str, attributes: Dict[str, str]) -> None:
+        if len(stack) >= MAX_DEPTH:
+            raise XMLParseError(
+                f"elements nest deeper than {MAX_DEPTH}", parser.CurrentByteIndex
+            )
+        element = XMLElement(tag, attributes)
+        if stack:
+            stack[-1].append(element)
         else:
-            start = cursor.pos
-            end = cursor.text.find("<", start)
-            if end < 0:
-                raise XMLParseError(f"unterminated element <{tag}>", start)
-            raw = cursor.text[start:end]
-            cursor.pos = end
-            text_parts.append(_decode_entities(raw, start))
+            roots.append(element)
+        stack.append(element)
+        texts.append([])
+
+    def end(_tag: str) -> None:
+        element = stack.pop()
+        raw = "".join(texts.pop())
+        # Whitespace-only character data around child elements is
+        # formatting noise (pretty printing), not content.  Compact
+        # serializer output never inserts such whitespace, so compact
+        # round-trips are exact.
+        element.text = "" if (element.children and not raw.strip()) else raw
+
+    def doctype(*_args: object) -> None:
+        raise XMLParseError("a DOCTYPE is not accepted", parser.CurrentByteIndex)
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = lambda data: texts[-1].append(data)
+    parser.StartDoctypeDeclHandler = doctype
+    run_expat(parser, text, XMLParseError)
+    return roots[0]
 
 
 def parse_document(text: str, doc_id: int = 0, name: str = "") -> XMLDocument:
     """Parse a full document (optional XML declaration + one element)."""
-    root = parse_element(text)
-    return XMLDocument(doc_id=doc_id, root=root, name=name)
+    return XMLDocument(doc_id=doc_id, root=parse_element(text), name=name)

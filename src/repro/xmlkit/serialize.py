@@ -9,31 +9,14 @@ produced here.
 from __future__ import annotations
 
 from typing import List
+from xml.sax.saxutils import escape as escape_text  # & < > in element content
 
 from repro.xmlkit.model import XMLDocument, XMLElement
-
-_ESCAPES = {
-    "&": "&amp;",
-    "<": "&lt;",
-    ">": "&gt;",
-}
-
-_ATTR_ESCAPES = dict(_ESCAPES)
-_ATTR_ESCAPES['"'] = "&quot;"
-
-
-def escape_text(text: str) -> str:
-    """Escape character data for element content."""
-    for raw, escaped in _ESCAPES.items():
-        text = text.replace(raw, escaped)
-    return text
 
 
 def escape_attr(value: str) -> str:
     """Escape character data for a double-quoted attribute value."""
-    for raw, escaped in _ATTR_ESCAPES.items():
-        value = value.replace(raw, escaped)
-    return value
+    return escape_text(value, {'"': "&quot;"})
 
 
 def serialize_element(element: XMLElement, indent: int = 0, pretty: bool = False) -> str:

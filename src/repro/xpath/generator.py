@@ -30,23 +30,17 @@ from repro.xpath.ast import Axis, Step, WILDCARD, XPathQuery
 class QueryWorkloadConfig:
     """Knobs of the query workload generator (paper Table 2).
 
-    ``depth_mode`` selects how the source path is drawn:
-
-    * ``"leafwalk"`` (default) -- a random walk down a real document tree
-      from the root, stopping at a leaf or at ``max_depth``.  This is how
-      the DTD-driven YFilter/IBM workload generators behave: query depth
-      concentrates near ``min(document depth, D_Q)``, so raising ``D_Q``
-      yields deeper, *more selective* queries -- the effect behind the
-      paper's Figure 9(c)/11(c);
-    * ``"uniform"`` -- target depth uniform in ``[min_depth, max_depth]``
-      (prefix of a sampled path), kept for the workload-shape ablation.
+    The source path of each query is a random walk down a real document
+    tree from the root, stopping at a leaf or at ``max_depth``.  This is
+    how the DTD-driven YFilter/IBM workload generators behave: query
+    depth concentrates near ``min(document depth, D_Q)``, so raising
+    ``D_Q`` yields deeper, *more selective* queries -- the effect behind
+    the paper's Figure 9(c)/11(c).
     """
 
     seed: int = 11
     wildcard_descendant_prob: float = 0.1  #: the paper's ``P``
     max_depth: int = 10  #: the paper's ``D_Q``
-    min_depth: int = 1
-    depth_mode: str = "leafwalk"
     #: Zipf skew over source documents; 0.0 means uniform.  The paper lists
     #: studying skewed query patterns as future work -- the skew ablation
     #: bench exercises this knob.
@@ -55,10 +49,8 @@ class QueryWorkloadConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.wildcard_descendant_prob <= 1.0:
             raise ValueError("wildcard_descendant_prob must be in [0, 1]")
-        if self.min_depth < 1 or self.max_depth < self.min_depth:
-            raise ValueError("depth bounds are inconsistent")
-        if self.depth_mode not in ("leafwalk", "uniform"):
-            raise ValueError("depth_mode must be 'leafwalk' or 'uniform'")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be at least 1")
         if self.zipf_theta < 0.0:
             raise ValueError("zipf_theta must be non-negative")
 
@@ -76,11 +68,6 @@ class QueryGenerator:
         self.documents = list(documents)
         self.config = config or QueryWorkloadConfig()
         self._rng = random.Random(self.config.seed)
-        # Pre-compute each document's distinct paths once; path sampling is
-        # the hot loop when generating hundreds of queries.
-        self._paths_per_doc: List[List[LabelPath]] = [
-            doc.distinct_label_paths() for doc in self.documents
-        ]
         self._doc_weights = self._zipf_weights(len(self.documents), self.config.zipf_theta)
 
     @staticmethod
@@ -106,11 +93,6 @@ class QueryGenerator:
     # ------------------------------------------------------------------
 
     def _sample_source_path(self) -> LabelPath:
-        if self.config.depth_mode == "leafwalk":
-            return self._leafwalk_path()
-        return self._uniform_depth_path()
-
-    def _leafwalk_path(self) -> LabelPath:
         """Random walk down a sampled document, stopping at a leaf element
         or at ``max_depth``."""
         rng = self._rng
@@ -121,37 +103,6 @@ class QueryGenerator:
             node = rng.choice(node.children)
             labels.append(node.tag)
         return tuple(labels)
-
-    def _uniform_depth_path(self) -> LabelPath:
-        """Pick a real element path with depth uniform in the configured
-        bounds.
-
-        A target depth is drawn first and a path of exactly that depth is
-        produced (a prefix of a real path is itself a real path), so query
-        depths are spread uniformly over ``[min_depth, max_depth]`` rather
-        than following the collection's shallow-heavy path distribution --
-        matching the YFilter generator's depth parameter semantics.  When a
-        document has no path that deep, the deepest available one is used.
-        """
-        rng = self._rng
-        target = rng.randint(self.config.min_depth, self.config.max_depth)
-        best: LabelPath = ()
-        for _attempt in range(8):
-            doc_index = rng.choices(
-                range(len(self.documents)), weights=self._doc_weights
-            )[0]
-            paths = self._paths_per_doc[doc_index]
-            deep_enough = [path for path in paths if len(path) >= target]
-            if deep_enough:
-                return rng.choice(deep_enough)[:target]
-            deepest = max(paths, key=len)
-            if len(deepest) > len(best):
-                best = deepest
-        if not best or len(best) < self.config.min_depth:
-            raise ValueError(
-                "no sampled document contains a path within the depth bounds"
-            )
-        return best
 
     def _generalise(self, path: LabelPath) -> XPathQuery:
         """Turn a concrete path into a query, step by step.
@@ -190,7 +141,6 @@ def generate_workload(
     wildcard_descendant_prob: float = 0.1,
     max_depth: int = 10,
     zipf_theta: float = 0.0,
-    depth_mode: str = "leafwalk",
 ) -> List[XPathQuery]:
     """One-call workload generation used by experiments and examples."""
     config = QueryWorkloadConfig(
@@ -198,6 +148,5 @@ def generate_workload(
         wildcard_descendant_prob=wildcard_descendant_prob,
         max_depth=max_depth,
         zipf_theta=zipf_theta,
-        depth_mode=depth_mode,
     )
     return QueryGenerator(documents, config).generate_many(count)

@@ -14,6 +14,8 @@ i/N`` worker subprocesses under a :class:`ClusterSupervisor`, and the
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import os
 import signal
 import subprocess
 import sys
@@ -416,6 +418,54 @@ class TestSupervisor:
         # every session crossed the router's splice
         assert proxied >= report.sessions
         assert codes == [0, 0]  # SIGINT drained both workers cleanly
+
+    def test_heartbeat_kills_a_hung_worker_and_the_restart_serves(
+        self, tmp_path, full_docs
+    ):
+        """A SIGSTOPped worker keeps its socket but answers nothing: two
+        missed heartbeats (2 s each) escalate to SIGKILL, the exit-watch
+        restarts it under epoch 1, and a later session is satisfied."""
+        serve_args = [
+            "--count", str(BASE.document_count),
+            "--seed", str(BASE.collection_seed),
+            "--capacity", str(BASE.cycle_data_capacity),
+            "--log-level", "warning",
+        ]
+        supervisor = ClusterSupervisor(
+            1,
+            partition_seed=PARTITION_SEED,
+            serve_args=serve_args,
+            workdir=tmp_path / "cluster",
+            heartbeat_interval=0.2,
+        )
+        query = str(generate_workload(full_docs, 1, seed=33)[0])
+
+        async def run():
+            workers = await asyncio.to_thread(supervisor.start)
+            router = ClusterRouter(supervisor.partition, workers, ClusterConfig())
+            await router.start()
+            monitor = asyncio.create_task(supervisor.monitor(router))
+            try:
+                os.kill(supervisor.procs[0].pid, signal.SIGSTOP)
+                while not any(e["kind"] == "restart" for e in supervisor.events):
+                    await asyncio.sleep(0.05)
+                return await AsyncTwoTierClient(query, port=router.port, shard=0).run()
+            finally:
+                monitor.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await monitor
+                await router.stop()
+
+        try:
+            report = asyncio.run(asyncio.wait_for(run(), timeout=120))
+        finally:
+            codes = supervisor.stop()
+        kinds = [event["kind"] for event in supervisor.events]
+        assert kinds == ["heartbeat_kill", "crash", "restart"], supervisor.events
+        assert supervisor.events[0]["misses"] == 2
+        assert supervisor.events[2]["epoch"] == 1
+        assert report.satisfied
+        assert codes == [0]  # the restarted worker drains cleanly
 
 
 @pytest.mark.cluster

@@ -180,11 +180,21 @@ class TestUplinkCodec:
         from repro.control.plan import ControlConfig
         from repro.net import ClusterConfig, ClusterSupervisor, DaemonConfig
         from repro.sim.config import SimulationConfig
+        from repro.xpath.generator import (
+            QueryGenerator,
+            QueryWorkloadConfig,
+            generate_workload,
+        )
 
         def names(cls):
             return {f.name for f in dataclasses.fields(cls)}
 
         assert "seed" not in names(ControlConfig)
+        # the query generator's uniform depth mode: nothing selected it
+        assert not {"depth_mode", "min_depth"} & names(QueryWorkloadConfig)
+        assert "query_depth_mode" not in names(SimulationConfig)
+        assert "depth_mode" not in inspect.signature(generate_workload).parameters
+        assert not hasattr(QueryGenerator, "_uniform_depth_path")
         assert not {"drain_high_water", "max_buffered_bytes"} & names(DaemonConfig)
         assert not {"connect_backoff", "retry_after_hint"} & names(ClusterConfig)
         assert "server_caches" not in names(SimulationConfig)
@@ -406,7 +416,8 @@ class TestOneSearch:
             len(parameters(c))
             for c in (CompactIndex, Simulation, OneTierClient, TwoTierClient)
         ] == [5, 3, 3, 7]
-        assert len(dataclasses.fields(SimulationConfig)) == 30
+        # 30 until query_depth_mode went with the uniform depth mode
+        assert len(dataclasses.fields(SimulationConfig)) == 29
 
     def test_a_bare_query_is_compiled_afresh_every_search(self, compiles):
         """Compiled queries belong to whoever searches, never to a module

@@ -9,7 +9,9 @@ be lowered, so a PR that shrinks one lowers its number here and a PR
 that grows one fails.
 
 A package can carry a ceiling the same way: ``src/repro/index`` is held
-at the ``wc -l`` total it reached when the index became one table.
+at the ``wc -l`` total it reached when the index became one table, and
+``src/repro/xmlkit`` at the one it reached when its parsers moved onto
+expat.
 
 It also prints the ``src/repro`` line total (``wc -l`` of every ``.py``),
 reported and not enforced -- a performance PR may add code -- so CI logs
@@ -37,6 +39,7 @@ CEILINGS = {
 PACKAGE_CEILINGS = {
     "index": 1_497,  # 1,665 with an IndexNode tree; 1,541 before LookupResult
     # moved to filtering/masks.py
+    "xmlkit": 1_376,  # 1,613 with hand-written XML and DTD parsers
 }
 
 

@@ -80,6 +80,83 @@ class TestCollectionPersistence:
             assert original_server.resolve(query) == loaded_server.resolve(query)
 
 
+def _write_manifest(directory, manifest) -> None:
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+
+
+class TestHostileManifest:
+    """Regression: ``load_collection`` trusted its manifest.  A list
+    manifest raised ``AttributeError``, a missing key ``KeyError``, a
+    wrong type ``TypeError``; ``true`` passed as a doc id and as the
+    format; ``"../x"`` read outside the directory; and doc id 70000
+    loaded, then killed ``serve`` at the first cycle that aired it."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda m: [m],
+            lambda m: {"format": 1},
+            lambda m: {**m, "documents": 5},
+            lambda m: {**m, "format": True},
+            lambda m: {**m, "documents": [{"file": "doc-00000.xml"}]},
+            lambda m: {**m, "documents": [{"doc_id": "x", "file": "doc-00000.xml"}]},
+            lambda m: {**m, "documents": [{"doc_id": True, "file": "doc-00000.xml"}]},
+            lambda m: {**m, "documents": [{"doc_id": 70000, "file": "doc-00000.xml"}]},
+            lambda m: {**m, "documents": [{"doc_id": 0, "file": "../outside.xml"}]},
+        ],
+        ids=[
+            "list", "no-documents", "documents-int", "format-true", "no-doc-id",
+            "doc-id-str", "doc-id-true", "doc-id-70000", "file-outside",
+        ],
+    )
+    def test_malformed_manifest_is_a_located_value_error(
+        self, tmp_path, nitf_docs, mutate
+    ):
+        directory = save_collection(nitf_docs[:1], tmp_path / "coll")
+        (tmp_path / "outside.xml").write_text(
+            (directory / "doc-00000.xml").read_text()
+        )
+        manifest = json.loads((directory / "manifest.json").read_text())
+        _write_manifest(directory, mutate(manifest))
+        with pytest.raises(ValueError, match=re.escape(str(directory / "manifest.json"))):
+            load_collection(directory)
+
+    @given(st.data())
+    def test_only_a_collection_or_value_error(self, tmp_path_factory, nitf_docs, data):
+        directory = save_collection(nitf_docs[:2], tmp_path_factory.mktemp("fuzz") / "c")
+        (directory.parent / "outside.xml").write_text(
+            (directory / "doc-00000.xml").read_text()
+        )
+        wrong = st.one_of(
+            st.none(), st.booleans(), st.integers(-2, 70_000), st.floats(allow_nan=False),
+            st.sampled_from(["doc-00001.xml", "../outside.xml", "/", "", ".", "x\x00"]),
+            st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=2), st.none(), max_size=1),
+        )
+        manifest = json.loads((directory / "manifest.json").read_text())
+        for _ in range(data.draw(st.integers(1, 3))):
+            entries = manifest.get("documents") if isinstance(manifest, dict) else None
+            if isinstance(entries, list) and entries and isinstance(entries[0], dict) and data.draw(st.booleans()):
+                entry = data.draw(st.sampled_from(entries))
+                key = data.draw(st.sampled_from(["doc_id", "file", "name"]))
+                if data.draw(st.booleans()):
+                    entry[key] = data.draw(wrong)
+                else:
+                    entry.pop(key, None)
+            elif isinstance(manifest, dict):
+                manifest[data.draw(st.sampled_from(["format", "documents"]))] = data.draw(wrong)
+            else:
+                manifest = data.draw(wrong)
+        _write_manifest(directory, manifest)
+        try:
+            documents = load_collection(directory)
+        except ValueError as exc:
+            assert str(exc).startswith(str(directory / "manifest.json")), exc
+            return
+        for doc in documents:
+            assert type(doc.doc_id) is int and 0 <= doc.doc_id <= 0xFFFF
+            assert isinstance(doc.name, str)
+
+
 class TestDaemonBoot:
     """The persisted artifacts are exactly what ``repro serve`` loads at
     startup: a saved collection plus a saved workload must boot a live

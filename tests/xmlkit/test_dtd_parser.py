@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.xmlkit.dtd import Repetition
 from repro.xmlkit.dtd_parser import DTDParseError, load_dtd, parse_dtd
 from repro.xmlkit.generator import DocumentGenerator, GeneratorConfig
+from repro.xmlkit.parser import MAX_DEPTH
 
 
 SIMPLE = """
@@ -103,6 +106,27 @@ class TestConstructs:
         )
         assert [p.alternatives[0] for p in dtd["a"].particles] == ["b", "c", "d"]
 
+    @pytest.mark.parametrize(
+        "model, expected",
+        [
+            ("(b, c*)?", [Repetition.OPTIONAL, Repetition.STAR]),
+            ("(b, c?)+", [Repetition.STAR, Repetition.STAR]),
+            ("(b?, (c | b))*", [Repetition.STAR, Repetition.STAR]),
+        ],
+    )
+    def test_repeated_or_optional_sequence_widens_each_particle(self, model, expected):
+        dtd = parse_dtd(f"<!ELEMENT a {model}><!ELEMENT b EMPTY><!ELEMENT c EMPTY>")
+        assert [p.repetition for p in dtd["a"].particles] == expected
+
+    def test_repeated_names_and_attributes_count_once(self):
+        dtd = parse_dtd(
+            "<!ELEMENT a (b | (c | b))*><!ELEMENT b EMPTY><!ELEMENT c EMPTY>"
+            "<!ATTLIST a k CDATA #IMPLIED>"
+            "<!ATTLIST a k CDATA #IMPLIED j CDATA #IMPLIED>"
+        )
+        assert dtd["a"].particles[0].alternatives == ("b", "c")
+        assert dtd["a"].attribute_names == ["k", "j"]
+
     def test_any_content(self):
         dtd = parse_dtd("<!ELEMENT a ANY><!ELEMENT b EMPTY>")
         particle = dtd["a"].particles[-1]
@@ -155,3 +179,83 @@ class TestGenerationFromParsedDTD:
         dtd = load_dtd(path)
         assert dtd.name == "article"
         assert dtd.root == "article"
+
+
+def _groups(depth: int) -> str:
+    return "<!ELEMENT a " + "(" * depth + "b" + ")" * depth + "><!ELEMENT b EMPTY>"
+
+
+class TestHostileInput:
+    """Regression: a content model nested 3,000 deep raised
+    ``RecursionError``; far deeper ones would crash expat's tuple
+    conversion outright, so nesting is capped before it runs."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            _groups(3000),
+            _groups(1_000_000),
+            _groups(MAX_DEPTH + 1),
+            # the nesting hidden behind parameter entities
+            '<!ENTITY % o "' + "(" * 50 + '"><!ENTITY % c "' + ")" * 50 + '">'
+            "<!ELEMENT a " + "%o;" * 20 + "b" + "%c;" * 20 + "><!ELEMENT b EMPTY>",
+            "<!ELEMENT a (b, c | b)><!ELEMENT b EMPTY><!ELEMENT c EMPTY>",
+            "<a>not a DTD</a>",
+        ],
+        ids=["deep", "million", "cap+1", "entity-deep", "mixed-separators", "document"],
+    )
+    def test_typed_error(self, bad):
+        with pytest.raises(DTDParseError):
+            parse_dtd(bad)
+
+    def test_nesting_up_to_the_cap_parses(self):
+        assert parse_dtd(_groups(MAX_DEPTH))["a"].particles[0].alternatives == ("b",)
+
+    def test_external_parameter_entity_is_never_fetched(self, tmp_path):
+        secret = tmp_path / "secret.ent"
+        secret.write_text("<!ELEMENT leaked EMPTY>", encoding="utf-8")
+        dtd = parse_dtd(
+            f'<!ENTITY % x SYSTEM "{secret}"> %x;'
+            '<!ENTITY % kids "(b)"><!ELEMENT a %kids;><!ELEMENT b EMPTY>'
+            "<!ATTLIST a k CDATA #IMPLIED>"
+        )
+        assert "leaked" not in dtd
+        # declarations after the unread entity still count
+        assert dtd["a"].attribute_names == ["k"]
+
+
+CONFERENCE = """
+<!ENTITY % person "(name, affiliation?)">
+<!ELEMENT programme (day+)>
+<!ATTLIST programme year CDATA #REQUIRED venue CDATA #IMPLIED>
+<!ELEMENT day (session+)>
+<!ELEMENT session (title, chair?, talk+)>
+<!ELEMENT chair %person;>
+<!ELEMENT talk (title, speaker+, abstract?)>
+<!ELEMENT speaker %person;>
+<!ELEMENT name (#PCDATA)>
+<!ELEMENT affiliation (#PCDATA)>
+<!ELEMENT title (#PCDATA)>
+<!ELEMENT abstract (#PCDATA | title)*>
+"""
+
+
+@st.composite
+def _damaged_dtds(draw):
+    data = draw(st.sampled_from([SIMPLE, CONFERENCE])).encode("utf-8")
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    else:
+        at = draw(st.integers(0, len(data) - 1))
+        data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+    return data.decode("utf-8", "surrogateescape")
+
+
+class TestFuzz:
+    @given(st.one_of(st.text(), _damaged_dtds()))
+    def test_a_dtd_or_a_typed_error(self, text):
+        try:
+            parse_dtd(text)
+        except DTDParseError as exc:
+            size = len(text.encode("utf-8", "surrogateescape"))
+            assert exc.position is None or 0 <= exc.position <= size
