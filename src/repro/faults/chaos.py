@@ -159,7 +159,6 @@ class ChaosSimulation(Simulation):
     # ------------------------------------------------------------------
 
     def _admit(self, plan: ArrivalPlan) -> None:
-        self._ask(plan.query)
         client_key = self._next_client_key
         self._next_client_key += 1
         if self.plan.active(self.server.cycle_number):
@@ -214,13 +213,14 @@ class ChaosSimulation(Simulation):
         client = TwoTierClient(
             plan.query,
             outcome.ack_time,
-            lookup_fn=self._cached_lookup,
+            lookup_fn=self.audience.search,
             first_tier_read=self.first_tier_read,
             loss_model=self._loss_model,
             client_key=client_key,
         )
         session = _Session(plan=plan, clients=[client], two_tier=client)
         self.sessions.append(session)
+        self.audience.admit(session.clients)
         obs.counter("sim.arrivals_total").inc()
         for delivery_time in outcome.deliveries:
             self._queue.schedule(
@@ -254,6 +254,7 @@ class ChaosSimulation(Simulation):
                 cycle=self.server.cycle_number,
             )
             self.sessions.remove(session)
+            self.audience.drop(session.clients)
             return
         if session.pending is None:
             session.pending = pending

@@ -76,6 +76,36 @@ class RowMasks:
             groups = [at for at, readers in enumerate(self._groups) if readers & mask]
         return frozenset().union(*[packets[at] for at in groups])
 
+    def packet_counts(
+        self, packed: "PackedIndex", query_ids: Sequence[int]
+    ) -> List[int]:
+        """How many packets of *packed* each of *query_ids* reads.
+
+        One pass ORs each read row's readers into the packets carrying
+        it, and the packets' reader masks are summed bit-sliced: plane
+        ``k`` holds bit ``k`` of every query's count, so a query's count
+        is its bit in each of about log2(packets) planes.
+        """
+        masks, packets_of = self.masks, packed.packet_of_node
+        readers = [0] * packed.packet_count
+        for row in compress(range(len(masks)), masks):
+            mask = masks[row]
+            for packet in packets_of[row]:
+                readers[packet] |= mask
+        planes: List[int] = []
+        for carry in readers:  # ripple-carry add of one packet's readers
+            for k, plane in enumerate(planes):
+                planes[k], carry = plane ^ carry, plane & carry
+                if not carry:
+                    break
+            else:
+                if carry:
+                    planes.append(carry)
+        return [
+            sum(((plane >> q) & 1) << k for k, plane in enumerate(planes))
+            for q in query_ids
+        ]
+
     def _group_rows(self) -> Tuple[Dict[int, List[int]], List[List[int]]]:
         # Rows with the same readers (a matched subtree, a path every query
         # shares) travel together, so one pass over the distinct reader
@@ -190,6 +220,13 @@ class LookupResult:
         if packets is None:
             packets = self._packets[key] = self._walk.packets(packed, self._mask)
         return packets
+
+    def packet_counts(
+        self, packed: "PackedIndex", query_ids: Sequence[int]
+    ) -> List[int]:
+        """Per query of the searched set, its packets of *packed*: see
+        :meth:`RowMasks.packet_counts`."""
+        return self._walk.packet_counts(packed, query_ids)
 
     def _fields(self) -> Tuple[Tuple[int, ...], FrozenSet[int], FrozenSet[int]]:
         return self.doc_ids, self.matched_node_ids, self.visited_node_ids

@@ -117,7 +117,8 @@ class SimulationResult:
         """Headline numbers, keyed for report printing."""
         return {
             "cycles": len(self.cycles),
-            "clients": len({(r.query_text, r.arrival_time) for r in self.clients}),
+            # every session has exactly one two-tier record
+            "clients": len(self.records_for("two-tier")),
             "mean_result_docs": self.mean_result_size(),
             "mean_cycles_listened": self.mean_cycles_listened("two-tier"),
             "ci_bytes": self.mean_ci_bytes(),

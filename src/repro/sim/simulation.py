@@ -12,17 +12,17 @@ The discrete-event engine drives two event types:
 
 * ``arrival`` -- a query reaches the server's uplink queue;
 * ``cycle`` -- the server assembles and broadcasts the next cycle; the
-  event then delivers the cycle to every eligible client, spawns the next
-  cycle event at the cycle's end time (cycles are back-to-back while
-  queries are pending) and draws the arrivals occurring during the
-  cycle's broadcast span.
+  event then delivers the cycle to the :class:`~repro.sim.audience.
+  Audience`, spawns the next cycle event at the cycle's end time (cycles
+  are back-to-back while queries are pending) and draws the arrivals
+  occurring during the cycle's broadcast span.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro import obs
 from repro.broadcast.loss import LOSSLESS, PacketLossModel
@@ -34,8 +34,7 @@ from repro.client.naive import NaiveClient
 from repro.client.onetier import OneTierClient
 from repro.client.protocol import AccessProtocol, FirstTierRead
 from repro.client.twotier import TwoTierClient
-from repro.filtering.dfa import LazyQueryDFA
-from repro.index.ci import LookupResult
+from repro.sim.audience import Audience
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import EventQueue
 from repro.sim.results import ClientRecord, SimulationResult
@@ -46,7 +45,6 @@ from repro.xmlkit.generator import (
     generate_collection,
 )
 from repro.xmlkit.model import XMLDocument
-from repro.xpath.ast import XPathQuery
 
 if TYPE_CHECKING:  # pragma: no cover - layering guard (control is opt-in)
     from repro.control import AdaptiveController
@@ -155,49 +153,21 @@ class Simulation:
         self.workload = WorkloadBuilder(self.documents, config)
         self.first_tier_read = first_tier_read
         self.sessions: List[_Session] = []
+        #: every client still listening, as one table
+        self.audience = Audience()
         self._queue = EventQueue()
-        #: one query per distinct string admitted so far, in admission
-        #: order, and each string's position: its query id in ``_audience``
-        self._queries: List[XPathQuery] = []
-        self._query_ids: Dict[str, int] = {}
-        #: the run's strings compiled as one query set, so one walk serves
-        #: every client; rebuilt only once an admission brings a new string
-        #: (the one-tier baseline repeats its search every cycle, and the
-        #: memoised rows outlive the cycle the walk first filled them on)
-        self._audience: Optional[LazyQueryDFA] = None
-        #: the on-air cycle's walk, made at its first search
-        self._on_air: Optional[LookupResult] = None
         self._current_cycle: Optional[BroadcastCycle] = None
 
     # ------------------------------------------------------------------
     # Event bodies
     # ------------------------------------------------------------------
 
-    def _ask(self, query: XPathQuery) -> None:
-        """Enter an admitted query's string into the compiled set."""
-        key = str(query)
-        if key not in self._query_ids:
-            self._query_ids[key] = len(self._queries)
-            self._queries.append(query)
-            self._audience = None
-
-    def _cached_lookup(self, cycle: BroadcastCycle, query: XPathQuery) -> LookupResult:
-        """One walk of the cycle's index for the whole audience; each
-        client reads its own query's view of it."""
-        if self._audience is None:  # an admission brought a new string
-            self._audience = LazyQueryDFA.from_queries(self._queries)
-            self._on_air = None
-        if self._on_air is None:
-            self._on_air = cycle.lookup(self._audience)
-        return self._on_air.for_query(self._query_ids[str(query)])
-
     def _admit(self, plan: ArrivalPlan) -> None:
-        self._ask(plan.query)
         pending = self.server.submit(plan.query, plan.arrival_time)
         two_tier = TwoTierClient(
             plan.query,
             plan.arrival_time,
-            lookup_fn=self._cached_lookup,
+            lookup_fn=self.audience.search,
             first_tier_read=self.first_tier_read,
             loss_model=self._loss_model,
             client_key=pending.query_id,
@@ -208,7 +178,7 @@ class Simulation:
             # reliable channel (see SimulationConfig.loss_prob).
             clients = [
                 OneTierClient(
-                    plan.query, plan.arrival_time, lookup_fn=self._cached_lookup
+                    plan.query, plan.arrival_time, lookup_fn=self.audience.search
                 ),
                 two_tier,
             ]
@@ -219,6 +189,7 @@ class Simulation:
         self.sessions.append(
             _Session(plan=plan, clients=clients, two_tier=two_tier, pending=pending)
         )
+        self.audience.admit(clients)
         obs.counter("sim.arrivals_total").inc()
 
     def _admit_batch(self, plans: Sequence[ArrivalPlan], retries: int = 0) -> None:
@@ -297,7 +268,6 @@ class Simulation:
             validate_cycle(cycle, self.store)
         self._record_cycle(cycle)
         self._current_cycle = cycle
-        self._on_air = None
         self._deliver(cycle)
         self._schedule_arrivals(
             self.workload.arrivals_during(cycle.start_time, cycle.end_time)
@@ -314,9 +284,7 @@ class Simulation:
 
     def _deliver(self, cycle: BroadcastCycle) -> None:
         with obs.span("sim.deliver"):
-            for session in self.sessions:
-                for client in session.clients:
-                    client.on_cycle(cycle)
+            self.audience.deliver(cycle, self._loss_model.is_lossless)
         if self.server.acknowledged_delivery:
             # Uplink acknowledgements: the server learns what actually
             # arrived, so erased frames (lossy runs) or conflict-deferred
@@ -354,6 +322,7 @@ class Simulation:
             # Cycle events run after same-time arrivals (priority 1 > 0).
             self._queue.schedule(0, self._cycle_event, priority=1)
             self._queue.run()
+        self.audience.flush()  # a truncated run's listeners keep their sums
 
         result = SimulationResult(
             collection_bytes=self.store.total_data_bytes(),

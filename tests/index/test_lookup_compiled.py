@@ -268,8 +268,8 @@ class TestPipelineDifferential:
 class TestQuerySetWalk:
     """One walk for a whole query set (the simulator's audience): every
     query's view is that query's own reference search, the set's result
-    is their union, and the packets either charges are the ones its
-    visited rows occupy."""
+    is their union, and the packets either charges (or counts, for every
+    query at once) are the ones its visited rows occupy."""
 
     @given(
         st.lists(index_trees((PAPER_SIZE_MODEL, TINY_PACKETS)), min_size=2, max_size=4),
@@ -301,6 +301,10 @@ class TestQuerySetWalk:
                         assert got.packets_in(packed) == packed.packets_for_nodes(
                             want.visited_node_ids
                         ), (one_tier, strategy)
+                    assert union.packet_counts(packed, range(len(wants))) == [
+                        len(packed.packets_for_nodes(want.visited_node_ids))
+                        for want in wants
+                    ], (one_tier, strategy)
 
     def test_a_long_row_charges_every_packet_it_spans(self):
         """Under 16-byte packets the root row (two children) takes two

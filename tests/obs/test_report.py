@@ -93,6 +93,12 @@ class TestObservedRun:
             assert counters[f"client.index_bytes_total{label}"] == sum(
                 r.index_bytes for r in records
             )
+            assert counters[f"client.offset_bytes_total{label}"] == sum(
+                r.offset_bytes for r in records
+            )
+            assert counters[f"client.cycles_listened_total{label}"] == sum(
+                r.cycles_listened for r in records
+            )
 
     def test_per_cycle_phase_seconds_populated(self, observed_result):
         result, _ = observed_result

@@ -1,7 +1,8 @@
-"""Who compiles what, and how often: the simulator compiles the run's
-distinct query strings as one set -- anew only when an admission brings a
-string it has not compiled -- and walks each delivered cycle's index once
-for every client."""
+"""Who compiles what, and how often: the simulated audience compiles the
+query strings of its listening clients as one set -- anew only when an
+admission brings a string it has not compiled, dropping then the strings
+nobody listens for any more -- and walks each delivered cycle's index
+once for every client."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from typing import List
 
 import pytest
 
-import repro.sim.simulation as simulation_module
+import repro.sim.audience as audience_module
 from repro.broadcast.program import BroadcastCycle
 from repro.faults import ChaosSimulation, FaultPlan
 from repro.filtering.dfa import LazyQueryDFA
@@ -28,7 +29,7 @@ CONFIGS = pytest.mark.parametrize(
 
 
 class CountingDFA(LazyQueryDFA):
-    """Stands in for the simulation module's ``LazyQueryDFA`` binding, so
+    """Stands in for the audience module's ``LazyQueryDFA`` binding, so
     only the simulator's own compiles are counted (the server compiles its
     pruning DFAs through its own binding)."""
 
@@ -47,7 +48,7 @@ class CountingDFA(LazyQueryDFA):
 @pytest.fixture
 def counting(monkeypatch):
     CountingDFA.compiled, CountingDFA.made = [], []
-    monkeypatch.setattr(simulation_module, "LazyQueryDFA", CountingDFA)
+    monkeypatch.setattr(audience_module, "LazyQueryDFA", CountingDFA)
     return CountingDFA
 
 
@@ -63,14 +64,31 @@ class TestOneCompilePerQueryString:
         asked = {str(session.plan.query) for session in sim.sessions}
         assert len(sim.sessions) > len(asked) > 1  # strings do repeat
         compiled = counting.compiled
-        # Each compile is the one before plus the strings admitted since:
-        # ids stay put, and no set is compiled twice.
+        # Each compile is the previous one's still-live strings, in their
+        # order, plus strings it did not hold: a compile happens only
+        # when a new string arrives, and never holds a string twice.
         for before, after in zip(compiled, compiled[1:]):
-            assert after[: len(before)] == before
-            assert len(after) > len(before)
-        assert len(set(compiled[-1])) == len(compiled[-1])
-        assert set(compiled[-1]) >= asked
+            kept = [key for key in before if key in after]
+            assert after[: len(kept)] == kept
+            assert len(after) > len(kept)
+            assert not set(after[len(kept):]) & set(before)
+        for strings in compiled:
+            assert len(set(strings)) == len(strings)
+        assert set().union(*compiled) >= asked
         assert len(compiled) < len(sim.server.records)
+
+    def test_settled_strings_leave_the_compiled_set(self, counting):
+        """A string whose last client is satisfied is not recompiled."""
+        sim = Simulation(small_setup(arrival_cycles=6, n_q=8))
+        assert sim.run().completed
+        compiled = counting.compiled
+        assert len(compiled) > 1
+        dropped = [
+            set(before) - set(after) for before, after in zip(compiled, compiled[1:])
+        ]
+        assert any(dropped)
+        # the last compile holds only strings still listened for then
+        assert len(compiled[-1]) < len({str(s.plan.query) for s in sim.sessions})
 
     @CONFIGS
     def test_one_lookup_per_delivered_cycle(self, monkeypatch, config):

@@ -101,6 +101,15 @@ class TestSimulationResult:
         for key in ("cycles", "mean_cycles_listened", "one_tier_lookup"):
             assert key in summary
 
+    def test_summary_counts_every_session(self):
+        """Regression: two sessions asking the same query at the same
+        arrival time were counted once.  Each session has exactly one
+        two-tier record."""
+        result = SimulationResult(
+            clients=[record("one-tier"), record("two-tier"), record("two-tier")]
+        )
+        assert result.summary()["clients"] == 2
+
     def test_mean_cycles_listened(self):
         result = SimulationResult(
             clients=[record("two-tier", cycles=2), record("two-tier", cycles=4)]

@@ -162,7 +162,9 @@ class TestFirstTierReadForwarded:
 class TestEveryClientRecordPinned:
     """Every client record of a mid-scale run, one-tier included, pinned
     by one digest (``tests/sim/digests.py``); the same value on Python
-    3.10, 3.11 and 3.12."""
+    3.10, 3.11 and 3.12.  Beside the plain run: a mutation-only chaos run
+    (acknowledged delivery), K = 4 demand allocation (tune-plan
+    conflicts), a lossy channel and the naive baseline."""
 
     def test_client_records_digest(self):
         from repro.sim.config import SimulationConfig
@@ -178,3 +180,54 @@ class TestEveryClientRecordPinned:
         assert client_records_digest(result.clients) == (
             "34ea24b0d7a2d6aef6e4f71da1c9176f1e271824d60f282f45d99fa132cd57c4"
         )
+
+    @pytest.mark.parametrize(
+        "overrides, records, digest",
+        [
+            (
+                dict(
+                    faults=FaultPlan(
+                        seed=1,
+                        fault_cycles=None,
+                        doc_add_prob=0.4,
+                        doc_remove_prob=0.95,
+                        checksum=False,
+                    )
+                ),
+                120,
+                "b108bb71cc283e9656001255498cd8384f59ecef7d1f5bdf235ee4dff10f3cee",
+            ),
+            (
+                dict(num_data_channels=4, channel_allocation="demand"),
+                240,
+                "81e744e6aebc1f57c3b3b4430c2651645742328714a582bd90b8a6c0b300c90f",
+            ),
+            (
+                dict(loss_prob=0.01),
+                120,
+                "7b4bb25532b74354057366f42fd278a7c147cfc63bdbd6e1dbf51b62e16c4bcf",
+            ),
+            (
+                dict(track_naive_baseline=True),
+                360,
+                "f55551ef135b4bc76c10d2847922d53ded8b70fbd479608e885f5ec608348e3a",
+            ),
+        ],
+        ids=["churn", "k4-demand", "lossy", "naive"],
+    )
+    def test_variant_records_digest(self, overrides, records, digest):
+        from repro.sim.config import SimulationConfig
+        from tests.sim.digests import client_records_digest
+
+        result = run_simulation(
+            SimulationConfig(
+                document_count=120,
+                n_q=40,
+                arrival_cycles=3,
+                cycle_data_capacity=40_000,
+                **overrides,
+            )
+        )
+        assert result.completed
+        assert len(result.clients) == records
+        assert client_records_digest(result.clients) == digest
