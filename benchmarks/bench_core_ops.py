@@ -1,7 +1,7 @@
 """Microbenchmarks of the core operations (real timing rounds).
 
-These are the per-cycle costs the broadcast server pays: filtering the
-collection through the query NFA, building the CI, pruning it, packing
+These are the per-cycle costs the broadcast server pays: resolving the
+queries on the combined guide through the query NFA, building the CI, pruning it, packing
 it and encoding it -- plus a client-side lookup.  Useful for regression
 tracking; no paper figure corresponds to them.
 
@@ -29,7 +29,7 @@ import pytest
 from conftest import RESULTS_DIR, bench_scale
 
 from repro.broadcast.server import build_ci_from_store
-from repro.filtering.yfilter import YFilterEngine
+from repro.filtering.nfa import resolve_on_guide
 from repro.index.encoding import LabelTable, encode_index
 from repro.index.packing import pack_index
 from repro.index.pruning import prune_to_pci
@@ -51,17 +51,13 @@ def workload(context):
     return context.pending_index()
 
 
-def test_filter_collection(benchmark, context, workload):
+def test_resolve_on_guide(benchmark, context, workload):
     queries = workload.queries
-    benchmark(
-        lambda: YFilterEngine.from_queries(queries).filter_collection(
-            context.documents
-        )
-    )
+    benchmark(lambda: resolve_on_guide(context.store.full_guide, queries))
 
 
 def test_build_ci(benchmark, context, workload):
-    requested = workload.filtered.requested_doc_ids
+    requested = workload.requested
     benchmark(lambda: build_ci_from_store(context.store, requested))
 
 
@@ -110,9 +106,7 @@ def _best_of(fn, repeats: int = REPEATS) -> float:
 
 def _hot_kernels(context, workload):
     """The three rewritten hot paths as closures over a shared workload."""
-    documents, queries = context.documents, workload.queries
-    requested = workload.filtered.requested_doc_ids
-    engine = YFilterEngine.from_queries(queries)
+    queries, requested = workload.queries, workload.requested
     store = context.store
     server = make_server(context.base_config(), store)
     for query in queries[:8]:
@@ -124,7 +118,7 @@ def _hot_kernels(context, workload):
     assert cycle is not None
     encode_cycle(cycle, store)  # warm the serialized-document cache
     return {
-        "nfa_match": lambda: engine.filter_collection(documents),
+        "nfa_match": lambda: resolve_on_guide(store.full_guide, queries),
         "ci_merge_prune": lambda: prune_to_pci(
             build_ci_from_store(store, requested), queries
         ),

@@ -456,7 +456,7 @@ def baseline_signature(context: ExperimentContext) -> FigureResult:
         index = SignatureIndex(context.documents, SignatureConfig(signature_bits=bits))
         precisions, wasted, sound = [], 0, True
         for query_id, query in sample:
-            truth = frozenset(pending.filtered.docs_per_query[query_id])
+            truth = pending.docs_per_query[query_id]
             accuracy = index.accuracy(query, truth)
             precisions.append(accuracy.precision)
             sound = sound and accuracy.is_sound

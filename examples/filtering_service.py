@@ -1,28 +1,32 @@
 #!/usr/bin/env python3
 """The YFilter substrate as a standalone publish/subscribe service.
 
-The broadcast server uses the filtering engine internally, but it is a
-complete XML filtering system in its own right (the paper's reference
-[3]): thousands of subscriptions compiled into one shared-path NFA,
-documents streamed through as SAX events, matches reported per document.
+The broadcast server resolves queries internally, but the same resolver
+is a complete XML filtering system in its own right (the paper's
+reference [3]): every subscription compiled into one shared-path NFA,
+run once over the feed's combined DataGuide, matches reported per
+subscription and per document.
 
 This example registers subscriptions -- including ones with the
 predicate extension (``[@attr]``, ``[@attr="v"]``, ``[rel/path]``),
-which the engine evaluates in two phases -- and streams a DBLP-like
-bibliography feed through them.
+which resolve in two phases: the guide walk finds the candidates of
+the structural relaxation, the evaluator checks predicates on each
+candidate document -- and filters a DBLP-like bibliography feed.
 
 Run:  python examples/filtering_service.py
 """
 
 from __future__ import annotations
 
-from repro import dblp_like_dtd, generate_collection, parse_query
-from repro.filtering import YFilterEngine
+from repro import build_combined_guide, dblp_like_dtd, generate_collection, parse_query
+from repro.filtering import resolve_on_guide
+from repro.xpath.evaluator import evaluate_on_document
 
 
 def main() -> None:
     # The "publisher": a feed of bibliography records.
     feed = generate_collection(dblp_like_dtd(), 120, seed=21)
+    by_id = {document.doc_id: document for document in feed}
     print(f"feed: {len(feed)} documents\n")
 
     # The "subscribers": structural and predicated XPath subscriptions.
@@ -39,25 +43,28 @@ def main() -> None:
         '/dblp/www[author]',
     ]
     queries = [parse_query(text) for text in subscriptions]
-    engine = YFilterEngine.from_queries(queries)
-    print(
-        f"compiled {len(queries)} subscriptions into one NFA "
-        f"({engine.nfa.state_count} shared states)\n"
-    )
+    print(f"compiled {len(queries)} subscriptions into one shared-path NFA\n")
 
-    # Stream the feed through the engine (the streaming mode consumes
-    # SAX start/end events, exactly like a wire parser would produce).
-    result = engine.filter_collection(feed, streaming=True)
+    # Phase one: one walk of the feed's combined guide.  Phase two: the
+    # predicated subscriptions keep the candidates the evaluator accepts.
+    candidates = resolve_on_guide(
+        build_combined_guide(feed), [query.structural_relaxation() for query in queries]
+    )
+    matches = [
+        {doc_id for doc_id in docs if evaluate_on_document(query, by_id[doc_id])}
+        if query.has_predicates()
+        else docs
+        for query, docs in zip(queries, candidates)
+    ]
     print(f"{'subscription':42s} {'matches':>8}")
     print("-" * 52)
-    for index, text in enumerate(subscriptions):
-        print(f"{text:42s} {len(result.docs_per_query[index]):>8}")
+    for text, docs in zip(subscriptions, matches):
+        print(f"{text:42s} {len(docs):>8}")
 
     # Per-document fan-out: which subscriptions does one record satisfy?
     sample = feed[0]
-    matched = sorted(result.queries_per_doc.get(sample.doc_id, ()))
-    print(f"\ndocument {sample.doc_id} satisfies subscriptions: "
-          f"{[subscriptions[i] for i in matched]}")
+    matched = [text for text, docs in zip(subscriptions, matches) if sample.doc_id in docs]
+    print(f"\ndocument {sample.doc_id} satisfies subscriptions: {matched}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ A from-scratch Python reproduction of Sun, Yu, Qing, Zhang & Zheng,
 *Two-Tier Air Indexing for On-Demand XML Data Broadcast* (ICDCS 2009),
 including every substrate the paper depends on: an XML toolkit with a
 DTD-driven document generator, the paper's XPath subset, a YFilter-style
-filtering engine, DataGuides and their RoXSum combination, the Compact
+shared-path NFA, DataGuides and their RoXSum combination, the Compact
 Index / pruned PCI / two-tier split with byte-exact encoding and packet
 packing, an on-demand broadcast server with multi-item-aware scheduling,
 the one-tier and two-tier client access protocols, and a discrete-event
@@ -58,7 +58,7 @@ from repro.xpath import (
 )
 
 # Filtering
-from repro.filtering import LazyQueryDFA, SharedPathNFA, YFilterEngine
+from repro.filtering import LazyQueryDFA, SharedPathNFA
 
 # DataGuides
 from repro.dataguide import (
@@ -147,7 +147,6 @@ __all__ = [
     # filtering
     "LazyQueryDFA",
     "SharedPathNFA",
-    "YFilterEngine",
     # dataguide
     "CombinedDataGuide",
     "DataGuide",

@@ -41,12 +41,10 @@ from typing import List, Optional
 
 from repro import obs
 from repro.broadcast.program import IndexScheme
-from repro.broadcast.server import DocumentStore, build_ci_from_store
+from repro.broadcast.server import DocumentStore
 from repro.control.plan import ControlConfig
 from repro.experiments.report import print_table
-from repro.filtering.yfilter import YFilterEngine
-from repro.index.pruning import prune_to_pci
-from repro.index.twotier import split_two_tier
+from repro.experiments.runner import PendingIndex
 from repro.sim.config import SimulationConfig
 from repro.sim.simulation import run_simulation
 from repro.tools.persist import (
@@ -175,25 +173,22 @@ def cmd_index(args) -> int:
             wildcard_descendant_prob=args.p,
             max_depth=args.dq,
         )
-    engine = YFilterEngine.from_queries(queries)
-    result = engine.filter_collection(documents)
-    ci = build_ci_from_store(store, result.requested_doc_ids)
-    pci, stats = prune_to_pci(ci, queries)
-    two_tier = split_two_tier(pci)
+    pending = PendingIndex.build(store, queries)
+    stats, first_tier = pending.stats, pending.pci.size_bytes(one_tier=False)
     data = store.total_data_bytes()
     print_table(
-        f"Index sizes ({args.count} docs, {args.queries} queries)",
+        f"Index sizes ({len(documents)} docs, {len(queries)} queries)",
         ("structure", "nodes", "bytes", "% of data"),
         [
             ("CI (one-tier)", stats.nodes_before, stats.bytes_before,
              100 * stats.bytes_before / data),
             ("PCI (one-tier)", stats.nodes_after, stats.bytes_after,
              100 * stats.bytes_after / data),
-            ("first tier (L_I)", stats.nodes_after, two_tier.first_tier_bytes,
-             100 * two_tier.first_tier_bytes / data),
+            ("first tier (L_I)", stats.nodes_after, first_tier,
+             100 * first_tier / data),
         ],
         note=f"collection: {data:,} bytes; requested docs: "
-        f"{len(result.requested_doc_ids)}",
+        f"{len(pending.requested)}",
     )
     return 0
 

@@ -38,11 +38,6 @@ class PerDocumentIndexStats:
         """Index bytes relative to data bytes (the paper's ~10%)."""
         return self.index_bytes / self.data_bytes if self.data_bytes else 0.0
 
-    @property
-    def broadcast_bytes(self) -> int:
-        """What actually goes on air under this scheme: data + indexes."""
-        return self.data_bytes + self.index_bytes
-
 
 class PerDocumentIndexBaseline:
     """Sizes the embedded-index scheme for comparison benches."""

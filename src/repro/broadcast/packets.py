@@ -78,10 +78,6 @@ class CycleLayout:
         return self.segments[-1].end if self.segments else 0
 
     @property
-    def total_packets(self) -> int:
-        return self.total_bytes // self.packet_bytes
-
-    @property
     def payload_bytes(self) -> int:
         """Verifiable payload per packet (packet minus checksum trailer)."""
         return self.packet_bytes - self.checksum_bytes
@@ -91,9 +87,3 @@ class CycleLayout:
             if segment.kind is kind:
                 return segment
         return None
-
-    def kind_at(self, offset: int) -> PacketKind:
-        for segment in self.segments:
-            if segment.contains(offset):
-                return segment.kind
-        raise ValueError(f"offset {offset} outside cycle of {self.total_bytes} bytes")

@@ -46,7 +46,7 @@ from repro.broadcast.program import (
 from repro.broadcast.scheduling import DemandTable, LeeLoScheduler, Scheduler
 from repro.dataguide.dataguide import DataGuide, build_dataguide
 from repro.dataguide.roxsum import CombinedDataGuide, build_combined_guide
-from repro.filtering.nfa import SharedPathNFA
+from repro.filtering.nfa import SharedPathNFA, resolve_on_guide
 from repro.index.ci import CompactIndex
 from repro.index.packing import PackingStrategy
 from repro.index.pruning import PruningStats, prune_to_pci
@@ -418,18 +418,17 @@ class BroadcastServer:
     ) -> List[FrozenSet[int]]:
         """Result-document sets of *queries*, resolved in one shared pass.
 
-        All cache-missing query strings are compiled into a single
-        :class:`SharedPathNFA` and the combined guide is walked **once**,
-        collecting every query's matched containment sets along the way --
-        the same shared-prefix trick YFilter plays, applied to admission.
-        Results are identical to query-at-a-time resolution (tested) and
+        All cache-missing query strings go to one :func:`resolve_on_guide`
+        call, which compiles them into a single :class:`SharedPathNFA` and
+        walks the combined guide **once** -- the same shared-prefix trick
+        YFilter plays, applied to admission.  Results are identical to query-at-a-time resolution (tested) and
         land in the same per-string cache.
         """
         for query in queries:
             if query.has_predicates():
                 raise ValueError(
                     "the air index is purely structural: predicate queries "
-                    "are supported by the filtering engine (YFilterEngine) "
+                    "are resolved for the experiments (PendingIndex) "
                     "but not by the broadcast protocol -- the paper's "
                     "experiments use simple queries without predicates "
                     "(Section 4.1)"
@@ -450,27 +449,12 @@ class BroadcastServer:
         if misses:
             keys = list(misses)
             with obs.span("server.query_filtering"):
-                nfa = SharedPathNFA()
-                for query_id, key in enumerate(keys):
-                    nfa.add_query(query_id, representative[key])
-                nfa.freeze()
-                # One combined-guide walk: a matched node's containment
-                # set holds every document below it.
-                guide = self.store.full_guide
-                roots = (
-                    guide.root.children.values()
-                    if guide.virtual_root
-                    else (guide.root,)
+                resolved = resolve_on_guide(
+                    self.store.full_guide, [representative[key] for key in keys]
                 )
-                resolved: List[Set[int]] = [set() for _ in keys]
-                for node, accepted in nfa.trie_matches(roots):
-                    docs = node.containing_docs()
-                    for query_id in accepted:
-                        resolved[query_id].update(docs)
             self.resolved_query_strings += len(keys)
             obs.counter("server.resolved_query_strings_total").inc(len(keys))
-            for query_id, key in enumerate(keys):
-                value = frozenset(resolved[query_id])
+            for key, value in zip(keys, resolved):
                 cache[key] = (representative[key], value)
                 for position in misses[key]:
                     results[position] = value

@@ -63,18 +63,6 @@ class DataGuide:
         """Every distinct label path, in depth-first label order."""
         return [path for _node, path in self.root.iter_with_paths()]
 
-    def contains_path(self, path: LabelPath) -> bool:
-        """Does the summarised document contain this label path?"""
-        if not path or path[0] != self.root.label:
-            return False
-        node = self.root
-        for label in path[1:]:
-            nxt = node.child(label)
-            if nxt is None:
-                return False
-            node = nxt
-        return True
-
     def node_count(self) -> int:
         return self.root.node_count()
 

@@ -136,11 +136,6 @@ class CombinedDataGuide:
             node = nxt
         return node
 
-    def docs_containing(self, path: LabelPath) -> FrozenSet[int]:
-        """Documents of the collection containing *path*."""
-        node = self.find(path)
-        return node.containing_docs() if node is not None else frozenset()
-
 
 def build_combined_guide(
     documents: Sequence[XMLDocument],

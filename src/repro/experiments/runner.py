@@ -2,9 +2,9 @@
 
 Two experiment primitives cover every figure:
 
-* :meth:`ExperimentContext.pending_index` -- draw N_Q queries, filter
-  the collection, build the CI over the requested documents and prune
-  it to the PCI; the *static* sizing behind Figures 9 and 10
+* :meth:`ExperimentContext.pending_index` -- draw N_Q queries, resolve
+  them on the combined guide, build the CI over the requested documents
+  and prune it to the PCI; the *static* sizing behind Figures 9 and 10
   (:meth:`~ExperimentContext.index_size_point`) sizes its tiers;
 * :meth:`ExperimentContext.tuning_point` -- the *dynamic* experiment
   behind Figure 11 and the cycles-per-query statistic: a full broadcast
@@ -21,10 +21,10 @@ finish in seconds while preserving every shape).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.broadcast.server import DocumentStore, build_ci_from_store
-from repro.filtering.yfilter import FilterResult, YFilterEngine
+from repro.filtering.nfa import resolve_on_guide
 from repro.index.ci import CompactIndex
 from repro.index.pruning import PruningStats, prune_to_pci
 from repro.index.sizes import PAPER_SIZE_MODEL
@@ -33,6 +33,7 @@ from repro.sim.results import SimulationResult
 from repro.sim.simulation import Simulation, build_collection
 from repro.xmlkit.model import XMLDocument
 from repro.xpath.ast import XPathQuery
+from repro.xpath.evaluator import evaluate_on_document
 from repro.xpath.generator import QueryGenerator, QueryWorkloadConfig
 
 
@@ -81,20 +82,35 @@ class PendingIndex:
     documents -> CI -> PCI."""
 
     queries: List[XPathQuery]
-    filtered: FilterResult
+    #: each query's result documents, in query order
+    docs_per_query: List[FrozenSet[int]]
+    #: documents requested by at least one query
+    requested: FrozenSet[int]
     ci: CompactIndex
     pci: CompactIndex
     stats: PruningStats
 
     @classmethod
     def build(cls, store: DocumentStore, queries: List[XPathQuery]) -> "PendingIndex":
-        """Filter *store* through *queries*, index what they request, prune."""
-        filtered = YFilterEngine.from_queries(queries).filter_collection(
-            store.documents
+        """Resolve *queries* on the store's combined guide, index what they
+        request, prune.
+
+        A predicated query (from a workload file) resolves its structural
+        relaxation; phase two keeps the candidates the evaluator accepts.
+        """
+        candidates = resolve_on_guide(
+            store.full_guide, [query.structural_relaxation() for query in queries]
         )
-        ci = build_ci_from_store(store, filtered.requested_doc_ids)
+        docs_per_query = [
+            frozenset(d for d in docs if evaluate_on_document(query, store.by_id[d]))
+            if query.has_predicates()
+            else docs
+            for query, docs in zip(queries, candidates)
+        ]
+        requested = frozenset().union(*docs_per_query)
+        ci = build_ci_from_store(store, requested)
         pci, stats = prune_to_pci(ci, queries)
-        return cls(queries, filtered, ci, pci, stats)
+        return cls(queries, docs_per_query, requested, ci, pci, stats)
 
 
 @dataclass(frozen=True)
@@ -121,10 +137,6 @@ class IndexSizePoint:
     @property
     def two_tier_bytes(self) -> int:
         return self.pci_first_tier_bytes + self.offset_list_bytes
-
-    @property
-    def ci_to_data(self) -> float:
-        return self.ci_bytes / self.collection_bytes
 
     @property
     def two_tier_to_data(self) -> float:
@@ -242,13 +254,13 @@ class ExperimentContext:
     ) -> IndexSizePoint:
         """Static sizing: N_Q pending queries -> CI -> PCI -> tiers."""
         pending = self.pending_index(n_q, p, d_q)
-        stats, per_query = pending.stats, pending.filtered.docs_per_query
+        stats, per_query = pending.stats, pending.docs_per_query
         return IndexSizePoint(
             n_q=len(pending.queries),
             p=p,
             d_q=d_q,
-            requested_docs=len(pending.filtered.requested_doc_ids),
-            mean_result_docs=sum(map(len, per_query.values())) / len(pending.queries),
+            requested_docs=len(pending.requested),
+            mean_result_docs=sum(map(len, per_query)) / len(pending.queries),
             ci_nodes=stats.nodes_before,
             pci_nodes=stats.nodes_after,
             ci_bytes=stats.bytes_before,

@@ -156,22 +156,6 @@ class FaultPlan:
         """Is the fault window still open at this cycle?"""
         return self.fault_cycles is None or cycle_number < self.fault_cycles
 
-    @property
-    def is_null(self) -> bool:
-        """True when the plan injects nothing at all."""
-        return (
-            self.uplink_drop_prob == 0.0
-            and self.uplink_ack_drop_prob == 0.0
-            and self.uplink_delay_bytes == 0
-            and self.corrupt_prob == 0.0
-            and self.erase_prob == 0.0
-            and self.overload_prob == 0.0
-            and self.build_budget_bytes is None
-            and self.build_budget_seconds is None
-            and self.doc_add_prob == 0.0
-            and self.doc_remove_prob == 0.0
-        )
-
     # -- uplink ---------------------------------------------------------
 
     def uplink_outcome(self, client_key: int, submit_time: int) -> UplinkOutcome:

@@ -1,16 +1,15 @@
-"""YFilter-style XML filtering engine, re-implemented from scratch.
+"""YFilter-style query resolution, re-implemented from scratch.
 
 The broadcast server must decide, for every pending XPath query, which
 documents of the collection satisfy it.  The paper uses YFilter [Diao et
-al., TODS 2003]; this package rebuilds its core:
+al., TODS 2003]; this package keeps its core, the shared-path NFA, and
+runs it over DataGuide tries instead of SAX events:
 
-* :mod:`repro.filtering.events` -- SAX-style event streams from documents;
 * :mod:`repro.filtering.nfa` -- the shared-path NFA: one trie-shaped
   automaton for the whole query set, with ``*`` transitions and ``//``
-  self-loop states;
-* :mod:`repro.filtering.yfilter` -- event-driven execution with a runtime
-  stack of active state sets, plus a fast path that filters a document via
-  its distinct label paths (equivalent, and differential-tested);
+  self-loop states; :func:`~repro.filtering.nfa.resolve_on_guide` walks
+  it over a combined DataGuide once and returns every query's result
+  documents;
 * :mod:`repro.filtering.dfa` -- a lazily determinised DFA over the NFA,
   used by index pruning (paper Section 3.2 builds "a DFA ... based on the
   set of queries Q") and by the client index search;
@@ -19,17 +18,11 @@ al., TODS 2003]; this package rebuilds its core:
   (``LookupResult``, exported by :mod:`repro.index`).
 """
 
-from repro.filtering.events import Event, EventKind, document_events
-from repro.filtering.nfa import SharedPathNFA
-from repro.filtering.yfilter import YFilterEngine, FilterResult
+from repro.filtering.nfa import SharedPathNFA, resolve_on_guide
 from repro.filtering.dfa import LazyQueryDFA
 
 __all__ = [
-    "Event",
-    "EventKind",
-    "document_events",
     "SharedPathNFA",
-    "YFilterEngine",
-    "FilterResult",
+    "resolve_on_guide",
     "LazyQueryDFA",
 ]

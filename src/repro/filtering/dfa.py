@@ -116,7 +116,3 @@ class LazyQueryDFA:
     def is_live(self, state: DFAState) -> bool:
         """Could the consumed path still be extended into a match?"""
         return bool(state)
-
-    def accepts_path(self, path: LabelPath) -> bool:
-        """Does some pending query match *path*?"""
-        return self.is_accepting(self.run(path))

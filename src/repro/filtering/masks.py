@@ -202,10 +202,6 @@ class LookupResult:
             )
         return self._visited
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.doc_ids
-
     def packets_in(self, packed: "PackedIndex") -> FrozenSet[int]:
         """Distinct packets of *packed* the visited nodes touch.
 

@@ -12,6 +12,9 @@ path.  The construction follows the YFilter paper:
 
 States are integers; the automaton is immutable once queries are added and
 execution starts (enforced by :meth:`SharedPathNFA.freeze`).
+:func:`resolve_on_guide` runs it over a combined DataGuide's label trie
+rather than over document events: the one answer to "which documents
+match these queries".
 
 Execution runs on a **flattened** representation compiled lazily from the
 construction trie (cache-conscious, integer-indexed -- the layout of
@@ -42,9 +45,24 @@ from array import array
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.xpath.ast import Axis, Step, WILDCARD, XPathQuery
+
+if TYPE_CHECKING:  # pragma: no cover - the dataguide layer sits above this one
+    from repro.dataguide.roxsum import CombinedDataGuide
 
 #: One automaton configuration: canonically sorted, duplicate-free state ids.
 Configuration = Tuple[int, ...]
@@ -103,22 +121,6 @@ class SharedPathNFA:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-
-    @property
-    def start_state(self) -> int:
-        return 0
-
-    @property
-    def state_count(self) -> int:
-        return len(self._states)
-
-    @property
-    def query_count(self) -> int:
-        return len(self._queries)
-
-    def queries(self) -> Dict[int, XPathQuery]:
-        """The registered queries by id (a copy)."""
-        return dict(self._queries)
 
     def add_query(self, query_id: int, query: XPathQuery) -> None:
         """Register *query* under *query_id*, sharing existing prefixes."""
@@ -329,23 +331,6 @@ class SharedPathNFA:
         buf.sort()
         return tuple(buf)
 
-    def move_accepting(
-        self, states: Iterable[int], tag: str, matched: Set[int]
-    ) -> Configuration:
-        """:meth:`move` that also unions accepted query ids into *matched*.
-
-        The streaming filter calls this once per start event, fusing the
-        transition and the accept sweep into one pass over the scratch
-        buffer.
-        """
-        configuration = self.move(states, tag)
-        accept_off = self._accept_off
-        accept_ids = self._accept_ids
-        for state_id in configuration:
-            for position in range(accept_off[state_id], accept_off[state_id + 1]):
-                matched.add(accept_ids[position])
-        return configuration
-
     def accepted_queries(self, states: Iterable[int]) -> Set[int]:
         """Query ids accepted by any state in the configuration."""
         if not self._compiled:
@@ -408,18 +393,27 @@ class SharedPathNFA:
             accept_off[state_id] != accept_off[state_id + 1] for state_id in states
         )
 
-    def describe(self) -> str:
-        """Dump the automaton for debugging and documentation."""
-        lines = [f"SharedPathNFA: {self.state_count} states, {self.query_count} queries"]
-        for state in self._states:
-            bits = []
-            for label, target in sorted(state.children.items()):
-                bits.append(f"--{label}--> {target}")
-            if state.wild is not None:
-                bits.append(f"--*--> {state.wild}")
-            if state.descendant is not None:
-                bits.append(f"..eps..> {state.descendant}")
-            marker = " (loop)" if state.self_loop else ""
-            accept = f" accepts={state.accepts}" if state.accepts else ""
-            lines.append(f"  s{state.state_id}{marker}{accept}: " + ", ".join(bits))
-        return "\n".join(lines)
+
+def resolve_on_guide(
+    guide: "CombinedDataGuide", queries: Sequence[XPathQuery]
+) -> List[FrozenSet[int]]:
+    """Result-document set of each of *queries* over a combined guide.
+
+    The queries share one :class:`SharedPathNFA` and the guide is walked
+    once.  A matched node's containment set holds every document with that
+    path, so the union over a query's matched nodes is ``{d : the query
+    accepts a path of guide(d)}`` -- for a structural query exactly what
+    the reference evaluator returns (tested).  Predicates are ignored: a
+    predicated query resolves to its structural relaxation's candidates.
+    """
+    nfa = SharedPathNFA()
+    for query_id, query in enumerate(queries):
+        nfa.add_query(query_id, query)
+    nfa.freeze()
+    roots = guide.root.children.values() if guide.virtual_root else (guide.root,)
+    resolved: List[Set[int]] = [set() for _ in queries]
+    for node, accepted in nfa.trie_matches(roots):
+        docs = node.containing_docs()
+        for query_id in accepted:
+            resolved[query_id].update(docs)
+    return [frozenset(docs) for docs in resolved]

@@ -50,7 +50,7 @@ from repro.filtering.dfa import LazyQueryDFA
 from repro.filtering.masks import LookupResult, RowMasks
 from repro.index.nodes import RowBuilder
 from repro.index.sizes import SizeModel, PAPER_SIZE_MODEL
-from repro.xmlkit.model import LabelPath, XMLDocument
+from repro.xmlkit.model import XMLDocument
 from repro.xpath.ast import XPathQuery
 
 
@@ -274,25 +274,6 @@ class CompactIndex:
                 )
             )
         return self._tree_form
-
-    def find_node(self, path: LabelPath) -> Optional[int]:
-        """The id of the node at a document label path, if present."""
-        if not path:
-            return None
-        labels = self.labels
-        node_id = 0
-        if not self.virtual_root:
-            if path[0] != labels[0]:
-                return None
-            path = path[1:]
-        for label in path:
-            for child in self.children[node_id]:
-                if labels[child] == label:
-                    node_id = child
-                    break
-            else:
-                return None
-        return node_id
 
     # ------------------------------------------------------------------
     # Lookup (client-side index search)

@@ -66,10 +66,6 @@ class PackedIndex:
             touched.update(self.packet_of_node[node_id])
         return frozenset(touched)
 
-    def tuning_bytes_for_nodes(self, node_ids: Iterable[int]) -> int:
-        """Tuning time (bytes) to read the packets covering *node_ids*."""
-        return len(self.packets_for_nodes(node_ids)) * self.packet_bytes
-
 
 def _node_order(index: CompactIndex, strategy: PackingStrategy) -> Tuple[int, ...]:
     """Node *ids* in packing order.

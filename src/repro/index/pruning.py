@@ -54,15 +54,6 @@ class PruningStats:
             bytes_after=pci.size_bytes(one_tier=True),
         )
 
-    @property
-    def node_ratio(self) -> float:
-        return self.nodes_after / self.nodes_before if self.nodes_before else 1.0
-
-    @property
-    def size_ratio(self) -> float:
-        """PCI size as a fraction of CI size (the paper's ~0.9)."""
-        return self.bytes_after / self.bytes_before if self.bytes_before else 1.0
-
 
 def prune_to_pci(
     ci: CompactIndex,

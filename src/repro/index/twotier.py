@@ -25,7 +25,7 @@ with one data channel the field carries no information and is elided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.index.ci import CompactIndex
 from repro.index.sizes import SizeModel, PAPER_SIZE_MODEL
@@ -89,12 +89,6 @@ class OffsetList:
     def packet_count(self) -> int:
         return self.size_model.packets_for(self.size_bytes)
 
-    def offset_of(self, doc_id: int) -> Optional[int]:
-        for entry_id, offset in self.entries:
-            if entry_id == doc_id:
-                return offset
-        return None
-
     def lookup(self, doc_ids: Iterable[int]) -> Dict[int, int]:
         """Offsets of the requested documents present in this cycle."""
         wanted = set(doc_ids)
@@ -150,22 +144,6 @@ class TwoTierIndex:
     def make_offset_list(self, offsets: Mapping[int, int]) -> OffsetList:
         """Build the second tier for one cycle's document placement."""
         return OffsetList.from_mapping(offsets, size_model=self.size_model)
-
-    def one_tier_bytes(self) -> int:
-        """Size of the same tree in the one-tier layout (for Figure 10)."""
-        return self.first_tier.size_bytes(one_tier=True)
-
-    def savings_bytes(self, cycle_doc_count: int) -> int:
-        """One-tier size minus (first tier + one cycle's second tier).
-
-        Positive whenever pointer duplication outweighs the offset list --
-        i.e. whenever documents are annotated at more paths than they are
-        broadcast in a cycle.
-        """
-        two_tier_total = self.first_tier_bytes + self.size_model.offset_list_bytes(
-            cycle_doc_count
-        )
-        return self.one_tier_bytes() - two_tier_total
 
 
 def split_two_tier(pci: CompactIndex) -> TwoTierIndex:

@@ -84,9 +84,6 @@ class ChaosSchedule:
     horizon_s: float
     actions: Tuple[ChaosAction, ...] = ()
 
-    def for_shard(self, shard: int) -> Tuple[ChaosAction, ...]:
-        return tuple(a for a in self.actions if a.shard == shard)
-
     def describe(self) -> Dict:
         kinds: Dict[str, int] = {}
         for action in self.actions:

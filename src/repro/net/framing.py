@@ -64,23 +64,6 @@ def encode_frame(kind: FrameKind, payload: bytes, checksum_bytes: int = 0) -> by
     return _LENGTH.pack(body_len) + bytes([int(kind)]) + payload + trailer
 
 
-def decode_frame(data: bytes, checksum_bytes: int = 0) -> Tuple[FrameKind, bytes, int]:
-    """Decode one frame from the head of *data*.
-
-    Returns ``(kind, payload, consumed_bytes)``; raises
-    :class:`FrameError` when the buffer does not hold a full valid frame.
-    """
-    if len(data) < 4:
-        raise FrameError("truncated frame length")
-    (body_len,) = _LENGTH.unpack_from(data, 0)
-    if body_len < 1 + checksum_bytes or body_len > MAX_FRAME_BYTES:
-        raise FrameError(f"implausible frame length {body_len}")
-    if len(data) < 4 + body_len:
-        raise FrameError("truncated frame body")
-    body = data[4 : 4 + body_len]
-    return (*_split_body(body, checksum_bytes), 4 + body_len)
-
-
 def _split_body(body: bytes, checksum_bytes: int) -> Tuple[FrameKind, bytes]:
     try:
         kind = FrameKind(body[0])

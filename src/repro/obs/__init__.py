@@ -2,7 +2,7 @@
 
 The package keeps one process-wide active registry.  By default it is a
 :class:`~repro.obs.registry.NullRegistry`, so every instrumentation site
-in the server, simulator, clients and filtering engine degrades to a
+in the server, simulator, clients and resolver degrades to a
 couple of no-op calls and simulation results are identical with
 observability on or off.
 

@@ -78,9 +78,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Fixed-bucket histogram with cumulative-free per-bucket counts.
@@ -201,9 +198,6 @@ class _NullGauge:
     def inc(self, amount: float = 1.0) -> None:
         return None
 
-    def dec(self, amount: float = 1.0) -> None:
-        return None
-
 
 class _NullHistogram:
     __slots__ = ()
@@ -288,10 +282,6 @@ class MetricsRegistry:
             if name.startswith(prefix)
         }
 
-    @property
-    def span_depth(self) -> int:
-        return len(self._span_stack)
-
     # ------------------------------------------------------------------
     # Snapshot / reset
     # ------------------------------------------------------------------
@@ -356,10 +346,6 @@ class NullRegistry:
 
     def span_totals(self, prefix: str = "") -> Dict[str, Tuple[int, float]]:
         return {}
-
-    @property
-    def span_depth(self) -> int:
-        return 0
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         return {"counters": {}, "gauges": {}, "histograms": {}, "spans": {}}

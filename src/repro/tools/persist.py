@@ -38,7 +38,7 @@ import dataclasses
 import json
 import os
 import pathlib
-from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import IO, Any, Dict, List, Optional, Sequence, Union
 
 from repro.xmlkit.model import XMLDocument
 from repro.xmlkit.parser import parse_document
@@ -175,14 +175,6 @@ class JournalState:
     done_ids: List[int] = dataclasses.field(default_factory=list)
     resumes: int = 0
     torn_tail: bool = False
-
-    def admit_counts(self) -> Dict[Tuple[Optional[int], str], int]:
-        """Admissions per ``(client_key, query)`` across all epochs."""
-        counts: Dict[Tuple[Optional[int], str], int] = {}
-        for entry in self.admits:
-            key = (entry.client_key, entry.query)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
 
 
 class QueryJournal:

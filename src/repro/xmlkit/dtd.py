@@ -93,10 +93,6 @@ class ElementDecl:
             names.update(particle.alternatives)
         return names
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.particles
-
 
 class DTD:
     """A set of element declarations with a designated root element."""
@@ -130,37 +126,3 @@ class DTD:
                     raise ValueError(
                         f"element {decl.name!r} references undeclared child {child!r}"
                     )
-
-    def reachable_elements(self) -> Set[str]:
-        """Element names reachable from the root (generation support)."""
-        seen: Set[str] = set()
-        frontier = [self.root]
-        while frontier:
-            name = frontier.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            frontier.extend(self.declarations[name].child_names() - seen)
-        return seen
-
-    def is_recursive(self) -> bool:
-        """True if some element can (transitively) contain itself.
-
-        Recursive DTDs are what make the generator's *max depth* knob
-        meaningful; both built-in DTDs are recursive like real NITF.
-        """
-        # Depth-first search for a cycle in the element-containment graph.
-        colour: Dict[str, int] = {}  # 0 = in progress, 1 = done
-
-        def visit(name: str) -> bool:
-            state = colour.get(name)
-            if state == 0:
-                return True
-            if state == 1:
-                return False
-            colour[name] = 0
-            found = any(visit(child) for child in self.declarations[name].child_names())
-            colour[name] = 1
-            return found
-
-        return any(visit(name) for name in self.declarations)

@@ -15,7 +15,7 @@ paper's subset select documents by label path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 #: A label path is the tuple of element tags from the root to some element,
 #: e.g. ``("a", "b", "c")`` for the element reached by ``/a/b/c``.
@@ -96,15 +96,6 @@ class XMLElement:
             yield node, path
             for child in reversed(node.children):
                 stack.append((child, path + (child.tag,)))
-
-    def path_from_root(self) -> LabelPath:
-        """The label path from the document root down to this element."""
-        parts: List[str] = []
-        node: Optional[XMLElement] = self
-        while node is not None:
-            parts.append(node.tag)
-            node = node.parent
-        return tuple(reversed(parts))
 
     # ------------------------------------------------------------------
     # Structural measures
@@ -207,11 +198,6 @@ class XMLDocument:
 
     def depth(self) -> int:
         return self.root.depth()
-
-
-def collection_size_bytes(documents: Sequence[XMLDocument]) -> int:
-    """Total serialized size of a document collection in bytes."""
-    return sum(doc.size_bytes for doc in documents)
 
 
 def build_element(tag: str, *children: XMLElement, text: str = "", **attrs: str) -> XMLElement:

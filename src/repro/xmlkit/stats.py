@@ -7,9 +7,8 @@ and by tests to sanity-check the generator's output distribution.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Sequence, Set
+from typing import Sequence, Set
 
 from repro.xmlkit.model import LabelPath, XMLDocument
 
@@ -88,25 +87,3 @@ def collection_stats(documents: Sequence[XMLDocument]) -> CollectionStats:
         mean_depth=sum(depths) / len(depths),
         max_depth=max(depths),
     )
-
-
-def path_frequencies(documents: Sequence[XMLDocument]) -> Dict[LabelPath, int]:
-    """How many documents contain each distinct label path.
-
-    This is exactly the document-annotation a combined DataGuide carries,
-    so tests use it as an independent oracle.
-    """
-    counter: Counter = Counter()
-    for doc in documents:
-        for path in doc.distinct_label_paths():
-            counter[path] += 1
-    return dict(counter)
-
-
-def tag_frequencies(documents: Sequence[XMLDocument]) -> Dict[str, int]:
-    """Total occurrence count of each tag across all documents."""
-    counter: Counter = Counter()
-    for doc in documents:
-        for element in doc.root.iter():
-            counter[element.tag] += 1
-    return dict(counter)

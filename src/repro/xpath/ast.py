@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Set, Tuple, Union
+from typing import Iterable, Sequence, Set, Tuple, Union
 
 from repro.xmlkit.model import LabelPath
 
@@ -76,7 +76,7 @@ class Step:
 
     ``test`` is either an element label or :data:`WILDCARD`.  Predicates
     extend the paper's grammar (its experiments use none); they are
-    supported by the evaluator and the filtering engine, while the air
+    supported by the evaluator and ``PendingIndex``, while the air
     index -- which is purely structural -- rejects them (see
     ``BroadcastServer.submit``).
     """
@@ -127,21 +127,16 @@ class XPathQuery:
         """Number of location steps (the paper's query depth)."""
         return len(self.steps)
 
-    def has_wildcard(self) -> bool:
-        return any(step.test == WILDCARD for step in self.steps)
-
-    def has_descendant_axis(self) -> bool:
-        return any(step.axis is Axis.DESCENDANT for step in self.steps)
-
     def has_predicates(self) -> bool:
         return any(step.predicates for step in self.steps)
 
     def structural_relaxation(self) -> "XPathQuery":
         """The query with every predicate stripped.
 
-        Its match set is a superset of the full query's; the filtering
-        engine uses it for the structure phase and verifies predicates on
-        the candidates (YFilter's two-phase evaluation).
+        Its match set is a superset of the full query's;
+        :class:`~repro.experiments.runner.PendingIndex` resolves it for the
+        structure phase and verifies predicates on the candidates
+        (YFilter's two-phase evaluation).
         """
         if not self.has_predicates():
             return self
@@ -199,54 +194,7 @@ class XPathQuery:
         """Does at least one of *paths* match this query?"""
         return any(self.matches_path(path) for path in paths)
 
-    def is_viable_prefix(self, path: LabelPath) -> bool:
-        """Could *path* be extended (by appending labels) into a match?
-
-        Used by index pruning: a Compact Index node stays alive only if
-        its path might still lead to a query result.  With a trailing
-        descendant step any consumed prefix remains viable; with child
-        steps the remaining steps must still fit.
-        """
-        # Simulate consumption like matches_path but succeed as soon as the
-        # whole path has been consumed with steps (possibly) remaining.
-        positions: Set[int] = {0}
-        for index, step in enumerate(self.steps):
-            if len(path) in positions:
-                return True
-            next_positions: Set[int] = set()
-            if step.axis is Axis.CHILD:
-                for pos in positions:
-                    if pos < len(path) and step.test_matches(path[pos]):
-                        next_positions.add(pos + 1)
-            else:
-                if positions:
-                    lowest = min(positions)
-                    # ``//`` keeps the door open: even consuming nothing now
-                    # is fine because future labels may satisfy it.
-                    next_positions.update(
-                        candidate + 1
-                        for candidate in range(lowest, len(path))
-                        if step.test_matches(path[candidate])
-                    )
-                    # The step can also match *beyond* the current path end,
-                    # which makes the whole path a viable prefix.
-                    return True
-            if not next_positions:
-                return False
-            positions = next_positions
-        return len(path) in positions
-
 
 def query_set_depth(queries: Sequence[XPathQuery]) -> int:
     """Maximum step count over a query workload (reported with figures)."""
     return max((query.depth for query in queries), default=0)
-
-
-def distinct_labels(queries: Iterable[XPathQuery]) -> List[str]:
-    """All concrete (non-wildcard) labels referenced by a workload."""
-    labels: Set[str] = set()
-    for query in queries:
-        for step in query.steps:
-            if step.test != WILDCARD:
-                labels.add(step.test)
-    return sorted(labels)

@@ -13,7 +13,7 @@ A string over the infinite alphabet can be relabelled to this finite one
 without changing either query's verdict, so the reduction is exact.
 
 The decision procedure runs both queries' NFAs (the same construction
-the filtering engine uses) in product over that alphabet, breadth-first
+the resolver uses) in product over that alphabet, breadth-first
 over configuration pairs, looking for a witness configuration where *b*
 accepts and *a* does not.
 

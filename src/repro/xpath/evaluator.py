@@ -1,7 +1,7 @@
 """Naive reference evaluator for the XPath subset.
 
 Walks document trees directly, with no index and no automaton.  It is the
-*oracle* the YFilter engine and the Compact Index lookups are
+*oracle* the guide-walk resolver and the Compact Index lookups are
 differential-tested against, so it favours obviousness over speed.
 
 Two evaluation levels exist:
@@ -142,8 +142,8 @@ def result_table(
 ) -> Dict[XPathQuery, Set[int]]:
     """Per-query result-document sets, computed naively.
 
-    This is what the server's filtering engine must reproduce; the tests
-    assert equality between this table and the YFilter output.
+    This is what :func:`repro.filtering.nfa.resolve_on_guide` must
+    reproduce; the tests assert equality between the two.
     """
     table: Dict[XPathQuery, Set[int]] = {query: set() for query in queries}
     for doc in documents:

@@ -7,6 +7,7 @@ import pytest
 from repro.broadcast.server import BroadcastServer, DocumentStore
 from repro.xmlkit.model import XMLDocument, build_element
 from repro.xpath.parser import parse_query
+from tests.oracles import docs_containing
 
 
 def paper_store() -> DocumentStore:
@@ -23,7 +24,7 @@ class TestStoreMaintenance:
         assert store.document(10) is extra
         assert store.air_bytes(10) > 0
         assert 10 in store.guides
-        assert 10 in store.full_guide.docs_containing(("a", "b"))
+        assert 10 in docs_containing(store.full_guide, ("a", "b"))
 
     def test_add_duplicate_rejected(self):
         store = paper_store()

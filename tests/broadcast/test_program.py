@@ -136,7 +136,7 @@ class TestCycleQueries:
                 assert packets == packed.packets_for_nodes(lookup.visited_node_ids)
                 assert program.lookup_packets(lookup, scheme) is packets
                 assert program.index_lookup_bytes(lookup, scheme) == (
-                    packed.tuning_bytes_for_nodes(lookup.visited_node_ids)
+                    len(packets) * packed.packet_bytes
                 )
                 seen.add(packets)
         assert len(seen) == 4  # no packing was served another's packets

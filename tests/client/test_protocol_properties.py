@@ -48,8 +48,9 @@ class TestOneTierIdentity:
             expected = 0
             for cycle in broadcast[:n]:
                 lookup = cycle.lookup(query)
-                expected += cycle.packed_one_tier.tuning_bytes_for_nodes(
-                    lookup.visited_node_ids
+                packed = cycle.packed_one_tier
+                expected += packed.packet_bytes * len(
+                    packed.packets_for_nodes(lookup.visited_node_ids)
                 )
             assert client.metrics.index_bytes == expected, str(query)
 
@@ -75,8 +76,9 @@ class TestTwoTierIdentity:
             client = replay(TwoTierClient, query, broadcast)
             first = broadcast[0]
             lookup = first.lookup(query)
-            expected = first.packed_first_tier.tuning_bytes_for_nodes(
-                lookup.visited_node_ids
+            packed = first.packed_first_tier
+            expected = packed.packet_bytes * len(
+                packed.packets_for_nodes(lookup.visited_node_ids)
             )
             assert client.metrics.index_bytes == expected
 

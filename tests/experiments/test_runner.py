@@ -54,7 +54,8 @@ class TestIndexSizePoint:
         assert point.pci_first_tier_bytes <= point.pci_bytes
         assert point.two_tier_bytes == point.pci_first_tier_bytes + point.offset_list_bytes
         assert 0 < point.pci_to_ci <= 1
-        assert 0 < point.two_tier_to_data < point.ci_to_data
+        assert 0 < point.two_tier_to_data
+        assert point.two_tier_bytes < point.ci_bytes
 
     def test_collection_cached(self, tiny_context):
         first = tiny_context.documents

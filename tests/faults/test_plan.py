@@ -38,12 +38,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             FaultPlan(build_budget_seconds=0.0)
 
-    def test_null_plan_detection(self):
-        assert FaultPlan().is_null
-        assert FaultPlan(checksum=False).is_null  # checksum is layout, not a fault
-        assert not default_fault_plan().is_null
-        assert not FaultPlan(uplink_delay_bytes=1).is_null
-
 
 class TestWindowing:
     def test_fault_window(self):

@@ -1,15 +1,15 @@
-"""Unit, differential and property tests for the YFilter engine."""
+"""Unit, differential and property tests for the YFilter-style resolver:
+the shared-path NFA run once over a combined DataGuide
+(:func:`repro.filtering.nfa.resolve_on_guide`)."""
 
 from __future__ import annotations
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-import pytest
-
-from repro.filtering.events import Event, EventKind
-from repro.filtering.yfilter import FilterResult, YFilterEngine
-from repro.xmlkit.model import XMLDocument
+from repro.dataguide.roxsum import build_combined_guide
+from repro.filtering.nfa import resolve_on_guide
+from repro.xmlkit.model import XMLDocument, build_element
 from repro.xpath.evaluator import evaluate_on_document, result_table
 from repro.xpath.parser import parse_query
 from tests.strategies import queries, xml_elements
@@ -21,34 +21,21 @@ class TestFilterDocument:
 
         docs = paper_documents()
         texts = ["/a/b/a", "/a/c/a", "/a//c", "/a/b", "/a/c/*", "/a/c/a"]
-        engine = YFilterEngine.from_queries([parse_query(t) for t in texts])
-        result = engine.filter_collection(docs)
-        assert result.docs_per_query[0] == {0, 1}  # q1
-        assert result.docs_per_query[1] == {3, 4}  # q2
-        assert result.docs_per_query[2] == {1, 2, 3, 4}  # q3
-        assert result.docs_per_query[3] == {0, 1, 2, 4}  # q4
-        assert result.docs_per_query[4] == {1, 3, 4}  # q5
-        assert result.docs_per_query[5] == {3, 4}  # q6 == q2
+        result = resolve_on_guide(
+            build_combined_guide(docs), [parse_query(t) for t in texts]
+        )
+        assert result[0] == {0, 1}  # q1
+        assert result[1] == {3, 4}  # q2
+        assert result[2] == {1, 2, 3, 4}  # q3
+        assert result[3] == {0, 1, 2, 4}  # q4
+        assert result[4] == {1, 3, 4}  # q5
+        assert result[5] == {3, 4}  # q6 == q2
 
-    def test_streaming_mode_equals_path_mode(self, nitf_docs, nitf_queries):
-        engine = YFilterEngine.from_queries(nitf_queries)
-        fast = engine.filter_collection(nitf_docs)
-        slow = engine.filter_collection(nitf_docs, streaming=True)
-        assert fast.docs_per_query == slow.docs_per_query
-
-    def test_matches_naive_evaluator(self, nitf_docs, nitf_queries):
-        engine = YFilterEngine.from_queries(nitf_queries)
-        result = engine.filter_collection(nitf_docs)
-        oracle = result_table(nitf_queries, nitf_docs)
+    def test_matches_naive_evaluator(self, nitf_store, nitf_queries):
+        result = resolve_on_guide(nitf_store.full_guide, nitf_queries)
+        oracle = result_table(nitf_queries, nitf_store.documents)
         for index, query in enumerate(nitf_queries):
-            assert result.docs_per_query[index] == oracle[query], str(query)
-
-    def test_unbalanced_stream_rejected(self):
-        engine = YFilterEngine.from_queries([parse_query("/a")])
-        with pytest.raises(ValueError):
-            engine.filter_events([Event(EventKind.END, "a")])
-        with pytest.raises(ValueError):
-            engine.filter_events([Event(EventKind.START, "a")])
+            assert result[index] == oracle[query], str(query)
 
     @given(
         st.lists(queries(), min_size=1, max_size=4),
@@ -58,45 +45,26 @@ class TestFilterDocument:
         """The core correctness property: NFA == naive tree walk, for any
         query set over any tree."""
         document = XMLDocument(doc_id=0, root=element)
-        engine = YFilterEngine.from_queries(query_list)
-        matched = engine.filter_document(document)
-        expected = {
-            index
-            for index, query in enumerate(query_list)
-            if evaluate_on_document(query, document)
-        }
-        assert matched == expected
-
-    @given(st.lists(queries(), min_size=1, max_size=4), xml_elements())
-    def test_path_mode_differential(self, query_list, element):
-        document = XMLDocument(doc_id=0, root=element)
-        engine = YFilterEngine.from_queries(query_list)
-        assert engine.filter_document(document) == engine.filter_document_by_paths(
-            document
-        )
-
-
-class TestFilterResult:
-    def test_inverse_mapping(self):
-        result = FilterResult(docs_per_query={0: {1, 2}, 1: {2}})
-        assert result.queries_per_doc == {1: {0}, 2: {0, 1}}
-
-    def test_requested_doc_ids(self):
-        result = FilterResult(docs_per_query={0: {1, 2}, 1: set()})
-        assert result.requested_doc_ids == {1, 2}
-
-    def test_result_size(self):
-        result = FilterResult(docs_per_query={0: {1, 2}})
-        assert result.result_size(0) == 2
-        assert result.result_size(99) == 0
+        result = resolve_on_guide(build_combined_guide([document]), query_list)
+        expected = [
+            frozenset({0}) if evaluate_on_document(query, document) else frozenset()
+            for query in query_list
+        ]
+        assert result == expected
 
 
 class TestMatchPaths:
     def test_shares_prefix_work(self):
-        engine = YFilterEngine.from_queries([parse_query("/a/b"), parse_query("/a/c")])
-        matched = engine.match_paths([("a", "b"), ("a", "c"), ("a",)])
-        assert matched == {0, 1}
+        document = XMLDocument(
+            0, build_element("a", build_element("b"), build_element("c"))
+        )
+        result = resolve_on_guide(
+            build_combined_guide([document]),
+            [parse_query("/a/b"), parse_query("/a/c")],
+        )
+        assert result == [frozenset({0}), frozenset({0})]
 
     def test_empty_paths(self):
-        engine = YFilterEngine.from_queries([parse_query("/a")])
-        assert engine.match_paths([]) == set()
+        document = XMLDocument(0, build_element("z"))
+        result = resolve_on_guide(build_combined_guide([document]), [parse_query("/a")])
+        assert result == [frozenset()]

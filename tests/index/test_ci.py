@@ -10,6 +10,7 @@ from repro.index.ci import CompactIndex, build_ci, build_full_ci
 from repro.xmlkit.model import XMLDocument
 from repro.xpath.evaluator import matching_documents
 from repro.xpath.parser import parse_query
+from tests.index.tables import find_node
 from tests.strategies import document_collections, queries
 
 
@@ -36,9 +37,9 @@ class TestBuild:
 
     def test_annotations_at_maximal_paths(self, paper_ci):
         ci, _docs = paper_ci
-        assert ci.doc_ids[ci.find_node(("a", "b", "a"))] == (0, 1)
-        assert ci.doc_ids[ci.find_node(("a", "c"))] == (2,)
-        assert ci.doc_ids[ci.find_node(("a",))] == ()
+        assert ci.doc_ids[find_node(ci, ("a", "b", "a"))] == (0, 1)
+        assert ci.doc_ids[find_node(ci, ("a", "c"))] == (2,)
+        assert ci.doc_ids[find_node(ci, ("a",))] == ()
 
     def test_d2_pointer_appears_three_times(self, paper_ci):
         """Section 3.3's motivating observation."""
@@ -62,7 +63,7 @@ class TestBuild:
         assert ci.annotated_doc_ids() == frozenset({3, 4})
         # d1's unique path a/b/a survives only if d2 (not requested) --
         # here neither is requested so the node is gone entirely.
-        assert ci.find_node(("a", "b", "a")) is None
+        assert find_node(ci, ("a", "b", "a")) is None
 
     def test_build_ci_empty_requested_rejected(self):
         from tests.xpath.test_evaluator import paper_documents
@@ -90,7 +91,7 @@ class TestLookup:
         ci, _docs = paper_ci
         result = ci.lookup(parse_query("/a/b/a"))
         assert result.doc_ids == (0, 1)
-        assert result.matched_node_ids == {ci.find_node(("a", "b", "a"))}
+        assert result.matched_node_ids == {find_node(ci, ("a", "b", "a"))}
 
     def test_paper_q3_descendant(self, paper_ci):
         ci, _docs = paper_ci
@@ -111,7 +112,7 @@ class TestLookup:
     def test_no_match(self, paper_ci):
         ci, _docs = paper_ci
         result = ci.lookup(parse_query("/a/z"))
-        assert result.is_empty
+        assert not result.doc_ids
         assert result.matched_node_ids == frozenset()
         # The client still read the root before the branch died.
         assert result.visited_node_ids == {0}
@@ -119,15 +120,15 @@ class TestLookup:
     def test_visited_includes_walk_and_match_subtrees(self, paper_ci):
         ci, _docs = paper_ci
         result = ci.lookup(parse_query("/a/c"))
-        assert ci.find_node(("a",)) in result.visited_node_ids  # walk
-        assert ci.find_node(("a", "c", "a")) in result.visited_node_ids  # match subtree
-        assert ci.find_node(("a", "c", "b")) in result.visited_node_ids
+        assert find_node(ci, ("a",)) in result.visited_node_ids  # walk
+        assert find_node(ci, ("a", "c", "a")) in result.visited_node_ids  # match subtree
+        assert find_node(ci, ("a", "c", "b")) in result.visited_node_ids
 
     def test_dead_branches_not_visited(self, paper_ci):
         ci, _docs = paper_ci
         result = ci.lookup(parse_query("/a/c/a"))
         # /a/b subtree dead early
-        assert ci.find_node(("a", "b", "a")) not in result.visited_node_ids
+        assert find_node(ci, ("a", "b", "a")) not in result.visited_node_ids
 
     @given(document_collections(), st.lists(queries(), min_size=1, max_size=3))
     def test_lookup_matches_evaluator(self, docs, query_list):

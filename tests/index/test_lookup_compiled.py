@@ -331,6 +331,6 @@ class TestQuerySetWalk:
             LazyQueryDFA.from_queries([parse_query("/z"), parse_query("/b")])
         )
         assert result.for_query(0).visited_node_ids == {0}
-        assert result.for_query(0).is_empty
+        assert not result.for_query(0).doc_ids
         assert result.for_query(1).visited_node_ids == {0, 2}
         assert result.visited_node_ids == {0, 2}

@@ -9,7 +9,7 @@ import pytest
 
 from repro.index.ci import CompactIndex
 from repro.index.nodes import ROOT_FLAG_VALUE, RowBuilder, flag_value
-from tests.index.tables import node_paths
+from tests.index.tables import find_node, node_paths
 
 #: the running example's shape: a( b( a c ) c( b ) )
 SMALL_TREE = (
@@ -78,19 +78,19 @@ class TestKindsAndFlags:
 
     def test_internal_kind(self):
         index = small_tree()
-        internal = index.find_node(("a", "b"))
+        internal = find_node(index, ("a", "b"))
         assert flag_value(internal, len(index.children[internal])) == 0
 
     def test_leaf_kind(self):
         index = small_tree()
-        leaf = index.find_node(("a", "b", "a"))
+        leaf = find_node(index, ("a", "b", "a"))
         assert index.children[leaf] == ()
         assert flag_value(leaf, 0) == 1
 
     def test_internal_node_may_carry_docs(self):
         # The paper's n3: internal *and* annotated.
         index = small_tree()
-        node_c = index.find_node(("a", "c"))
+        node_c = find_node(index, ("a", "c"))
         assert index.children[node_c]
         assert index.doc_ids[node_c] == (2,)
 
@@ -114,20 +114,20 @@ class TestTraversal:
     def test_path_from_root(self):
         index = small_tree()
         assert node_paths(index)[5] == ("a", "c", "b")
-        assert index.find_node(("a", "c", "b")) == 5
+        assert find_node(index, ("a", "c", "b")) == 5
 
     def test_child_by_label(self):
         index = small_tree()
-        assert index.find_node(("a", "b")) == index.children[0][0]
-        assert index.find_node(("a", "zzz")) is None
-        assert index.find_node(("zzz",)) is None
-        assert index.find_node(()) is None
+        assert find_node(index, ("a", "b")) == index.children[0][0]
+        assert find_node(index, ("a", "zzz")) is None
+        assert find_node(index, ("zzz",)) is None
+        assert find_node(index, ()) is None
 
     def test_subtree_doc_ids(self):
         # What a client collects when a query matches a node: the
         # annotations of the node's id range.
         index = small_tree()
-        node_c = index.find_node(("a", "c"))
+        node_c = find_node(index, ("a", "c"))
         assert set().union(*index.doc_ids[0 : index.ends[0]]) == {0, 1, 2}
         assert set().union(*index.doc_ids[node_c : index.ends[node_c]]) == {1, 2}
 

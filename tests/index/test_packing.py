@@ -48,7 +48,6 @@ class TestGreedyDFS:
         packed = pack_index(index, one_tier=True)
         touched = packed.packets_for_nodes([0])
         assert touched == frozenset(packed.packet_of_node[0])
-        assert packed.tuning_bytes_for_nodes([0]) == len(touched) * 128
 
     def test_first_tier_needs_fewer_packets(self):
         index = paper_index()

@@ -16,7 +16,7 @@ from repro.index.ci import build_ci, build_full_ci
 from repro.index.pruning import prune_to_pci, prune_to_pci_containment
 from repro.xpath.evaluator import matching_documents
 from repro.xpath.parser import parse_query
-from tests.index.tables import node_paths
+from tests.index.tables import find_node, node_paths
 from tests.strategies import document_collections, queries
 
 
@@ -41,9 +41,9 @@ class TestFigure6Literal:
             ci, [parse_query("/a/b"), parse_query("/a/b/c")]
         )
         # containing(a/b) = d1, d2, d3, d5 -- the full result of /a/b.
-        assert pci.doc_ids[pci.find_node(("a", "b"))] == (0, 1, 2, 4)
+        assert pci.doc_ids[find_node(pci, ("a", "b"))] == (0, 1, 2, 4)
         # Pure ancestors carry nothing.
-        assert pci.doc_ids[pci.find_node(("a",))] == ()
+        assert pci.doc_ids[find_node(pci, ("a",))] == ()
 
     def test_lookup_reads_matched_nodes_only(self):
         ci = build_full_ci(paper_docs())

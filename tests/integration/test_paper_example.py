@@ -13,13 +13,14 @@ import pytest
 from repro.broadcast.server import BroadcastServer, DocumentStore
 from repro.client.onetier import OneTierClient
 from repro.client.twotier import TwoTierClient
-from repro.filtering.yfilter import YFilterEngine
+from repro.dataguide.roxsum import build_combined_guide
+from repro.filtering.nfa import resolve_on_guide
 from repro.index.ci import build_full_ci
 from repro.index.packing import pack_index
 from repro.index.pruning import prune_to_pci
 from repro.index.twotier import split_two_tier
 from repro.xpath.parser import parse_query
-from tests.index.tables import node_paths
+from tests.index.tables import find_node, node_paths
 
 QUERY_TEXTS = ["/a/b/a", "/a/c/a", "/a//c", "/a/b", "/a/c/*", "/a/c/a"]
 
@@ -48,9 +49,8 @@ def queries():
 
 class TestFigure2:
     def test_query_result_table(self, docs, queries):
-        engine = YFilterEngine.from_queries(queries)
-        result = engine.filter_collection(docs)
-        assert result.docs_per_query == EXPECTED_RESULTS
+        result = resolve_on_guide(build_combined_guide(docs), queries)
+        assert dict(enumerate(result)) == EXPECTED_RESULTS
 
 
 class TestFigure3:
@@ -60,7 +60,7 @@ class TestFigure3:
         # for its unrecoverable exact document set; all recoverable
         # annotations below agree).
         assert ci.node_count == 7
-        assert ci.doc_ids[ci.find_node(("a", "b", "a"))] == (0, 1)
+        assert ci.doc_ids[find_node(ci, ("a", "b", "a"))] == (0, 1)
 
     def test_q1_walkthrough(self, docs):
         """Section 3.1: q1 descends a -> b -> leaf (a,b,a), reads d1, d2."""
@@ -111,7 +111,7 @@ class TestFigure7TwoTier:
         ci = build_full_ci(docs)
         pci, _ = prune_to_pci(ci, queries)
         two_tier = split_two_tier(pci)
-        assert two_tier.first_tier_bytes < two_tier.one_tier_bytes()
+        assert two_tier.first_tier_bytes < pci.size_bytes(one_tier=True)
 
     def test_q1_two_tier_protocol(self, docs):
         """Section 3.3's walkthrough: q1 reads the first tier for IDs

@@ -37,7 +37,7 @@ class TestSchedule:
         schedule = build_chaos_schedule(5, 20.0, seed=3)
         for shard in range(5):
             kills = [
-                a for a in schedule.for_shard(shard) if a.kind == "kill"
+                a for a in schedule.actions if a.shard == shard and a.kind == "kill"
             ]
             assert len(kills) >= 1
 

@@ -11,12 +11,31 @@ from repro.net.framing import (
     MAX_FRAME_BYTES,
     FrameError,
     FrameKind,
-    decode_frame,
     encode_frame,
     encode_text,
     read_frame,
     read_frame_mixed,
 )
+
+
+def decode_frame(data: bytes, checksum_bytes: int = 0):
+    """Decode one frame from the head of *data* through :func:`read_frame`.
+
+    Returns ``(kind, payload, consumed_bytes)``; a buffer that ends
+    mid-frame raises :class:`FrameError` like a malformed one.
+    """
+
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await read_frame(reader, checksum_bytes)
+
+    try:
+        kind, payload = asyncio.run(read())
+    except asyncio.IncompleteReadError as exc:
+        raise FrameError("truncated frame") from exc
+    return kind, payload, 4 + int.from_bytes(data[:4], "big")
 
 
 class TestRoundTrip:

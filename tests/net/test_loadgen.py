@@ -14,7 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.broadcast.partition import PartitionMap
-from repro.filtering.yfilter import YFilterEngine
+from repro.dataguide.roxsum import build_combined_guide
+from repro.filtering.nfa import resolve_on_guide
 from repro.net.loadgen import build_load_plan
 from repro.sim.config import SimulationConfig
 from repro.sim.simulation import build_collection
@@ -87,10 +88,11 @@ class TestShardPlacement:
         by_shard = pm.partition([d.doc_id for d in documents])
         docs_by_id = {d.doc_id: d for d in documents}
         for spec in plan.sessions:
-            engine = YFilterEngine.from_queries([parse_query(spec.query)])
             shard_docs = [docs_by_id[i] for i in by_shard[spec.shard]]
-            result = engine.filter_collection(shard_docs)
-            assert result.requested_doc_ids, (
+            [result] = resolve_on_guide(
+                build_combined_guide(shard_docs), [parse_query(spec.query)]
+            )
+            assert result, (
                 f"session {spec.index}: query {spec.query!r} matches "
                 f"nothing on shard {spec.shard}"
             )

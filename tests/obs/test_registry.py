@@ -55,7 +55,7 @@ class TestGauge:
         gauge = MetricsRegistry().gauge("pending")
         gauge.set(10)
         gauge.inc(2)
-        gauge.dec(5)
+        gauge.inc(-5)
         assert gauge.value == 7
 
 

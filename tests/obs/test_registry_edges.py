@@ -32,7 +32,7 @@ class TestSpanUnwinding:
                 raise RuntimeError("boom")
         snap = registry.snapshot()["spans"]
         assert snap["outer"]["count"] == 1
-        assert registry.span_depth == 0
+        assert not registry._span_stack
 
     def test_nested_exception_unwinds_whole_tree(self):
         registry = _ticking_registry()
@@ -43,7 +43,7 @@ class TestSpanUnwinding:
         snap = registry.snapshot()["spans"]
         assert snap["outer"]["count"] == 1
         assert snap["inner"]["count"] == 1
-        assert registry.span_depth == 0
+        assert not registry._span_stack
         # Ticks: outer.start=1, inner.start=2, inner.end=3, outer.end=4:
         # inner elapsed 1, outer elapsed 3, outer self = 3 - 1 = 2.
         assert snap["inner"]["total_seconds"] == pytest.approx(1.0)
@@ -75,7 +75,7 @@ class TestSpanUnwinding:
         # not crash or leak stack entries.
         outer.__exit__(None, None, None)
         inner.__exit__(None, None, None)
-        assert registry.span_depth == 0
+        assert not registry._span_stack
         snap = registry.snapshot()["spans"]
         assert snap["outer"]["count"] == 1
         assert snap["inner"]["count"] == 1

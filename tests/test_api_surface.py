@@ -519,6 +519,90 @@ class TestOneIndexForm:
         assert writes == ["ci.py: self.annotation = annotation"]
 
 
+class TestOneResolver:
+    """One resolver: every "which documents match this query" question
+    walks the combined DataGuide, and ``src`` keeps no code that only
+    tests read (migration table: CHANGES.md --
+    ``YFilterEngine.from_queries(qs).filter_collection(docs)`` is
+    ``resolve_on_guide(build_combined_guide(docs), qs)``, or
+    ``PendingIndex.build(store, qs)`` for predicated queries; the moved
+    oracles live in ``tests/oracles.py``, ``tests/index/tables.py``,
+    ``tests/filtering/viable_prefix.py`` and ``tests/net/test_framing.py``)."""
+
+    def test_filtering_surface_is_exact(self):
+        import repro.filtering
+
+        assert set(repro.filtering.__all__) == {
+            "SharedPathNFA",
+            "resolve_on_guide",
+            "LazyQueryDFA",
+        }
+
+    @pytest.mark.parametrize("module_name", ["yfilter", "events"])
+    def test_the_collection_filter_is_gone(self, module_name):
+        with pytest.raises(ImportError):
+            importlib.import_module(f"repro.filtering.{module_name}")
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            ("repro", "YFilterEngine"),
+            ("repro.filtering", "YFilterEngine"),
+            ("repro.filtering", "FilterResult"),
+            ("repro.filtering", "Event"),
+            ("repro.filtering", "EventKind"),
+            ("repro.filtering", "document_events"),
+            ("repro.filtering.nfa:SharedPathNFA", "move_accepting"),
+            ("repro.filtering.nfa:SharedPathNFA", "describe"),
+            ("repro.filtering.nfa:SharedPathNFA", "queries"),
+            ("repro.filtering.nfa:SharedPathNFA", "state_count"),
+            ("repro.filtering.nfa:SharedPathNFA", "query_count"),
+            ("repro.filtering.nfa:SharedPathNFA", "start_state"),
+            # moved beside the tests that read them
+            ("repro.xpath.ast:XPathQuery", "is_viable_prefix"),
+            ("repro.xpath.ast:XPathQuery", "has_wildcard"),
+            ("repro.xpath.ast:XPathQuery", "has_descendant_axis"),
+            ("repro.index.ci:CompactIndex", "find_node"),
+            ("repro.net.framing", "decode_frame"),
+            ("repro.xmlkit.stats", "path_frequencies"),
+            ("repro.xmlkit.dtd:DTD", "is_recursive"),
+            ("repro.xmlkit.model:XMLElement", "path_from_root"),
+            ("repro.dataguide.roxsum:CombinedDataGuide", "docs_containing"),
+            # read by their own tests only
+            ("repro.xmlkit.dtd:DTD", "reachable_elements"),
+            ("repro.xmlkit.dtd:ElementDecl", "is_leaf"),
+            ("repro.xmlkit.stats", "tag_frequencies"),
+            ("repro.xmlkit.model", "collection_size_bytes"),
+            ("repro.xpath.ast", "distinct_labels"),
+            ("repro.faults.plan:FaultPlan", "is_null"),
+            ("repro.index.twotier:TwoTierIndex", "savings_bytes"),
+            ("repro.index.twotier:TwoTierIndex", "one_tier_bytes"),
+            ("repro.index.twotier:OffsetList", "offset_of"),
+            ("repro.index.packing:PackedIndex", "tuning_bytes_for_nodes"),
+            ("repro.index.pruning:PruningStats", "node_ratio"),
+            ("repro.index.pruning:PruningStats", "size_ratio"),
+            ("repro.filtering.dfa:LazyQueryDFA", "accepts_path"),
+            ("repro.filtering.masks:LookupResult", "is_empty"),
+            ("repro.dataguide.dataguide:DataGuide", "contains_path"),
+            ("repro.broadcast.packets:CycleLayout", "kind_at"),
+            ("repro.broadcast.packets:CycleLayout", "total_packets"),
+            ("repro.baselines.perdoc:PerDocumentIndexStats", "broadcast_bytes"),
+            ("repro.experiments.runner:IndexSizePoint", "ci_to_data"),
+            ("repro.net.chaos:ChaosSchedule", "for_shard"),
+            ("repro.obs.registry:Gauge", "dec"),
+            ("repro.obs.registry:MetricsRegistry", "span_depth"),
+            ("repro.obs.registry:NullRegistry", "span_depth"),
+            ("repro.tools.persist:JournalState", "admit_counts"),
+        ],
+    )
+    def test_the_second_way_and_the_test_only_code_are_gone(self, owner, name):
+        module_name, _, attr = owner.partition(":")
+        target = importlib.import_module(module_name)
+        if attr:
+            target = getattr(target, attr)
+        assert not hasattr(target, name)
+
+
 class TestQuickstartSnippet:
     def test_readme_quickstart_runs(self):
         """The exact flow the README shows."""

@@ -156,6 +156,45 @@ class TestWorkload:
         assert all(parse_query(line).depth <= 3 for line in lines)
 
 
+#: ``repro index --count 60 --queries 20``, byte for byte, as the
+#: collection filter printed it before the guide walk replaced it.
+INDEX_GOLDEN = """\
+Index sizes (60 docs, 20 queries)
+=================================
+       structure  nodes   bytes  % of data
+------------------------------------------
+   CI (one-tier)    548  17,166      5.295
+  PCI (one-tier)     30   2,430      0.750
+first tier (L_I)     30   1,046      0.323
+------------------------------------------
+collection: 324,169 bytes; requested docs: 60
+
+"""
+
+#: Predicated queries resolve in two phases; the last one's structural
+#: candidates all fail the second.
+PREDICATE_WORKLOAD = """\
+//body[.//table]
+/nitf/body/body-content[media]
+/nitf/head[revision-history]/title
+//media-reference[@mime-type]
+//table[.//nosuch]
+"""
+
+#: ``repro index --count 60 --workload`` over :data:`PREDICATE_WORKLOAD`,
+#: below the title (which used to print the ``--queries`` default).
+PREDICATE_ROWS_GOLDEN = """\
+       structure  nodes   bytes  % of data
+------------------------------------------
+   CI (one-tier)    519  15,090      4.655
+  PCI (one-tier)     30   1,986      0.613
+first tier (L_I)     30     898      0.277
+------------------------------------------
+collection: 324,169 bytes; requested docs: 50
+
+"""
+
+
 class TestIndex:
     def test_prints_size_table(self, capsys):
         code = main(["index", "--count", "30", "--queries", "20"])
@@ -163,6 +202,29 @@ class TestIndex:
         out = capsys.readouterr().out
         assert "CI (one-tier)" in out
         assert "first tier (L_I)" in out
+
+    def test_golden_table(self, capsys):
+        assert main(["index", "--count", "60", "--queries", "20"]) == 0
+        assert capsys.readouterr().out == INDEX_GOLDEN
+
+    def test_predicate_workload_golden_rows(self, tmp_path, capsys):
+        workload = tmp_path / "w.txt"
+        workload.write_text(PREDICATE_WORKLOAD, encoding="utf-8")
+        assert main(["index", "--count", "60", "--workload", str(workload)]) == 0
+        rows = capsys.readouterr().out.split("\n", 2)[2]
+        assert rows == PREDICATE_ROWS_GOLDEN
+
+    def test_title_counts_the_loaded_inputs(self, tmp_path, capsys):
+        """The title counts the documents and queries actually loaded, not
+        the ``--count`` / ``--queries`` defaults."""
+        workload = tmp_path / "w.txt"
+        workload.write_text(PREDICATE_WORKLOAD, encoding="utf-8")
+        main(["index", "--count", "60", "--workload", str(workload)])
+        assert capsys.readouterr().out.startswith("Index sizes (60 docs, 5 queries)\n")
+        main(["generate", "--count", "25", "--out", str(tmp_path / "coll")])
+        capsys.readouterr()
+        main(["index", "--collection", str(tmp_path / "coll"), "--queries", "5"])
+        assert capsys.readouterr().out.startswith("Index sizes (25 docs, 5 queries)\n")
 
 
 class TestPipelineFlags:

@@ -8,10 +8,10 @@ three is pinned at the size it has today -- a ceiling that may only ever
 be lowered, so a PR that shrinks one lowers its number here and a PR
 that grows one fails.
 
-A package can carry a ceiling the same way: ``src/repro/index`` is held
-at the ``wc -l`` total it reached when the index became one table, and
-``src/repro/xmlkit`` at the one it reached when its parsers moved onto
-expat.
+A package can carry a ceiling the same way: ``src/repro/index``,
+``src/repro/xmlkit`` and ``src/repro/filtering`` are held at the ``wc -l``
+totals they reached when their test-only code left ``src`` and the
+collection filter gave way to the one guide-walk resolver.
 
 It also prints the ``src/repro`` line total (``wc -l`` of every ``.py``),
 reported and not enforced -- a performance PR may add code -- so CI logs
@@ -30,16 +30,18 @@ BOUND = 400
 #: the classes still over the bound, and the most lines each may have
 CEILINGS = {
     "BroadcastDaemon": 910,  # 1,153 at PR 16, 1,015 at PR 17
-    "BroadcastServer": 641,  # 662 when the ratchet began, then 650, 643
+    "BroadcastServer": 625,  # 662 when the ratchet began, then 650, 643, 641
     "AsyncTwoTierClient": 432,  # 458 with the router's second data path
 }
 
 #: packages held at a line total (``wc -l`` over their ``.py`` files);
 #: lowered-only, like the class ceilings
 PACKAGE_CEILINGS = {
-    "index": 1_497,  # 1,665 with an IndexNode tree; 1,541 before LookupResult
-    # moved to filtering/masks.py
-    "xmlkit": 1_376,  # 1,613 with hand-written XML and DTD parsers
+    "filtering": 808,  # 1,095 with the SAX event layer and YFilterEngine
+    "index": 1_443,  # 1,665 with an IndexNode tree; 1,541 before LookupResult
+    # moved to filtering/masks.py; 1,497 with test-only helpers
+    "xmlkit": 1_301,  # 1,613 with hand-written XML and DTD parsers; 1,376
+    # with test-only helpers
 }
 
 

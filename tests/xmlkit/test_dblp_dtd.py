@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.xmlkit.generator import DocumentGenerator, GeneratorConfig, dblp_like_dtd
 from repro.xmlkit.stats import collection_stats
+from tests.oracles import is_recursive
 
 
 class TestDblpDTD:
@@ -12,7 +13,7 @@ class TestDblpDTD:
 
     def test_not_recursive(self):
         # Bibliographies are flat: the containment graph is a DAG.
-        assert not dblp_like_dtd().is_recursive()
+        assert not is_recursive(dblp_like_dtd())
 
     def test_shallow_and_regular(self):
         docs = DocumentGenerator(dblp_like_dtd(), GeneratorConfig(seed=5)).generate_many(50)
@@ -52,10 +53,9 @@ class TestDblpDTD:
         docs = DocumentGenerator(dblp_like_dtd(), GeneratorConfig(seed=5)).generate_many(80)
         store = DocumentStore(docs)
         queries = generate_workload(docs, 40, seed=11)
-        from repro.filtering.yfilter import YFilterEngine
+        from repro.filtering.nfa import resolve_on_guide
 
-        engine = YFilterEngine.from_queries(queries)
-        requested = engine.filter_collection(docs).requested_doc_ids
+        requested = frozenset().union(*resolve_on_guide(store.full_guide, queries))
         ci = build_ci_from_store(store, requested)
         pci, _ = prune_to_pci(ci, queries)
         one_tier = pci.size_bytes(one_tier=True)

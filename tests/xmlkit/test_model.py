@@ -9,8 +9,9 @@ from repro.xmlkit.model import (
     XMLDocument,
     XMLElement,
     build_element,
-    collection_size_bytes,
 )
+from repro.broadcast.server import DocumentStore
+from tests.oracles import path_from_root
 from tests.strategies import xml_elements
 
 
@@ -72,7 +73,7 @@ class TestXMLElement:
     def test_path_from_root(self):
         tree = make_tree()
         deep = tree.children[0].children[1]  # the "e"
-        assert deep.path_from_root() == ("a", "b", "e")
+        assert path_from_root(deep) == ("a", "b", "e")
 
     def test_depth(self):
         assert make_tree().depth() == 3
@@ -121,7 +122,7 @@ class TestXMLElement:
     @given(xml_elements())
     def test_every_element_reachable_by_its_path(self, element):
         for node, path in element.iter_with_paths():
-            assert node.path_from_root() == path
+            assert path_from_root(node) == path
 
 
 class TestXMLDocument:
@@ -147,7 +148,7 @@ class TestXMLDocument:
             XMLDocument(doc_id=0, root=build_element("a")),
             XMLDocument(doc_id=1, root=build_element("b")),
         ]
-        assert collection_size_bytes(docs) == sum(d.size_bytes for d in docs)
+        assert DocumentStore(docs).total_data_bytes() == sum(d.size_bytes for d in docs)
 
     def test_helpers_delegate(self):
         doc = XMLDocument(doc_id=3, root=make_tree())

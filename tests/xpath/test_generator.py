@@ -11,6 +11,7 @@ from repro.xpath.generator import (
     QueryWorkloadConfig,
     generate_workload,
 )
+from tests.oracles import has_descendant_axis, has_wildcard
 
 
 class TestConfigValidation:
@@ -56,13 +57,13 @@ class TestGeneration:
     def test_p_zero_generates_plain_child_paths(self, nitf_docs):
         queries = generate_workload(nitf_docs, 30, seed=4, wildcard_descendant_prob=0.0)
         for query in queries:
-            assert not query.has_wildcard()
-            assert not query.has_descendant_axis()
+            assert not has_wildcard(query)
+            assert not has_descendant_axis(query)
 
     def test_p_one_generates_many_mutations(self, nitf_docs):
         queries = generate_workload(nitf_docs, 30, seed=5, wildcard_descendant_prob=1.0)
         mutated = sum(
-            1 for q in queries if q.has_wildcard() or q.has_descendant_axis()
+            1 for q in queries if has_wildcard(q) or has_descendant_axis(q)
         )
         assert mutated == len(queries)
 

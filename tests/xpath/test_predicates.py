@@ -1,4 +1,4 @@
-"""Tests for the predicate extension (parser, evaluator, engine)."""
+"""Tests for the predicate extension (parser, evaluator, two-phase resolution)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.filtering.yfilter import YFilterEngine
+from repro.broadcast.server import DocumentStore
+from repro.experiments.runner import PendingIndex
 from repro.xmlkit.model import XMLDocument, build_element
 from repro.xpath.ast import (
     AttributePredicate,
@@ -164,17 +165,10 @@ class TestEngineTwoPhase:
             parse_query("/a/b"),
             parse_query("/a/b[.//zzz]"),
         ]
-        engine = YFilterEngine.from_queries(queries)
-        result = engine.filter_collection(docs)
+        result = PendingIndex.build(DocumentStore(docs), queries)
         for index, query in enumerate(queries):
             expected = matching_documents(query, docs)
             assert result.docs_per_query[index] == expected, str(query)
-
-    def test_streaming_mode_verifies_too(self):
-        docs = [sample_doc()]
-        queries = [parse_query("/a/b[.//zzz]")]
-        engine = YFilterEngine.from_queries(queries)
-        assert engine.filter_collection(docs, streaming=True).docs_per_query[0] == set()
 
     def test_structural_superset(self, nitf_docs):
         """Phase one (relaxation) can only over-approximate."""
@@ -186,7 +180,7 @@ class TestEngineTwoPhase:
 
     @given(document_collections())
     def test_attribute_predicates_differential(self, docs):
-        """Engine == evaluator for predicated queries on random trees.
+        """Two-phase resolution == evaluator for predicated queries on random trees.
 
         Generated trees carry no attributes, so attribute predicates
         must match nothing while their relaxations may match plenty --
@@ -195,9 +189,11 @@ class TestEngineTwoPhase:
             parse_query("/a[@missing]"),
             parse_query("//b[@x='1']"),
             parse_query("//a[b]"),
+            # PendingIndex indexes what its queries request, so one query
+            # must match something: every document has a root.
+            parse_query("//*"),
         ]
-        engine = YFilterEngine.from_queries(queries)
-        result = engine.filter_collection(docs)
+        result = PendingIndex.build(DocumentStore(docs), queries)
         for index, query in enumerate(queries):
             assert result.docs_per_query[index] == matching_documents(query, docs)
 
