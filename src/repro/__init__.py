@@ -113,7 +113,6 @@ from repro.faults import (
     ChaosSimulation,
     FaultPlan,
     default_fault_plan,
-    sample_fault_plan,
 )
 
 # Live serving
@@ -184,7 +183,6 @@ __all__ = [
     "ChaosSimulation",
     "FaultPlan",
     "default_fault_plan",
-    "sample_fault_plan",
     # net
     "AsyncTwoTierClient",
     "BroadcastDaemon",

@@ -106,17 +106,17 @@ def _add_program_args(parser: argparse.ArgumentParser) -> None:
         "byte-identical to a build without this flag)",
     )
     parser.add_argument(
-        "--k-min", type=int, default=1, metavar="K",
-        help="adaptive: lower bound of the data-channel band",
+        "--k-min", type=int, metavar="K",
+        help="adaptive: lower bound of the data-channel band (default 1)",
     )
     parser.add_argument(
-        "--k-max", type=int, default=4, metavar="K",
-        help="adaptive: upper bound of the data-channel band",
+        "--k-max", type=int, metavar="K",
+        help="adaptive: upper bound of the data-channel band (default 4)",
     )
     parser.add_argument(
-        "--hot-set-size", type=int, default=0, metavar="N",
+        "--hot-set-size", type=int, metavar="N",
         help="adaptive: promote up to N hot documents onto a fast-repeat "
-        "channel (0 = no hot channel)",
+        "channel (default 0: no hot channel)",
     )
 
 
@@ -221,8 +221,8 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fault-seed",
         type=int,
-        default=0,
-        help="seed of the fault plan (every injected fault is deterministic)",
+        help="seed of the fault plan (default 0; every injected fault is "
+        "deterministic)",
     )
     parser.add_argument(
         "--scenario",
@@ -232,37 +232,57 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         "popularity drift (default: the paper's constant-rate stream)",
     )
     parser.add_argument(
-        "--scenario-intensity", type=float, default=3.0,
-        help="peak load as a multiple of N_Q (flash/diurnal)",
+        "--scenario-intensity", type=float,
+        help="peak load as a multiple of N_Q (flash/diurnal; default 3.0)",
     )
     parser.add_argument(
-        "--scenario-period", type=int, default=8,
-        help="cycles per diurnal wave / drift hot-slice rotation",
+        "--scenario-period", type=int,
+        help="cycles per diurnal wave / drift hot-slice rotation (default 8)",
     )
+
+
+#: flags that only mean something beside another flag: ``parent ->
+#: dependents``.  A dependent defaults to ``None`` (not given), so
+#: :func:`main` can refuse one given without its parent.
+DEPENDENT_FLAGS = {
+    "adaptive": ("k_min", "k_max", "hot_set_size"),
+    "faults": ("fault_seed",),
+    "scenario": ("scenario_intensity", "scenario_period"),
+}
+
+
+class ConfigError(ValueError):
+    """The flags describe no valid configuration (a usage error)."""
+
+
+def _given(args, parent: str) -> dict:
+    """``name -> value`` of *parent*'s dependent flags the command line gave."""
+    values = {name: getattr(args, name) for name in DEPENDENT_FLAGS[parent]}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _simulation_config(args, **overrides) -> SimulationConfig:
     """The configuration the flags ``simulate``, ``stats`` and ``serve``
-    share describe; *overrides* carry each command's own fields."""
-    return SimulationConfig(
-        dtd=args.dtd,
-        document_count=args.count,
-        collection_seed=args.seed,
-        cycle_data_capacity=args.capacity,
-        scheduler=args.scheduler,
-        scheme=IndexScheme(args.scheme),
-        num_data_channels=args.channels,
-        channel_allocation=args.allocation,
-        adaptive=args.adaptive,
-        control=ControlConfig(
-            k_min=args.k_min,
-            k_max=args.k_max,
-            hot_set_size=args.hot_set_size,
+    share describe; *overrides* carry each command's own fields.  An
+    invalid one raises :class:`ConfigError`."""
+    try:
+        return SimulationConfig(
+            dtd=args.dtd,
+            document_count=args.count,
+            collection_seed=args.seed,
+            cycle_data_capacity=args.capacity,
+            scheduler=args.scheduler,
+            scheme=IndexScheme(args.scheme),
+            num_data_channels=args.channels,
+            channel_allocation=args.allocation,
+            adaptive=args.adaptive,
+            control=ControlConfig(**_given(args, "adaptive"))
+            if args.adaptive
+            else None,
+            **overrides,
         )
-        if args.adaptive
-        else None,
-        **overrides,
-    )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _run_config(args) -> SimulationConfig:
@@ -272,7 +292,7 @@ def _run_config(args) -> SimulationConfig:
     if args.faults:
         from repro.faults.plan import default_fault_plan
 
-        faults = default_fault_plan(args.fault_seed)
+        faults = default_fault_plan(args.fault_seed or 0)
     return _simulation_config(
         args,
         n_q=args.queries,
@@ -282,8 +302,7 @@ def _run_config(args) -> SimulationConfig:
         faults=faults,
         arrival_cycles=args.arrival_cycles,
         scenario=args.scenario,
-        scenario_intensity=args.scenario_intensity,
-        scenario_period=args.scenario_period,
+        **_given(args, "scenario"),
     )
 
 
@@ -488,14 +507,13 @@ def _worker_argv(args) -> List[str]:
         "--scheme", args.scheme,
         "--channels", str(args.channels),
         "--allocation", args.allocation,
-        "--k-min", str(args.k_min),
-        "--k-max", str(args.k_max),
-        "--hot-set-size", str(args.hot_set_size),
         "--max-pending", str(args.max_pending),
         "--log-level", args.log_level,
     ]
     if args.adaptive:
         argv.append("--adaptive")
+        for name, value in _given(args, "adaptive").items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
     if args.log_json:
         argv.append("--log-json")
     if args.collection is not None:
@@ -877,9 +895,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command.  A dependent flag given without its parent, or
+    flags that build no valid configuration, end in ``parser.error``
+    (exit 2, no traceback); errors of the run itself propagate."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    for parent in DEPENDENT_FLAGS:
+        if hasattr(args, parent) and not getattr(args, parent):
+            for name in _given(args, parent):
+                parser.error(f"--{name.replace('_', '-')} needs --{parent}")
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

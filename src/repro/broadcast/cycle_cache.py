@@ -13,8 +13,8 @@ compiling a fresh pruning DFA, and re-pruning an unchanged index.
   of requested doc ids is applied through the incremental RoXSum
   machinery (:func:`~repro.dataguide.roxsum.add_document_to_guide` /
   :func:`~repro.dataguide.roxsum.remove_document_from_guide`).  When the
-  delta exceeds ``rebuild_threshold`` (as a fraction of the new request
-  set) a full re-merge is cheaper and is used instead.
+  delta exceeds :data:`REBUILD_THRESHOLD` (as a fraction of the new
+  request set) a full re-merge is cheaper and is used instead.
 * **Pruning-DFA cache** -- an LRU of :class:`~repro.filtering.dfa.LazyQueryDFA`
   instances keyed by the frozen pending-query-string set, wired through
   ``prune_to_pci``'s ``dfa`` parameter so memoised subset-construction
@@ -49,7 +49,7 @@ Only the argument-less form drops every layer.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.dataguide.roxsum import (
@@ -66,6 +66,13 @@ from repro.xpath.ast import XPathQuery
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.broadcast.server import DocumentStore
 
+
+#: incremental CI maintenance is abandoned for a full re-merge when
+#: ``|added| + |removed| > REBUILD_THRESHOLD * |requested|``
+REBUILD_THRESHOLD = 0.5
+
+#: LRU capacity of the pruning-DFA layer (distinct pending query sets)
+DFA_CACHE_SIZE = 16
 
 #: Frozen set of query strings -- the cache key of the DFA/PCI layers.
 QueryKey = FrozenSet[str]
@@ -84,21 +91,8 @@ def query_key_of(queries: Sequence[XPathQuery]) -> QueryKey:
 class CycleBuildCache:
     """Carries reusable cycle-build state from one broadcast cycle to the next."""
 
-    def __init__(
-        self,
-        store: "DocumentStore",
-        rebuild_threshold: float = 0.5,
-        dfa_cache_size: int = 16,
-    ) -> None:
-        if not 0.0 <= rebuild_threshold <= 1.0:
-            raise ValueError("rebuild_threshold must be in [0, 1]")
-        if dfa_cache_size < 1:
-            raise ValueError("dfa_cache_size must be positive")
+    def __init__(self, store: "DocumentStore") -> None:
         self.store = store
-        #: incremental CI maintenance is abandoned for a full re-merge when
-        #: ``|added| + |removed| > rebuild_threshold * |requested|``
-        self.rebuild_threshold = rebuild_threshold
-        self.dfa_cache_size = dfa_cache_size
 
         # CI layer
         self._ci_requested: Optional[FrozenSet[int]] = None
@@ -207,7 +201,7 @@ class CycleBuildCache:
             return None
         added = requested - cached_set
         removed = cached_set - requested
-        if len(added) + len(removed) > self.rebuild_threshold * len(requested):
+        if len(added) + len(removed) > REBUILD_THRESHOLD * len(requested):
             return None
         with obs.span("server.ci_incremental_apply"):
             # Additions first: the guide then always covers ``requested``,
@@ -237,7 +231,7 @@ class CycleBuildCache:
             return dfa
         dfa = LazyQueryDFA.from_queries(list(queries))
         self._dfas[key] = dfa
-        while len(self._dfas) > self.dfa_cache_size:
+        while len(self._dfas) > DFA_CACHE_SIZE:
             self._dfas.popitem(last=False)
         self._count("dfa_misses", "server.dfa_cache_misses_total")
         return dfa

@@ -54,7 +54,7 @@ from repro.broadcast.multichannel import allocate_channels
 from repro.broadcast.packets import CycleLayout, PacketKind, Segment
 from repro.filtering.dfa import LazyQueryDFA
 from repro.index.ci import CompactIndex, LookupResult
-from repro.index.packing import PackedIndex, PackingStrategy, pack_index
+from repro.index.packing import PackedIndex, pack_index
 from repro.index.sizes import SizeModel
 from repro.index.twotier import OffsetList, offset_list_air_bytes, split_two_tier
 from repro.xpath.ast import XPathQuery
@@ -106,9 +106,9 @@ class BroadcastCycle:
     #: channel byte-time at which the cycle starts (set by the server)
     start_time: int = 0
     #: ``None`` for a full-quality build; ``"pci-stale"`` or
-    #: ``"ci-unpruned"`` when the server's build budget was exceeded and
-    #: the degradation ladder served a fallback index (see
-    #: ``BroadcastServer.build_budget``).  Clients that have not read the
+    #: ``"ci-unpruned"`` when the build was overloaded and the
+    #: degradation ladder served a fallback index (see
+    #: ``BroadcastServer.force_overload``).  Clients that have not read the
     #: first tier yet defer their one-shot read on a ``"pci-stale"``
     #: cycle: a stale pruning may omit documents admitted after it.
     degraded: Optional[str] = None
@@ -179,7 +179,6 @@ def build_cycle_program(
     scheduled_doc_ids: Sequence[int],
     store: "DocumentStore",
     scheme: IndexScheme = IndexScheme.TWO_TIER,
-    packing: PackingStrategy = PackingStrategy.GREEDY_DFS,
     num_channels: int = 1,
     allocation: str = "balanced",
     demand_sets: Optional[Mapping[int, FrozenSet[int]]] = None,
@@ -200,8 +199,8 @@ def build_cycle_program(
         )
     size_model: SizeModel = pci.size_model
     with obs.span("server.index_packing"):
-        packed_one = pack_index(pci, one_tier=True, strategy=packing)
-        packed_first = pack_index(pci, one_tier=False, strategy=packing)
+        packed_one = pack_index(pci, one_tier=True)
+        packed_first = pack_index(pci, one_tier=False)
 
     # Index segment length under the chosen on-air scheme.
     if scheme is IndexScheme.ONE_TIER:

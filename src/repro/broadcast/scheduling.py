@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import abc
 import operator
-import warnings
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -263,25 +262,13 @@ class LeeLoScheduler(Scheduler):
     the reciprocal of that query's remaining-set size.  A document that is
     the *last* missing piece of many queries scores highest; fragments of
     queries with huge remainders score low.  Ties break toward smaller
-    documents (more completions per byte) and then doc id (determinism).
-
-    The smaller-doc tie-break needs the document store; building the
-    scheduler without one degrades every size to 0 (ties then fall
-    straight through to doc id), which is loudly warned about rather than
-    silently accepted.
+    documents (more completions per byte) and then doc id (determinism);
+    the smaller-doc tie-break is why the scheduler needs the store.
     """
 
     name = "leelo"
 
-    def __init__(self, store: Optional["DocumentStore"] = None) -> None:
-        if store is None:
-            warnings.warn(
-                "LeeLoScheduler built without a document store: the "
-                "smaller-document tie-break degrades to doc-id order; pass "
-                "the DocumentStore for the paper's behaviour",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    def __init__(self, store: "DocumentStore") -> None:
         self._store = store
 
     def rank(
@@ -305,8 +292,7 @@ class LeeLoScheduler(Scheduler):
             scores[doc_id] = sum(map(weight_of, map(_QUERY_ID, queries)))
 
         def key(doc_id: int) -> Tuple[float, int, int]:
-            size = self._store.air_bytes(doc_id) if self._store is not None else 0
-            return (-scores[doc_id], size, doc_id)
+            return (-scores[doc_id], self._store.air_bytes(doc_id), doc_id)
 
         return sorted(table, key=key)
 
@@ -323,8 +309,7 @@ def make_scheduler(name: str, store: Optional["DocumentStore"] = None) -> Schedu
     """Factory by name (``fcfs``, ``mrf``, ``rxw``, ``leelo``).
 
     The ``leelo`` scheduler requires *store* (its tie-break is
-    size-aware); construct :class:`LeeLoScheduler` directly to opt into
-    the degraded store-less behaviour.
+    size-aware); the others ignore it.
     """
     try:
         factory = _SCHEDULERS[name]

@@ -18,7 +18,6 @@ the chance to download everything).
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
@@ -48,7 +47,6 @@ from repro.dataguide.dataguide import DataGuide, build_dataguide
 from repro.dataguide.roxsum import CombinedDataGuide, build_combined_guide
 from repro.filtering.nfa import SharedPathNFA, resolve_on_guide
 from repro.index.ci import CompactIndex
-from repro.index.packing import PackingStrategy
 from repro.index.pruning import PruningStats, prune_to_pci
 from repro.index.sizes import SizeModel, PAPER_SIZE_MODEL
 from repro.xmlkit.model import XMLDocument
@@ -232,7 +230,7 @@ class CycleRecord:
     #: empty unless the run was observed (``obs.observed()``)
     phase_seconds: Mapping[str, float] = field(default_factory=dict)
     #: ``None`` for a full build; ``"pci-stale"`` / ``"ci-unpruned"``
-    #: when the build budget was exceeded and the degradation ladder ran
+    #: when the build was overloaded and the degradation ladder ran
     degraded: Optional[str] = None
 
     @classmethod
@@ -263,52 +261,6 @@ class CycleRecord:
         )
 
 
-@dataclass
-class BuildBudget:
-    """Cycle-build budget; exceeding it triggers graceful degradation.
-
-    The server checks the budget instead of stalling: a cycle whose
-    build would blow the budget still airs on time, carrying the best
-    index the degradation ladder can produce (the previous cycle's PCI
-    if the pending query-string set is unchanged, else the unpruned CI).
-
-    ``max_requested_bytes`` caps the requested-document volume a full
-    build may index; ``max_build_seconds`` caps wall-clock from build
-    start.  Both are checked right after the CI phase: the CI is needed
-    even when degrading (it is the ``"ci-unpruned"`` fallback), so what
-    an over-budget cycle skips is the pruning phase.  ``force_overload``
-    lets a fault plan or test declare a specific cycle over budget
-    deterministically.
-    """
-
-    max_build_seconds: Optional[float] = None
-    max_requested_bytes: Optional[int] = None
-    force_overload: Optional[Callable[[int], bool]] = None
-    #: injectable clock (seconds); tests replace it to force timeouts
-    clock: Callable[[], float] = time.perf_counter
-
-    def overload_reason(
-        self,
-        cycle_number: int,
-        requested_bytes: int,
-        build_started: float,
-    ) -> Optional[str]:
-        """Why this build is over budget, or ``None`` when it is not."""
-        if self.force_overload is not None and self.force_overload(cycle_number):
-            return "forced"
-        if (
-            self.max_requested_bytes is not None
-            and requested_bytes > self.max_requested_bytes
-        ):
-            return "bytes"
-        if (
-            self.max_build_seconds is not None
-            and self.clock() - build_started > self.max_build_seconds
-        ):
-            return "time"
-        return None
-
-
 class BroadcastServer:
     """On-demand XML broadcast server."""
 
@@ -318,12 +270,10 @@ class BroadcastServer:
         scheduler: Optional[Scheduler] = None,
         scheme: IndexScheme = IndexScheme.TWO_TIER,
         cycle_data_capacity: int = 100_000,
-        packing: PackingStrategy = PackingStrategy.GREEDY_DFS,
         acknowledged_delivery: bool = False,
         enable_caches: bool = True,
         num_data_channels: int = 1,
         channel_allocation: str = "balanced",
-        build_budget: Optional[BuildBudget] = None,
     ) -> None:
         if cycle_data_capacity <= 0:
             raise ValueError("cycle_data_capacity must be positive")
@@ -340,7 +290,6 @@ class BroadcastServer:
         self.scheduler = scheduler or LeeLoScheduler(store)
         self.scheme = scheme
         self.cycle_data_capacity = cycle_data_capacity
-        self.packing = packing
         #: K, the number of parallel data channels each cycle airs its
         #: documents on; 1 is the paper's single-channel program.
         #: :meth:`apply_plan` may change it between cycles.
@@ -367,10 +316,12 @@ class BroadcastServer:
         #: in a query's remaining set until :meth:`confirm_delivery`
         #: reports them received, so lost frames get rebroadcast.
         self.acknowledged_delivery = acknowledged_delivery
-        #: ``None`` -> unbounded builds (the paper's server).  A
-        #: :class:`BuildBudget` makes over-budget cycles degrade through
-        #: the ladder (stale PCI, then unpruned CI) instead of stalling.
-        self.build_budget = build_budget
+        #: ``None`` -> every build is a full one (the paper's server).
+        #: The chaos harness sets its fault plan's overload draw here: a
+        #: cycle it declares overloaded skips pruning and airs on time
+        #: with the best index the degradation ladder has (stale PCI,
+        #: then unpruned CI) instead of stalling.
+        self.force_overload: Optional[Callable[[int], bool]] = None
         self.pending: List[PendingQuery] = []
         self.completed: List[PendingQuery] = []
         self.records: List[CycleRecord] = []
@@ -583,27 +534,21 @@ class BroadcastServer:
             queries = [query.query for query in active]
 
             requested_key = frozenset(requested)
-            budget = self.build_budget
-            build_started = budget.clock() if budget is not None else 0.0
             with registry.span("server.ci_build"):
                 if self.cache is not None:
                     ci = self.cache.ci_for(requested_key)
                 else:
                     ci = build_ci_from_store(self.store, requested)
 
-            overload_reason: Optional[str] = None
-            if budget is not None:
-                requested_bytes = (
-                    sum(self.store.air_bytes(doc_id) for doc_id in requested)
-                    if budget.max_requested_bytes is not None
-                    else 0
-                )
-                overload_reason = budget.overload_reason(
-                    self.cycle_number, requested_bytes, build_started
-                )
-
+            # The CI is built even when overloaded: it is the
+            # "ci-unpruned" fallback, so what an overloaded cycle skips
+            # is the pruning phase.
+            overloaded = (
+                self.force_overload is not None
+                and self.force_overload(self.cycle_number)
+            )
             degraded: Optional[str] = None
-            if overload_reason is None:
+            if not overloaded:
                 with registry.span("server.prune_to_pci"):
                     if self.cache is not None:
                         pci, pruning_stats = self.cache.pci_for(
@@ -612,7 +557,7 @@ class BroadcastServer:
                     else:
                         pci, pruning_stats = prune_to_pci(ci, queries)
             else:
-                # Over budget: skip the pruning phase and walk down the
+                # Overloaded: skip the pruning phase and walk down the
                 # degradation ladder -- the cycle still airs on time.
                 with registry.span("server.degraded_build"):
                     pci, pruning_stats, degraded = self._degraded_pci(
@@ -622,7 +567,7 @@ class BroadcastServer:
                 obs.counter(
                     "server.degraded_cycles_total",
                     mode=degraded,
-                    reason=overload_reason,
+                    reason="forced",
                 ).inc()
 
             with registry.span("server.scheduling"):
@@ -656,7 +601,6 @@ class BroadcastServer:
                     scheduled_doc_ids=scheduled,
                     store=self.store,
                     scheme=self.scheme,
-                    packing=self.packing,
                     num_channels=self.num_data_channels,
                     allocation=self.channel_allocation,
                     demand_sets=demand_sets,
@@ -791,7 +735,7 @@ class BroadcastServer:
     def _degraded_pci(
         self, ci: CompactIndex, queries: Sequence[XPathQuery]
     ) -> Tuple[CompactIndex, PruningStats, str]:
-        """The degradation ladder of an over-budget build.
+        """The degradation ladder of an overloaded build.
 
         1. **stale PCI** -- if the cycle cache still holds a PCI pruned
            for the *same query-string set*, serve it as-is.  Its doc

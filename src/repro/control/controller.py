@@ -17,13 +17,13 @@ snapshot of the demand table and the cycle just aired -- and emits a
   exact, not a model), estimates each policy's single-tuner access cost
   (conflicting documents defer a full pass, like the real client), and
   switches policy when the incumbent's regret exceeds a margin for
-  ``policy_patience`` consecutive cycles.
+  ``POLICY_PATIENCE`` consecutive cycles.
 * **Hot-set promotion** -- the most-demanded documents are promoted onto
   a fast-repeat channel (broadcast-disk style): the server re-airs them
   every cycle on a dedicated channel while the cold set rotates over the
   remaining channels.
 * **Admission governor** -- under overload (backlog beyond
-  ``shed_backlog_factor`` times capacity) the plan raises ``shed``:
+  ``SHED_BACKLOG_FACTOR`` times capacity) the plan raises ``shed``:
   admission paths answer cold queries with ``RETRY_AFTER`` instead of
   letting the pending queue melt down.
 
@@ -46,6 +46,29 @@ from repro.control.plan import ControlConfig, CyclePlan
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.broadcast.program import BroadcastCycle
     from repro.broadcast.server import BroadcastServer, DocumentStore
+
+#: grow K when the requested backlog exceeds this multiple of the
+#: current per-cycle air capacity (more demand than air time)
+GROW_BACKLOG_FACTOR = 1.5
+#: shrink K when the idle fraction of the data phase exceeds this
+#: (channels padding air while the longest one finishes) ...
+SHRINK_IDLE_FRAC = 0.35
+#: ... and the backlog fits in this multiple of the *shrunk* capacity
+SHRINK_BACKLOG_FACTOR = 0.9
+#: switch allocation policy when the counterfactual regret (access cost
+#: of the current policy vs the best policy on the same schedule)
+#: exceeds this fraction ...
+POLICY_SWITCH_MARGIN = 0.05
+#: ... for this many consecutive cycles (anti-flapping patience)
+POLICY_PATIENCE = 2
+#: minimum distinct pending queries demanding a document before it
+#: qualifies as hot
+HOT_MIN_QUERIES = 3
+#: shed cold queries when the backlog exceeds this multiple of the
+#: current per-cycle air capacity (admission governor)
+SHED_BACKLOG_FACTOR = 6.0
+#: how many cycles a shed query is asked to stay away (RETRY_AFTER)
+RETRY_AFTER_CYCLES = 1
 
 
 @dataclass(frozen=True)
@@ -222,7 +245,7 @@ class AdaptiveController:
             return
         if (
             self.num_channels < control.k_max
-            and observation.backlog_bytes > control.grow_backlog_factor * capacity
+            and observation.backlog_bytes > GROW_BACKLOG_FACTOR * capacity
         ):
             # Proportional control: jump to the smallest K whose widened
             # capacity covers the backlog (one re-tune instead of a
@@ -232,7 +255,7 @@ class AdaptiveController:
             while (
                 target < control.k_max
                 and observation.backlog_bytes
-                > control.grow_backlog_factor
+                > GROW_BACKLOG_FACTOR
                 * self.cycle_data_capacity
                 * target
             ):
@@ -245,9 +268,9 @@ class AdaptiveController:
         if self.num_channels > control.k_min:
             shrunk_capacity = self.cycle_data_capacity * (self.num_channels - 1)
             if (
-                observation.idle_fraction > control.shrink_idle_frac
+                observation.idle_fraction > SHRINK_IDLE_FRAC
                 and observation.backlog_bytes
-                <= control.shrink_backlog_factor * shrunk_capacity
+                <= SHRINK_BACKLOG_FACTOR * shrunk_capacity
             ):
                 self.num_channels -= 1
                 self._last_k_change_cycle = observation.cycle_number
@@ -333,14 +356,14 @@ class AdaptiveController:
         if (
             best_policy != self.allocation
             and incumbent > 0
-            and regret > self.control.policy_switch_margin * incumbent
+            and regret > POLICY_SWITCH_MARGIN * incumbent
         ):
             if self._regret_candidate == best_policy:
                 self._policy_regret_streak += 1
             else:
                 self._regret_candidate = best_policy
                 self._policy_regret_streak = 1
-            if self._policy_regret_streak >= self.control.policy_patience:
+            if self._policy_regret_streak >= POLICY_PATIENCE:
                 self.allocation = best_policy
                 self.policy_switches += 1
                 self._policy_regret_streak = 0
@@ -363,7 +386,7 @@ class AdaptiveController:
             (
                 (len(queries), doc_id)
                 for doc_id, queries in observation.demand_sets.items()
-                if len(queries) >= control.hot_min_queries
+                if len(queries) >= HOT_MIN_QUERIES
             ),
             key=lambda item: (-item[0], item[1]),
         )
@@ -378,7 +401,7 @@ class AdaptiveController:
         capacity = self.cycle_data_capacity * self.num_channels
         overloaded = (
             observation.backlog_bytes
-            > self.control.shed_backlog_factor * capacity
+            > SHED_BACKLOG_FACTOR * capacity
         )
         if overloaded != self.shedding:
             reasons.append("shed-on" if overloaded else "shed-off")

@@ -5,9 +5,10 @@ loop from observed demand to broadcast configuration.  Its decisions are
 carried by :class:`CyclePlan` -- an immutable per-cycle record of the
 channel count K, the allocation policy, the hot set promoted onto the
 fast-repeat channel, and whether the admission governor is shedding cold
-queries.  :class:`ControlConfig` holds the (static) knobs of the control
-laws; it travels inside :class:`~repro.sim.config.SimulationConfig` so
-the simulator and the live daemon construct identical controllers.
+queries.  :class:`ControlConfig` holds the knobs a run may set (the K
+band, the cooldown, the hot-set size); it travels inside
+:class:`~repro.sim.config.SimulationConfig` so the simulator and the
+live daemon construct identical controllers.
 
 Everything here is deterministic data: no clocks, no randomness.
 """
@@ -27,7 +28,8 @@ class ControlConfig:
     The defaults are deliberately conservative: a static workload under
     an adaptive controller should converge to the static plan within a
     few cycles and then sit still (hysteresis + cooldown), because every
-    plan change costs the client population a re-tune.
+    plan change costs the client population a re-tune.  The control
+    laws' thresholds are constants of :mod:`repro.control.controller`.
     """
 
     #: channel-count band the K controller may move within
@@ -35,31 +37,9 @@ class ControlConfig:
     k_max: int = 4
     #: cycles that must pass between two K changes (hysteresis)
     cooldown_cycles: int = 2
-    #: grow K when the requested backlog exceeds this multiple of the
-    #: current per-cycle air capacity (more demand than air time)
-    grow_backlog_factor: float = 1.5
-    #: shrink K when the idle fraction of the data phase exceeds this
-    #: (channels padding air while the longest one finishes)
-    shrink_idle_frac: float = 0.35
-    #: ... and the backlog fits in this multiple of the *shrunk* capacity
-    shrink_backlog_factor: float = 0.9
-    #: switch allocation policy when the counterfactual regret (access cost
-    #: of the current policy vs the best policy on the same schedule)
-    #: exceeds this fraction ...
-    policy_switch_margin: float = 0.05
-    #: ... for this many consecutive cycles (anti-flapping patience)
-    policy_patience: int = 2
     #: max documents promoted onto the fast-repeat hot channel; 0
     #: disables hot promotion
     hot_set_size: int = 0
-    #: minimum distinct pending queries demanding a document before it
-    #: qualifies as hot
-    hot_min_queries: int = 3
-    #: shed cold queries when the backlog exceeds this multiple of the
-    #: current per-cycle air capacity (admission governor)
-    shed_backlog_factor: float = 6.0
-    #: how many cycles a shed query is asked to stay away (RETRY_AFTER)
-    retry_after_cycles: int = 1
 
     def __post_init__(self) -> None:
         if self.k_min < 1:
@@ -70,24 +50,8 @@ class ControlConfig:
             raise ValueError("k_max must fit the 1-byte channel field")
         if self.cooldown_cycles < 0:
             raise ValueError("cooldown_cycles must be non-negative")
-        if self.grow_backlog_factor <= 0:
-            raise ValueError("grow_backlog_factor must be positive")
-        if not 0.0 <= self.shrink_idle_frac <= 1.0:
-            raise ValueError("shrink_idle_frac must be in [0, 1]")
-        if self.shrink_backlog_factor <= 0:
-            raise ValueError("shrink_backlog_factor must be positive")
-        if self.policy_switch_margin < 0:
-            raise ValueError("policy_switch_margin must be non-negative")
-        if self.policy_patience < 1:
-            raise ValueError("policy_patience must be at least 1")
         if self.hot_set_size < 0:
             raise ValueError("hot_set_size must be non-negative")
-        if self.hot_min_queries < 1:
-            raise ValueError("hot_min_queries must be at least 1")
-        if self.shed_backlog_factor <= 0:
-            raise ValueError("shed_backlog_factor must be positive")
-        if self.retry_after_cycles < 1:
-            raise ValueError("retry_after_cycles must be at least 1")
 
 
 @dataclass(frozen=True)

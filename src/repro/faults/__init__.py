@@ -13,7 +13,6 @@ from repro.faults.plan import (
     FaultPlan,
     UplinkOutcome,
     default_fault_plan,
-    sample_fault_plan,
 )
 from repro.faults.chaos import ChaosInvariantError, ChaosSimulation
 
@@ -24,5 +23,4 @@ __all__ = [
     "FaultPlan",
     "UplinkOutcome",
     "default_fault_plan",
-    "sample_fault_plan",
 ]

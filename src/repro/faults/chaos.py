@@ -14,9 +14,8 @@ re-routes the three places faults enter the pipeline:
   erasure+corruption channel; with ``FaultPlan.checksum`` the size model
   reserves a checksum byte per packet (charged to index/data overhead),
   which is what lets the client *detect* corruption at all.
-* **cycle build** -- the server gets a
-  :class:`~repro.broadcast.server.BuildBudget` wired to the plan's
-  overload draws and caps, and documents are added to / removed from the
+* **cycle build** -- the server's ``force_overload`` is the plan's
+  overload draw, and documents are added to / removed from the
   live collection between admissions and the next build
   (:meth:`~repro.faults.plan.FaultPlan.mutation`), exercising
   cycle-cache invalidation under load.
@@ -47,11 +46,10 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from repro import obs
 from repro.broadcast.program import program_signature
-from repro.broadcast.server import BuildBudget
 from repro.obs.telemetry import EventLog, FlightRecorder, NullEventLog
 from repro.obs.telemetry.flight import cycle_summary, recorded_events
 from repro.client.protocol import FirstTierRead
@@ -108,16 +106,7 @@ class ChaosSimulation(Simulation):
         # Recovery needs rebroadcast: the server must not assume
         # broadcast == received under erasures/corruption.
         self.server.acknowledged_delivery = True
-        if (
-            plan.overload_prob > 0.0
-            or plan.build_budget_bytes is not None
-            or plan.build_budget_seconds is not None
-        ):
-            self.server.build_budget = BuildBudget(
-                max_build_seconds=plan.build_budget_seconds,
-                max_requested_bytes=plan.build_budget_bytes,
-                force_overload=plan.overloaded,
-            )
+        self.server.force_overload = plan.overloaded
         self._doc_generator = DocumentGenerator(
             BUILTIN_DTDS[config.dtd](), GeneratorConfig(seed=plan.seed ^ 0xD0C)
         )

@@ -13,9 +13,8 @@ hard*, at the four injection points of the broadcast pipeline:
    packets; with per-packet checksums (``SizeModel.checksum_bytes``)
    clients detect corruption and treat it exactly like a loss
    (:meth:`FaultPlan.channel_model`).
-3. **server overload** -- some cycle builds are declared over budget
-   (:meth:`FaultPlan.overloaded` plus optional byte/wall-clock caps),
-   exercising the server's degradation ladder (stale PCI, then unpruned
+3. **server overload** -- some cycle builds are declared overloaded
+   (:meth:`FaultPlan.overloaded`), exercising the server's degradation ladder (stale PCI, then unpruned
    CI) instead of stalling the channel.
 4. **mid-cycle mutation races** -- documents are added to / removed from
    the live collection between resolution and the next build
@@ -97,13 +96,9 @@ class FaultPlan:
     checksum: bool = True
 
     # -- 3. server overload ---------------------------------------------
-    #: probability a cycle build is declared over budget while the fault
-    #: window is active (forced overload, independent of real caps)
+    #: probability a cycle build is declared overloaded while the fault
+    #: window is active
     overload_prob: float = 0.0
-    #: optional requested-byte cap for the build budget
-    build_budget_bytes: Optional[int] = None
-    #: optional wall-clock cap (seconds) for the build budget
-    build_budget_seconds: Optional[float] = None
 
     # -- 4. mid-cycle mutations -----------------------------------------
     #: probability a fresh document is injected before a cycle build
@@ -135,13 +130,6 @@ class FaultPlan:
                 "corrupt_prob > 0 requires checksum=True: without a "
                 "per-packet checksum a client cannot detect corruption"
             )
-        if self.build_budget_bytes is not None and self.build_budget_bytes < 1:
-            raise ValueError("build_budget_bytes must be positive")
-        if (
-            self.build_budget_seconds is not None
-            and self.build_budget_seconds <= 0.0
-        ):
-            raise ValueError("build_budget_seconds must be positive")
 
     # ------------------------------------------------------------------
     # Deterministic draws
@@ -328,29 +316,4 @@ def default_fault_plan(seed: int = 0) -> FaultPlan:
         overload_prob=0.3,
         doc_add_prob=0.25,
         doc_remove_prob=0.25,
-    )
-
-
-def sample_fault_plan(seed: int) -> FaultPlan:
-    """A randomized-but-deterministic plan for the chaos property tests.
-
-    Every knob is drawn from a range wide enough to exercise all four
-    injection points yet bounded so a small simulation still drains
-    shortly after the fault window closes.
-    """
-    rng = random.Random(f"sample-fault-plan:{seed}")
-    return FaultPlan(
-        seed=seed,
-        fault_cycles=rng.randint(2, 6),
-        uplink_drop_prob=rng.uniform(0.0, 0.6),
-        uplink_ack_drop_prob=rng.uniform(0.0, 0.4),
-        uplink_delay_bytes=rng.choice((0, 64, 512)),
-        retry_backoff_bytes=rng.choice((128, 512, 1024)),
-        retry_max_attempts=rng.randint(2, 5),
-        corrupt_prob=rng.uniform(0.0, 0.3),
-        erase_prob=rng.uniform(0.0, 0.3),
-        checksum=True,
-        overload_prob=rng.uniform(0.0, 0.5),
-        doc_add_prob=rng.uniform(0.0, 0.5),
-        doc_remove_prob=rng.uniform(0.0, 0.5),
     )

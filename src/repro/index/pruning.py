@@ -44,7 +44,7 @@ class PruningStats:
     @classmethod
     def between(cls, ci: CompactIndex, pci: CompactIndex) -> "PruningStats":
         """The measures of airing *pci* in place of *ci* (the same index
-        twice when an over-budget build airs the CI unpruned)."""
+        twice when an overloaded build airs the CI unpruned)."""
         return cls(
             nodes_before=ci.node_count,
             nodes_after=pci.node_count,

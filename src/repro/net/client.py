@@ -26,7 +26,7 @@ from repro.broadcast.program import BroadcastCycle
 from repro.client.metrics import ClientMetrics
 from repro.client.protocol import AccessProtocol, FirstTierRead
 from repro.client.twotier import TwoTierClient
-from repro.net.clock import ClockAdapter, MonotonicClock
+from repro.net.clock import MonotonicClock
 from repro.net.framing import (
     FrameError,
     FrameKind,
@@ -41,6 +41,11 @@ from repro.xpath.parser import parse_query
 
 
 _R = TypeVar("_R", uplink.Ack, uplink.Tuned)
+
+#: reconnect attempts a ``resume=True`` session makes before giving up
+MAX_RESUMES = 8
+#: first reconnect back-off in seconds; it doubles per attempt, up to 1 s
+RESUME_DELAY = 0.05
 
 
 class UplinkError(ConnectionError):
@@ -135,11 +140,8 @@ class AsyncTwoTierClient:
         first_tier_read: FirstTierRead = FirstTierRead.SELECTIVE,
         client_key: Optional[int] = None,
         trace: bool = False,
-        clock: Optional[ClockAdapter] = None,
         shard: Optional[int] = None,
         resume: bool = False,
-        max_resumes: int = 8,
-        resume_delay: float = 0.05,
     ) -> None:
         self.query = parse_query(query)
         self.host = host
@@ -150,7 +152,6 @@ class AsyncTwoTierClient:
         self.client_key = client_key
         #: request end-to-end wire tracing (the ``TRACE=`` SUBMIT option)
         self.trace = trace
-        self._clock: ClockAdapter = clock or MonotonicClock()
         self.trace_id: Optional[str] = None
         self._timeline: Optional[uplink.Timeline] = None
         #: pin the session to one cluster shard: TUNE/SUBMIT carry
@@ -168,8 +169,6 @@ class AsyncTwoTierClient:
         #: ``(client_key, query)`` uplink dedup making the resubmit
         #: idempotent against the journal-replayed admission.
         self.resume = resume
-        self.max_resumes = max_resumes
-        self.resume_delay = resume_delay
         if resume and client_key is None:
             raise ValueError("resume=True requires a client_key")
         #: last ShardIdentity epoch seen on this session's downlink; a
@@ -336,7 +335,7 @@ class AsyncTwoTierClient:
                 self._timeline.trace,
                 self._timeline.entry,
                 query=str(self.query),
-                received=self._clock.now(),
+                received=MonotonicClock().now(),
             )
         return ClientReport(
             query_id=self.query_id,
@@ -372,9 +371,9 @@ class AsyncTwoTierClient:
                 return await self.run_session()
             finally:
                 await self.close()
-        delay = self.resume_delay
+        delay = RESUME_DELAY
         last_error: Optional[BaseException] = None
-        for attempt in range(self.max_resumes + 1):
+        for attempt in range(MAX_RESUMES + 1):
             if attempt > 0:
                 self.resumes += 1
                 await asyncio.sleep(delay)
@@ -411,7 +410,7 @@ class AsyncTwoTierClient:
         if last_error is not None:
             raise last_error
         raise ConnectionError(
-            f"query not satisfied after {self.max_resumes} resumes"
+            f"query not satisfied after {MAX_RESUMES} resumes"
         )
 
     async def close(self) -> None:

@@ -55,6 +55,7 @@ from repro import obs
 from repro.broadcast.partition import ShardIdentity
 from repro.broadcast.program import BroadcastCycle, program_signature
 from repro.broadcast.server import DocumentStore, PendingQuery
+from repro.control.controller import RETRY_AFTER_CYCLES
 from repro.net.clock import ClockAdapter, MonotonicClock
 from repro.net.framing import FrameKind, encode_frame, encode_text
 from repro.net.pacing import TokenBucket
@@ -265,6 +266,8 @@ class BroadcastDaemon:
 
         # -- telemetry plane (all no-op without a TelemetryConfig) -----
         self.telemetry = self.net.telemetry
+        #: ``None`` = no registry and no ``/metrics`` endpoint
+        self._metrics_at = self.telemetry.metrics_port if self.telemetry else None
         self.flight = self.telemetry.flight if self.telemetry else None
         self.events = recorded_events(
             self.telemetry.events if self.telemetry else None,
@@ -293,11 +296,11 @@ class BroadcastDaemon:
 
     async def start(self) -> None:
         """Bind the socket and start the broadcast loop."""
-        if self.telemetry is not None and self.telemetry.wants_registry:
-            # Install the telemetry registry as the process-wide obs
+        if self._metrics_at is not None:
+            # Install a fresh telemetry registry as the process-wide obs
             # sink for the daemon's lifetime; restored at shutdown.
             self._obs_previous = obs.get_registry() if obs.is_enabled() else None
-            self._obs_installed = self.telemetry.registry or MetricsRegistry()
+            self._obs_installed = MetricsRegistry()
             obs.enable(self._obs_installed)
         if self.journal is not None:
             self._resume_from_journal()
@@ -305,17 +308,14 @@ class BroadcastDaemon:
             self._handle_connection, self.net.host, self.net.port
         )
         self.port = self._tcp.sockets[0].getsockname()[1]
-        if self.telemetry is not None and self.telemetry.metrics_port is not None:
+        if self._metrics_at is not None:
             self._metrics_http = MetricsHTTPServer(
-                self._metrics_text,
-                self._health,
-                host=self.telemetry.metrics_host,
-                port=self.telemetry.metrics_port,
+                self._metrics_text, self._health, port=self._metrics_at
             )
             self.metrics_port = await self._metrics_http.start()
             self.events.info(
                 "telemetry_listening",
-                host=self.telemetry.metrics_host,
+                host=self._metrics_http.host,
                 port=self.metrics_port,
             )
         self._loop_task = asyncio.create_task(self._broadcast_loop())
@@ -545,12 +545,11 @@ class BroadcastDaemon:
         ):
             # Admission governor: under overload, cold queries (no
             # overlap with the hot set) are deferred, not queued -- the
-            # hint is the controller's configured backoff in cycles.
+            # hint is the governor's backoff in cycles.
             self.controller.record_shed()
             self.stats.rejected_shed += 1
             self.events.info("shed", query=str(query))
-            hint = self.controller.control.retry_after_cycles
-            return _reject(uplink.RetryAfter(hint, trace_id))
+            return _reject(uplink.RetryAfter(RETRY_AFTER_CYCLES, trace_id))
         if arrival is None:
             arrival = self._arrival_now()
         try:
@@ -1051,7 +1050,7 @@ class BroadcastDaemon:
             # The handle only: after a crash the journal *file* keeps
             # its admitted-not-done records -- that is the contract.
             self.journal.close()
-        if self.telemetry is not None and self.telemetry.wants_registry:
+        if self._metrics_at is not None:
             # Put the process-wide obs state back the way we found it --
             # but only if this daemon's registry is still the active one.
             # With several in-process daemons (cluster tests) a non-LIFO

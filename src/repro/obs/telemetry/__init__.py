@@ -47,8 +47,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.obs.registry import MetricsRegistry
-
 __all__ = [
     "CONTENT_TYPE",
     "EventLog",
@@ -73,26 +71,18 @@ class TelemetryConfig:
     """Everything the daemon's telemetry plane needs, in one knob.
 
     ``metrics_port=None`` (the default) disables the HTTP endpoint and
-    the registry; an integer (0 = ephemeral) serves ``/metrics`` and
-    ``/healthz`` on ``metrics_host``.  ``events`` defaults to the no-op
-    log; ``flight`` plus ``flight_dir`` arm the flight recorder (dumps
-    land in ``flight_dir``).
+    the registry; an integer (0 = ephemeral) installs a fresh registry
+    as the process-wide obs sink and serves ``/metrics`` and
+    ``/healthz`` on loopback.  ``events`` defaults to the no-op log;
+    ``flight`` plus ``flight_dir`` arm the flight recorder (dumps land
+    in ``flight_dir``).
     """
 
-    metrics_host: str = "127.0.0.1"
-    #: ``None`` = no HTTP endpoint; 0 = ephemeral (bound port lands in
-    #: ``BroadcastDaemon.metrics_port``)
+    #: ``None`` = no registry, no HTTP endpoint; 0 = ephemeral (bound
+    #: port lands in ``BroadcastDaemon.metrics_port``)
     metrics_port: Optional[int] = None
-    #: registry the daemon installs as the process-wide obs sink while
-    #: it runs; ``None`` -> a fresh one (or the already-active registry)
-    registry: Optional[MetricsRegistry] = None
     events: Union[EventLog, NullEventLog] = field(default_factory=NullEventLog)
     flight: Optional[FlightRecorder] = None
     #: where flight-recorder artifacts dump; ``None`` disables dumping
     #: (the ring buffer still fills and can be dumped manually)
     flight_dir: Optional[Path] = None
-
-    @property
-    def wants_registry(self) -> bool:
-        """Whether the daemon should install a metrics registry."""
-        return self.metrics_port is not None or self.registry is not None

@@ -20,7 +20,6 @@ from repro.broadcast.multichannel import ALLOCATION_POLICIES
 from repro.broadcast.partition import PartitionMap, ShardIdentity
 from repro.broadcast.program import IndexScheme
 from repro.control.plan import ControlConfig
-from repro.index.packing import PackingStrategy
 from repro.index.sizes import SizeModel, PAPER_SIZE_MODEL
 from repro.xmlkit.generator import BUILTIN_DTDS
 
@@ -53,7 +52,6 @@ class SimulationConfig:
     cycle_data_capacity: int = 500_000  #: data-segment byte budget per cycle
     scheduler: str = "leelo"
     scheme: IndexScheme = IndexScheme.TWO_TIER
-    packing: PackingStrategy = PackingStrategy.GREEDY_DFS
     size_model: SizeModel = PAPER_SIZE_MODEL
 
     #: K, the number of parallel data channels each cycle airs its
@@ -132,10 +130,6 @@ class SimulationConfig:
     arrival_cycles: int = 3  #: how many cycles receive fresh arrivals
     max_cycles: int = 400  #: hard stop (drain guard)
     track_naive_baseline: bool = False
-    #: Debug mode: run the broadcast-cycle invariant validator on every
-    #: emitted cycle (repro.broadcast.validate).  Off by default -- it
-    #: costs a full pass over each cycle's structures.
-    validate_cycles: bool = False
 
     def __post_init__(self) -> None:
         if self.dtd not in BUILTIN_DTDS:

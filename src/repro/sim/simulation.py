@@ -34,6 +34,7 @@ from repro.client.naive import NaiveClient
 from repro.client.onetier import OneTierClient
 from repro.client.protocol import AccessProtocol, FirstTierRead
 from repro.client.twotier import TwoTierClient
+from repro.control.controller import RETRY_AFTER_CYCLES
 from repro.sim.audience import Audience
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import EventQueue
@@ -80,7 +81,6 @@ def make_server(config: SimulationConfig, store: DocumentStore) -> BroadcastServ
         scheduler=make_scheduler(config.scheduler, store),
         scheme=config.scheme,
         cycle_data_capacity=config.cycle_data_capacity,
-        packing=config.packing,
         acknowledged_delivery=config.needs_acknowledged_delivery,
         num_data_channels=config.num_data_channels,
         channel_allocation=config.channel_allocation,
@@ -210,7 +210,7 @@ class Simulation:
 
         The simulator's analogue of the daemon's ``RETRY_AFTER`` answer:
         instead of being admitted now, the arrival is rescheduled
-        ``retry_after_cycles`` cycle spans later (the client keeps its
+        ``RETRY_AFTER_CYCLES`` cycle spans later (the client keeps its
         true ``arrival_time``, so the deferral is fully charged to its
         access time).  Returns True when the plan was deferred.
         """
@@ -227,7 +227,7 @@ class Simulation:
         span = self._current_cycle.end_time - self._current_cycle.start_time
         retry_time = (
             max(self.server.clock, plan.arrival_time)
-            + span * controller.control.retry_after_cycles
+            + span * RETRY_AFTER_CYCLES
         )
         controller.record_shed()
         self._queue.schedule(
@@ -262,10 +262,6 @@ class Simulation:
             if next_time is not None:
                 self._queue.schedule(next_time, self._cycle_event, priority=1)
             return
-        if self.config.validate_cycles:
-            from repro.broadcast.validate import validate_cycle
-
-            validate_cycle(cycle, self.store)
         self._record_cycle(cycle)
         self._current_cycle = cycle
         self._deliver(cycle)

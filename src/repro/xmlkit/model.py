@@ -66,10 +66,6 @@ class XMLElement:
                 return c
         return None
 
-    def find_all(self, tag: str) -> List["XMLElement"]:
-        """Return all direct children with the given *tag*."""
-        return [c for c in self.children if c.tag == tag]
-
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
@@ -184,10 +180,6 @@ class XMLDocument:
 
             self._cached_size = len(serialize_document(self).encode("utf-8"))
         return self._cached_size
-
-    def invalidate_size(self) -> None:
-        """Drop the cached size (call after mutating the tree in tests)."""
-        self._cached_size = None
 
     def distinct_label_paths(self) -> List[LabelPath]:
         """Distinct label paths of the document (DataGuide path set)."""

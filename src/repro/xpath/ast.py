@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Set, Tuple, Union
+from typing import Iterable, Set, Tuple, Union
 
 from repro.xmlkit.model import LabelPath
 
@@ -193,8 +193,3 @@ class XPathQuery:
     def matches_any_path(self, paths: Iterable[LabelPath]) -> bool:
         """Does at least one of *paths* match this query?"""
         return any(self.matches_path(path) for path in paths)
-
-
-def query_set_depth(queries: Sequence[XPathQuery]) -> int:
-    """Maximum step count over a query workload (reported with figures)."""
-    return max((query.depth for query in queries), default=0)

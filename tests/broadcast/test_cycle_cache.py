@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.broadcast.cycle_cache import CycleBuildCache, query_key_of
+from repro.broadcast.cycle_cache import DFA_CACHE_SIZE, CycleBuildCache, query_key_of
 from repro.broadcast.server import DocumentStore, build_ci_from_store
 from repro.xmlkit.model import XMLDocument, build_element
 from repro.xpath.parser import parse_query
@@ -18,19 +18,6 @@ def paper_store() -> DocumentStore:
 
 def ci_form(ci):
     return (ci.virtual_root, ci.tree_form())
-
-
-class TestConstruction:
-    def test_threshold_range_validated(self):
-        store = paper_store()
-        with pytest.raises(ValueError):
-            CycleBuildCache(store, rebuild_threshold=-0.1)
-        with pytest.raises(ValueError):
-            CycleBuildCache(store, rebuild_threshold=1.5)
-
-    def test_dfa_cache_size_validated(self):
-        with pytest.raises(ValueError):
-            CycleBuildCache(paper_store(), dfa_cache_size=0)
 
 
 class TestCILayer:
@@ -67,9 +54,10 @@ class TestCILayer:
 
     def test_large_delta_triggers_rebuild(self):
         store = paper_store()
-        cache = CycleBuildCache(store, rebuild_threshold=0.5)
+        cache = CycleBuildCache(store)
         cache.ci_for(frozenset({0, 1, 2, 3}))
-        # Delta: 1 addition + 4 removals = 5 > 0.5 * 1 -> full re-merge.
+        # Delta: 1 addition + 4 removals = 5 > REBUILD_THRESHOLD (0.5) * 1
+        # -> full re-merge.
         rebuilt = cache.ci_for(frozenset({4}))
         assert cache.stats["ci_rebuilds"] == 2
         assert cache.stats["ci_incremental"] == 0
@@ -102,24 +90,29 @@ class TestDFALayer:
         assert first is second
         assert cache.stats == {**cache.stats, "dfa_hits": 1, "dfa_misses": 1}
 
+    @staticmethod
+    def query_sets(count):
+        return [[parse_query(f"/q{i}")] for i in range(count)]
+
     def test_lru_evicts_oldest(self):
-        cache = CycleBuildCache(paper_store(), dfa_cache_size=2)
-        qa, qb, qc = ([parse_query(t)] for t in ("/a", "/a/b", "/a//c"))
-        first = cache.dfa_for(query_key_of(qa), qa)
-        cache.dfa_for(query_key_of(qb), qb)
-        cache.dfa_for(query_key_of(qc), qc)  # evicts qa's entry
-        again = cache.dfa_for(query_key_of(qa), qa)
+        cache = CycleBuildCache(paper_store())
+        sets = self.query_sets(DFA_CACHE_SIZE + 1)
+        first = cache.dfa_for(query_key_of(sets[0]), sets[0])
+        for queries in sets[1:]:  # the last one evicts sets[0]'s entry
+            cache.dfa_for(query_key_of(queries), queries)
+        again = cache.dfa_for(query_key_of(sets[0]), sets[0])
         assert again is not first
-        assert cache.stats["dfa_misses"] == 4
+        assert cache.stats["dfa_misses"] == DFA_CACHE_SIZE + 2
 
     def test_recent_use_protects_from_eviction(self):
-        cache = CycleBuildCache(paper_store(), dfa_cache_size=2)
-        qa, qb, qc = ([parse_query(t)] for t in ("/a", "/a/b", "/a//c"))
-        first = cache.dfa_for(query_key_of(qa), qa)
-        cache.dfa_for(query_key_of(qb), qb)
-        cache.dfa_for(query_key_of(qa), qa)  # refresh qa
-        cache.dfa_for(query_key_of(qc), qc)  # evicts qb, not qa
-        assert cache.dfa_for(query_key_of(qa), qa) is first
+        cache = CycleBuildCache(paper_store())
+        sets = self.query_sets(DFA_CACHE_SIZE + 1)
+        first = cache.dfa_for(query_key_of(sets[0]), sets[0])
+        for queries in sets[1:-1]:  # fills the cache
+            cache.dfa_for(query_key_of(queries), queries)
+        cache.dfa_for(query_key_of(sets[0]), sets[0])  # refresh sets[0]
+        cache.dfa_for(query_key_of(sets[-1]), sets[-1])  # evicts sets[1]
+        assert cache.dfa_for(query_key_of(sets[0]), sets[0]) is first
 
 
 class TestPCILayer:

@@ -118,14 +118,20 @@ class TestCycleQueries:
     def test_lookup_packets_worked_out_once_per_packing(
         self, nitf_store, nitf_queries
     ):
-        from repro.index.packing import PackingStrategy
+        import dataclasses
+
+        from repro.index.packing import PackingStrategy, pack_index
 
         # a multi-packet index: the packings place nodes differently
         ci = build_full_ci(nitf_store.documents)
         pci, _ = prune_to_pci(ci, nitf_queries)
         cycle = build_cycle_program(0, pci, [0], nitf_store)
-        bfs = build_cycle_program(
-            0, pci, [0], nitf_store, packing=PackingStrategy.BFS
+        bfs = dataclasses.replace(
+            cycle,
+            packed_one_tier=pack_index(pci, one_tier=True, strategy=PackingStrategy.BFS),
+            packed_first_tier=pack_index(
+                pci, one_tier=False, strategy=PackingStrategy.BFS
+            ),
         )
         lookup = cycle.lookup(nitf_queries[0])
         seen = set()

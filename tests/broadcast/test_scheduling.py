@@ -29,6 +29,14 @@ def tiny_store() -> DocumentStore:
     return DocumentStore(docs)
 
 
+class UniformSizes:
+    """A store stand-in whose documents all air the same bytes, so
+    Lee-Lo's size tie-break falls straight through to doc id."""
+
+    def air_bytes(self, doc_id: int) -> int:
+        return 1
+
+
 def pending(query_id: int, arrival: int, remaining) -> PendingQuery:
     return PendingQuery(
         query_id=query_id,
@@ -86,23 +94,17 @@ class TestLeeLo:
     def test_completion_first(self):
         """A document finishing a nearly-done query beats a fragment of a
         huge query."""
-        with pytest.warns(RuntimeWarning, match="without a document store"):
-            scheduler = LeeLoScheduler()
+        scheduler = LeeLoScheduler(UniformSizes())
         nearly_done = pending(0, 0, {7})
         huge = pending(1, 0, {i for i in range(10, 30)})
         ranked = scheduler.rank([nearly_done, huge], now=0)
         assert ranked[0] == 7
 
     def test_shared_docs_accumulate_score(self):
-        with pytest.warns(RuntimeWarning, match="without a document store"):
-            scheduler = LeeLoScheduler()
+        scheduler = LeeLoScheduler(UniformSizes())
         queries = [pending(0, 0, {1, 2}), pending(1, 0, {2, 3})]
         ranked = scheduler.rank(queries, now=0)
         assert ranked[0] == 2  # scores 0.5 + 0.5 vs 0.5
-
-    def test_storeless_construction_warns(self):
-        with pytest.warns(RuntimeWarning, match="tie-break degrades"):
-            LeeLoScheduler()
 
     def test_store_construction_is_silent(self):
         store = tiny_store()

@@ -216,24 +216,25 @@ class TestPolicyRegret:
 
 class TestHotSet:
     def control(self):
-        return ControlConfig(hot_set_size=2, hot_min_queries=2)
+        return ControlConfig(hot_set_size=2)
 
     def test_most_demanded_docs_promoted(self, store):
         controller = make_controller(store, self.control(), base_channels=2)
         demand = {
-            1: frozenset({10, 11, 12}),
+            1: frozenset({10, 11, 12, 18}),
             2: frozenset({13}),
-            3: frozenset({14, 15}),
-            4: frozenset({16, 17}),
+            3: frozenset({14, 15, 19}),
+            4: frozenset({16, 17, 20}),
         }
         plan = controller.observe(observation(0, k=2, demand=demand))
-        # Ranked by demand count desc, doc id asc: 1 (3), then 3 (2).
+        # Ranked by demand count desc, doc id asc: 1 (4), then 3 (3).
         assert plan.hot_doc_ids == (1, 3)
 
     def test_threshold_filters_cold_docs(self, store):
         controller = make_controller(store, self.control(), base_channels=2)
+        # two requesters, one short of HOT_MIN_QUERIES
         plan = controller.observe(
-            observation(0, k=2, demand={1: frozenset({10})})
+            observation(0, k=2, demand={1: frozenset({10, 11})})
         )
         assert plan.hot_doc_ids == ()
 
@@ -286,7 +287,7 @@ class TestDeterminism:
         yield observation(3, k=2, spans=(CAPACITY, 50), idle=CAPACITY - 50)
 
     def test_same_stream_same_plans(self, store):
-        control = ControlConfig(hot_set_size=2, hot_min_queries=2)
+        control = ControlConfig(hot_set_size=2)
         a = make_controller(store, control)
         b = make_controller(store, control)
         plans_a = [a.observe(o) for o in self.stream()]

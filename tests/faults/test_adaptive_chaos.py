@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.control import ControlConfig
-from repro.faults import ChaosSimulation, FaultPlan, sample_fault_plan
+from repro.faults import ChaosSimulation, FaultPlan
 from repro.sim.config import small_setup
+from tests.faults.sampling import sample_fault_plan
 
 
 def adaptive_chaos_config(plan: FaultPlan, **overrides) -> "SimulationConfig":
@@ -52,20 +53,21 @@ class TestAdaptiveUnderFaults:
         assert sim.controller.k_changes >= 1
         assert all(session.satisfied for session in sim.sessions)
 
-    def test_no_query_stranded_by_k_shrink(self, nitf_docs):
+    def test_no_query_stranded_by_k_shrink(self, nitf_docs, monkeypatch):
         """Grow-then-shrink: after the burst drains, the idle law pulls
         K back down; documents deferred under the wide configuration
         must still be delivered (acknowledged delivery keeps them in the
         remaining sets across the shrink)."""
+        monkeypatch.setattr(
+            "repro.control.controller.SHRINK_IDLE_FRAC", 0.05
+        )  # shrink at the first idle padding
         sim = ChaosSimulation(
             adaptive_chaos_config(
                 FaultPlan(checksum=False),
                 scenario="flash",
                 scenario_intensity=5.0,
                 arrival_cycles=6,
-                control=ControlConfig(
-                    k_max=3, cooldown_cycles=1, shrink_idle_frac=0.05
-                ),
+                control=ControlConfig(k_max=3, cooldown_cycles=1),
             ),
             documents=nitf_docs,
         )

@@ -2,7 +2,7 @@
 
 The heart of the suite is the acceptance-criterion pair:
 
-* under every sampled :func:`~repro.faults.plan.sample_fault_plan` the
+* under every sampled :func:`tests.faults.sampling.sample_fault_plan` the
   safety monitor never fires and every run drains (liveness);
 * with the injectors disabled the broadcast program is byte-identical to
   the fault-free simulation -- pinned by comparing per-cycle
@@ -17,10 +17,11 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.broadcast.program import program_signature
 from repro.broadcast.server import BroadcastServer, DocumentStore
-from repro.faults import ChaosSimulation, FaultPlan, default_fault_plan, sample_fault_plan
+from repro.faults import ChaosSimulation, FaultPlan, default_fault_plan
 from repro.sim.config import IndexScheme, SimulationConfig, small_setup
 from repro.sim.simulation import Simulation
 from repro.xpath.parser import parse_query
+from tests.faults.sampling import sample_fault_plan
 
 
 def chaos_config(plan: FaultPlan, **overrides) -> SimulationConfig:

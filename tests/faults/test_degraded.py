@@ -4,26 +4,26 @@ from __future__ import annotations
 
 import pytest
 
-from repro.broadcast.server import BroadcastServer, BuildBudget, DocumentStore
+from repro.broadcast.server import BroadcastServer, DocumentStore
 from repro.client.twotier import TwoTierClient
 from repro.xpath.parser import parse_query
 
 
-def make_server(**kwargs):
+def make_server(overloaded=(), **kwargs):
+    """A server over the paper's documents whose builds of the cycle
+    numbers in *overloaded* are forced down the degradation ladder."""
     from tests.xpath.test_evaluator import paper_documents
 
-    return BroadcastServer(DocumentStore(paper_documents()), **kwargs)
-
-
-def overload_cycles(*cycles):
-    wanted = set(cycles)
-    return BuildBudget(force_overload=lambda cycle: cycle in wanted)
+    server = BroadcastServer(DocumentStore(paper_documents()), **kwargs)
+    wanted = set(overloaded)
+    server.force_overload = lambda cycle: cycle in wanted
+    return server
 
 
 class TestLadder:
     def test_stale_pci_when_query_set_unchanged(self):
         server = make_server(
-            acknowledged_delivery=True, build_budget=overload_cycles(1)
+            acknowledged_delivery=True, overloaded=(1,)
         )
         server.submit(parse_query("/a//c"), 0)
         first = server.build_cycle()
@@ -37,7 +37,7 @@ class TestLadder:
         assert second.pci is first.pci
 
     def test_unpruned_ci_on_cold_cache(self):
-        server = make_server(build_budget=overload_cycles(0))
+        server = make_server(overloaded=(0,))
         server.submit(parse_query("/a//c"), 0)
         cycle = server.build_cycle()
         assert cycle.degraded == "ci-unpruned"
@@ -47,7 +47,7 @@ class TestLadder:
 
     def test_unpruned_ci_when_query_set_changed(self):
         server = make_server(
-            acknowledged_delivery=True, build_budget=overload_cycles(1)
+            acknowledged_delivery=True, overloaded=(1,)
         )
         server.submit(parse_query("/a//c"), 0)
         first = server.build_cycle()
@@ -59,7 +59,7 @@ class TestLadder:
         server = make_server(
             enable_caches=False,
             acknowledged_delivery=True,
-            build_budget=overload_cycles(1),
+            overloaded=(1,),
         )
         server.submit(parse_query("/a//c"), 0)
         server.build_cycle()
@@ -67,7 +67,7 @@ class TestLadder:
 
     def test_degraded_output_never_cached(self):
         server = make_server(
-            acknowledged_delivery=True, build_budget=overload_cycles(1)
+            acknowledged_delivery=True, overloaded=(1,)
         )
         server.submit(parse_query("/a//c"), 0)
         server.build_cycle()
@@ -83,7 +83,7 @@ class TestLadder:
     def test_degraded_cycles_air_back_to_back(self):
         server = make_server(
             acknowledged_delivery=True,
-            build_budget=overload_cycles(0, 1, 2),
+            overloaded=(0, 1, 2),
         )
         server.submit(parse_query("/a//c"), 0)
         clock = 0
@@ -96,33 +96,29 @@ class TestLadder:
 
 
 class TestBudgetTriggers:
-    def test_byte_cap(self):
-        server = make_server(build_budget=BuildBudget(max_requested_bytes=1))
-        server.submit(parse_query("/a//c"), 0)
-        assert server.build_cycle().degraded == "ci-unpruned"
-
-    def test_time_cap_with_injected_clock(self):
-        ticks = iter((0.0, 10.0, 20.0, 30.0))
-        budget = BuildBudget(max_build_seconds=5.0, clock=lambda: next(ticks))
-        server = make_server(build_budget=budget)
-        server.submit(parse_query("/a//c"), 0)
-        assert server.build_cycle().degraded == "ci-unpruned"
-
     def test_within_budget_builds_normally(self):
-        server = make_server(
-            build_budget=BuildBudget(
-                max_requested_bytes=10**9, max_build_seconds=1e6
-            )
-        )
+        server = make_server()
         server.submit(parse_query("/a//c"), 0)
         assert server.build_cycle().degraded is None
         assert server.degraded_cycles == 0
+
+    def test_forced_overload_is_counted_with_its_reason(self):
+        from repro import obs
+
+        server = make_server(overloaded=(0,))
+        server.submit(parse_query("/a//c"), 0)
+        with obs.observed() as registry:
+            assert server.build_cycle().degraded == "ci-unpruned"
+            counter = registry.counter(
+                "server.degraded_cycles_total", mode="ci-unpruned", reason="forced"
+            )
+            assert counter.value == 1
 
 
 class TestClientDeferral:
     def test_fresh_client_defers_on_stale_pci(self):
         server = make_server(
-            acknowledged_delivery=True, build_budget=overload_cycles(1)
+            acknowledged_delivery=True, overloaded=(1,)
         )
         query = parse_query("/a//c")
         server.submit(query, 0)
@@ -139,7 +135,7 @@ class TestClientDeferral:
 
     def test_locked_client_keeps_consuming_stale_cycles(self):
         server = make_server(
-            acknowledged_delivery=True, build_budget=overload_cycles(1)
+            acknowledged_delivery=True, overloaded=(1,)
         )
         query = parse_query("/a//c")
         server.submit(query, 0)
@@ -151,7 +147,7 @@ class TestClientDeferral:
         client.on_cycle(stale)  # no deferral once the set is locked
 
     def test_fresh_client_reads_unpruned_ci(self):
-        server = make_server(build_budget=overload_cycles(0))
+        server = make_server(overloaded=(0,))
         query = parse_query("/a//c")
         server.submit(query, 0)
         cycle = server.build_cycle()

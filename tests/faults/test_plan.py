@@ -5,12 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.faults.plan import (
-    FaultChannelModel,
-    FaultPlan,
-    default_fault_plan,
-    sample_fault_plan,
-)
+from repro.faults.plan import FaultChannelModel, FaultPlan, default_fault_plan
+from tests.faults.sampling import sample_fault_plan
 
 
 class TestValidation:
@@ -31,12 +27,6 @@ class TestValidation:
     def test_retry_attempts_positive(self):
         with pytest.raises(ValueError):
             FaultPlan(retry_max_attempts=0)
-
-    def test_budgets_positive(self):
-        with pytest.raises(ValueError):
-            FaultPlan(build_budget_bytes=0)
-        with pytest.raises(ValueError):
-            FaultPlan(build_budget_seconds=0.0)
 
 
 class TestWindowing:

@@ -26,6 +26,7 @@ from repro.broadcast.program import program_signature
 from repro.broadcast.server import BroadcastServer, DocumentStore
 from repro.client.twotier import TwoTierClient
 from repro.control import ControlConfig, CyclePlan
+from repro.control import controller as controller_module
 from repro.net import AsyncTwoTierClient, BroadcastDaemon, DaemonConfig
 from repro.sim.config import small_setup
 from repro.sim.simulation import Simulation
@@ -34,15 +35,17 @@ from repro.xpath.parser import parse_query
 
 def clamped_control(k: int) -> ControlConfig:
     """A controller band pinned to the static configuration: K cannot
-    move, no policy ever beats the margin, the hot channel is off, and
-    the governor threshold is unreachable."""
-    return ControlConfig(
-        k_min=k,
-        k_max=k,
-        policy_switch_margin=1_000.0,
-        hot_set_size=0,
-        shed_backlog_factor=1e9,
-    )
+    move and the hot channel is off (the ``clamped_laws`` fixture does
+    the rest)."""
+    return ControlConfig(k_min=k, k_max=k, hot_set_size=0)
+
+
+@pytest.fixture
+def clamped_laws(monkeypatch):
+    """No policy ever beats the margin and the governor threshold is
+    unreachable."""
+    monkeypatch.setattr(controller_module, "POLICY_SWITCH_MARGIN", 1_000.0)
+    monkeypatch.setattr(controller_module, "SHED_BACKLOG_FACTOR", 1e9)
 
 
 class _SignedSimulation(Simulation):
@@ -54,6 +57,7 @@ class _SignedSimulation(Simulation):
         super()._record_cycle(cycle)
 
 
+@pytest.mark.usefixtures("clamped_laws")
 class TestStaticByteIdentity:
     def test_clamped_adaptive_matches_single_channel(self, nitf_docs):
         static = _SignedSimulation(small_setup(), documents=nitf_docs)
@@ -91,6 +95,7 @@ class TestStaticByteIdentity:
         assert sim.controller is None
 
 
+@pytest.mark.usefixtures("clamped_laws")
 class TestDaemonByteIdentity:
     def _signatures(self, store, config, expect_adaptive):
         async def body():

@@ -12,16 +12,14 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.config import small_setup
-from repro.sim.simulation import run_simulation
+from tests.sim.validating import ValidatingSimulation
 
 DTDS = ("nitf", "nasa", "dblp")
 
 
 @pytest.fixture(scope="module", params=DTDS)
 def run(request):
-    return request.param, run_simulation(
-        small_setup(dtd=request.param, validate_cycles=True)
-    )
+    return request.param, ValidatingSimulation(small_setup(dtd=request.param)).run()
 
 
 class TestInvariantClaimsAcrossDTDs:

@@ -12,6 +12,7 @@ import pytest
 from repro.sim.config import SimulationConfig
 from repro.sim.simulation import Simulation
 from repro.xpath.evaluator import matching_documents
+from tests.sim.validating import ValidatingSimulation
 
 
 @pytest.fixture(scope="module")
@@ -21,10 +22,9 @@ def soak():
         n_q=60,
         arrival_cycles=3,
         cycle_data_capacity=60_000,
-        validate_cycles=True,
         max_cycles=300,
     )
-    simulation = Simulation(config)
+    simulation = ValidatingSimulation(config)
     result = simulation.run()
     return config, simulation, result
 

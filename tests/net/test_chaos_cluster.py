@@ -207,8 +207,6 @@ class TestKillMidCycle:
                     arrival_time=0,
                     client_key=77,
                     resume=True,
-                    max_resumes=40,
-                    resume_delay=0.1,
                 )
                 task = asyncio.ensure_future(client.run())
 

@@ -270,8 +270,6 @@ class TestClientResume:
                     shard=0,
                     client_key=21,
                     resume=True,
-                    max_resumes=40,
-                    resume_delay=0.05,
                 )
                 task = asyncio.ensure_future(client.run())
 

@@ -493,7 +493,6 @@ class TestHostileOffsets:
                     port=proxy.sockets[0].getsockname()[1],
                     client_key=7,
                     resume=True,
-                    resume_delay=0.01,
                 )
                 return await client.run()
             finally:

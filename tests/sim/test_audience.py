@@ -21,7 +21,6 @@ from typing import FrozenSet, List, Tuple
 from hypothesis import given, settings, strategies as st
 
 from repro.broadcast.program import program_signature
-from repro.broadcast.server import BuildBudget
 from repro.client.naive import NaiveClient
 from repro.client.protocol import FirstTierRead
 from repro.control import ControlConfig
@@ -82,9 +81,7 @@ def run_pair(
     for driver in (signed(base), signed(per_client(base))):
         sim = driver(config, documents=documents, first_tier_read=first_tier_read)
         if overloaded:
-            sim.server.build_budget = BuildBudget(
-                force_overload=lambda cycle: cycle in overloaded
-            )
+            sim.server.force_overload = lambda cycle: cycle in overloaded
         if workload is not None:
             sim.workload = workload()
         runs.append((sim, sim.run()))
@@ -157,10 +154,15 @@ class TestAudienceMatchesPerClientDelivery:
         kinds = {record.degraded for record in sim.server.records}
         assert {"pci-stale", "ci-unpruned"} <= kinds
 
-    def test_adaptive_k_moves_between_joined_and_per_client_cycles(self):
+    def test_adaptive_k_moves_between_joined_and_per_client_cycles(
+        self, monkeypatch
+    ):
         """K grows under a burst and shrinks back while sessions still
         listen: rows are handed back to their clients, and those rejoin
         the table on the next single-channel cycle."""
+        monkeypatch.setattr(
+            "repro.control.controller.SHRINK_IDLE_FRAC", 0.05
+        )  # shrink at the first idle padding
         sim = run_pair(
             small_setup(
                 document_count=40,
@@ -168,9 +170,7 @@ class TestAudienceMatchesPerClientDelivery:
                 arrival_cycles=4,
                 cycle_data_capacity=8_000,
                 adaptive=True,
-                control=ControlConfig(
-                    k_max=3, cooldown_cycles=1, shrink_idle_frac=0.05
-                ),
+                control=ControlConfig(k_max=3, cooldown_cycles=1),
                 scenario="flash",
                 scenario_intensity=4.0,
             )

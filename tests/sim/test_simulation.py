@@ -107,7 +107,9 @@ class TestRun:
     def test_validate_cycles_debug_mode(self):
         """Every cycle of a validated run passes the invariant checker
         (the checker raising would fail the run)."""
-        result = run_simulation(small_setup(validate_cycles=True))
+        from tests.sim.validating import ValidatingSimulation
+
+        result = ValidatingSimulation(small_setup()).run()
         assert result.completed
 
     def test_scheduler_variants_run(self):

@@ -294,13 +294,15 @@ class TestOnePump:
         def parameters(cls):
             return len(inspect.signature(cls).parameters)
 
+        # TelemetryConfig 6 and AsyncTwoTierClient 12 until the parameter
+        # census (TestEveryKnobHasAUser) made their test-only knobs constants
         assert (fields(DaemonConfig), fields(TelemetryConfig), fields(ClusterConfig)) == (
-            10, 6, 11,
+            10, 4, 11,
         )
         assert [
             parameters(c)
             for c in (BroadcastDaemon, AsyncTwoTierClient, CycleDecoder, QueryTracer)
-        ] == [3, 12, 3, 1]
+        ] == [3, 9, 3, 1]
         assert len(FrameKind) == 7 and WIRE_FORMAT_VERSION == 2
 
 
@@ -416,8 +418,9 @@ class TestOneSearch:
             len(parameters(c))
             for c in (CompactIndex, Simulation, OneTierClient, TwoTierClient)
         ] == [5, 3, 3, 7]
-        # 30 until query_depth_mode went with the uniform depth mode
-        assert len(dataclasses.fields(SimulationConfig)) == 29
+        # 30 until query_depth_mode went with the uniform depth mode, 29
+        # until the parameter census took packing and validate_cycles
+        assert len(dataclasses.fields(SimulationConfig)) == 27
 
     def test_a_bare_query_is_compiled_afresh_every_search(self, compiles):
         """Compiled queries belong to whoever searches, never to a module
@@ -601,6 +604,129 @@ class TestOneResolver:
         if attr:
             target = getattr(target, attr)
         assert not hasattr(target, name)
+
+
+class TestEveryKnobHasAUser:
+    """The parameter census: an option that nothing outside ``tests/``
+    set is a module constant at its old default (migration table:
+    CHANGES.md -- ``BroadcastServer.build_budget = BuildBudget(
+    force_overload=f)`` is ``server.force_overload = f``; a test that
+    tuned a control-law threshold patches the constant in
+    ``repro.control.controller``; ``sample_fault_plan`` lives in
+    ``tests/faults/sampling.py``)."""
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            ("repro.broadcast.server", "BuildBudget"),
+            ("repro.obs.telemetry:TelemetryConfig", "wants_registry"),
+            ("repro", "sample_fault_plan"),
+            ("repro.faults", "sample_fault_plan"),
+            ("repro.faults.plan", "sample_fault_plan"),
+            ("repro.xpath.ast", "query_set_depth"),
+            ("repro.xmlkit.model:XMLElement", "find_all"),
+            ("repro.xmlkit.model:XMLDocument", "invalidate_size"),
+        ],
+    )
+    def test_removed_names_are_gone(self, owner, name):
+        module_name, _, attr = owner.partition(":")
+        target = importlib.import_module(module_name)
+        if attr:
+            target = getattr(target, attr)
+        assert not hasattr(target, name)
+
+    def test_removed_options_are_gone(self):
+        import dataclasses
+        import inspect
+
+        from repro.broadcast.cycle_cache import CycleBuildCache
+        from repro.broadcast.program import build_cycle_program
+        from repro.broadcast.server import BroadcastServer
+        from repro.control import ControlConfig
+        from repro.faults import FaultPlan
+        from repro.net import AsyncTwoTierClient
+        from repro.obs.telemetry import TelemetryConfig
+        from repro.sim.config import SimulationConfig
+
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        def parameters(target):
+            return set(inspect.signature(target).parameters)
+
+        assert not {"packing", "validate_cycles"} & names(SimulationConfig)
+        assert not {"packing", "build_budget"} & parameters(BroadcastServer)
+        assert "packing" not in parameters(build_cycle_program)
+        assert not {"rebuild_threshold", "dfa_cache_size"} & parameters(
+            CycleBuildCache
+        )
+        assert not {
+            "grow_backlog_factor", "shrink_idle_frac", "shrink_backlog_factor",
+            "policy_switch_margin", "policy_patience", "hot_min_queries",
+            "shed_backlog_factor", "retry_after_cycles",
+        } & names(ControlConfig)
+        assert not {"metrics_host", "registry"} & names(TelemetryConfig)
+        assert not {"clock", "max_resumes", "resume_delay"} & parameters(
+            AsyncTwoTierClient
+        )
+        assert not {"build_budget_bytes", "build_budget_seconds"} & names(FaultPlan)
+
+    def test_the_constants_keep_the_old_defaults(self):
+        from repro.broadcast import cycle_cache
+        from repro.control import controller
+        from repro.net import client
+
+        assert (cycle_cache.REBUILD_THRESHOLD, cycle_cache.DFA_CACHE_SIZE) == (0.5, 16)
+        assert (
+            controller.GROW_BACKLOG_FACTOR, controller.SHRINK_IDLE_FRAC,
+            controller.SHRINK_BACKLOG_FACTOR, controller.POLICY_SWITCH_MARGIN,
+            controller.POLICY_PATIENCE, controller.HOT_MIN_QUERIES,
+            controller.SHED_BACKLOG_FACTOR, controller.RETRY_AFTER_CYCLES,
+        ) == (1.5, 0.35, 0.9, 0.05, 2, 3, 6.0, 1)
+        assert (client.MAX_RESUMES, client.RESUME_DELAY) == (8, 0.05)
+
+    def test_lee_lo_needs_its_store(self):
+        import inspect
+
+        from repro.broadcast.scheduling import LeeLoScheduler
+
+        store = inspect.signature(LeeLoScheduler).parameters["store"]
+        assert store.default is inspect.Parameter.empty
+        with pytest.raises(TypeError):
+            LeeLoScheduler()  # type: ignore[call-arg]
+
+    def test_no_option_was_added(self):
+        """Each censused object's option count after the census."""
+        import dataclasses
+        import inspect
+
+        import repro.__main__ as cli
+        from repro.broadcast.cycle_cache import CycleBuildCache
+        from repro.broadcast.scheduling import LeeLoScheduler
+        from repro.broadcast.server import BroadcastServer
+        from repro.control import ControlConfig
+        from repro.net import AsyncTwoTierClient, DaemonConfig
+        from repro.obs.telemetry import TelemetryConfig
+        from repro.sim.config import SimulationConfig
+
+        def fields(cls):
+            return len(dataclasses.fields(cls))
+
+        def parameters(target):
+            return len(inspect.signature(target).parameters)
+
+        # before the census: 29, 12, 10, 6
+        assert [
+            fields(c)
+            for c in (SimulationConfig, ControlConfig, DaemonConfig, TelemetryConfig)
+        ] == [27, 4, 10, 4]
+        # before the census: 10, 3, 12, 1 (BuildBudget's 4 fields are gone)
+        assert [
+            parameters(c)
+            for c in (BroadcastServer, CycleBuildCache, AsyncTwoTierClient, LeeLoScheduler)
+        ] == [8, 1, 9, 1]
+        # the CLI's flags were censused, not cut: each is its field's user
+        assert inspect.getsource(cli).count("add_argument(") == 66
 
 
 class TestQuickstartSnippet:

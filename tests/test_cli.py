@@ -11,7 +11,15 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from repro.__main__ import _simulation_config, _worker_argv, build_parser, main
+from repro.__main__ import (
+    _run_config,
+    _simulation_config,
+    _worker_argv,
+    build_parser,
+    main,
+)
+from repro.control import ControlConfig
+from repro.sim.config import SimulationConfig
 
 
 class TestParser:
@@ -325,6 +333,59 @@ class TestSimulate:
             build_parser().parse_args(
                 ["simulate", "--channels", "2", "--allocation", "random"]
             )
+
+
+class TestUsageErrors:
+    """A flag value that builds no valid configuration, or a dependent
+    flag without its parent, is a usage error: exit 2, one ``error:``
+    line, no traceback (both used to surface as a raw ``ValueError`` or
+    a silently ignored flag)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--channels", "0"],
+            ["simulate", "--capacity", "0"],
+            ["simulate", "--queries", "0"],
+            ["simulate", "--count", "0"],
+            ["simulate", "--loss", "1.0"],
+            ["simulate", "--scenario", "diurnal", "--scenario-period", "1"],
+            ["simulate", "--adaptive", "--k-min", "3", "--k-max", "2"],
+            ["stats", "--p", "2"],
+        ],
+    )
+    def test_an_invalid_configuration_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith("repro: error: ")
+
+    @pytest.mark.parametrize(
+        "flags, parent",
+        [
+            (["--hot-set-size", "2"], "--adaptive"),
+            (["--k-max", "1"], "--adaptive"),
+            (["--k-min", "1"], "--adaptive"),
+            (["--fault-seed", "3"], "--faults"),
+            (["--scenario-intensity", "6"], "--scenario"),
+            (["--scenario-period", "3"], "--scenario"),
+        ],
+    )
+    def test_a_dependent_flag_needs_its_parent(self, flags, parent, capsys):
+        argv = ["simulate", "--count", "30", "--queries", "10", *flags]
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flags[0]} needs {parent}" in err and "Traceback" not in err
+
+    def test_dependent_flags_default_to_the_configs_defaults(self):
+        parser = build_parser()
+        bare = parser.parse_args(["simulate", "--adaptive"])
+        assert _simulation_config(bare).control_config == ControlConfig()
+        assert _run_config(bare).scenario_period == SimulationConfig().scenario_period
 
 
 STATS_ARGS = ["stats", "--count", "30", "--queries", "10", "--capacity", "40000"]

@@ -5,10 +5,10 @@ The simulator's timeline is channel byte-time; a stray ``time.time()``
 leak wall-clock into reproducible runs.  This sweep parses every module
 of the deterministic packages and rejects direct *calls* to wall-clock
 functions.  Passing a clock function around is fine -- injectable
-defaults like ``BuildBudget.clock = time.perf_counter`` (a reference,
-not a call) are the sanctioned pattern, and ``repro.net``/``repro.obs``
-take their clocks via exactly that kind of injection
-(:class:`repro.net.clock.ClockAdapter`, the registry's ``clock=``).
+defaults like ``MetricsRegistry(clock=time.perf_counter)`` (a
+reference, not a call) are the sanctioned pattern, and ``repro.net``
+takes its clocks via exactly that kind of injection
+(:class:`repro.net.clock.ClockAdapter`).
 """
 
 from __future__ import annotations

@@ -54,11 +54,6 @@ class TestXMLElement:
         assert first_b is tree.children[0]
         assert tree.child("nope") is None
 
-    def test_find_all(self):
-        tree = make_tree()
-        assert len(tree.find_all("b")) == 2
-        assert tree.find_all("zzz") == []
-
     def test_iter_is_preorder(self):
         tags = [node.tag for node in make_tree().iter()]
         assert tags == ["a", "b", "d", "e", "b", "c", "d"]
@@ -135,13 +130,6 @@ class TestXMLDocument:
         first = doc.size_bytes
         assert doc.size_bytes == first
         assert doc._cached_size == first
-
-    def test_invalidate_size(self):
-        doc = XMLDocument(doc_id=0, root=make_tree())
-        before = doc.size_bytes
-        doc.root.append(XMLElement("extra"))
-        doc.invalidate_size()
-        assert doc.size_bytes > before
 
     def test_collection_size(self):
         docs = [

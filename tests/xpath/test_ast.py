@@ -10,7 +10,6 @@ from repro.xpath.ast import (
     Step,
     WILDCARD,
     XPathQuery,
-    query_set_depth,
 )
 from repro.xpath.parser import parse_query
 from tests.filtering.viable_prefix import is_viable_prefix
@@ -173,10 +172,3 @@ class TestViablePrefix:
         if query.matches_path(path):
             for cut in range(1, len(path) + 1):
                 assert is_viable_prefix(query, path[:cut])
-
-
-class TestHelpers:
-    def test_query_set_depth(self):
-        qs = [parse_query("/a"), parse_query("/a/b/c")]
-        assert query_set_depth(qs) == 3
-        assert query_set_depth([]) == 0
