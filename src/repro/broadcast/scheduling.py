@@ -33,6 +33,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -75,20 +76,40 @@ class DemandTable:
         """Register every document *query* is still missing."""
         if query.arrival_time > self._max_arrival:
             self._max_arrival = query.arrival_time
-        for doc_id in query.remaining_doc_ids:
+        self.add(query, query.remaining_doc_ids)
+
+    def add(self, query: "PendingQuery", doc_ids: Iterable[int]) -> None:
+        """Register *query*'s demand edges on *doc_ids*."""
+        for doc_id in doc_ids:
             self._by_doc.setdefault(doc_id, {})[query.query_id] = query
 
-    def add_entry(self, doc_id: int, query: "PendingQuery") -> None:
-        self._by_doc.setdefault(doc_id, {})[query.query_id] = query
+    def drop(self, query: "PendingQuery", doc_ids: Iterable[int]) -> None:
+        """Drop *query*'s demand edges on *doc_ids*, where present."""
+        by_doc = self._by_doc
+        query_id = query.query_id
+        for doc_id in doc_ids:
+            waiters = by_doc.get(doc_id)
+            if waiters is None:
+                continue
+            waiters.pop(query_id, None)
+            if not waiters:
+                del by_doc[doc_id]
 
-    def discard(self, doc_id: int, query: "PendingQuery") -> None:
-        """Drop one (document, query) demand edge, if present."""
-        queries = self._by_doc.get(doc_id)
-        if queries is None:
-            return
-        queries.pop(query.query_id, None)
-        if not queries:
+    def pop(self, doc_id: int, now: int) -> Iterable["PendingQuery"]:
+        """Drop and return the queries eligible at *now* that wait on
+        *doc_id*: one step per aired document, however many wait."""
+        waiters = self._by_doc.get(doc_id)
+        if waiters is None:
+            return ()
+        if now >= self._max_arrival:
             del self._by_doc[doc_id]
+            return waiters.values()
+        eligible = [q for q in waiters.values() if q.arrival_time <= now]
+        for query in eligible:
+            del waiters[query.query_id]
+        if not waiters:
+            del self._by_doc[doc_id]
+        return eligible
 
     def discard_doc(self, doc_id: int) -> None:
         """Drop a document entirely (it left the collection)."""

@@ -32,6 +32,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro import obs
@@ -193,6 +194,13 @@ class PendingQuery:
     def is_satisfied(self) -> bool:
         return not self.remaining_doc_ids
 
+    def satisfy(self, cycle: BroadcastCycle) -> None:
+        """Stamp *cycle* as the one whose data completed the result set."""
+        self.satisfied_cycle = cycle.cycle_number
+        self.satisfied_time = cycle.end_time
+        # A set emptied by discards keeps its table; clearing frees it.
+        self.remaining_doc_ids.clear()
+
     @property
     def cycles_listened(self) -> Optional[int]:
         """The paper's n: cycles from first index read to completion."""
@@ -328,11 +336,13 @@ class BroadcastServer:
         self._next_query_id = 0
         #: query string -> (a query with that string, its result set over
         #: the live collection); LRU, at most RESOLUTION_CACHE_SIZE entries.
-        #: The representative query is what lets ``add_document`` re-run
-        #: the cached strings over the new document alone.
+        #: The representative queries are what lets ``add_document`` run
+        #: the cached strings over the new document alone, through their
+        #: shared NFA (``None`` after an admission or eviction changed them)
         self._resolution_cache: "OrderedDict[str, Tuple[XPathQuery, FrozenSet[int]]]" = (
             OrderedDict()
         )
+        self._resolution_nfa: Optional[Tuple[List[str], SharedPathNFA]] = None
         #: idempotent-uplink dedup: ``(client_key, query string)`` of
         #: every keyed admission ever made.  A retried submission with
         #: the same key returns the *existing* PendingQuery -- never a
@@ -411,6 +421,7 @@ class BroadcastServer:
                     results[position] = value
             while len(cache) > RESOLUTION_CACHE_SIZE:
                 cache.popitem(last=False)
+            self._resolution_nfa = None
         # Every position is filled: it was either a cache hit or a miss
         # resolved just above.
         return [result for result in results if result is not None]
@@ -644,20 +655,16 @@ class BroadcastServer:
                     cycle.idle_padding_bytes
                 )
 
-        broadcast_set = set(scheduled)
         for query in active:
             if query.first_indexed_cycle is None:
                 query.first_indexed_cycle = cycle.cycle_number
-            if self.acknowledged_delivery:
-                continue  # remaining shrinks only on confirm_delivery()
-            before = len(query.remaining_doc_ids)
-            delivered = query.remaining_doc_ids & broadcast_set
-            query.remaining_doc_ids -= broadcast_set
-            for doc_id in delivered:
-                self.demand.discard(doc_id, query)
-            if before and not query.remaining_doc_ids:
-                query.satisfied_cycle = cycle.cycle_number
-                query.satisfied_time = cycle.end_time
+        if not self.acknowledged_delivery:  # broadcast counts as received
+            for doc_id in scheduled:
+                for query in self.demand.pop(doc_id, now):
+                    remaining = query.remaining_doc_ids
+                    remaining.discard(doc_id)
+                    if not remaining:
+                        query.satisfy(cycle)
         self._reap_satisfied()
 
         self.records.append(
@@ -784,11 +791,12 @@ class BroadcastServer:
         cache = self._resolution_cache
         if not cache:
             return
-        keys = list(cache)
         with obs.span("server.query_filtering"):
-            nfa = SharedPathNFA()
-            nfa.add_queries([cache[key][0] for key in keys])
-            nfa.freeze()
+            if self._resolution_nfa is None:
+                nfa = SharedPathNFA()
+                nfa.add_queries([query for query, _docs in cache.values()])
+                self._resolution_nfa = (list(cache), nfa.freeze())
+            keys, nfa = self._resolution_nfa
             joined: Set[int] = set()
             for _node, accepted in nfa.trie_matches(
                 (self.store.guides[document.doc_id].root,)
@@ -839,39 +847,39 @@ class BroadcastServer:
 
     def confirm_delivery(
         self,
-        pending: PendingQuery,
+        pending: Union[PendingQuery, Sequence[PendingQuery]],
         received_doc_ids: Set[int],
         cycle: BroadcastCycle,
     ) -> None:
-        """Acknowledged-delivery feedback from a client (uplink ACK).
-
-        Only meaningful with ``acknowledged_delivery=True``: the query's
-        remaining set shrinks to the documents its client has actually
-        received, so erased frames stay scheduled for rebroadcast.
-        Documents that left the collection since admission stay dropped,
-        even if a later document reuses the id: ``remove_document`` took
-        them out of ``result_doc_ids``, which the reset starts from.
+        """Uplink ACK: the clients of *pending* (one query, or a row's
+        queries) hold exactly *received_doc_ids*.  Each remaining set
+        becomes the result set minus that, so erased frames stay
+        scheduled and what an earlier ACK covered but this one omits
+        comes back; a document removed since admission stays dropped
+        (even if its id is reused).  The ACK that empties a set stamps it.
         """
         if not self.acknowledged_delivery:
-            raise RuntimeError(
-                "confirm_delivery requires acknowledged_delivery=True"
-            )
-        before_set = set(pending.remaining_doc_ids)
-        pending.remaining_doc_ids = set(pending.result_doc_ids) - received_doc_ids
-        for doc_id in before_set - pending.remaining_doc_ids:
-            self.demand.discard(doc_id, pending)
-        for doc_id in pending.remaining_doc_ids - before_set:
-            self.demand.add_entry(doc_id, pending)
-        if before_set and not pending.remaining_doc_ids:
-            pending.satisfied_cycle = cycle.cycle_number
-            pending.satisfied_time = cycle.end_time
-            # Only this query can have become satisfied: move it alone
-            # instead of rescanning the queue on every acknowledgement.
-            for position, queued in enumerate(self.pending):
-                if queued is pending:
-                    del self.pending[position]
-                    self.completed.append(pending)
-                    break
+            raise RuntimeError("confirm_delivery requires acknowledged_delivery=True")
+        for query in (pending,) if isinstance(pending, PendingQuery) else pending:
+            result, remaining = query.result_doc_ids, query.remaining_doc_ids
+            before = len(remaining)
+            delivered = remaining & received_doc_ids
+            # A satisfied query is final; else no earlier ACK (len(result)
+            # - before) is omitted if, besides the new ones, that many came.
+            if 0 < before < len(result) and not (
+                len(received_doc_ids) - len(delivered) == len(result) - before
+                and received_doc_ids <= result
+            ):
+                restored = result.difference(remaining, received_doc_ids)
+                remaining |= restored
+                self.demand.add(query, restored)
+            query.remaining_doc_ids = remaining = remaining - delivered
+            self.demand.drop(query, delivered)
+            if before and not remaining:
+                query.satisfy(cycle)
+                at = next((i for i, q in enumerate(self.pending) if q is query), None)
+                if at is not None:  # move it alone, no rescan
+                    self.completed.append(self.pending.pop(at))
 
     def _reap_satisfied(self) -> None:
         newly_done = [q for q in self.pending if q.is_satisfied]

@@ -3,12 +3,11 @@
 :class:`ChaosSimulation` subclasses the fault-free orchestrator and
 re-routes the three places faults enter the pipeline:
 
-* **admission** -- instead of submitting a query the instant it arrives,
-  the whole uplink retry dialogue is resolved against the plan
-  (:meth:`~repro.faults.plan.FaultPlan.uplink_outcome`) and each
-  delivery -- duplicates included -- is scheduled as its own event.  The
-  server deduplicates by ``(client_key, query)``; the client starts
-  listening only once its admission is acknowledged.
+* **admission** -- the shared batch admission asks the plan for each
+  query's uplink retry dialogue (:meth:`~repro.faults.plan.FaultPlan.
+  uplink_outcome`): a delivery due now joins the batch's submission, a
+  later one (duplicates too) is its own event.  The server deduplicates
+  by ``(client_key, query)``; the client listens once acknowledged.
 * **downlink** -- every client is a
   :class:`~repro.client.twotier.TwoTierClient` on the plan's
   erasure+corruption channel; with ``FaultPlan.checksum`` the size model
@@ -31,30 +30,33 @@ the failing cycle is in the error):
   have resolved and arrivals have stopped, every remaining session must
   drain within :attr:`ChaosSimulation.liveness_grace` clean cycles.
 
+Both are checked by change: only sessions whose client read an index or
+took a document this cycle (the audience's receipts), or expects a
+removed document, and counters kept on admission and satisfaction
+(``tests/faults/monitor_reference.py`` keeps the full sweep as oracle).
+
 Document removals are *gated*: only documents no unsatisfied session
-needs (not in any locked expected set, pending result set, or in-flight
-query's resolution) are eligible.  An ungated removal could strand a
-client whose locked expected set references a document that will never
-air again -- a genuine unavailability, not a protocol bug, so the chaos
-suite does not inject it.  A removal can still empty a *future* query's
-result set before its delivery; the server then rejects the admission
-(empty result) and the session is dropped as NACKed rather than counted
-against liveness.
+needs (in no locked expected set, pending result set or in-flight
+query's resolution) are eligible -- an ungated removal would strand a
+client on a document that never airs again, an unavailability, not a
+protocol bug.  A removal can still empty a *future* query's result set;
+the server then NACKs the admission and the session is dropped.
 """
 
 from __future__ import annotations
 
 import pathlib
 from dataclasses import replace
-from typing import Dict, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import obs
-from repro.broadcast.program import program_signature
+from repro.broadcast.program import BroadcastCycle, program_signature
 from repro.obs.telemetry import EventLog, FlightRecorder, NullEventLog
 from repro.obs.telemetry.flight import cycle_summary, recorded_events
 from repro.client.protocol import FirstTierRead
-from repro.client.twotier import TwoTierClient
 from repro.faults.plan import FaultPlan, UplinkOutcome
+from repro.sim.audience import Receipt
 from repro.sim.config import SimulationConfig
 from repro.sim.simulation import Simulation, _Session
 from repro.sim.workload import ArrivalPlan
@@ -74,9 +76,8 @@ class ChaosSimulation(Simulation):
     """One simulation run under an active fault plan, with monitors."""
 
     #: clean cycles (faults over, uplink drained, arrivals exhausted) a
-    #: run may take to satisfy every session before liveness fails.
-    #: Generous: a clean cycle airs up to the data capacity and the
-    #: post-fault channel is perfect, so drains take a handful of cycles.
+    #: run may take to satisfy every session before liveness fails --
+    #: generous, as a drain on the perfect post-fault channel is short.
     liveness_grace = 60
 
     def __init__(
@@ -103,6 +104,9 @@ class ChaosSimulation(Simulation):
         super().__init__(config, documents=documents, first_tier_read=first_tier_read)
         self.plan = plan
         self._loss_model = plan.channel_model()
+        # Every client is two-tier: the plan's channel may erase or
+        # corrupt, and the baselines are not loss-aware.
+        self.lossy = True
         # Recovery needs rebroadcast: the server must not assume
         # broadcast == received under erasures/corruption.
         self.server.acknowledged_delivery = True
@@ -111,8 +115,19 @@ class ChaosSimulation(Simulation):
             BUILTIN_DTDS[config.dtd](), GeneratorConfig(seed=plan.seed ^ 0xD0C)
         )
         self._next_doc_id = max(self.store.by_id) + 1
-        self._next_client_key = 0
         self._clean_cycles = 0
+        #: admitted sessions whose client has not read an index yet.  A
+        #: document added now would be in the client's index but not in
+        #: the result set the server resolved at admission -- owed to
+        #: nobody, awaited forever -- so adds wait until it is empty.
+        self._unlocked: Set[_Session] = set()
+        #: unsatisfied sessions, in admission order
+        self._open_sessions: Dict[_Session, None] = {}
+        #: open sessions expecting more than their result set holds
+        self._beyond_result: Set[_Session] = set()
+        #: what changed since the last check
+        self._receipts: List[Receipt] = []
+        self._removed: List[int] = []
         # Telemetry (all optional, no-op by default).  The chaos path is
         # deterministic, so the event log gets NO clock: events carry
         # cycle numbers, never wall-clock timestamps.
@@ -147,24 +162,17 @@ class ChaosSimulation(Simulation):
     # Injection point 1: the uplink
     # ------------------------------------------------------------------
 
-    def _admit(self, plan: ArrivalPlan) -> None:
-        client_key = self._next_client_key
-        self._next_client_key += 1
+    def _uplink(
+        self, plan: ArrivalPlan, client_key: int
+    ) -> Tuple[Tuple[int, ...], int]:
         if self.plan.active(self.server.cycle_number):
             outcome = self.plan.uplink_outcome(client_key, plan.arrival_time)
         else:
             # Fault window closed: the uplink is reliable and immediate.
-            outcome = UplinkOutcome(
-                deliveries=(plan.arrival_time,),
-                ack_time=plan.arrival_time,
-                attempts=1,
-                dropped_attempts=0,
-                lost_acks=0,
-            )
+            outcome = UplinkOutcome((plan.arrival_time,), plan.arrival_time, 1, 0, 0)
         if self._queue.now > outcome.deliveries[0]:
-            # Governor-deferred re-admission: the retry reaches the
-            # uplink *now*, not at the original arrival stamp (the
-            # engine rejects scheduling in the past).  Shift the whole
+            # Governor-deferred re-admission reaches the uplink *now* (the
+            # engine rejects scheduling in the past): shift the whole
             # replayed schedule forward, preserving the fault pattern.
             delta = self._queue.now - outcome.deliveries[0]
             outcome = replace(
@@ -189,64 +197,45 @@ class ChaosSimulation(Simulation):
             )
         registry = obs.get_registry()
         if registry.enabled:
-            registry.counter("sim.uplink_attempts_total").inc(outcome.attempts)
-            registry.counter("sim.uplink_dropped_total").inc(
-                outcome.dropped_attempts
-            )
-            registry.counter("sim.uplink_duplicates_total").inc(
-                outcome.duplicate_deliveries
-            )
-        # The client exists from the start but can only listen once its
-        # admission is acknowledged -- before the ACK it does not know the
-        # server heard it, so it keeps retrying instead of tuning in.
-        client = TwoTierClient(
-            plan.query,
-            outcome.ack_time,
-            lookup_fn=self.audience.search,
-            first_tier_read=self.first_tier_read,
-            loss_model=self._loss_model,
-            client_key=client_key,
-        )
-        session = _Session(plan=plan, clients=[client], two_tier=client)
-        self.sessions.append(session)
-        self.audience.admit(session.clients)
-        obs.counter("sim.arrivals_total").inc()
-        for delivery_time in outcome.deliveries:
-            self._queue.schedule(
-                delivery_time,
-                lambda t=delivery_time: self._uplink_delivery(
-                    session, client_key, t
-                ),
-                priority=0,
-            )
+            for name, count in (
+                ("attempts", outcome.attempts),
+                ("dropped", outcome.dropped_attempts),
+                ("duplicates", outcome.duplicate_deliveries),
+            ):
+                registry.counter(f"sim.uplink_{name}_total").inc(count)
+        # The client listens only once acknowledged: before the ACK it
+        # does not know the server heard it, so it retries instead.
+        return outcome.deliveries, outcome.ack_time
 
-    def _uplink_delivery(
-        self, session: _Session, client_key: int, delivery_time: int
-    ) -> None:
-        """One (possibly duplicate) submit attempt reaches the server."""
-        if session not in self.sessions:
-            return  # NACKed earlier; late duplicates go nowhere
-        try:
-            pending = self.server.submit(
-                session.plan.query, delivery_time, client_key=client_key
-            )
-        except ValueError:
-            # A gated removal can still empty a query's result set before
-            # its (delayed) delivery; the server NACKs the admission and
-            # the session ends -- there is nothing left to broadcast.
-            self.fault_stats["uplink_rejections"] += 1
-            obs.counter("sim.uplink_rejections_total").inc()
-            self.events.info(
-                "chaos_uplink_rejected",
-                query=str(session.plan.query),
-                client_key=client_key,
-                cycle=self.server.cycle_number,
-            )
-            self.sessions.remove(session)
-            self.audience.drop(session.clients)
-            return
-        if session.pending is None:
-            session.pending = pending
+    def _open(self, plan: ArrivalPlan, ack_time: int, client_key: int) -> _Session:
+        session = super()._open(plan, ack_time, client_key)
+        self._open_sessions[session] = None
+        return session
+
+    def _submit(self, sessions: Sequence[_Session], delivery_time: int) -> None:
+        unheard = [session for session in sessions if session.pending is None]
+        super()._submit(sessions, delivery_time)
+        self._unlocked.update(s for s in unheard if s.pending is not None)
+
+    def _reject(self, session: _Session) -> None:
+        # A gated removal can still empty a query's result set before its
+        # (delayed) delivery: the server NACKs and the session ends.
+        self.fault_stats["uplink_rejections"] += 1
+        obs.counter("sim.uplink_rejections_total").inc()
+        self.events.info(
+            "chaos_uplink_rejected",
+            query=str(session.plan.query),
+            client_key=session.client_key,
+            cycle=self.server.cycle_number,
+        )
+        session.rejected = True
+        del self._open_sessions[session]
+        self.sessions.remove(session)  # by identity
+        self.audience.drop(session.clients)
+
+    def _acknowledge(self, cycle: BroadcastCycle, receipts: List[Receipt]) -> None:
+        super()._acknowledge(cycle, receipts)
+        self._receipts = receipts
 
     # ------------------------------------------------------------------
     # Injection point 4: mid-cycle collection mutations
@@ -255,7 +244,7 @@ class ChaosSimulation(Simulation):
     def _cycle_event(self) -> None:
         mode = self.plan.mutation(self.server.cycle_number)
         if mode == "add":
-            if not self._admission_window_open():
+            if not self._unlocked:
                 self._inject_add()
         elif mode == "remove":
             self._inject_remove(self.server.cycle_number)
@@ -281,29 +270,6 @@ class ChaosSimulation(Simulation):
                     self.flight.dump(self.flight_dir, "chaos-invariant")
                 raise
 
-    def _admission_window_open(self) -> bool:
-        """True while some admitted query's client has not yet locked
-        its expected set.
-
-        The server resolves a query at admission; the client locks its
-        expected set from the first index it decodes -- the *next*
-        cycle's.  A document added inside that window appears in the
-        client's snapshot but not the server's, so the client would
-        wait forever for a document the server never owed it.  The
-        protocol leaves mid-admission mutations undefined, so the
-        harness holds the add for a cycle (mirroring how
-        :meth:`_inject_remove` protects documents pending sessions
-        still need)."""
-        return any(
-            session.pending is not None
-            and not session.satisfied
-            and any(
-                client.expected_doc_ids is None
-                for client in session.clients
-            )
-            for session in self.sessions
-        )
-
     def _inject_add(self) -> None:
         document = self._doc_generator.generate(self._next_doc_id)
         self._next_doc_id += 1
@@ -319,36 +285,42 @@ class ChaosSimulation(Simulation):
 
     def _inject_remove(self, cycle_number: int) -> None:
         """Remove one document no unsatisfied session still needs."""
-        protected = set()
-        in_flight = []
-        for session in self.sessions:
-            if session.satisfied:
-                continue
-            for client in session.clients:
-                if client.expected_doc_ids:
-                    protected |= client.expected_doc_ids
-            if session.pending is not None:
-                protected |= session.pending.result_doc_ids
-                protected |= session.pending.remaining_doc_ids
-            else:
-                in_flight.append(session.plan.query)
-        # Uplink still in flight: the query will resolve against the
-        # post-removal collection, so protect what it would resolve to
-        # *now* -- removing any of it could otherwise empty the result
-        # set mid-dialogue.
-        for result in self.server.resolve_batch(in_flight):
-            protected |= result
-        candidates = sorted(set(self.store.by_id) - protected)
+        candidates = self._removable()
         if not candidates or len(self.store.documents) <= 1:
             return
         rng = self.plan._rng("mutate-pick", cycle_number)
         removed = rng.choice(candidates)
         self.server.remove_document(removed)
+        self._removed.append(removed)
         self.fault_stats["docs_removed"] += 1
         obs.counter("sim.chaos_mutations_total", kind="remove").inc()
         self.events.info(
             "chaos_mutation", kind="remove", doc_id=removed, cycle=cycle_number
         )
+
+    def _removable(self) -> List[int]:
+        """The removal gate: documents no unsatisfied session needs.  An
+        admitted one needs its result set, which holds its remaining set
+        and (unless the monitor found otherwise) its expected set."""
+        needed: Dict[int, FrozenSet[int]] = {}
+        in_flight = []
+        for session in self._open_sessions:
+            if session.pending is not None:
+                result = session.pending.result_doc_ids
+                needed[id(result)] = result
+            else:
+                in_flight.append(session.plan.query)
+        for session in self._beyond_result:
+            for client in session.clients:
+                expected = client.expected_doc_ids
+                needed[id(expected)] = expected
+        protected: Set[int] = set().union(*needed.values())
+        # Uplink still in flight: the query will resolve against the
+        # post-removal collection, so protect what it resolves to *now*,
+        # lest a removal empty its result set mid-dialogue.
+        for result in self.server.resolve_batch(in_flight):
+            protected |= result
+        return sorted(set(self.store.by_id) - protected)
 
     # ------------------------------------------------------------------
     # Monitors
@@ -357,51 +329,70 @@ class ChaosSimulation(Simulation):
     def _check_invariants(self) -> None:
         cycle = self._current_cycle
         assert cycle is not None
-        # A drained session's locked set was valid when served; ungated
-        # removals afterwards cannot retroactively invalidate a completed
-        # delivery.  The rest resolve through one shared pass.
-        unsatisfied = [s for s in self.sessions if not s.satisfied]
-        truths = self.server.resolve_batch([s.plan.query for s in unsatisfied])
-        for session, truth in zip(unsatisfied, truths):
-            for client in session.clients:
-                expected = client.expected_doc_ids
-                if expected is None:
-                    if client.received_doc_ids:
-                        raise ChaosInvariantError(
-                            f"safety violated at cycle {cycle.cycle_number}: "
-                            f"client for {session.plan.query} recorded "
-                            f"{sorted(client.received_doc_ids)} without an "
-                            "index read"
-                        )
-                    continue
+        # Safety can only break for a session whose client read an index
+        # or took a document this cycle, or whose locked expected set
+        # holds a removed document; those re-check the expected set.  A
+        # chaos session's one client is its two-tier client.
+        receipts, acknowledger = self._receipts, self._acknowledger
+        changed = dict.fromkeys(acknowledger[c] for cs, _ in receipts for c in cs)
+        removed, recheck = set(self._removed), set()
+        for session in self._open_sessions if removed else ():
+            if not removed.isdisjoint(session.two_tier.expected_doc_ids or ()):
+                recheck.add(session)
+                changed[session] = None
+        self._receipts, self._removed = [], []
+        unsafe = f"safety violated at cycle {cycle.cycle_number}: client for "
+        # In admission order; a drained session's locked set was valid
+        # when served, and later removals cannot invalidate that.
+        for session in sorted(changed, key=attrgetter("client_key")):
+            query = session.plan.query
+            expected = session.two_tier.expected_doc_ids
+            received = session.two_tier.received_doc_ids
+            if expected is None:
+                if received:
+                    raise ChaosInvariantError(
+                        f"{unsafe}{query} recorded {sorted(received)} "
+                        "without an index read"
+                    )
+                continue
+            if session in self._unlocked:  # its first index read
+                self._unlocked.discard(session)
+                recheck.add(session)
+            if received >= expected:  # satisfied
+                self._open_sessions.pop(session, None)
+                self._beyond_result.discard(session)
+                continue
+            # The admission-time result set, less removed documents, lies in
+            # the truth (documents never change): inside it, no resolution.
+            assert session.pending is not None  # it listens: admitted
+            if session in recheck and not expected <= session.pending.result_doc_ids:
+                self._beyond_result.add(session)
+                truth = self.server.resolve(query)
                 if not expected <= truth:
                     raise ChaosInvariantError(
-                        f"safety violated at cycle {cycle.cycle_number}: "
-                        f"client for {session.plan.query} expects "
-                        f"{sorted(expected - truth)} outside the true "
-                        "result set"
+                        f"{unsafe}{query} expects {sorted(expected - truth)} "
+                        "outside the true result set"
                     )
-                if not client.received_doc_ids <= expected:
-                    raise ChaosInvariantError(
-                        f"safety violated at cycle {cycle.cycle_number}: "
-                        f"client for {session.plan.query} recorded "
-                        f"{sorted(client.received_doc_ids - expected)} it "
-                        "never asked for"
-                    )
+            if not received <= expected:
+                raise ChaosInvariantError(
+                    f"{unsafe}{query} recorded {sorted(received - expected)} "
+                    "it never asked for"
+                )
         self.fault_stats["safety_checks"] += 1
 
         faults_over = not self.plan.active(cycle.cycle_number)
-        uplink_drained = all(
-            session.pending is not None for session in self.sessions
-        )
-        if faults_over and uplink_drained and self.workload.exhausted:
+        clean = faults_over and self.workload.exhausted and all(
+            session.pending is not None for session in self._open_sessions
+        )  # and every uplink dialogue resolved
+        if clean:
             self._clean_cycles += 1
-            stuck = [s for s in self.sessions if not s.satisfied]
+            stuck = self._open_sessions
             if stuck and self._clean_cycles > self.liveness_grace:
                 raise ChaosInvariantError(
                     f"liveness violated: {len(stuck)} session(s) still "
                     f"unsatisfied {self._clean_cycles} clean cycles after "
-                    f"the fault window closed (first: {stuck[0].plan.query})"
+                    f"the fault window closed (first: "
+                    f"{next(iter(stuck)).plan.query})"
                 )
         else:
             self._clean_cycles = 0

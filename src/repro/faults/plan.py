@@ -164,8 +164,10 @@ class FaultPlan:
         for attempt in range(self.retry_max_attempts):
             attempts += 1
             last = attempt == self.retry_max_attempts - 1
+            # A zero probability draws nothing (draws are keyed: none moves)
             request_dropped = (
                 not last
+                and self.uplink_drop_prob > 0.0
                 and self._rng("uplink", client_key, attempt, "drop").random()
                 < self.uplink_drop_prob
             )
@@ -176,6 +178,7 @@ class FaultPlan:
                 deliveries.append(delivery)
                 ack_dropped = (
                     not last
+                    and self.uplink_ack_drop_prob > 0.0
                     and self._rng("uplink", client_key, attempt, "ack").random()
                     < self.uplink_ack_drop_prob
                 )

@@ -13,11 +13,16 @@ end.  Loss draws and K >= 2 tune plans are per client, so a lossy or
 multi-channel cycle hands the rows back to their clients.  A new query
 string recompiles the audience's query set, without the strings nobody
 listens for any more.
+
+Under acknowledged delivery a cycle also hands back *receipts*: one per
+row that took a document this cycle, and one per client listening for
+itself whose expected or received set changed, each naming the clients
+and the received set they share.  What did not change is not reported.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.broadcast.program import BroadcastCycle
@@ -30,11 +35,16 @@ from repro.xpath.ast import XPathQuery
 #: the probe): cycles, then index, offset and document bytes
 _COUNTERS = ("cycles_listened", "index_bytes", "offset_bytes", "doc_bytes")
 
+#: clients whose state one cycle changed, and the received set they share
+Receipt = Tuple[Sequence[AccessProtocol], Set[int]]
+
 
 class _Row:
     """Clients awaiting the same documents since the same cycle."""
 
-    __slots__ = ("clients", "key", "start", "received", "remaining", "docs", "base")
+    __slots__ = (
+        "clients", "key", "start", "received", "remaining", "docs", "base", "heard"
+    )
 
     def __init__(self, client: AccessProtocol, start: int, base: int) -> None:
         self.clients = [client]
@@ -48,6 +58,8 @@ class _Row:
         self.docs = 0
         #: its string's one-tier index-byte sum at ``start``
         self.base = base
+        #: the last cycle (prefix-sum end) a receipt reported the row
+        self.heard = start
 
 
 class Audience:
@@ -102,15 +114,23 @@ class Audience:
             self._on_air = (cycle, cycle.lookup(self._compiled))
         return self._on_air[1]
 
-    def deliver(self, cycle: BroadcastCycle, lossless: bool) -> None:
-        """Everyone listens to one aired cycle."""
+    def deliver(
+        self,
+        cycle: BroadcastCycle,
+        lossless: bool,
+        receipts: Optional[List[Receipt]] = None,
+    ) -> None:
+        """Everyone listens to one aired cycle; with *receipts*, what
+        changed is appended to it."""
         if lossless and cycle.num_data_channels == 1:
-            self._join(cycle)
+            self._join(cycle, receipts)
         else:
             self.flush()
-            self._own = [client for client in self._own if not _listen(client, cycle)]
+            self._own = [
+                client for client in self._own if not _listen(client, cycle, receipts)
+            ]
 
-    def _join(self, cycle: BroadcastCycle) -> None:
+    def _join(self, cycle: BroadcastCycle, receipts: Optional[List[Receipt]]) -> None:
         air, offsets = cycle.doc_air_bytes, cycle.doc_offsets
         at = len(self._offset_sums) - 1  # this cycle's prefix position
         end = at + 1
@@ -136,9 +156,12 @@ class Audience:
                 row.received.add(doc_id)
                 row.docs += doc_air
                 row.remaining -= 1
+                if receipts is not None and row.heard != end:
+                    row.heard = end
+                    receipts.append((row.clients, row.received))
                 if not row.remaining:
                     self._settle(row, end, cycle.start_time + offsets[doc_id] + doc_air)
-        listening = [c for c in first_reads if not _listen(c, cycle)]
+        listening = [c for c in first_reads if not _listen(c, cycle, receipts)]
         self._enrol([c for c in listening if c.metrics.cycles_listened], end)
         # not on air yet, or a stale index deferred the first read
         self._own = [c for c in listening if not c.metrics.cycles_listened]
@@ -205,8 +228,18 @@ class Audience:
             self._own.extend(row.clients)
 
 
-def _listen(client: AccessProtocol, cycle: BroadcastCycle) -> bool:
+def _listen(
+    client: AccessProtocol,
+    cycle: BroadcastCycle,
+    receipts: Optional[List[Receipt]],
+) -> bool:
     """One client listens to *cycle* for itself; True once satisfied."""
     if client.can_use(cycle):
+        locked, had = client.expected_doc_ids, len(client.received_doc_ids)
         client.on_cycle(cycle)
+        received = client.received_doc_ids
+        if receipts is not None and (
+            client.expected_doc_ids is not locked or len(received) != had
+        ):
+            receipts.append(([client], received))
     return client.satisfied

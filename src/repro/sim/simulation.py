@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.broadcast.loss import LOSSLESS, PacketLossModel
@@ -35,7 +35,7 @@ from repro.client.onetier import OneTierClient
 from repro.client.protocol import AccessProtocol, FirstTierRead
 from repro.client.twotier import TwoTierClient
 from repro.control.controller import RETRY_AFTER_CYCLES
-from repro.sim.audience import Audience
+from repro.sim.audience import Audience, Receipt
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import EventQueue
 from repro.sim.results import ClientRecord, SimulationResult
@@ -110,7 +110,7 @@ def make_controller(
     )
 
 
-@dataclass
+@dataclass(eq=False)  # a session is itself: found by identity, never by value
 class _Session:
     """All protocol instances serving one arrived query."""
 
@@ -120,7 +120,11 @@ class _Session:
     #: server under acknowledged delivery, so erased frames and
     #: conflict-deferred documents stay scheduled
     two_tier: TwoTierClient
+    #: the uplink key the server deduplicates the admission by
+    client_key: int
     pending: Optional["PendingQuery"] = None
+    #: the server refused the admission; the session is gone
+    rejected: bool = False
 
     @property
     def satisfied(self) -> bool:
@@ -153,6 +157,9 @@ class Simulation:
         self.workload = WorkloadBuilder(self.documents, config)
         self.first_tier_read = first_tier_read
         self.sessions: List[_Session] = []
+        #: each session's two-tier client -> the session it acknowledges for
+        self._acknowledger: Dict[AccessProtocol, _Session] = {}
+        self._next_client_key = 0
         #: every client still listening, as one table
         self.audience = Audience()
         self._queue = EventQueue()
@@ -162,15 +169,47 @@ class Simulation:
     # Event bodies
     # ------------------------------------------------------------------
 
-    def _admit(self, plan: ArrivalPlan) -> None:
-        pending = self.server.submit(plan.query, plan.arrival_time)
+    def _uplink(
+        self, plan: ArrivalPlan, client_key: int
+    ) -> Tuple[Tuple[int, ...], int]:
+        """When *plan*'s submission reaches the server (every delivery,
+        duplicates included) and when its client hears the admission
+        acknowledged.  The simulator's uplink is reliable and instant."""
+        return (plan.arrival_time,), plan.arrival_time
+
+    def _admit_batch(self, plans: Sequence[ArrivalPlan], retries: int = 0) -> None:
+        # One shared-NFA walk resolves the whole batch; the submissions
+        # below then hit the server's resolution cache.
+        self.server.resolve_batch([plan.query for plan in plans])
+        due: Dict[int, List[_Session]] = {}  # submission time -> sessions
+        for plan in plans:
+            if self._shed(plan, retries):
+                continue
+            client_key = self._next_client_key
+            self._next_client_key += 1
+            deliveries, ack_time = self._uplink(plan, client_key)
+            session = self._open(plan, ack_time, client_key)
+            for attempt, delivery_time in enumerate(deliveries):
+                if not attempt and delivery_time <= self._queue.now:
+                    due.setdefault(delivery_time, []).append(session)
+                    continue
+                self._queue.schedule(
+                    delivery_time,
+                    lambda s=session, t=delivery_time: self._submit([s], t),
+                    priority=0,
+                )
+        for delivery_time, sessions in due.items():
+            self._submit(sessions, delivery_time)
+
+    def _open(self, plan: ArrivalPlan, ack_time: int, client_key: int) -> _Session:
+        """A new session for *plan*, listening from *ack_time*."""
         two_tier = TwoTierClient(
             plan.query,
-            plan.arrival_time,
+            ack_time,
             lookup_fn=self.audience.search,
             first_tier_read=self.first_tier_read,
             loss_model=self._loss_model,
-            client_key=pending.query_id,
+            client_key=client_key,
         )
         clients: List[AccessProtocol] = [two_tier]
         if not self.lossy:
@@ -184,22 +223,43 @@ class Simulation:
             ]
             if self.config.track_naive_baseline:
                 clients.append(
-                    NaiveClient(plan.query, plan.arrival_time, pending.result_doc_ids)
+                    NaiveClient(
+                        plan.query,
+                        plan.arrival_time,
+                        self.server.resolve(plan.query),
+                    )
                 )
-        self.sessions.append(
-            _Session(plan=plan, clients=clients, two_tier=two_tier, pending=pending)
+        session = _Session(
+            plan=plan, clients=clients, two_tier=two_tier, client_key=client_key
         )
+        self.sessions.append(session)
+        self._acknowledger[two_tier] = session
         self.audience.admit(clients)
         obs.counter("sim.arrivals_total").inc()
+        return session
 
-    def _admit_batch(self, plans: Sequence[ArrivalPlan], retries: int = 0) -> None:
-        # One shared-NFA walk resolves the whole batch; the per-query
-        # submits inside _admit then hit the server's resolution cache.
-        self.server.resolve_batch([plan.query for plan in plans])
-        for plan in plans:
-            if self._shed(plan, retries):
-                continue
-            self._admit(plan)
+    def _submit(self, sessions: Sequence[_Session], delivery_time: int) -> None:
+        """Submissions of *sessions* reach the server at *delivery_time*:
+        one batch admission, retries deduplicated by client key."""
+        fresh = [s for s in sessions if s.pending is None and not s.rejected]
+        for session, result in zip(
+            fresh, self.server.resolve_batch([s.plan.query for s in fresh])
+        ):
+            if not result:
+                self._reject(session)
+        admitted = [session for session in sessions if not session.rejected]
+        pendings = self.server.submit_batch(
+            [session.plan.query for session in admitted],
+            delivery_time,
+            client_keys=[session.client_key for session in admitted],
+        )
+        for session, pending in zip(admitted, pendings):
+            if session.pending is None:
+                session.pending = pending
+
+    def _reject(self, session: _Session) -> None:
+        """The server refuses a query with an empty result set."""
+        raise ValueError(f"query {session.plan.query} has an empty result set")
 
     #: deferral cap of the admission governor: a thrice-shed query is
     #: admitted regardless, so overload never starves anyone forever
@@ -279,23 +339,32 @@ class Simulation:
             self._truncated = True
 
     def _deliver(self, cycle: BroadcastCycle) -> None:
+        receipts: Optional[List[Receipt]] = (
+            [] if self.server.acknowledged_delivery else None
+        )
         with obs.span("sim.deliver"):
-            self.audience.deliver(cycle, self._loss_model.is_lossless)
-        if self.server.acknowledged_delivery:
-            # Uplink acknowledgements: the server learns what actually
-            # arrived, so erased frames (lossy runs) or conflict-deferred
-            # documents (multi-channel runs) get rebroadcast.
-            for session in self.sessions:
-                if (
-                    session.pending is not None
-                    and not session.pending.is_satisfied
-                    and session.two_tier.can_use(cycle)
-                ):
-                    self.server.confirm_delivery(
-                        session.pending,
-                        session.two_tier.received_doc_ids,
-                        cycle,
-                    )
+            self.audience.deliver(cycle, self._loss_model.is_lossless, receipts)
+        if receipts is not None:
+            self._acknowledge(cycle, receipts)
+
+    def _acknowledge(self, cycle: BroadcastCycle, receipts: List[Receipt]) -> None:
+        """Uplink acknowledgements: the server learns what actually
+        arrived, so erased frames (lossy runs) or conflict-deferred
+        documents (multi-channel runs) get rebroadcast.  A receipt's
+        sessions are confirmed together; a client that took nothing new
+        has nothing to acknowledge."""
+        for clients, received in receipts:
+            if not received:
+                continue
+            pendings = [
+                session.pending
+                for session in map(self._acknowledger.get, clients)
+                if session is not None
+                and session.pending is not None
+                and not session.pending.is_satisfied
+            ]
+            if pendings:
+                self.server.confirm_delivery(pendings, received, cycle)
 
     def _record_cycle(self, cycle: BroadcastCycle) -> None:
         """Per-cycle hook, once per aired cycle before delivery; the

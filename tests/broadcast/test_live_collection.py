@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
-import pytest
+import functools
+from unittest import mock
 
-from repro.broadcast.server import BroadcastServer, DocumentStore
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.broadcast.server as server_module
+from repro.broadcast.server import (
+    RESOLUTION_CACHE_SIZE,
+    BroadcastServer,
+    DocumentStore,
+)
+from repro.filtering.nfa import SharedPathNFA, resolve_on_guide
+from repro.xmlkit.generator import (
+    BUILTIN_DTDS,
+    DocumentGenerator,
+    GeneratorConfig,
+    generate_collection,
+)
 from repro.xmlkit.model import XMLDocument, build_element
+from repro.xpath.generator import generate_workload
 from repro.xpath.parser import parse_query
 from tests.oracles import docs_containing
 
@@ -14,6 +31,14 @@ def paper_store() -> DocumentStore:
     from tests.xpath.test_evaluator import paper_documents
 
     return DocumentStore(paper_documents())
+
+
+@functools.lru_cache(maxsize=None)
+def nitf_world():
+    """The NITF DTD and a pool of query strings over a 12-document
+    collection of it."""
+    dtd = BUILTIN_DTDS["nitf"]()
+    return dtd, tuple(generate_workload(generate_collection(dtd, 12, seed=5), 40, seed=2))
 
 
 class TestStoreMaintenance:
@@ -291,3 +316,170 @@ class TestServerMaintenance:
         # The untouched queries' bookkeeping did not move.
         assert fourth.remaining_doc_ids == set(fourth.result_doc_ids)
         assert fourth.satisfied_time is None
+
+    def test_confirm_omitting_an_acknowledged_document_regrows_it(self):
+        """Full-set semantics, the daemon's path: a client that re-tunes
+        and reports less gets the omitted document back into its
+        remaining set and the demand table; only the acknowledgement
+        that empties the set stamps it satisfied."""
+        server = BroadcastServer(
+            paper_store(), cycle_data_capacity=10**6, acknowledged_delivery=True
+        )
+        pending = server.submit(parse_query("/a//c"), 0)
+        first_doc, *rest = sorted(pending.result_doc_ids)
+        assert rest
+        first = server.build_cycle()
+        server.confirm_delivery(pending, {first_doc}, first)
+        assert pending.remaining_doc_ids == set(rest)
+        assert first_doc not in server.demand.snapshot(first.end_time)
+        assert pending.satisfied_cycle is None
+
+        second = server.build_cycle()
+        server.confirm_delivery(pending, set(rest[:1]), second)  # omits first_doc
+        assert pending.remaining_doc_ids == {first_doc, *rest[1:]}
+        waiting = server.demand.snapshot(second.end_time)
+        assert [q.query_id for q in waiting[first_doc]] == [pending.query_id]
+        assert pending.satisfied_cycle is None and pending.satisfied_time is None
+
+        third = server.build_cycle()
+        server.confirm_delivery(pending, set(pending.result_doc_ids), third)
+        assert pending.is_satisfied
+        assert (pending.satisfied_cycle, pending.satisfied_time) == (
+            third.cycle_number,
+            third.end_time,
+        )
+        assert server.demand.snapshot(third.end_time) == {}
+        assert server.completed == [pending] and server.pending == []
+        # A repeat of the full acknowledgement empties nothing: no restamp.
+        server.confirm_delivery(pending, set(pending.result_doc_ids), first)
+        assert pending.satisfied_cycle == third.cycle_number
+        assert server.completed == [pending]
+
+    def test_a_satisfied_query_is_final(self):
+        """Regression: a report of less after completion regrew the
+        completed query's demand edges while it sat in ``completed``,
+        and the next build's scheduler failed on the unknown query."""
+        server = BroadcastServer(
+            paper_store(), cycle_data_capacity=10**6, acknowledged_delivery=True
+        )
+        done = server.submit(parse_query("/a/b/a"), 0)
+        cycle = server.build_cycle()
+        server.confirm_delivery(done, set(done.result_doc_ids), cycle)
+        server.confirm_delivery(done, set(), cycle)  # a re-tuned client
+        assert done.is_satisfied and server.demand.snapshot(10**9) == {}
+        later = server.submit(parse_query("/a/c"), cycle.end_time)
+        assert set(server.build_cycle().doc_ids) == set(later.result_doc_ids)
+
+    def test_a_document_outside_the_result_set_replaces_no_omitted_one(self):
+        """A report of as many documents as were acknowledged, one of
+        them foreign to the result set, still regrows the omitted one."""
+        server = BroadcastServer(
+            paper_store(), cycle_data_capacity=10**6, acknowledged_delivery=True
+        )
+        pending = server.submit(parse_query("/a//c"), 0)
+        first_doc, second_doc, *_ = sorted(pending.result_doc_ids)
+        foreign = next(d for d in server.store.by_id if d not in pending.result_doc_ids)
+        cycle = server.build_cycle()
+        server.confirm_delivery(pending, {first_doc}, cycle)
+        server.confirm_delivery(pending, {foreign, second_doc}, cycle)
+        assert first_doc in pending.remaining_doc_ids
+        assert second_doc not in pending.remaining_doc_ids
+
+    def test_confirm_for_several_queries_equals_one_at_a_time(self):
+        """A row's sessions are acknowledged in one call; the outcome is
+        the same as acknowledging each query on its own."""
+        texts = ("/a//c", "/a//c", "/a/b", "//c")
+        runs = []
+        for together in (True, False):
+            server = BroadcastServer(
+                paper_store(), cycle_data_capacity=10**6, acknowledged_delivery=True
+            )
+            queries = [server.submit(parse_query(text), 0) for text in texts]
+            cycle = server.build_cycle()
+            received = set(list(queries[0].result_doc_ids)[:1]) | set(
+                queries[2].result_doc_ids
+            )
+            group = queries[:3]
+            if together:
+                server.confirm_delivery(group, received, cycle)
+            else:
+                for query in group:
+                    server.confirm_delivery(query, received, cycle)
+            runs.append(
+                (
+                    [sorted(q.remaining_doc_ids) for q in queries],
+                    [q.satisfied_cycle for q in queries],
+                    [q.query_id for q in server.pending],
+                    [q.query_id for q in server.completed],
+                    {
+                        doc: sorted(q.query_id for q in waiting)
+                        for doc, waiting in server.demand.snapshot(0).items()
+                    },
+                )
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][3] == [2]  # /a/b had everything it asked for
+
+
+class TestResolutionNFAReuse:
+    """``add_document`` keeps the shared NFA over the cached strings and
+    recompiles it only when an admission or an eviction changed them."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["admit", "add", "remove"]), st.integers(0, 10**6)
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        cap=st.sampled_from([3, 6, RESOLUTION_CACHE_SIZE]),
+    )
+    def test_cached_entries_match_a_fresh_resolution(self, steps, cap):
+        """Adds, removals, new admissions and LRU evictions interleaved:
+        every cached entry equals a from-scratch resolution over the
+        live collection."""
+        dtd, pool = nitf_world()
+        with mock.patch.object(server_module, "RESOLUTION_CACHE_SIZE", cap):
+            server = BroadcastServer(DocumentStore(generate_collection(dtd, 12, seed=5)))
+            next_id = 100
+            for kind, value in steps:
+                if kind == "admit":
+                    server.resolve(pool[value % len(pool)])
+                elif kind == "add":
+                    generator = DocumentGenerator(dtd, GeneratorConfig(seed=value))
+                    server.add_document(generator.generate(next_id))
+                    next_id += 1
+                elif len(server.store) > 1:
+                    ids = sorted(server.store.by_id)
+                    server.remove_document(ids[value % len(ids)])
+                cache = server._resolution_cache
+                assert len(cache) <= cap
+                keys = list(cache)
+                fresh = resolve_on_guide(
+                    server.store.full_guide, [cache[key][0] for key in keys]
+                )
+                for key, truth in zip(keys, fresh):
+                    assert cache[key][1] == truth, key
+
+    def test_adds_reuse_one_compile_until_the_strings_change(self, monkeypatch):
+        dtd, pool = nitf_world()
+        server = BroadcastServer(DocumentStore(generate_collection(dtd, 12, seed=5)))
+        server.resolve_batch(pool[:10])
+        compiles = []
+        original = SharedPathNFA.freeze
+
+        def counted(nfa):
+            compiles.append(nfa)
+            return original(nfa)
+
+        monkeypatch.setattr(SharedPathNFA, "freeze", counted)
+        generator = DocumentGenerator(dtd, GeneratorConfig(seed=9))
+        for doc_id in (100, 101, 102):
+            server.add_document(generator.generate(doc_id))
+        server.remove_document(100)
+        assert len(compiles) == 1  # three adds and a removal, one compile
+        server.resolve(pool[10])  # a new string: the next add recompiles
+        server.add_document(generator.generate(103))
+        assert len(compiles) == 3  # the admission's own walk, then the add

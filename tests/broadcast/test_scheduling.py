@@ -235,8 +235,7 @@ class TestDemandTable:
         table = DemandTable()
         table.add_query(q)
         q.remaining_doc_ids = set()  # satisfied...
-        table.discard(0, q)
-        table.discard(1, q)  # ...and mirrored
+        table.drop(q, [0, 1])  # ...and mirrored
         assert table.snapshot(now=10) == {}
 
     def test_future_arrival_filtered_then_visible(self):
@@ -252,15 +251,28 @@ class TestDemandTable:
         table = DemandTable()
         for q in queries:
             table.add_query(q)
-        table.discard(1, queries[0])
+        table.drop(queries[0], [1])
         snap = table.snapshot(now=10)
         assert {q.query_id for q in snap[1]} == {1}
-        table.discard(1, queries[1])
+        table.drop(queries[1], [1])
         assert 1 not in table.snapshot(now=10)
         table.discard_doc(0)
         assert 0 not in table.snapshot(now=10)
-        # Discarding absent edges is a no-op, not an error.
-        table.discard(99, queries[0])
+        # Dropping absent edges is a no-op, not an error.
+        table.drop(queries[0], [99])
+
+    def test_pop_takes_an_aired_documents_eligible_waiters(self):
+        """One pop per aired document: the waiters arrived by *now*
+        leave together; a future arrival keeps its edge."""
+        queries = self._queries() + [pending(3, 50, {1})]
+        table = DemandTable()
+        for q in queries:
+            table.add_query(q)
+        assert {q.query_id for q in table.pop(1, now=10)} == {0, 1}
+        assert {q.query_id for q in table.snapshot(now=50)[1]} == {3}
+        assert list(table.pop(7, now=10)) == []  # nobody waits on it
+        assert {q.query_id for q in table.pop(1, now=50)} == {3}
+        assert 1 not in table.snapshot(now=50)
 
     def test_rank_with_table_matches_rank_without(self):
         store = tiny_store()

@@ -154,6 +154,22 @@ class TestBuildCycle:
         server.submit(parse_query("/a/b"), arrival_time=10_000)
         assert server.build_cycle(now=0) is None
 
+    def test_a_later_arrival_keeps_what_aired_before_it(self):
+        """An aired document leaves only the remaining sets of queries
+        that had arrived by the build; a later one still waits on it."""
+        server = BroadcastServer(paper_store(), cycle_data_capacity=1_000_000)
+        early = server.submit(parse_query("/a/b/a"), arrival_time=0)
+        late = server.submit(parse_query("/a/b/a"), arrival_time=10**9)
+        cycle = server.build_cycle(now=0)
+        assert early.is_satisfied and set(cycle.doc_ids) == {0, 1}
+        assert late.remaining_doc_ids == {0, 1}
+        assert server.pending == [late]
+        waiting = server.demand.snapshot(10**9)
+        assert {d: [q.query_id for q in w] for d, w in waiting.items()} == {
+            0: [late.query_id],
+            1: [late.query_id],
+        }
+
     def test_single_query_served_and_satisfied(self):
         server = BroadcastServer(paper_store(), cycle_data_capacity=1_000_000)
         pending = server.submit(parse_query("/a/b/a"), arrival_time=0)

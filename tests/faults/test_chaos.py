@@ -131,6 +131,27 @@ class TestTargetedPlans:
         assert sim.fault_stats["uplink_duplicates"] > 0
         assert sim.server.uplink_dedup_hits > 0
 
+    def test_late_duplicate_of_an_admitted_session_is_no_nack(self, nitf_docs):
+        """A duplicate reaching the server after its query's result set
+        emptied is a dedup hit: only a first admission can be NACKed."""
+        sim = ChaosSimulation(
+            chaos_config(FaultPlan(checksum=False)), documents=nitf_docs
+        )
+        plans = sorted(
+            sim.workload.initial_batch(),
+            key=lambda plan: len(sim.server.resolve(plan.query)),
+        )
+        sim._admit_batch(plans[:1])
+        (session,) = sim.sessions
+        assert session.pending is not None
+        for doc_id in session.pending.result_doc_ids:
+            sim.server.remove_document(doc_id)
+        assert not sim.server.resolve(session.plan.query)
+        sim._submit([session], 5)
+        assert sim.sessions == [session] and not session.rejected
+        assert sim.fault_stats["uplink_rejections"] == 0
+        assert sim.server.uplink_dedup_hits == 1
+
     def test_run_simulation_routes_to_chaos(self, nitf_docs):
         from repro.sim.simulation import run_simulation
 
