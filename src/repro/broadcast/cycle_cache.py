@@ -229,7 +229,10 @@ class CycleBuildCache:
             self._dfas.move_to_end(key)
             self._count("dfa_hits", "server.dfa_cache_hits_total")
             return dfa
-        dfa = LazyQueryDFA.from_queries(list(queries))
+        # One query per string: pruning reads only whether some query
+        # accepts or stays live, never which, so duplicates add nothing.
+        distinct = {str(query): query for query in queries}
+        dfa = LazyQueryDFA.from_queries(list(distinct.values()))
         self._dfas[key] = dfa
         while len(self._dfas) > DFA_CACHE_SIZE:
             self._dfas.popitem(last=False)

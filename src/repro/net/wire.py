@@ -35,14 +35,14 @@ identically to the simulator -- the parity the differential test pins.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.broadcast.packets import CycleLayout, PacketKind, Segment
+from repro.broadcast.partition import PartitionMap
 from repro.broadcast.program import (
     BroadcastCycle,
     IndexScheme,
@@ -301,15 +301,33 @@ def _is_a(value: object, kinds: Tuple[type, ...]) -> bool:
     return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
 
 
+def _check_placement(cluster: object) -> None:
+    """Refuse a ``cluster`` header value a client cannot check placement
+    against: it must name an integer shard and epoch and a partition map
+    :meth:`~repro.broadcast.partition.PartitionMap.from_description`
+    accepts."""
+    if not (
+        isinstance(cluster, dict)
+        and _is_a(cluster.get("shard"), (int,))
+        and _is_a(cluster.get("epoch", 0), (int,))
+        and isinstance(cluster.get("map"), dict)
+    ):
+        raise WireProtocolError(f"bad cluster placement {cluster!r}")
+    try:
+        PartitionMap.from_description(cluster["map"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WireProtocolError(f"bad partition map: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class _CycleHeader:
     """A CYCLE_BEGIN header, checked once where it is parsed.
 
     The header is outside input.  Everything the decoder goes on to read
     from it is present, of the right JSON type, in range and a known
-    enum value, or :meth:`parse` raises :class:`WireProtocolError`; keys
-    the decoder does not read (``cluster``, ``plan``, ...) pass through
-    in ``fields`` untouched.
+    enum value, or :meth:`parse` raises :class:`WireProtocolError`.  So
+    are the ``plan`` and ``cluster`` values the client goes on to read;
+    keys nobody reads pass through in ``fields`` untouched.
     """
 
     fields: Dict
@@ -347,6 +365,15 @@ class _CycleHeader:
             or not 1 <= num_channels <= 256**CHANNEL_ID_BYTES
         ):
             raise WireProtocolError(f"bad data channel count {num_channels!r}")
+        plan = fields.get("plan")
+        if plan is not None and not (
+            isinstance(plan, dict)
+            and _is_a(plan.get("k", 1), (int,))
+            and 1 <= plan.get("k", 1) <= 256**CHANNEL_ID_BYTES
+        ):
+            raise WireProtocolError(f"bad control plan {plan!r}")
+        if fields.get("cluster") is not None:
+            _check_placement(fields["cluster"])
         if not all(_is_a(doc_id, (int,)) for doc_id in fields["doc_ids"]):
             raise WireProtocolError("cycle header schedules a non-integer doc id")
         segments = []
@@ -385,6 +412,26 @@ class _CycleHeader:
             raise WireProtocolError(f"bad cycle header: {exc}") from exc
 
 
+@dataclass
+class _SharedCycle:
+    """One cycle header's decode, shared by every decoder in the process.
+
+    ``frames`` (every frame after CYCLE_BEGIN, CYCLE_END last) and
+    ``cycle`` stay ``None`` until the first decoder to reach CYCLE_END
+    decodes them; both are written once and never change after.
+    """
+
+    header: _CycleHeader
+    frames: Optional[Tuple[Tuple[FrameKind, bytes], ...]] = None
+    cycle: Optional[BroadcastCycle] = None
+
+
+#: the frame kinds a cycle holds after its CYCLE_BEGIN
+_CYCLE_FRAMES = frozenset(
+    (FrameKind.INDEX, FrameKind.OFFSETS, FrameKind.DOC, FrameKind.CYCLE_END)
+)
+
+
 class CycleDecoder:
     """Reassemble streamed frames into a verified broadcast cycle.
 
@@ -395,21 +442,36 @@ class CycleDecoder:
     header's -- the byte-for-byte parity check.
 
     Decoding is a pure function of the cycle's frame bytes, so decoders
-    share a small process-wide cache keyed by a running digest of every
-    frame fed since CYCLE_BEGIN: when many clients in one process tune
-    to the same broadcast, the first subscriber pays the full decode
-    (index tree, packings, signature check) and the rest reuse it.
-    Consumers treat decoded cycles as read-only (the access protocols
-    only ever read them -- the parity suite pins this), and any byte
-    difference -- a tampered frame -- changes the digest and misses the
-    cache; the daemon sends every subscriber the same cycle bytes (trace
-    timelines travel beside the cycle, as uplink ``TRACE`` lines), so
-    co-located clients always hit.  ``share=False`` opts a decoder out
-    entirely.
+    in one process share a small LRU keyed by ``(verify, CYCLE_BEGIN
+    bytes)``; the daemon sends every subscriber the same cycle bytes
+    (trace timelines travel beside the cycle, as uplink ``TRACE``
+    lines), so co-located clients decode each cycle once:
+
+    * the header is parsed once, by the first decoder to see it;
+    * until some decoder has decoded the cycle, the others only record
+      its frames -- under pacing every subscriber begins a cycle before
+      any of them ends it;
+    * the first decoder to reach CYCLE_END runs the full, verifying
+      decode (DOC heads, index tree, packings, signature check) and
+      stores the frames it was fed with the decoded cycle;
+    * every other decoder follows that entry: it accepts each frame only
+      if it is identical in kind and bytes to the entry's frame at the
+      same position, and gets the shared cycle at CYCLE_END.
+
+    On the first difference a follower replays what it was fed through
+    the full decode and carries on there, so a hit needs byte equality
+    of every frame and a tampered stream never receives the cached
+    cycle.  Structural errors (CYCLE_BEGIN inside an open cycle, a frame
+    outside a cycle, an unknown kind) are raised at the frame that
+    causes them; a malformed DOC head reaching a decoder that is still
+    recording is raised at CYCLE_END.  Consumers treat decoded cycles and
+    :attr:`last_header` as read-only (the access protocols only ever read
+    them -- the parity suite pins this).  ``share=False`` and
+    ``keep_documents=True`` decode every frame in full and share nothing.
     """
 
-    #: ``(verify, digest) -> decoded cycle`` LRU shared by all decoders
-    _shared_cycles: "OrderedDict[Tuple[bool, bytes], BroadcastCycle]" = OrderedDict()
+    #: ``(verify, CYCLE_BEGIN payload) -> entry`` LRU shared by all decoders
+    _shared_cycles: "OrderedDict[Tuple[bool, bytes], _SharedCycle]" = OrderedDict()
     _SHARED_MAX = 8
 
     def __init__(
@@ -421,12 +483,18 @@ class CycleDecoder:
         self.verify = verify
         self.keep_documents = keep_documents
         self.share = share
-        self._digest = hashlib.sha256()
         self.header: Optional[_CycleHeader] = None
         #: header of the most recently completed cycle (survives the
         #: per-cycle reset; callers read the signature from it)
         self.last_header: Optional[Dict] = None
         self.documents: Dict[int, bytes] = {}
+        #: the shared entry this cycle records toward or follows
+        #: (``None``: decoding every frame in full)
+        self._shared: Optional[_SharedCycle] = None
+        #: frames fed while no decoder had decoded the cycle yet
+        self._fed: List[Tuple[FrameKind, bytes]] = []
+        #: how many of the entry's frames this cycle has matched
+        self._matched = 0
         self._index_payload: Optional[bytes] = None
         self._offsets_payload: Optional[bytes] = None
         self._doc_offsets: Dict[int, int] = {}
@@ -434,24 +502,77 @@ class CycleDecoder:
         self._doc_channels: Dict[int, int] = {}
 
     def feed(self, kind: FrameKind, payload: bytes) -> Optional[BroadcastCycle]:
-        # Length-delimited so frame boundaries cannot alias in the digest.
-        self._digest.update(kind.name.encode("ascii"))
-        self._digest.update(len(payload).to_bytes(4, "big"))
-        self._digest.update(payload)
         if kind is FrameKind.CYCLE_BEGIN:
             if self.header is not None:
                 raise WireProtocolError("CYCLE_BEGIN inside an open cycle")
-            self.header = _CycleHeader.parse(payload)
+            self._begin(payload)
             return None
         if self.header is None:
             raise WireProtocolError(f"{kind.name} frame outside a cycle")
+        if kind not in _CYCLE_FRAMES:
+            raise WireProtocolError(f"unexpected {kind.name} frame in cycle stream")
+        shared = self._shared
+        if shared is None:
+            return self._decode(kind, payload)
+        frames = shared.frames
+        if frames is None:
+            if kind is not FrameKind.CYCLE_END:
+                self._fed.append((kind, payload))
+                return None
+            # First to finish: decode in full, then share the result.
+            fed, self._fed = self._fed, []
+            shared.cycle = self._replay(fed, kind, payload)
+            shared.frames = (*fed, (kind, payload))  # last: followers key on it
+            return shared.cycle
+        if self._fed:
+            # Another decoder finished while this one recorded: check the
+            # recording against its frames, then follow them.
+            fed, self._fed = self._fed, []
+            if frames[: len(fed)] != tuple(fed):
+                return self._replay(fed, kind, payload)
+            self._matched = len(fed)
+        matched = self._matched
+        expected_kind, expected = frames[matched]
+        if expected_kind is kind and expected == payload:
+            if kind is FrameKind.CYCLE_END:
+                return self._end(shared.cycle)
+            self._matched = matched + 1
+            return None
+        # First difference: the stream so far is the entry's prefix.
+        return self._replay(frames[:matched], kind, payload)
+
+    def _begin(self, payload: bytes) -> None:
+        if not self.share or self.keep_documents:
+            self.header = _CycleHeader.parse(payload)
+            return
+        cache = type(self)._shared_cycles
+        key = (self.verify, payload)
+        shared = cache.get(key)
+        if shared is None:
+            shared = cache[key] = _SharedCycle(_CycleHeader.parse(payload))
+            while len(cache) > self._SHARED_MAX:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(key)
+        self._shared, self._matched = shared, 0
+        self.header = shared.header
+
+    def _replay(
+        self, fed: Sequence[Tuple[FrameKind, bytes]], kind: FrameKind, payload: bytes
+    ) -> Optional[BroadcastCycle]:
+        """Stop sharing: decode the frames *fed* so far, then this one, in full."""
+        self._shared = None
+        for frame in fed:
+            self._decode(*frame)
+        return self._decode(kind, payload)
+
+    def _decode(self, kind: FrameKind, payload: bytes) -> Optional[BroadcastCycle]:
+        """The full decode of one frame after CYCLE_BEGIN."""
         if kind is FrameKind.INDEX:
             self._index_payload = payload
-            return None
-        if kind is FrameKind.OFFSETS:
+        elif kind is FrameKind.OFFSETS:
             self._offsets_payload = payload
-            return None
-        if kind is FrameKind.DOC:
+        elif kind is FrameKind.DOC:
             head, _, body = payload.partition(b"\n")
             try:
                 info = json.loads(head.decode("utf-8"))
@@ -469,27 +590,20 @@ class CycleDecoder:
                 raise WireProtocolError("malformed document header") from exc
             if self.keep_documents:
                 self.documents[doc_id] = body
-            return None
-        if kind is FrameKind.CYCLE_END:
-            cache = type(self)._shared_cycles
-            key = (self.verify, self._digest.digest())
-            cycle = cache.get(key) if self.share else None
-            if cycle is not None:
-                cache.move_to_end(key)
-            else:
-                cycle = self._finish()
-                if self.share:
-                    cache[key] = cycle
-                    while len(cache) > self._SHARED_MAX:
-                        cache.popitem(last=False)
-            self.last_header = self.header.fields
-            self._reset()
-            return cycle
-        raise WireProtocolError(f"unexpected {kind.name} frame in cycle stream")
+        else:
+            return self._end(self._finish())
+        return None
+
+    def _end(self, cycle: BroadcastCycle) -> BroadcastCycle:
+        assert self.header is not None
+        self.last_header = self.header.fields
+        self._reset()
+        return cycle
 
     def _reset(self) -> None:
-        self._digest = hashlib.sha256()
         self.header = None
+        self._shared = None
+        self._matched = 0
         self._index_payload = None
         self._offsets_payload = None
         self._doc_offsets = {}

@@ -6,6 +6,7 @@ import pytest
 
 from repro.broadcast.cycle_cache import DFA_CACHE_SIZE, CycleBuildCache, query_key_of
 from repro.broadcast.server import DocumentStore, build_ci_from_store
+from repro.index.pruning import prune_to_pci
 from repro.xmlkit.model import XMLDocument, build_element
 from repro.xpath.parser import parse_query
 
@@ -134,6 +135,20 @@ class TestPCILayer:
         first = cache.pci_for(ci, requested, queries)
         second = cache.pci_for(ci, requested, list(reversed(queries)))
         assert first[0] is second[0]
+
+    def test_repeated_strings_compile_once_and_prune_the_same(self, compiles):
+        """The pruning DFA takes one query per string: the PCI is the one
+        every pending copy would prune to."""
+        requested = frozenset({0, 1, 2, 3, 4})
+        texts = ["/a/b", "/a//c", "/a/b", "/a//c", "/a/b"]
+        cache = CycleBuildCache(paper_store())
+        ci = cache.ci_for(requested)
+        pci, _ = cache.pci_for(ci, requested, [parse_query(t) for t in texts])
+        assert [[str(q) for q in queries] for queries in compiles] == [
+            ["/a/b", "/a//c"]
+        ]
+        full, _ = prune_to_pci(ci, [parse_query(t) for t in texts])
+        assert ci_form(pci) == ci_form(full)
 
     def test_requested_change_misses(self):
         cache = CycleBuildCache(paper_store())

@@ -31,7 +31,9 @@ from repro.net import (
 )
 from repro.net.framing import FrameKind, encode_frame, encode_text, read_frame
 from repro.net.uplink import round_trip
+from repro.net.wire import encode_cycle
 from repro.sim.config import small_setup
+from repro.sim.simulation import make_server
 from repro.tools.persist import QueryJournal
 from repro.xpath.generator import generate_workload
 
@@ -354,3 +356,52 @@ class TestWireError:
         assert error.frame_kind == "CYCLE_BEGIN"
         assert error.phase == "decode"
         assert "malformed cycle header" in str(error)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("plan", 5),
+            ("plan", {"k": "x"}),
+            ("cluster", 7),
+            ("cluster", {"shard": "a"}),
+            ("cluster", {"shard": 0, "epoch": 0, "map": 3}),
+        ],
+        ids=repr,
+    )
+    def test_hostile_plan_or_cluster_raises_typed_error(self, full_docs, key, value):
+        """The ``plan`` and ``cluster`` keys of an otherwise honest
+        CYCLE_BEGIN are refused where the header is parsed, so the session
+        ends in a typed WireError, not in the client's reads of them."""
+        store = DocumentStore(full_docs, BASE.size_model)
+        server = make_server(BASE, store)
+        server.submit(generate_workload(full_docs, 1, seed=33)[0], arrival_time=0)
+        cycle = server.build_cycle()
+        frames = encode_cycle(cycle, store, **{key: value})
+
+        async def fake_worker(reader, writer):
+            while True:
+                kind, payload = await read_frame(reader)
+                line = payload.decode()
+                if line.startswith("TUNE"):
+                    writer.write(encode_text('TUNED {"num_channels": 1}'))
+                elif line.startswith("SUBMIT"):
+                    writer.write(encode_text("ACK 0 0"))
+                    for frame in frames:
+                        writer.write(encode_frame(frame.kind, frame.payload))
+                await writer.drain()
+
+        async def body():
+            server = await asyncio.start_server(fake_worker, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                client = AsyncTwoTierClient("//nitf", port=port)
+                with pytest.raises(WireError) as excinfo:
+                    await client.run()
+                return excinfo.value
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        error = _run(body())
+        assert error.frame_kind == "CYCLE_BEGIN"
+        assert error.phase == "decode"
