@@ -76,6 +76,8 @@ DFA_CACHE_SIZE = 16
 
 #: Frozen set of query strings -- the cache key of the DFA/PCI layers.
 QueryKey = FrozenSet[str]
+#: The PCI layer's key: the requested document set and the query key.
+PCIKey = Tuple[FrozenSet[int], QueryKey]
 
 
 def query_key_of(queries: Sequence[XPathQuery]) -> QueryKey:
@@ -100,10 +102,8 @@ class CycleBuildCache:
         self._ci_index: Optional[CompactIndex] = None
         # DFA layer (LRU, most-recently-used last)
         self._dfas: "OrderedDict[QueryKey, LazyQueryDFA]" = OrderedDict()
-        # PCI layer
-        self._pci_key: Optional[Tuple[FrozenSet[int], QueryKey]] = None
-        self._pci: Optional[CompactIndex] = None
-        self._pci_stats: Optional[PruningStats] = None
+        # PCI layer: (requested set, query-string set), its PCI and stats
+        self._pci: Optional[Tuple[PCIKey, CompactIndex, PruningStats]] = None
 
         #: plain-int mirror of the obs counters so tests and benchmarks can
         #: assert cache behaviour without enabling a registry
@@ -134,11 +134,11 @@ class CycleBuildCache:
         obs.counter("server.cycle_cache_invalidations_total").inc()
         if doc_id is None:
             self._drop_ci()
-            self._drop_pci()
+            self._pci = None
             self._dfas.clear()
             return
-        if self._pci_key is not None and doc_id in self._pci_key[0]:
-            self._drop_pci()
+        if self._pci is not None and doc_id in self._pci[0][0]:
+            self._pci = None
         if self._ci_requested is not None and doc_id in self._ci_requested:
             remaining = self._ci_requested - {doc_id}
             guide = self.store.guides.get(doc_id)
@@ -155,11 +155,6 @@ class CycleBuildCache:
         self._ci_requested = None
         self._ci_guide = None
         self._ci_index = None
-
-    def _drop_pci(self) -> None:
-        self._pci_key = None
-        self._pci = None
-        self._pci_stats = None
 
     # ------------------------------------------------------------------
     # CI layer
@@ -252,17 +247,11 @@ class CycleBuildCache:
         """Prune *ci* against *queries*, reusing last cycle's PCI when both
         the requested set and the query-string set are unchanged."""
         key = (requested, query_key_of(queries))
-        if (
-            self._pci is not None
-            and self._pci_stats is not None
-            and key == self._pci_key
-        ):
+        if self._pci is not None and key == self._pci[0]:
             self._count("pci_hits", "server.pci_cache_hits_total")
-            return self._pci, self._pci_stats
+            return self._pci[1], self._pci[2]
         pci, stats = prune_to_pci(ci, queries, dfa=self.dfa_for(key[1], queries))
-        self._pci_key = key
-        self._pci = pci
-        self._pci_stats = stats
+        self._pci = (key, pci, stats)
         self._count("pci_misses", "server.pci_cache_misses_total")
         return pci, stats
 
@@ -275,15 +264,10 @@ class CycleBuildCache:
         updates the cache.  ``None`` when no such PCI is held (cold
         cache, different query set, or a collection mutation dropped it).
         """
-        if (
-            self._pci is None
-            or self._pci_stats is None
-            or self._pci_key is None
-            or self._pci_key[1] != query_key_of(queries)
-        ):
+        if self._pci is None or self._pci[0][1] != query_key_of(queries):
             return None
         self._count("pci_stale_served", "server.pci_cache_stale_served_total")
-        return self._pci, self._pci_stats
+        return self._pci[1], self._pci[2]
 
     # ------------------------------------------------------------------
     # Accounting

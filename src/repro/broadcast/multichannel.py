@@ -53,6 +53,30 @@ if TYPE_CHECKING:  # pragma: no cover
 ALLOCATION_POLICIES: Tuple[str, ...] = ("round-robin", "balanced", "demand")
 
 
+def check_channel_shape(
+    num_channels: int,
+    policy: str = "balanced",
+    two_tier: bool = True,
+    hot: bool = False,
+) -> None:
+    """The channel-shape rule, which every place that configures or builds
+    a channel layout checks here: K >= 1; K > 1 needs the two-tier scheme
+    (only its second tier carries channel assignments); the *policy* is
+    one of :data:`ALLOCATION_POLICIES`; a *hot* set needs K >= 2 (the
+    fast-repeat channel cannot be the only data channel).
+    """
+    if num_channels < 1:
+        raise ValueError(f"need at least 1 data channel, not {num_channels}")
+    if num_channels > 1 and not two_tier:
+        raise ValueError("multi-channel broadcast requires the two-tier scheme")
+    if policy not in ALLOCATION_POLICIES:
+        raise ValueError(
+            f"unknown allocation policy {policy!r}; choose from {ALLOCATION_POLICIES}"
+        )
+    if hot and num_channels < 2:
+        raise ValueError("a fast-repeat hot channel needs at least 2 data channels")
+
+
 def allocate_channels(
     scheduled_doc_ids: Sequence[int],
     store: "DocumentStore",
@@ -74,30 +98,17 @@ def allocate_channels(
     style **fast-repeat channel**: scheduled documents in the hot set are
     pinned to channel 0 in schedule order, and the cold remainder is
     split across the other ``num_channels - 1`` channels by *policy*.
-    Requires ``num_channels >= 2`` when any scheduled document is hot
-    (a hot channel cannot consume the only data channel); an empty or
-    non-scheduled hot set degenerates to the plain policy split, so
-    static runs (no controller, no hot set) are unaffected.
+    An empty or non-scheduled hot set degenerates to the plain policy
+    split, so static runs (no controller, no hot set) are unaffected.
     """
-    if num_channels < 1:
-        raise ValueError("num_channels must be at least 1")
-    if policy not in ALLOCATION_POLICIES:
-        raise ValueError(
-            f"unknown allocation policy {policy!r}; "
-            f"choose from {ALLOCATION_POLICIES}"
+    hot_set = set(hot_doc_ids or ())
+    hot_scheduled = [d for d in scheduled_doc_ids if d in hot_set] if hot_set else []
+    check_channel_shape(num_channels, policy, hot=bool(hot_scheduled))
+    if hot_scheduled:
+        cold = [d for d in scheduled_doc_ids if d not in hot_set]
+        return [hot_scheduled] + allocate_channels(
+            cold, store, num_channels - 1, policy, demand_sets
         )
-    if hot_doc_ids:
-        hot_set = set(hot_doc_ids)
-        hot_scheduled = [d for d in scheduled_doc_ids if d in hot_set]
-        if hot_scheduled:
-            if num_channels < 2:
-                raise ValueError(
-                    "a fast-repeat hot channel needs at least 2 data channels"
-                )
-            cold = [d for d in scheduled_doc_ids if d not in hot_set]
-            return [hot_scheduled] + allocate_channels(
-                cold, store, num_channels - 1, policy, demand_sets
-            )
     if num_channels == 1:
         return [list(scheduled_doc_ids)]
     queues: List[List[int]] = [[] for _ in range(num_channels)]

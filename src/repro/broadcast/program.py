@@ -50,7 +50,7 @@ from typing import (
 )
 
 from repro import obs
-from repro.broadcast.multichannel import allocate_channels
+from repro.broadcast.multichannel import allocate_channels, check_channel_shape
 from repro.broadcast.packets import CycleLayout, PacketKind, Segment
 from repro.filtering.dfa import LazyQueryDFA
 from repro.index.ci import CompactIndex, LookupResult
@@ -98,11 +98,6 @@ class BroadcastCycle:
     #: part of the program signature -- the signature covers the physical
     #: assignment itself)
     allocation: str = "balanced"
-    #: scheduled documents pinned to the fast-repeat channel (adaptive
-    #: control plane); empty for static runs.  Reporting only -- the
-    #: physical placement itself is covered by ``doc_channels`` (and
-    #: therefore by the program signature).
-    hot_doc_ids: Tuple[int, ...] = ()
     #: channel byte-time at which the cycle starts (set by the server)
     start_time: int = 0
     #: ``None`` for a full-quality build; ``"pci-stale"`` or
@@ -191,12 +186,7 @@ def build_cycle_program(
     demand/hot inputs of :func:`~repro.broadcast.multichannel.
     allocate_channels`.
     """
-    if scheme is not IndexScheme.TWO_TIER and num_channels > 1:
-        raise ValueError(
-            "multi-channel broadcast requires the two-tier scheme: the "
-            "one-tier index embeds per-cycle document pointers and has "
-            "no second tier to carry channel assignments"
-        )
+    check_channel_shape(num_channels, allocation, two_tier=scheme is IndexScheme.TWO_TIER)
     size_model: SizeModel = pci.size_model
     with obs.span("server.index_packing"):
         packed_one = pack_index(pci, one_tier=True)
@@ -256,8 +246,6 @@ def build_cycle_program(
         checksum_bytes=size_model.checksum_bytes,
     )
 
-    hot_set = set(hot_doc_ids)
-    hot_on_air = tuple(d for d in scheduled_doc_ids if d in hot_set) if hot_set else ()
     return BroadcastCycle(
         cycle_number=cycle_number,
         scheme=scheme,
@@ -274,7 +262,6 @@ def build_cycle_program(
         channel_queues=tuple(tuple(queue) for queue in queues),
         channel_spans=tuple(spans),
         allocation=allocation,
-        hot_doc_ids=hot_on_air,
     )
 
 

@@ -11,6 +11,12 @@ broadcast cycles: per cycle it
 4. asks the scheduler which documents fill the cycle's data capacity,
 5. assembles the cycle program and advances per-query bookkeeping.
 
+:meth:`BroadcastServer.build_cycle` does step 1, decides once whether
+the build is overloaded, and runs the rest as four stages: **index**
+(2-3; on an overloaded build, the degradation ladder), **schedule** (4,
+then hot-set forcing), **assemble** (the program of 5) and **record**
+(the bookkeeping of 5, the :class:`CycleRecord` and its metrics).
+
 A query leaves the pending queue once every document of its result set
 has been broadcast since its arrival (the client listening for it has had
 the chance to download everything).
@@ -37,7 +43,7 @@ from typing import (
 
 from repro import obs
 from repro.broadcast.cycle_cache import CycleBuildCache
-from repro.broadcast.multichannel import ALLOCATION_POLICIES
+from repro.broadcast.multichannel import check_channel_shape
 from repro.broadcast.program import (
     BroadcastCycle,
     IndexScheme,
@@ -268,6 +274,39 @@ class CycleRecord:
             degraded=cycle.degraded,
         )
 
+    def emit(
+        self,
+        registry: Union[obs.MetricsRegistry, obs.NullRegistry],
+        cycle: BroadcastCycle,
+        scheduler: str,
+    ) -> None:
+        """Count this cycle into *registry*: the record's byte and
+        document totals, its assembly time, and (K > 1) *cycle*'s
+        per-channel split."""
+        registry.counter("server.cycles_total").inc()
+        registry.counter("server.broadcast_bytes_total").inc(self.total_bytes)
+        registry.counter("server.data_bytes_total").inc(self.data_bytes)
+        registry.counter("server.index_bytes_total").inc(
+            self.total_bytes - self.data_bytes
+        )
+        registry.counter("server.scheduled_docs_total").inc(self.scheduled_docs)
+        registry.histogram(
+            "server.cycle_assembly_seconds", scheduler=scheduler
+        ).observe(self.phase_seconds["cycle_assembly"])
+        # Per-channel families describe a split data segment; a K = 1
+        # cycle's one channel is already data_bytes_total above.
+        if cycle.num_data_channels > 1:
+            for channel, span_bytes in enumerate(cycle.channel_spans):
+                registry.counter(
+                    "server.channel_air_bytes_total", channel=str(channel)
+                ).inc(span_bytes)
+                registry.counter(
+                    "server.channel_docs_total", channel=str(channel)
+                ).inc(len(cycle.channel_queues[channel]))
+            registry.counter("server.channel_idle_bytes_total").inc(
+                cycle.idle_padding_bytes
+            )
+
 
 class BroadcastServer:
     """On-demand XML broadcast server."""
@@ -285,15 +324,11 @@ class BroadcastServer:
     ) -> None:
         if cycle_data_capacity <= 0:
             raise ValueError("cycle_data_capacity must be positive")
-        if num_data_channels < 1:
-            raise ValueError("num_data_channels must be at least 1")
-        if num_data_channels > 1 and scheme is not IndexScheme.TWO_TIER:
-            raise ValueError("multi-channel broadcast requires the two-tier scheme")
-        if channel_allocation not in ALLOCATION_POLICIES:
-            raise ValueError(
-                f"unknown channel allocation {channel_allocation!r}; "
-                f"choose from {ALLOCATION_POLICIES}"
-            )
+        check_channel_shape(
+            num_data_channels,
+            channel_allocation,
+            two_tier=scheme is IndexScheme.TWO_TIER,
+        )
         self.store = store
         self.scheduler = scheduler or LeeLoScheduler(store)
         self.scheme = scheme
@@ -525,201 +560,188 @@ class BroadcastServer:
     def build_cycle(self, now: Optional[int] = None) -> Optional[BroadcastCycle]:
         """Assemble and "broadcast" the next cycle; ``None`` when idle.
 
-        Advances the server clock past the emitted cycle and updates the
-        pending queries' remaining sets.
+        Runs the four stages (module docstring), each fed only what the
+        ones before it produced.  Advances the server clock past the
+        emitted cycle and updates the pending queries' remaining sets.
         """
         if now is None:
             now = self.clock
         active = self.active_pending(now)
         if not active:
             return None
-
         registry = obs.get_registry()
-        observing = registry.enabled
-        totals_before = registry.span_totals("server.") if observing else {}
-
-        with registry.span("server.build_cycle"):
-            requested: Set[int] = set()
-            for query in active:
-                requested.update(query.remaining_doc_ids)
-            queries = [query.query for query in active]
-
-            requested_key = frozenset(requested)
-            with registry.span("server.ci_build"):
-                if self.cache is not None:
-                    ci = self.cache.ci_for(requested_key)
-                else:
-                    ci = build_ci_from_store(self.store, requested)
-
-            # The CI is built even when overloaded: it is the
-            # "ci-unpruned" fallback, so what an overloaded cycle skips
-            # is the pruning phase.
-            overloaded = (
-                self.force_overload is not None
-                and self.force_overload(self.cycle_number)
-            )
-            degraded: Optional[str] = None
-            if not overloaded:
-                with registry.span("server.prune_to_pci"):
-                    if self.cache is not None:
-                        pci, pruning_stats = self.cache.pci_for(
-                            ci, requested_key, queries
-                        )
-                    else:
-                        pci, pruning_stats = prune_to_pci(ci, queries)
-            else:
-                # Overloaded: skip the pruning phase and walk down the
-                # degradation ladder -- the cycle still airs on time.
-                with registry.span("server.degraded_build"):
-                    pci, pruning_stats, degraded = self._degraded_pci(
-                        ci, queries
-                    )
-                self.degraded_cycles += 1
-                obs.counter(
-                    "server.degraded_cycles_total",
-                    mode=degraded,
-                    reason="forced",
-                ).inc()
-
-            with registry.span("server.scheduling"):
-                # Capacity is per data channel: K parallel channels carry K
-                # full data segments in the same wall-clock span, so the
-                # scheduler may fill K times the single-channel budget.
-                capacity = self.cycle_data_capacity * self.num_data_channels
-                scheduled = self.scheduler.select(
-                    active,
-                    self.store,
-                    capacity,
-                    now,
-                    demand=self.demand if self.cache is not None else None,
-                )
-                hot_on_air = self._force_hot_schedule(scheduled, requested, capacity)
-                if hot_on_air:
-                    scheduled = hot_on_air[1]
-                    hot_scheduled: Tuple[int, ...] = hot_on_air[0]
-                else:
-                    hot_scheduled = ()
-            with registry.span("server.cycle_assembly") as assembly_span:
-                demand_sets = None
-                if self.channel_allocation == "demand":
-                    demand_sets = {
-                        doc_id: frozenset(q.query_id for q in queries_for)
-                        for doc_id, queries_for in self.demand.items_for(now)
-                    }
-                cycle = build_cycle_program(
-                    cycle_number=self.cycle_number,
-                    pci=pci,
-                    scheduled_doc_ids=scheduled,
-                    store=self.store,
-                    scheme=self.scheme,
-                    num_channels=self.num_data_channels,
-                    allocation=self.channel_allocation,
-                    demand_sets=demand_sets,
-                    hot_doc_ids=hot_scheduled,
-                )
-        cycle.start_time = now
-        cycle.degraded = degraded
-
-        phase_seconds: Dict[str, float] = {}
-        if observing:
-            # Attribute this cycle's share of every server span (including
-            # the nested two_tier_split inside cycle assembly) by diffing
-            # the aggregate totals around the build.
-            for name, (count, total) in registry.span_totals("server.").items():
-                if name == "server.build_cycle":
-                    continue
-                previous_count, previous_total = totals_before.get(name, (0, 0.0))
-                if count > previous_count:
-                    phase_seconds[name[len("server."):]] = total - previous_total
-            registry.counter("server.cycles_total").inc()
-            registry.counter("server.broadcast_bytes_total").inc(cycle.total_bytes)
-            registry.counter("server.data_bytes_total").inc(cycle.data_bytes)
-            registry.counter("server.index_bytes_total").inc(
-                cycle.total_bytes - cycle.data_bytes
-            )
-            registry.counter("server.scheduled_docs_total").inc(len(scheduled))
-            registry.histogram(
-                "server.cycle_assembly_seconds", scheduler=self.scheduler.name
-            ).observe(assembly_span.elapsed)
-            # Per-channel families describe a split data segment; a K = 1
-            # cycle's one channel is already data_bytes_total above.
-            if cycle.num_data_channels > 1:
-                for channel, span_bytes in enumerate(cycle.channel_spans):
-                    registry.counter(
-                        "server.channel_air_bytes_total", channel=str(channel)
-                    ).inc(span_bytes)
-                    registry.counter(
-                        "server.channel_docs_total", channel=str(channel)
-                    ).inc(len(cycle.channel_queues[channel]))
-                registry.counter("server.channel_idle_bytes_total").inc(
-                    cycle.idle_padding_bytes
-                )
-
-        for query in active:
-            if query.first_indexed_cycle is None:
-                query.first_indexed_cycle = cycle.cycle_number
-        if not self.acknowledged_delivery:  # broadcast counts as received
-            for doc_id in scheduled:
-                for query in self.demand.pop(doc_id, now):
-                    remaining = query.remaining_doc_ids
-                    remaining.discard(doc_id)
-                    if not remaining:
-                        query.satisfy(cycle)
-        self._reap_satisfied()
-
-        self.records.append(
-            CycleRecord.of(
-                cycle, len(active), len(requested), pruning_stats, phase_seconds
-            )
+        totals_before = registry.span_totals("server.") if registry.enabled else None
+        requested = frozenset().union(*[query.remaining_doc_ids for query in active])
+        overloaded = (
+            self.force_overload is not None and self.force_overload(self.cycle_number)
         )
-        self.cycle_number += 1
-        self.clock = cycle.end_time
+        with registry.span("server.build_cycle"):
+            pci, pruning, degraded = self._index_stage(active, requested, overloaded)
+            scheduled = self._schedule_stage(active, requested, now)
+            cycle = self._assemble_stage(pci, scheduled, now, degraded)
+        self._record_stage(cycle, active, len(requested), pruning, totals_before)
         return cycle
 
-    def _force_hot_schedule(
+    def _index_stage(
         self,
-        scheduled: Sequence[int],
-        requested: Set[int],
-        capacity: int,
-    ) -> Optional[Tuple[Tuple[int, ...], List[int]]]:
-        """Force still-demanded hot documents into the schedule.
+        active: Sequence[PendingQuery],
+        requested: FrozenSet[int],
+        overloaded: bool,
+    ) -> Tuple[CompactIndex, PruningStats, Optional[str]]:
+        """Index: the CI over *requested*, then its PCI; returns the index
+        to air, its pruning stats and the ladder rung (``None`` if none).
+
+        An *overloaded* build skips pruning and walks down the degradation
+        ladder so the cycle still airs on time.  Rung 1, **stale PCI**: the
+        cache's PCI for the same query-string set, as-is (every annotation
+        was a true result when pruned; clients that have not read the first
+        tier defer on it).  Rung 2, **unpruned CI**: complete for the
+        requested set, just bigger on air.  Neither rung is cached.
+        """
+        queries = [query.query for query in active]
+        cache = self.cache
+        with obs.span("server.ci_build"):
+            if cache is not None:
+                ci = cache.ci_for(requested)
+            else:
+                ci = build_ci_from_store(self.store, requested)
+        if not overloaded:
+            with obs.span("server.prune_to_pci"):
+                if cache is not None:
+                    pci, pruning = cache.pci_for(ci, requested, queries)
+                else:
+                    pci, pruning = prune_to_pci(ci, queries)
+            return pci, pruning, None
+        with obs.span("server.degraded_build"):
+            stale = cache.stale_pci(queries) if cache is not None else None
+            if stale is not None:
+                pci, pruning, rung = stale[0], stale[1], "pci-stale"
+            else:
+                pci, pruning, rung = ci, PruningStats.between(ci, ci), "ci-unpruned"
+        self.degraded_cycles += 1
+        obs.counter("server.degraded_cycles_total", mode=rung, reason="forced").inc()
+        return pci, pruning, rung
+
+    def _schedule_stage(
+        self,
+        active: Sequence[PendingQuery],
+        requested: FrozenSet[int],
+        now: int,
+    ) -> List[int]:
+        """Schedule: the scheduler fills K data segments, then still
+        requested hot documents are forced in (:meth:`_force_hot_schedule`)."""
+        with obs.span("server.scheduling"):
+            # Capacity is per data channel: K parallel channels carry K
+            # full data segments in the same wall-clock span.
+            capacity = self.cycle_data_capacity * self.num_data_channels
+            demand = self.demand if self.cache is not None else None
+            scheduled = self.scheduler.select(active, self.store, capacity, now, demand)
+            if self.hot_doc_ids:
+                scheduled = self._force_hot_schedule(scheduled, requested, capacity)
+        return scheduled
+
+    def _force_hot_schedule(
+        self, scheduled: List[int], requested: FrozenSet[int], capacity: int
+    ) -> List[int]:
+        """Force still-requested hot documents into the schedule.
 
         The adaptive control plane's fast-repeat channel re-airs the hot
-        set every cycle: hot documents that are still requested are
-        prepended to the schedule (schedule order otherwise preserved)
-        and the cold tail is trimmed back under *capacity*.  Trimmed
-        documents are not lost -- they stay in their queries' remaining
-        sets (adaptive runs use acknowledged delivery) and the scheduler
-        re-picks them as their wait grows, so the cold set rotates.
-
-        Returns ``(hot_on_air, new_schedule)``, or ``None`` when the hot
-        set changes nothing (no hot set, single channel, or every hot
-        document already scheduled).
+        set every cycle: missing hot documents are prepended (schedule
+        order otherwise preserved) and the cold tail is trimmed back under
+        *capacity*.  Trimmed documents are not lost -- they stay in their
+        queries' remaining sets (adaptive runs use acknowledged delivery)
+        and the scheduler re-picks them as their wait grows, so the cold
+        set rotates.  Which channel airs them is
+        :func:`~repro.broadcast.multichannel.allocate_channels`' call.
         """
-        if not self.hot_doc_ids or self.num_data_channels < 2:
-            return None
-        hot_requested = [d for d in self.hot_doc_ids if d in requested]
-        if not hot_requested:
-            return None
-        scheduled_set = set(scheduled)
-        missing = [d for d in hot_requested if d not in scheduled_set]
+        on_air = set(scheduled)
+        missing = [d for d in self.hot_doc_ids if d in requested and d not in on_air]
         if not missing:
-            return tuple(hot_requested), list(scheduled)
-        schedule = missing + list(scheduled)
+            return scheduled
+        schedule = missing + scheduled
         total = sum(self.store.air_bytes(d) for d in schedule)
-        hot_set = set(hot_requested)
+        hot = set(self.hot_doc_ids)
         # Trim cold documents from the tail until the schedule fits; hot
         # documents are never trimmed (they are why we are here).
         position = len(schedule) - 1
         while total > capacity and position >= 0:
             doc_id = schedule[position]
-            if doc_id not in hot_set:
+            if doc_id not in hot:
                 total -= self.store.air_bytes(doc_id)
                 del schedule[position]
             position -= 1
         obs.counter("server.hot_forced_docs_total").inc(len(missing))
-        on_air = set(schedule)
-        return tuple(d for d in hot_requested if d in on_air), schedule
+        return schedule
+
+    def _assemble_stage(
+        self,
+        pci: CompactIndex,
+        scheduled: List[int],
+        now: int,
+        degraded: Optional[str],
+    ) -> BroadcastCycle:
+        """Assemble: the program airing *pci* and *scheduled* from *now*,
+        split across the channels by the allocation policy (which reads
+        the demand sets under ``"demand"``) and the hot set."""
+        with obs.span("server.cycle_assembly"):
+            demand_sets = None
+            if self.channel_allocation == "demand":
+                demand_sets = {
+                    doc_id: frozenset(q.query_id for q in queries_for)
+                    for doc_id, queries_for in self.demand.items_for(now)
+                }
+            cycle = build_cycle_program(
+                cycle_number=self.cycle_number,
+                pci=pci,
+                scheduled_doc_ids=scheduled,
+                store=self.store,
+                scheme=self.scheme,
+                num_channels=self.num_data_channels,
+                allocation=self.channel_allocation,
+                demand_sets=demand_sets,
+                hot_doc_ids=self.hot_doc_ids,
+            )
+        cycle.start_time = now
+        cycle.degraded = degraded
+        return cycle
+
+    def _record_stage(
+        self,
+        cycle: BroadcastCycle,
+        active: Sequence[PendingQuery],
+        requested_docs: int,
+        pruning: PruningStats,
+        totals_before: Optional[Dict[str, Tuple[int, float]]],
+    ) -> None:
+        """Record: stamp first reads, retire what broadcast delivered
+        (unless delivery is acknowledged), reap, append the
+        :class:`CycleRecord` and, when observed, emit its metrics."""
+        for query in active:
+            if query.first_indexed_cycle is None:
+                query.first_indexed_cycle = cycle.cycle_number
+        if not self.acknowledged_delivery:  # broadcast counts as received
+            for doc_id in cycle.doc_ids:
+                for query in self.demand.pop(doc_id, cycle.start_time):
+                    remaining = query.remaining_doc_ids
+                    remaining.discard(doc_id)
+                    if not remaining:
+                        query.satisfy(cycle)
+        self._reap_satisfied()
+        registry = obs.get_registry()
+        phase_seconds: Dict[str, float] = {}
+        if totals_before is not None:  # else unobserved: no metric work
+            # This cycle's share of every server span (the nested ones in
+            # assembly included): the aggregate totals diffed around it.
+            for name, (count, total) in registry.span_totals("server.").items():
+                before_count, before_total = totals_before.get(name, (0, 0.0))
+                if count > before_count and name != "server.build_cycle":
+                    phase_seconds[name[len("server."):]] = total - before_total
+        record = CycleRecord.of(cycle, len(active), requested_docs, pruning, phase_seconds)
+        if totals_before is not None:
+            record.emit(registry, cycle, self.scheduler.name)
+        self.records.append(record)
+        self.cycle_number += 1
+        self.clock = cycle.end_time
 
     def apply_plan(self, plan: "CyclePlan") -> None:
         """Apply an adaptive control-plane plan to the next builds.
@@ -727,42 +749,15 @@ class BroadcastServer:
         Mutates the channel count, allocation policy and hot set between
         cycles.
         """
-        if plan.num_channels < 1:
-            raise ValueError("plan.num_channels must be at least 1")
-        if plan.num_channels > 1 and self.scheme is not IndexScheme.TWO_TIER:
-            raise ValueError("multi-channel broadcast requires the two-tier scheme")
-        if plan.allocation not in ALLOCATION_POLICIES:
-            raise ValueError(f"unknown allocation policy {plan.allocation!r}")
-        if plan.hot_doc_ids and plan.num_channels < 2:
-            raise ValueError("a hot channel needs at least 2 data channels")
+        check_channel_shape(
+            plan.num_channels,
+            plan.allocation,
+            two_tier=self.scheme is IndexScheme.TWO_TIER,
+            hot=bool(plan.hot_doc_ids),
+        )
         self.num_data_channels = plan.num_channels
         self.channel_allocation = plan.allocation
         self.hot_doc_ids = tuple(plan.hot_doc_ids)
-
-    def _degraded_pci(
-        self, ci: CompactIndex, queries: Sequence[XPathQuery]
-    ) -> Tuple[CompactIndex, PruningStats, str]:
-        """The degradation ladder of an overloaded build.
-
-        1. **stale PCI** -- if the cycle cache still holds a PCI pruned
-           for the *same query-string set*, serve it as-is.  Its doc
-           annotations may predate the latest remaining-set shrinkage
-           (clients that already read the first tier are unaffected;
-           clients that have not defer their read -- see
-           ``BroadcastCycle.degraded``), but lookups stay sound: every
-           annotation was a true result at pruning time.
-        2. **unpruned CI** -- otherwise serve the CI itself.  It covers
-           the full current requested set (complete, just bigger on
-           air), so even first-tier reads are safe on it.
-
-        Never caches its output: a degraded index must not poison the
-        PCI layer for the next full build.
-        """
-        if self.cache is not None:
-            stale = self.cache.stale_pci(queries)
-            if stale is not None:
-                return stale[0], stale[1], "pci-stale"
-        return ci, PruningStats.between(ci, ci), "ci-unpruned"
 
     # ------------------------------------------------------------------
     # Live collection changes

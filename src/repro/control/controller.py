@@ -40,7 +40,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro import obs
-from repro.broadcast.multichannel import ALLOCATION_POLICIES, allocate_channels
+from repro.broadcast.multichannel import (
+    ALLOCATION_POLICIES,
+    allocate_channels,
+    check_channel_shape,
+)
 from repro.control.plan import ControlConfig, CyclePlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -161,12 +165,11 @@ class AdaptiveController:
     ) -> None:
         if cycle_data_capacity <= 0:
             raise ValueError("cycle_data_capacity must be positive")
-        if base_allocation not in ALLOCATION_POLICIES:
-            raise ValueError(f"unknown allocation policy {base_allocation!r}")
+        self.num_channels = min(max(base_channels, control.k_min), control.k_max)
+        check_channel_shape(self.num_channels, base_allocation)
         self.control = control
         self.store = store
         self.cycle_data_capacity = cycle_data_capacity
-        self.num_channels = min(max(base_channels, control.k_min), control.k_max)
         self.allocation = base_allocation
         self.hot_doc_ids: Tuple[int, ...] = ()
         self.shedding = False

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.broadcast.multichannel import ALLOCATION_POLICIES
+from repro.broadcast.multichannel import check_channel_shape
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,7 @@ class CyclePlan:
     reason: str = "steady"
 
     def __post_init__(self) -> None:
-        if self.num_channels < 1:
-            raise ValueError("num_channels must be at least 1")
-        if self.allocation not in ALLOCATION_POLICIES:
-            raise ValueError(
-                f"unknown allocation policy {self.allocation!r}; "
-                f"choose from {ALLOCATION_POLICIES}"
-            )
+        check_channel_shape(self.num_channels, self.allocation)
         if len(set(self.hot_doc_ids)) != len(self.hot_doc_ids):
             raise ValueError("hot_doc_ids must not repeat")
 

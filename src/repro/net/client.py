@@ -35,7 +35,7 @@ from repro.net.framing import (
 )
 from repro.net import uplink
 from repro.net.uplink import Command, Verb
-from repro.net.wire import CycleDecoder, WireProtocolError
+from repro.net.wire import CycleDecoder, WireProtocolError, check_tuning
 from repro.obs.telemetry.tracing import QueryTrace
 from repro.xpath.parser import parse_query
 
@@ -209,16 +209,23 @@ class AsyncTwoTierClient:
 
         Against a cluster front door ``RETRY_AFTER`` (cluster-wide
         admission) surfaces as :class:`Backpressure` exactly like an
-        overloaded SUBMIT.
+        overloaded SUBMIT.  A banner failing a header's checks
+        (:func:`~repro.net.wire.check_tuning`) is a ``"tune"`` WireError.
         """
         info = (
             await self._exchange(Command(Verb.TUNE, shard=self.shard), uplink.Tuned)
         ).info
-        self.num_channels = int(info.get("num_channels", 1))
+        num_channels = info.get("num_channels", 1)
+        checksum = info.get("checksum_bytes", 0)
+        cluster = info.get("cluster")
+        try:
+            check_tuning(num_channels, checksum, cluster)
+        except WireProtocolError as exc:
+            raise WireError(str(exc), shard=self.shard, phase="tune") from exc
+        self.num_channels = num_channels
         self.ack_required = bool(info.get("ack_required", False))
         self.adaptive = bool(info.get("adaptive", False))
-        self._checksum = int(info.get("checksum_bytes", 0))
-        cluster = info.get("cluster")
+        self._checksum = checksum
         if cluster is not None:
             self._check_cluster(cluster)
 
@@ -458,11 +465,11 @@ class AsyncTwoTierClient:
         stream is consumed.
         """
         self.cluster = cluster
-        if self.shard is not None and int(cluster.get("shard", -1)) != self.shard:
+        if self.shard is not None and cluster["shard"] != self.shard:
             raise WireProtocolError(
                 f"tuned to shard {cluster.get('shard')}, expected {self.shard}"
             )
-        epoch = int(cluster.get("epoch", 0))
+        epoch = cluster.get("epoch", 0)
         if self.epoch is not None and epoch != self.epoch:
             self.epoch_bumps += 1
             self._placed.clear()
@@ -474,14 +481,12 @@ class AsyncTwoTierClient:
     def _cluster_shard(self) -> Optional[int]:
         if self.shard is not None:
             return self.shard
-        if self.cluster is not None:
-            return int(self.cluster.get("shard", -1))
-        return None
+        return self.cluster["shard"] if self.cluster is not None else None
 
     def _verify_placement(self, cluster: Dict, cycle: BroadcastCycle) -> None:
         """Every document this shard broadcasts must hash to this shard
         under the partition map the header itself advertises."""
-        shard = int(cluster["shard"])
+        shard = cluster["shard"]
         if self._partition is None:
             self._partition = PartitionMap.from_description(cluster["map"])
         for doc_id in cycle.doc_ids:

@@ -39,7 +39,7 @@ import json
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.broadcast.packets import CycleLayout, PacketKind, Segment
 from repro.broadcast.partition import PartitionMap
@@ -301,11 +301,22 @@ def _is_a(value: object, kinds: Tuple[type, ...]) -> bool:
     return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
 
 
-def _check_placement(cluster: object) -> None:
-    """Refuse a ``cluster`` header value a client cannot check placement
-    against: it must name an integer shard and epoch and a partition map
-    :meth:`~repro.broadcast.partition.PartitionMap.from_description`
-    accepts."""
+def check_tuning(num_channels: Any, checksum_bytes: Any, cluster: Any) -> None:
+    """Refuse a channel model a client cannot tune by: the one check of
+    every ``CYCLE_BEGIN`` header and of the ``TUNED`` banner.
+
+    K must fit the second tier's channel field (a larger one is hostile,
+    and would size the decoder's queue rebuild), the checksum trailer is
+    a non-negative integer, and a ``cluster`` placement names an integer
+    shard and epoch and a map
+    :meth:`~repro.broadcast.partition.PartitionMap.from_description` takes.
+    """
+    if not _is_a(num_channels, (int,)) or not 1 <= num_channels <= 256**CHANNEL_ID_BYTES:
+        raise WireProtocolError(f"bad data channel count {num_channels!r}")
+    if not _is_a(checksum_bytes, (int,)) or checksum_bytes < 0:
+        raise WireProtocolError(f"bad checksum trailer size {checksum_bytes!r}")
+    if cluster is None:
+        return
     if not (
         isinstance(cluster, dict)
         and _is_a(cluster.get("shard"), (int,))
@@ -357,14 +368,9 @@ class _CycleHeader:
                 )
         if fields["annotation"] not in ("maximal", "containment"):
             raise WireProtocolError(f"unknown annotation {fields['annotation']!r}")
-        # The second tier's channel field bounds K; a header asking for
-        # more is hostile (and would size the decoder's queue rebuild).
-        num_channels = fields.get("num_channels")
-        if (
-            not _is_a(num_channels, (int,))
-            or not 1 <= num_channels <= 256**CHANNEL_ID_BYTES
-        ):
-            raise WireProtocolError(f"bad data channel count {num_channels!r}")
+        check_tuning(
+            fields.get("num_channels"), fields["checksum_bytes"], fields.get("cluster")
+        )
         plan = fields.get("plan")
         if plan is not None and not (
             isinstance(plan, dict)
@@ -372,8 +378,6 @@ class _CycleHeader:
             and 1 <= plan.get("k", 1) <= 256**CHANNEL_ID_BYTES
         ):
             raise WireProtocolError(f"bad control plan {plan!r}")
-        if fields.get("cluster") is not None:
-            _check_placement(fields["cluster"])
         if not all(_is_a(doc_id, (int,)) for doc_id in fields["doc_ids"]):
             raise WireProtocolError("cycle header schedules a non-integer doc id")
         segments = []
@@ -466,8 +470,8 @@ class CycleDecoder:
     causes them; a malformed DOC head reaching a decoder that is still
     recording is raised at CYCLE_END.  Consumers treat decoded cycles and
     :attr:`last_header` as read-only (the access protocols only ever read
-    them -- the parity suite pins this).  ``share=False`` and
-    ``keep_documents=True`` decode every frame in full and share nothing.
+    them -- the parity suite pins this).  ``share=False`` decodes every
+    frame in full and shares nothing.
     """
 
     #: ``(verify, CYCLE_BEGIN payload) -> entry`` LRU shared by all decoders
@@ -477,17 +481,14 @@ class CycleDecoder:
     def __init__(
         self,
         verify: bool = True,
-        keep_documents: bool = False,
         share: bool = True,
     ) -> None:
         self.verify = verify
-        self.keep_documents = keep_documents
         self.share = share
         self.header: Optional[_CycleHeader] = None
         #: header of the most recently completed cycle (survives the
         #: per-cycle reset; callers read the signature from it)
         self.last_header: Optional[Dict] = None
-        self.documents: Dict[int, bytes] = {}
         #: the shared entry this cycle records toward or follows
         #: (``None``: decoding every frame in full)
         self._shared: Optional[_SharedCycle] = None
@@ -542,7 +543,7 @@ class CycleDecoder:
         return self._replay(frames[:matched], kind, payload)
 
     def _begin(self, payload: bytes) -> None:
-        if not self.share or self.keep_documents:
+        if not self.share:
             self.header = _CycleHeader.parse(payload)
             return
         cache = type(self)._shared_cycles
@@ -573,7 +574,7 @@ class CycleDecoder:
         elif kind is FrameKind.OFFSETS:
             self._offsets_payload = payload
         elif kind is FrameKind.DOC:
-            head, _, body = payload.partition(b"\n")
+            head = payload.partition(b"\n")[0]
             try:
                 info = json.loads(head.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -588,8 +589,6 @@ class CycleDecoder:
                 self._doc_channels[doc_id] = placement[2]
             except (KeyError, TypeError) as exc:
                 raise WireProtocolError("malformed document header") from exc
-            if self.keep_documents:
-                self.documents[doc_id] = body
         else:
             return self._end(self._finish())
         return None

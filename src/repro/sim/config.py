@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.broadcast.multichannel import ALLOCATION_POLICIES
+from repro.broadcast.multichannel import check_channel_shape
 from repro.broadcast.partition import PartitionMap, ShardIdentity
 from repro.broadcast.program import IndexScheme
 from repro.control.plan import ControlConfig
@@ -146,14 +146,11 @@ class SimulationConfig:
             raise ValueError("cycle_data_capacity must be positive")
         if not 0.0 <= self.loss_prob < 1.0:
             raise ValueError("loss_prob must be in [0, 1)")
-        if self.num_data_channels < 1:
-            raise ValueError("num_data_channels must be at least 1")
-        if self.channel_allocation not in ALLOCATION_POLICIES:
-            raise ValueError(
-                f"channel_allocation must be one of {ALLOCATION_POLICIES}"
-            )
-        if self.num_data_channels > 1 and self.scheme is not IndexScheme.TWO_TIER:
-            raise ValueError("multi-channel broadcast requires the two-tier scheme")
+        check_channel_shape(
+            self.num_data_channels,
+            self.channel_allocation,
+            two_tier=self.scheme is IndexScheme.TWO_TIER,
+        )
         if self.faults is not None:
             if self.scheme is not IndexScheme.TWO_TIER:
                 raise ValueError(

@@ -21,12 +21,14 @@ At K >= 2 the signature must tell channel assignments apart.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.broadcast.multichannel import ALLOCATION_POLICIES
 from repro.broadcast.program import IndexScheme, program_signature
 from repro.broadcast.server import BroadcastServer, DocumentStore
@@ -134,6 +136,154 @@ class TestDefaultKGoldens:
         assert digest.result() == (
             47,
             "e40a078e38859999b3227df194cb6bc152e5f784925469ed59e9e89be3e0f32f",
+        )
+
+
+class _BuildDigest:
+    """Running SHA-256 over what each build decides: the program it
+    airs, its :class:`CycleRecord` (timings aside) and the remaining sets
+    the pending queries are left with."""
+
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+        self.cycles = 0
+
+    def add(self, server, cycle) -> None:
+        record = server.records[-1]
+        form = (
+            program_signature(cycle),
+            tuple(
+                (field.name, getattr(record, field.name))
+                for field in dataclasses.fields(record)
+                if field.name != "phase_seconds"
+            ),
+            tuple(
+                (query.query_id, tuple(sorted(query.remaining_doc_ids)))
+                for query in server.pending
+            ),
+        )
+        self.sha.update(repr(form).encode("utf-8"))
+        self.cycles += 1
+
+    def result(self):
+        return self.cycles, self.sha.hexdigest()
+
+
+def _drain_digest(docs, queries, overload=False, **kwargs):
+    """Drain a server over *docs*: ten queries at time 0, one more every
+    fourth cycle.  With *overload* every third build (from cycle 1) is
+    forced down the degradation ladder; an acknowledging server hears
+    back every scheduled document but a rotating quarter of them."""
+    server = BroadcastServer(DocumentStore(docs), cycle_data_capacity=6_000, **kwargs)
+    if overload:
+        server.force_overload = lambda cycle_number: cycle_number % 3 == 1
+    for query in queries[:10]:
+        try:
+            server.submit(query, 0)
+        except ValueError:
+            pass
+    digest = _BuildDigest()
+    step = 0
+    while server.pending:
+        cycle = server.build_cycle()
+        digest.add(server, cycle)
+        if server.acknowledged_delivery:
+            for query in list(server.pending):
+                got = {
+                    doc_id
+                    for doc_id in cycle.doc_ids
+                    if doc_id in query.remaining_doc_ids and (doc_id + step) % 4
+                }
+                if got:
+                    held = query.result_doc_ids - query.remaining_doc_ids
+                    server.confirm_delivery(query, held | got, cycle)
+        step += 1
+        if step % 4 == 0:
+            for query in queries[10 + step // 4 : 11 + step // 4]:
+                try:
+                    server.submit(query, server.clock)
+                except ValueError:
+                    pass
+        assert step < 500
+    return server, digest.result()
+
+
+class TestBuildStageGoldens:
+    """What a cycle build decides -- hot-set forcing at K >= 2, both
+    rungs of the overload ladder, acknowledged retirement and the
+    ``enable_caches=False`` fork -- pinned build by build.  Captured at
+    commit 0252f6d, before the build was split into stages; never
+    re-capture to make a refactor pass."""
+
+    def test_adaptive_hot_set(self):
+        """K moves within 2..4 and up to four hot documents are forced
+        onto the fast-repeat channel."""
+        digest = _BuildDigest()
+
+        class Signed(Simulation):
+            def _record_cycle(self, cycle):
+                digest.add(self.server, cycle)
+                super()._record_cycle(cycle)
+
+        config = small_setup(
+            adaptive=True,
+            control=ControlConfig(k_min=2, k_max=4, hot_set_size=4),
+        )
+        with obs.observed() as registry:
+            assert Signed(config).run().completed
+            assert registry.counter("server.hot_forced_docs_total").value > 0
+        assert digest.result() == (
+            14,
+            "fa8c7d6176a73d719d69440b15ce0469aef3c43f1ab40b34d5d04f8858f44199",
+        )
+
+    @pytest.mark.parametrize(
+        "enable_caches, expected",
+        [
+            (
+                True,
+                (
+                    149,
+                    "7eb23bf0d0c9716bce790637d9b30cc1255111a6bb44c254add591aeb162f7b8",
+                ),
+            ),
+            (
+                False,
+                (
+                    149,
+                    "3dbace610c81ba71c4f734e122a279fa2edef1e8610b4d035aeecc6bc9f3195c",
+                ),
+            ),
+        ],
+        ids=["cached", "plain"],
+    )
+    def test_forced_overload(self, nitf_docs, nitf_queries, enable_caches, expected):
+        """Both rungs with caches; the from-scratch twin has no stale PCI
+        to serve, so every overloaded build airs the unpruned CI."""
+        server, result = _drain_digest(
+            nitf_docs, nitf_queries, overload=True, enable_caches=enable_caches
+        )
+        rungs = {record.degraded for record in server.records}
+        assert rungs == {None, "ci-unpruned"} | (
+            {"pci-stale"} if enable_caches else set()
+        )
+        assert result == expected
+
+    @pytest.mark.parametrize("enable_caches", [True, False], ids=["cached", "plain"])
+    def test_acknowledged_delivery(self, nitf_docs, nitf_queries, enable_caches):
+        """Three demand-allocated channels, remaining sets shrinking only
+        on (lossy) acknowledgements; the twin airs the same builds."""
+        _server, result = _drain_digest(
+            nitf_docs,
+            nitf_queries,
+            acknowledged_delivery=True,
+            num_data_channels=3,
+            channel_allocation="demand",
+            enable_caches=enable_caches,
+        )
+        assert result == (
+            130,
+            "f753a8c07869e91a9a6e1aa148a4cabae2279780257147027e416ff6aef54018",
         )
 
 

@@ -405,3 +405,40 @@ class TestWireError:
         error = _run(body())
         assert error.frame_kind == "CYCLE_BEGIN"
         assert error.phase == "decode"
+
+    @pytest.mark.parametrize(
+        "banner",
+        [
+            {"cluster": 7},
+            {"num_channels": "x"},
+            {"cluster": {"shard": 0, "epoch": "e"}},
+        ],
+        ids=repr,
+    )
+    def test_hostile_tuned_banner_raises_typed_error(self, banner):
+        """The TUNED banner goes through the checks a CYCLE_BEGIN header
+        gets, so a hostile one ends the session in a typed WireError
+        instead of a bare exception from reading it."""
+
+        async def fake_worker(reader, writer):
+            while True:
+                _kind, payload = await read_frame(reader)
+                if payload.decode().startswith("TUNE"):
+                    writer.write(encode_text(f"TUNED {json.dumps(banner)}"))
+                    await writer.drain()
+
+        async def body():
+            server = await asyncio.start_server(fake_worker, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                client = AsyncTwoTierClient("//nitf", port=port)
+                with pytest.raises(WireError) as excinfo:
+                    await client.run()
+                return excinfo.value
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        error = _run(body())
+        assert error.phase == "tune"
+        assert error.frame_kind is None

@@ -102,12 +102,17 @@ class TestRoundTrip:
         assert len(signatures) >= 2
         assert len(set(signatures)) == len(signatures)
 
-    def test_kept_documents_parse_back(self, store, nitf_queries):
-        """keep_documents retains the exact serialized XML payloads."""
+    def test_doc_frame_bodies_parse_back(self, store, nitf_queries):
+        """Each DOC frame carries its document's exact serialized XML
+        after the header line."""
         cycle = _build_cycle(store, nitf_queries[:8])
-        _, decoder = _round_trip(cycle, store, keep_documents=True)
-        assert set(decoder.documents) == set(cycle.doc_ids)
-        for doc_id, body in decoder.documents.items():
+        bodies = {
+            frame.doc_id: frame.payload.partition(b"\n")[2]
+            for frame in encode_cycle(cycle, store)
+            if frame.kind is FrameKind.DOC
+        }
+        assert set(bodies) == set(cycle.doc_ids)
+        for doc_id, body in bodies.items():
             original = store.document(doc_id)
             parsed = parse_document(body.decode("utf-8"), doc_id=doc_id)
             assert serialize_document(parsed) == serialize_document(original)

@@ -299,10 +299,11 @@ class TestOnePump:
         assert (fields(DaemonConfig), fields(TelemetryConfig), fields(ClusterConfig)) == (
             10, 4, 11,
         )
+        # CycleDecoder 3 until keep_documents went (TestOneCycleBuild)
         assert [
             parameters(c)
             for c in (BroadcastDaemon, AsyncTwoTierClient, CycleDecoder, QueryTracer)
-        ] == [3, 9, 3, 1]
+        ] == [3, 9, 2, 1]
         assert len(FrameKind) == 7 and WIRE_FORMAT_VERSION == 2
 
 
@@ -727,6 +728,57 @@ class TestEveryKnobHasAUser:
         ] == [8, 1, 9, 1]
         # the CLI's flags were censused, not cut: each is its field's user
         assert inspect.getsource(cli).count("add_argument(") == 66
+
+
+class TestOneCycleBuild:
+    """The cycle build in four stages, each decision made once (migration
+    table: CHANGES.md -- ``cycle.hot_doc_ids`` is ``tuple(d for d in
+    cycle.doc_ids if d in server.hot_doc_ids)``;
+    ``CycleDecoder(keep_documents=True).documents[d]`` is the body of the
+    DOC frame ``encode_cycle`` emits for ``d``,
+    ``frame.payload.partition(b"\\n")[2]``)."""
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            ("repro.broadcast.program:BroadcastCycle", "hot_doc_ids"),
+            ("repro.broadcast.server:BroadcastServer", "_degraded_pci"),
+            ("repro.net.wire:CycleDecoder", "keep_documents"),
+            ("repro.net.wire:CycleDecoder", "documents"),
+        ],
+    )
+    def test_removed_names_are_gone(self, owner, name):
+        module_name, _, attr = owner.partition(":")
+        target = getattr(importlib.import_module(module_name), attr)
+        assert not hasattr(target, name)
+        if attr == "CycleDecoder":
+            assert not hasattr(target(), name)
+
+    def test_build_cycle_is_four_short_stages(self):
+        """``build_cycle`` and every stage it calls fit 40 lines."""
+        import ast
+        import inspect
+        import textwrap
+
+        from repro.broadcast.server import BroadcastServer
+
+        def lines(method):
+            node = ast.parse(textwrap.dedent(inspect.getsource(method))).body[0]
+            return node.end_lineno - node.lineno + 1
+
+        build = ast.parse(textwrap.dedent(inspect.getsource(BroadcastServer.build_cycle)))
+        called = {
+            node.func.attr
+            for node in ast.walk(build)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr.endswith("_stage")
+        }
+        assert called == {
+            "_index_stage", "_schedule_stage", "_assemble_stage", "_record_stage",
+        }
+        for name in ("build_cycle", "_force_hot_schedule", *called):
+            assert lines(getattr(BroadcastServer, name)) <= 40, name
 
 
 class TestQuickstartSnippet:
