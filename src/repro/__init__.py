@@ -75,7 +75,6 @@ from repro.index import (
     PackingStrategy,
     SizeModel,
     TwoTierIndex,
-    build_ci,
     build_full_ci,
     pack_index,
     prune_to_pci,
@@ -157,7 +156,6 @@ __all__ = [
     "PackingStrategy",
     "SizeModel",
     "TwoTierIndex",
-    "build_ci",
     "build_full_ci",
     "pack_index",
     "prune_to_pci",

@@ -1,75 +1,59 @@
-"""Incremental cycle-build caches for the broadcast server.
+"""The collection table and the cycle-build caches of the broadcast server.
 
-Consecutive on-demand broadcast cycles overlap heavily: most pending
-queries survive from one cycle to the next, so the requested document
-set and the pending query set change only at the margins.  The seed
-implementation nevertheless rebuilt everything from scratch each cycle
--- re-merging the requested documents' DataGuides into a fresh CI,
-compiling a fresh pruning DFA, and re-pruning an unchanged index.
+Every cycle's CI is a piece of one structure, the combined DataGuide of
+the whole collection.  :class:`CollectionTable` holds it, one per store,
+built at first use: the guide, and the guide as an index table
+(:meth:`CompactIndex.from_guide <repro.index.ci.CompactIndex.from_guide>`'s
+preorder rows) with per-row leaf and containing document masks.  The CI
+over a requested set is the table *restricted* to it
+(:class:`~repro.index.pruning.Restriction`), which the prune walk reads
+as it is: nothing is merged or materialised per cycle.  Mutations follow
+by their delta.  A removed document clears its bits; its rows stay, and
+a row no requested document contains is never in a CI.  An added
+document sets its bits on the rows of its paths; only a path the table
+lacks rebuilds the table from the guide.
 
-:class:`CycleBuildCache` removes that repeated work with three layers:
+:class:`CycleBuildCache` carries per-server state across cycles:
 
-* **CI cache** -- the last cycle's combined guide is kept and the *delta*
-  of requested doc ids is applied through the incremental RoXSum
-  machinery (:func:`~repro.dataguide.roxsum.add_document_to_guide` /
-  :func:`~repro.dataguide.roxsum.remove_document_from_guide`).  When the
-  delta exceeds :data:`REBUILD_THRESHOLD` (as a fraction of the new
-  request set) a full re-merge is cheaper and is used instead.
+* **CI layer** -- the restriction to the last requested set, returned
+  as is while the set and the table stay the same;
 * **Pruning-DFA cache** -- an LRU of :class:`~repro.filtering.dfa.LazyQueryDFA`
-  instances keyed by the frozen pending-query-string set, wired through
-  ``prune_to_pci``'s ``dfa`` parameter so memoised subset-construction
-  transitions survive across cycles.
+  instances keyed by the pending-query-string set, passed as
+  ``prune_to_pci``'s ``dfa`` so memoised transitions survive cycles;
 * **PCI cache** -- when *both* the requested set and the query set are
   unchanged, the previous cycle's pruned index (and its stats) are
   reused outright.
 
-Every layer is observable (``server.*_cache_*`` counters plus spans) and
-falsifiable: the caches are bypassed entirely with the server's
-``enable_caches=False`` (the tests' from-scratch oracle), and property
-tests assert cached and from-scratch cycle programs are byte-identical.
-
-Live collection mutations are followed by their delta, not by a flush.
-``BroadcastServer.add_document`` / ``remove_document`` make one call,
-:meth:`CycleBuildCache.invalidate_collection` with the mutated doc id,
-and each layer moves only if it depends on that document:
-
-* the **CI** depends on the per-document guides of its *requested set*
-  and on nothing else.  A document outside that set -- every brand-new
-  document, every removal of a document nobody is waiting for -- leaves
-  it untouched; a removed document inside it is unmerged from the cached
-  guide (the server calls before the store forgets the document, so its
-  per-document guide is still there);
-* the **PCI** depends on the CI's requested set plus the query-string
-  set; it is dropped exactly when the document is in its requested set;
-* the **DFAs** depend on query strings only and never move.
-
-Only the argument-less form drops every layer.
+The caches are bypassed with the server's ``enable_caches=False`` (the
+tests' from-scratch oracle); property tests hold cached and from-scratch
+cycle programs byte-identical.  On ``add_document`` / ``remove_document``
+(:meth:`CycleBuildCache.invalidate_collection`) the PCI is dropped exactly
+when the document is in its requested set, a removed document leaves the
+cached requested set, and the DFAs never move; only the argument-less
+form drops every layer.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.dataguide.dataguide import DataGuide
 from repro.dataguide.roxsum import (
-    CombinedDataGuide,
     add_document_to_guide,
     build_combined_guide,
     remove_document_from_guide,
 )
 from repro.filtering.dfa import LazyQueryDFA
 from repro.index.ci import CompactIndex
-from repro.index.pruning import PruningStats, prune_to_pci
+from repro.index.pruning import PruningStats, Restriction, prune_to_pci
+from repro.xmlkit.model import XMLDocument
 from repro.xpath.ast import XPathQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.broadcast.server import DocumentStore
 
-
-#: incremental CI maintenance is abandoned for a full re-merge when
-#: ``|added| + |removed| > REBUILD_THRESHOLD * |requested|``
-REBUILD_THRESHOLD = 0.5
 
 #: LRU capacity of the pruning-DFA layer (distinct pending query sets)
 DFA_CACHE_SIZE = 16
@@ -90,16 +74,68 @@ def query_key_of(queries: Sequence[XPathQuery]) -> QueryKey:
     return frozenset(str(query) for query in queries)
 
 
+class CollectionTable:
+    """A store's combined guide and its collection table, kept by delta."""
+
+    def __init__(self, store: "DocumentStore") -> None:
+        self.size_model = store.size_model
+        self.guide = build_combined_guide(
+            store.documents, [store.guides[doc.doc_id] for doc in store.documents]
+        )
+        self._tabulate()
+
+    def _tabulate(self) -> None:
+        whole = Restriction.of(
+            CompactIndex.from_guide(self.guide, size_model=self.size_model)
+        )
+        self.index, self.leaf, self.containing = whole.index, whole.leaf, whole.containing
+        #: label path -> row (``from_guide`` lays rows out in guide preorder)
+        paths = self.guide.root.iter_with_paths()
+        self.rows = {path: row for row, (_node, path) in enumerate(paths)}
+
+    def restrict(self, requested: FrozenSet[int]) -> Restriction:
+        """The CI over *requested*, as a restriction of the table."""
+        mask = sum(1 << doc_id for doc_id in requested)
+        return Restriction(self.index, self.leaf, self.containing, mask)
+
+    def add(self, document: XMLDocument, guide: DataGuide) -> None:
+        self.guide = add_document_to_guide(self.guide, document, guide)
+        rows = self._rows_of(guide)
+        if any(row is None for row, _leaf in rows):  # a new path: rebuild
+            self._tabulate()
+            return
+        bit = 1 << document.doc_id
+        for row, leaf in rows:
+            self.containing[row] |= bit
+            self.leaf[row] |= bit if leaf else 0
+
+    def remove(self, document: XMLDocument, guide: DataGuide) -> None:
+        self.guide = remove_document_from_guide(self.guide, document, guide)
+        keep = ~(1 << document.doc_id)
+        for row, _leaf in self._rows_of(guide):
+            self.containing[row] &= keep
+            self.leaf[row] &= keep
+
+    def _rows_of(self, guide: DataGuide) -> List[Tuple[Any, bool]]:
+        """``(row, leaf occurrence)`` of each of *guide*'s paths (row
+        ``None`` where the table lacks the path), and the virtual root's."""
+        top = (self.index.labels[0],) if self.index.virtual_root else ()
+        found = [
+            (self.rows.get(top + path), node.is_leaf_occurrence)
+            for node, path in guide.root.iter_with_paths()
+        ]
+        return found + [(0, False)] if top else found
+
+
 class CycleBuildCache:
     """Carries reusable cycle-build state from one broadcast cycle to the next."""
 
     def __init__(self, store: "DocumentStore") -> None:
         self.store = store
 
-        # CI layer
+        # CI layer: the last requested set and its restriction
         self._ci_requested: Optional[FrozenSet[int]] = None
-        self._ci_guide: Optional[CombinedDataGuide] = None
-        self._ci_index: Optional[CompactIndex] = None
+        self._ci: Optional[Restriction] = None
         # DFA layer (LRU, most-recently-used last)
         self._dfas: "OrderedDict[QueryKey, LazyQueryDFA]" = OrderedDict()
         # PCI layer: (requested set, query-string set), its PCI and stats
@@ -125,91 +161,45 @@ class CycleBuildCache:
     def invalidate_collection(self, doc_id: Optional[int] = None) -> None:
         """Follow a live collection mutation of document *doc_id*.
 
-        Called by the server on every ``add_document`` (after the store
-        took the document in) and ``remove_document`` (*before* the store
-        forgets it: unmerging needs its per-document guide).  Layers that
-        do not depend on the document are kept -- the dependency rule is
-        in the module docstring.  Without *doc_id* every layer is dropped.
+        Called by the server on every ``add_document`` and
+        ``remove_document``.  Layers that do not depend on the document
+        are kept -- the dependency rule is in the module docstring.
+        Without *doc_id* every layer is dropped.
         """
         obs.counter("server.cycle_cache_invalidations_total").inc()
         if doc_id is None:
-            self._drop_ci()
-            self._pci = None
+            self._ci_requested = self._ci = self._pci = None
             self._dfas.clear()
             return
         if self._pci is not None and doc_id in self._pci[0][0]:
             self._pci = None
-        if self._ci_requested is not None and doc_id in self._ci_requested:
-            remaining = self._ci_requested - {doc_id}
-            guide = self.store.guides.get(doc_id)
-            if self._ci_guide is None or guide is None or not remaining:
-                self._drop_ci()
-            else:
-                self._ci_guide = remove_document_from_guide(
-                    self._ci_guide, self.store.by_id[doc_id], guide
-                )
-                self._ci_requested = remaining
-                self._ci_index = None
-
-    def _drop_ci(self) -> None:
-        self._ci_requested = None
-        self._ci_guide = None
-        self._ci_index = None
+        requested, ci = self._ci_requested, self._ci
+        if requested is not None and ci is not None and doc_id in requested:
+            # The store clears the document's bits in the table itself;
+            # its id leaves the mask, lest a reused id slip back in.
+            remaining = requested - {doc_id}
+            self._ci_requested = remaining or None
+            self._ci = ci._replace(mask=ci.mask & ~(1 << doc_id)) if remaining else None
 
     # ------------------------------------------------------------------
     # CI layer
     # ------------------------------------------------------------------
 
-    def ci_for(self, requested: FrozenSet[int]) -> CompactIndex:
-        """The CI over *requested*, reusing last cycle's guide when possible."""
+    def ci_for(self, requested: FrozenSet[int]) -> Restriction:
+        """The CI over *requested*: the collection table restricted to it."""
         if not requested:
             raise ValueError("no requested documents -- nothing to index")
-        if self._ci_index is not None and requested == self._ci_requested:
-            self._count("ci_hits", "server.ci_cache_hits_total")
-            return self._ci_index
-
-        guide = self._incremental_guide(requested)
-        if guide is None:
-            with obs.span("server.ci_full_merge"):
-                ordered = sorted(requested)
-                guide = build_combined_guide(
-                    [self.store.by_id[doc_id] for doc_id in ordered],
-                    [self.store.guides[doc_id] for doc_id in ordered],
-                )
-            self._count("ci_rebuilds", "server.ci_cache_rebuilds_total")
-        else:
+        table = self.store.collection
+        ci = self._ci
+        if ci is not None and ci.index is table.index:
+            if requested == self._ci_requested:
+                self._count("ci_hits", "server.ci_cache_hits_total")
+                return ci
             self._count("ci_incremental", "server.ci_cache_incremental_total")
-
-        index = CompactIndex.from_guide(guide, size_model=self.store.size_model)
-        self._ci_requested = requested
-        self._ci_guide = guide
-        self._ci_index = index
-        return index
-
-    def _incremental_guide(
-        self, requested: FrozenSet[int]
-    ) -> Optional[CombinedDataGuide]:
-        """Apply the request-set delta to the cached guide; ``None`` when a
-        full rebuild is the better (or only) option."""
-        cached_set, guide = self._ci_requested, self._ci_guide
-        if cached_set is None or guide is None:
-            return None
-        added = requested - cached_set
-        removed = cached_set - requested
-        if len(added) + len(removed) > REBUILD_THRESHOLD * len(requested):
-            return None
-        with obs.span("server.ci_incremental_apply"):
-            # Additions first: the guide then always covers ``requested``,
-            # so removals can never empty it mid-way.
-            for doc_id in sorted(added):
-                guide = add_document_to_guide(
-                    guide, self.store.by_id[doc_id], self.store.guides[doc_id]
-                )
-            for doc_id in sorted(removed):
-                guide = remove_document_from_guide(
-                    guide, self.store.by_id[doc_id], self.store.guides[doc_id]
-                )
-        return guide
+        else:
+            self._count("ci_rebuilds", "server.ci_cache_rebuilds_total")
+        self._ci_requested, self._ci = requested, table.restrict(requested)
+        return self._ci
 
     # ------------------------------------------------------------------
     # DFA layer
@@ -240,7 +230,7 @@ class CycleBuildCache:
 
     def pci_for(
         self,
-        ci: CompactIndex,
+        ci: Restriction,
         requested: FrozenSet[int],
         queries: Sequence[XPathQuery],
     ) -> Tuple[CompactIndex, PruningStats]:

@@ -42,7 +42,7 @@ from typing import (
 )
 
 from repro import obs
-from repro.broadcast.cycle_cache import CycleBuildCache
+from repro.broadcast.cycle_cache import CollectionTable, CycleBuildCache
 from repro.broadcast.multichannel import check_channel_shape
 from repro.broadcast.program import (
     BroadcastCycle,
@@ -54,7 +54,7 @@ from repro.dataguide.dataguide import DataGuide, build_dataguide
 from repro.dataguide.roxsum import CombinedDataGuide, build_combined_guide
 from repro.filtering.nfa import SharedPathNFA, resolve_on_guide
 from repro.index.ci import CompactIndex
-from repro.index.pruning import PruningStats, prune_to_pci
+from repro.index.pruning import PruningStats, Restriction, prune_to_pci
 from repro.index.sizes import SizeModel, PAPER_SIZE_MODEL
 from repro.xmlkit.model import XMLDocument
 from repro.xpath.ast import XPathQuery
@@ -72,9 +72,11 @@ RESOLUTION_CACHE_SIZE = 4096
 class DocumentStore:
     """The collection plus everything the server pre-computes about it.
 
-    Per-document DataGuides, on-air sizes and the full-collection combined
-    guide are immutable once built, so they are cached here and shared by
-    the server, the experiments and the per-document baseline.
+    Per-document DataGuides and on-air sizes are immutable once built, so
+    they are cached here and shared by the server, the experiments and the
+    per-document baseline.  The full-collection combined guide and its
+    index table (:class:`~repro.broadcast.cycle_cache.CollectionTable`)
+    are built at first use and follow every mutation by its delta.
     """
 
     def __init__(
@@ -98,9 +100,7 @@ class DocumentStore:
             doc.doc_id: size_model.document_air_bytes(doc.size_bytes)
             for doc in self.documents
         }
-        self.full_guide: CombinedDataGuide = build_combined_guide(
-            self.documents, [self.guides[d.doc_id] for d in self.documents]
-        )
+        self._collection: Optional[CollectionTable] = None
         #: lazily filled ``doc_id -> serialized XML bytes``; documents are
         #: immutable once in the store, so a document re-broadcast every
         #: cycle serialises once, not once per cycle
@@ -108,6 +108,17 @@ class DocumentStore:
 
     def __len__(self) -> int:
         return len(self.documents)
+
+    @property
+    def collection(self) -> CollectionTable:
+        """The combined guide and collection table (built at first use)."""
+        if self._collection is None:
+            self._collection = CollectionTable(self)
+        return self._collection
+
+    @property
+    def full_guide(self) -> CombinedDataGuide:
+        return self.collection.guide
 
     def air_bytes(self, doc_id: int) -> int:
         """On-air footprint of a document (packet aligned, with header)."""
@@ -130,15 +141,14 @@ class DocumentStore:
     def add_document(self, document: XMLDocument) -> None:
         """Add a document to the live collection.
 
-        All caches (per-document guide, air size, full combined guide)
-        update incrementally -- no rebuild.
+        All caches (per-document guide, air size, combined guide and
+        collection table) update incrementally.
         """
         if document.doc_id in self.by_id:
             raise ValueError(f"doc id {document.doc_id} already in the store")
-        from repro.dataguide.roxsum import add_document_to_guide
-
         guide = build_dataguide(document)
-        self.full_guide = add_document_to_guide(self.full_guide, document, guide)
+        if self._collection is not None:
+            self._collection.add(document, guide)
         self.documents.append(document)
         self.by_id[document.doc_id] = document
         self.guides[document.doc_id] = guide
@@ -152,12 +162,9 @@ class DocumentStore:
             raise ValueError(f"doc id {doc_id} not in the store")
         if len(self.documents) == 1:
             raise ValueError("cannot remove the last document")
-        from repro.dataguide.roxsum import remove_document_from_guide
-
         document = self.by_id[doc_id]
-        self.full_guide = remove_document_from_guide(
-            self.full_guide, document, self.guides[doc_id]
-        )
+        if self._collection is not None:
+            self._collection.remove(document, self.guides[doc_id])
         self.documents = [doc for doc in self.documents if doc.doc_id != doc_id]
         del self.by_id[doc_id]
         del self.guides[doc_id]
@@ -346,7 +353,7 @@ class BroadcastServer:
         #: demanded are force-scheduled every cycle and pinned to data
         #: channel 0; empty (the default) leaves scheduling untouched.
         self.hot_doc_ids: Tuple[int, ...] = ()
-        #: Incremental cycle-build caches (CI delta maintenance, pruning-DFA
+        #: Incremental cycle-build caches (CI restriction, pruning-DFA
         #: LRU, PCI reuse) plus demand-table reads by the scheduler.  With
         #: ``enable_caches=False`` (the tests' oracle) every cycle is built
         #: from scratch; cycle programs are byte-identical either way
@@ -604,7 +611,7 @@ class BroadcastServer:
             if cache is not None:
                 ci = cache.ci_for(requested)
             else:
-                ci = build_ci_from_store(self.store, requested)
+                ci = Restriction.of(build_ci_from_store(self.store, requested))
         if not overloaded:
             with obs.span("server.prune_to_pci"):
                 if cache is not None:
@@ -617,7 +624,8 @@ class BroadcastServer:
             if stale is not None:
                 pci, pruning, rung = stale[0], stale[1], "pci-stale"
             else:
-                pci, pruning, rung = ci, PruningStats.between(ci, ci), "ci-unpruned"
+                pci = ci.materialise()
+                pruning, rung = PruningStats.between(ci, pci), "ci-unpruned"
         self.degraded_cycles += 1
         obs.counter("server.degraded_cycles_total", mode=rung, reason="forced").inc()
         return pci, pruning, rung
@@ -816,14 +824,11 @@ class BroadcastServer:
         Cached resolutions survive: the document is subtracted from the
         result sets that contain it.
         """
-        if self.cache is not None:
-            # Before the store forgets the document: unmerging it from a
-            # cached CI guide needs its per-document guide.
-            self.cache.invalidate_collection(doc_id)
         document = self.store.remove_document(doc_id)
         if self.cache is None:
             self._resolution_cache.clear()
         else:
+            self.cache.invalidate_collection(doc_id)
             cache = self._resolution_cache
             for key, (query, docs) in cache.items():
                 if doc_id in docs:

@@ -15,31 +15,15 @@ the query accepts, collect the document annotations of the whole subtree
 walk serves a whole compiled query set, recording per row which queries
 read it (:mod:`repro.filtering.masks`).
 
-Two builders cover the paper's two uses:
-
-* :func:`build_full_ci` -- over the entire collection (the conceptual CI
-  of Section 3.1);
-* :func:`build_ci` -- over the *requested* documents only, which is what
-  the server actually broadcasts in on-demand mode ("if a document is
-  never requested, it will not be broadcast", Section 3.2) and what the
-  CI curves of Figure 9 measure.
+:func:`build_full_ci` is the CI over a whole collection (Section 3.1).
+The server airs the CI over the *requested* documents only (Section 3.2):
+its collection table restricted to them (:mod:`repro.broadcast.cycle_cache`).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.dataguide.roxsum import (
     CombinedDataGuide,
@@ -111,9 +95,8 @@ class CompactIndex:
                 child = ends[child]
             self.children.append(tuple(child_ids))
         self._total_doc_entries = sum(map(len, self.doc_ids))
-        # The cycle-build cache hands the same CI to every cycle's pruning
-        # stats -- memoise the whole-table forms instead of re-deriving
-        # them per cycle.
+        # The packer, the encoder and the program signature each read a
+        # PCI's whole-table forms: memoise them.
         self._node_sizes: Dict[bool, array] = {}
         self._tree_form: Optional[Tuple] = None
 
@@ -351,20 +334,3 @@ def build_full_ci(
     guide = build_combined_guide(documents)
     return CompactIndex.from_guide(guide, size_model=size_model)
 
-
-def build_ci(
-    documents: Sequence[XMLDocument],
-    requested_doc_ids: Iterable[int],
-    size_model: SizeModel = PAPER_SIZE_MODEL,
-) -> CompactIndex:
-    """The CI over the *requested* documents (the on-demand broadcast CI).
-
-    Only documents some pending query asks for are indexed; everything
-    else will never be broadcast in the current cycle anyway.
-    """
-    requested = frozenset(requested_doc_ids)
-    subset = [doc for doc in documents if doc.doc_id in requested]
-    if not subset:
-        raise ValueError("no requested documents -- nothing to index")
-    guide = build_combined_guide(subset)
-    return CompactIndex.from_guide(guide, size_model=size_model)

@@ -137,10 +137,6 @@ class TwoTierIndex:
         """The paper's L_I."""
         return self.first_tier.size_bytes(one_tier=False)
 
-    @property
-    def first_tier_packets(self) -> int:
-        return self.size_model.packets_for(self.first_tier_bytes)
-
     def make_offset_list(self, offsets: Mapping[int, int]) -> OffsetList:
         """Build the second tier for one cycle's document placement."""
         return OffsetList.from_mapping(offsets, size_model=self.size_model)

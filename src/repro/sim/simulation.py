@@ -178,9 +178,6 @@ class Simulation:
         return (plan.arrival_time,), plan.arrival_time
 
     def _admit_batch(self, plans: Sequence[ArrivalPlan], retries: int = 0) -> None:
-        # One shared-NFA walk resolves the whole batch; the submissions
-        # below then hit the server's resolution cache.
-        self.server.resolve_batch([plan.query for plan in plans])
         due: Dict[int, List[_Session]] = {}  # submission time -> sessions
         for plan in plans:
             if self._shed(plan, retries):
@@ -298,10 +295,12 @@ class Simulation:
         return True
 
     def _schedule_arrivals(self, plans: Sequence[ArrivalPlan]) -> None:
-        # Same-time arrivals are admitted as one batch so the server can
-        # resolve them in a single combined-guide walk.  Plans arrive
-        # sorted by arrival_time (workload contract), so groupby batches
-        # are maximal; admission order within a batch is preserved.
+        # One shared-NFA walk resolves the whole arrival window; each
+        # admission then hits the server's resolution cache, whose
+        # entries follow any mutation in between by its delta.  Plans
+        # arrive sorted by arrival_time (workload contract), so groupby
+        # batches are maximal; admission order within a batch is kept.
+        self.server.resolve_batch([plan.query for plan in plans])
         for _time, group in itertools.groupby(plans, key=lambda p: p.arrival_time):
             batch = list(group)
             # priority 0: arrivals at time T run before the cycle event at

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.index.ci import CompactIndex, build_ci, build_full_ci
+from repro.broadcast.server import DocumentStore, build_ci_from_store
+from repro.index.ci import CompactIndex, build_full_ci
 from repro.xmlkit.model import XMLDocument
 from repro.xpath.evaluator import matching_documents
 from repro.xpath.parser import parse_query
@@ -59,7 +60,7 @@ class TestBuild:
         from tests.xpath.test_evaluator import paper_documents
 
         docs = paper_documents()
-        ci = build_ci(docs, requested_doc_ids={3, 4})
+        ci = build_ci_from_store(DocumentStore(docs), {3, 4})
         assert ci.annotated_doc_ids() == frozenset({3, 4})
         # d1's unique path a/b/a survives only if d2 (not requested) --
         # here neither is requested so the node is gone entirely.
@@ -69,7 +70,7 @@ class TestBuild:
         from tests.xpath.test_evaluator import paper_documents
 
         with pytest.raises(ValueError):
-            build_ci(paper_documents(), requested_doc_ids=set())
+            build_ci_from_store(DocumentStore(paper_documents()), set())
 
     def test_size_first_tier_smaller(self, paper_ci):
         ci, _docs = paper_ci

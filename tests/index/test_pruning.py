@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.filtering.dfa import LazyQueryDFA
-from repro.index.ci import build_ci, build_full_ci
+from repro.broadcast.server import DocumentStore, build_ci_from_store
+from repro.index.ci import build_full_ci
 from repro.index.pruning import prune_to_pci
 from repro.xpath.evaluator import matching_documents
 from repro.xpath.parser import parse_query
@@ -164,7 +165,7 @@ class TestPruningProperties:
         requested = set()
         for query in nitf_queries:
             requested |= matching_documents(query, nitf_docs)
-        ci = build_ci(nitf_docs, requested)
+        ci = build_ci_from_store(DocumentStore(nitf_docs), requested)
         pci, stats = prune_to_pci(ci, nitf_queries)
         assert stats.bytes_after <= stats.bytes_before
         for query in nitf_queries[:10]:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.index.ci import build_ci, build_full_ci
+from repro.broadcast.server import DocumentStore, build_ci_from_store
+from repro.index.ci import build_full_ci
 from repro.index.pruning import prune_to_pci, prune_to_pci_containment
 from repro.xpath.evaluator import matching_documents
 from repro.xpath.parser import parse_query
@@ -71,7 +72,7 @@ class TestFigure6Literal:
         requested = set()
         for query in nitf_queries:
             requested |= matching_documents(query, nitf_docs)
-        ci = build_ci(nitf_docs, requested)
+        ci = build_ci_from_store(DocumentStore(nitf_docs), requested)
         _pci_m, stats_m = prune_to_pci(ci, nitf_queries)
         _pci_c, stats_c = prune_to_pci_containment(ci, nitf_queries)
         assert stats_c.bytes_after >= stats_m.bytes_after

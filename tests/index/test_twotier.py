@@ -85,13 +85,6 @@ class TestTwoTierIndex:
         second_tier = two_tier.size_model.offset_list_bytes(2)
         assert one_tier > two_tier.first_tier_bytes + second_tier
 
-    def test_first_tier_packets(self):
-        two_tier, _docs = paper_two_tier()
-        model = two_tier.size_model
-        assert two_tier.first_tier_packets == model.packets_for(
-            two_tier.first_tier_bytes
-        )
-
     @given(document_collections(), st.lists(queries(), min_size=1, max_size=3))
     def test_equivalence_property(self, docs, query_list):
         """Two-tier lookup (IDs from tier 1, offsets from tier 2) locates

@@ -677,7 +677,7 @@ class TestEveryKnobHasAUser:
         from repro.control import controller
         from repro.net import client
 
-        assert (cycle_cache.REBUILD_THRESHOLD, cycle_cache.DFA_CACHE_SIZE) == (0.5, 16)
+        assert cycle_cache.DFA_CACHE_SIZE == 16
         assert (
             controller.GROW_BACKLOG_FACTOR, controller.SHRINK_IDLE_FRAC,
             controller.SHRINK_BACKLOG_FACTOR, controller.POLICY_SWITCH_MARGIN,
@@ -779,6 +779,59 @@ class TestOneCycleBuild:
         }
         for name in ("build_cycle", "_force_hot_schedule", *called):
             assert lines(getattr(BroadcastServer, name)) <= 40, name
+
+
+class TestOneCollectionTable:
+    """Each cycle's CI is the store's collection table restricted to the
+    request, so the per-cycle guide merge and its layer are gone
+    (migration table: CHANGES.md -- ``cache.ci_for(requested)`` returns a
+    :class:`~repro.index.pruning.Restriction`; ``.materialise()`` is the
+    ``CompactIndex`` it used to return; ``store.full_guide`` is
+    ``store.collection.guide``, built at first use; there is no
+    threshold to tune; ``build_ci(docs, ids)`` is
+    ``build_ci_from_store(DocumentStore(docs), ids)``;
+    ``two_tier.first_tier_packets`` is
+    ``two_tier.size_model.packets_for(two_tier.first_tier_bytes)``)."""
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            ("repro.broadcast.cycle_cache", "REBUILD_THRESHOLD"),
+            ("repro.broadcast.cycle_cache:CycleBuildCache", "_ci_guide"),
+            ("repro.broadcast.cycle_cache:CycleBuildCache", "_ci_index"),
+            ("repro.broadcast.cycle_cache:CycleBuildCache", "_incremental_guide"),
+            ("repro.broadcast.cycle_cache:CycleBuildCache", "_drop_ci"),
+            ("repro", "build_ci"),
+            ("repro.index", "build_ci"),
+            ("repro.index.ci", "build_ci"),
+            ("repro.index.twotier:TwoTierIndex", "first_tier_packets"),
+        ],
+    )
+    def test_the_guide_layer_is_gone(self, owner, name):
+        module_name, _, attr = owner.partition(":")
+        target = importlib.import_module(module_name)
+        if attr:
+            target = getattr(target, attr)
+        assert not hasattr(target, name)
+        if attr == "CycleBuildCache":
+            from repro.broadcast.server import DocumentStore
+            from tests.xpath.test_evaluator import paper_documents
+
+            assert not hasattr(target(DocumentStore(paper_documents())), name)
+
+    def test_one_prune_walk(self):
+        """Every pruning entry point is the one walk over a restriction."""
+        import inspect
+
+        from repro.index import pruning
+
+        walks = [
+            name
+            for name, function in inspect.getmembers(pruning, inspect.isfunction)
+            if function.__module__ == pruning.__name__
+            and "while pending" in inspect.getsource(function)
+        ]
+        assert walks == ["_prune"]
 
 
 class TestQuickstartSnippet:

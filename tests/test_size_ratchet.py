@@ -13,8 +13,9 @@ A package can carry a ceiling the same way: ``src/repro/index``,
 totals they reached when their test-only code left ``src`` and the
 collection filter gave way to the one guide-walk resolver, and
 ``src/repro/control`` and ``src/repro/faults`` at theirs after the
-parameter census, and ``src/repro/broadcast`` at its total once the cycle
-build became four stages.
+parameter census, ``src/repro/broadcast`` at its total once the cycle
+build became four stages and each cycle's CI a restriction of one
+collection table, and ``src/repro/dataguide`` from then on.
 
 It also prints the ``src/repro`` line total (``wc -l`` of every ``.py``),
 reported and not enforced -- a performance PR may add code -- so CI logs
@@ -50,8 +51,10 @@ PACKAGE_CEILINGS = {
     # with test-only helpers; 1,301 with find_all and invalidate_size
     "control": 551,  # 567 with eight test-only ControlConfig thresholds;
     # 554 before the channel-shape rule moved to broadcast/multichannel.py
-    "broadcast": 2_534,  # 2,557 with a 153-line build_cycle, the hot set
-    # derived three times and the channel-shape rule written out per site
+    "broadcast": 2_529,  # 2,557 with a 153-line build_cycle, the hot set
+    # derived three times and the channel-shape rule written out per site;
+    # 2,534 with a per-cycle guide merge beside the collection table
+    "dataguide": 441,  # at the collection table's arrival
     "faults": 746,  # 802 with the build-budget caps and sample_fault_plan;
     # 752 with the monitors' every-session sweep and a copied admission
 }
