@@ -334,7 +334,7 @@ def cmd_simulate(args) -> int:
     if chaos is not None:
         fault_rows = list(chaos.fault_stats.items())
         fault_rows.append(("server degraded cycles", chaos.server.degraded_cycles))
-        fault_rows.append(("server dedup hits", chaos.server.uplink_dedup_hits))
+        fault_rows.append(("server dedup hits", chaos.server.admission.dedup_hits))
         print_table(
             f"Fault injection (seed {config.faults.seed}, "
             f"window {config.faults.fault_cycles} cycles)",

@@ -25,8 +25,9 @@ lacks rebuilds the table from the guide.
   reused outright.
 
 The caches are bypassed with the server's ``enable_caches=False`` (the
-tests' from-scratch oracle); property tests hold cached and from-scratch
-cycle programs byte-identical.  On ``add_document`` / ``remove_document``
+tests' from-scratch oracle), which forks the index stage alone: both
+servers admit and schedule alike.  Property tests hold cached and
+from-scratch cycle programs byte-identical.  On ``add_document`` / ``remove_document``
 (:meth:`CycleBuildCache.invalidate_collection`) the PCI is dropped exactly
 when the document is in its requested set, a removed document leaves the
 cached requested set, and the DFAs never move; only the argument-less

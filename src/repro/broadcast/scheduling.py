@@ -18,11 +18,10 @@ number of cycles a client must listen to stays low.
 Simpler baselines (FCFS, most-requested-first, RxW) exist for the
 scheduler ablation bench; the paper's figures use Lee-Lo.
 
-Demand accounting comes in two flavours: the stateless
-:func:`_demand_table` rebuild (the seed behaviour, still used when no
-table is supplied) and the server-maintained :class:`DemandTable`, which
-mirrors every remaining-set mutation incrementally so ``rank()`` stops
-re-deriving the doc-to-queries map from scratch every cycle.
+Every scheduler reads its demand from the server-maintained
+:class:`DemandTable` (doc id -> pending queries still missing it), which
+mirrors every remaining-set mutation, so ``rank()`` never re-derives the
+doc-to-queries map from the pending list.
 """
 
 from __future__ import annotations
@@ -58,9 +57,9 @@ class DemandTable:
     Queries are stored regardless of arrival time; readers filter with
     ``arrival_time <= now`` (see :meth:`items_for`) so the table agrees
     exactly with a from-scratch build over the *active* pending set --
-    property-tested in ``tests/broadcast/test_scheduling.py``.  When no
-    registered query has a future arrival the per-edge filter is skipped
-    entirely (the common steady-state fast path).
+    property-tested in ``tests/broadcast/test_admission_differential.py``.
+    When no registered query has a future arrival the per-edge filter is
+    skipped entirely (the common steady-state fast path).
     """
 
     def __init__(self) -> None:
@@ -69,19 +68,27 @@ class DemandTable:
         #: need no per-edge arrival filtering
         self._max_arrival: int = 0
 
-    def __len__(self) -> int:
-        return len(self._by_doc)
-
     def add_query(self, query: "PendingQuery") -> None:
-        """Register every document *query* is still missing."""
+        """Register every document a just-admitted *query* is missing
+        (its id is above every registered one, so it waits last)."""
         if query.arrival_time > self._max_arrival:
             self._max_arrival = query.arrival_time
-        self.add(query, query.remaining_doc_ids)
+        by_doc = self._by_doc
+        for doc_id in query.remaining_doc_ids:
+            by_doc.setdefault(doc_id, {})[query.query_id] = query
 
     def add(self, query: "PendingQuery", doc_ids: Iterable[int]) -> None:
-        """Register *query*'s demand edges on *doc_ids*."""
+        """Register *query*'s demand edges on *doc_ids* again.  Each
+        document's waiters stay in query-id (admission) order, the order
+        a rebuild over the pending list has, so Lee-Lo sums its weights
+        in that order whatever the acknowledgement history."""
+        by_doc, query_id = self._by_doc, query.query_id
         for doc_id in doc_ids:
-            self._by_doc.setdefault(doc_id, {})[query.query_id] = query
+            waiters = by_doc.setdefault(doc_id, {})
+            early = bool(waiters) and query_id < next(reversed(waiters))
+            waiters[query_id] = query
+            if early:
+                by_doc[doc_id] = dict(sorted(waiters.items()))
 
     def drop(self, query: "PendingQuery", doc_ids: Iterable[int]) -> None:
         """Drop *query*'s demand edges on *doc_ids*, where present."""
@@ -134,16 +141,12 @@ class DemandTable:
                     yield doc_id, list(queries.values())
             return
         for doc_id, queries in self._by_doc.items():
-            eligible = [
-                q
-                for q in queries.values()
-                if q.arrival_time <= now and not q.is_satisfied
-            ]
+            eligible = [q for q in queries.values() if q.arrival_time <= now]
             if eligible:
                 yield doc_id, eligible
 
     def snapshot(self, now: int) -> Dict[int, List["PendingQuery"]]:
-        """The eligible view as a dict (equivalence testing and debugging)."""
+        """The eligible view as a dict: what the schedulers rank."""
         return dict(self.items_for(now))
 
 
@@ -157,13 +160,11 @@ class Scheduler(abc.ABC):
         self,
         pending: Sequence["PendingQuery"],
         now: int,
-        demand: Optional[DemandTable] = None,
+        demand: DemandTable,
     ) -> List[int]:
         """Return candidate doc ids, best first (may contain all candidates).
 
-        When *demand* is supplied it must mirror the remaining sets of
-        *pending*; schedulers then read it instead of rebuilding the
-        doc-to-queries map.
+        *demand* mirrors the remaining sets of *pending*.
         """
 
     def select(
@@ -172,7 +173,7 @@ class Scheduler(abc.ABC):
         store: "DocumentStore",
         capacity_bytes: int,
         now: int,
-        demand: Optional[DemandTable] = None,
+        demand: DemandTable,
     ) -> List[int]:
         """Fill the cycle greedily from :meth:`rank`'s order.
 
@@ -193,29 +194,6 @@ class Scheduler(abc.ABC):
         return chosen
 
 
-def _demand_table(
-    pending: Sequence["PendingQuery"],
-) -> Dict[int, List["PendingQuery"]]:
-    """doc id -> pending queries still missing that document."""
-    demand: Dict[int, List["PendingQuery"]] = {}
-    for query in pending:
-        for doc_id in query.remaining_doc_ids:
-            demand.setdefault(doc_id, []).append(query)
-    return demand
-
-
-def _demand_view(
-    pending: Sequence["PendingQuery"],
-    now: int,
-    demand: Optional[DemandTable],
-) -> Dict[int, List["PendingQuery"]]:
-    """The doc-to-queries map: the incremental table when available,
-    otherwise a from-scratch rebuild over *pending*."""
-    if demand is not None:
-        return demand.snapshot(now)
-    return _demand_table(pending)
-
-
 class FCFSScheduler(Scheduler):
     """First-come-first-served: finish the oldest query's documents first."""
 
@@ -225,7 +203,7 @@ class FCFSScheduler(Scheduler):
         self,
         pending: Sequence["PendingQuery"],
         now: int,
-        demand: Optional[DemandTable] = None,
+        demand: DemandTable,
     ) -> List[int]:
         ordered: List[int] = []
         seen: Set[int] = set()
@@ -246,9 +224,9 @@ class MostRequestedFirstScheduler(Scheduler):
         self,
         pending: Sequence["PendingQuery"],
         now: int,
-        demand: Optional[DemandTable] = None,
+        demand: DemandTable,
     ) -> List[int]:
-        table = _demand_view(pending, now, demand)
+        table = demand.snapshot(now)
         return sorted(table, key=lambda d: (-len(table[d]), d))
 
 
@@ -261,9 +239,9 @@ class RxWScheduler(Scheduler):
         self,
         pending: Sequence["PendingQuery"],
         now: int,
-        demand: Optional[DemandTable] = None,
+        demand: DemandTable,
     ) -> List[int]:
-        table = _demand_view(pending, now, demand)
+        table = demand.snapshot(now)
 
         def score(doc_id: int) -> float:
             queries = table[doc_id]
@@ -296,9 +274,9 @@ class LeeLoScheduler(Scheduler):
         self,
         pending: Sequence["PendingQuery"],
         now: int,
-        demand: Optional[DemandTable] = None,
+        demand: DemandTable,
     ) -> List[int]:
-        table = _demand_view(pending, now, demand)
+        table = demand.snapshot(now)
         # One weight per pending query, not one division per (doc, query)
         # edge.  The per-document sum() still adds the same floats in the
         # same order, so scores are bit-identical to the per-edge form

@@ -17,6 +17,10 @@ the build is overloaded, and runs the rest as four stages: **index**
 then hot-set forcing), **assemble** (the program of 5) and **record**
 (the bookkeeping of 5, the :class:`CycleRecord` and its metrics).
 
+Admission (:class:`Admission`, the server's ``admission``) resolves each
+arriving query once and queues it with its result set; a query whose
+result set is empty is rejected.
+
 A query leaves the pending queue once every document of its result set
 has been broadcast since its arrival (the client listening for it has had
 the chance to download everything).
@@ -34,6 +38,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -63,7 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - layering guard (control -> broadcast)
     from repro.control.plan import CyclePlan
 
 
-#: LRU capacity of :class:`BroadcastServer`'s per-string resolution cache.
+#: LRU capacity of :class:`Admission`'s per-string resolution cache.
 #: Entries outlive collection mutations (they are delta-maintained), so
 #: without a cap the cache would hold every distinct string ever asked.
 RESOLUTION_CACHE_SIZE = 4096
@@ -179,10 +184,6 @@ class DocumentStore:
         """Raw serialized size of the whole collection."""
         return sum(doc.size_bytes for doc in self.documents)
 
-    def subset(self, doc_ids: Iterable[int]) -> List[XMLDocument]:
-        wanted = set(doc_ids)
-        return [doc for doc in self.documents if doc.doc_id in wanted]
-
 
 @dataclass
 class PendingQuery:
@@ -220,6 +221,162 @@ class PendingQuery:
         if self.satisfied_cycle is None or self.first_indexed_cycle is None:
             return None
         return self.satisfied_cycle - self.first_indexed_cycle + 1
+
+
+class Admitted(NamedTuple):
+    """One submitted query's outcome (:meth:`BroadcastServer.submit_batch`)."""
+
+    #: ``None`` when the query was rejected: its result set is empty
+    pending: Optional[PendingQuery]
+    #: a keyed retry: *pending* is the earlier admission, unchanged
+    duplicate: bool = False
+
+
+class Admission:
+    """Query admission: per-query validation, the resolution LRU (kept
+    right across collection mutations by their deltas), the keyed-uplink
+    dedup and the query ids.  Starts empty."""
+
+    def __init__(self, store: DocumentStore) -> None:
+        self.store = store
+        #: query string -> (a query with that string, its result set over
+        #: the live collection); LRU, at most RESOLUTION_CACHE_SIZE entries.
+        #: The representative queries let :meth:`add_document` run the
+        #: cached strings over the new document alone, through their
+        #: shared NFA (``None`` after a resolution or eviction changed them)
+        self.resolutions: "OrderedDict[str, Tuple[XPathQuery, FrozenSet[int]]]" = (
+            OrderedDict()
+        )
+        self._nfa: Optional[Tuple[List[str], SharedPathNFA]] = None
+        #: ``(client_key, query string)`` -> that keyed admission
+        self._keyed: Dict[Tuple[int, str], PendingQuery] = {}
+        self.next_query_id = 0
+        #: plain-int mirrors of ``server.uplink_dedup_hits_total`` and
+        #: ``server.resolved_query_strings_total`` (strings resolved by a
+        #: full combined-guide walk)
+        self.dedup_hits = 0
+        self.resolved_query_strings = 0
+
+    def resolve(self, queries: Sequence[XPathQuery]) -> List[FrozenSet[int]]:
+        """Result-document sets of *queries*, resolved in one shared pass.
+
+        All cache-missing query strings go to one :func:`resolve_on_guide`
+        call, which compiles them into a single :class:`SharedPathNFA` and
+        walks the combined guide **once** -- the same shared-prefix trick
+        YFilter plays, applied to admission.  Results are identical to
+        query-at-a-time resolution (tested) and land in the same cache.
+        """
+        for query in queries:
+            if query.has_predicates():
+                raise ValueError(
+                    "the air index is purely structural: predicate queries "
+                    "are resolved for the experiments (PendingIndex) "
+                    "but not by the broadcast protocol -- the paper's "
+                    "experiments use simple queries without predicates "
+                    "(Section 4.1)"
+                )
+        cache = self.resolutions
+        misses: Dict[str, XPathQuery] = {}
+        for query in queries:
+            key = str(query)
+            if key in cache:
+                cache.move_to_end(key)
+            else:
+                misses.setdefault(key, query)
+        if misses:
+            with obs.span("server.query_filtering"):
+                resolved = resolve_on_guide(self.store.full_guide, list(misses.values()))
+            self.resolved_query_strings += len(misses)
+            obs.counter("server.resolved_query_strings_total").inc(len(misses))
+            for (key, query), value in zip(misses.items(), resolved):
+                cache[key] = (query, value)
+            self._nfa = None
+        results = [cache[str(query)][1] for query in queries]
+        while len(cache) > RESOLUTION_CACHE_SIZE:
+            cache.popitem(last=False)
+        return results
+
+    def admit(
+        self,
+        queries: Sequence[XPathQuery],
+        arrival_time: int,
+        client_keys: Optional[Sequence[Optional[int]]],
+        resolve: Callable[[Sequence[XPathQuery]], List[FrozenSet[int]]],
+    ) -> List[Admitted]:
+        """One :class:`Admitted` per query.  A keyed query already
+        admitted under its key is a duplicate, neither resolved nor
+        re-validated; the rest go to *resolve* in one call, and each
+        non-empty result is admitted under the next id."""
+        if client_keys is None:
+            client_keys = [None] * len(queries)
+        if len(client_keys) != len(queries):
+            raise ValueError("client_keys must match queries one-to-one")
+        out = [Admitted(self.keyed(k, q), True) for q, k in zip(queries, client_keys)]
+        fresh = [position for position, done in enumerate(out) if done.pending is None]
+        if len(fresh) < len(out):
+            self.dedup_hits += len(out) - len(fresh)
+            obs.counter("server.uplink_dedup_hits_total").inc(len(out) - len(fresh))
+        if not fresh:
+            return out
+        first_id = self.next_query_id
+        for position, result in zip(fresh, resolve([queries[p] for p in fresh])):
+            pending, key = None, client_keys[position]
+            if result:
+                pending = PendingQuery(
+                    self.next_query_id, queries[position], arrival_time, result
+                )
+                self.next_query_id += 1
+                if key is not None:
+                    self._keyed[(key, str(pending.query))] = pending
+            out[position] = Admitted(pending)
+        if self.next_query_id > first_id:
+            obs.counter("server.queries_total").inc(self.next_query_id - first_id)
+        return out
+
+    def keyed(
+        self, client_key: Optional[int], query: XPathQuery
+    ) -> Optional[PendingQuery]:
+        """The admission a submission of *query* under *client_key* would
+        return as a duplicate (``None`` if unkeyed or new)."""
+        if client_key is None:
+            return None
+        return self._keyed.get((client_key, str(query)))
+
+    def forget(self, client_key: int, query: XPathQuery) -> None:
+        """Drop one keyed admission: the key's next submission of *query*
+        is admitted fresh."""
+        del self._keyed[(client_key, str(query))]
+
+    def add_document(self, doc_id: int) -> None:
+        """The store just added *doc_id*: it joins the cached result sets
+        it matches.  ``resolve(q)`` is the set of documents whose own
+        DataGuide has a path *q* accepts, so one shared-NFA walk of the
+        cached strings over the new document's guide finds exactly them."""
+        cache = self.resolutions
+        if not cache:
+            return
+        with obs.span("server.query_filtering"):
+            if self._nfa is None:
+                nfa = SharedPathNFA()
+                nfa.add_queries([query for query, _docs in cache.values()])
+                self._nfa = (list(cache), nfa.freeze())
+            keys, nfa = self._nfa
+            joined: Set[int] = set()
+            for _node, accepted in nfa.trie_matches(
+                (self.store.guides[doc_id].root,)
+            ):
+                joined |= accepted
+        for query_id in joined:
+            query, docs = cache[keys[query_id]]
+            cache[keys[query_id]] = (query, docs | {doc_id})
+
+    def remove_document(self, doc_id: int) -> None:
+        """The store just removed *doc_id*: it leaves the cached result
+        sets that contain it."""
+        cache = self.resolutions
+        for key, (query, docs) in cache.items():
+            if doc_id in docs:
+                cache[key] = (query, docs - {doc_id})
 
 
 @dataclass(frozen=True)
@@ -354,13 +511,13 @@ class BroadcastServer:
         #: channel 0; empty (the default) leaves scheduling untouched.
         self.hot_doc_ids: Tuple[int, ...] = ()
         #: Incremental cycle-build caches (CI restriction, pruning-DFA
-        #: LRU, PCI reuse) plus demand-table reads by the scheduler.  With
-        #: ``enable_caches=False`` (the tests' oracle) every cycle is built
-        #: from scratch; cycle programs are byte-identical either way
-        #: (property-tested).
+        #: LRU, PCI reuse).  With ``enable_caches=False`` (the tests'
+        #: oracle) the index stage builds every CI and PCI from scratch;
+        #: cycle programs are byte-identical either way (property-tested).
         self.cache: Optional[CycleBuildCache] = (
             CycleBuildCache(store) if enable_caches else None
         )
+        self.admission = Admission(store)
         #: With acknowledged delivery (error-prone channel extension) the
         #: server does NOT assume broadcast means received: documents stay
         #: in a query's remaining set until :meth:`confirm_delivery`
@@ -375,30 +532,10 @@ class BroadcastServer:
         self.pending: List[PendingQuery] = []
         self.completed: List[PendingQuery] = []
         self.records: List[CycleRecord] = []
-        self._next_query_id = 0
-        #: query string -> (a query with that string, its result set over
-        #: the live collection); LRU, at most RESOLUTION_CACHE_SIZE entries.
-        #: The representative queries are what lets ``add_document`` run
-        #: the cached strings over the new document alone, through their
-        #: shared NFA (``None`` after an admission or eviction changed them)
-        self._resolution_cache: "OrderedDict[str, Tuple[XPathQuery, FrozenSet[int]]]" = (
-            OrderedDict()
-        )
-        self._resolution_nfa: Optional[Tuple[List[str], SharedPathNFA]] = None
-        #: idempotent-uplink dedup: ``(client_key, query string)`` of
-        #: every keyed admission ever made.  A retried submission with
-        #: the same key returns the *existing* PendingQuery -- never a
-        #: second admission, never a reset of its arrival bookkeeping.
-        self._uplink_dedup: Dict[Tuple[int, str], PendingQuery] = {}
-        #: plain-int mirrors of the fault/recovery counters so tests and
-        #: the CLI can read them without enabling a registry
-        self.uplink_dedup_hits = 0
+        #: plain-int mirror of ``server.degraded_cycles_total``
         self.degraded_cycles = 0
-        #: distinct query strings resolved by a full combined-guide walk
-        #: (mirror of ``server.resolved_query_strings_total``)
-        self.resolved_query_strings = 0
         #: doc id -> pending queries still missing it, mirrored across every
-        #: remaining-set mutation so schedulers stop rebuilding it per cycle
+        #: remaining-set mutation; the scheduler reads it
         self.demand = DemandTable()
         self.clock = 0  # channel byte-time
         self.cycle_number = 0
@@ -419,54 +556,10 @@ class BroadcastServer:
     def resolve_batch(
         self, queries: Sequence[XPathQuery]
     ) -> List[FrozenSet[int]]:
-        """Result-document sets of *queries*, resolved in one shared pass.
-
-        All cache-missing query strings go to one :func:`resolve_on_guide`
-        call, which compiles them into a single :class:`SharedPathNFA` and
-        walks the combined guide **once** -- the same shared-prefix trick
-        YFilter plays, applied to admission.  Results are identical to query-at-a-time resolution (tested) and
-        land in the same per-string cache.
-        """
-        for query in queries:
-            if query.has_predicates():
-                raise ValueError(
-                    "the air index is purely structural: predicate queries "
-                    "are resolved for the experiments (PendingIndex) "
-                    "but not by the broadcast protocol -- the paper's "
-                    "experiments use simple queries without predicates "
-                    "(Section 4.1)"
-                )
-        results: List[Optional[FrozenSet[int]]] = [None] * len(queries)
-        cache = self._resolution_cache
-        misses: Dict[str, List[int]] = {}
-        representative: Dict[str, XPathQuery] = {}
-        for position, query in enumerate(queries):
-            key = str(query)
-            cached = cache.get(key)
-            if cached is not None:
-                cache.move_to_end(key)
-                results[position] = cached[1]
-            else:
-                misses.setdefault(key, []).append(position)
-                representative.setdefault(key, query)
-        if misses:
-            keys = list(misses)
-            with obs.span("server.query_filtering"):
-                resolved = resolve_on_guide(
-                    self.store.full_guide, [representative[key] for key in keys]
-                )
-            self.resolved_query_strings += len(keys)
-            obs.counter("server.resolved_query_strings_total").inc(len(keys))
-            for key, value in zip(keys, resolved):
-                cache[key] = (representative[key], value)
-                for position in misses[key]:
-                    results[position] = value
-            while len(cache) > RESOLUTION_CACHE_SIZE:
-                cache.popitem(last=False)
-            self._resolution_nfa = None
-        # Every position is filled: it was either a cache hit or a miss
-        # resolved just above.
-        return [result for result in results if result is not None]
+        """Result-document sets of *queries*, resolved in one shared pass
+        (:meth:`Admission.resolve`): every resolution, admission's
+        included, comes through here."""
+        return self.admission.resolve(queries)
 
     def submit(
         self,
@@ -474,83 +567,34 @@ class BroadcastServer:
         arrival_time: int,
         client_key: Optional[int] = None,
     ) -> PendingQuery:
-        """Admit a query; resolution happens immediately.
-
-        Queries with empty result sets are rejected (the paper assumes
-        non-empty result sets; the workload generator guarantees it).
-
-        With a *client_key* (unreliable-uplink extension) admission is
-        idempotent: a retry of an already-admitted ``(client_key,
-        query)`` returns the existing :class:`PendingQuery` unchanged --
-        duplicates never double-admit and never reset ``arrival_time``
-        or delivery bookkeeping.
-        """
-        return self.submit_batch(
-            [query], arrival_time, client_keys=[client_key]
-        )[0]
-
-    def forget_uplink_key(self, client_key: int, query_text: str) -> bool:
-        """Drop one idempotent-uplink dedup entry; True if it existed.
-
-        The daemon's redelivery path uses this: when a reconnecting
-        client resubmits a ``(client_key, query)`` whose original
-        admission already completed, the bytes it missed will never
-        re-air on their own -- the dedup entry must be forgotten so the
-        resubmit becomes a fresh admission instead of an ACK for a
-        broadcast that is gone.
-        """
-        return self._uplink_dedup.pop((client_key, query_text), None) is not None
+        """Admit one query (:meth:`submit_batch`); ``ValueError`` when its
+        result set is empty (the paper assumes non-empty result sets; the
+        workload generator guarantees it)."""
+        pending = self.submit_batch([query], arrival_time, [client_key])[0].pending
+        if pending is None:
+            raise ValueError(f"query {query} has an empty result set")
+        return pending
 
     def submit_batch(
         self,
         queries: Sequence[XPathQuery],
         arrival_time: int,
         client_keys: Optional[Sequence[Optional[int]]] = None,
-    ) -> List[PendingQuery]:
-        """Admit several same-time queries with one shared resolution pass.
-
-        Admission is atomic over the *fresh* queries of the batch: if
-        any of them resolves to an empty result set, the whole batch is
-        rejected before a single query is admitted.  Keyed duplicates
-        (see :meth:`submit`) are returned as-is without re-validation.
-        """
-        if client_keys is None:
-            client_keys = [None] * len(queries)
-        if len(client_keys) != len(queries):
-            raise ValueError("client_keys must match queries one-to-one")
-        out: List[Optional[PendingQuery]] = [None] * len(queries)
-        fresh_positions: List[int] = []
-        for position, (query, key) in enumerate(zip(queries, client_keys)):
-            if key is not None:
-                existing = self._uplink_dedup.get((key, str(query)))
-                if existing is not None:
-                    out[position] = existing
-                    self.uplink_dedup_hits += 1
-                    obs.counter("server.uplink_dedup_hits_total").inc()
-                    continue
-            fresh_positions.append(position)
-        if fresh_positions:
-            fresh = [queries[position] for position in fresh_positions]
-            results = self.resolve_batch(fresh)
-            for query, result in zip(fresh, results):
-                if not result:
-                    raise ValueError(f"query {query} has an empty result set")
-            for position, result in zip(fresh_positions, results):
-                pending = PendingQuery(
-                    query_id=self._next_query_id,
-                    query=queries[position],
-                    arrival_time=arrival_time,
-                    result_doc_ids=result,
-                )
-                self._next_query_id += 1
-                self.pending.append(pending)
-                self.demand.add_query(pending)
-                key = client_keys[position]
-                if key is not None:
-                    self._uplink_dedup[(key, str(pending.query))] = pending
-                out[position] = pending
-            obs.counter("server.queries_total").inc(len(fresh_positions))
-        return [pending for pending in out if pending is not None]
+    ) -> List[Admitted]:
+        """Admit several same-time queries with one shared resolution pass,
+        one :class:`Admitted` each: a query
+        with an empty result set is rejected alone, and with a client key
+        (unreliable-uplink extension) a retry of an admitted ``(key,
+        query)`` is a duplicate, returned unchanged
+        (:meth:`Admission.admit`)."""
+        admitted = self.admission.admit(
+            queries, arrival_time, client_keys, self.resolve_batch
+        )
+        for result in admitted:
+            if result.pending is not None and not result.duplicate:
+                self.pending.append(result.pending)
+                self.demand.add_query(result.pending)
+        return admitted
 
     # ------------------------------------------------------------------
     # Cycle construction
@@ -642,8 +686,9 @@ class BroadcastServer:
             # Capacity is per data channel: K parallel channels carry K
             # full data segments in the same wall-clock span.
             capacity = self.cycle_data_capacity * self.num_data_channels
-            demand = self.demand if self.cache is not None else None
-            scheduled = self.scheduler.select(active, self.store, capacity, now, demand)
+            scheduled = self.scheduler.select(
+                active, self.store, capacity, now, self.demand
+            )
             if self.hot_doc_ids:
                 scheduled = self._force_hot_schedule(scheduled, requested, capacity)
         return scheduled
@@ -774,11 +819,8 @@ class BroadcastServer:
     def add_document(self, document: XMLDocument) -> None:
         """Add a document to the broadcast collection between cycles.
 
-        Every derived structure follows by the delta.  The resolution
-        cache keeps its entries: ``resolve(q)`` is the set of documents
-        whose own DataGuide has a path *q* accepts, so one shared-NFA
-        walk of the cached strings over the *new document's* guide finds
-        exactly the entries the document joins.  The cycle-build caches
+        Every derived structure follows by the delta: the resolution cache
+        (:meth:`Admission.add_document`) and the cycle-build caches, which
         are told which document changed and keep every layer that does
         not depend on it (a brand-new document is in no cached requested
         set; see :mod:`repro.broadcast.cycle_cache`).  Already-admitted
@@ -786,28 +828,9 @@ class BroadcastServer:
         server that resolved them on arrival would.
         """
         self.store.add_document(document)
-        if self.cache is None:
-            # The from-scratch oracle re-resolves against the full guide.
-            self._resolution_cache.clear()
-            return
-        self.cache.invalidate_collection(document.doc_id)
-        cache = self._resolution_cache
-        if not cache:
-            return
-        with obs.span("server.query_filtering"):
-            if self._resolution_nfa is None:
-                nfa = SharedPathNFA()
-                nfa.add_queries([query for query, _docs in cache.values()])
-                self._resolution_nfa = (list(cache), nfa.freeze())
-            keys, nfa = self._resolution_nfa
-            joined: Set[int] = set()
-            for _node, accepted in nfa.trie_matches(
-                (self.store.guides[document.doc_id].root,)
-            ):
-                joined |= accepted
-        for query_id in joined:
-            query, docs = cache[keys[query_id]]
-            cache[keys[query_id]] = (query, docs | {document.doc_id})
+        if self.cache is not None:
+            self.cache.invalidate_collection(document.doc_id)
+        self.admission.add_document(document.doc_id)
 
     def remove_document(self, doc_id: int) -> XMLDocument:
         """Remove a document; pending queries stop waiting for it.
@@ -822,17 +845,12 @@ class BroadcastServer:
         stays ``None`` instead of reporting a bogus pre-arrival cycle.
 
         Cached resolutions survive: the document is subtracted from the
-        result sets that contain it.
+        result sets that contain it (:meth:`Admission.remove_document`).
         """
         document = self.store.remove_document(doc_id)
-        if self.cache is None:
-            self._resolution_cache.clear()
-        else:
+        if self.cache is not None:
             self.cache.invalidate_collection(doc_id)
-            cache = self._resolution_cache
-            for key, (query, docs) in cache.items():
-                if doc_id in docs:
-                    cache[key] = (query, docs - {doc_id})
+        self.admission.remove_document(doc_id)
         self.demand.discard_doc(doc_id)
         for pending in self.pending:
             if doc_id in pending.result_doc_ids:  # else keep the shared set

@@ -37,7 +37,7 @@ simulation drive identical controllers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.broadcast.multichannel import (
@@ -410,16 +410,16 @@ class AdaptiveController:
             reasons.append("shed-on" if overloaded else "shed-off")
         self.shedding = overloaded
 
-    def is_cold(self, result_doc_ids: FrozenSet[int]) -> bool:
-        """Whether a query is *cold* for the admission governor.
+    def sheds(self, resolve: Callable[[], FrozenSet[int]]) -> bool:
+        """Whether the admission governor defers an arrival; counted if so.
 
-        Hot queries -- those whose result set touches the promoted hot
-        set, which re-airs every cycle anyway -- are always admitted;
-        everyone else is cold and sheddable under overload.
+        Only while shedding is the query resolved (*resolve*).  Hot
+        queries -- those whose result set touches the promoted hot set,
+        which re-airs every cycle anyway -- are always admitted; everyone
+        else is cold and answered ``RETRY_AFTER``.
         """
-        return not (self.hot_doc_ids and set(self.hot_doc_ids) & result_doc_ids)
-
-    def record_shed(self, count: int = 1) -> None:
-        """Account *count* queries answered with ``RETRY_AFTER``."""
-        self.shed_queries += count
-        obs.counter("control.shed_queries_total").inc(count)
+        if not self.shedding or not set(self.hot_doc_ids).isdisjoint(resolve()):
+            return False
+        self.shed_queries += 1
+        obs.counter("control.shed_queries_total").inc()
+        return True

@@ -538,15 +538,12 @@ class BroadcastDaemon:
             query = parse_query(command.query)
         except ValueError as exc:
             return _reject(uplink.Err(str(exc)))
-        if (
-            self.controller is not None
-            and self.controller.shedding
-            and self.controller.is_cold(self.server.resolve(query))
+        if self.controller is not None and self.controller.sheds(
+            lambda: self.server.resolve(query)
         ):
             # Admission governor: under overload, cold queries (no
             # overlap with the hot set) are deferred, not queued -- the
             # hint is the governor's backoff in cycles.
-            self.controller.record_shed()
             self.stats.rejected_shed += 1
             self.events.info("shed", query=str(query))
             return _reject(uplink.RetryAfter(RETRY_AFTER_CYCLES, trace_id))
@@ -586,21 +583,20 @@ class BroadcastDaemon:
         entry stays in the old journal until the compaction that ends
         the replay writes it to the new one.
         """
-        dedup_before = self.server.uplink_dedup_hits
+        earlier = self.server.admission.keyed(key, query)
+        redelivery = earlier is not None and earlier.is_satisfied
+        if redelivery:
+            # The keyed admission already completed, so its documents
+            # aired while this client was disconnected and will never
+            # re-air on their own.  A resubmit after a reconnect means
+            # the client missed them -- forget the entry and admit fresh.
+            assert key is not None  # only a keyed admission is earlier
+            self.server.admission.forget(key, query)
         pending = self.server.submit(query, arrival, client_key=key)
-        deduped = self.server.uplink_dedup_hits > dedup_before
-        if key is not None and deduped and pending.is_satisfied:
-            # Redelivery: the dedup hit points at an admission that
-            # already completed, so its documents aired while this
-            # client was disconnected and will never re-air on their
-            # own.  A resubmit after a reconnect means the client
-            # missed them -- forget the entry and admit fresh.
-            self.server.forget_uplink_key(key, str(query))
-            pending = self.server.submit(query, arrival, client_key=key)
-            deduped = False
+        if redelivery:
             self.stats.redelivered_total += 1
             self.events.info("redeliver", query_id=pending.query_id, key=key)
-        if deduped:
+        if pending is earlier:
             # Not re-journaled: the original admission already covers it.
             self.events.info("dedup_hit", query_id=pending.query_id, key=key)
         elif journaled and self.journal is not None:
@@ -654,7 +650,7 @@ class BroadcastDaemon:
         stats.cycles = server.cycle_number
         stats.clock = server.clock
         stats.connections_open = len(self._connections)
-        stats.dedup_hits = server.uplink_dedup_hits
+        stats.dedup_hits = server.admission.dedup_hits
         stats.degraded_cycles = server.degraded_cycles
         stats.draining = self._draining
         return stats

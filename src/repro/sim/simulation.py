@@ -238,21 +238,17 @@ class Simulation:
     def _submit(self, sessions: Sequence[_Session], delivery_time: int) -> None:
         """Submissions of *sessions* reach the server at *delivery_time*:
         one batch admission, retries deduplicated by client key."""
-        fresh = [s for s in sessions if s.pending is None and not s.rejected]
-        for session, result in zip(
-            fresh, self.server.resolve_batch([s.plan.query for s in fresh])
-        ):
-            if not result:
-                self._reject(session)
-        admitted = [session for session in sessions if not session.rejected]
-        pendings = self.server.submit_batch(
-            [session.plan.query for session in admitted],
+        live = [session for session in sessions if not session.rejected]
+        admitted = self.server.submit_batch(
+            [session.plan.query for session in live],
             delivery_time,
-            client_keys=[session.client_key for session in admitted],
+            client_keys=[session.client_key for session in live],
         )
-        for session, pending in zip(admitted, pendings):
-            if session.pending is None:
-                session.pending = pending
+        for session, result in zip(live, admitted):
+            if result.pending is None:
+                self._reject(session)
+            elif not result.duplicate:
+                session.pending = result.pending
 
     def _reject(self, session: _Session) -> None:
         """The server refuses a query with an empty result set."""
@@ -271,22 +267,18 @@ class Simulation:
         true ``arrival_time``, so the deferral is fully charged to its
         access time).  Returns True when the plan was deferred.
         """
-        controller = self.controller
         if (
-            controller is None
-            or not controller.shedding
+            self.controller is None
             or retries >= self._MAX_SHED_RETRIES
             or self._current_cycle is None
+            or not self.controller.sheds(lambda: self.server.resolve(plan.query))
         ):
-            return False
-        if not controller.is_cold(self.server.resolve(plan.query)):
             return False
         span = self._current_cycle.end_time - self._current_cycle.start_time
         retry_time = (
             max(self.server.clock, plan.arrival_time)
             + span * RETRY_AFTER_CYCLES
         )
-        controller.record_shed()
         self._queue.schedule(
             retry_time,
             lambda p=plan, r=retries + 1: self._admit_batch([p], retries=r),

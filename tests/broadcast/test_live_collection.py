@@ -106,28 +106,28 @@ class TestServerMaintenance:
         server = BroadcastServer(paper_store())
         texts = ("/a/b", "/a//c", "/a/c/a")
         before = {t: server.resolve(parse_query(t)) for t in texts}
-        walked = server.resolved_query_strings
+        walked = server.admission.resolved_query_strings
         extra = XMLDocument(10, build_element("a", build_element("b")))
         server.add_document(extra)
         after = {t: server.resolve(parse_query(t)) for t in texts}
         assert after["/a/b"] == before["/a/b"] | {10}
         assert after["/a//c"] == before["/a//c"]
         assert after["/a/c/a"] == before["/a/c/a"]
-        assert server.resolved_query_strings == walked
+        assert server.admission.resolved_query_strings == walked
         # A string first asked after the add sees the new document too.
         assert 10 in server.resolve(parse_query("//b"))
-        assert server.resolved_query_strings == walked + 1
+        assert server.admission.resolved_query_strings == walked + 1
 
-    def test_uncached_server_re_resolves_after_mutation(self):
-        """``enable_caches=False`` stays the from-scratch oracle: every
-        mutation forgets the resolutions and the full guide is re-walked."""
+    def test_uncached_server_resolves_by_delta(self):
+        """``enable_caches=False`` forks only the index stage: its
+        resolutions follow each mutation by the delta, with no re-walk."""
         server = BroadcastServer(paper_store(), enable_caches=False)
         before = server.resolve(parse_query("/a/b"))
         server.add_document(XMLDocument(10, build_element("a", build_element("b"))))
         assert server.resolve(parse_query("/a/b")) == before | {10}
         server.remove_document(10)
         assert server.resolve(parse_query("/a/b")) == before
-        assert server.resolved_query_strings == 3
+        assert server.admission.resolved_query_strings == 1
 
     def test_removed_document_dropped_from_pending(self):
         server = BroadcastServer(paper_store(), cycle_data_capacity=128)
@@ -187,12 +187,12 @@ class TestServerMaintenance:
         server = BroadcastServer(paper_store())
         texts = ("/a/b", "/a//c", "/a/c/a")
         before = {t: server.resolve(parse_query(t)) for t in texts}
-        walked = server.resolved_query_strings
+        walked = server.admission.resolved_query_strings
         victim = next(iter(before["/a/b"]))
         server.remove_document(victim)
         for text in texts:
             assert server.resolve(parse_query(text)) == before[text] - {victim}
-        assert server.resolved_query_strings == walked
+        assert server.admission.resolved_query_strings == walked
 
     def test_doc_id_reuse_resolves_by_new_content(self):
         """Remove id n, add different content under id n: cached strings
@@ -210,31 +210,27 @@ class TestServerMaintenance:
     def test_resolution_cache_is_bounded(self, monkeypatch):
         """ROADMAP 4c: 10x the cap of distinct strings leaves the cache
         flat, and an evicted string re-resolves to the identical set."""
-        import repro.broadcast.server as server_module
-
         monkeypatch.setattr(server_module, "RESOLUTION_CACHE_SIZE", 8)
         server = BroadcastServer(paper_store())
         first = server.resolve(parse_query("/a/b"))
         labels = [f"t{n}" for n in range(80)]
         for label in labels:
             server.resolve(parse_query(f"/a/{label}"))
-            assert len(server._resolution_cache) <= 8
-        assert len(server._resolution_cache) == 8
-        assert "/a/b" not in server._resolution_cache  # evicted long ago
+            assert len(server.admission.resolutions) <= 8
+        assert len(server.admission.resolutions) == 8
+        assert "/a/b" not in server.admission.resolutions  # evicted long ago
         assert server.resolve(parse_query("/a/b")) == first
 
     def test_recently_used_string_survives_eviction(self, monkeypatch):
-        import repro.broadcast.server as server_module
-
         monkeypatch.setattr(server_module, "RESOLUTION_CACHE_SIZE", 4)
         server = BroadcastServer(paper_store())
         server.resolve(parse_query("/a/b"))
         for n in range(20):
             server.resolve(parse_query(f"/a/t{n}"))
             server.resolve(parse_query("/a/b"))  # keeps it most recent
-        walked = server.resolved_query_strings
+        walked = server.admission.resolved_query_strings
         server.resolve(parse_query("/a/b"))
-        assert server.resolved_query_strings == walked
+        assert server.admission.resolved_query_strings == walked
 
     def test_confirm_delivery_does_not_resurrect_removed_doc(self):
         """Regression: acknowledged delivery resets the remaining set from
@@ -454,7 +450,7 @@ class TestResolutionNFAReuse:
                 elif len(server.store) > 1:
                     ids = sorted(server.store.by_id)
                     server.remove_document(ids[value % len(ids)])
-                cache = server._resolution_cache
+                cache = server.admission.resolutions
                 assert len(cache) <= cap
                 keys = list(cache)
                 fresh = resolve_on_guide(

@@ -12,13 +12,13 @@ from repro.broadcast.scheduling import (
     LeeLoScheduler,
     MostRequestedFirstScheduler,
     RxWScheduler,
-    _demand_table,
     make_scheduler,
     scheduler_names,
 )
 from repro.broadcast.server import DocumentStore, PendingQuery
 from repro.xmlkit.model import XMLDocument, build_element
 from repro.xpath.parser import parse_query
+from tests.oracles import demand_of, demand_rebuild
 
 
 def tiny_store() -> DocumentStore:
@@ -46,17 +46,26 @@ def pending(query_id: int, arrival: int, remaining) -> PendingQuery:
     )
 
 
+def rank(scheduler, queries, now):
+    """*scheduler*'s order over *queries*, read from their demand table."""
+    return scheduler.rank(queries, now, demand_of(queries))
+
+
+def select(scheduler, queries, store, capacity, now):
+    return scheduler.select(queries, store, capacity, now, demand_of(queries))
+
+
 class TestFCFS:
     def test_oldest_query_first(self):
         scheduler = FCFSScheduler()
         older = pending(0, 0, {2, 3})
         newer = pending(1, 100, {0})
-        ranked = scheduler.rank([newer, older], now=200)
+        ranked = rank(scheduler, [newer, older], now=200)
         assert ranked == [2, 3, 0]
 
     def test_dedupes_across_queries(self):
         scheduler = FCFSScheduler()
-        ranked = scheduler.rank([pending(0, 0, {1}), pending(1, 1, {1, 2})], now=5)
+        ranked = rank(scheduler, [pending(0, 0, {1}), pending(1, 1, {1, 2})], now=5)
         assert ranked == [1, 2]
 
 
@@ -64,13 +73,13 @@ class TestMRF:
     def test_popularity_order(self):
         scheduler = MostRequestedFirstScheduler()
         queries = [pending(0, 0, {1, 2}), pending(1, 0, {2}), pending(2, 0, {2, 3})]
-        ranked = scheduler.rank(queries, now=0)
+        ranked = rank(scheduler, queries, now=0)
         assert ranked[0] == 2  # wanted by all three
         assert set(ranked) == {1, 2, 3}
 
     def test_tie_breaks_by_doc_id(self):
         scheduler = MostRequestedFirstScheduler()
-        ranked = scheduler.rank([pending(0, 0, {5, 3})], now=0)
+        ranked = rank(scheduler, [pending(0, 0, {5, 3})], now=0)
         assert ranked == [3, 5]
 
 
@@ -79,14 +88,14 @@ class TestRxW:
         scheduler = RxWScheduler()
         old = pending(0, 0, {1})
         new = pending(1, 90, {2})
-        ranked = scheduler.rank([old, new], now=100)
+        ranked = rank(scheduler, [old, new], now=100)
         assert ranked[0] == 1  # same popularity, longer wait wins
 
     def test_popularity_can_beat_wait(self):
         scheduler = RxWScheduler()
         lonely_old = pending(0, 0, {1})
         crowd = [pending(i, 99, {2}) for i in range(1, 150)]
-        ranked = scheduler.rank([lonely_old] + crowd, now=100)
+        ranked = rank(scheduler, [lonely_old] + crowd, now=100)
         assert ranked[0] == 2
 
 
@@ -97,13 +106,13 @@ class TestLeeLo:
         scheduler = LeeLoScheduler(UniformSizes())
         nearly_done = pending(0, 0, {7})
         huge = pending(1, 0, {i for i in range(10, 30)})
-        ranked = scheduler.rank([nearly_done, huge], now=0)
+        ranked = rank(scheduler, [nearly_done, huge], now=0)
         assert ranked[0] == 7
 
     def test_shared_docs_accumulate_score(self):
         scheduler = LeeLoScheduler(UniformSizes())
         queries = [pending(0, 0, {1, 2}), pending(1, 0, {2, 3})]
-        ranked = scheduler.rank(queries, now=0)
+        ranked = rank(scheduler, queries, now=0)
         assert ranked[0] == 2  # scores 0.5 + 0.5 vs 0.5
 
     def test_store_construction_is_silent(self):
@@ -118,7 +127,7 @@ class TestLeeLo:
         # Docs 0 and 3 both single-query, same remaining size -> smaller doc
         # (doc 0) wins the tie.
         queries = [pending(0, 0, {0}), pending(1, 0, {3})]
-        assert scheduler.rank(queries, now=0)[0] == 0
+        assert rank(scheduler, queries, now=0)[0] == 0
 
 
 class TestSelect:
@@ -127,14 +136,14 @@ class TestSelect:
         scheduler = FCFSScheduler()
         queries = [pending(0, 0, {0, 1, 2, 3})]
         capacity = store.air_bytes(0) + store.air_bytes(1)
-        chosen = scheduler.select(queries, store, capacity, now=0)
+        chosen = select(scheduler, queries, store, capacity, now=0)
         total = sum(store.air_bytes(d) for d in chosen)
         assert total <= capacity
 
     def test_always_schedules_at_least_one(self):
         store = tiny_store()
         scheduler = FCFSScheduler()
-        chosen = scheduler.select([pending(0, 0, {3})], store, capacity_bytes=1, now=0)
+        chosen = select(scheduler, [pending(0, 0, {3})], store, 1, now=0)
         assert chosen == [3]
 
     def test_skips_too_big_but_continues(self):
@@ -143,19 +152,19 @@ class TestSelect:
         # Capacity fits doc 0 and doc 1 but not doc 3 in between.
         queries = [pending(0, 0, {3, 0, 1})]
         capacity = store.air_bytes(0) + store.air_bytes(1)
-        chosen = scheduler.select(queries, store, capacity, now=0)
+        chosen = select(scheduler, queries, store, capacity, now=0)
         assert 0 in chosen or 1 in chosen
 
     def test_empty_pending(self):
         store = tiny_store()
-        assert FCFSScheduler().select([], store, 1000, now=0) == []
+        assert select(FCFSScheduler(), [], store, 1000, now=0) == []
 
     def test_oversized_first_doc_still_scheduled(self):
         """A document larger than the whole cycle is scheduled alone --
         otherwise it could never be delivered."""
         store = tiny_store()
         capacity = store.air_bytes(3) - 1
-        chosen = FCFSScheduler().select([pending(0, 0, {3})], store, capacity, now=0)
+        chosen = select(FCFSScheduler(), [pending(0, 0, {3})], store, capacity, now=0)
         assert chosen == [3]
 
     def test_exact_fit_stops_the_fill(self):
@@ -163,8 +172,8 @@ class TestSelect:
         candidates are not considered."""
         store = tiny_store()
         capacity = store.air_bytes(0) + store.air_bytes(1)
-        chosen = FCFSScheduler().select(
-            [pending(0, 0, {0, 1, 2})], store, capacity, now=0
+        chosen = select(
+            FCFSScheduler(), [pending(0, 0, {0, 1, 2})], store, capacity, now=0
         )
         assert chosen == [0, 1]
         assert sum(store.air_bytes(d) for d in chosen) == capacity
@@ -177,7 +186,7 @@ class TestSelect:
         queries = [pending(0, 0, {0, 3}), pending(1, 1, {1})]
         capacity = store.air_bytes(0) + store.air_bytes(1)
         assert store.air_bytes(3) > store.air_bytes(1)  # 3 cannot fit after 0
-        chosen = FCFSScheduler().select(queries, store, capacity, now=5)
+        chosen = select(FCFSScheduler(), queries, store, capacity, now=5)
         assert chosen == [0, 1]
 
 
@@ -215,18 +224,10 @@ class TestDemandTable:
 
     def test_snapshot_matches_rebuild(self):
         queries = self._queries()
-        table = DemandTable()
-        for q in queries:
-            table.add_query(q)
+        table = demand_of(queries)
         now = 10
         active = [q for q in queries if q.arrival_time <= now]
-        rebuilt = _demand_table(active)
-        snap = table.snapshot(now)
-        assert set(snap) == set(rebuilt)
-        for doc_id in rebuilt:
-            assert {q.query_id for q in snap[doc_id]} == {
-                q.query_id for q in rebuilt[doc_id]
-            }
+        assert table.snapshot(now) == demand_rebuild(active)
 
     def test_satisfied_queries_vanish_when_mirrored(self):
         """The server mirrors every remaining-set shrink; once a query's
@@ -275,16 +276,17 @@ class TestDemandTable:
         assert 1 not in table.snapshot(now=50)
 
     def test_rank_with_table_matches_rank_without(self):
+        """A table kept through drops and a re-add ranks exactly as one
+        rebuilt from the remaining sets, whose order is admission order."""
         store = tiny_store()
-        queries = [pending(0, 0, {0, 1}), pending(1, 2, {1, 2}), pending(2, 4, {3})]
-        table = DemandTable()
-        for q in queries:
-            table.add_query(q)
+        queries = [pending(0, 0, {0, 1}), pending(1, 2, {1, 2}), pending(2, 4, {1, 3})]
+        table = demand_of(queries)
+        table.drop(queries[0], [1])
+        table.add(queries[0], [1])  # an ACK that omitted it regrows it
+        assert table.snapshot(10) == demand_rebuild(queries)
         for scheduler in (
             MostRequestedFirstScheduler(),
             RxWScheduler(),
             LeeLoScheduler(store),
         ):
-            assert scheduler.rank(queries, now=10, demand=table) == scheduler.rank(
-                queries, now=10
-            )
+            assert scheduler.rank(queries, 10, table) == rank(scheduler, queries, 10)

@@ -10,6 +10,7 @@ from repro.broadcast.scheduling import make_scheduler, scheduler_names
 from repro.broadcast.server import DocumentStore, PendingQuery
 from repro.xmlkit.model import XMLDocument, build_element
 from repro.xpath.parser import parse_query
+from tests.oracles import demand_of
 
 
 def store_of(sizes):
@@ -50,7 +51,7 @@ class TestSchedulerContracts:
     def test_rank_returns_exactly_the_demanded_docs(self, name, data):
         store, pending = data.draw(pending_sets())
         scheduler = make_scheduler(name, store)
-        ranked = scheduler.rank(pending, now=200)
+        ranked = scheduler.rank(pending, 200, demand_of(pending))
         demanded = set()
         for query in pending:
             demanded |= query.remaining_doc_ids
@@ -62,7 +63,7 @@ class TestSchedulerContracts:
         store, pending = data.draw(pending_sets())
         capacity = data.draw(st.integers(1, 3000))
         scheduler = make_scheduler(name, store)
-        chosen = scheduler.select(pending, store, capacity, now=200)
+        chosen = scheduler.select(pending, store, capacity, 200, demand_of(pending))
         total = sum(store.air_bytes(d) for d in chosen)
         if len(chosen) > 1:
             assert total <= capacity + store.air_bytes(chosen[-1])
@@ -73,14 +74,15 @@ class TestSchedulerContracts:
     def test_select_nonempty_when_demand_exists(self, name, data):
         store, pending = data.draw(pending_sets())
         scheduler = make_scheduler(name, store)
-        assert scheduler.select(pending, store, 1, now=200)
+        assert scheduler.select(pending, store, 1, 200, demand_of(pending))
 
     @given(data=st.data())
     def test_deterministic(self, name, data):
         store, pending = data.draw(pending_sets())
         scheduler = make_scheduler(name, store)
         again = make_scheduler(name, store)
-        assert scheduler.rank(pending, now=200) == again.rank(pending, now=200)
+        demand = demand_of(pending)
+        assert scheduler.rank(pending, 200, demand) == again.rank(pending, 200, demand)
 
 
 class TestLeeLoScores:
@@ -102,4 +104,5 @@ class TestLeeLoScores:
             for doc_id, queries in demand.items()
         }
         want = sorted(demand, key=lambda d: (-scores[d], store.air_bytes(d), d))
-        assert make_scheduler("leelo", store).rank(pending, now=200) == want
+        ranked = make_scheduler("leelo", store).rank(pending, 200, demand_of(pending))
+        assert ranked == want

@@ -40,11 +40,6 @@ class TestDocumentStore:
         store = paper_store()
         assert set(store.guides) == {doc.doc_id for doc in store.documents}
 
-    def test_subset(self):
-        store = paper_store()
-        subset = store.subset({1, 3})
-        assert [doc.doc_id for doc in subset] == [1, 3]
-
     def test_total_data_bytes(self):
         store = paper_store()
         assert store.total_data_bytes() == sum(
@@ -128,20 +123,23 @@ class TestSubmit:
         admitted = server.submit_batch(
             [parse_query("/a/b"), parse_query("/a//c")], arrival_time=5
         )
-        assert [p.query_id for p in admitted] == [0, 1]
-        assert all(p.arrival_time == 5 for p in admitted)
-        assert server.pending == admitted
+        assert [a.pending.query_id for a in admitted] == [0, 1]
+        assert not any(a.duplicate for a in admitted)
+        assert all(a.pending.arrival_time == 5 for a in admitted)
+        assert server.pending == [a.pending for a in admitted]
 
-    def test_batch_admission_is_atomic(self):
-        """One empty-result query rejects the whole batch before any
-        admission happens."""
+    def test_batch_rejects_each_empty_query_alone(self):
+        """An empty-result query is rejected by itself: it takes no id and
+        the rest of its batch is admitted around it."""
         server = BroadcastServer(paper_store())
+        texts = ("/a/b", "/nothing/here", "/a//c")
+        admitted = server.submit_batch([parse_query(t) for t in texts], 0)
+        assert admitted[1] == (None, False)
+        assert [admitted[0].pending.query_id, admitted[2].pending.query_id] == [0, 1]
+        assert server.pending == [admitted[0].pending, admitted[2].pending]
         with pytest.raises(ValueError, match="empty result set"):
-            server.submit_batch(
-                [parse_query("/a/b"), parse_query("/nothing/here")], arrival_time=0
-            )
-        assert server.pending == []
-        assert len(server.demand) == 0
+            server.submit(parse_query("/nothing/here"), 0)
+        assert server.submit(parse_query("/a/b"), 0).query_id == 2
 
 
 class TestBuildCycle:

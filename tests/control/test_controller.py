@@ -249,12 +249,14 @@ class TestHotSet:
     def test_is_cold_spares_hot_overlap(self, store):
         controller = make_controller(store, self.control(), base_channels=2)
         controller.hot_doc_ids = (1, 3)
-        assert controller.is_cold(frozenset({2, 4}))
-        assert not controller.is_cold(frozenset({3, 9}))
+        controller.shedding = True
+        assert controller.sheds(lambda: frozenset({2, 4}))
+        assert not controller.sheds(lambda: frozenset({3, 9}))
 
     def test_everything_cold_without_hot_set(self, store):
         controller = make_controller(store)
-        assert controller.is_cold(frozenset({1}))
+        controller.shedding = True
+        assert controller.sheds(lambda: frozenset({1}))
 
 
 class TestGovernor:
@@ -268,10 +270,23 @@ class TestGovernor:
         assert not plan.shed and "shed-off" in plan.reason
 
     def test_record_shed_counts(self, store):
+        """Each shed answer is counted; an arrival is resolved only while
+        the governor sheds, and a hot one is admitted uncounted."""
         controller = make_controller(store)
-        controller.record_shed()
-        controller.record_shed(2)
-        assert controller.shed_queries == 3
+        resolved = []
+
+        def resolve(docs):
+            return lambda: resolved.append(docs) or docs
+
+        assert not controller.sheds(resolve(frozenset({1})))
+        assert resolved == []
+        controller.shedding = True
+        assert controller.sheds(resolve(frozenset({1})))
+        assert controller.sheds(resolve(frozenset({2})))
+        controller.hot_doc_ids = (2,)
+        assert not controller.sheds(resolve(frozenset({2})))
+        assert len(resolved) == 3
+        assert controller.shed_queries == 2
 
 
 class TestDeterminism:

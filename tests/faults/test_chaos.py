@@ -129,7 +129,7 @@ class TestTargetedPlans:
         assert sim.run().completed
         assert sim.fault_stats["uplink_dropped"] > 0
         assert sim.fault_stats["uplink_duplicates"] > 0
-        assert sim.server.uplink_dedup_hits > 0
+        assert sim.server.admission.dedup_hits > 0
 
     def test_late_duplicate_of_an_admitted_session_is_no_nack(self, nitf_docs):
         """A duplicate reaching the server after its query's result set
@@ -150,7 +150,7 @@ class TestTargetedPlans:
         sim._submit([session], 5)
         assert sim.sessions == [session] and not session.rejected
         assert sim.fault_stats["uplink_rejections"] == 0
-        assert sim.server.uplink_dedup_hits == 1
+        assert sim.server.admission.dedup_hits == 1
 
     def test_run_simulation_routes_to_chaos(self, nitf_docs):
         from repro.sim.simulation import run_simulation

@@ -29,7 +29,7 @@ class TestDedup:
         assert retry is first
         assert retry.arrival_time == 10  # never reset by the retry
         assert len(server.pending) == 1
-        assert server.uplink_dedup_hits == 1
+        assert server.admission.dedup_hits == 1
 
     def test_same_query_different_keys_admit_separately(self):
         server = make_server()
@@ -45,7 +45,7 @@ class TestDedup:
         one = server.submit(query, 0)
         two = server.submit(query, 0)
         assert one is not two
-        assert server.uplink_dedup_hits == 0
+        assert server.admission.dedup_hits == 0
 
     def test_duplicate_after_satisfaction_does_not_readmit(self):
         server = make_server()
@@ -67,20 +67,20 @@ class TestDedup:
         server = make_server()
         query = parse_query("/a//c")
         server.submit(query, 0, client_key=3)
-        server._resolution_cache.clear()
+        server.admission.resolutions.clear()
         # A dedup hit must not resolve at all, so a (hypothetically)
         # changed collection cannot reject or alter the admitted query.
-        before = dict(server._resolution_cache)
+        before = dict(server.admission.resolutions)
         server.submit(query, 1, client_key=3)
-        assert server._resolution_cache == before
+        assert server.admission.resolutions == before
 
     def test_batch_mixes_fresh_and_duplicate(self):
         server = make_server()
         qa, qb = parse_query("/a//c"), parse_query("/a/b")
         first = server.submit(qa, 0, client_key=1)
         out = server.submit_batch([qa, qb], 5, client_keys=[1, 2])
-        assert out[0] is first
-        assert out[1].arrival_time == 5
+        assert out[0].pending is first and out[0].duplicate
+        assert out[1].pending.arrival_time == 5 and not out[1].duplicate
         assert len(server.pending) == 2
 
     def test_client_keys_length_mismatch(self):

@@ -220,7 +220,7 @@ class _Twins:
         live = cached.store.documents
         # (a) every cached resolution is the evaluator's answer over the
         # live collection
-        for text, (query, docs) in cached._resolution_cache.items():
+        for text, (query, docs) in cached.admission.resolutions.items():
             assert str(query) == text
             assert docs == matching_documents(query, live), text
         # queue bookkeeping agrees with the oracle and holds no satisfied query

@@ -191,7 +191,7 @@ class TestUplink:
         async def body(daemon):
             a = await round_trip("127.0.0.1", daemon.port, "SUBMIT AT=0 KEY=42 //nitf")
             b = await round_trip("127.0.0.1", daemon.port, "SUBMIT AT=0 KEY=42 //nitf")
-            return a, b, daemon.server.uplink_dedup_hits
+            return a, b, daemon.server.admission.dedup_hits
 
         a, b, hits = _run(
             _with_daemon(store, config, DaemonConfig(autostart=False), body)

@@ -2,18 +2,23 @@
 
 ``src`` never needs these facts for itself; each one is an oracle for
 some structure it does build (combined-guide annotations, element
-paths, the workload generator's ``P = 0`` setting, DTD recursion).
+paths, the workload generator's ``P = 0`` setting, DTD recursion, the
+schedulers' demand map).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence
 
+from repro.broadcast.scheduling import DemandTable
 from repro.dataguide.roxsum import CombinedDataGuide
 from repro.xmlkit.dtd import DTD
 from repro.xmlkit.model import LabelPath, XMLDocument, XMLElement
 from repro.xpath.ast import Axis, WILDCARD, XPathQuery
+
+if TYPE_CHECKING:
+    from repro.broadcast.server import PendingQuery
 
 
 def path_frequencies(documents: Sequence[XMLDocument]) -> Dict[LabelPath, int]:
@@ -72,3 +77,22 @@ def is_recursive(dtd: DTD) -> bool:
         return found
 
     return any(visit(name) for name in dtd.declarations)
+
+
+def demand_rebuild(pending: Sequence["PendingQuery"]) -> Dict[int, List["PendingQuery"]]:
+    """doc id -> the queries of *pending* still missing that document, in
+    *pending*'s order: what the server's :class:`DemandTable` mirrors."""
+    demand: Dict[int, List["PendingQuery"]] = {}
+    for query in pending:
+        for doc_id in query.remaining_doc_ids:
+            demand.setdefault(doc_id, []).append(query)
+    return demand
+
+
+def demand_of(pending: Sequence["PendingQuery"]) -> DemandTable:
+    """A :class:`DemandTable` holding *pending*'s remaining sets, for a
+    scheduler ranked outside a server."""
+    table = DemandTable()
+    for query in pending:
+        table.add_query(query)
+    return table

@@ -72,4 +72,4 @@ def test_a_simulation_walks_at_most_once_per_window(monkeypatch):
     sim.run()
     assert sum(1 for size in windows if size) >= 2
     assert len(walks) <= sum(1 for size in windows if size)
-    assert sum(walks) == sim.server.resolved_query_strings
+    assert sum(walks) == sim.server.admission.resolved_query_strings

@@ -834,6 +834,80 @@ class TestOneCollectionTable:
         assert walks == ["_prune"]
 
 
+class TestOneAdmission:
+    """Admission is one object with one per-query contract, and
+    ``enable_caches=False`` forks the index stage alone (migration table:
+    CHANGES.md -- ``server.forget_uplink_key(key, text)`` is
+    ``server.admission.forget(key, query)``; ``submit_batch`` no longer
+    rejects a whole batch for one empty result set: it returns one
+    ``Admitted(pending, duplicate)`` per query, ``pending`` ``None``
+    for a rejected one (``submit`` still raises the old ``ValueError``);
+    ``Scheduler.rank`` / ``select`` take the
+    ``DemandTable`` they read, no longer optional (``server.demand``, or
+    ``DemandTable.add_query`` per pending query);
+    ``server.uplink_dedup_hits`` is ``server.admission.dedup_hits`` and
+    ``server.resolved_query_strings`` is
+    ``server.admission.resolved_query_strings``; ``store.subset(ids)`` is
+    ``[d for d in store.documents if d.doc_id in ids]``;
+    ``controller.is_cold(docs)`` / ``record_shed()`` are one
+    ``controller.sheds(lambda: docs)``)."""
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            ("repro.broadcast.server:BroadcastServer", "forget_uplink_key"),
+            ("repro.broadcast.server:BroadcastServer", "uplink_dedup_hits"),
+            ("repro.broadcast.server:BroadcastServer", "resolved_query_strings"),
+            ("repro.broadcast.server:BroadcastServer", "_resolution_cache"),
+            ("repro.broadcast.server:BroadcastServer", "_uplink_dedup"),
+            ("repro.broadcast.server:DocumentStore", "subset"),
+            ("repro.broadcast.scheduling", "_demand_table"),
+            ("repro.broadcast.scheduling", "_demand_view"),
+            ("repro.control.controller:AdaptiveController", "is_cold"),
+            ("repro.control.controller:AdaptiveController", "record_shed"),
+        ],
+    )
+    def test_removed_names_are_gone(self, owner, name):
+        from repro.broadcast.server import BroadcastServer, DocumentStore
+        from tests.xpath.test_evaluator import paper_documents
+
+        module_name, _, attr = owner.partition(":")
+        target = importlib.import_module(module_name)
+        if attr:
+            target = getattr(target, attr)
+        assert not hasattr(target, name)
+        if target is BroadcastServer:
+            assert not hasattr(BroadcastServer(DocumentStore(paper_documents())), name)
+
+    def test_a_batch_rejects_per_query(self):
+        from repro.broadcast.server import BroadcastServer, DocumentStore
+        from repro.xpath.parser import parse_query
+        from tests.xpath.test_evaluator import paper_documents
+
+        server = BroadcastServer(DocumentStore(paper_documents()))
+        kept, empty = server.submit_batch(
+            [parse_query("/a/b"), parse_query("/nothing")], 0
+        )
+        assert kept.pending is not None and empty.pending is None
+        assert server.pending == [kept.pending]
+
+    def test_schedulers_take_the_demand_table(self):
+        import inspect
+
+        from repro.broadcast import scheduling
+
+        for cls in (
+            scheduling.Scheduler,
+            scheduling.FCFSScheduler,
+            scheduling.MostRequestedFirstScheduler,
+            scheduling.RxWScheduler,
+            scheduling.LeeLoScheduler,
+        ):
+            for method in (cls.rank, cls.select):
+                demand = inspect.signature(method).parameters["demand"]
+                assert demand.default is inspect.Parameter.empty, cls
+
+
 class TestQuickstartSnippet:
     def test_readme_quickstart_runs(self):
         """The exact flow the README shows."""
